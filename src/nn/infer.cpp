@@ -48,7 +48,7 @@ void pack_kernel(void* pv, std::size_t /*worker*/, std::size_t lo,
 // C regions.
 struct TileCtx {
     const tensor::PackedGemmA* wpack;
-    const float* wraw;  // folded weights (cout × patch), sparse fallback
+    const float* wraw;  // folded weights (cout × patch)
     const float* packed;
     float* y;  // channel-major (cout × n·out_hw)
     const float* bias;

@@ -146,7 +146,7 @@ private:
         Tensor b;  // folded bias (Cout) / (out); empty when !epilogue
         // Conv weights packed once per refresh for the batched tile GEMM —
         // the per-call sparsity scan and A-packing drop out of the batch
-        // loop (pruned layers stay on the zero-skip path instead).
+        // loop (pruned layers pack only their live k indices).
         tensor::PackedGemmA wpack;
     };
 

@@ -385,10 +385,12 @@ SweepSummary SweepRunner::run() {
             ctx_.prepared(ms);
     }
 
-    // Shard phase: shard s owns work units s, s+shards, s+2·shards, … — an
-    // assignment that depends only on expansion order. Exceptions are
-    // collected per shard and rethrown after the dispatch (an exception
-    // escaping into the pool would terminate the process).
+    // Shard phase: `shards` concurrent executors each take the next
+    // undealt work unit from a shared cursor until none are left, so no
+    // shard idles while another still has a queue. Results do not depend
+    // on the deal: seeds come from cell ids. Exceptions are collected per
+    // shard and rethrown after the dispatch (an exception escaping into the
+    // pool would terminate the process).
     const std::size_t nshards =
         opts_.shards > 0 ? static_cast<std::size_t>(opts_.shards)
                          : util::worker_count();
@@ -432,9 +434,8 @@ SweepSummary SweepRunner::run() {
     // bit-identical to per-cell execution, which keeps the aggregate CSV
     // independent of the batching mode; warm-start sweeps chain solves
     // differently per lane and nf-only sweeps have no inference pass, so
-    // both fall back to singleton units. Units (not cells) are dealt
-    // round-robin — with batching off every unit is one cell and the
-    // assignment reduces to the historical cell deal.
+    // both fall back to singleton units. Units, not cells, are dealt to the
+    // shards; with batching off every unit is one cell.
     const bool batch_groups = opts_.repeat_batch && !spec_.nf_only &&
                               !spec_.warm_start_solves && spec_.repeats > 1;
     struct Unit {
@@ -476,11 +477,12 @@ SweepSummary SweepRunner::run() {
                            util::fmt(opts_.cell_budget_ms, 0) + " ms");
         }
     };
+    std::atomic<std::size_t> next_unit{0};
     util::parallel_for_workers(
         0, nshards, [&](std::size_t, std::size_t lo, std::size_t hi) {
             for (std::size_t s = lo; s < hi; ++s) {
                 try {
-                    for (std::size_t u = s; u < units.size(); u += nshards) {
+                    for (std::size_t u; (u = next_unit++) < units.size();) {
                         const Unit unit = units[u];
                         if (unit.count == 1) {
                             record_one(unit.begin,

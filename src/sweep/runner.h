@@ -1,13 +1,14 @@
 // Sharded, resumable execution of a SweepSpec grid (DESIGN.md §7).
 //
-// Work units are dealt round-robin onto `shards` logical shards and the
-// shards run concurrently on the process-wide worker pool; every completed
-// cell is appended to a JSONL manifest (sweep/manifest.h) so an interrupted
-// sweep resumes with --resume, skipping finished cells. A unit is normally
-// one grid point's pending repeats, evaluated in a single lane-batched pass
+// `shards` executors run concurrently on the process-wide worker pool and
+// are dealt work units dynamically: each takes the next undealt unit from a
+// shared cursor whenever it finishes one. Every completed cell is appended
+// to a JSONL manifest (sweep/manifest.h) so an interrupted sweep resumes
+// with --resume, skipping finished cells. A unit is normally one grid
+// point's pending repeats, evaluated in a single lane-batched pass
 // (run_sweep_group); warm-start and nf-only sweeps, and --repeat-batch=off,
 // fall back to one-cell units (run_sweep_cell). Per-cell RNG seeds derive
-// from the cell's stable group id — never from shard, batching, or
+// from the cell's stable group id — never from shard, deal, batching, or
 // completion order — and sweep cells cold-start their circuit solves, so
 // the aggregate CSV is byte-identical at any shard count, with either
 // batching mode, with or without interruption.
@@ -32,8 +33,10 @@
 namespace xs::sweep {
 
 struct SweepOptions {
-    // Logical shards; 0 = one per pool worker. Cell→shard assignment is
-    // index % shards, fixed by expansion order.
+    // Concurrent executors (at most one per pool worker); 0 = one per pool
+    // worker. Work units are dealt dynamically, in expansion order, to
+    // whichever executor is free, so the assignment varies run to run and
+    // the results do not.
     std::int64_t shards = 0;
     // Skip cells already recorded in the manifest (fresh runs truncate it).
     bool resume = false;

@@ -77,9 +77,8 @@ void pack_a(const float* a, std::int64_t lda, std::int64_t i0, std::int64_t i1,
 // registers (8 × 16-float vectors); the packed operands make every load
 // contiguous. GNU vector extensions pin the accumulators to vector
 // registers — a plain float[8][16] spills under gcc.
-#if defined(__GNUC__) || defined(__clang__)
-// The vector kernel spells out its kMr accumulators and arow lanes by hand;
-// retuning kMr requires rewriting it.
+// The vector kernels spell out their kMr accumulators and arow lanes by
+// hand; retuning kMr requires rewriting them.
 static_assert(kMr == 8, "micro_kernel is hand-unrolled for kMr == 8");
 using Vf = float __attribute__((vector_size(kNr * sizeof(float))));
 
@@ -150,19 +149,44 @@ inline void store_panel(const Vf* acc, float* c, std::int64_t ldc,
     }
 }
 
-// Dual-panel variant: one pass over the packed A panel feeds TWO adjacent B
-// panels (an 8×32 register tile — 16 accumulators + 2 B vectors fit the 32
-// zmm registers). The single-panel kernel is load-bound (9 loads per 8
-// FMAs); amortizing the A broadcasts over two panels restores FMA-bound
-// throughput. The first panel must be full width; the second may be partial.
-void micro_kernel_x2(std::int64_t kc, const float* ap, const float* bp0,
-                     const float* bp1, float* c, std::int64_t ldc,
-                     std::int64_t mr, std::int64_t nr1, bool load_c,
+// The tiled path's kernel: one pass over a packed A panel feeds TWO
+// adjacent B panels (an 8×32 register tile — 16 accumulators + 2 B vectors
+// fit the 32 zmm registers). A single-panel kernel is load-bound (9 loads
+// per 8 FMAs); amortizing the A broadcasts over two panels restores
+// FMA-bound throughput. Only the last panel of a block may be partial, so
+// either nr0 = kNr, or the panel is a lone tail and nr1 = 0 (its second
+// panel's products are never stored).
+//
+// kChain picks the accumulation (PackedGemmA): false walks all `steps` k of
+// the block from zero and lets store_panel add C; true walks the block's
+// live list — A packed compactly, B addressed through `live` — starting
+// from C once an earlier block has stored it.
+template <bool kChain>
+void micro_kernel_x2(std::int64_t steps, const std::int32_t* live,
+                     const float* ap, const float* bp0, const float* bp1,
+                     float* c, std::int64_t ldc, std::int64_t mr,
+                     std::int64_t nr0, std::int64_t nr1, bool load_c,
                      const float* bias, bool relu) {
-    Vf x0{}, x1{}, x2{}, x3{}, x4{}, x5{}, x6{}, x7{};
-    Vf y0{}, y1{}, y2{}, y3{}, y4{}, y5{}, y6{}, y7{};
-    for (std::int64_t p = 0; p < kc; ++p) {
-        const float* arow = ap + p * kMr;
+    // Accumulator start of row r: zero, or (chain, after the first k-block)
+    // the partial sums C holds. Rows past mr and lanes past nr are never
+    // stored, so they start at zero.
+    const auto start = [&](std::int64_t r, std::int64_t nr, const float* cp) {
+        Vf v{};
+        if (kChain && load_c && r < mr)
+            __builtin_memcpy(&v, cp + r * ldc,
+                             static_cast<std::size_t>(nr) * sizeof(float));
+        return v;
+    };
+    float* c1 = c + kNr;
+    Vf x0 = start(0, nr0, c), x1 = start(1, nr0, c), x2 = start(2, nr0, c);
+    Vf x3 = start(3, nr0, c), x4 = start(4, nr0, c), x5 = start(5, nr0, c);
+    Vf x6 = start(6, nr0, c), x7 = start(7, nr0, c);
+    Vf y0 = start(0, nr1, c1), y1 = start(1, nr1, c1), y2 = start(2, nr1, c1);
+    Vf y3 = start(3, nr1, c1), y4 = start(4, nr1, c1), y5 = start(5, nr1, c1);
+    Vf y6 = start(6, nr1, c1), y7 = start(7, nr1, c1);
+    for (std::int64_t t = 0; t < steps; ++t) {
+        const std::int64_t p = kChain ? live[t] : t;
+        const float* arow = ap + t * kMr;
         const Vf b0 = load_vf(bp0 + p * kNr);
         const Vf b1 = load_vf(bp1 + p * kNr);
         x0 += arow[0] * b0;
@@ -184,82 +208,69 @@ void micro_kernel_x2(std::int64_t kc, const float* ap, const float* bp0,
     }
     const Vf acc0[kMr] = {x0, x1, x2, x3, x4, x5, x6, x7};
     const Vf acc1[kMr] = {y0, y1, y2, y3, y4, y5, y6, y7};
-    store_panel(acc0, c, ldc, mr, kNr, load_c, bias, relu);
-    store_panel(acc1, c + kNr, ldc, mr, nr1, load_c, bias, relu);
+    store_panel(acc0, c, ldc, mr, nr0, !kChain && load_c, bias, relu);
+    store_panel(acc1, c1, ldc, mr, nr1, !kChain && load_c, bias, relu);
 }
 
-// Single-panel kernel with the same fused store semantics.
-void micro_kernel_f(std::int64_t kc, const float* ap, const float* bp,
-                    float* c, std::int64_t ldc, std::int64_t mr,
-                    std::int64_t nr, bool load_c, const float* bias,
-                    bool relu) {
-    Vf a0{}, a1{}, a2{}, a3{}, a4{}, a5{}, a6{}, a7{};
-    for (std::int64_t p = 0; p < kc; ++p) {
-        const float* arow = ap + p * kMr;
-        const Vf bv = load_vf(bp + p * kNr);
-        a0 += arow[0] * bv;
-        a1 += arow[1] * bv;
-        a2 += arow[2] * bv;
-        a3 += arow[3] * bv;
-        a4 += arow[4] * bv;
-        a5 += arow[5] * bv;
-        a6 += arow[6] * bv;
-        a7 += arow[7] * bv;
-    }
-    const Vf acc[kMr] = {a0, a1, a2, a3, a4, a5, a6, a7};
-    store_panel(acc, c, ldc, mr, nr, load_c, bias, relu);
-}
-#else
-void micro_kernel(std::int64_t kc, float alpha, const float* ap,
-                  const float* bp, float* c, std::int64_t ldc, std::int64_t mr,
-                  std::int64_t nr) {
-    float acc[kMr][kNr] = {};
-    for (std::int64_t p = 0; p < kc; ++p) {
-        const float* arow = ap + p * kMr;
-        const float* brow = bp + p * kNr;
-        for (std::int64_t r = 0; r < kMr; ++r) {
-            const float av = arow[r];
-            for (std::int64_t j = 0; j < kNr; ++j) acc[r][j] += av * brow[j];
-        }
-    }
-    for (std::int64_t r = 0; r < mr; ++r) {
-        float* cr = c + r * ldc;
-        for (std::int64_t j = 0; j < nr; ++j) cr[j] += alpha * acc[r][j];
-    }
-}
-
-void micro_kernel_f(std::int64_t kc, const float* ap, const float* bp,
-                    float* c, std::int64_t ldc, std::int64_t mr,
-                    std::int64_t nr, bool load_c, const float* bias,
-                    bool relu) {
-    float acc[kMr][kNr] = {};
-    for (std::int64_t p = 0; p < kc; ++p) {
-        const float* arow = ap + p * kMr;
-        const float* brow = bp + p * kNr;
-        for (std::int64_t r = 0; r < kMr; ++r) {
-            const float av = arow[r];
-            for (std::int64_t j = 0; j < kNr; ++j) acc[r][j] += av * brow[j];
-        }
-    }
-    for (std::int64_t r = 0; r < mr; ++r) {
-        float* cr = c + r * ldc;
-        const float add = bias ? bias[r] : 0.0f;
-        for (std::int64_t j = 0; j < nr; ++j) {
-            float v = acc[r][j] + add + (load_c ? cr[j] : 0.0f);
-            if (relu && v < 0.0f) v = 0.0f;
-            cr[j] = v;
+// Tiles [tile_lo, tile_hi) of gemm_prepacked_tiles with one accumulation
+// kind: kChain for a row-sparse PackedGemmA, restart for a dense one.
+template <bool kChain>
+void run_tiles(const PackedGemmA& pa, const float* packed_b, std::int64_t n,
+               float* c, std::int64_t ldc, const float* bias, bool relu,
+               std::int64_t tile_lo, std::int64_t tile_hi) {
+    const std::int64_t m = pa.m, k = pa.k;
+    const std::int64_t row_panels = (m + kMr - 1) / kMr;
+    const std::int64_t block_panels = kNc / kNr;  // panels per full n-block
+    for (std::int64_t t = tile_lo; t < tile_hi; ++t) {
+        const std::int64_t nb = t / row_panels;  // n-block index
+        const std::int64_t ip = t % row_panels;  // row-panel index
+        const std::int64_t jc = nb * kNc;
+        const std::int64_t j1 = std::min(n, jc + kNc);
+        const std::int64_t ib = ip * kMr;
+        const std::int64_t mr = std::min(kMr, m - ib);
+        const std::int64_t blk_panels = (j1 - jc + kNr - 1) / kNr;
+        // The n-block's packed region: full blocks before it hold
+        // block_panels panels each, k rows, kNr lanes.
+        const float* bblock = packed_b + nb * block_panels * k * kNr;
+        for (std::int64_t pc = 0; pc < k; pc += kKc) {
+            const std::int64_t kc = std::min(kKc, k - pc);
+            // Sub-block for this k range: previous k-blocks hold
+            // blk_panels · kc' · kNr floats, and Σ kc' = pc.
+            const float* bsub = bblock + blk_panels * pc * kNr;
+            // Fused store semantics: the first k-block stores (no C read or
+            // zeroing pass), later blocks accumulate, and the last applies
+            // bias/ReLU — C is touched exactly once per k-block.
+            const bool load_c = pc != 0;
+            const bool last = pc + kc == k;
+            const float* bias_row = (last && bias) ? bias + ib : nullptr;
+            const bool relu_here = last && relu;
+            // The row panel's A for this k-block and the k indices it walks.
+            std::int64_t steps = kc;
+            const std::int32_t* live = nullptr;
+            std::int64_t a_off = row_panels * kMr * pc + ip * kc * kMr;
+            if (kChain) {
+                const auto s = static_cast<std::size_t>(
+                    (pc / kKc) * row_panels + ip);
+                a_off = pa.live_begin[s];
+                steps = pa.live_begin[s + 1] - a_off;
+                live = pa.live.data() + a_off;
+                a_off *= kMr;
+            }
+            const float* ap = pa.panels.data() + a_off;
+            for (std::int64_t jp = 0; jp < blk_panels; jp += 2) {
+                const std::int64_t jb = jc + jp * kNr;
+                const std::int64_t nr0 = std::min(kNr, j1 - jb);
+                const std::int64_t nr1 =
+                    std::clamp(j1 - jb - kNr, std::int64_t{0}, kNr);
+                const float* bp0 = bsub + jp * kc * kNr;
+                micro_kernel_x2<kChain>(
+                    steps, live, ap, bp0, nr1 > 0 ? bp0 + kc * kNr : bp0,
+                    c + ib * ldc + jb, ldc, mr, nr0, nr1, load_c, bias_row,
+                    relu_here);
+            }
         }
     }
 }
-
-void micro_kernel_x2(std::int64_t kc, const float* ap, const float* bp0,
-                     const float* bp1, float* c, std::int64_t ldc,
-                     std::int64_t mr, std::int64_t nr1, bool load_c,
-                     const float* bias, bool relu) {
-    micro_kernel_f(kc, ap, bp0, c, ldc, mr, kNr, load_c, bias, relu);
-    micro_kernel_f(kc, ap, bp1, c + kNr, ldc, mr, nr1, load_c, bias, relu);
-}
-#endif
 
 // Row-sparse path: for heavily pruned A (this project's core workload) the
 // packed kernel's dense FLOPs lose to simply skipping zero weights. The ikj
@@ -410,12 +421,37 @@ void gemm_pack_a(std::int64_t m, std::int64_t k, const float* a,
                  std::int64_t lda, PackedGemmA& out) {
     out.m = m;
     out.k = k;
-    // Density decided once per pack instead of once per multiply; a pruned
-    // weight matrix keeps the zero-skip multiply and needs no panels.
+    // Density decided once per pack instead of once per multiply. It also
+    // fixes the accumulation order (PackedGemmA), so it must not change:
+    // pruned layers' results are those of the zero-skip loop.
     out.sparse = m * k > (1 << 10) && a_is_sparse(m, k, a, lda);
+    out.live.clear();
+    out.live_begin.clear();
     if (out.sparse) {
         XS_COUNT("gemm.pack_a.sparse", 1);
+        // Per (k-block, row panel): the live k indices, each with its
+        // kMr-tall column of the panel.
         out.panels.clear();
+        out.live_begin.push_back(0);
+        for (std::int64_t pc = 0; pc < k; pc += kKc) {
+            const std::int64_t k1 = std::min(k, pc + kKc);
+            for (std::int64_t ib = 0; ib < m; ib += kMr) {
+                const std::int64_t h = std::min(kMr, m - ib);
+                for (std::int64_t p = pc; p < k1; ++p) {
+                    float col[kMr] = {};
+                    bool live = false;
+                    for (std::int64_t r = 0; r < h; ++r) {
+                        col[r] = a[(ib + r) * lda + p];
+                        live |= col[r] != 0.0f;
+                    }
+                    if (!live) continue;
+                    out.live.push_back(static_cast<std::int32_t>(p - pc));
+                    out.panels.insert(out.panels.end(), col, col + kMr);
+                }
+                out.live_begin.push_back(
+                    static_cast<std::int64_t>(out.live.size()));
+            }
+        }
         return;
     }
     XS_COUNT("gemm.pack_a.dense", 1);
@@ -473,101 +509,15 @@ void gemm(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
     gemm_impl(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, true);
 }
 
-void gemm_prepacked_tiles(const PackedGemmA& pa, const float* a_raw,
-                          std::int64_t lda, const float* packed_b,
+void gemm_prepacked_tiles(const PackedGemmA& pa, const float* /*a_raw*/,
+                          std::int64_t /*lda*/, const float* packed_b,
                           std::int64_t n, float* c, std::int64_t ldc,
                           const float* bias, bool relu, std::int64_t tile_lo,
                           std::int64_t tile_hi) {
-    const std::int64_t m = pa.m, k = pa.k;
-    const std::int64_t row_panels = (m + kMr - 1) / kMr;
-    const std::int64_t block_panels = kNc / kNr;  // panels per full n-block
-    for (std::int64_t t = tile_lo; t < tile_hi; ++t) {
-        const std::int64_t nb = t / row_panels;  // n-block index
-        const std::int64_t ip = t % row_panels;  // row-panel index
-        const std::int64_t jc = nb * kNc;
-        const std::int64_t j1 = std::min(n, jc + kNc);
-        const std::int64_t ib = ip * kMr;
-        const std::int64_t i_hi = std::min(m, ib + kMr);
-        const std::int64_t mr = i_hi - ib;
-        const std::int64_t blk_panels = (j1 - jc + kNr - 1) / kNr;
-        // The n-block's packed region: full blocks before it hold
-        // block_panels panels each, k rows, kNr lanes.
-        const float* bblock = packed_b + nb * block_panels * k * kNr;
-
-        if (pa.sparse) {
-            // Zero-skip kernel over packed panels: pays only for non-zero
-            // weights (pruned layers).
-            for (std::int64_t i = ib; i < i_hi; ++i)
-                std::fill(c + i * ldc + jc, c + i * ldc + j1, 0.0f);
-            for (std::int64_t pc = 0; pc < k; pc += kKc) {
-                const std::int64_t k1 = std::min(k, pc + kKc);
-                const std::int64_t kc = k1 - pc;
-                const float* bsub = bblock + blk_panels * pc * kNr;
-                for (std::int64_t i = ib; i < i_hi; ++i) {
-                    const float* ai = a_raw + i * lda;
-                    float* ci = c + i * ldc + jc;
-                    for (std::int64_t p = pc; p < k1; ++p) {
-                        const float aip = ai[p];
-                        if (aip == 0.0f) continue;
-                        const float* brow = bsub + (p - pc) * kNr;
-                        for (std::int64_t jp = 0; jp < blk_panels; ++jp) {
-                            const float* bp = brow + jp * kc * kNr;
-                            float* cp = ci + jp * kNr;
-                            const std::int64_t nr =
-                                std::min(kNr, j1 - jc - jp * kNr);
-                            for (std::int64_t l = 0; l < nr; ++l)
-                                cp[l] += aip * bp[l];
-                        }
-                    }
-                }
-            }
-            if (bias != nullptr || relu) {
-                for (std::int64_t i = ib; i < i_hi; ++i) {
-                    const float add = bias ? bias[i] : 0.0f;
-                    float* ci = c + i * ldc;
-                    if (relu) {
-                        for (std::int64_t j = jc; j < j1; ++j)
-                            ci[j] = std::max(ci[j] + add, 0.0f);
-                    } else {
-                        for (std::int64_t j = jc; j < j1; ++j) ci[j] += add;
-                    }
-                }
-            }
-            continue;
-        }
-
-        for (std::int64_t pc = 0; pc < k; pc += kKc) {
-            const std::int64_t k1 = std::min(k, pc + kKc);
-            const std::int64_t kc = k1 - pc;
-            // Sub-block for this k range: previous k-blocks hold
-            // blk_panels · kc' · kNr floats, and Σ kc' = pc.
-            const float* bsub = bblock + blk_panels * pc * kNr;
-            // Fused store semantics: the first k-block stores (no C read or
-            // zeroing pass), later blocks accumulate, and the last applies
-            // bias/ReLU — C is touched exactly once per k-block.
-            const bool load_c = pc != 0;
-            const bool last = k1 == k;
-            const float* bias_row = (last && bias) ? bias + ib : nullptr;
-            const bool relu_here = last && relu;
-            const float* ap =
-                pa.panels.data() + row_panels * kMr * pc + ip * kc * kMr;
-            std::int64_t jp = 0;
-            for (; jp + 1 < blk_panels; jp += 2) {
-                const std::int64_t jb = jc + jp * kNr;
-                const std::int64_t nr1 = std::min(kNr, j1 - jb - kNr);
-                micro_kernel_x2(kc, ap, bsub + jp * kc * kNr,
-                                bsub + (jp + 1) * kc * kNr, c + ib * ldc + jb,
-                                ldc, mr, nr1, load_c, bias_row, relu_here);
-            }
-            if (jp < blk_panels) {
-                const std::int64_t jb = jc + jp * kNr;
-                const std::int64_t nr = std::min(kNr, j1 - jb);
-                micro_kernel_f(kc, ap, bsub + jp * kc * kNr,
-                               c + ib * ldc + jb, ldc, mr, nr, load_c,
-                               bias_row, relu_here);
-            }
-        }
-    }
+    if (pa.sparse)
+        run_tiles<true>(pa, packed_b, n, c, ldc, bias, relu, tile_lo, tile_hi);
+    else
+        run_tiles<false>(pa, packed_b, n, c, ldc, bias, relu, tile_lo, tile_hi);
 }
 
 Tensor matmul(const Tensor& a, const Tensor& b) {

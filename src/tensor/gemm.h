@@ -23,13 +23,35 @@ void gemm_serial(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
 // The inference engine packs each conv layer's folded weights once per
 // refresh and runs the whole batch through them as one tiled GEMM
 // (gemm_prepacked_tiles, DESIGN.md §6) — the per-call sparsity scan and
-// A-packing of gemm() disappear from the batch loop. A row-sparse matrix
-// (pruned weights) is detected at pack time and multiplied through the
-// zero-skip path instead of packed panels.
+// A-packing of gemm() disappear from the batch loop.
+//
+// Every matrix is packed into kPackMr-row panels, k-block by k-block. A
+// row-sparse matrix (pruned weights, < 25 % non-zero) keeps only its *live*
+// k indices per (k-block, row panel) — those where at least one row of the
+// panel is non-zero — and the tiled kernel walks just those. The two kinds
+// also accumulate differently, and each order is pinned by results that
+// must not move:
+//  * dense: each k-block's products start from zero and are added to C
+//    (restart per k-block). A running sum rounds differently, so switching
+//    would change every unpruned result;
+//  * row-sparse: the accumulators start from C after the first k-block
+//    (chain accumulation), so every output element gets exactly the
+//    c += a·b sequence of a zero-skip loop over its row. The zeros a live
+//    index carries for the panel's other rows add an exact +0 to a chain
+//    that starts at +0, so the results are bit-identical to that loop
+//    (tests/tensor_gemm_test.cpp compares them with memcmp).
 struct PackedGemmA {
     std::int64_t m = 0, k = 0;
-    bool sparse = false;        // use the raw matrix via the zero-skip path
-    std::vector<float> panels;  // (k-block × row-panel) layout when !sparse
+    bool sparse = false;  // row-sparse: live k lists, chain accumulation
+    // Dense: (k-block × row panel) panels over every k. Row-sparse: the
+    // same order, each panel holding only its live k rows.
+    std::vector<float> panels;
+    // Row-sparse only: live k offsets (relative to the k-block start) of
+    // every (k-block, row panel) in panel order, delimited by live_begin
+    // (k-blocks × row panels + 1 entries). Panel s starts at float
+    // live_begin[s] · kPackMr of `panels`. Repacking reuses the capacity.
+    std::vector<std::int32_t> live;
+    std::vector<std::int64_t> live_begin;
 };
 
 // Analyze and pack A (m × k, leading dimension lda); reuses storage.
@@ -40,7 +62,7 @@ void gemm_pack_a(std::int64_t m, std::int64_t k, const float* a,
 // single-shot form of the prepacked family (the engine's conv path uses
 // gemm_prepacked_tiles below; the tests pin the two against each other).
 // Serial — safe inside pool workers. `a_raw`/`lda` must describe the matrix
-// that was packed (the sparse path reads it directly).
+// that was packed (a row-sparse one runs gemm()'s zero-skip loop on it).
 void gemm_prepacked_serial(const PackedGemmA& pa, const float* a_raw,
                            std::int64_t lda, std::int64_t n, float alpha,
                            const float* b, std::int64_t ldb, float beta,
@@ -73,9 +95,10 @@ inline std::int64_t gemm_tile_count(std::int64_t m, std::int64_t n) {
 // C (m×n) = A·B for the tile range [tile_lo, tile_hi), with an optional
 // fused per-row bias (+ ReLU) epilogue applied while the tile is cache-hot.
 // Tiles write disjoint C regions, so callers parallelize by splitting the
-// tile range across workers. beta = 0 semantics (C is overwritten). A
-// row-sparse A (pruned weights) runs a zero-skip kernel over the same
-// packed B.
+// tile range across workers. beta = 0 semantics (C is overwritten). Dense
+// and row-sparse A share one register-tiled kernel (see PackedGemmA for
+// their accumulation order). The packed panels hold all of A, so
+// `a_raw`/`lda` are not read; they keep the prepacked family's signature.
 void gemm_prepacked_tiles(const PackedGemmA& pa, const float* a_raw,
                           std::int64_t lda, const float* packed_b,
                           std::int64_t n, float* c, std::int64_t ldc,

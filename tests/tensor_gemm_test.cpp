@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <tuple>
 #include <vector>
 
@@ -229,6 +230,179 @@ TEST(GemmPrepacked, TilesWithFusedEpilogueMatchReference) {
         EXPECT_TRUE(allclose(c, r, 1e-3f, 1e-3f))
             << (sparse ? "sparse" : "dense") << " max diff "
             << max_abs_diff(c, r);
+    }
+}
+
+// Verbatim copy of the scalar zero-skip tile loop that row-sparse A (pruned
+// weights) used to run through in gemm_prepacked_tiles. Pruned layers now
+// share the packed register-tiled kernel, which must reproduce this loop's
+// results bit for bit.
+void zero_skip_tiles(const PackedGemmA& pa, const float* a_raw,
+                     std::int64_t lda, const float* packed_b, std::int64_t n,
+                     float* c, std::int64_t ldc, const float* bias, bool relu,
+                     std::int64_t tile_lo, std::int64_t tile_hi) {
+    constexpr std::int64_t kMr = kPackMr, kNr = kPackNr, kKc = kPackKc,
+                           kNc = kPackNc;
+    const std::int64_t m = pa.m, k = pa.k;
+    const std::int64_t row_panels = (m + kMr - 1) / kMr;
+    const std::int64_t block_panels = kNc / kNr;  // panels per full n-block
+    for (std::int64_t t = tile_lo; t < tile_hi; ++t) {
+        const std::int64_t nb = t / row_panels;  // n-block index
+        const std::int64_t ip = t % row_panels;  // row-panel index
+        const std::int64_t jc = nb * kNc;
+        const std::int64_t j1 = std::min(n, jc + kNc);
+        const std::int64_t ib = ip * kMr;
+        const std::int64_t i_hi = std::min(m, ib + kMr);
+        const std::int64_t blk_panels = (j1 - jc + kNr - 1) / kNr;
+        // The n-block's packed region: full blocks before it hold
+        // block_panels panels each, k rows, kNr lanes.
+        const float* bblock = packed_b + nb * block_panels * k * kNr;
+
+        // Zero-skip kernel over packed panels: pays only for non-zero
+        // weights (pruned layers).
+        for (std::int64_t i = ib; i < i_hi; ++i)
+            std::fill(c + i * ldc + jc, c + i * ldc + j1, 0.0f);
+        for (std::int64_t pc = 0; pc < k; pc += kKc) {
+            const std::int64_t k1 = std::min(k, pc + kKc);
+            const std::int64_t kc = k1 - pc;
+            const float* bsub = bblock + blk_panels * pc * kNr;
+            for (std::int64_t i = ib; i < i_hi; ++i) {
+                const float* ai = a_raw + i * lda;
+                float* ci = c + i * ldc + jc;
+                for (std::int64_t p = pc; p < k1; ++p) {
+                    const float aip = ai[p];
+                    if (aip == 0.0f) continue;
+                    const float* brow = bsub + (p - pc) * kNr;
+                    for (std::int64_t jp = 0; jp < blk_panels; ++jp) {
+                        const float* bp = brow + jp * kc * kNr;
+                        float* cp = ci + jp * kNr;
+                        const std::int64_t nr =
+                            std::min(kNr, j1 - jc - jp * kNr);
+                        for (std::int64_t l = 0; l < nr; ++l)
+                            cp[l] += aip * bp[l];
+                    }
+                }
+            }
+        }
+        if (bias != nullptr || relu) {
+            for (std::int64_t i = ib; i < i_hi; ++i) {
+                const float add = bias ? bias[i] : 0.0f;
+                float* ci = c + i * ldc;
+                if (relu) {
+                    for (std::int64_t j = jc; j < j1; ++j)
+                        ci[j] = std::max(ci[j] + add, 0.0f);
+                } else {
+                    for (std::int64_t j = jc; j < j1; ++j) ci[j] += add;
+                }
+            }
+        }
+    }
+}
+
+// Sparsity patterns of pruned conv weights (m output channels × k patch
+// entries), each well under the 25 % density that makes A row-sparse.
+enum class Pattern { kRandom, kChannelFilter, kXbarColumns };
+
+void prune_pattern(Tensor& a, Pattern pattern, util::Rng& rng) {
+    const std::int64_t m = a.dim(0), k = a.dim(1);
+    for (std::int64_t i = 0; i < m; ++i)
+        for (std::int64_t p = 0; p < k; ++p) {
+            bool keep = true;
+            switch (pattern) {
+                case Pattern::kRandom:
+                    // Scattered weights, plus all-zero rows and columns and
+                    // an all-zero row panel (rows 8..15: empty live lists).
+                    keep = rng.uniform() < 0.15 && i % 5 != 3 &&
+                           p % 7 != 2 && (i < 8 || i >= 16);
+                    break;
+                case Pattern::kChannelFilter:
+                    // Whole filters (rows) and whole input channels (runs
+                    // of 9 patch entries) pruned.
+                    keep = i % 3 == 0 && (p / 9) % 5 < 2;
+                    break;
+                case Pattern::kXbarColumns:
+                    // Zeroed column segments: each output keeps a few
+                    // 16-long runs of its patch (one crossbar column's
+                    // segment per tile row), chosen per output.
+                    keep = (p / 16 + 3 * i) % 7 == 0;
+                    break;
+            }
+            if (!keep) a.at(i, p) = 0.0f;
+        }
+}
+
+TEST(GemmPrepacked, RepackingRowSparseReusesStorage) {
+    // Compiling a degraded instance repacks its weights; the steady state
+    // must not allocate, so a repack keeps every buffer it already has.
+    util::Rng rng(41);
+    Tensor a({37, 280});
+    fill_normal(a, rng, 0.0f, 1.0f);
+    prune_pattern(a, Pattern::kXbarColumns, rng);
+    PackedGemmA pa;
+    gemm_pack_a(37, 280, a.data(), 280, pa);
+    ASSERT_TRUE(pa.sparse);
+    const float* panels = pa.panels.data();
+    const std::int32_t* live = pa.live.data();
+    const std::int64_t* live_begin = pa.live_begin.data();
+    gemm_pack_a(37, 280, a.data(), 280, pa);
+    EXPECT_EQ(pa.panels.data(), panels);
+    EXPECT_EQ(pa.live.data(), live);
+    EXPECT_EQ(pa.live_begin.data(), live_begin);
+}
+
+TEST(GemmPrepacked, RowSparseTilesAreBitIdenticalToZeroSkipLoop) {
+    struct Case {
+        std::int64_t m, n, k;
+        Pattern pattern;
+    };
+    // k spans one to three k-blocks; m is not a multiple of kPackMr; the n
+    // values end in a second n-block whose last panel is partial, once as
+    // the partner of a full panel (1048 = 1024 + 16 + 8) and once alone
+    // (1100 = 1024 + 4·16 + 12).
+    const Case cases[] = {
+        {45, 1100, 27, Pattern::kRandom},
+        {37, 1048, 280, Pattern::kRandom},
+        {13, 1100, 576, Pattern::kRandom},
+        {41, 1048, 27, Pattern::kChannelFilter},
+        {20, 1100, 280, Pattern::kChannelFilter},
+        {44, 1048, 576, Pattern::kChannelFilter},
+        {39, 1100, 27, Pattern::kXbarColumns},
+        {37, 1100, 280, Pattern::kXbarColumns},
+        {52, 1048, 576, Pattern::kXbarColumns},
+    };
+    for (const Case& cs : cases) {
+        util::Rng rng(static_cast<std::uint64_t>(cs.m * 131 + cs.k));
+        Tensor a({cs.m, cs.k}), b({cs.k, cs.n}), bias({cs.m});
+        fill_normal(a, rng, 0.0f, 1.0f);
+        fill_normal(b, rng, 0.0f, 1.0f);
+        fill_normal(bias, rng, 0.0f, 1.0f);
+        prune_pattern(a, cs.pattern, rng);
+        PackedGemmA pa;
+        gemm_pack_a(cs.m, cs.k, a.data(), cs.k, pa);
+        ASSERT_TRUE(pa.sparse) << cs.m << "x" << cs.k;
+        std::vector<float> packed;
+        pack_b_reference(b, cs.k, cs.n, packed);
+        const std::int64_t tiles = gemm_tile_count(cs.m, cs.n);
+        for (const bool with_bias : {false, true})
+            for (const bool relu : {false, true}) {
+                const float* bias_ptr = with_bias ? bias.data() : nullptr;
+                // Sentinel-filled, so an element the kernel fails to write
+                // shows up as a mismatch too.
+                Tensor got({cs.m, cs.n}, 7.0f), want({cs.m, cs.n}, 7.0f);
+                gemm_prepacked_tiles(pa, a.data(), cs.k, packed.data(), cs.n,
+                                     got.data(), cs.n, bias_ptr, relu, 0,
+                                     tiles);
+                zero_skip_tiles(pa, a.data(), cs.k, packed.data(), cs.n,
+                                want.data(), cs.n, bias_ptr, relu, 0, tiles);
+                EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                                      static_cast<std::size_t>(got.numel()) *
+                                          sizeof(float)),
+                          0)
+                    << cs.m << "x" << cs.n << "x" << cs.k << " pattern "
+                    << static_cast<int>(cs.pattern) << " bias " << with_bias
+                    << " relu " << relu << " max diff "
+                    << max_abs_diff(got, want);
+            }
     }
 }
 
