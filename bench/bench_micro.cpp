@@ -255,8 +255,14 @@ void BM_ForwardReference(benchmark::State& state) {
 BENCHMARK(BM_ForwardReference)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
 
 // Full Monte-Carlo crossbar evaluation at `repeats` repeats: the workload
-// whose cost dominates sweep time. Shared by the three variants below.
-void run_evaluate_bench(benchmark::State& state, bool repeat_batch) {
+// whose cost dominates sweep time. Every repeat's W′ compiles into a packed
+// engine instance, circuit solves batch across repeat lanes, and inference
+// runs a group of repeats in one pass (DESIGN.md §12). Argument = number of
+// repeats: 4 is one full solver-lane group, 8 two pipelined groups.
+// cpu_time counts the calling thread only — the group pipeline compiles
+// group g+1 on a producer thread while the main thread runs batched
+// inference on group g, so wall is the number to compare.
+void BM_EvaluateOnCrossbars(benchmark::State& state) {
     nn::VggConfig vc;
     vc.width = 0.0625;
     util::Rng rng(21);
@@ -271,7 +277,6 @@ void run_evaluate_bench(benchmark::State& state, bool repeat_batch) {
     core::EvalConfig config;
     config.xbar.size = 32;
     config.repeats = state.range(0);
-    config.repeat_batch = repeat_batch;
     for (auto _ : state) {
         const core::EvalResult r =
             core::evaluate_on_crossbars(model, test, config);
@@ -279,38 +284,9 @@ void run_evaluate_bench(benchmark::State& state, bool repeat_batch) {
     }
     state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-
-// The default path (repeat_batch defaults on, DESIGN.md §12): every
-// repeat's W′ compiles into a packed engine instance, circuit solves batch
-// across repeat lanes, and inference runs all repeats in one pass.
-// Argument = number of repeats. cpu_time counts the calling thread only —
-// the group pipeline compiles group g+1 on a producer thread while the
-// main thread runs batched inference on group g, so wall is the number to
-// compare across variants.
-void BM_EvaluateOnCrossbars(benchmark::State& state) {
-    run_evaluate_bench(state, /*repeat_batch=*/true);
-}
-BENCHMARK(BM_EvaluateOnCrossbars)->Arg(4)->Unit(benchmark::kMillisecond);
-
-// The explicitly-batched variant at both a full group (4 repeats = one
-// solver-lane group) and two pipelined groups (8): the scaling guard for
-// the compile-once/forward-batched path.
-void BM_EvaluateOnCrossbarsBatched(benchmark::State& state) {
-    run_evaluate_bench(state, /*repeat_batch=*/true);
-}
-BENCHMARK(BM_EvaluateOnCrossbarsBatched)
+BENCHMARK(BM_EvaluateOnCrossbars)
     ->Arg(4)
     ->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-
-// The legacy sequential repeat loop (degrade → refresh → evaluate per
-// repeat, degrade overlapped on a producer thread) — the A/B reference the
-// batched path is gated ≥2x against. Same workload as above.
-void BM_EvaluateOnCrossbarsUnbatched(benchmark::State& state) {
-    run_evaluate_bench(state, /*repeat_batch=*/false);
-}
-BENCHMARK(BM_EvaluateOnCrossbarsUnbatched)
-    ->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
 void BM_ConductanceMapping(benchmark::State& state) {

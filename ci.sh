@@ -40,15 +40,13 @@ run_release() {
 # run of the same grid with full telemetry armed (detail metrics, a chrome
 # trace, a metrics snapshot, the progress heartbeat) must reproduce the
 # plain run's CSV byte for byte — observability must never perturb results
-# — and its metrics/trace JSONs must pass bench/check_metrics.py. The same
-# grid at 4 repeats runs once lane-batched (the default: one compiled-
-# instance set and one batched inference pass per grid point) and once with
-# --repeat-batch=off (the legacy one-evaluation-per-cell path); the two
-# aggregate CSVs must be byte-identical. A further multi-process run with
-# an injected worker crash (XS_FAULT) must respawn,
+# — and its metrics/trace JSONs must pass bench/check_metrics.py. A further
+# multi-process run with an injected worker crash (XS_FAULT) must respawn,
 # re-deal, and reproduce the single-process CSV byte for byte — the
 # supervisor's core invariant, checked end to end — while still emitting a
-# merged, validatable metrics snapshot.
+# merged, validatable metrics snapshot. Lane-batched groups against one-cell
+# execution of the same 4-repeat grid points are byte-compared by the
+# service smoke below (its agents run one cell at a time).
 run_sweep_smoke() {
   if [[ ! -x "$repo_root/build-release/sweep_runner" ]]; then
     return 0
@@ -80,20 +78,6 @@ run_sweep_smoke() {
     python3 "$repo_root/bench/check_metrics.py" --clean \
       "$smoke_dir/metrics.json" "$smoke_dir/trace.json" \
       "$smoke_dir/sweep_telemetry.jsonl"
-  fi
-  echo "=== repeat-batch equivalence smoke (batched vs sequential cells) ==="
-  # 4 repeats = one full solver-lane group, so the lane-batched group path
-  # actually engages (the repeats=1 runs above ride its scalar fallback).
-  local rb_flags=("${smoke_flags[@]/--sweep-repeats=1/--sweep-repeats=4}")
-  "$repo_root/build-release/sweep_runner" "${rb_flags[@]}" \
-    --cell-budget-ms=120000 --csv=sweep_rb_batched.csv \
-    --manifest=sweep_rb_batched.jsonl
-  "$repo_root/build-release/sweep_runner" "${rb_flags[@]}" \
-    --repeat-batch=false --cell-budget-ms=120000 \
-    --csv=sweep_rb_sequential.csv --manifest=sweep_rb_sequential.jsonl
-  if ! cmp "$smoke_dir/sweep_rb_batched.csv" "$smoke_dir/sweep_rb_sequential.csv"; then
-    echo "sweep smoke: batched-repeat CSV differs from the sequential path" >&2
-    return 1
   fi
   echo "=== supervised sweep smoke (2 workers, injected crash) ==="
   XS_FAULT="crash@cell:1" "$repo_root/build-release/sweep_runner" \

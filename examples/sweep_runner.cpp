@@ -108,10 +108,6 @@ int main(int argc, char** argv) {
     opts.cell_budget_ms = flags.get_double("cell-budget-ms", 0.0);
     opts.cell_budget_abort = flags.get_bool("cell-budget-abort", false);
     opts.progress_sec = flags.get_double("progress-sec", 0.0);
-    // --repeat-batch=off pins the legacy one-evaluation-per-cell path; the
-    // aggregate CSV is byte-identical either way (cold-start lanes), which
-    // ci.sh checks as an end-to-end equivalence smoke.
-    opts.repeat_batch = flags.get_bool("repeat-batch", true);
 
     if (!trace_path.empty()) util::trace::start(trace_path);
     std::printf("sweep: %s\n", spec.describe().c_str());

@@ -78,23 +78,10 @@ MatrixPlan build_matrix_plan(const Tensor& matrix, const EvalConfig& config) {
     return plan;
 }
 
-// Per-worker scratch for the tile loop: tile/tensor buffers plus the stage
-// pipeline's context (solver workspace with warm-start state, G′ buffers,
-// compensation column sums). One instance per pool worker slot so the
-// steady state performs no per-tile heap allocation.
-struct TileWorker {
-    Tensor sub, tile_w;
-    Tensor g_pos, g_neg;
-    xbar::TileStageContext ctx;
-};
-
-// Per-worker scratch shared across layers and Monte-Carlo repeats: create
-// one per top-level degrade call chain so repeats reuse the grown buffers.
-using TileWorkers = std::vector<TileWorker>;
-
 // The non-ideality stage list for `config` (xbar/pipeline.h). Built once
-// per top-level degrade call chain and shared across layers and repeats —
-// the fast backend's calibration cache amortizes over the whole run.
+// per evaluation and shared across layers and repeats. The stages are
+// immutable and the fast backend's calibration cache is thread-safe, so the
+// producer thread shares it too.
 xbar::TilePipeline build_pipeline(const EvalConfig& config) {
     xbar::PipelineSpec spec;
     spec.xbar = config.xbar;
@@ -109,71 +96,10 @@ xbar::TilePipeline build_pipeline(const EvalConfig& config) {
     return xbar::build_tile_pipeline(spec);
 }
 
-Tensor degrade_with_plan(const MatrixPlan& plan, const Tensor& matrix,
-                         const EvalConfig& config,
-                         const xbar::TilePipeline& pipeline, double w_ref,
-                         util::Rng& rng, DegradeStats& stats,
-                         TileWorkers& workers) {
-    const std::int64_t n = config.xbar.size;
-    const auto& tiles = plan.tiling.tiles;
-    const Tensor& source = plan.mapping_target(matrix);
-    const xbar::ConductanceMapper mapper(config.xbar.device, w_ref);
-
-    Tensor degraded = source;  // scatter target; tiles cover disjoint entries
-    // Pre-split one RNG per tile so the stochastic draws stay deterministic
-    // regardless of the chunk partition. Warm-started solves do depend on
-    // the partition: the iteration stops on the last sweep's update, so
-    // different warm-start chains can leave residuals of order
-    // tolerance·ρ/(1−ρ) (ρ = contraction factor, ≤ ~1e-3 in the physical
-    // wire regime — far below float resolution, but not a bit-for-bit
-    // guarantee). config.warm_start_solves = false forces cold starts for
-    // strict cross-machine reproducibility; unconverged solves are retried
-    // cold inside degrade_tile either way.
-    std::vector<util::Rng> tile_rngs;
-    tile_rngs.reserve(tiles.size());
-    for (std::size_t t = 0; t < tiles.size(); ++t)
-        tile_rngs.push_back(rng.split(static_cast<std::uint64_t>(t) + 1));
-
-    std::vector<double> tile_nf(tiles.size(), 0.0);
-    std::vector<std::uint8_t> tile_ok(tiles.size(), 1);
-    if (workers.size() < util::worker_count()) workers.resize(util::worker_count());
-
-    util::parallel_for_workers(
-        0, tiles.size(), [&](std::size_t w, std::size_t lo, std::size_t hi) {
-            TileWorker& tw = workers[w];
-            for (std::size_t t = lo; t < hi; ++t) {
-                const map::Tile& tile = tiles[t];
-                map::extract_tile_into(source, tile, n, tw.sub);
-                mapper.to_differential(tw.sub, tw.g_pos, tw.g_neg);
-                tw.ctx.begin_tile(tw.g_pos, tw.g_neg, tile_rngs[t]);
-                pipeline.run(tw.ctx);
-                tile_nf[t] = tw.ctx.nf;
-                tile_ok[t] = tw.ctx.converged;
-                mapper.from_differential_into(*tw.ctx.pos, *tw.ctx.neg,
-                                              tw.tile_w);
-                // Tiles partition the matrix, so concurrent scatters are
-                // write-disjoint.
-                map::scatter_tile(degraded, tile, tw.tile_w);
-            }
-        });
-
-    for (std::size_t t = 0; t < tiles.size(); ++t) {
-        stats.nf_sum += tile_nf[t];
-        ++stats.nf_tiles;
-        if (!tile_ok[t]) ++stats.unconverged;
-    }
-    stats.tiles += plan.tiling.count();
-
-    // R⁻¹ then T⁻¹.
-    if (config.rearrange) degraded = invert_columns(degraded, plan.rearrangement);
-    if (plan.use_compaction) return map::uncompact(plan.compaction, degraded);
-    return degraded;
-}
-
 // One mappable layer's cached mapping state, reused across repeats.
 struct LayerPlan {
     nn::Layer* layer = nullptr;
-    Tensor matrix;  // original weights (restoration copy)
+    Tensor matrix;  // original weights (the mapping source)
     double w_ref = 0.0;
     MatrixPlan plan;
 };
@@ -247,15 +173,14 @@ void finalize_nf(EvalResult& result) {
     result.nf_mean = nf_tiles ? nf_sum / static_cast<double>(nf_tiles) : 0.0;
 }
 
-// ---- lane-batched repeat evaluation (DESIGN.md §12) ----
-// One lane per Monte-Carlo repeat of a group: each tile's deterministic prep
-// (extract, differential split) runs once and is shared, the stochastic
-// stages run per lane on private copies with private RNG streams (draws
-// identical to the sequential path), and the parasitic stage batches the
-// circuit solves across lanes (xbar/solver.h). Lane scratch persists across
-// tiles and layers so a lane's warm chain mirrors a sequential repeat's
-// chain; between repeat groups the warm state is dropped, so a repeat's
-// chain never depends on which group it rides in.
+// ---- the tile loop (DESIGN.md §12) ----
+// Every degradation runs here, with one lane per Monte-Carlo repeat: each
+// tile's deterministic prep (extract, differential split) runs once and is
+// shared, the stochastic stages run per lane on private copies with private
+// RNG streams, and the parasitic stage batches the circuit solves across
+// lanes (xbar/solver.h). A single evaluation is the one-lane case. Lane
+// scratch persists across tiles and layers, so a lane's warm chain runs
+// through every tile its worker degrades.
 struct BatchLane {
     Tensor g_pos, g_neg, tile_w;
     xbar::TileStageContext ctx;
@@ -264,22 +189,125 @@ struct BatchLane {
 struct BatchWorker {
     Tensor sub;                 // shared extracted tile
     Tensor base_pos, base_neg;  // shared pre-stochastic differential pair
-    std::vector<BatchLane> lanes;                   // one per repeat
+    std::vector<BatchLane> lanes;                   // one per lane
     std::vector<xbar::TileStageContext*> ctx_ptrs;  // lane ctx view
-    // One batched solver workspace per group of kMaxSolveLanes lanes. Lane
-    // warm state lives here (circuit backend) or in each lane's ctx.ws
-    // (other backends' per-lane fallback).
-    std::vector<xbar::BatchedDegradeWorkspace> groups;
-
-    void ensure(std::size_t repeats) {
-        if (lanes.size() == repeats) return;
-        lanes.resize(repeats);
-        groups.resize((repeats + xbar::kMaxSolveLanes - 1) /
-                      static_cast<std::size_t>(xbar::kMaxSolveLanes));
-        ctx_ptrs.resize(repeats);
-        for (std::size_t r = 0; r < repeats; ++r) ctx_ptrs[r] = &lanes[r].ctx;
-    }
+    // Batched solver workspace of the lane group. Lane warm state lives
+    // here (circuit backend) or in each lane's ctx.ws (other backends).
+    xbar::BatchedDegradeWorkspace batch;
 };
+
+// Tile-loop scratch for up to `lanes` lanes: one BatchWorker per pool worker
+// slot plus the per-(lane, tile) streams and outputs, reused across layers
+// (and repeat groups) so the steady state performs no per-tile allocation.
+struct TileLoop {
+    explicit TileLoop(std::size_t lanes)
+        : workers(util::worker_count()), lane_work(lanes) {
+        for (BatchWorker& bw : workers) {
+            bw.lanes.resize(lanes);
+            for (BatchLane& lane : bw.lanes) bw.ctx_ptrs.push_back(&lane.ctx);
+        }
+    }
+
+    // Drop every lane's converged voltages so the next tile starts cold.
+    void cold_start() {
+        for (BatchWorker& bw : workers) {
+            bw.batch.solve.invalidate();
+            bw.batch.retry.invalidate();
+            for (BatchLane& lane : bw.lanes) lane.ctx.ws.solve.invalidate();
+        }
+    }
+
+    std::vector<BatchWorker> workers;
+    std::vector<Tensor> lane_work;     // per-lane degraded post-T/R matrix
+    std::vector<util::Rng> tile_rngs;  // lane-major: [rl·T + t]
+    std::vector<double> tile_nf;
+    std::vector<std::uint8_t> tile_ok;
+};
+
+// Degrade one matrix's mapping target for `nl` lanes: tile t of lane rl
+// draws from layer_rngs[rl].split(t + 1), so draws do not depend on the tile
+// partition (split does not advance the parent stream). Warm-started solves
+// do: each worker chains the tiles it is dealt, and different chains can
+// leave residuals of order tolerance·ρ/(1−ρ) (ρ = contraction factor, far
+// below float resolution but not bit-for-bit); cold solves
+// (warm_start_solves = false) are partition-independent. Tile counts and NF
+// accumulate into stats[rl]; lane rl's degraded matrix is left, still in
+// the post-T/R layout, in loop.lane_work[rl] (see undo_mapping).
+void degrade_tiles(const MatrixPlan& plan, const Tensor& matrix,
+                   const EvalConfig& config, const xbar::TilePipeline& pipeline,
+                   double w_ref, util::Rng* layer_rngs, std::size_t nl,
+                   DegradeStats* stats, TileLoop& loop) {
+    const std::int64_t n = config.xbar.size;
+    const auto& tiles = plan.tiling.tiles;
+    const Tensor& source = plan.mapping_target(matrix);
+    const xbar::ConductanceMapper mapper(config.xbar.device, w_ref);
+    const std::size_t T = tiles.size();
+
+    loop.tile_rngs.clear();
+    loop.tile_rngs.reserve(nl * T);
+    for (std::size_t rl = 0; rl < nl; ++rl)
+        for (std::size_t t = 0; t < T; ++t)
+            loop.tile_rngs.push_back(
+                layer_rngs[rl].split(static_cast<std::uint64_t>(t) + 1));
+    loop.tile_nf.assign(nl * T, 0.0);
+    loop.tile_ok.assign(nl * T, 1);
+    for (std::size_t rl = 0; rl < nl; ++rl) {
+        // Scatter target; tiles cover disjoint entries.
+        loop.lane_work[rl].reset(source.shape());
+        std::memcpy(loop.lane_work[rl].data(), source.data(),
+                    static_cast<std::size_t>(source.numel()) * sizeof(float));
+    }
+
+    util::parallel_for_workers(
+        0, T, [&](std::size_t w, std::size_t lo, std::size_t hi) {
+            BatchWorker& bw = loop.workers[w];
+            for (std::size_t t = lo; t < hi; ++t) {
+                const map::Tile& tile = tiles[t];
+                map::extract_tile_into(source, tile, n, bw.sub);
+                mapper.to_differential(bw.sub, bw.base_pos, bw.base_neg);
+                const std::size_t bytes =
+                    static_cast<std::size_t>(n * n) * sizeof(float);
+                for (std::size_t rl = 0; rl < nl; ++rl) {
+                    BatchLane& lane = bw.lanes[rl];
+                    lane.g_pos.reset(n, n);
+                    lane.g_neg.reset(n, n);
+                    std::memcpy(lane.g_pos.data(), bw.base_pos.data(), bytes);
+                    std::memcpy(lane.g_neg.data(), bw.base_neg.data(), bytes);
+                    lane.ctx.begin_tile(lane.g_pos, lane.g_neg,
+                                        loop.tile_rngs[rl * T + t]);
+                }
+                pipeline.run_batch(bw.ctx_ptrs.data(), static_cast<int>(nl),
+                                   bw.batch);
+                for (std::size_t rl = 0; rl < nl; ++rl) {
+                    BatchLane& lane = bw.lanes[rl];
+                    loop.tile_nf[rl * T + t] = lane.ctx.nf;
+                    loop.tile_ok[rl * T + t] = lane.ctx.converged;
+                    mapper.from_differential_into(*lane.ctx.pos,
+                                                  *lane.ctx.neg, lane.tile_w);
+                    // Tiles partition the matrix: write-disjoint.
+                    map::scatter_tile(loop.lane_work[rl], tile, lane.tile_w);
+                }
+            }
+        });
+
+    for (std::size_t rl = 0; rl < nl; ++rl) {
+        DegradeStats& ds = stats[rl];
+        for (std::size_t t = 0; t < T; ++t) {
+            ds.nf_sum += loop.tile_nf[rl * T + t];
+            ++ds.nf_tiles;
+            if (!loop.tile_ok[rl * T + t]) ++ds.unconverged;
+        }
+        ds.tiles += plan.tiling.count();
+    }
+}
+
+// R⁻¹ then T⁻¹: back to the original MAC matrix layout.
+Tensor undo_mapping(const MatrixPlan& plan, const EvalConfig& config,
+                    Tensor mac) {
+    if (config.rearrange) mac = invert_columns(mac, plan.rearrangement);
+    if (plan.use_compaction) return map::uncompact(plan.compaction, mac);
+    return mac;
+}
 
 }  // namespace
 
@@ -288,31 +316,9 @@ Tensor degrade_mac_matrix(const Tensor& matrix, const EvalConfig& config,
     tensor::check(w_ref > 0.0, "degrade_mac_matrix: w_ref must be positive");
     const MatrixPlan plan = build_matrix_plan(matrix, config);
     const xbar::TilePipeline pipeline = build_pipeline(config);
-    TileWorkers workers;
-    return degrade_with_plan(plan, matrix, config, pipeline, w_ref, rng, stats,
-                             workers);
-}
-
-std::map<std::string, Tensor> degrade_model_matrices(
-    nn::Sequential& model, const EvalConfig& config,
-    std::vector<LayerEvalStats>* layer_stats) {
-    std::map<std::string, Tensor> result;
-    const std::vector<LayerPlan> plans = build_layer_plans(model, config);
-    const xbar::TilePipeline pipeline = build_pipeline(config);
-    util::Rng rng(config.seed);
-    std::uint64_t layer_tag = 1;
-    TileWorkers workers;
-
-    for (const LayerPlan& lp : plans) {
-        util::Rng layer_rng = rng.split(layer_tag++);
-        DegradeStats stats;
-        Tensor degraded =
-            degrade_with_plan(lp.plan, lp.matrix, config, pipeline, lp.w_ref,
-                              layer_rng, stats, workers);
-        if (layer_stats) layer_stats->push_back(layer_stats_of(lp, stats));
-        result.emplace(lp.layer->name(), std::move(degraded));
-    }
-    return result;
+    TileLoop loop(1);
+    degrade_tiles(plan, matrix, config, pipeline, w_ref, &rng, 1, &stats, loop);
+    return undo_mapping(plan, config, std::move(loop.lane_work[0]));
 }
 
 std::vector<EvalResult> evaluate_repeats_on_crossbars(
@@ -326,7 +332,6 @@ std::vector<EvalResult> evaluate_repeats_on_crossbars(
                   "evaluate_repeats_on_crossbars: engine/plan mappable-layer "
                   "mismatch");
     const xbar::TilePipeline pipeline = build_pipeline(config);
-    const std::int64_t n = config.xbar.size;
 
     // Repeats ride in groups of half the solver's lane budget, so the
     // parasitic stage fuses each group's pos+neg solves into one full-width
@@ -338,18 +343,15 @@ std::vector<EvalResult> evaluate_repeats_on_crossbars(
     const std::size_t n_groups = (R + kGroupLanes - 1) / kGroupLanes;
 
     std::vector<nn::CompiledInstance> instances(R);
+    // [layer][repeat], so one group's lanes are contiguous per layer.
     std::vector<std::vector<DegradeStats>> stats(
-        R, std::vector<DegradeStats>(plans.size()));
-    std::vector<BatchWorker> workers(util::worker_count());
-    for (BatchWorker& bw : workers) bw.ensure(kGroupLanes);
-    std::vector<Tensor> lane_work(kGroupLanes);  // per-lane scatter targets
-    std::vector<util::Rng> tile_rngs;  // group-lane-major: [rl·T + t]
-    std::vector<double> tile_nf;
-    std::vector<std::uint8_t> tile_ok;
+        plans.size(), std::vector<DegradeStats>(R));
+    TileLoop loop(std::min(kGroupLanes, R));
+    std::vector<util::Rng> layer_rngs;
 
     // Degrade + fold + pack repeats [g·kGroupLanes, …) into their compiled
     // instances. Groups run strictly one at a time (the pipeline below
-    // serializes them), so all the scratch above is shared; only the
+    // serializes them), so the tile-loop scratch is shared; only the
     // instances and stats slots written are group-disjoint. Recorded under
     // the sweep phase namespace: per-cell phase metrics then split into
     // prepare / compile / eval without the sweep layer having to reach
@@ -360,98 +362,21 @@ std::vector<EvalResult> evaluate_repeats_on_crossbars(
         const std::size_t lane0 = g * kGroupLanes;
         const std::size_t nl = std::min(kGroupLanes, R - lane0);
         // Every repeat starts its warm chain cold regardless of which group
-        // it rides in (matching a lone run of that repeat): drop the
-        // previous group's converged voltages from the batched workspace and
-        // the per-lane scalar fallbacks.
-        for (BatchWorker& bw : workers) {
-            bw.groups[0].solve.invalidate();
-            bw.groups[0].retry.invalidate();
-            for (std::size_t rl = 0; rl < nl; ++rl)
-                bw.lanes[rl].ctx.ws.solve.invalidate();
-        }
+        // it rides in, matching a lone run of that repeat.
+        loop.cold_start();
         for (std::size_t li = 0; li < plans.size(); ++li) {
             const LayerPlan& lp = plans[li];
-            const MatrixPlan& plan = lp.plan;
-            const auto& tiles = plan.tiling.tiles;
-            const Tensor& source = plan.mapping_target(lp.matrix);
-            const xbar::ConductanceMapper mapper(config.xbar.device, lp.w_ref);
-            const std::size_t T = tiles.size();
-
-            // Per-(repeat, tile) RNG streams, exactly the sequential path's
-            // Rng(seed).split(layer_tag).split(tile_tag) chain (split is
-            // non-mutating, so the chain is position-independent).
-            tile_rngs.clear();
-            tile_rngs.reserve(nl * T);
+            // Repeat r's layer li draws from Rng(seeds[r]).split(li + 1).
+            layer_rngs.clear();
+            for (std::size_t rl = 0; rl < nl; ++rl)
+                layer_rngs.push_back(util::Rng(seeds[lane0 + rl])
+                                         .split(static_cast<std::uint64_t>(li) + 1));
+            degrade_tiles(lp.plan, lp.matrix, config, pipeline, lp.w_ref,
+                          layer_rngs.data(), nl, &stats[li][lane0], loop);
+            // Map back, then fold straight into the packed instance.
             for (std::size_t rl = 0; rl < nl; ++rl) {
-                util::Rng layer_rng = util::Rng(seeds[lane0 + rl])
-                                          .split(static_cast<std::uint64_t>(li) + 1);
-                for (std::size_t t = 0; t < T; ++t)
-                    tile_rngs.push_back(
-                        layer_rng.split(static_cast<std::uint64_t>(t) + 1));
-            }
-            tile_nf.assign(nl * T, 0.0);
-            tile_ok.assign(nl * T, 1);
-            for (std::size_t rl = 0; rl < nl; ++rl) {
-                lane_work[rl].reset(source.shape());
-                std::memcpy(lane_work[rl].data(), source.data(),
-                            static_cast<std::size_t>(source.numel()) *
-                                sizeof(float));
-            }
-
-            util::parallel_for_workers(
-                0, T, [&](std::size_t w, std::size_t lo, std::size_t hi) {
-                    BatchWorker& bw = workers[w];
-                    for (std::size_t t = lo; t < hi; ++t) {
-                        const map::Tile& tile = tiles[t];
-                        map::extract_tile_into(source, tile, n, bw.sub);
-                        mapper.to_differential(bw.sub, bw.base_pos,
-                                               bw.base_neg);
-                        const std::size_t bytes =
-                            static_cast<std::size_t>(n * n) * sizeof(float);
-                        for (std::size_t rl = 0; rl < nl; ++rl) {
-                            BatchLane& lane = bw.lanes[rl];
-                            lane.g_pos.reset(n, n);
-                            lane.g_neg.reset(n, n);
-                            std::memcpy(lane.g_pos.data(),
-                                        bw.base_pos.data(), bytes);
-                            std::memcpy(lane.g_neg.data(),
-                                        bw.base_neg.data(), bytes);
-                            lane.ctx.begin_tile(lane.g_pos, lane.g_neg,
-                                                tile_rngs[rl * T + t]);
-                        }
-                        pipeline.run_batch(bw.ctx_ptrs.data(),
-                                           static_cast<int>(nl),
-                                           bw.groups[0]);
-                        for (std::size_t rl = 0; rl < nl; ++rl) {
-                            BatchLane& lane = bw.lanes[rl];
-                            tile_nf[rl * T + t] = lane.ctx.nf;
-                            tile_ok[rl * T + t] = lane.ctx.converged;
-                            mapper.from_differential_into(
-                                *lane.ctx.pos, *lane.ctx.neg, lane.tile_w);
-                            // Tiles partition the matrix: write-disjoint.
-                            map::scatter_tile(lane_work[rl], tile,
-                                              lane.tile_w);
-                        }
-                    }
-                });
-
-            for (std::size_t rl = 0; rl < nl; ++rl) {
-                DegradeStats& ds = stats[lane0 + rl][li];
-                for (std::size_t t = 0; t < T; ++t) {
-                    ds.nf_sum += tile_nf[rl * T + t];
-                    ++ds.nf_tiles;
-                    if (!tile_ok[rl * T + t]) ++ds.unconverged;
-                }
-                ds.tiles += plan.tiling.count();
-            }
-
-            // R⁻¹ then T⁻¹, then fold straight into the packed instance.
-            for (std::size_t rl = 0; rl < nl; ++rl) {
-                Tensor mac = std::move(lane_work[rl]);
-                if (config.rearrange)
-                    mac = invert_columns(mac, plan.rearrangement);
-                if (plan.use_compaction)
-                    mac = map::uncompact(plan.compaction, mac);
+                const Tensor mac = undo_mapping(
+                    lp.plan, config, std::move(loop.lane_work[rl]));
                 engine.compile_instance_slot(li, &mac, instances[lane0 + rl]);
             }
         }
@@ -518,7 +443,7 @@ std::vector<EvalResult> evaluate_repeats_on_crossbars(
     std::vector<EvalResult> out(R);
     for (std::size_t r = 0; r < R; ++r) {
         for (std::size_t li = 0; li < plans.size(); ++li)
-            out[r].layers.push_back(layer_stats_of(plans[li], stats[r][li]));
+            out[r].layers.push_back(layer_stats_of(plans[li], stats[li][r]));
         out[r].accuracy = total ? 100.0 * static_cast<double>(correct[r]) /
                                       static_cast<double>(total)
                                 : 0.0;
@@ -530,117 +455,18 @@ std::vector<EvalResult> evaluate_repeats_on_crossbars(
 EvalResult evaluate_on_crossbars(nn::Sequential& model, const nn::Dataset& test,
                                  const EvalConfig& config) {
     const std::int64_t repeats = std::max<std::int64_t>(config.repeats, 1);
-    if (config.repeat_batch) {
-        std::vector<std::uint64_t> seeds(static_cast<std::size_t>(repeats));
-        for (std::int64_t r = 0; r < repeats; ++r)
-            seeds[static_cast<std::size_t>(r)] =
-                config.seed + static_cast<std::uint64_t>(r) * 7919;
-        std::vector<EvalResult> per =
-            evaluate_repeats_on_crossbars(model, test, config, seeds);
-        // Identical accumulation order to the sequential loop below, so the
-        // averages are bit-identical too.
-        EvalResult aggregate = std::move(per[0]);
-        for (std::int64_t r = 1; r < repeats; ++r) {
-            const EvalResult& one = per[static_cast<std::size_t>(r)];
-            aggregate.accuracy += one.accuracy;
-            aggregate.nf_mean += one.nf_mean;
-            aggregate.unconverged_tiles += one.unconverged_tiles;
-        }
-        aggregate.accuracy /= static_cast<double>(repeats);
-        aggregate.nf_mean /= static_cast<double>(repeats);
-        check_failure_accounting(aggregate, repeats);
-        return aggregate;
-    }
-    // The mapping plans (and w_ref scales) are deterministic: build them once
-    // and reuse across every Monte-Carlo repeat.
-    const std::vector<LayerPlan> plans = build_layer_plans(model, config);
-    nn::InferenceEngine engine(model);
-    tensor::check(engine.mappable_count() == plans.size(),
-                  "evaluate_on_crossbars: engine/plan mappable-layer mismatch");
-    TileWorkers workers;  // producer-owned scratch, reused across repeats
-    // One stage pipeline for every layer and repeat: the stages are
-    // immutable and the fast backend's calibration cache is thread-safe, so
-    // the producer thread shares it too.
-    const xbar::TilePipeline pipeline = build_pipeline(config);
-
-    // Overlapped repeat pipeline (DESIGN.md §6): while repeat r's inference
-    // runs on this thread, a producer thread degrades repeat r+1's matrices
-    // into the other half of a double buffer. The pool's dispatch mutex
-    // serializes the two sides' parallel phases, so the overlap hides each
-    // side's serial sections (plan transforms, folding, linear/argmax)
-    // rather than doubling pool throughput. Each repeat's degraded W′
-    // reaches the engine as a refresh() override — folded after the swap, so
-    // BN folding composes with the degraded weights — and the shared model
-    // is never mutated (the old path paid two inject_matrix transpose copies
-    // per layer per repeat, plus a restore pass).
-    struct RepeatBuffer {
-        std::vector<Tensor> weights;      // per mappable layer, plan order
-        std::vector<DegradeStats> stats;  // parallel to `weights`
-    };
-    RepeatBuffer buffers[2];
-    const auto degrade_repeat = [&](std::int64_t r, RepeatBuffer& out) {
-        XS_TIMER_NS("core.degrade_repeat.ns");
-        XS_TRACE_SPAN("degrade_repeat");
-        const std::uint64_t run_seed =
+    std::vector<std::uint64_t> seeds(static_cast<std::size_t>(repeats));
+    for (std::int64_t r = 0; r < repeats; ++r)
+        seeds[static_cast<std::size_t>(r)] =
             config.seed + static_cast<std::uint64_t>(r) * 7919;
-        util::Rng rng(run_seed);
-        std::uint64_t layer_tag = 1;
-        out.weights.resize(plans.size());
-        out.stats.assign(plans.size(), DegradeStats{});
-        for (std::size_t i = 0; i < plans.size(); ++i) {
-            util::Rng layer_rng = rng.split(layer_tag++);
-            out.weights[i] =
-                degrade_with_plan(plans[i].plan, plans[i].matrix, config,
-                                  pipeline, plans[i].w_ref, layer_rng,
-                                  out.stats[i], workers);
-        }
-    };
-
-    // When this call already runs inside a pool parallel region (e.g. one
-    // cell of a sharded sweep), the producer thread's top-level dispatch
-    // would block on the pool's task slot until the enclosing region ends —
-    // and the region is waiting on the producer. Repeats then degrade
-    // synchronously on the calling thread instead; results are identical
-    // either way (same buffers, same per-repeat seeds).
-    const bool overlap = !util::in_parallel_region();
-    std::future<void> producer;
-    if (overlap)
-        producer = std::async(std::launch::async, degrade_repeat,
-                              std::int64_t{0}, std::ref(buffers[0]));
-    std::vector<const Tensor*> overrides(plans.size(), nullptr);
-    EvalResult aggregate;
-    for (std::int64_t r = 0; r < repeats; ++r) {
-        if (overlap)
-            producer.get();  // repeat r's weights are ready (rethrows on error)
-        else
-            degrade_repeat(r, buffers[r & 1]);
-        RepeatBuffer& cur = buffers[r & 1];
-        // Kick off repeat r+1 before consuming repeat r; the producer writes
-        // the other buffer, whose previous contents were consumed at r-1.
-        if (overlap && r + 1 < repeats)
-            producer = std::async(std::launch::async, degrade_repeat, r + 1,
-                                  std::ref(buffers[(r + 1) & 1]));
-
-        EvalResult one;
-        for (std::size_t i = 0; i < plans.size(); ++i) {
-            one.layers.push_back(layer_stats_of(plans[i], cur.stats[i]));
-            overrides[i] = &cur.weights[i];
-        }
-        {
-            XS_TIMER_NS("core.infer_repeat.ns");
-            XS_TRACE_SPAN("infer_repeat");
-            engine.refresh(overrides);
-            one.accuracy = nn::evaluate(engine, test);
-        }
-
-        finalize_nf(one);
-        if (r == 0) {
-            aggregate = std::move(one);
-        } else {
-            aggregate.accuracy += one.accuracy;
-            aggregate.nf_mean += one.nf_mean;
-            aggregate.unconverged_tiles += one.unconverged_tiles;
-        }
+    std::vector<EvalResult> per =
+        evaluate_repeats_on_crossbars(model, test, config, seeds);
+    EvalResult aggregate = std::move(per[0]);
+    for (std::int64_t r = 1; r < repeats; ++r) {
+        const EvalResult& one = per[static_cast<std::size_t>(r)];
+        aggregate.accuracy += one.accuracy;
+        aggregate.nf_mean += one.nf_mean;
+        aggregate.unconverged_tiles += one.unconverged_tiles;
     }
     aggregate.accuracy /= static_cast<double>(repeats);
     aggregate.nf_mean /= static_cast<double>(repeats);
@@ -651,8 +477,20 @@ EvalResult evaluate_on_crossbars(nn::Sequential& model, const nn::Dataset& test,
 EvalResult measure_nf(nn::Sequential& model, const EvalConfig& config) {
     XS_TIMER_NS("core.measure_nf.ns");
     XS_TRACE_SPAN("measure_nf");
+    const std::vector<LayerPlan> plans = build_layer_plans(model, config);
+    const xbar::TilePipeline pipeline = build_pipeline(config);
+    TileLoop loop(1);
     EvalResult result;
-    degrade_model_matrices(model, config, &result.layers);
+    for (std::size_t li = 0; li < plans.size(); ++li) {
+        const LayerPlan& lp = plans[li];
+        util::Rng layer_rng =
+            util::Rng(config.seed).split(static_cast<std::uint64_t>(li) + 1);
+        DegradeStats stats;
+        // NF and tile counts only: the degraded matrix is never mapped back.
+        degrade_tiles(lp.plan, lp.matrix, config, pipeline, lp.w_ref,
+                      &layer_rng, 1, &stats, loop);
+        result.layers.push_back(layer_stats_of(lp, stats));
+    }
     finalize_nf(result);
     return result;
 }

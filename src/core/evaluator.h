@@ -3,6 +3,12 @@
 // T (and optionally the mitigation R), partition into crossbars, convert to
 // conductances, inject circuit + device non-idealities, convert back, apply
 // R⁻¹ and T⁻¹, and run inference with the resulting non-ideal weights W′.
+//
+// There is one evaluation path (DESIGN.md §12): Monte-Carlo repeats are
+// lanes of one tile loop whose circuit solves batch across lanes, and each
+// repeat's W′ compiles into an inference-engine instance that runs through
+// forward_batched. A single evaluation (one repeat, degrade_mac_matrix,
+// measure_nf) is the one-lane case of the same loop.
 #pragma once
 
 #include "core/rearrange.h"
@@ -64,17 +70,6 @@ struct EvalConfig {
     // the paper). Exactly restores each column's calibration-point current;
     // residual error remains for other inputs.
     bool compensate_columns = false;
-    // Evaluate all Monte-Carlo repeats in one lane-batched pass (DESIGN.md
-    // §12): every repeat shares each tile's deterministic prep, circuit
-    // solves batch across repeat lanes (xbar/solver.h), and each repeat's
-    // W′ is compiled into a packed engine instance so inference runs once
-    // with the repeat dimension as an extra batch axis (nn/infer.h
-    // forward_batched). With cold-start solves (warm_start_solves = false)
-    // results are bit-identical to the sequential loop; warm starts chain
-    // within a repeat lane instead of across repeats, so warm multi-repeat
-    // runs can differ by solver residuals far below float resolution.
-    // false = the sequential per-repeat degrade→refresh→evaluate loop.
-    bool repeat_batch = true;
 };
 
 struct LayerEvalStats {
@@ -107,40 +102,38 @@ struct EvalResult {
     std::vector<LayerEvalStats> layers;
 };
 
-// Degrade one MAC matrix through the full T→R→tile→G→G′→W′→R⁻¹→T⁻¹ pipeline.
-// `w_ref` must be positive. Stats (tile/NF counts) accumulate into `stats`.
+// Degrade one MAC matrix through the full T→R→tile→G→G′→W′→R⁻¹→T⁻¹ pipeline
+// (one lane of the tile loop; tile t draws from rng.split(t + 1)). `w_ref`
+// must be positive. Stats (tile/NF counts) accumulate into `stats`.
 tensor::Tensor degrade_mac_matrix(const tensor::Tensor& matrix,
                                   const EvalConfig& config, double w_ref,
                                   util::Rng& rng, DegradeStats& stats);
 
-// Produce the non-ideal weight matrices for every mappable layer of `model`
-// without touching the model, keyed by layer name.
-std::map<std::string, tensor::Tensor> degrade_model_matrices(
-    nn::Sequential& model, const EvalConfig& config,
-    std::vector<LayerEvalStats>* layer_stats);
-
-// Full evaluation: degrade W′ and measure test accuracy; the model itself is
-// never mutated — W′ reaches a per-call inference engine (nn/infer.h) as
-// folded-weight overrides. The deterministic mapping stages (T-compaction,
-// R-rearrangement, tiling, w_ref) are computed once and reused across all
-// `config.repeats`; each repeat only redoes the stochastic stages
-// (variation, faults, circuit solve), and repeat r+1's degradation overlaps
-// repeat r's inference on a producer thread (DESIGN.md §6).
+// Full evaluation: degrade W′ and measure test accuracy, averaged over
+// `config.repeats` Monte-Carlo repeats (repeat r seeded config.seed +
+// r·7919). This is evaluate_repeats_on_crossbars over that seed list plus
+// the averaging. The model itself is never mutated — W′ reaches a per-call
+// inference engine (nn/infer.h) as compiled instances.
 EvalResult evaluate_on_crossbars(nn::Sequential& model, const nn::Dataset& test,
                                  const EvalConfig& config);
 
 // One EvalResult per entry of `seeds`: repeat r degrades with seed seeds[r]
 // and all repeats evaluate in a single lane-batched pass (config.repeats is
-// ignored — the seed list IS the repeat axis). evaluate_on_crossbars with
-// repeat_batch = true is this plus the repeat averaging; sweeps call it
-// directly with one group's per-cell seeds so the group's repeats share the
-// deterministic mapping work and one inference engine while every repeat
+// ignored — the seed list IS the repeat axis). The deterministic mapping
+// stages (T-compaction, R-rearrangement, tiling, w_ref) are computed once;
+// each repeat only redoes the stochastic stages (variation, faults, circuit
+// solve). Repeats ride in groups of four lanes, and group g+1's degradation
+// overlaps group g's inference on a producer thread. With cold-start solves
+// a repeat's result does not depend on which other seeds ride with it, so
+// sweeps call this with one grid point's per-cell seeds and every repeat
 // still produces its own CellResult.
 std::vector<EvalResult> evaluate_repeats_on_crossbars(
     nn::Sequential& model, const nn::Dataset& test, const EvalConfig& config,
     const std::vector<std::uint64_t>& seeds);
 
-// NF measurement only (paper Fig. 3(d)) — no inference pass.
+// NF measurement only (paper Fig. 3(d)): one lane of the tile loop per
+// layer, seeded config.seed; no inference pass, and the degraded matrices
+// are never mapped back.
 EvalResult measure_nf(nn::Sequential& model, const EvalConfig& config);
 
 }  // namespace xs::core

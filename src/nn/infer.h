@@ -9,23 +9,26 @@
 // streams activations through a two-buffer ping-pong arena:
 //
 //  * Conv2d (+ following BatchNorm2d, + following ReLU) become ONE step:
-//    the BN affine is folded into the conv weights/bias at refresh() time,
+//    the BN affine is folded into the conv weights/bias at compile time,
 //    the whole batch runs as a single tiled GEMM against weights packed
-//    once per refresh, and the bias+ReLU epilogue runs on each GEMM tile
+//    once per compile, and the bias+ReLU epilogue runs on each GEMM tile
 //    while it is hot — eliminating two full passes over every activation
 //    map plus the per-call weight packing.
 //  * im2col writes the packed-B panel layout directly (im2col_pack_b), so
 //    the GEMM's column-packing pass disappears; the panel buffer grows
-//    once and is reused across batches, layers, and refresh cycles.
+//    once and is reused across batches, layers, and engines.
 //  * Conv activations stay channel-major ("CN": channels × batch·H·W)
 //    through the conv trunk, so batched GEMM outputs need no reshuffle;
 //    Flatten transposes back to batch-major once, on the smallest map.
 //  * Linear (+ following ReLU) is fused the same way.
 //  * Dropout (identity at inference) is skipped.
 //
-// Weight swapping: refresh(mac_overrides) rebuilds the folded weights from
-// externally supplied MAC matrices (the evaluator's degraded W′) WITHOUT
-// touching the model — folding happens after the swap, per refresh, so BN
+// One evaluation path: folded weights live in CompiledInstances, and every
+// forward is forward_batched over one or more of them. forward() runs the
+// engine's own instance, compiled from the model's parameters at
+// construction, as a single lane. Degraded crossbar weights W′ reach the
+// engine as MAC-matrix overrides compiled into further instances WITHOUT
+// touching the model — folding happens after the swap, per compile, so BN
 // folding composes correctly with per-repeat degraded weights.
 //
 // After a warm-up forward, steady-state forwards of the same batch shape
@@ -49,9 +52,8 @@ class Linear;
 // folded weights (BN composed in at compile time), folded bias, and — for
 // conv steps — the GEMM panel-packed A matrix. Instances are engine-shaped
 // but engine-independent storage, so the Monte-Carlo evaluator can hold R
-// degraded instances and run them all through one engine (forward_batched)
-// instead of refresh()ing between repeats. Storage is reused across
-// recompiles of the same model shape.
+// degraded instances and run them all through one engine (forward_batched).
+// Storage is reused across recompiles of the same model shape.
 struct CompiledInstance {
     struct Slot {
         Tensor w;  // folded weights: conv (Cout × patch), linear (in × out)
@@ -63,9 +65,12 @@ struct CompiledInstance {
 
 class InferenceEngine {
 public:
-    // Compiles the plan and folds the current parameters (refresh()).
-    // The engine keeps pointers into `model`; it must outlive the engine
-    // and its layer structure must not change (weights may).
+    // Compiles the plan and the engine's own instance from the model's
+    // current parameters. The engine keeps pointers into `model`; it must
+    // outlive the engine and its layer structure must not change. Parameter
+    // changes after construction reach the engine only through instances
+    // compiled afterwards (compile_instance); forward() keeps the weights
+    // captured here.
     explicit InferenceEngine(Sequential& model);
 
     // Non-copyable (owns arenas keyed to the plan), movable.
@@ -74,34 +79,25 @@ public:
     InferenceEngine(InferenceEngine&&) = default;
     InferenceEngine& operator=(InferenceEngine&&) = default;
 
-    // Rebuild folded weights/biases from the model's current parameters.
-    // Call after any parameter mutation (training step, weight injection).
-    void refresh();
-
-    // Same, but each mappable (Conv2d/Linear) layer takes its MAC matrix
-    // (rows = inputs × cols = outputs, the map::extract_matrix orientation)
-    // from `mac_overrides`, ordered like map::mappable_layers(model); null
-    // entries fall back to the layer's own parameters. This is how degraded
-    // crossbar weights W′ are evaluated without mutating the model.
-    void refresh(const std::vector<const tensor::Tensor*>& mac_overrides);
-
-    // Eval-mode forward. The returned reference points at an engine-owned
-    // buffer and stays valid until the next forward call on this engine.
+    // Eval-mode forward of the engine's own instance: forward_batched with
+    // one lane. The returned reference points at an engine-owned buffer and
+    // stays valid until the next forward call on this engine.
     const Tensor& forward(const Tensor& x);
     // Zero-copy variant reading the batch straight from caller storage
     // (e.g. a contiguous slice of a dataset tensor).
     const Tensor& forward(const float* x, const tensor::Shape& shape);
 
-    // Compile one mappable layer's folded weight set into `out` (slot
-    // storage reused when already shaped). `mac_override` follows the same
-    // contract as refresh(): a (inputs × outputs) MAC matrix, or null for
-    // the layer's own parameters. Folding runs in double and the conv pack
-    // is rebuilt, exactly like refresh_step — an instance compiled from the
-    // same MAC matrices is bit-identical to a refresh()ed engine.
+    // Compile one mappable layer's folded weight set into `inst` (slot
+    // storage reused when already shaped). `mac_override` is the layer's
+    // MAC matrix (rows = inputs × cols = outputs, the map::extract_matrix
+    // orientation), or null for the layer's own parameters; this is how
+    // degraded crossbar weights W′ are evaluated without mutating the model.
+    // Folding runs in double and the conv pack is rebuilt.
     void compile_instance_slot(std::size_t slot,
                                const tensor::Tensor* mac_override,
-                               CompiledInstance& out) const;
-    // All slots at once; `mac_overrides` empty means model parameters.
+                               CompiledInstance& inst) const;
+    // All slots at once, `mac_overrides` ordered like
+    // map::mappable_layers(model); empty means model parameters.
     void compile_instance(
         const std::vector<const tensor::Tensor*>& mac_overrides,
         CompiledInstance& out) const;
@@ -109,7 +105,7 @@ public:
     // Evaluate `count` compiled instances over ONE input batch in a single
     // pass: lanes share the input (and the first conv's im2col pack) and
     // produce a lane-major stacked output — rows [r·n, (r+1)·n) are
-    // instance r's result, bit-identical to refresh()+forward() per lane.
+    // instance r's result, bit-identical to a one-lane pass of instance r.
     // The returned reference points at an engine-owned buffer and stays
     // valid until the next forward/forward_batched call on this engine.
     // Steady state performs no heap allocation (kGeneric fallback steps
@@ -118,8 +114,8 @@ public:
                                   const CompiledInstance* const* instances,
                                   std::size_t count);
 
-    // Number of mappable layers the plan found (refresh override slots).
-    std::size_t mappable_count() const { return mappable_count_; }
+    // Number of mappable layers the plan found (instance slots).
+    std::size_t mappable_count() const { return mappable_steps_.size(); }
 
 private:
     struct Step {
@@ -142,26 +138,13 @@ private:
         std::int64_t cin = 0, cout = 0, k = 0, stride = 0, pad = 0, patch = 0;
         std::int64_t in_features = 0, out_features = 0;
         std::int64_t pool_kernel = 0;
-        Tensor w;  // folded weights: kConv (Cout × patch), kLinear (in × out)
-        Tensor b;  // folded bias (Cout) / (out); empty when !epilogue
-        // Conv weights packed once per refresh for the batched tile GEMM —
-        // the per-call sparsity scan and A-packing drop out of the batch
-        // loop (pruned layers pack only their live k indices).
-        tensor::PackedGemmA wpack;
     };
 
     void build_plan(Sequential& model);
-    // Shared folding kernel: refresh_step writes into the step's own
-    // buffers, compile_instance_slot into an instance slot.
-    void fold_step(const Step& step, const Tensor* mac_override, Tensor& w,
-                   Tensor& b, tensor::PackedGemmA& wpack) const;
-    void refresh_step(Step& step, const Tensor* mac_override);
-
-    const Tensor& run(const float* x, const tensor::Shape& shape);
 
     std::vector<Step> steps_;
     std::vector<std::size_t> mappable_steps_;  // steps_ indices of mappables
-    std::size_t mappable_count_ = 0;
+    CompiledInstance own_;  // model parameters at construction (forward())
     // Activation ping-pong buffers and the packed im2col panel store live in
     // a per-thread scratch arena shared by every engine on the thread (see
     // engine_scratch() in infer.cpp): evaluators build a fresh engine per

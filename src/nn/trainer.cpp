@@ -32,10 +32,10 @@ void gather_batch(const Dataset& data, const std::vector<std::size_t>& order,
     }
 }
 
-double evaluate(InferenceEngine& engine, const Dataset& data,
-                std::int64_t batch_size) {
+double evaluate(Sequential& model, const Dataset& data, std::int64_t batch_size) {
     const std::int64_t n = data.size();
     if (n == 0) return 0.0;
+    InferenceEngine engine(model);
     // Evaluation order is the identity, so a batch is a contiguous row range
     // of the dataset tensor: forward a view straight into its storage
     // instead of building an order vector and memcpy'ing every batch.
@@ -53,11 +53,6 @@ double evaluate(InferenceEngine& engine, const Dataset& data,
                 ++correct;
     }
     return 100.0 * static_cast<double>(correct) / static_cast<double>(n);
-}
-
-double evaluate(Sequential& model, const Dataset& data, std::int64_t batch_size) {
-    InferenceEngine engine(model);
-    return evaluate(engine, data, batch_size);
 }
 
 std::vector<EpochStats> train(Sequential& model, const Dataset& train_data,

@@ -45,18 +45,11 @@ struct EpochStats {
 // Called after every optimizer step (e.g. to re-apply pruning masks).
 using StepHook = std::function<void(Sequential&)>;
 
-class InferenceEngine;
-
 // Top-1 accuracy (%) of `model` on `data`, evaluated in inference mode
 // through a fused InferenceEngine (nn/infer.h) built for the call.
+// Identity-order evaluation forwards contiguous views straight into the
+// dataset tensor: no batch gather, no memcpy.
 double evaluate(Sequential& model, const Dataset& data, std::int64_t batch_size = 64);
-
-// Same, reusing a caller-owned engine (and its warmed arenas/scratch) —
-// the Monte-Carlo evaluator calls this once per repeat. Identity-order
-// evaluation forwards contiguous views straight into the dataset tensor:
-// no batch gather, no memcpy.
-double evaluate(InferenceEngine& engine, const Dataset& data,
-                std::int64_t batch_size = 64);
 
 // Trains in place; returns per-epoch stats. If `test` is non-null its
 // accuracy is recorded each epoch.

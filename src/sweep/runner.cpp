@@ -40,20 +40,16 @@ std::vector<core::ModelSpec> distinct_model_specs(
     return specs;
 }
 
-}  // namespace
+// What every cell of one grid point shares: the prepared (cached) model and
+// the evaluation config built from the cell's axes. The repeat's seed is
+// the only per-cell input, so it is left to the caller.
+struct CellSetup {
+    core::PreparedModel& model;
+    core::EvalConfig eval;
+};
 
-// Execute one grid cell: resolve the prepared (cached) model, build the
-// evaluation config from the cell's axes, run the crossbar evaluation for a
-// single Monte-Carlo draw, and attach the analytic energy estimate. Safe to
-// call concurrently from shard chunks: the context's caches are locked, the
-// shared model is only read, and all scratch is call-local. Also the body
-// of the supervisor's worker processes (sweep/supervisor.h).
-CellResult run_sweep_cell(core::ExperimentContext& ctx, const SweepSpec& spec,
-                          const SweepCell& cell) {
-    XS_TIMER_NS("sweep.cell.ns");
-    XS_TRACE_SPAN("cell");
-    XS_COUNT("sweep.cells.executed", 1);
-    const auto t0 = std::chrono::steady_clock::now();
+CellSetup setup_cell(core::ExperimentContext& ctx, const SweepSpec& spec,
+                     const SweepCell& cell) {
     const core::ModelSpec model_spec =
         ctx.spec(cell.variant, cell.num_classes, cell.prune.method,
                  cell.prune.sparsity, cell.mitigation.wct);
@@ -62,10 +58,10 @@ CellResult run_sweep_cell(core::ExperimentContext& ctx, const SweepSpec& spec,
         XS_TRACE_SPAN("cell.prepare");
         return ctx.prepared(model_spec);
     }();
-
-    core::EvalConfig eval = ctx.eval_config(model, cell.prune.method,
-                                            cell.xbar_size,
-                                            cell.mitigation.rearrange);
+    CellSetup setup{model, ctx.eval_config(model, cell.prune.method,
+                                           cell.xbar_size,
+                                           cell.mitigation.rearrange)};
+    core::EvalConfig& eval = setup.eval;
     eval.backend = cell.backend;
     eval.xbar.device.sigma_variation = cell.sigma;
     eval.xbar.parasitics.r_driver *= cell.parasitic_scale;
@@ -76,56 +72,69 @@ CellResult run_sweep_cell(core::ExperimentContext& ctx, const SweepSpec& spec,
     eval.faults.p_stuck_max = cell.faults.p_stuck_max;
     if (cell.quant_levels > 0) eval.conductance_levels = cell.quant_levels;
     eval.compensate_columns = cell.mitigation.compensate;
-    eval.repeats = 1;  // the Monte-Carlo axis lives in the grid
-    eval.seed = cell_seed(ctx.seed(), cell);
     eval.warm_start_solves = spec.warm_start_solves;
-    // One cell is one Monte-Carlo draw, but it still rides the compiled-
-    // instance path: a single-lane batched evaluation degrades through the
-    // scalar solver chain (the batch stage falls back below two lanes) and
-    // is bit-identical to the sequential path — pinned by the repeat-batch
-    // determinism tests — so supervisor and service workers, which execute
-    // cells one at a time, stay byte-comparable with batched in-process
-    // runs while sharing the pre-packed GEMM instances and the
-    // degrade/forward overlap.
-    eval.repeat_batch = true;
+    return setup;
+}
 
-    core::EvalResult r;
+// One CellResult per evaluated repeat, with the analytic energy estimate
+// attached; the wall time since `t0` is split evenly across them.
+std::vector<CellResult> cell_results(const SweepCell& head,
+                                     const CellSetup& setup,
+                                     const std::vector<core::EvalResult>& per,
+                                     std::chrono::steady_clock::time_point t0) {
+    const map::EnergyReport energy =
+        map::estimate_energy(setup.model.model, head.prune.method,
+                             setup.eval.xbar, map::EnergyConfig{});
+    const double wall_ms = std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - t0)
+                               .count() /
+                           static_cast<double>(per.size());
+    std::vector<CellResult> out(per.size());
+    for (std::size_t r = 0; r < per.size(); ++r) {
+        out[r].backend = xbar::backend_name(head.backend);
+        out[r].accuracy = per[r].accuracy;
+        out[r].nf_mean = per[r].nf_mean;
+        out[r].energy_pj = energy.total_energy_pj();
+        out[r].software_acc = setup.model.software_accuracy;
+        out[r].tiles = per[r].total_tiles;
+        out[r].solver_failures = per[r].unconverged_tiles;
+        out[r].wall_ms = wall_ms;
+    }
+    return out;
+}
+
+}  // namespace
+
+// Execute one grid cell. Inference cells are a one-cell group; nf-only
+// cells measure NF (paper Fig. 3(d)) with no inference pass and no device
+// variation. Safe to call concurrently from shard chunks: the context's
+// caches are locked, the shared model is only read, and all scratch is
+// call-local. Also the body of the supervisor's and service's workers.
+CellResult run_sweep_cell(core::ExperimentContext& ctx, const SweepSpec& spec,
+                          const SweepCell& cell) {
+    if (!spec.nf_only) return run_sweep_group(ctx, spec, {&cell}).front();
+    XS_TIMER_NS("sweep.cell.ns");
+    XS_TRACE_SPAN("cell");
+    XS_COUNT("sweep.cells.executed", 1);
+    const auto t0 = std::chrono::steady_clock::now();
+    CellSetup setup = setup_cell(ctx, spec, cell);
+    setup.eval.seed = cell_seed(ctx.seed(), cell);
+    setup.eval.include_variation = false;
+    std::vector<core::EvalResult> per(1);
     {
         XS_TIMER_NS("sweep.phase.eval.ns");
         XS_TRACE_SPAN("cell.eval");
-        if (spec.nf_only) {
-            // NF is a parasitics metric (paper Fig. 3(d)): no inference
-            // pass, no device variation.
-            eval.include_variation = false;
-            r = core::measure_nf(model.model, eval);
-        } else {
-            const data::TrainTest& tt = ctx.dataset(cell.num_classes);
-            r = core::evaluate_on_crossbars(model.model, tt.test, eval);
-        }
+        per[0] = core::measure_nf(setup.model.model, setup.eval);
     }
-    const map::EnergyReport energy = map::estimate_energy(
-        model.model, cell.prune.method, eval.xbar, map::EnergyConfig{});
-
-    CellResult out;
-    out.backend = xbar::backend_name(cell.backend);
-    out.accuracy = r.accuracy;
-    out.nf_mean = r.nf_mean;
-    out.energy_pj = energy.total_energy_pj();
-    out.software_acc = model.software_accuracy;
-    out.tiles = r.total_tiles;
-    out.solver_failures = r.unconverged_tiles;
-    out.wall_ms = std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count();
-    return out;
+    return cell_results(cell, setup, per, t0).front();
 }
 
 // Execute one grid point's repeats in a single lane-batched evaluation. The
 // cells share every axis except the repeat index, so one EvalConfig (built
-// from the head cell exactly like run_sweep_cell builds it) serves the whole
-// group; only the per-repeat seeds differ, and those reach the evaluator as
-// an explicit seed list — the same cell_seed values the sequential path
-// would use, so cold-start lanes reproduce run_sweep_cell bit for bit.
+// from the head cell) serves the whole group; only the per-repeat seeds
+// differ, and those reach the evaluator as an explicit seed list. With
+// cold-start solves each lane's result is independent of the group it
+// rides in, so a group and its cells run one by one give the same bytes.
 std::vector<CellResult> run_sweep_group(
     core::ExperimentContext& ctx, const SweepSpec& spec,
     const std::vector<const SweepCell*>& cells) {
@@ -139,29 +148,7 @@ std::vector<CellResult> run_sweep_group(
     XS_COUNT("sweep.cells.executed", static_cast<std::uint64_t>(lanes));
     const auto t0 = std::chrono::steady_clock::now();
     const SweepCell& head = *cells.front();
-    const core::ModelSpec model_spec =
-        ctx.spec(head.variant, head.num_classes, head.prune.method,
-                 head.prune.sparsity, head.mitigation.wct);
-    core::PreparedModel& model = [&]() -> core::PreparedModel& {
-        XS_TIMER_NS("sweep.phase.prepare.ns");
-        XS_TRACE_SPAN("cell.prepare");
-        return ctx.prepared(model_spec);
-    }();
-
-    core::EvalConfig eval = ctx.eval_config(model, head.prune.method,
-                                            head.xbar_size,
-                                            head.mitigation.rearrange);
-    eval.backend = head.backend;
-    eval.xbar.device.sigma_variation = head.sigma;
-    eval.xbar.parasitics.r_driver *= head.parasitic_scale;
-    eval.xbar.parasitics.r_wire_row *= head.parasitic_scale;
-    eval.xbar.parasitics.r_wire_col *= head.parasitic_scale;
-    eval.xbar.parasitics.r_sense *= head.parasitic_scale;
-    eval.faults.p_stuck_min = head.faults.p_stuck_min;
-    eval.faults.p_stuck_max = head.faults.p_stuck_max;
-    if (head.quant_levels > 0) eval.conductance_levels = head.quant_levels;
-    eval.compensate_columns = head.mitigation.compensate;
-    eval.warm_start_solves = spec.warm_start_solves;
+    const CellSetup setup = setup_cell(ctx, spec, head);
 
     std::vector<std::uint64_t> seeds(lanes);
     for (std::size_t r = 0; r < lanes; ++r)
@@ -172,28 +159,10 @@ std::vector<CellResult> run_sweep_group(
         XS_TIMER_NS("sweep.phase.eval.ns");
         XS_TRACE_SPAN("cell.eval");
         const data::TrainTest& tt = ctx.dataset(head.num_classes);
-        per = core::evaluate_repeats_on_crossbars(model.model, tt.test, eval,
-                                                  seeds);
+        per = core::evaluate_repeats_on_crossbars(setup.model.model, tt.test,
+                                                  setup.eval, seeds);
     }
-    const map::EnergyReport energy = map::estimate_energy(
-        model.model, head.prune.method, eval.xbar, map::EnergyConfig{});
-
-    const double wall_ms = std::chrono::duration<double, std::milli>(
-                               std::chrono::steady_clock::now() - t0)
-                               .count() /
-                           static_cast<double>(lanes);
-    std::vector<CellResult> out(lanes);
-    for (std::size_t r = 0; r < lanes; ++r) {
-        out[r].backend = xbar::backend_name(head.backend);
-        out[r].accuracy = per[r].accuracy;
-        out[r].nf_mean = per[r].nf_mean;
-        out[r].energy_pj = energy.total_energy_pj();
-        out[r].software_acc = model.software_accuracy;
-        out[r].tiles = per[r].total_tiles;
-        out[r].solver_failures = per[r].unconverged_tiles;
-        out[r].wall_ms = wall_ms;
-    }
-    return out;
+    return cell_results(head, setup, per, t0);
 }
 
 std::uint64_t cell_seed(std::uint64_t master_seed, const SweepCell& cell) {
@@ -430,14 +399,12 @@ SweepSummary SweepRunner::run() {
     // Work units: a unit is either one cell or a contiguous run of pending
     // cells from the same repeat group, executed as one lane-batched
     // evaluation (run_sweep_group). Repeat is the innermost expansion axis,
-    // so group membership is index / repeats. Cold-start lanes are
-    // bit-identical to per-cell execution, which keeps the aggregate CSV
-    // independent of the batching mode; warm-start sweeps chain solves
-    // differently per lane and nf-only sweeps have no inference pass, so
-    // both fall back to singleton units. Units, not cells, are dealt to the
-    // shards; with batching off every unit is one cell.
-    const bool batch_groups = opts_.repeat_batch && !spec_.nf_only &&
-                              !spec_.warm_start_solves && spec_.repeats > 1;
+    // so group membership is index / repeats. Cold-start lanes do not
+    // depend on their group, which keeps the aggregate CSV independent of
+    // how cells are grouped; warm-start sweeps chain solves differently per
+    // lane and nf-only sweeps have no inference pass, so both run one-cell
+    // units. Units, not cells, are dealt to the shards.
+    const bool batch_groups = !spec_.nf_only && !spec_.warm_start_solves;
     struct Unit {
         std::size_t begin = 0;  // index into `pending`
         std::size_t count = 0;
@@ -457,7 +424,7 @@ SweepSummary SweepRunner::run() {
         units.push_back(Unit{p, q - p});
         p = q;
     }
-    // Shared per-cell bookkeeping, identical on both execution paths.
+    // Shared per-cell bookkeeping, identical for every unit size.
     const auto record_one = [&](std::size_t p, CellResult&& result) {
         const SweepCell& cell = cells[pending[p]];
         executed[p] = std::move(result);

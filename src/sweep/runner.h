@@ -6,12 +6,12 @@
 // to a JSONL manifest (sweep/manifest.h) so an interrupted sweep resumes
 // with --resume, skipping finished cells. A unit is normally one grid
 // point's pending repeats, evaluated in a single lane-batched pass
-// (run_sweep_group); warm-start and nf-only sweeps, and --repeat-batch=off,
-// fall back to one-cell units (run_sweep_cell). Per-cell RNG seeds derive
-// from the cell's stable group id — never from shard, deal, batching, or
-// completion order — and sweep cells cold-start their circuit solves, so
-// the aggregate CSV is byte-identical at any shard count, with either
-// batching mode, with or without interruption.
+// (run_sweep_group); warm-start and nf-only sweeps run one-cell units
+// (run_sweep_cell). Per-cell RNG seeds derive from the cell's stable group
+// id — never from shard, deal, grouping, or completion order — and sweep
+// cells cold-start their circuit solves, so the aggregate CSV is
+// byte-identical at any shard count, however cells are grouped, with or
+// without interruption.
 //
 // For crash isolation, the supervisor (sweep/supervisor.h) executes the
 // same grid in forked worker *processes*; it shares this header's cell
@@ -61,15 +61,6 @@ struct SweepOptions {
     // cells execute (cells done/failed/retried, rate, ETA, and — under the
     // supervisor — per-worker liveness). 0 disables the heartbeat.
     double progress_sec = 0.0;
-    // Evaluate all pending repeats of a grid point in one lane-batched pass
-    // (run_sweep_group): the group's repeats share the deterministic mapping
-    // work, one compiled-instance set, and one inference engine. Cold-start
-    // lanes are bit-identical to sequential per-cell execution, so the
-    // aggregate CSV does not depend on this switch; warm-start and nf-only
-    // sweeps fall back to per-cell execution either way. Off = the legacy
-    // one-evaluation-per-cell path (what supervisor/service workers always
-    // use), kept reachable for A/B timing and the equivalence smoke.
-    bool repeat_batch = true;
 };
 
 // One aggregation group (= one CSV row): all repeats of a grid point.
@@ -128,12 +119,11 @@ std::uint64_t cell_seed(std::uint64_t master_seed, const SweepCell& cell);
 
 // Execute one grid cell in the calling process: resolve the prepared
 // (cached) model, build the cell's EvalConfig, evaluate, attach energy.
-// One cell is one Monte-Carlo draw, but it still rides the compiled-
-// instance path (a single-lane batched evaluation, bit-identical to the
-// sequential loop via the scalar solver fallback), so the supervisor's and
-// service's per-cell workers share the pre-packed GEMM instances and the
-// compile/forward overlap while staying byte-comparable with batched
-// in-process runs.
+// An inference cell is run_sweep_group of that one cell: a one-lane
+// evaluation, whose circuit solves run the one-lane instance of the batched
+// kernel (bit-identical to the scalar solve and 2-3x faster). An nf-only
+// cell runs core::measure_nf. The supervisor's and service's workers
+// execute cells through this one at a time.
 CellResult run_sweep_cell(core::ExperimentContext& ctx, const SweepSpec& spec,
                           const SweepCell& cell);
 
@@ -142,8 +132,8 @@ CellResult run_sweep_cell(core::ExperimentContext& ctx, const SweepSpec& spec,
 // set per repeat (each seeded with its own cell_seed), one batched inference
 // pass. Returns one CellResult per input cell, in order, with the group wall
 // time split evenly across them. With cold-start solves every lane is
-// bit-identical to run_sweep_cell on the same cell; callers gate warm-start
-// sweeps off this path themselves (SweepRunner::run does). Requires an
+// bit-identical to running its cell alone; callers keep warm-start sweeps
+// to one-cell groups themselves (SweepRunner::run does). Requires an
 // inference pass — nf_only specs are rejected.
 std::vector<CellResult> run_sweep_group(core::ExperimentContext& ctx,
                                         const SweepSpec& spec,

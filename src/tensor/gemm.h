@@ -21,7 +21,7 @@ void gemm_serial(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
 
 // Reusable packed-A operand for repeated GEMMs against one left-hand matrix.
 // The inference engine packs each conv layer's folded weights once per
-// refresh and runs the whole batch through them as one tiled GEMM
+// compiled instance and runs the whole batch through them as one tiled GEMM
 // (gemm_prepacked_tiles, DESIGN.md §6) — the per-call sparsity scan and
 // A-packing of gemm() disappear from the batch loop.
 //

@@ -58,7 +58,7 @@ public:
                          TileDegradeResult& out) const = 0;
 };
 
-// Exact parasitic solve (today's Thomas/SOR pipeline). When `warm_start` is
+// Exact parasitic solve (the Thomas line-relaxation pipeline). When `warm_start` is
 // false every solve starts from the flat initial guess, making results
 // independent of the tile partition (DESIGN.md §7).
 class CircuitBackend final : public CrossbarBackend {

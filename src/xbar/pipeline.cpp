@@ -104,11 +104,12 @@ public:
     // together in ONE call (pos in lanes [0,count), neg in [count,2·count)) —
     // at count = 4 that fills all kMaxSolveLanes and the solver's per-lane
     // inner loops span a full 512-bit double vector. The solves are
-    // independent, so cold-start results stay bit-identical to the scalar
-    // path; warm starts then chain pos→pos and neg→neg per repeat lane
-    // instead of the scalar pos→neg interleave (differences far below float
-    // resolution, and only in the already-unpinned warm multi-repeat case —
-    // a single lane keeps the scalar chain order exactly).
+    // independent, so cold-start lane results do not depend on the lane
+    // count; warm starts then chain pos→pos and neg→neg per repeat lane
+    // instead of the one-lane pos→neg interleave (differences far below
+    // float resolution, and only in the unpinned warm multi-repeat case).
+    // A single lane solves pos then neg through the one-lane instance of
+    // the batched kernel, bit-identical to the scalar solve and 2-3x faster.
     void apply_batch(TileStageContext* const* lanes, int count,
                      BatchedDegradeWorkspace& ws) const override {
         if (circuit_ == nullptr || count > kMaxSolveLanes) {
@@ -177,19 +178,6 @@ void TilePipeline::add(std::unique_ptr<TileStage> stage) {
         std::string("xbar.stage.") + stage->name() + ".ns"));
 #endif
     stages_.push_back(std::move(stage));
-}
-
-void TilePipeline::run(TileStageContext& ctx) const {
-#if XS_TELEMETRY_ENABLED
-    XS_TIMER_NS("xbar.tile.ns");
-    for (std::size_t i = 0; i < stages_.size(); ++i) {
-        util::trace::Span span(stages_[i]->name());
-        util::metrics::ScopedTimerNs stage_timer(stage_timers_[i]);
-        stages_[i]->apply(ctx);
-    }
-#else
-    for (const auto& stage : stages_) stage->apply(ctx);
-#endif
 }
 
 void TilePipeline::run_batch(TileStageContext* const* lanes, int count,

@@ -79,7 +79,7 @@ public:
     // has its own RNG stream and buffers); the parasitic stage overrides it
     // to batch the circuit solves across lanes. `ws` is the caller-owned
     // batched solver scratch, live for the worker's lane group so per-lane
-    // warm chains persist across tiles exactly like the scalar workspace.
+    // warm chains persist across tiles.
     virtual void apply_batch(TileStageContext* const* lanes, int count,
                              BatchedDegradeWorkspace& ws) const {
         (void)ws;
@@ -97,15 +97,12 @@ public:
     void set_backend(std::unique_ptr<CrossbarBackend> backend);
     void add(std::unique_ptr<TileStage> stage);
 
-    // Apply every stage in order to the context's active pair. Each stage is
-    // timed into an "xbar.stage.<name>.ns" histogram (registered once in
-    // add()) and wrapped in a trace span; the whole tile lands in
-    // "xbar.tile.ns".
-    void run(TileStageContext& ctx) const;
-
-    // Apply every stage to `count` per-repeat contexts of one tile, letting
-    // stages batch across the repeat lanes (one timer record covers the
-    // whole lane group). Lane r's outputs are bit-identical to run(ctx[r]).
+    // Apply every stage in order to `count` per-repeat contexts of one tile
+    // (count = 1 for a single evaluation), letting stages batch across the
+    // repeat lanes. Each stage is timed into an "xbar.stage.<name>.ns"
+    // histogram (registered once in add()) and wrapped in a trace span; the
+    // whole tile lands in "xbar.tile.ns" (one record per lane group). With
+    // cold-start solves, lane r's outputs do not depend on `count`.
     void run_batch(TileStageContext* const* lanes, int count,
                    BatchedDegradeWorkspace& ws) const;
 

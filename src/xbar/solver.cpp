@@ -28,7 +28,7 @@ double safe_conductance(double resistance) {
 struct BatchedSolveParams {
     std::int64_t n;
     double gdrv, gwr, gwc, gsn;
-    double omega, tolerance;
+    double tolerance;
     int max_sweeps;
 };
 
@@ -99,7 +99,6 @@ void solve_batched_impl(const BatchedSolveParams& p,
         for (std::int64_t k = 0; k < n * n; ++k) vc[k * L + r] = 0.0;
     }
 
-    const double omega = p.omega;
     double* rb = ws.rhs.data();
     bool active[L];
     double sweep_delta[L];
@@ -202,7 +201,7 @@ void solve_batched_impl(const BatchedSolveParams& p,
                     const double d = x - vri[c][(n - 1) * L + r];
                     if (active[r]) {
                         sweep_delta[r] = std::max(sweep_delta[r], std::fabs(d));
-                        vri[c][(n - 1) * L + r] += omega * d;
+                        vri[c][(n - 1) * L + r] += d;
                     }
                 }
             for (std::int64_t j = n - 2; j >= 0; --j)
@@ -216,7 +215,7 @@ void solve_batched_impl(const BatchedSolveParams& p,
                         if (active[r]) {
                             sweep_delta[r] =
                                 std::max(sweep_delta[r], std::fabs(d));
-                            vri[c][j * L + r] += omega * d;
+                            vri[c][j * L + r] += d;
                         }
                     }
         }
@@ -282,7 +281,7 @@ void solve_batched_impl(const BatchedSolveParams& p,
                     const double d = x - v;
                     if (active[r]) {
                         sweep_delta[r] = std::max(sweep_delta[r], std::fabs(d));
-                        v += omega * d;
+                        v += d;
                     }
                 }
             for (std::int64_t i = n - 2; i >= 0; --i)
@@ -297,7 +296,7 @@ void solve_batched_impl(const BatchedSolveParams& p,
                         if (active[r]) {
                             sweep_delta[r] =
                                 std::max(sweep_delta[r], std::fabs(d));
-                            v += omega * d;
+                            v += d;
                         }
                     }
         }
@@ -472,7 +471,6 @@ bool CircuitSolver::solve(const Tensor& g, const double* v_in,
         std::fill(vc, vc + n * n, 0.0);
     }
 
-    const double omega = omega_;
     double* r = ws.rhs.data();
     double max_delta = 0.0;
     int sweep = 0;
@@ -495,7 +493,7 @@ bool CircuitSolver::solve(const Tensor& g, const double* v_in,
             for (std::int64_t j = 0; j < n; ++j) {
                 const double d = r[j] - vri[j];
                 max_delta = std::max(max_delta, std::fabs(d));
-                vri[j] += omega * d;
+                vri[j] += d;
             }
         }
 
@@ -515,7 +513,7 @@ bool CircuitSolver::solve(const Tensor& g, const double* v_in,
                 double& v = vc[i * n + j];
                 const double d = r[i] - v;
                 max_delta = std::max(max_delta, std::fabs(d));
-                v += omega * d;
+                v += d;
             }
         }
 
@@ -561,9 +559,8 @@ void CircuitSolver::solve_batched(const Tensor* const* g, int lanes,
         if (ws.warm[r]) warm_starts.add(1);
 #endif
 
-    const BatchedSolveParams p{n,           g_driver_, g_wire_row_,
-                               g_wire_col_, g_sense_,  omega_,
-                               tolerance_,  max_sweeps_};
+    const BatchedSolveParams p{n,        g_driver_,  g_wire_row_, g_wire_col_,
+                               g_sense_, tolerance_, max_sweeps_};
     switch (lanes) {
         case 1: solve_batched_impl<1>(p, g, v_in, ws); break;
         case 2: solve_batched_impl<2>(p, g, v_in, ws); break;

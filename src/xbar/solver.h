@@ -16,8 +16,7 @@
 // chain's tridiagonal factorization is computed once per solve and reused
 // across sweeps, all scratch lives in a caller-owned workspace so the steady
 // state performs no heap allocation, and the previous converged voltages can
-// warm-start the next solve. Optional SOR over-relaxation is available via
-// set_relaxation().
+// warm-start the next solve.
 #pragma once
 
 #include "tensor/tensor.h"
@@ -154,22 +153,17 @@ public:
 
     const CrossbarConfig& config() const { return config_; }
 
-    // Iteration controls. omega is the SOR over-relaxation factor applied to
-    // each line update (1.0 = plain alternating line relaxation; values in
-    // (1, 2) can cut the sweep count on strongly-coupled configurations).
+    // Iteration controls.
     void set_tolerance(double volts) { tolerance_ = volts; }
     void set_max_sweeps(int sweeps) { max_sweeps_ = sweeps; }
-    void set_relaxation(double omega) { omega_ = omega; }
     double tolerance() const { return tolerance_; }
     int max_sweeps() const { return max_sweeps_; }
-    double relaxation() const { return omega_; }
 
 private:
     CrossbarConfig config_;
     double g_driver_, g_wire_row_, g_wire_col_, g_sense_;
     double tolerance_ = 1e-12;  // volts, on the max node update per sweep
     int max_sweeps_ = 20000;
-    double omega_ = 1.0;
 };
 
 }  // namespace xs::xbar

@@ -1,15 +1,19 @@
 // Equivalence pin for the lane-batched repeat evaluator (DESIGN.md §12):
-// with cold-start solves, evaluate_on_crossbars must produce bit-identical
-// results with repeat_batch on and off, for any repeat count and backend.
-// This is what lets sweeps switch to batched execution without changing a
-// single CSV byte.
+// with cold-start solves, evaluate_on_crossbars must be bit-identical to a
+// plain sequential per-repeat loop built from public pieces (below), for
+// any repeat count and backend, and a repeat's result must not depend on
+// which other repeats share its lane group. This is what keeps sweep CSVs
+// byte-identical however their cells are grouped.
 #include "core/evaluator.h"
+#include "map/matrix_view.h"
+#include "nn/infer.h"
 #include "nn/trainer.h"
 #include "nn/vgg.h"
 #include "tensor/ops.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 
 namespace xs::core {
@@ -72,21 +76,91 @@ EvalConfig cold_config(xbar::BackendKind backend) {
     return config;
 }
 
+// The sequential per-repeat loop, from public pieces only: repeat r
+// degrades layer li with degrade_mac_matrix drawing from
+// Rng(seed + r·7919).split(li + 1), compiles the W′ set into an engine
+// instance, and scores it one lane at a time over batches of 64. The
+// accumulation order of every average matches the evaluator's.
+EvalResult sequential_reference(nn::Sequential& model, const nn::Dataset& test,
+                                const EvalConfig& config) {
+    const std::vector<nn::Layer*> layers = map::mappable_layers(model);
+    nn::InferenceEngine engine(model);
+    const std::int64_t total = test.size();
+    const std::int64_t item = test.images.numel() / total;
+    EvalResult aggregate;
+    for (std::int64_t r = 0; r < config.repeats; ++r) {
+        const std::uint64_t seed =
+            config.seed + static_cast<std::uint64_t>(r) * 7919;
+        EvalResult one;
+        std::vector<Tensor> degraded;
+        for (std::size_t li = 0; li < layers.size(); ++li) {
+            const Tensor matrix = map::extract_matrix(*layers[li]);
+            const double w_ref = tensor::abs_percentile_nonzero(
+                matrix, config.w_ref_percentile);
+            util::Rng rng =
+                util::Rng(seed).split(static_cast<std::uint64_t>(li) + 1);
+            DegradeStats stats;
+            degraded.push_back(
+                degrade_mac_matrix(matrix, config, w_ref, rng, stats));
+            LayerEvalStats ls;
+            ls.layer = layers[li]->name();
+            ls.tiles = stats.tiles;
+            ls.unconverged = stats.unconverged;
+            ls.nf_mean = stats.nf_mean();
+            ls.w_ref = w_ref;
+            one.layers.push_back(ls);
+        }
+        std::vector<const Tensor*> overrides;
+        for (const Tensor& d : degraded) overrides.push_back(&d);
+        nn::CompiledInstance inst;
+        engine.compile_instance(overrides, inst);
+        const nn::CompiledInstance* lane = &inst;
+        std::int64_t correct = 0;
+        tensor::Shape shape = test.images.shape();
+        for (std::int64_t start = 0; start < total; start += 64) {
+            const std::int64_t count = std::min<std::int64_t>(64, total - start);
+            shape[0] = count;
+            const Tensor& logits = engine.forward_batched(
+                test.images.data() + start * item, shape, &lane, 1);
+            for (std::int64_t i = 0; i < count; ++i)
+                if (tensor::argmax_row(logits, i) ==
+                    test.labels[static_cast<std::size_t>(start + i)])
+                    ++correct;
+        }
+        one.accuracy = 100.0 * static_cast<double>(correct) /
+                       static_cast<double>(total);
+        double nf_sum = 0.0;
+        std::int64_t nf_tiles = 0;
+        for (const LayerEvalStats& ls : one.layers) {
+            nf_sum += ls.nf_mean * static_cast<double>(ls.tiles);
+            nf_tiles += ls.tiles;
+            one.total_tiles += ls.tiles;
+            one.unconverged_tiles += ls.unconverged;
+        }
+        one.nf_mean = nf_sum / static_cast<double>(nf_tiles);
+        if (r == 0) {
+            aggregate = std::move(one);
+        } else {
+            aggregate.accuracy += one.accuracy;
+            aggregate.nf_mean += one.nf_mean;
+            aggregate.unconverged_tiles += one.unconverged_tiles;
+        }
+    }
+    aggregate.accuracy /= static_cast<double>(config.repeats);
+    aggregate.nf_mean /= static_cast<double>(config.repeats);
+    return aggregate;
+}
+
 TEST(RepeatBatch, ColdMatchesSequentialBitExactAcrossRepeatCounts) {
     nn::Sequential model = tiny_vgg(12);
     const nn::Dataset test = tiny_dataset(15);
-    // 1 = scalar-solver lane fallback, 3 = one partial group, 8 = two full
-    // groups through the producer/consumer pipeline (groups of
-    // kMaxSolveLanes/2 repeats).
+    // 1 = a lone lane, 3 = one partial group, 8 = two full groups through
+    // the producer/consumer pipeline (groups of kMaxSolveLanes/2 repeats).
     for (const std::int64_t repeats : {1, 3, 8}) {
         EvalConfig config = cold_config(xbar::BackendKind::kCircuit);
         config.repeats = repeats;
-        config.repeat_batch = true;
         const EvalResult batched = evaluate_on_crossbars(model, test, config);
-        config.repeat_batch = false;
-        const EvalResult sequential =
-            evaluate_on_crossbars(model, test, config);
-        expect_identical(batched, sequential,
+        expect_identical(batched, sequential_reference(model, test, config),
                          "repeats=" + std::to_string(repeats));
         EXPECT_GT(batched.nf_mean, 0.0);
     }
@@ -99,31 +173,10 @@ TEST(RepeatBatch, ColdMatchesSequentialOnEveryBackend) {
          {xbar::BackendKind::kFast, xbar::BackendKind::kIdeal}) {
         EvalConfig config = cold_config(backend);
         config.repeats = 3;
-        config.repeat_batch = true;
-        const EvalResult batched = evaluate_on_crossbars(model, test, config);
-        config.repeat_batch = false;
-        const EvalResult sequential =
-            evaluate_on_crossbars(model, test, config);
-        expect_identical(batched, sequential,
+        expect_identical(evaluate_on_crossbars(model, test, config),
+                         sequential_reference(model, test, config),
                          std::string("backend=") + xbar::backend_name(backend));
     }
-}
-
-TEST(RepeatBatch, WarmSingleRepeatMatchesSequential) {
-    // With one repeat there is no cross-repeat warm chaining to differ on:
-    // the batched path's lane-0 warm chain visits tiles in the same worker
-    // partition order as the sequential path, so even warm-started solves
-    // are bit-identical.
-    nn::Sequential model = tiny_vgg(12);
-    const nn::Dataset test = tiny_dataset(15);
-    EvalConfig config = cold_config(xbar::BackendKind::kCircuit);
-    config.warm_start_solves = true;
-    config.repeats = 1;
-    config.repeat_batch = true;
-    const EvalResult batched = evaluate_on_crossbars(model, test, config);
-    config.repeat_batch = false;
-    const EvalResult sequential = evaluate_on_crossbars(model, test, config);
-    expect_identical(batched, sequential, "warm repeats=1");
 }
 
 TEST(RepeatBatch, PerRepeatResultsMatchSingleSeedRuns) {

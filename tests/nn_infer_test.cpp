@@ -2,6 +2,7 @@
 //  * steady-state forwards allocate nothing (counting operator new);
 //  * the folded/fused path matches the reference layer-by-layer forward;
 //  * MAC-matrix overrides match inject_matrix semantics;
+//  * a lane of a batched forward is bit-identical to a one-lane pass;
 //  * evaluate_on_crossbars stays deterministic under the overlapped
 //    repeat pipeline.
 #include "core/evaluator.h"
@@ -188,27 +189,30 @@ TEST(InferenceEngine, MacOverridesMatchInjectedWeights) {
     for (std::size_t i = 0; i < layers.size(); ++i)
         map::inject_matrix(*layers[i], originals[i]);
 
-    // Path B: the model keeps its weights; W′ arrives as refresh overrides.
+    // Path B: the model keeps its weights; W′ arrives as MAC overrides
+    // compiled into an instance.
     InferenceEngine engine(model);
     std::vector<const Tensor*> overrides;
     for (const Tensor& d : degraded) overrides.push_back(&d);
     ASSERT_EQ(engine.mappable_count(), overrides.size());
-    engine.refresh(overrides);
-    const Tensor& via_override = engine.forward(x);
+    CompiledInstance inst;
+    engine.compile_instance(overrides, inst);
+    const CompiledInstance* lane = &inst;
+    const Tensor via_override =
+        engine.forward_batched(x.data(), x.shape(), &lane, 1);
 
     EXPECT_TRUE(tensor::allclose(via_override, via_inject, 1e-5f, 1e-4f))
         << "max diff " << tensor::max_abs_diff(via_override, via_inject);
 
-    // And refresh() without overrides must return to the clean weights.
-    engine.refresh();
+    // And the engine's own instance still holds the clean weights.
     const Tensor reference = model.forward(x, /*training=*/false);
     EXPECT_TRUE(tensor::allclose(engine.forward(x), reference, 1e-4f, 1e-3f));
 }
 
-// Lane r of forward_batched must be bit-identical to refresh()ing the
-// engine with lane r's MAC overrides and running a scalar forward — the
-// contract the repeat-batched evaluator relies on for byte-identical CSVs.
-TEST(InferenceEngine, BatchedForwardMatchesScalarPerInstanceBitExact) {
+// Lane r of a multi-lane forward_batched must be bit-identical to a
+// one-lane pass of instance r — the contract that makes a repeat's result
+// independent of its lane group, and so sweep CSVs independent of grouping.
+TEST(InferenceEngine, BatchedForwardMatchesSingleLanePerInstanceBitExact) {
     util::Rng rng(7);
     Sequential model = small_model(rng);
     warm_batchnorm(model, rng);
@@ -240,15 +244,13 @@ TEST(InferenceEngine, BatchedForwardMatchesScalarPerInstanceBitExact) {
     const Tensor& stacked =
         engine.forward_batched(x.data(), x.shape(), ptrs.data(), lanes);
     ASSERT_EQ(stacked.dim(0), static_cast<std::int64_t>(lanes) * x.dim(0));
-    // Copy out: the next scalar forward reuses engine arenas.
+    // Copy out: the next forward reuses the engine's output buffer.
     const Tensor got = stacked;
 
     const std::int64_t block = got.numel() / static_cast<std::int64_t>(lanes);
     for (std::size_t r = 0; r < lanes; ++r) {
-        std::vector<const Tensor*> ov;
-        for (const Tensor& d : degraded[r]) ov.push_back(&d);
-        engine.refresh(ov);
-        const Tensor& ref = engine.forward(x);
+        const Tensor& ref =
+            engine.forward_batched(x.data(), x.shape(), &ptrs[r], 1);
         ASSERT_EQ(ref.numel(), block);
         const float* gp = got.data() + static_cast<std::int64_t>(r) * block;
         for (std::int64_t i = 0; i < block; ++i)
@@ -256,7 +258,7 @@ TEST(InferenceEngine, BatchedForwardMatchesScalarPerInstanceBitExact) {
     }
 }
 
-TEST(InferenceEngine, BatchedForwardGenericFallbackMatchesScalar) {
+TEST(InferenceEngine, BatchedForwardGenericFallbackMatchesForward) {
     util::Rng rng(8);
     Sequential model;
     model.add(std::make_unique<Conv2d>(2, 4, 3, 1, 1, rng), "conv1");

@@ -154,16 +154,33 @@ TEST(SweepRunner, AggregateCsvInvariantToShardCount) {
     }
 }
 
+// Runs `spec` one cell per SweepRunner::run — max_cells = 1, then resume
+// until nothing is pending — so every cell executes as its own work unit.
+SweepSummary run_cell_by_cell(const SweepSpec& spec, const std::string& tag) {
+    SweepOptions opts;
+    opts.csv_name = tag + ".csv";
+    opts.manifest_name = tag + ".jsonl";
+    opts.max_cells = 1;
+    SweepSummary summary = SweepRunner(ctx(), spec, opts).run();
+    EXPECT_EQ(summary.cells_executed, 1);
+    opts.resume = true;
+    while (summary.cells_pending > 0) {
+        summary = SweepRunner(ctx(), spec, opts).run();
+        EXPECT_EQ(summary.cells_executed, 1);
+    }
+    return summary;
+}
+
 TEST(SweepRunner, AggregateCsvInvariantToRepeatBatching) {
-    // The lane-batched group path (the default; repeats of a grid point share
-    // one compiled-instance set and one batched inference pass) must produce
-    // the same aggregate CSV, byte for byte, as the legacy
-    // one-evaluation-per-cell path — per-repeat FNV seeding plus cold-start
-    // solves make every batched lane bit-identical to its sequential cell.
-    // The manifest records must agree too, field by field, bit for bit
-    // (everything except the wall-clock timing). Repeat counts: 1 hits the
-    // scalar-lane fallback, 3 a partial group, 8 two full groups through the
-    // evaluator's producer/consumer pipeline.
+    // The lane-batched group path (repeats of a grid point share one
+    // compiled-instance set and one batched inference pass) must produce the
+    // same aggregate CSV, byte for byte, as executing every cell as its own
+    // one-lane unit — per-repeat FNV seeding plus cold-start solves make
+    // every lane independent of the group it rides in. The manifest records
+    // must agree too, field by field, bit for bit (everything except the
+    // wall-clock timing). Repeat counts: 1 is a lone lane either way, 3 a
+    // partial group, 8 two full groups through the evaluator's
+    // producer/consumer pipeline.
     for (const std::int64_t repeats : {1, 3, 8}) {
         SCOPED_TRACE("repeats=" + std::to_string(repeats));
         const std::string tag = "rb" + std::to_string(repeats);
@@ -171,23 +188,18 @@ TEST(SweepRunner, AggregateCsvInvariantToRepeatBatching) {
         spec.prunes = {{prune::Method::kNone, 0.0}};
         spec.repeats = repeats;
 
-        SweepOptions off;
-        off.repeat_batch = false;
-        off.csv_name = tag + "_off.csv";
-        off.manifest_name = tag + "_off.jsonl";
-        const SweepSummary legacy = SweepRunner(ctx(), spec, off).run();
-        EXPECT_EQ(legacy.cells_executed, repeats);
-        const std::string expected = slurp(legacy.csv_path);
+        const SweepSummary single = run_cell_by_cell(spec, tag + "_single");
+        const std::string expected = slurp(single.csv_path);
         ASSERT_FALSE(expected.empty());
 
-        SweepOptions on;
-        on.csv_name = tag + "_on.csv";
-        on.manifest_name = tag + "_on.jsonl";
-        const SweepSummary batched = SweepRunner(ctx(), spec, on).run();
+        SweepOptions grouped;
+        grouped.csv_name = tag + "_grouped.csv";
+        grouped.manifest_name = tag + "_grouped.jsonl";
+        const SweepSummary batched = SweepRunner(ctx(), spec, grouped).run();
         EXPECT_EQ(batched.cells_executed, repeats);
         EXPECT_EQ(slurp(batched.csv_path), expected);
 
-        const auto seq_man = load_manifest(legacy.manifest_path);
+        const auto seq_man = load_manifest(single.manifest_path);
         const auto bat_man = load_manifest(batched.manifest_path);
         ASSERT_EQ(seq_man.size(), static_cast<std::size_t>(repeats));
         ASSERT_EQ(bat_man.size(), seq_man.size());
@@ -214,11 +226,8 @@ TEST(SweepRunner, AggregateCsvInvariantToRepeatBatching) {
     SweepSpec spec = tiny_spec();
     spec.prunes = {{prune::Method::kNone, 0.0}};
     spec.repeats = 3;
-    SweepOptions off;
-    off.repeat_batch = false;
-    off.csv_name = "rb_resume_ref.csv";
-    off.manifest_name = "rb_resume_ref.jsonl";
-    const std::string expected = slurp(SweepRunner(ctx(), spec, off).run().csv_path);
+    const std::string expected =
+        slurp(run_cell_by_cell(spec, "rb_resume_ref").csv_path);
     SweepOptions resume;
     resume.csv_name = "rb_resume.csv";
     resume.manifest_name = "rb_resume.jsonl";

@@ -282,17 +282,20 @@ TEST(PipelineAllocation, CircuitSteadyStateAllocatesNothing) {
     const ConductanceMapper mapper(spec.xbar.device, 1.0);
     Tensor w({32, 32});
     tensor::fill_normal(w, rng, 0.0f, 0.3f);
-    // Warm-up provisions every buffer (differential pair, G′, workspace,
+    // One lane, the way every single evaluation drives the pipeline. Warm-up
+    // provisions every buffer (differential pair, G′, batched workspace,
     // column sums).
+    TileStageContext* lanes[1] = {&ctx};
+    BatchedDegradeWorkspace ws;
     mapper.to_differential(w, pos, neg);
     ctx.begin_tile(pos, neg, rng);
-    pipeline.run(ctx);
+    pipeline.run_batch(lanes, 1, ws);
 
     const long before = g_alloc_count.load();
     for (int rep = 0; rep < 10; ++rep) {
         mapper.to_differential(w, pos, neg);
         ctx.begin_tile(pos, neg, rng);
-        pipeline.run(ctx);
+        pipeline.run_batch(lanes, 1, ws);
     }
     EXPECT_EQ(g_alloc_count.load(), before);
     EXPECT_TRUE(ctx.converged);
@@ -313,15 +316,18 @@ TEST(PipelineAllocation, FastSteadyStateAllocatesNothing) {
     const ConductanceMapper mapper(spec.xbar.device, 1.0);
     Tensor w({32, 32});
     tensor::fill_normal(w, rng, 0.0f, 0.3f);
+    TileStageContext* lanes[1] = {&ctx};
+    BatchedDegradeWorkspace ws;
     mapper.to_differential(w, pos, neg);
     ctx.begin_tile(pos, neg, rng);
-    pipeline.run(ctx);  // warm-up: calibrates the bucket, grows buffers
+    // Warm-up: calibrates the bucket, grows buffers.
+    pipeline.run_batch(lanes, 1, ws);
 
     const long before = g_alloc_count.load();
     for (int rep = 0; rep < 10; ++rep) {
         mapper.to_differential(w, pos, neg);
         ctx.begin_tile(pos, neg, rng);
-        pipeline.run(ctx);
+        pipeline.run_batch(lanes, 1, ws);
     }
     EXPECT_EQ(g_alloc_count.load(), before);
     EXPECT_TRUE(ctx.converged);

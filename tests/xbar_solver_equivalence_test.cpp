@@ -1,5 +1,5 @@
 // Golden equivalence suite for the optimized iterative solver: the
-// workspace/warm-start/SOR fast path must reproduce the dense MNA reference
+// workspace/warm-start fast path must reproduce the dense MNA reference
 // within tight tolerance on random conductance tiles, including stuck-fault
 // and high-parasitic configurations, so the performance rewrite cannot
 // silently change the numerics. Also pins down the `converged` reporting.
@@ -106,16 +106,6 @@ TEST(SolverEquivalence, StuckFaultTiles) {
         expect_matches_dense(solver, g, v, ws,
                              "faulted seed=" + std::to_string(seed));
     }
-}
-
-TEST(SolverEquivalence, SorRelaxationMatchesDense) {
-    SolveWorkspace ws;
-    const CrossbarConfig c = config_of(8, 60, 2, 2, 60);
-    CircuitSolver solver(c);
-    solver.set_relaxation(1.3);
-    const Tensor g = random_g(8, 17, c.device);
-    const std::vector<double> v(8, 0.25);
-    expect_matches_dense(solver, g, v, ws, "sor");
 }
 
 TEST(SolverEquivalence, WarmStartReproducesColdResult) {
