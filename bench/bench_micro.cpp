@@ -99,9 +99,8 @@ std::vector<tensor::Tensor> random_tiles(std::int64_t size, std::size_t count,
     return tiles;
 }
 
-// The zero-allocation pipeline path: caller-owned workspace, factored
-// sweeps, each solve warm-started from the previous (different) tile's
-// converged voltages — the pattern the evaluator's tile loop produces.
+// Cold zero-allocation scalar solves over a stream of distinct tiles:
+// caller-owned workspace, factored sweeps.
 void BM_CircuitSolveWorkspace(benchmark::State& state) {
     const auto size = state.range(0);
     xbar::CrossbarConfig config;
@@ -153,6 +152,8 @@ void BM_DegradeTile(benchmark::State& state) {
 }
 BENCHMARK(BM_DegradeTile)->Arg(16)->Arg(32)->Arg(64);
 
+// The tile loop's path: one-lane degrade_tile_batched over a stream of
+// distinct tiles with a reused workspace.
 void BM_DegradeTileWorkspace(benchmark::State& state) {
     const auto size = state.range(0);
     xbar::CrossbarConfig config;
@@ -161,9 +162,11 @@ void BM_DegradeTileWorkspace(benchmark::State& state) {
     const xbar::CircuitSolver solver(config);
     xbar::DegradeWorkspace ws;
     xbar::TileDegradeResult out;
+    xbar::TileDegradeResult* op[1] = {&out};
     std::size_t t = 0;
     for (auto _ : state) {
-        xbar::degrade_tile(tiles[t], solver, ws, out);
+        const tensor::Tensor* gp[1] = {&tiles[t]};
+        xbar::degrade_tile_batched(gp, 1, solver, ws, op);
         t = (t + 1) % tiles.size();
         benchmark::DoNotOptimize(out.g_eff.data());
     }

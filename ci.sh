@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# CI entry point: a Release build+test job with a bench smoke and a bench
-# regression gate, plus a Debug job with Address- and UB-sanitizers over the
-# unit-labeled tests. Both jobs compile with -Wall -Wextra -Werror
-# (XS_WERROR) and use ccache when available (the GitHub workflow caches its
-# directory). Run from anywhere.
+# CI entry point: a Release build+test job with a bench smoke, a bench
+# regression gate, and a compile-only build of the paper-grid benchmark
+# program (perfbench/xsbench), plus a Debug job with Address- and
+# UB-sanitizers over the unit-labeled tests. Both jobs compile with -Wall
+# -Wextra -Werror (XS_WERROR) and use ccache when available (the GitHub
+# workflow caches its directory). Run from anywhere.
 #
 # Usage: ci.sh [release|sanitize|all]   (default: all)
 set -euo pipefail
@@ -23,6 +24,14 @@ run_release() {
     -DCMAKE_BUILD_TYPE=Release "${cmake_common[@]}"
   cmake --build "$repo_root/build-release" -j"$jobs"
   ctest --test-dir "$repo_root/build-release" --output-on-failure -j"$jobs"
+  # The paper-grid benchmark builds its own copy of the library plus
+  # xsbench; compiling it here (nothing runs, no model trains) catches a
+  # library change that breaks a name the benchmark calls.
+  echo "=== perfbench xsbench build (compile only) ==="
+  cmake -S "$repo_root/perfbench" -B "$repo_root/build-release/perfbench" \
+    -DCMAKE_BUILD_TYPE=Release "${cmake_common[@]}"
+  cmake --build "$repo_root/build-release/perfbench" -j"$jobs" \
+    --target xsbench
   # Bench smoke: one-ish iteration per benchmark so the bench targets (and
   # the engine/evaluator paths they drive) can't bit-rot unnoticed.
   if [[ -x "$repo_root/build-release/bench_micro" ]]; then

@@ -90,7 +90,6 @@ xbar::TilePipeline build_pipeline(const EvalConfig& config) {
     spec.faults = config.faults;
     spec.include_parasitics = config.include_parasitics;
     spec.compensate_columns = config.compensate_columns;
-    spec.warm_start_solves = config.warm_start_solves;
     spec.backend = config.backend;
     spec.fast_buckets = config.fast_buckets;
     return xbar::build_tile_pipeline(spec);
@@ -179,8 +178,8 @@ void finalize_nf(EvalResult& result) {
 // shared, the stochastic stages run per lane on private copies with private
 // RNG streams, and the parasitic stage batches the circuit solves across
 // lanes (xbar/solver.h). A single evaluation is the one-lane case. Lane
-// scratch persists across tiles and layers, so a lane's warm chain runs
-// through every tile its worker degrades.
+// scratch persists across tiles and layers; it carries buffers only, since
+// every solve starts cold.
 struct BatchLane {
     Tensor g_pos, g_neg, tile_w;
     xbar::TileStageContext ctx;
@@ -191,9 +190,9 @@ struct BatchWorker {
     Tensor base_pos, base_neg;  // shared pre-stochastic differential pair
     std::vector<BatchLane> lanes;                   // one per lane
     std::vector<xbar::TileStageContext*> ctx_ptrs;  // lane ctx view
-    // Batched solver workspace of the lane group. Lane warm state lives
-    // here (circuit backend) or in each lane's ctx.ws (other backends).
-    xbar::BatchedDegradeWorkspace batch;
+    // Batched solver workspace of the lane group (circuit backend; the
+    // other backends use each lane's ctx.ws).
+    xbar::DegradeWorkspace batch;
 };
 
 // Tile-loop scratch for up to `lanes` lanes: one BatchWorker per pool worker
@@ -208,15 +207,6 @@ struct TileLoop {
         }
     }
 
-    // Drop every lane's converged voltages so the next tile starts cold.
-    void cold_start() {
-        for (BatchWorker& bw : workers) {
-            bw.batch.solve.invalidate();
-            bw.batch.retry.invalidate();
-            for (BatchLane& lane : bw.lanes) lane.ctx.ws.solve.invalidate();
-        }
-    }
-
     std::vector<BatchWorker> workers;
     std::vector<Tensor> lane_work;     // per-lane degraded post-T/R matrix
     std::vector<util::Rng> tile_rngs;  // lane-major: [rl·T + t]
@@ -226,13 +216,10 @@ struct TileLoop {
 
 // Degrade one matrix's mapping target for `nl` lanes: tile t of lane rl
 // draws from layer_rngs[rl].split(t + 1), so draws do not depend on the tile
-// partition (split does not advance the parent stream). Warm-started solves
-// do: each worker chains the tiles it is dealt, and different chains can
-// leave residuals of order tolerance·ρ/(1−ρ) (ρ = contraction factor, far
-// below float resolution but not bit-for-bit); cold solves
-// (warm_start_solves = false) are partition-independent. Tile counts and NF
-// accumulate into stats[rl]; lane rl's degraded matrix is left, still in
-// the post-T/R layout, in loop.lane_work[rl] (see undo_mapping).
+// partition (split does not advance the parent stream), and solves start
+// cold, so neither do the results. Tile counts and NF accumulate into
+// stats[rl]; lane rl's degraded matrix is left, still in the post-T/R
+// layout, in loop.lane_work[rl] (see undo_mapping).
 void degrade_tiles(const MatrixPlan& plan, const Tensor& matrix,
                    const EvalConfig& config, const xbar::TilePipeline& pipeline,
                    double w_ref, util::Rng* layer_rngs, std::size_t nl,
@@ -361,9 +348,6 @@ std::vector<EvalResult> evaluate_repeats_on_crossbars(
         XS_TRACE_SPAN("compile_instances");
         const std::size_t lane0 = g * kGroupLanes;
         const std::size_t nl = std::min(kGroupLanes, R - lane0);
-        // Every repeat starts its warm chain cold regardless of which group
-        // it rides in, matching a lone run of that repeat.
-        loop.cold_start();
         for (std::size_t li = 0; li < plans.size(); ++li) {
             const LayerPlan& lp = plans[li];
             // Repeat r's layer li draws from Rng(seeds[r]).split(li + 1).

@@ -45,12 +45,6 @@ struct EvalConfig {
     std::int64_t repeats = 1;
     bool include_parasitics = true;
     bool include_variation = true;
-    // Warm-start each tile's circuit solve from the previous converged
-    // voltages of the same worker (DESIGN.md §4). In the physical parasitic
-    // regime the residual differences sit far below float resolution, but
-    // strictly bit-identical results across machines with different worker
-    // counts require disabling this (each solve then starts cold).
-    bool warm_start_solves = true;
     // Which crossbar backend degrades each tile (xbar/backend.h, DESIGN.md
     // §8): kCircuit = exact parasitic solve (fidelity reference), kFast =
     // bucket-calibrated linear surrogate (~O(X²) per tile), kIdeal =
@@ -123,10 +117,10 @@ EvalResult evaluate_on_crossbars(nn::Sequential& model, const nn::Dataset& test,
 // stages (T-compaction, R-rearrangement, tiling, w_ref) are computed once;
 // each repeat only redoes the stochastic stages (variation, faults, circuit
 // solve). Repeats ride in groups of four lanes, and group g+1's degradation
-// overlaps group g's inference on a producer thread. With cold-start solves
-// a repeat's result does not depend on which other seeds ride with it, so
-// sweeps call this with one grid point's per-cell seeds and every repeat
-// still produces its own CellResult.
+// overlaps group g's inference on a producer thread. Circuit solves start
+// cold, so a repeat's result does not depend on which other seeds ride with
+// it: sweeps call this with one grid point's per-cell seeds and every
+// repeat still produces its own CellResult.
 std::vector<EvalResult> evaluate_repeats_on_crossbars(
     nn::Sequential& model, const nn::Dataset& test, const EvalConfig& config,
     const std::vector<std::uint64_t>& seeds);

@@ -48,8 +48,7 @@ struct CellSetup {
     core::EvalConfig eval;
 };
 
-CellSetup setup_cell(core::ExperimentContext& ctx, const SweepSpec& spec,
-                     const SweepCell& cell) {
+CellSetup setup_cell(core::ExperimentContext& ctx, const SweepCell& cell) {
     const core::ModelSpec model_spec =
         ctx.spec(cell.variant, cell.num_classes, cell.prune.method,
                  cell.prune.sparsity, cell.mitigation.wct);
@@ -72,7 +71,6 @@ CellSetup setup_cell(core::ExperimentContext& ctx, const SweepSpec& spec,
     eval.faults.p_stuck_max = cell.faults.p_stuck_max;
     if (cell.quant_levels > 0) eval.conductance_levels = cell.quant_levels;
     eval.compensate_columns = cell.mitigation.compensate;
-    eval.warm_start_solves = spec.warm_start_solves;
     return setup;
 }
 
@@ -117,7 +115,7 @@ CellResult run_sweep_cell(core::ExperimentContext& ctx, const SweepSpec& spec,
     XS_TRACE_SPAN("cell");
     XS_COUNT("sweep.cells.executed", 1);
     const auto t0 = std::chrono::steady_clock::now();
-    CellSetup setup = setup_cell(ctx, spec, cell);
+    CellSetup setup = setup_cell(ctx, cell);
     setup.eval.seed = cell_seed(ctx.seed(), cell);
     setup.eval.include_variation = false;
     std::vector<core::EvalResult> per(1);
@@ -132,9 +130,9 @@ CellResult run_sweep_cell(core::ExperimentContext& ctx, const SweepSpec& spec,
 // Execute one grid point's repeats in a single lane-batched evaluation. The
 // cells share every axis except the repeat index, so one EvalConfig (built
 // from the head cell) serves the whole group; only the per-repeat seeds
-// differ, and those reach the evaluator as an explicit seed list. With
-// cold-start solves each lane's result is independent of the group it
-// rides in, so a group and its cells run one by one give the same bytes.
+// differ, and those reach the evaluator as an explicit seed list. Solves
+// start cold, so each lane's result is independent of the group it rides
+// in: a group and its cells run one by one give the same bytes.
 std::vector<CellResult> run_sweep_group(
     core::ExperimentContext& ctx, const SweepSpec& spec,
     const std::vector<const SweepCell*>& cells) {
@@ -148,7 +146,7 @@ std::vector<CellResult> run_sweep_group(
     XS_COUNT("sweep.cells.executed", static_cast<std::uint64_t>(lanes));
     const auto t0 = std::chrono::steady_clock::now();
     const SweepCell& head = *cells.front();
-    const CellSetup setup = setup_cell(ctx, spec, head);
+    const CellSetup setup = setup_cell(ctx, head);
 
     std::vector<std::uint64_t> seeds(lanes);
     for (std::size_t r = 0; r < lanes; ++r)
@@ -176,14 +174,16 @@ std::uint64_t cell_seed(std::uint64_t master_seed, const SweepCell& cell) {
 std::string sweep_config_fingerprint(const core::ExperimentContext& ctx,
                                      const SweepSpec& spec) {
     // Refusing to resume under a different configuration needs every input
-    // that changes cell results: the context fingerprint, the
-    // solve-determinism mode, the measurement mode, and a sampler tag —
-    // bump the tag whenever the Rng draw stream changes (e.g. the
-    // Box–Muller → ziggurat switch), so a manifest recorded under the old
-    // sampler refuses to resume instead of mixing two draw universes into
-    // one CSV no fresh run could reproduce.
-    return ctx.fingerprint() + (spec.warm_start_solves ? "/warm" : "/cold") +
-           (spec.nf_only ? "/nf" : "") + "/rng-zig128";
+    // that changes cell results: the context fingerprint, the measurement
+    // mode, and a sampler tag — bump the tag whenever the Rng draw stream
+    // changes (e.g. the Box–Muller → ziggurat switch), so a manifest
+    // recorded under the old sampler refuses to resume instead of mixing
+    // two draw universes into one CSV no fresh run could reproduce. Every
+    // circuit solve starts cold; the literal "/cold" is the solve mode that
+    // manifests recorded it under, kept so those still resume while a
+    // warm-start manifest ("/warm") is refused.
+    return ctx.fingerprint() + "/cold" + (spec.nf_only ? "/nf" : "") +
+           "/rng-zig128";
 }
 
 std::map<std::string, CellResult> load_resume_state(
@@ -399,12 +399,11 @@ SweepSummary SweepRunner::run() {
     // Work units: a unit is either one cell or a contiguous run of pending
     // cells from the same repeat group, executed as one lane-batched
     // evaluation (run_sweep_group). Repeat is the innermost expansion axis,
-    // so group membership is index / repeats. Cold-start lanes do not
-    // depend on their group, which keeps the aggregate CSV independent of
-    // how cells are grouped; warm-start sweeps chain solves differently per
-    // lane and nf-only sweeps have no inference pass, so both run one-cell
-    // units. Units, not cells, are dealt to the shards.
-    const bool batch_groups = !spec_.nf_only && !spec_.warm_start_solves;
+    // so group membership is index / repeats. Lanes solve cold and so do
+    // not depend on their group, which keeps the aggregate CSV independent
+    // of how cells are grouped; nf-only sweeps have no inference pass and
+    // run one-cell units. Units, not cells, are dealt to the shards.
+    const bool batch_groups = !spec_.nf_only;
     struct Unit {
         std::size_t begin = 0;  // index into `pending`
         std::size_t count = 0;
@@ -582,8 +581,6 @@ std::string dry_run_report(const core::ExperimentContext& ctx,
         return std::string(xbar::backend_name(b));
     });
     os << "  sweep-repeats = " << spec.repeats << "\n";
-    os << "  warm-start = " << (spec.warm_start_solves ? "true" : "false")
-       << "\n";
     if (spec.nf_only) os << "  nf-only = true\n";
 
     const std::vector<SweepCell> cells = spec.expand();

@@ -6,12 +6,11 @@
 // to a JSONL manifest (sweep/manifest.h) so an interrupted sweep resumes
 // with --resume, skipping finished cells. A unit is normally one grid
 // point's pending repeats, evaluated in a single lane-batched pass
-// (run_sweep_group); warm-start and nf-only sweeps run one-cell units
-// (run_sweep_cell). Per-cell RNG seeds derive from the cell's stable group
-// id — never from shard, deal, grouping, or completion order — and sweep
-// cells cold-start their circuit solves, so the aggregate CSV is
-// byte-identical at any shard count, however cells are grouped, with or
-// without interruption.
+// (run_sweep_group); nf-only sweeps run one-cell units (run_sweep_cell).
+// Per-cell RNG seeds derive from the cell's stable group id — never from
+// shard, deal, grouping, or completion order — and circuit solves start
+// cold, so the aggregate CSV is byte-identical at any shard count, however
+// cells are grouped, with or without interruption.
 //
 // For crash isolation, the supervisor (sweep/supervisor.h) executes the
 // same grid in forked worker *processes*; it shares this header's cell
@@ -131,16 +130,16 @@ CellResult run_sweep_cell(core::ExperimentContext& ctx, const SweepSpec& spec,
 // single lane-batched evaluation: one model resolve, one compiled-instance
 // set per repeat (each seeded with its own cell_seed), one batched inference
 // pass. Returns one CellResult per input cell, in order, with the group wall
-// time split evenly across them. With cold-start solves every lane is
-// bit-identical to running its cell alone; callers keep warm-start sweeps
-// to one-cell groups themselves (SweepRunner::run does). Requires an
-// inference pass — nf_only specs are rejected.
+// time split evenly across them. Solves start cold, so every lane is
+// bit-identical to running its cell alone. Requires an inference pass —
+// nf_only specs are rejected.
 std::vector<CellResult> run_sweep_group(core::ExperimentContext& ctx,
                                         const SweepSpec& spec,
                                         const std::vector<const SweepCell*>& cells);
 
 // The configuration fingerprint recorded in (and checked against) the
-// manifest: experiment context + solve determinism + RNG sampler tag.
+// manifest: experiment context + the "/cold" solve mode + measurement mode +
+// RNG sampler tag.
 std::string sweep_config_fingerprint(const core::ExperimentContext& ctx,
                                      const SweepSpec& spec);
 

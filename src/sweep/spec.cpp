@@ -233,8 +233,7 @@ SweepSpec parse_sweep_spec(const util::Flags& flags) {
     static const std::set<std::string> known = {
         "variants", "classes",          "prune",      "mitigations",
         "sizes",    "sigmas",           "faults",     "parasitic-scales",
-        "quant-levels", "backends",     "sweep-repeats", "warm-start",
-        "nf-only"};
+        "quant-levels", "backends",     "sweep-repeats", "nf-only"};
     for (const auto& [key, unused] : file) {
         (void)unused;
         tensor::check(known.count(key) != 0,
@@ -296,8 +295,6 @@ SweepSpec parse_sweep_spec(const util::Flags& flags) {
     }
     if (const auto v = value("sweep-repeats"); !v.empty())
         spec.repeats = parse_int(v);
-    if (const auto v = value("warm-start"); !v.empty())
-        spec.warm_start_solves = v == "true" || v == "1" || v == "yes";
     if (const auto v = value("nf-only"); !v.empty())
         spec.nf_only = v == "true" || v == "1" || v == "yes";
     tensor::check(spec.repeats >= 1, "sweep: sweep-repeats must be >= 1");

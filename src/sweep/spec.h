@@ -98,12 +98,6 @@ struct SweepSpec {
     // parasitics metric and this makes each cell deterministic, so drivers
     // normally pair nf_only with repeats = 1. Accuracy columns read 0.
     bool nf_only = false;
-    // Cold-start every circuit solve inside sweep cells. Warm starting
-    // leaves sub-float-resolution residuals that depend on how tiles are
-    // partitioned, and the partition depends on where a cell runs (inline
-    // in a shard chunk vs top-level); cold starts make cell results
-    // bit-identical at any --shards value (DESIGN.md §7).
-    bool warm_start_solves = false;
 
     // Full cartesian grid in deterministic order (repeat innermost).
     std::vector<SweepCell> expand() const;
@@ -122,8 +116,7 @@ std::map<std::string, std::string> read_spec_file(const std::string& path);
 //   sizes=16,32,64             sigmas=0.10
 //   parasitic-scales=1.0       faults=0:0,0.01:0.001   (SA0:SA1)
 //   quant-levels=0,64,16       backends=circuit,fast,ideal
-//   sweep-repeats=2            warm-start=false
-//   nf-only=false
+//   sweep-repeats=2            nf-only=false
 SweepSpec parse_sweep_spec(const util::Flags& flags);
 
 }  // namespace xs::sweep

@@ -30,21 +30,20 @@ BackendKind backend_from_name(const std::string& name) {
     return BackendKind::kCircuit;
 }
 
-CircuitBackend::CircuitBackend(const CrossbarConfig& config, bool warm_start)
-    : solver_(config), warm_start_(warm_start) {}
+CircuitBackend::CircuitBackend(const CrossbarConfig& config)
+    : solver_(config) {}
 
 void CircuitBackend::degrade(const Tensor& g, DegradeWorkspace& ws,
                              TileDegradeResult& out) const {
-    XS_COUNT("xbar.circuit.tiles", 1);
-    if (!warm_start_) ws.solve.invalidate();
-    degrade_tile(g, solver_, ws, out);
+    const Tensor* gp[1] = {&g};
+    TileDegradeResult* op[1] = {&out};
+    degrade_batch(gp, 1, ws, op);
 }
 
 void CircuitBackend::degrade_batch(const Tensor* const* g, int lanes,
-                                   BatchedDegradeWorkspace& ws,
+                                   DegradeWorkspace& ws,
                                    TileDegradeResult* const* out) const {
     XS_COUNT("xbar.circuit.tiles", static_cast<std::uint64_t>(lanes));
-    if (!warm_start_) ws.solve.invalidate();
     degrade_tile_batched(g, lanes, solver_, ws, out);
 }
 
@@ -222,7 +221,6 @@ void IdealBackend::degrade(const Tensor& g, DegradeWorkspace& ws,
 
 std::unique_ptr<CrossbarBackend> make_backend(BackendKind kind,
                                               const CrossbarConfig& config,
-                                              bool warm_start,
                                               std::int64_t fast_buckets) {
     switch (kind) {
         case BackendKind::kFast:
@@ -231,7 +229,7 @@ std::unique_ptr<CrossbarBackend> make_backend(BackendKind kind,
             return std::make_unique<IdealBackend>(config);
         case BackendKind::kCircuit:
         default:
-            return std::make_unique<CircuitBackend>(config, warm_start);
+            return std::make_unique<CircuitBackend>(config);
     }
 }
 

@@ -5,10 +5,10 @@
 // Three implementations cover the fidelity/throughput space the framework
 // needs (RxNN and GENIEx make the same split):
 //
-//  * circuit — the exact warm-started line-relaxation solve of xbar/solver.h
-//              folded through the voltage-division model of xbar/degrade.h.
-//              The fidelity reference; bit-identical to the historical
-//              evaluator path.
+//  * circuit — the exact cold-started line-relaxation solve of xbar/solver.h
+//              folded through the voltage-division model of xbar/degrade.h,
+//              run through the lane-batched kernel (a single tile is one
+//              lane). The fidelity reference; a pure function of the tile.
 //  * fast    — a calibration-folded linear surrogate: the parasitic network
 //              is solved once per *tile composition bucket* (tiles bucketed
 //              by mean conductance) at the uniform calibration point, and the
@@ -58,30 +58,28 @@ public:
                          TileDegradeResult& out) const = 0;
 };
 
-// Exact parasitic solve (the Thomas line-relaxation pipeline). When `warm_start` is
-// false every solve starts from the flat initial guess, making results
-// independent of the tile partition (DESIGN.md §7).
+// Exact parasitic solve (the Thomas line-relaxation pipeline). Every solve
+// starts from the flat initial guess, so results are independent of the
+// tile partition and the lane grouping (DESIGN.md §7).
 class CircuitBackend final : public CrossbarBackend {
 public:
-    CircuitBackend(const CrossbarConfig& config, bool warm_start);
+    explicit CircuitBackend(const CrossbarConfig& config);
 
     BackendKind kind() const override { return BackendKind::kCircuit; }
+    // One lane of degrade_batch.
     void degrade(const tensor::Tensor& g, DegradeWorkspace& ws,
                  TileDegradeResult& out) const override;
 
     // Degrade `lanes` (≤ kMaxSolveLanes) same-size tiles in one lane-batched
-    // solve. Lane r is bit-identical to degrade(g[r]) with the same warm
-    // state: in cold mode every lane restarts flat per call, in warm mode
-    // each lane carries its own warm chain across calls.
+    // solve. Lane r is bit-identical to degrade(g[r]).
     void degrade_batch(const tensor::Tensor* const* g, int lanes,
-                       BatchedDegradeWorkspace& ws,
+                       DegradeWorkspace& ws,
                        TileDegradeResult* const* out) const;
 
     const CircuitSolver& solver() const { return solver_; }
 
 private:
     CircuitSolver solver_;
-    bool warm_start_;
 };
 
 // Calibration-folded linear surrogate (DESIGN.md §8). Tiles are bucketed by
@@ -152,11 +150,9 @@ private:
     CrossbarConfig config_;
 };
 
-// Factory over the kind axis. `warm_start` only affects kCircuit;
-// `fast_buckets` only affects kFast.
+// Factory over the kind axis. `fast_buckets` only affects kFast.
 std::unique_ptr<CrossbarBackend> make_backend(BackendKind kind,
                                               const CrossbarConfig& config,
-                                              bool warm_start,
                                               std::int64_t fast_buckets);
 
 }  // namespace xs::xbar

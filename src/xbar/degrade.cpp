@@ -30,95 +30,17 @@ void apply_variation(Tensor& g, const DeviceConfig& device, util::Rng& rng) {
     }
 }
 
-void degrade_tile(const Tensor& g, const CircuitSolver& solver,
-                  DegradeWorkspace& ws, TileDegradeResult& out) {
-    const CrossbarConfig& config = solver.config();
-    const std::int64_t n = config.size;
-    tensor::check(g.rank() == 2 && g.dim(0) == n && g.dim(1) == n,
-                  "degrade_tile: conductance matrix shape mismatch");
-    const double v_nom = config.parasitics.v_nom;
-    ws.v_in.assign(static_cast<std::size_t>(n), v_nom);
-    ws.ideal.resize(static_cast<std::size_t>(n));
-
-    const bool was_warm = ws.solve.warm && ws.solve.n == n;
-    if (!solver.solve(g, ws.v_in.data(), ws.solve) && was_warm) {
-        // A warm-started solve that ran out of sweeps would leave voltages
-        // that depend on whatever the workspace solved before. Retry cold so
-        // an unconverged result is at least deterministic.
-        ws.solve.invalidate();
-        solver.solve(g, ws.v_in.data(), ws.solve);
-    }
-    out.converged = ws.solve.converged;
-    out.sweeps = ws.solve.iterations;
-
-    if (!(out.g_eff.rank() == 2 && out.g_eff.dim(0) == n && out.g_eff.dim(1) == n))
-        out.g_eff = Tensor({n, n});
-    const double inv_v = 1.0 / v_nom;
-    const float* gp = g.data();
-    float* ge = out.g_eff.data();
-    const double* vr = ws.solve.vr.data();
-    const double* vc = ws.solve.vc.data();
-    for (std::int64_t k = 0; k < n * n; ++k) {
-        const double alpha = (vr[k] - vc[k]) * inv_v;
-        // Attenuation can only reduce the device's effective drive; tiny
-        // negative values from numerical round-off are clamped away.
-        ge[k] = static_cast<float>(std::max(0.0, alpha) *
-                                   static_cast<double>(gp[k]));
-    }
-
-    solver.ideal_currents(g, ws.v_in.data(), ws.ideal.data());
-    double nf_sum = 0.0;
-    std::int64_t nf_count = 0;
-    for (std::int64_t j = 0; j < n; ++j) {
-        const double ii = ws.ideal[static_cast<std::size_t>(j)];
-        if (ii <= 0.0) continue;
-        nf_sum += (ii - ws.solve.currents[static_cast<std::size_t>(j)]) / ii;
-        ++nf_count;
-    }
-    out.nf = nf_count ? nf_sum / static_cast<double>(nf_count) : 0.0;
-}
-
 void degrade_tile_batched(const Tensor* const* g, int lanes,
-                          const CircuitSolver& solver,
-                          BatchedDegradeWorkspace& ws,
+                          const CircuitSolver& solver, DegradeWorkspace& ws,
                           TileDegradeResult* const* out) {
     const CrossbarConfig& config = solver.config();
     const std::int64_t n = config.size;
     const double v_nom = config.parasitics.v_nom;
     ws.v_in.assign(static_cast<std::size_t>(n), v_nom);
     ws.ideal.resize(static_cast<std::size_t>(n));
-
-    bool was_warm[kMaxSolveLanes] = {};
-    for (int r = 0; r < lanes; ++r)
-        was_warm[r] = ws.solve.warm[r] != 0 && ws.solve.n == n &&
-                      ws.solve.lanes == lanes;
     solver.solve_batched(g, lanes, ws.v_in.data(), ws.solve);
 
     const int L = lanes;
-    for (int r = 0; r < L; ++r) {
-        if (ws.solve.converged[r] || !was_warm[r]) continue;
-        // Same rule as the scalar path: a warm-started solve that ran out of
-        // sweeps retries cold so the unconverged result is deterministic.
-        // The retry runs through the scalar solver (bit-identical to the
-        // scalar retry) and its state is spliced back into the lane so the
-        // warm chain continues exactly as it would have solo.
-        ws.retry.invalidate();
-        solver.solve(*g[r], ws.v_in.data(), ws.retry);
-        for (std::int64_t k = 0; k < n * n; ++k) {
-            ws.solve.vr[static_cast<std::size_t>(k * L + r)] =
-                ws.retry.vr[static_cast<std::size_t>(k)];
-            ws.solve.vc[static_cast<std::size_t>(k * L + r)] =
-                ws.retry.vc[static_cast<std::size_t>(k)];
-        }
-        for (std::int64_t j = 0; j < n; ++j)
-            ws.solve.currents[static_cast<std::size_t>(j * L + r)] =
-                ws.retry.currents[static_cast<std::size_t>(j)];
-        ws.solve.iterations[r] = ws.retry.iterations;
-        ws.solve.max_delta[r] = ws.retry.max_delta;
-        ws.solve.converged[r] = ws.retry.converged ? 1 : 0;
-        ws.solve.warm[r] = ws.retry.warm ? 1 : 0;
-    }
-
     const double inv_v = 1.0 / v_nom;
     const double* vr = ws.solve.vr.data();
     const double* vc = ws.solve.vc.data();
@@ -133,6 +55,8 @@ void degrade_tile_batched(const Tensor* const* g, int lanes,
         float* ge = o.g_eff.data();
         for (std::int64_t k = 0; k < n * n; ++k) {
             const double alpha = (vr[k * L + r] - vc[k * L + r]) * inv_v;
+            // Attenuation can only reduce the device's effective drive; tiny
+            // negative values from numerical round-off are clamped away.
             ge[k] = static_cast<float>(std::max(0.0, alpha) *
                                        static_cast<double>(gp[k]));
         }
@@ -155,7 +79,9 @@ TileDegradeResult degrade_tile(const Tensor& g, const CrossbarConfig& config) {
     const CircuitSolver solver(config);
     DegradeWorkspace ws;
     TileDegradeResult result;
-    degrade_tile(g, solver, ws, result);
+    const Tensor* gp[1] = {&g};
+    TileDegradeResult* op[1] = {&result};
+    degrade_tile_batched(gp, 1, solver, ws, op);
     return result;
 }
 

@@ -22,13 +22,13 @@ struct TileDegradeResult {
     int sweeps = 0;         // relaxation sweeps the solve used
 };
 
-// Reusable scratch for degrade_tile: the circuit-solver workspace plus the
-// calibration input vector and the ideal-current buffer. One instance per
-// worker thread; reusing it across tiles keeps the steady state free of
-// heap allocations and lets the solver warm-start from the previous tile's
-// converged voltages (DESIGN.md §4).
+// Reusable scratch for degrade_tile_batched: the lane-batched solver
+// workspace plus the calibration input vector and the ideal-current buffer.
+// One instance per worker thread; reusing it across tiles keeps the steady
+// state free of heap allocations (DESIGN.md §4). The fast and ideal backends
+// use the two vectors as their own per-column scratch.
 struct DegradeWorkspace {
-    SolveWorkspace solve;
+    BatchedSolveWorkspace solve;
     std::vector<double> v_in;
     std::vector<double> ideal;
 };
@@ -38,34 +38,17 @@ struct DegradeWorkspace {
 // equivalent conductance  G′_ij = G_ij · (V_row(i,j) − V_col(i,j)) / v_nom.
 // The resulting G′ reproduces the non-ideal column currents exactly at the
 // calibration input and captures the tile-composition coupling (tiles dense
-// in high conductances sag more).
+// in high conductances sag more). One lane of degrade_tile_batched.
 TileDegradeResult degrade_tile(const tensor::Tensor& g,
                                const CrossbarConfig& config);
 
-// Zero-allocation variant for the tile pipeline: the caller owns the solver,
-// the workspace, and the result (whose g_eff storage is reused when already
-// tile-shaped). Steady state performs no heap allocation.
-void degrade_tile(const tensor::Tensor& g, const CircuitSolver& solver,
-                  DegradeWorkspace& ws, TileDegradeResult& out);
-
-// Scratch for degrade_tile_batched: the lane-batched solver workspace, a
-// scalar workspace for the deterministic cold retry of a lane whose warm
-// solve failed, and the shared calibration buffers.
-struct BatchedDegradeWorkspace {
-    BatchedSolveWorkspace solve;
-    SolveWorkspace retry;
-    std::vector<double> v_in;
-    std::vector<double> ideal;
-};
-
 // Degrade `lanes` (≤ kMaxSolveLanes) same-size tiles in one batched solve.
-// Lane r's g_eff / nf / converged / sweeps are bit-identical to a scalar
-// degrade_tile of g[r] with the same per-lane warm state, including the
-// cold-retry rule for a failed warm-started solve. out[r]'s g_eff storage is
-// reused when already tile-shaped, so steady state allocates nothing.
+// Every solve starts cold, so lane r's g_eff / nf / converged / sweeps
+// depend only on g[r], never on the lane count or on what the workspace
+// solved before. out[r]'s g_eff storage is reused when already tile-shaped,
+// so steady state allocates nothing.
 void degrade_tile_batched(const tensor::Tensor* const* g, int lanes,
-                          const CircuitSolver& solver,
-                          BatchedDegradeWorkspace& ws,
+                          const CircuitSolver& solver, DegradeWorkspace& ws,
                           TileDegradeResult* const* out);
 
 // NF = (I_ideal − I_nonideal) / I_ideal at the all-v_nom input, averaged over

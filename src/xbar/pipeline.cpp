@@ -103,15 +103,12 @@ public:
     // arrays of every lane fit the solver's lane budget, pos and neg solve
     // together in ONE call (pos in lanes [0,count), neg in [count,2·count)) —
     // at count = 4 that fills all kMaxSolveLanes and the solver's per-lane
-    // inner loops span a full 512-bit double vector. The solves are
-    // independent, so cold-start lane results do not depend on the lane
-    // count; warm starts then chain pos→pos and neg→neg per repeat lane
-    // instead of the one-lane pos→neg interleave (differences far below
-    // float resolution, and only in the unpinned warm multi-repeat case).
+    // inner loops span a full 512-bit double vector. Every solve starts
+    // cold, so lane results do not depend on the lane count or grouping.
     // A single lane solves pos then neg through the one-lane instance of
     // the batched kernel, bit-identical to the scalar solve and 2-3x faster.
     void apply_batch(TileStageContext* const* lanes, int count,
-                     BatchedDegradeWorkspace& ws) const override {
+                     DegradeWorkspace& ws) const override {
         if (circuit_ == nullptr || count > kMaxSolveLanes) {
             for (int r = 0; r < count; ++r) apply(*lanes[r]);
             return;
@@ -181,7 +178,7 @@ void TilePipeline::add(std::unique_ptr<TileStage> stage) {
 }
 
 void TilePipeline::run_batch(TileStageContext* const* lanes, int count,
-                             BatchedDegradeWorkspace& ws) const {
+                             DegradeWorkspace& ws) const {
 #if XS_TELEMETRY_ENABLED
     XS_TIMER_NS("xbar.tile.ns");
     for (std::size_t i = 0; i < stages_.size(); ++i) {
@@ -221,9 +218,8 @@ TilePipeline build_tile_pipeline(const PipelineSpec& spec) {
     const bool parasitics =
         spec.include_parasitics && spec.backend != BackendKind::kIdeal;
     if (parasitics) {
-        pipeline.set_backend(make_backend(spec.backend, spec.xbar,
-                                          spec.warm_start_solves,
-                                          spec.fast_buckets));
+        pipeline.set_backend(
+            make_backend(spec.backend, spec.xbar, spec.fast_buckets));
         pipeline.add(std::make_unique<ParasiticStage>(*pipeline.backend()));
         if (spec.compensate_columns)
             pipeline.add(std::make_unique<CompensateStage>());

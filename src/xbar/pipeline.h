@@ -78,10 +78,9 @@ public:
     // once. The default per-lane loop is correct for every stage (each lane
     // has its own RNG stream and buffers); the parasitic stage overrides it
     // to batch the circuit solves across lanes. `ws` is the caller-owned
-    // batched solver scratch, live for the worker's lane group so per-lane
-    // warm chains persist across tiles.
+    // batched solver scratch of the worker's lane group.
     virtual void apply_batch(TileStageContext* const* lanes, int count,
-                             BatchedDegradeWorkspace& ws) const {
+                             DegradeWorkspace& ws) const {
         (void)ws;
         for (int r = 0; r < count; ++r) apply(*lanes[r]);
     }
@@ -101,10 +100,10 @@ public:
     // (count = 1 for a single evaluation), letting stages batch across the
     // repeat lanes. Each stage is timed into an "xbar.stage.<name>.ns"
     // histogram (registered once in add()) and wrapped in a trace span; the
-    // whole tile lands in "xbar.tile.ns" (one record per lane group). With
-    // cold-start solves, lane r's outputs do not depend on `count`.
+    // whole tile lands in "xbar.tile.ns" (one record per lane group). Solves
+    // start cold, so lane r's outputs do not depend on `count`.
     void run_batch(TileStageContext* const* lanes, int count,
-                   BatchedDegradeWorkspace& ws) const;
+                   DegradeWorkspace& ws) const;
 
     std::size_t size() const { return stages_.size(); }
     const CrossbarBackend* backend() const { return backend_.get(); }
@@ -128,7 +127,6 @@ struct PipelineSpec {
     FaultConfig faults;
     bool include_parasitics = true;
     bool compensate_columns = false;
-    bool warm_start_solves = true;
     BackendKind backend = BackendKind::kCircuit;
     std::int64_t fast_buckets = 64;
 };

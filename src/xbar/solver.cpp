@@ -80,24 +80,16 @@ void solve_batched_impl(const BatchedSolveParams& p,
     // full re-stream of both arrays per solve without touching any
     // expression.
 
+    // Initial guess, as in the scalar solve: rows at their source voltage,
+    // columns at ground.
     double* vr = ws.vr.data();
     double* vc = ws.vc.data();
-    // Captured before the warm-start init below: when every lane cold-starts,
-    // vc is identically +0.0 entering sweep 0, so the g·vc terms of the first
-    // row half-sweep are exactly +0.0 (conductances are finite, no NaN/Inf)
-    // and the loads can be skipped — the RHS keeps a literal 0.0 operand in
-    // their place so every sum keeps its bit pattern (signed zeros included).
-    bool cold_entry = true;
-    for (int r = 0; r < L; ++r)
-        if (ws.warm[r]) cold_entry = false;
-    for (int r = 0; r < L; ++r) {
-        if (ws.warm[r]) continue;
-        for (std::int64_t i = 0; i < n; ++i) {
-            const double vi = v_in[i];
-            for (std::int64_t j = 0; j < n; ++j) vr[(i * n + j) * L + r] = vi;
-        }
-        for (std::int64_t k = 0; k < n * n; ++k) vc[k * L + r] = 0.0;
+    for (std::int64_t i = 0; i < n; ++i) {
+        const double vi = v_in[i];
+        for (std::int64_t j = 0; j < n; ++j)
+            for (int r = 0; r < L; ++r) vr[(i * n + j) * L + r] = vi;
     }
+    std::fill(vc, vc + n * n * L, 0.0);
 
     double* rb = ws.rhs.data();
     bool active[L];
@@ -145,9 +137,12 @@ void solve_batched_impl(const BatchedSolveParams& p,
                                 grow[c][j * L + r] * vci[c][j * L + r] -
                                 mj * rc[c][(j - 1) * L + r];
                         }
-            } else if (cold_entry) {
-                // Sweep 0, every lane cold: factor + elimination fused, and
-                // the g·vc term replaced by the literal 0.0 it equals.
+            } else {
+                // Sweep 0: factor + elimination fused. vc is identically +0.0
+                // entering it, so the g·vc terms are exactly +0.0
+                // (conductances are finite, no NaN/Inf) and their loads are
+                // skipped; the literal 0.0 operand left in their place keeps
+                // every sum's bit pattern, signed zeros included.
                 for (int c = 0; c < nc; ++c)
                     for (int r = 0; r < L; ++r) {
                         const double d0 =
@@ -164,28 +159,6 @@ void solve_batched_impl(const BatchedSolveParams& p,
                             inv[c][j * L + r] = 1.0 / dj;
                             rc[c][j * L + r] =
                                 0.0 - mj * rc[c][(j - 1) * L + r];
-                        }
-            } else {
-                // Sweep 0 with warm lanes: factor + elimination fused, full
-                // RHS (vc carries the warm state).
-                for (int c = 0; c < nc; ++c)
-                    for (int r = 0; r < L; ++r) {
-                        const double d0 =
-                            gdrv + (n > 1 ? gwr : 0.0) + grow[c][r];
-                        inv[c][r] = 1.0 / d0;
-                        rc[c][r] =
-                            grow[c][r] * vci[c][r] + gdrv * v_in[i0 + c];
-                    }
-                for (std::int64_t j = 1; j < n; ++j)
-                    for (int c = 0; c < nc; ++c)
-                        for (int r = 0; r < L; ++r) {
-                            const double mj = -gwr * inv[c][(j - 1) * L + r];
-                            const double dj = gwr + (j + 1 < n ? gwr : 0.0) +
-                                              grow[c][j * L + r] + mj * gwr;
-                            inv[c][j * L + r] = 1.0 / dj;
-                            rc[c][j * L + r] =
-                                grow[c][j * L + r] * vci[c][j * L + r] -
-                                mj * rc[c][(j - 1) * L + r];
                         }
             }
             // Back-substitution with the voltage update fused into it: the
@@ -315,7 +288,6 @@ void solve_batched_impl(const BatchedSolveParams& p,
             }
         }
     }
-    for (int r = 0; r < L; ++r) ws.warm[r] = ws.converged[r];
     for (std::int64_t j = 0; j < n; ++j)
         for (int r = 0; r < L; ++r)
             ws.currents[j * L + r] = vc[((n - 1) * n + j) * L + r] * gsn;
@@ -338,7 +310,6 @@ void SolveWorkspace::ensure(std::int64_t size) {
     rhs.resize(ns);
     currents.resize(ns);
     n = size;
-    warm = false;
 }
 
 void BatchedSolveWorkspace::ensure(std::int64_t size, int lane_count) {
@@ -354,7 +325,6 @@ void BatchedSolveWorkspace::ensure(std::int64_t size, int lane_count) {
     currents.resize(ns);
     n = size;
     lanes = lane_count;
-    invalidate();
 }
 
 CircuitSolver::CircuitSolver(const CrossbarConfig& config) : config_(config) {
@@ -396,15 +366,12 @@ bool CircuitSolver::solve(const Tensor& g, const double* v_in,
     XS_TIMER_NS("xbar.solve.ns");
     XS_COUNT("xbar.solve.solves", 1);
 #if XS_TELEMETRY_ENABLED
-    // Handles hoisted out of their conditions: a branch-local XS_COUNT
-    // would register (and allocate) on the first *taken* branch, breaking
-    // the zero-allocation steady state when e.g. the first warm start
-    // happens after warm-up.
-    static const util::metrics::Counter warm_starts =
-        util::metrics::counter("xbar.solve.warm_starts");
+    // Handle hoisted out of its condition: a branch-local XS_COUNT would
+    // register (and allocate) on the first *taken* branch, breaking the
+    // zero-allocation steady state when the first unconverged solve happens
+    // after warm-up.
     static const util::metrics::Counter unconverged =
         util::metrics::counter("xbar.solve.unconverged");
-    if (ws.warm) warm_starts.add(1);
 #endif
 
     const double gdrv = g_driver_, gwr = g_wire_row_, gwc = g_wire_col_,
@@ -459,17 +426,15 @@ bool CircuitSolver::solve(const Tensor& g, const double* v_in,
         }
     }
 
+    // Initial guess: rows at their source voltage, columns at ground.
     double* vr = ws.vr.data();
     double* vc = ws.vc.data();
-    if (!ws.warm) {
-        // Initial guess: rows at their source voltage, columns at ground.
-        for (std::int64_t i = 0; i < n; ++i) {
-            const double vi = v_in[i];
-            double* row = vr + i * n;
-            for (std::int64_t j = 0; j < n; ++j) row[j] = vi;
-        }
-        std::fill(vc, vc + n * n, 0.0);
+    for (std::int64_t i = 0; i < n; ++i) {
+        const double vi = v_in[i];
+        double* row = vr + i * n;
+        for (std::int64_t j = 0; j < n; ++j) row[j] = vi;
     }
+    std::fill(vc, vc + n * n, 0.0);
 
     double* r = ws.rhs.data();
     double max_delta = 0.0;
@@ -530,9 +495,6 @@ bool CircuitSolver::solve(const Tensor& g, const double* v_in,
 #if XS_TELEMETRY_ENABLED
     if (!ws.converged) unconverged.add(1);
 #endif
-    // Only a converged field is worth warm-starting from; after a failed
-    // solve the next one restarts cold, so bad state never propagates.
-    ws.warm = ws.converged;
     for (std::int64_t j = 0; j < n; ++j)
         ws.currents[static_cast<std::size_t>(j)] = vc[(n - 1) * n + j] * gsn;
     return ws.converged;
@@ -551,12 +513,8 @@ void CircuitSolver::solve_batched(const Tensor* const* g, int lanes,
     XS_TIMER_NS("xbar.solve.ns");
     XS_COUNT("xbar.solve.solves", static_cast<std::uint64_t>(lanes));
 #if XS_TELEMETRY_ENABLED
-    static const util::metrics::Counter warm_starts =
-        util::metrics::counter("xbar.solve.warm_starts");
     static const util::metrics::Counter unconverged =
         util::metrics::counter("xbar.solve.unconverged");
-    for (int r = 0; r < lanes; ++r)
-        if (ws.warm[r]) warm_starts.add(1);
 #endif
 
     const BatchedSolveParams p{n,        g_driver_,  g_wire_row_, g_wire_col_,
@@ -589,10 +547,8 @@ SolveResult CircuitSolver::solve(const Tensor& g,
     check(static_cast<std::int64_t>(v_in.size()) == n,
           "CircuitSolver: input voltage count mismatch");
 
-    // Buffer reuse across calls on the same thread; the cold start is kept
-    // (no warm-start) so results never depend on unrelated earlier solves.
+    // Buffer reuse across calls on the same thread.
     static thread_local SolveWorkspace ws;
-    ws.invalidate();
     solve(g, v_in.data(), ws);
 
     SolveResult result;

@@ -14,9 +14,9 @@
 //
 // The hot entry point is the SolveWorkspace overload (DESIGN.md §4): each
 // chain's tridiagonal factorization is computed once per solve and reused
-// across sweeps, all scratch lives in a caller-owned workspace so the steady
-// state performs no heap allocation, and the previous converged voltages can
-// warm-start the next solve.
+// across sweeps, and all scratch lives in a caller-owned workspace so the
+// steady state performs no heap allocation. Every solve starts from the
+// flat initial guess, so a result is a pure function of the tile.
 #pragma once
 
 #include "tensor/tensor.h"
@@ -28,14 +28,11 @@ namespace xs::xbar {
 
 // Reusable scratch for CircuitSolver::solve. Buffers grow on demand and are
 // never shrunk; after the first solve of a given size, subsequent solves of
-// the same size perform zero heap allocations. `vr`/`vc` double as the
-// warm-start state: when `warm` is true and the size matches, the next solve
-// iterates from the previous converged voltages instead of the flat initial
-// guess (a large win across Monte-Carlo repeats and neighbouring tiles,
-// whose conductance fields are statistically similar).
+// the same size perform zero heap allocations. The workspace carries
+// buffers, not state: every solve starts from the flat initial guess.
 struct SolveWorkspace {
     // Node voltages, row-major X×X, double precision (float storage would
-    // stall convergence). Valid after a solve; inputs when warm.
+    // stall convergence). Valid after a solve.
     std::vector<double> vr, vc;
     // Sensed per-column output currents (A). Valid after a solve.
     std::vector<double> currents;
@@ -48,18 +45,18 @@ struct SolveWorkspace {
     std::vector<double> col_m, col_inv_d;
     std::vector<double> rhs;
 
-    std::int64_t n = 0;   // provisioned size
-    bool warm = false;    // vr/vc hold a previous solution of size n
+    std::int64_t n = 0;  // provisioned size
 
     // Outputs of the last solve.
     int iterations = 0;
     double max_delta = 0.0;
     bool converged = false;
 
-    // Provision all buffers for size `size`; drops warm state on resize.
+    // Provision all buffers for size `size`.
     void ensure(std::int64_t size);
-    // Force the next solve to start from the flat initial guess.
-    void invalidate() { warm = false; }
+    // No-op: every solve already starts cold. Kept for callers that still
+    // reset the workspace between solves.
+    void invalidate() {}
 };
 
 // Upper bound on the lanes one batched solve processes; callers chunk larger
@@ -70,10 +67,8 @@ inline constexpr int kMaxSolveLanes = 8;
 // Reusable scratch for CircuitSolver::solve_batched: `lanes` independent
 // same-size systems solved together, with every buffer lane-interleaved
 // (entry k of lane r lives at index k·lanes + r) so the per-lane inner loops
-// are unit-stride vector operations. Warm-start state is per lane: lane r of
-// the next batch iterates from lane r's previous converged voltages, giving
-// each Monte-Carlo repeat the same warm chain it would have had solving
-// alone.
+// are unit-stride vector operations. Like SolveWorkspace it carries buffers,
+// not state: every lane of every solve starts from the flat initial guess.
 struct BatchedSolveWorkspace {
     std::vector<double> vr, vc;    // node voltages, lane-interleaved
     std::vector<double> currents;  // per-column sensed currents, n×lanes
@@ -92,18 +87,15 @@ struct BatchedSolveWorkspace {
     std::int64_t n = 0;  // provisioned size
     int lanes = 0;       // provisioned lane count
 
-    // Per-lane warm-start validity and last-solve outputs.
-    std::uint8_t warm[kMaxSolveLanes] = {};
+    // Per-lane last-solve outputs.
     int iterations[kMaxSolveLanes] = {};
     double max_delta[kMaxSolveLanes] = {};
     std::uint8_t converged[kMaxSolveLanes] = {};
 
-    // Provision for (size × lane_count); drops all warm state on change.
+    // Provision for (size × lane_count).
     void ensure(std::int64_t size, int lane_count);
-    // Force every lane of the next solve to start from the flat guess.
-    void invalidate() {
-        for (int r = 0; r < kMaxSolveLanes; ++r) warm[r] = 0;
-    }
+    // No-op, as SolveWorkspace::invalidate.
+    void invalidate() {}
 };
 
 struct SolveResult {
@@ -126,7 +118,7 @@ public:
 
     // Zero-allocation variant: results land in ws.vr / ws.vc / ws.currents
     // (plus ws.iterations / ws.max_delta / ws.converged). Returns the
-    // converged flag. Warm-starts from ws when it holds a same-size solution.
+    // converged flag.
     bool solve(const tensor::Tensor& g, const double* v_in,
                SolveWorkspace& ws) const;
 
@@ -135,7 +127,7 @@ public:
     // recurrences across lanes. Each lane runs the identical sweep sequence
     // as the scalar overload and freezes at its own convergence sweep, so
     // lane r's voltages, currents, iteration count, and convergence flag are
-    // bit-identical to a scalar solve of g[r] with the same warm state.
+    // bit-identical to a scalar solve of g[r].
     void solve_batched(const tensor::Tensor* const* g, int lanes,
                        const double* v_in, BatchedSolveWorkspace& ws) const;
 

@@ -67,11 +67,10 @@ void expect_identical(const EvalResult& a, const EvalResult& b,
     }
 }
 
-EvalConfig cold_config(xbar::BackendKind backend) {
+EvalConfig base_config(xbar::BackendKind backend) {
     EvalConfig config;
     config.xbar.size = 32;
     config.backend = backend;
-    config.warm_start_solves = false;  // cold starts: strict bit identity
     config.seed = 21;
     return config;
 }
@@ -157,7 +156,7 @@ TEST(RepeatBatch, ColdMatchesSequentialBitExactAcrossRepeatCounts) {
     // 1 = a lone lane, 3 = one partial group, 8 = two full groups through
     // the producer/consumer pipeline (groups of kMaxSolveLanes/2 repeats).
     for (const std::int64_t repeats : {1, 3, 8}) {
-        EvalConfig config = cold_config(xbar::BackendKind::kCircuit);
+        EvalConfig config = base_config(xbar::BackendKind::kCircuit);
         config.repeats = repeats;
         const EvalResult batched = evaluate_on_crossbars(model, test, config);
         expect_identical(batched, sequential_reference(model, test, config),
@@ -171,7 +170,7 @@ TEST(RepeatBatch, ColdMatchesSequentialOnEveryBackend) {
     const nn::Dataset test = tiny_dataset(15);
     for (const xbar::BackendKind backend :
          {xbar::BackendKind::kFast, xbar::BackendKind::kIdeal}) {
-        EvalConfig config = cold_config(backend);
+        EvalConfig config = base_config(backend);
         config.repeats = 3;
         expect_identical(evaluate_on_crossbars(model, test, config),
                          sequential_reference(model, test, config),
@@ -185,7 +184,7 @@ TEST(RepeatBatch, PerRepeatResultsMatchSingleSeedRuns) {
     // relies on for byte-identical per-repeat CellResults.
     nn::Sequential model = tiny_vgg(12);
     const nn::Dataset test = tiny_dataset(15);
-    EvalConfig config = cold_config(xbar::BackendKind::kCircuit);
+    EvalConfig config = base_config(xbar::BackendKind::kCircuit);
     const std::vector<std::uint64_t> seeds{21, 909, 4242};
     const std::vector<EvalResult> grouped =
         evaluate_repeats_on_crossbars(model, test, config, seeds);

@@ -265,6 +265,27 @@ TEST(SweepRunner, ResumeRefusesDifferentConfiguration) {
     opts.max_cells = -1;
     SweepRunner runner(other, tiny_spec(), opts);
     EXPECT_THROW(runner.run(), std::exception);
+
+    // Same experiment, but recorded under warm-start solves: the config line
+    // says "/warm" where every run now records "/cold". Such cells came from
+    // a solve mode that no longer exists, so resuming must fail too.
+    opts.csv_name = "fp_warm.csv";
+    opts.manifest_name = "fp_warm.jsonl";
+    opts.resume = false;
+    opts.max_cells = 1;
+    const SweepSummary fresh = run(opts);
+    std::string manifest = slurp(fresh.manifest_path);
+    const auto cold = manifest.find("/cold");
+    ASSERT_LT(cold, manifest.find('\n')) << "no /cold in the config line";
+    manifest.replace(cold, 5, "/warm");
+    {
+        std::ofstream out(fresh.manifest_path,
+                          std::ios::binary | std::ios::trunc);
+        out << manifest;
+    }
+    opts.resume = true;
+    opts.max_cells = -1;
+    EXPECT_THROW(run(opts), std::exception);
 }
 
 TEST(SweepRunner, BackendAxisRecordsBackendAndFastTracksCircuit) {

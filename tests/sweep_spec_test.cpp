@@ -105,6 +105,15 @@ TEST(SweepSpec, SpecFileParsesAndCliWins) {
     }
     EXPECT_THROW(parse_sweep_spec(make_flags({"--spec=" + path})),
                  std::exception);
+
+    // Solves always start cold; a spec asking for warm starts is refused
+    // like any other unknown key instead of silently running cold.
+    {
+        std::ofstream out(path);
+        out << "warm-start = true\n";
+    }
+    EXPECT_THROW(parse_sweep_spec(make_flags({"--spec=" + path})),
+                 std::exception);
     std::filesystem::remove(path);
 }
 

@@ -198,7 +198,7 @@ TEST(Metrics, InstrumentedBackendsSteadyStateAllocateNothing) {
             (config.device.g_max() - config.device.g_min()) *
                 static_cast<double>(i % 97) / 96.0);
 
-    const xbar::CircuitBackend circuit(config, /*warm_start=*/true);
+    const xbar::CircuitBackend circuit(config);
     const xbar::FastBackend fast(config);
     xbar::DegradeWorkspace ws_circuit, ws_fast;
     xbar::TileDegradeResult out;

@@ -78,7 +78,7 @@ TEST(Backend, IdealIsExactPassThrough) {
 TEST(Backend, FastTracksCircuitPerTile) {
     CrossbarConfig config;
     config.size = 32;
-    const CircuitBackend circuit(config, /*warm_start=*/false);
+    const CircuitBackend circuit(config);
     const FastBackend fast(config);
     DegradeWorkspace ws;
     TileDegradeResult exact, approx;
@@ -139,9 +139,10 @@ TEST(Backend, FastCalibrationDependsOnlyOnBucket) {
 // ---- golden test: the pre-refactor evaluator tile loop, verbatim ----
 
 // The exact per-tile stage ladder core::degrade_mac_matrix hard-coded before
-// the pipeline refactor (evaluator.cpp @ PR 4), including the double-
-// precision column compensation. Any bit drift between this and the staged
-// pipeline is a regression.
+// the pipeline refactor, including the double-precision column
+// compensation; each array degrades through a fresh degrade_tile, as every
+// solve starts cold. Any bit drift between this and the staged pipeline is
+// a regression.
 void reference_compensate(Tensor& g_eff, const Tensor& g_before,
                           std::int64_t n) {
     std::vector<double> col_before(static_cast<std::size_t>(n), 0.0);
@@ -174,14 +175,12 @@ Tensor reference_degrade(const Tensor& matrix, const map::Tiling& tiling,
                          util::Rng& rng) {
     const std::int64_t n = config.xbar.size;
     const ConductanceMapper mapper(config.xbar.device, w_ref);
-    const CircuitSolver solver(config.xbar);
 
     Tensor degraded = matrix;
     std::vector<util::Rng> tile_rngs;
     for (std::size_t t = 0; t < tiling.tiles.size(); ++t)
         tile_rngs.push_back(rng.split(static_cast<std::uint64_t>(t) + 1));
 
-    DegradeWorkspace ws;
     TileDegradeResult pos, neg;
     Tensor sub, g_pos, g_neg, tile_w;
     for (std::size_t t = 0; t < tiling.tiles.size(); ++t) {
@@ -205,10 +204,8 @@ Tensor reference_degrade(const Tensor& matrix, const map::Tiling& tiling,
                                tile_rngs[t]);
         }
         if (config.include_parasitics) {
-            ws.solve.invalidate();  // config.warm_start_solves = false
-            degrade_tile(g_pos, solver, ws, pos);
-            ws.solve.invalidate();
-            degrade_tile(g_neg, solver, ws, neg);
+            pos = degrade_tile(g_pos, config.xbar);
+            neg = degrade_tile(g_neg, config.xbar);
             if (config.compensate_columns) {
                 reference_compensate(pos.g_eff, g_pos, n);
                 reference_compensate(neg.g_eff, g_neg, n);
@@ -229,7 +226,6 @@ TEST(PipelineGolden, CircuitBackendBitIdenticalToPreRefactorLoop) {
 
     core::EvalConfig config;
     config.xbar.size = 16;
-    config.warm_start_solves = false;  // partition-independent, exact
     config.conductance_levels = 33;
     config.faults.p_stuck_min = 0.02;
     config.faults.p_stuck_max = 0.01;
@@ -254,7 +250,6 @@ TEST(PipelineGolden, XcsTilingBitIdenticalToPreRefactorLoop) {
     core::EvalConfig config;
     config.xbar.size = 8;
     config.method = prune::Method::kXbarColumn;
-    config.warm_start_solves = false;
 
     core::DegradeStats stats;
     util::Rng vr1(7), vr2(7);
@@ -286,7 +281,7 @@ TEST(PipelineAllocation, CircuitSteadyStateAllocatesNothing) {
     // provisions every buffer (differential pair, G′, batched workspace,
     // column sums).
     TileStageContext* lanes[1] = {&ctx};
-    BatchedDegradeWorkspace ws;
+    DegradeWorkspace ws;
     mapper.to_differential(w, pos, neg);
     ctx.begin_tile(pos, neg, rng);
     pipeline.run_batch(lanes, 1, ws);
@@ -317,7 +312,7 @@ TEST(PipelineAllocation, FastSteadyStateAllocatesNothing) {
     Tensor w({32, 32});
     tensor::fill_normal(w, rng, 0.0f, 0.3f);
     TileStageContext* lanes[1] = {&ctx};
-    BatchedDegradeWorkspace ws;
+    DegradeWorkspace ws;
     mapper.to_differential(w, pos, neg);
     ctx.begin_tile(pos, neg, rng);
     // Warm-up: calibrates the bucket, grows buffers.
@@ -363,7 +358,6 @@ TEST(PipelineBackends, FastBackendTracksCircuitOnMacMatrix) {
 
     core::EvalConfig circuit;
     circuit.xbar.size = 32;
-    circuit.warm_start_solves = false;
     core::EvalConfig fast = circuit;
     fast.backend = BackendKind::kFast;
 

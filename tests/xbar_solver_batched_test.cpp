@@ -1,8 +1,8 @@
 // Bit-identity of the lane-batched solver/degrade path against the scalar
-// one. The batched kernels mirror the scalar arithmetic expression-for-
+// solve. The batched kernels mirror the scalar arithmetic expression-for-
 // expression; these tests pin that every lane's voltages, currents, sweep
-// counts, NF, and warm-chain behaviour are byte-identical to solving each
-// repeat alone — the property the repeat-batched evaluator relies on.
+// counts, and NF are byte-identical to solving each repeat alone in a fresh
+// workspace — the property the repeat-batched evaluator relies on.
 #include "util/rng.h"
 #include "xbar/config.h"
 #include "xbar/degrade.h"
@@ -10,8 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <vector>
 
 namespace xs::xbar {
@@ -45,6 +47,50 @@ void expect_bits_eq(double a, double b, const char* what, int lane) {
     std::memcpy(&bb, &b, sizeof(bb));
     EXPECT_EQ(ba, bb) << what << " mismatch in lane " << lane << ": " << a
                       << " vs " << b;
+}
+
+// Scalar reference for one lane of degrade_tile_batched: a scalar solve in
+// a fresh workspace at the all-v_nom input, then the voltage-division fold
+// and the NF, with the kernel's arithmetic.
+TileDegradeResult reference_degrade(const Tensor& g,
+                                    const CircuitSolver& solver) {
+    const std::int64_t n = solver.config().size;
+    const double v_nom = solver.config().parasitics.v_nom;
+    const std::vector<double> v(static_cast<std::size_t>(n), v_nom);
+    SolveWorkspace ws;
+    solver.solve(g, v.data(), ws);
+
+    TileDegradeResult out;
+    out.converged = ws.converged;
+    out.sweeps = ws.iterations;
+    out.g_eff = Tensor({n, n});
+    const double inv_v = 1.0 / v_nom;
+    for (std::int64_t k = 0; k < n * n; ++k) {
+        const auto i = static_cast<std::size_t>(k);
+        const double alpha = (ws.vr[i] - ws.vc[i]) * inv_v;
+        out.g_eff[k] = static_cast<float>(std::max(0.0, alpha) *
+                                          static_cast<double>(g.data()[k]));
+    }
+    const std::vector<double> ideal = solver.ideal_currents(g, v);
+    double nf_sum = 0.0;
+    std::int64_t nf_count = 0;
+    for (std::size_t j = 0; j < ideal.size(); ++j) {
+        if (ideal[j] <= 0.0) continue;
+        nf_sum += (ideal[j] - ws.currents[j]) / ideal[j];
+        ++nf_count;
+    }
+    out.nf = nf_count ? nf_sum / static_cast<double>(nf_count) : 0.0;
+    return out;
+}
+
+void expect_degrade_eq(const TileDegradeResult& b, const TileDegradeResult& e,
+                       int lane) {
+    ASSERT_EQ(b.sweeps, e.sweeps) << "lane " << lane;
+    EXPECT_EQ(b.converged, e.converged) << "lane " << lane;
+    expect_bits_eq(b.nf, e.nf, "nf", lane);
+    ASSERT_EQ(b.g_eff.numel(), e.g_eff.numel());
+    for (std::int64_t k = 0; k < b.g_eff.numel(); ++k)
+        EXPECT_EQ(b.g_eff[k], e.g_eff[k]) << "g_eff[" << k << "] lane " << lane;
 }
 
 TEST(BatchedSolver, ColdSolveMatchesScalarBitExact) {
@@ -82,44 +128,40 @@ TEST(BatchedSolver, ColdSolveMatchesScalarBitExact) {
     }
 }
 
-TEST(BatchedSolver, WarmChainMatchesScalarChainPerLane) {
-    // Each lane solves a sequence of statistically-similar tiles with warm
-    // starts; lane r's chain must match an independent scalar chain over the
-    // same tile sequence, even though the lanes converge at different sweeps.
+TEST(BatchedSolver, ReusedWorkspaceMatchesFreshScalarSolves) {
+    // One 5-lane workspace is reused over a sequence of tiles; every step
+    // must match scalar solves in fresh workspaces, even though the lanes
+    // converge at different sweeps. A workspace carries buffers, not state.
     const CrossbarConfig c = config_of(16, 100, 2, 2, 100);
     const CircuitSolver solver(c);
     const std::vector<double> v(16, c.parasitics.v_nom);
     const int lanes = 5;
     const int steps = 4;
 
-    std::vector<std::vector<Tensor>> chain(static_cast<std::size_t>(lanes));
-    for (int r = 0; r < lanes; ++r)
-        for (int s = 0; s < steps; ++s)
-            chain[static_cast<std::size_t>(r)].push_back(random_g(
-                16, 1000 + static_cast<std::uint64_t>(r * steps + s), c.device));
-
     BatchedSolveWorkspace bws;
-    std::vector<SolveWorkspace> sws(static_cast<std::size_t>(lanes));
     for (int s = 0; s < steps; ++s) {
+        std::vector<Tensor> gs;
         std::vector<const Tensor*> gp;
         for (int r = 0; r < lanes; ++r)
-            gp.push_back(&chain[static_cast<std::size_t>(r)][static_cast<std::size_t>(s)]);
+            gs.push_back(random_g(
+                16, 1000 + static_cast<std::uint64_t>(r * steps + s), c.device));
+        for (auto& g : gs) gp.push_back(&g);
         solver.solve_batched(gp.data(), lanes, v.data(), bws);
         for (int r = 0; r < lanes; ++r) {
-            solver.solve(*gp[static_cast<std::size_t>(r)], v.data(),
-                         sws[static_cast<std::size_t>(r)]);
-            ASSERT_EQ(bws.iterations[r], sws[static_cast<std::size_t>(r)].iterations)
+            SolveWorkspace sws;
+            solver.solve(*gp[static_cast<std::size_t>(r)], v.data(), sws);
+            ASSERT_EQ(bws.iterations[r], sws.iterations)
                 << "step " << s << " lane " << r;
-            for (std::int64_t k = 0; k < 16 * 16; ++k)
-                expect_bits_eq(
-                    bws.vc[static_cast<std::size_t>(k * lanes + r)],
-                    sws[static_cast<std::size_t>(r)].vc[static_cast<std::size_t>(k)],
-                    "vc", r);
+            for (std::int64_t k = 0; k < 16 * 16; ++k) {
+                expect_bits_eq(bws.vr[static_cast<std::size_t>(k * lanes + r)],
+                               sws.vr[static_cast<std::size_t>(k)], "vr", r);
+                expect_bits_eq(bws.vc[static_cast<std::size_t>(k * lanes + r)],
+                               sws.vc[static_cast<std::size_t>(k)], "vc", r);
+            }
             for (std::int64_t j = 0; j < 16; ++j)
                 expect_bits_eq(
                     bws.currents[static_cast<std::size_t>(j * lanes + r)],
-                    sws[static_cast<std::size_t>(r)].currents[static_cast<std::size_t>(j)],
-                    "currents", r);
+                    sws.currents[static_cast<std::size_t>(j)], "currents", r);
         }
     }
 }
@@ -154,17 +196,14 @@ TEST(BatchedSolver, LanesConvergeIndependently) {
     }
 }
 
-TEST(BatchedDegrade, MatchesScalarDegradeIncludingWarmRetry) {
+TEST(BatchedDegrade, MatchesScalarReferencePerLane) {
     const CrossbarConfig c = config_of(16, 100, 2, 2, 100);
     const CircuitSolver solver(c);
     const int lanes = 3;
     const int steps = 3;
 
-    BatchedDegradeWorkspace bws;
-    std::vector<DegradeWorkspace> sws(static_cast<std::size_t>(lanes));
+    DegradeWorkspace ws;
     std::vector<TileDegradeResult> bout(static_cast<std::size_t>(lanes));
-    std::vector<TileDegradeResult> sout(static_cast<std::size_t>(lanes));
-
     for (int s = 0; s < steps; ++s) {
         std::vector<Tensor> gs;
         for (int r = 0; r < lanes; ++r)
@@ -176,45 +215,35 @@ TEST(BatchedDegrade, MatchesScalarDegradeIncludingWarmRetry) {
             gp.push_back(&gs[static_cast<std::size_t>(r)]);
             op.push_back(&bout[static_cast<std::size_t>(r)]);
         }
-        degrade_tile_batched(gp.data(), lanes, solver, bws, op.data());
+        degrade_tile_batched(gp.data(), lanes, solver, ws, op.data());
         for (int r = 0; r < lanes; ++r) {
-            degrade_tile(gs[static_cast<std::size_t>(r)], solver,
-                         sws[static_cast<std::size_t>(r)],
-                         sout[static_cast<std::size_t>(r)]);
-            const auto& b = bout[static_cast<std::size_t>(r)];
-            const auto& e = sout[static_cast<std::size_t>(r)];
-            ASSERT_EQ(b.sweeps, e.sweeps) << "step " << s << " lane " << r;
-            EXPECT_EQ(b.converged, e.converged);
-            expect_bits_eq(b.nf, e.nf, "nf", r);
-            ASSERT_EQ(b.g_eff.numel(), e.g_eff.numel());
-            for (std::int64_t k = 0; k < b.g_eff.numel(); ++k)
-                EXPECT_EQ(b.g_eff[k], e.g_eff[k])
-                    << "g_eff[" << k << "] lane " << r;
+            SCOPED_TRACE("step " + std::to_string(s));
+            expect_degrade_eq(bout[static_cast<std::size_t>(r)],
+                              reference_degrade(gs[static_cast<std::size_t>(r)],
+                                                solver),
+                              r);
         }
     }
 }
 
-TEST(BatchedDegrade, ColdRetryOnFailedWarmSolveIsDeterministic) {
-    // Force unconverged solves with a tiny sweep budget: a warm-started
-    // failure must retry cold and match the scalar retry bit-for-bit.
+TEST(BatchedDegrade, UnconvergedSolveMatchesScalar) {
+    // A tiny sweep budget forces unconverged solves: the failure must
+    // surface, and the unconverged result must still match the scalar
+    // reference bit for bit.
     const CrossbarConfig c = config_of(16, 100, 2, 2, 100);
     CircuitSolver solver(c);
     solver.set_max_sweeps(2);
 
-    BatchedDegradeWorkspace bws;
-    DegradeWorkspace sws;
-    TileDegradeResult bout, sout;
+    DegradeWorkspace ws;
+    TileDegradeResult bout;
     TileDegradeResult* op[1] = {&bout};
     for (int s = 0; s < 3; ++s) {
         const Tensor g = random_g(16, 42 + static_cast<std::uint64_t>(s), c.device);
         const Tensor* gp[1] = {&g};
-        degrade_tile_batched(gp, 1, solver, bws, op);
-        degrade_tile(g, solver, sws, sout);
+        degrade_tile_batched(gp, 1, solver, ws, op);
         EXPECT_FALSE(bout.converged);
-        ASSERT_EQ(bout.sweeps, sout.sweeps) << "step " << s;
-        expect_bits_eq(bout.nf, sout.nf, "nf", 0);
-        for (std::int64_t k = 0; k < bout.g_eff.numel(); ++k)
-            EXPECT_EQ(bout.g_eff[k], sout.g_eff[k]) << "g_eff[" << k << "]";
+        SCOPED_TRACE("step " + std::to_string(s));
+        expect_degrade_eq(bout, reference_degrade(g, solver), 0);
     }
 }
 

@@ -1,6 +1,6 @@
 // Pins the zero-allocation guarantee of the workspace solve pipeline: after
-// a warm-up call, repeated degrade_tile / solve calls with a reused
-// workspace must perform no heap allocation. The global operator new/delete
+// a warm-up call, repeated one-lane degrade_tile_batched / solve calls with
+// a reused workspace must perform no heap allocation. The global operator new/delete
 // pair below counts every allocation in this test binary.
 #include "xbar/degrade.h"
 #include "xbar/solver.h"
@@ -66,14 +66,18 @@ TEST(WorkspaceAllocation, DegradeTileSteadyStateAllocatesNothing) {
     const Tensor g_a = random_g(32, 2, config.device);
     const Tensor g_b = random_g(32, 3, config.device);
 
+    const Tensor* ga[1] = {&g_a};
+    const Tensor* gb[1] = {&g_b};
+
     DegradeWorkspace ws;
     TileDegradeResult out;
-    degrade_tile(g_a, solver, ws, out);  // warm-up
+    TileDegradeResult* op[1] = {&out};
+    degrade_tile_batched(ga, 1, solver, ws, op);  // warm-up
 
     const long before = g_alloc_count.load();
     for (int rep = 0; rep < 10; ++rep) {
-        degrade_tile(g_a, solver, ws, out);
-        degrade_tile(g_b, solver, ws, out);
+        degrade_tile_batched(ga, 1, solver, ws, op);
+        degrade_tile_batched(gb, 1, solver, ws, op);
     }
     EXPECT_EQ(g_alloc_count.load(), before);
     EXPECT_TRUE(out.converged);
