@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # CI entry point: a Release build+test job with a bench smoke, a bench
-# regression gate, and a compile-only build of the paper-grid benchmark
-# program (perfbench/xsbench), plus a Debug job with Address- and
-# UB-sanitizers over the unit-labeled tests. Both jobs compile with -Wall
+# regression gate, a compile-only build of the paper-grid benchmark
+# program (perfbench/xsbench), and end-to-end sweep smokes (in-process,
+# --workers with an injected crash, and multi-host through sweep_serve),
+# plus a Debug job with Address- and UB-sanitizers over the unit-labeled
+# tests. Both jobs compile with -Wall
 # -Wextra -Werror (XS_WERROR) and use ccache when available (the GitHub
 # workflow caches its directory). Run from anywhere.
 #
@@ -50,10 +52,11 @@ run_release() {
 # trace, a metrics snapshot, the progress heartbeat) must reproduce the
 # plain run's CSV byte for byte — observability must never perturb results
 # — and its metrics/trace JSONs must pass bench/check_metrics.py. A further
-# multi-process run with an injected worker crash (XS_FAULT) must respawn,
-# re-deal, and reproduce the single-process CSV byte for byte — the
-# supervisor's core invariant, checked end to end — while still emitting a
-# merged, validatable metrics snapshot. Lane-batched groups against one-cell
+# --workers=2 run (the service's coordinator dealing to an in-process agent
+# over a socketpair) with an injected worker crash (XS_FAULT) must report
+# at least one worker restart and one cell retry — proof the fault fired —
+# and reproduce the single-process CSV byte for byte, while still emitting
+# a merged, validatable metrics snapshot. Lane-batched groups against one-cell
 # execution of the same 4-repeat grid points are byte-compared by the
 # service smoke below (its agents run one cell at a time).
 run_sweep_smoke() {
@@ -92,7 +95,14 @@ run_sweep_smoke() {
   XS_FAULT="crash@cell:1" "$repo_root/build-release/sweep_runner" \
     "${smoke_flags[@]}" --workers=2 --cell-budget-ms=120000 \
     --csv=sweep_supervised.csv --manifest=sweep_supervised.jsonl \
-    --metrics-out="$smoke_dir/metrics_supervised.json"
+    --metrics-out="$smoke_dir/metrics_supervised.json" |
+    tee "$smoke_dir/supervised.out"
+  # The CSV compare alone also passes if the crash never fired.
+  if ! grep -Eq '^supervision: [1-9][0-9]* worker restart.* [1-9][0-9]* cell retr' \
+      "$smoke_dir/supervised.out"; then
+    echo "sweep smoke: the injected crash did not restart a worker and retry its cell" >&2
+    return 1
+  fi
   if ! cmp "$smoke_dir/sweep.csv" "$smoke_dir/sweep_supervised.csv"; then
     echo "sweep smoke: supervised CSV differs from the single-process run" >&2
     return 1

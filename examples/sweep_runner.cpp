@@ -13,13 +13,15 @@
 // models to prepare) and exits without training or executing anything.
 //
 // --workers=N switches from in-process shards to crash-isolated process
-// supervision (DESIGN.md §9): N forked copies of this binary execute the
-// cells, dead or hung workers are respawned and their cells re-dealt
-// (--cell-budget-ms is the per-cell watchdog deadline), failing cells are
-// retried --cell-retries times with --retry-backoff-ms exponential backoff
-// and then quarantined in the manifest instead of aborting. The aggregate
-// CSV is byte-identical to a single-process run. --worker / --wire-* are
-// the internal child-process entry, never passed by hand.
+// supervision (DESIGN.md §9): the sweep service's coordinator deals the
+// cells over a socketpair (no listening socket) to an in-process agent that
+// drives N forked copies of this binary. Dead or hung workers are respawned
+// and their cells re-dealt (--cell-budget-ms is the per-cell lease, whose
+// expiry is the watchdog), failing cells are retried --cell-retries times
+// with --retry-backoff-ms exponential backoff and then quarantined in the
+// manifest instead of aborting. The aggregate CSV is byte-identical to a
+// single-process run. --worker / --wire-* are the internal child-process
+// entry, never passed by hand.
 //
 // Without --workers, --cell-budget-ms=N warns on cells slower than N ms
 // (and fails the sweep with --cell-budget-abort); every cell's wall time
@@ -139,10 +141,7 @@ int main(int argc, char** argv) {
                     static_cast<long long>(summary.watchdog_kills),
                     static_cast<long long>(summary.cell_retries),
                     summary.cell_retries == 1 ? "y" : "ies");
-    if (workers > 0 && opts.cell_budget_ms > 0.0)
-        std::printf("cells over %.0f ms budget: %lld\n", opts.cell_budget_ms,
-                    static_cast<long long>(summary.cells_over_budget));
-    else if (opts.cell_budget_ms > 0.0)
+    if (opts.cell_budget_ms > 0.0)
         std::printf("cells over %.0f ms budget: %lld\n", opts.cell_budget_ms,
                     static_cast<long long>(summary.cells_over_budget));
     if (summary.cells_failed > 0) {

@@ -1,22 +1,21 @@
-// Lease-based cell scheduling shared by the single-host supervisor
-// (sweep/supervisor.h) and the multi-host service (sweep/service.h) —
-// DESIGN.md §9/§11.
+// Lease-based cell scheduling for the sweep service's coordinator
+// (sweep/service.h) — DESIGN.md §9/§11.
 //
-// Both coordinators solve the same problem: a set of undone cells must each
-// be dealt to exactly one executor at a time, re-dealt with exponential
-// backoff when the attempt fails (executor death, hang, thrown error, lease
-// expiry), and quarantined after the retry budget. The only difference is
-// what an "executor" is (a forked worker process vs a remote agent host),
-// so that stays an opaque owner token here and the two coordinators map it
-// back to their own structures.
+// The coordinator's problem: a set of undone cells must each be dealt to
+// exactly one executor at a time, re-dealt with exponential backoff when
+// the attempt fails (worker death, thrown error, host death, lease
+// expiry), and quarantined after the retry budget. The executor is an
+// opaque owner token here — an agent host's id — mapped back to the
+// coordinator's own host structures.
 //
 // A *lease* is a deal with a deadline: the coordinator derives it from the
 // per-cell wall-time budget, and a cell still in flight past its deadline
-// is taken back and re-dealt. The supervisor enforces expiry with SIGKILL
-// (the worker is local); the service just re-deals and lets the slow host's
-// eventual duplicate ack be deduped against the recorded results — the
-// durable manifest append is the only ack that counts, so determinism is
-// untouched either way.
+// is taken back and re-dealt. The coordinator cannot reach a remote
+// process, so expiry only re-deals; an agent re-dealt its own expired cell
+// SIGKILLs the worker still on it, and an agent's local watchdog kills a
+// worker that outlives the lease. A slow host's eventual duplicate ack is
+// deduped against the recorded results — the durable manifest append is
+// the only ack that counts, so determinism is untouched either way.
 #pragma once
 
 #include <cstddef>

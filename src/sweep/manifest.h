@@ -7,7 +7,7 @@
 // string round-trips exactly and a resumed sweep reproduces the same
 // aggregate CSV byte for byte.
 //
-// Failure taxonomy (DESIGN.md §9): cells the supervisor quarantines after
+// Failure taxonomy (DESIGN.md §9): cells the coordinator quarantines after
 // exhausting retries are recorded as {"cell":…,"status":"failed",
 // "reason":…,"attempts":N} instead of aborting the sweep. Failed cells are
 // skipped on resume like finished ones but never aggregate into the CSV.
@@ -81,7 +81,8 @@ std::map<std::string, CellResult> load_manifest(const std::string& path);
 std::string load_manifest_config(const std::string& path);
 
 // Serialized durable append writer shared by all sweep shards (and used by
-// the supervisor, where the append is the deal acknowledgement). Each
+// the service's coordinator, where the append is the deal
+// acknowledgement). Each
 // record is written, flushed, and fsync'd before record() returns.
 class ManifestWriter {
 public:

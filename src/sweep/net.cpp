@@ -29,7 +29,7 @@ void set_errstr(std::string* err, const std::string& what) {
 
 // CLOEXEC so forked workers never inherit a peer's socket (a worker holding
 // the coordinator's fd open would mask the coordinator's EOF-on-death, the
-// same trap the supervisor pipes guard against).
+// same trap the worker pool's pipes guard against).
 bool prep_fd(int fd) {
     if (::fcntl(fd, F_SETFD, FD_CLOEXEC) != 0) return false;
     const int flags = ::fcntl(fd, F_GETFL, 0);
@@ -221,21 +221,30 @@ bool decode_join_ok(const std::string& payload, double& heartbeat_ms,
     return true;
 }
 
-std::string encode_fail(std::int64_t cell_index, const std::string& reason) {
-    return std::to_string(cell_index) + " " + reason;
+std::string encode_fail(std::int64_t cell_index, std::int64_t attempt,
+                        const std::string& reason) {
+    return std::to_string(cell_index) + " " + std::to_string(attempt) + " " +
+           reason;
 }
 
 bool decode_fail(const std::string& payload, std::int64_t& cell_index,
-                 std::string& reason) {
-    const auto space = payload.find(' ');
-    if (space == std::string::npos || space + 1 > payload.size())
-        return false;
-    char* end = nullptr;
-    const std::string idx = payload.substr(0, space);
-    const long long v = std::strtoll(idx.c_str(), &end, 10);
-    if (end != idx.c_str() + idx.size() || v < 0) return false;
-    cell_index = v;
-    reason = payload.substr(space + 1);
+                 std::int64_t& attempt, std::string& reason) {
+    // Two nonnegative decimal fields, each closed by one space.
+    std::int64_t fields[2] = {0, 0};
+    std::size_t pos = 0;
+    for (std::int64_t& field : fields) {
+        const auto space = payload.find(' ', pos);
+        if (space == std::string::npos || space == pos) return false;
+        const std::string num = payload.substr(pos, space - pos);
+        char* end = nullptr;
+        const long long v = std::strtoll(num.c_str(), &end, 10);
+        if (end != num.c_str() + num.size() || v < 0) return false;
+        field = v;
+        pos = space + 1;
+    }
+    cell_index = fields[0];
+    attempt = fields[1];
+    reason = payload.substr(pos);
     return true;
 }
 

@@ -15,8 +15,10 @@
 //     drivable from in-repo tests over loopback;
 //   - codecs for the kJoin handshake ("<fingerprint> <capacity>" from the
 //     agent, "<heartbeat_ms> <lease_ms>" back on accept) and the socket
-//     kFail payload ("<cell index> <reason>" — on sockets many cells are in
-//     flight per peer, so failures must name their cell).
+//     kFail payload ("<cell index> <attempt> <reason>" — on sockets many
+//     cells are in flight per peer, so failures must name their cell, and
+//     an expired attempt re-dealt to the same host must not be mistaken
+//     for its re-deal).
 //
 // SIGPIPE-proofing: sends use MSG_NOSIGNAL semantics via the process-wide
 // SIGPIPE ignore the callers already install (a dead peer surfaces as EPIPE
@@ -83,9 +85,11 @@ std::string encode_join_ok(double heartbeat_ms, double lease_ms);
 bool decode_join_ok(const std::string& payload, double& heartbeat_ms,
                     double& lease_ms);
 
-// Agent → service cell failure: "<cell index> <reason>".
-std::string encode_fail(std::int64_t cell_index, const std::string& reason);
+// Agent → service cell failure: "<cell index> <attempt> <reason>", the
+// attempt being the one the failed worker was dealt.
+std::string encode_fail(std::int64_t cell_index, std::int64_t attempt,
+                        const std::string& reason);
 bool decode_fail(const std::string& payload, std::int64_t& cell_index,
-                 std::string& reason);
+                 std::int64_t& attempt, std::string& reason);
 
 }  // namespace xs::sweep::net

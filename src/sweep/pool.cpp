@@ -119,13 +119,6 @@ std::size_t WorkerPool::alive_count() const {
     return n;
 }
 
-std::size_t WorkerPool::busy_count() const {
-    std::size_t n = 0;
-    for (const PoolWorker& w : workers_)
-        if (w.alive && w.dealt >= 0) ++n;
-    return n;
-}
-
 void WorkerPool::kill(std::size_t i) {
     if (workers_[i].alive) ::kill(workers_[i].pid, SIGKILL);
 }

@@ -1,6 +1,7 @@
-// Forked sweep-worker pool shared by the single-host supervisor
-// (sweep/supervisor.h) and the multi-host agent (sweep/service.h run_agent)
-// — DESIGN.md §9/§11.
+// Forked sweep-worker pool, driven by the agent's event loop
+// (sweep/service.cpp) — the only code that drives worker processes, for
+// both the remote agent (run_agent) and the in-process agent behind
+// run_supervised. DESIGN.md §9/§11.
 //
 // Each slot holds one `<binary> --worker --wire-in=<fd> --wire-out=<fd>`
 // child process wired to fresh deal/ack pipes: fork+exec (fork alone is
@@ -28,9 +29,10 @@ struct PoolWorker {
     int ack_fd = -1;   // worker → parent (nonblocking, poll-driven)
     wire::MessageReader reader;
     bool alive = false;
-    bool ready = false;       // said hello / finished its last cell
-    std::int64_t dealt = -1;  // opaque work token in flight here, -1 = idle
-    double deadline = 0.0;    // caller-armed watchdog; 0 = none
+    bool ready = false;         // said hello / finished its last cell
+    std::int64_t dealt = -1;    // cell index in flight here, -1 = idle
+    std::int64_t attempt = -1;  // the attempt of `dealt` this worker runs
+    double deadline = 0.0;      // caller-armed watchdog; 0 = none
 };
 
 class WorkerPool {
@@ -50,7 +52,6 @@ public:
     PoolWorker& operator[](std::size_t i) { return workers_[i]; }
     const PoolWorker& operator[](std::size_t i) const { return workers_[i]; }
     std::size_t alive_count() const;
-    std::size_t busy_count() const;
 
     // Reap worker i (blocking waitpid), close its pipes, and respawn into
     // the slot while the restart budget lasts. Returns a description of how
@@ -60,7 +61,6 @@ public:
     void kill(std::size_t i);
 
     std::int64_t restarts() const { return restarts_; }
-    std::int64_t restarts_left() const { return restarts_left_; }
 
     // Orderly shutdown: send kShutdown to every live worker, collect each
     // one's parting kMetrics frame into `merged` (when telemetry is

@@ -107,7 +107,7 @@ std::vector<CellResult> cell_results(const SweepCell& head,
 // cells measure NF (paper Fig. 3(d)) with no inference pass and no device
 // variation. Safe to call concurrently from shard chunks: the context's
 // caches are locked, the shared model is only read, and all scratch is
-// call-local. Also the body of the supervisor's and service's workers.
+// call-local. Also the body of every forked worker (sweep/supervisor.h).
 CellResult run_sweep_cell(core::ExperimentContext& ctx, const SweepSpec& spec,
                           const SweepCell& cell) {
     if (!spec.nf_only) return run_sweep_group(ctx, spec, {&cell}).front();
@@ -169,6 +169,16 @@ std::uint64_t cell_seed(std::uint64_t master_seed, const SweepCell& cell) {
     for (const char ch : cell.seed_key())
         h = (h ^ static_cast<unsigned char>(ch)) * 1099511628211ULL;
     return h + static_cast<std::uint64_t>(cell.repeat) * 0x9E3779B97F4A7C15ULL;
+}
+
+void prepare_models(core::ExperimentContext& ctx,
+                    const std::vector<SweepCell>& cells,
+                    const std::vector<std::size_t>& which) {
+    std::vector<const SweepCell*> picked;
+    picked.reserve(which.size());
+    for (const std::size_t i : which) picked.push_back(&cells[i]);
+    for (const core::ModelSpec& ms : distinct_model_specs(ctx, picked))
+        ctx.prepared(ms);
 }
 
 std::string sweep_config_fingerprint(const core::ExperimentContext& ctx,
@@ -346,13 +356,7 @@ SweepSummary SweepRunner::run() {
     // Prepare every distinct model before sharding: training parallelizes
     // across the whole pool here, no shard ever stalls on another shard's
     // training, and a grid never retrains a shared model twice.
-    {
-        std::vector<const SweepCell*> pending_cells;
-        pending_cells.reserve(pending.size());
-        for (const std::size_t i : pending) pending_cells.push_back(&cells[i]);
-        for (const core::ModelSpec& ms : distinct_model_specs(ctx_, pending_cells))
-            ctx_.prepared(ms);
-    }
+    prepare_models(ctx_, cells, pending);
 
     // Shard phase: `shards` concurrent executors each take the next
     // undealt work unit from a shared cursor until none are left, so no

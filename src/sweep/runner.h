@@ -12,11 +12,13 @@
 // cold, so the aggregate CSV is byte-identical at any shard count, however
 // cells are grouped, with or without interruption.
 //
-// For crash isolation, the supervisor (sweep/supervisor.h) executes the
-// same grid in forked worker *processes*; it shares this header's cell
-// execution, fingerprinting, resume loading, and aggregation, so the two
-// execution engines cannot drift apart — a supervised sweep's aggregate CSV
-// is byte-identical to a single-process run of the same spec.
+// For crash isolation, the sweep service's coordinator (sweep/service.h)
+// executes the same grid in forked worker *processes* — local ones under
+// run_supervised (sweep/supervisor.h), remote agents' under run_service; it
+// shares this header's cell execution, fingerprinting, resume loading, and
+// aggregation, so the two execution engines cannot drift apart — a
+// supervised sweep's aggregate CSV is byte-identical to a single-process
+// run of the same spec.
 #pragma once
 
 #include "core/experiments.h"
@@ -48,9 +50,11 @@ struct SweepOptions {
     // Per-cell wall-time budget in milliseconds; 0 disables budgeting.
     // In-process (SweepRunner): every cell's elapsed ms is recorded in the
     // manifest (wall_ms) either way; cells over budget log a warning and
-    // count into SweepSummary::cells_over_budget. Under the supervisor the
-    // budget is a hard watchdog deadline: a worker still holding the cell
-    // past it is SIGKILLed and the cell re-dealt (DESIGN.md §9).
+    // count into SweepSummary::cells_over_budget. Under the coordinator
+    // (run_supervised, run_service) the budget is the lease: a cell still
+    // unacknowledged past it is re-dealt and counted as a watchdog kill and
+    // a budget overrun, and the worker still on it is SIGKILLed by its
+    // agent (DESIGN.md §9/§11).
     double cell_budget_ms = 0.0;
     // Escalate budget overruns to a hard failure: the sweep still finishes
     // its dispatched cells (and records them in the manifest, so --resume
@@ -58,7 +62,7 @@ struct SweepOptions {
     bool cell_budget_abort = false;
     // Emit a progress heartbeat on stderr every this many seconds while
     // cells execute (cells done/failed/retried, rate, ETA, and — under the
-    // supervisor — per-worker liveness). 0 disables the heartbeat.
+    // coordinator — per-host busy/done counts). 0 disables the heartbeat.
     double progress_sec = 0.0;
 };
 
@@ -85,19 +89,22 @@ struct SweepSummary {
     std::int64_t cells_resumed = 0;   // taken from the manifest (ok + failed)
     std::int64_t cells_pending = 0;   // skipped by max_cells
     std::int64_t cells_over_budget = 0;  // executed cells over cell_budget_ms
-    // Robustness accounting (populated by the supervisor; the in-process
-    // runner only carries failed cells forward from a resumed manifest).
+    // Robustness accounting (populated by the coordinator behind
+    // run_supervised and run_service; the in-process runner only carries
+    // failed cells forward from a resumed manifest).
     std::int64_t cells_failed = 0;          // quarantined, in the grid
     std::vector<std::string> failed_cells;  // their ids, expansion order
-    std::int64_t worker_restarts = 0;
-    std::int64_t watchdog_kills = 0;
-    std::int64_t cell_retries = 0;  // supervisor re-deals after crash/hang/fail
+    std::int64_t worker_restarts = 0;  // run_supervised's worker respawns
+    std::int64_t watchdog_kills = 0;   // lease expiries
+    std::int64_t cell_retries = 0;  // re-deals after crash/hang/fail/expiry
     std::int64_t manifest_lines_skipped = 0;  // corrupt lines ignored on resume
-    // Multi-host service accounting (sweep/service.h; zero elsewhere).
+    // Host accounting of the coordinator (sweep/service.h): run_supervised's
+    // one in-process host joins once; zero for the in-process runner.
     std::int64_t hosts_joined = 0;    // successful kJoin handshakes, cumulative
     std::int64_t duplicate_acks = 0;  // acks deduped against recorded results
     // Merged telemetry snapshot (util/metrics.h JSON schema): this process
-    // plus — under the supervisor — every worker's kMetrics frame. Also
+    // plus — under the coordinator — every host's kMetrics frame, which
+    // carries its workers' snapshots. Also
     // appended to the manifest as an uncounted {"metrics": ...} record.
     // Empty when telemetry is compiled out.
     std::string metrics_json;
@@ -112,7 +119,7 @@ struct SweepSummary {
 // isolate model error.
 std::uint64_t cell_seed(std::uint64_t master_seed, const SweepCell& cell);
 
-// ---- building blocks shared by SweepRunner and the supervisor ----
+// ---- building blocks shared by SweepRunner and the coordinator ----
 // Both execution engines compose exactly these, so their aggregate CSVs
 // cannot diverge.
 
@@ -121,8 +128,8 @@ std::uint64_t cell_seed(std::uint64_t master_seed, const SweepCell& cell);
 // An inference cell is run_sweep_group of that one cell: a one-lane
 // evaluation, whose circuit solves run the one-lane instance of the batched
 // kernel (bit-identical to the scalar solve and 2-3x faster). An nf-only
-// cell runs core::measure_nf. The supervisor's and service's workers
-// execute cells through this one at a time.
+// cell runs core::measure_nf. Forked workers execute cells through this one
+// at a time.
 CellResult run_sweep_cell(core::ExperimentContext& ctx, const SweepSpec& spec,
                           const SweepCell& cell);
 
@@ -136,6 +143,14 @@ CellResult run_sweep_cell(core::ExperimentContext& ctx, const SweepSpec& spec,
 std::vector<CellResult> run_sweep_group(core::ExperimentContext& ctx,
                                         const SweepSpec& spec,
                                         const std::vector<const SweepCell*>& cells);
+
+// Train (or load) each distinct model the cells at indices `which` resolve
+// to, once, in first-use order. Every engine calls this before executing:
+// the runner before sharding, the coordinator and the remote agent before
+// any worker forks (workers then load from the on-disk model cache).
+void prepare_models(core::ExperimentContext& ctx,
+                    const std::vector<SweepCell>& cells,
+                    const std::vector<std::size_t>& which);
 
 // The configuration fingerprint recorded in (and checked against) the
 // manifest: experiment context + the "/cold" solve mode + measurement mode +

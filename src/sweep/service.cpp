@@ -3,6 +3,7 @@
 #include "sweep/lease.h"
 #include "sweep/net.h"
 #include "sweep/pool.h"
+#include "sweep/supervisor.h"
 #include "sweep/wire.h"
 #include "tensor/tensor.h"
 #include "util/csv.h"
@@ -17,13 +18,15 @@
 #include <csignal>
 #include <cstdint>
 #include <deque>
+#include <future>
 #include <map>
 #include <memory>
-#include <set>
+#include <numeric>
 #include <string>
 #include <utility>
 
 #include <poll.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 namespace xs::sweep {
@@ -38,9 +41,18 @@ double now_ms() {
 
 std::atomic<bool> g_drain{false};
 
+// An fd closed on every exit path, exceptions included.
+struct OwnedFd {
+    int fd = -1;
+    ~OwnedFd() {
+        if (fd >= 0) ::close(fd);
+    }
+};
+
 // One connected agent host, joined or not. The host id is the lease owner
 // token; a reconnecting agent gets a fresh id, so acks and fails from its
 // previous incarnation can never be mistaken for the current lease holder.
+// A Host closes its own fd.
 struct Host {
     std::int64_t id = -1;
     int fd = -1;
@@ -48,43 +60,332 @@ struct Host {
     bool joined = false;
     std::int64_t capacity = 0;
     // Scheduler positions dealt here and not yet acked/failed back by this
-    // host. A lease that expires and is re-dealt elsewhere stays in this
-    // list — the slow host's worker is still genuinely busy on it.
+    // host, one entry per deal. A lease that expires and is re-dealt stays
+    // in this list — the slow host's worker is still genuinely busy on it —
+    // so a cell re-dealt to the same host appears twice.
     std::vector<std::size_t> leased;
     double last_heard = 0.0;
     std::int64_t cells_done = 0;
 
+    ~Host() { close(); }
+    void close() {
+        if (fd >= 0) ::close(fd);
+        fd = -1;
+    }
+    // Each ack or fail frees exactly one of this host's slots for p.
+    void release(std::size_t p) {
+        const auto it = std::find(leased.begin(), leased.end(), p);
+        if (it != leased.end()) leased.erase(it);
+    }
     std::string name() const { return "host" + std::to_string(id); }
 };
 
-// The join handshake must prove the agent expands the *exact same grid*,
-// not just the same experiment config: sweep_config_fingerprint covers the
-// inputs that change a cell's result (it gates manifest resume, where a
-// grown grid is legal), but an agent running --sizes=32 against a
-// --sizes=16 service shares that fingerprint while producing cells this
-// sweep never dealt — which must never blend into the manifest. So the
-// wire fingerprint appends an order-sensitive FNV-1a hash over every
-// expanded cell id plus the cell count.
-std::string join_fingerprint(const std::string& config_fp,
-                             const std::vector<SweepCell>& cells) {
-    std::uint64_t h = 1469598103934665603ull;
-    for (const SweepCell& c : cells) {
-        for (const char ch : c.id())
-            h = (h ^ static_cast<unsigned char>(ch)) * 1099511628211ull;
-        h = (h ^ 0xffu) * 1099511628211ull;  // id separator
+// ---- the agent side ----
+
+// What an agent keeps across links to its coordinator: the grid, its
+// forked workers, and the frames it still owes the service.
+struct AgentState {
+    AgentState(const std::vector<SweepCell>& grid, const AgentOptions& opts,
+               std::size_t workers, bool with_own_metrics)
+        : cells(grid),
+          pool(opts.worker_cmd, opts.max_worker_restarts),
+          own_metrics(with_own_metrics) {
+        tensor::check(pool.spawn(workers),
+                      "agent: failed to spawn worker process");
     }
-    std::string hex(16, '0');
-    for (int i = 15; i >= 0; --i, h >>= 4) hex[i] = "0123456789abcdef"[h & 15];
-    return config_fp + "/grid-" + std::to_string(cells.size()) + "-" + hex;
+
+    const std::vector<SweepCell>& cells;
+    WorkerPool pool;
+    // Frames no link could carry yet, replayed first on the next link —
+    // acks survive disconnects, and replaying them is safe because the
+    // service dedups against recorded results.
+    std::deque<std::pair<wire::MsgType, std::string>> outbox;
+    // Whether the parting kMetrics frame holds this process's snapshot
+    // besides the workers'. The in-process agent leaves it out: the
+    // coordinator's snapshot already counts this thread.
+    bool own_metrics;
+};
+
+enum class Joined { kOk, kLost, kRejected };
+
+// The kJoin handshake on a fresh link: offer `capacity`, then wait (10 s at
+// most) for the reply that dictates the heartbeat cadence and the lease. A
+// kFail reply is a rejection — a fingerprint mismatch no retry can fix.
+Joined agent_join(int fd, wire::MessageReader& sock, const std::string& join_fp,
+                  std::int64_t capacity, double& heartbeat_ms,
+                  double& lease_ms) {
+    if (!net::send_frame(fd, wire::MsgType::kJoin,
+                         net::encode_join(join_fp, capacity)))
+        return Joined::kLost;
+    const double deadline = now_ms() + 10000.0;
+    for (;;) {
+        wire::Message msg;
+        if (sock.pop(msg)) {
+            if (msg.type == wire::MsgType::kJoin &&
+                net::decode_join_ok(msg.payload, heartbeat_ms, lease_ms))
+                return Joined::kOk;
+            util::log_error(
+                "agent: " + (msg.type == wire::MsgType::kFail
+                                 ? msg.payload
+                                 : "unexpected join reply type " +
+                                       std::to_string(
+                                           static_cast<int>(msg.type))));
+            return Joined::kRejected;
+        }
+        const double left = deadline - now_ms();
+        if (sock.finished() || left <= 0.0) return Joined::kLost;
+        pollfd pfd{fd, POLLIN, 0};
+        ::poll(&pfd, 1, static_cast<int>(std::ceil(left)));
+        sock.fill();
+    }
 }
 
-}  // namespace
+enum class LinkEnd { kShutdown, kLost, kPoolDead };
 
-void request_drain() { g_drain.store(true, std::memory_order_relaxed); }
-bool drain_requested() { return g_drain.load(std::memory_order_relaxed); }
+// The agent's event loop over one joined link: hand queued deals to idle
+// workers, forward their acks and fails (a fail names the attempt its
+// worker was dealt), beat, and run the local watchdog — until the service
+// sends kShutdown, the link is lost, or no worker is left. The caller owns
+// and closes `fd`.
+LinkEnd agent_loop(AgentState& st, int fd, wire::MessageReader& sock,
+                   double heartbeat_ms, double lease_ms) {
+    WorkerPool& pool = st.pool;
+    std::deque<std::pair<std::int64_t, std::int64_t>> deals;  // cell, attempt
+    bool linked = true;
+    const auto lose_link = [&](const std::string& why) {
+        if (linked) util::log_warn("agent: connection lost (" + why + ")");
+        linked = false;
+    };
+    const auto send = [&](wire::MsgType type, const std::string& payload) {
+        if (linked && net::send_frame(fd, type, payload)) return;
+        st.outbox.emplace_back(type, payload);
+        lose_link("send failed");
+    };
+    // Reap worker wi (respawning it while the budget lasts) and fail the
+    // cell it held, if any, back to the service.
+    const auto worker_lost = [&](std::size_t wi, const std::string& why) {
+        const std::int64_t cell = pool[wi].dealt, attempt = pool[wi].attempt;
+        bool respawned = false;
+        const std::string how = pool.reap_and_respawn(wi, respawned);
+        const std::string reason = why.empty() ? "worker " + how : why;
+        util::log_warn("agent: " + reason +
+                       (respawned ? "; respawned" : "; retired"));
+        if (cell >= 0)
+            send(wire::MsgType::kFail, net::encode_fail(cell, attempt, reason));
+    };
 
-SweepSummary run_service(core::ExperimentContext& ctx, const SweepSpec& spec,
-                         const SweepOptions& opts, const ServiceOptions& svc) {
+    while (linked && !st.outbox.empty()) {
+        if (net::send_frame(fd, st.outbox.front().first,
+                            st.outbox.front().second))
+            st.outbox.pop_front();
+        else
+            lose_link("outbox replay failed");
+    }
+    double last_heard = now_ms();
+    double next_hb = last_heard + heartbeat_ms;
+    while (linked) {
+        // An agent with no live workers can't execute anything: end the
+        // link so the service's host-death path re-deals our leases.
+        if (pool.alive_count() == 0) {
+            util::log_error(
+                "agent: all workers dead (restart budget exhausted)");
+            return LinkEnd::kPoolDead;
+        }
+
+        for (std::size_t wi = 0; wi < pool.size() && !deals.empty(); ++wi) {
+            PoolWorker& w = pool[wi];
+            if (!w.alive || !w.ready || w.dealt >= 0) continue;
+            const auto [ci, attempt] = deals.front();
+            if (!wire::write_message(w.deal_fd, wire::MsgType::kDeal,
+                                     wire::encode_deal(ci, attempt))) {
+                pool.kill(wi);
+                worker_lost(wi, "worker rejected a deal");
+                continue;
+            }
+            deals.pop_front();
+            w.dealt = ci;
+            w.attempt = attempt;
+            w.ready = false;
+            // Local watchdog, one heartbeat behind the service's lease: a
+            // hung worker is killed here and failed back instead of pinning
+            // a capacity slot, after the service's own expiry — which counts
+            // the watchdog kill and re-deals the cell — has landed.
+            w.deadline =
+                lease_ms > 0.0 ? now_ms() + lease_ms + heartbeat_ms : 0.0;
+        }
+
+        const double now = now_ms();
+        double timeout = std::min(next_hb - now, 250.0);
+        for (std::size_t wi = 0; wi < pool.size(); ++wi) {
+            const PoolWorker& w = pool[wi];
+            if (w.alive && w.dealt >= 0 && w.deadline > 0.0)
+                timeout = std::min(timeout, w.deadline - now);
+        }
+        timeout = std::max(timeout, 0.0);
+
+        std::vector<pollfd> fds;
+        std::vector<std::size_t> owner;  // worker index of fds[1..]
+        fds.push_back({fd, POLLIN, 0});
+        for (std::size_t wi = 0; wi < pool.size(); ++wi)
+            if (pool[wi].alive) {
+                fds.push_back({pool[wi].ack_fd, POLLIN, 0});
+                owner.push_back(wi);
+            }
+        ::poll(fds.data(), static_cast<nfds_t>(fds.size()),
+               static_cast<int>(std::ceil(timeout)));
+
+        // Socket first: deals and shutdowns beat local bookkeeping.
+        if (fds[0].revents != 0) {
+            last_heard = now_ms();
+            sock.fill();
+            wire::Message msg;
+            while (linked && sock.pop(msg)) {
+                switch (msg.type) {
+                    case wire::MsgType::kDeal: {
+                        std::int64_t ci = -1, attempt = 0;
+                        if (!wire::decode_deal(msg.payload, ci, attempt) ||
+                            ci < 0 ||
+                            ci >= static_cast<std::int64_t>(st.cells.size())) {
+                            util::log_error("agent: malformed deal '" +
+                                            msg.payload + "'");
+                            break;
+                        }
+                        // Fault seam: kill/hang the whole host here, mid
+                        // deal, on the configured attempt — the service's
+                        // host-death recovery is exercised by a real dead
+                        // process, not a mock.
+                        util::fault::execute(
+                            util::fault::at("agent-deal", ci, attempt),
+                            "agent-deal", ci);
+                        // A re-deal of a cell one of our workers still runs:
+                        // the service took that attempt back when its lease
+                        // expired, so stop the worker now. A lone host is
+                        // always re-dealt its own expired cells.
+                        for (std::size_t wi = 0; wi < pool.size(); ++wi)
+                            if (pool[wi].alive && pool[wi].dealt == ci) {
+                                pool.kill(wi);
+                                worker_lost(wi,
+                                            "worker stopped: its lease "
+                                            "expired and the cell was "
+                                            "re-dealt");
+                            }
+                        deals.emplace_back(ci, attempt);
+                        break;
+                    }
+                    case wire::MsgType::kHeartbeat:
+                        break;  // last_heard already refreshed
+                    case wire::MsgType::kShutdown: {
+#if XS_TELEMETRY_ENABLED
+                        util::metrics::Snapshot merged;
+                        if (st.own_metrics) merged = util::metrics::snapshot();
+                        pool.shutdown(5000.0, &merged);
+                        net::send_frame(fd, wire::MsgType::kMetrics,
+                                        util::metrics::to_json(merged));
+#else
+                        pool.shutdown(5000.0, nullptr);
+#endif
+                        return LinkEnd::kShutdown;
+                    }
+                    default:
+                        util::log_warn(
+                            "agent: unexpected message type " +
+                            std::to_string(static_cast<int>(msg.type)));
+                }
+            }
+            if (sock.finished()) lose_link("service closed");
+        }
+
+        // Silence check directly after the socket read, so a local stall (a
+        // long cell, scheduler starvation, a fault-injected delay) can
+        // never declare a healthy service dead while its frames sit unread
+        // in our buffer — whatever arrived during the stall just refreshed
+        // last_heard above.
+        if (now_ms() - last_heard > heartbeat_ms * 3.0)
+            lose_link("service silent for 3 heartbeats");
+
+        for (std::size_t fi = 1; fi < fds.size(); ++fi) {
+            if (fds[fi].revents == 0) continue;
+            const std::size_t wi = owner[fi - 1];
+            PoolWorker& w = pool[wi];
+            if (!w.alive) continue;
+            w.reader.fill();
+            wire::Message msg;
+            while (w.reader.pop(msg)) {
+                switch (msg.type) {
+                    case wire::MsgType::kHello:
+                        break;
+                    case wire::MsgType::kAck:
+                        send(wire::MsgType::kAck, msg.payload);
+                        break;
+                    case wire::MsgType::kFail:
+                        if (w.dealt >= 0)
+                            send(wire::MsgType::kFail,
+                                 net::encode_fail(w.dealt, w.attempt,
+                                                  msg.payload));
+                        break;  // the worker itself is fine
+                    default:
+                        util::log_warn(
+                            "agent: unexpected worker message type " +
+                            std::to_string(static_cast<int>(msg.type)));
+                        continue;
+                }
+                w.dealt = -1;
+                w.deadline = 0.0;
+                w.ready = true;
+            }
+            if (w.reader.finished()) worker_lost(wi, "");
+        }
+
+        const double t = now_ms();
+        for (std::size_t wi = 0; wi < pool.size(); ++wi) {
+            const PoolWorker& w = pool[wi];
+            if (!w.alive || w.dealt < 0 || w.deadline <= 0.0 ||
+                t < w.deadline)
+                continue;
+            pool.kill(wi);
+            worker_lost(wi, "worker watchdog-killed after " +
+                                util::fmt(lease_ms + heartbeat_ms, 0) +
+                                " ms");
+        }
+
+        if (linked && t >= next_hb) {
+            next_hb = t + heartbeat_ms;
+            if (!net::send_frame(fd, wire::MsgType::kHeartbeat, ""))
+                lose_link("heartbeat send failed");
+        }
+    }
+    return LinkEnd::kLost;
+}
+
+// run_supervised's agent, on its own thread: join over one end of a
+// socketpair and drive `workers` forked workers until the coordinator shuts
+// the link down. It never reconnects (EOF ends it), prepares no models (the
+// coordinator did), and logs no address. Returns the pool's restarts.
+std::int64_t run_local_agent(const std::vector<SweepCell>& cells,
+                             const std::string& join_fp,
+                             const AgentOptions& opts, std::size_t workers,
+                             int fd) {
+    const OwnedFd link{fd};
+    AgentState st(cells, opts, workers, false);
+    wire::MessageReader sock(fd);
+    double heartbeat_ms = 0.0, lease_ms = 0.0;
+    if (agent_join(fd, sock, join_fp, static_cast<std::int64_t>(workers),
+                   heartbeat_ms, lease_ms) == Joined::kOk)
+        agent_loop(st, fd, sock, heartbeat_ms, lease_ms);
+    return st.pool.restarts();
+}
+
+// ---- the coordinator ----
+
+// The one coordinator behind both front ends. With `local` null it listens
+// and any number of agent hosts join over TCP (run_service). Otherwise there
+// is no listener: the only host is an in-process agent on a thread, linked
+// by a socketpair, driving local->workers forked workers (run_supervised) —
+// and once that host is gone the sweep aborts, since no other can join.
+SweepSummary coordinate(core::ExperimentContext& ctx, const SweepSpec& spec,
+                        const SweepOptions& opts, const ServiceOptions& svc,
+                        const AgentOptions* local) {
+    OwnedFd listener{svc.listen_fd};
     const std::vector<SweepCell> cells = spec.expand();
     SweepSummary summary;
     summary.cells_total = static_cast<std::int64_t>(cells.size());
@@ -104,6 +405,8 @@ SweepSummary run_service(core::ExperimentContext& ctx, const SweepSpec& spec,
                                      summary.manifest_path + "' for writing");
     if (!had_config) manifest.record_config(config_fp);
 
+    // Undone cells in expansion order (resume skips recorded ones, failed
+    // included), truncated by max_cells like the in-process runner.
     std::vector<std::size_t> undone;
     for (std::size_t i = 0; i < cells.size(); ++i)
         if (results.find(cells[i].id()) == results.end()) undone.push_back(i);
@@ -125,34 +428,71 @@ SweepSummary run_service(core::ExperimentContext& ctx, const SweepSpec& spec,
     }
 
     util::metrics::Snapshot host_metrics;  // kMetrics frames, all hosts
-
-    if (sched.size() == 0) {
-        tensor::check(manifest.ok(), "service: manifest writes to '" +
-                                         summary.manifest_path + "' failed");
+    // Aggregate what the manifest holds and append the merged telemetry.
+    const auto finish = [&]() {
+        tensor::check(manifest.ok(),
+                      "service: manifest writes to '" + summary.manifest_path +
+                          "' failed; resume state is incomplete");
         aggregate_and_write_csv(cells, spec, results, summary);
 #if XS_TELEMETRY_ENABLED
         util::metrics::Snapshot final_snap = util::metrics::snapshot();
+        util::metrics::merge(final_snap, host_metrics);
         merge_prior_metrics(prior_metrics, final_snap);
         summary.metrics_json = util::metrics::to_json(final_snap);
         manifest.record_metrics(summary.metrics_json);
 #endif
         return summary;
-    }
+    };
+    if (sched.size() == 0) return finish();
 
     // A host dying mid-send surfaces as EPIPE on our write, not a signal.
     ::signal(SIGPIPE, SIG_IGN);
 
-    std::string net_err;
-    const int listen_fd = svc.listen_fd >= 0
-                              ? svc.listen_fd
-                              : net::listen_on(svc.port, &net_err);
-    tensor::check(listen_fd >= 0, "service: cannot listen: " + net_err);
-    util::log_info("service: listening on port " +
-                   std::to_string(net::bound_port(listen_fd)) + " with " +
-                   std::to_string(sched.size()) + " cell(s) to deal");
-
+    // The in-process agent's thread; std::async's future joins it on
+    // destruction. Declared before `hosts`, so on every exit path the hosts
+    // close their fds first and the agent, seeing EOF, has already exited
+    // when the join runs.
+    std::future<std::int64_t> local_agent;
     std::vector<std::unique_ptr<Host>> hosts;
     std::int64_t next_host_id = 0;
+    const auto add_host = [&](int fd) {
+        auto h = std::make_unique<Host>();
+        h->id = next_host_id++;
+        h->fd = fd;
+        h->reader.reset(fd);
+        h->last_heard = now_ms();
+        util::log_info("service: " + h->name() + " connected");
+        hosts.push_back(std::move(h));
+    };
+    if (local == nullptr) {
+        std::string net_err;
+        if (listener.fd < 0) listener.fd = net::listen_on(svc.port, &net_err);
+        tensor::check(listener.fd >= 0, "service: cannot listen: " + net_err);
+        util::log_info("service: listening on port " +
+                       std::to_string(net::bound_port(listener.fd)) +
+                       " with " + std::to_string(sched.size()) +
+                       " cell(s) to deal");
+    } else {
+        // Train (or load) every model the pending cells need before the
+        // agent forks its workers, which then load them from the model
+        // cache — and before the link's heartbeat clock starts.
+        prepare_models(ctx, cells, undone);
+        int sv[2];
+        tensor::check(::socketpair(AF_UNIX,
+                                   SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC,
+                                   0, sv) == 0,
+                      "supervisor: socketpair failed");
+        add_host(sv[0]);
+        OwnedFd agent_end{sv[1]};  // until the agent thread owns it
+        const std::size_t workers = static_cast<std::size_t>(
+            std::min<std::int64_t>(local->workers,
+                                   static_cast<std::int64_t>(sched.size())));
+        local_agent = std::async(std::launch::async, [&, workers, fd = sv[1]] {
+            return run_local_agent(cells, join_fp, *local, workers, fd);
+        });
+        agent_end.fd = -1;
+    }
+
     std::int64_t quarantined = 0;
     const double lease_ms = opts.cell_budget_ms;
 
@@ -197,8 +537,7 @@ SweepSummary run_service(core::ExperimentContext& ctx, const SweepSpec& spec,
             if (sched.at(p).in_flight && sched.at(p).owner == h.id)
                 attempt_failed(p, h.name() + " " + why);
         h.leased.clear();
-        ::close(h.fd);
-        h.fd = -1;
+        h.close();
     };
 
     const auto purge_dead = [&]() {
@@ -217,6 +556,17 @@ SweepSummary run_service(core::ExperimentContext& ctx, const SweepSpec& spec,
     while (!sched.all_done()) {
         const bool draining = svc.drain || drain_requested();
         if (draining && sched.in_flight_count() == 0) break;
+        if (hosts.empty() && listener.fd < 0) {
+            // No listener, so nobody can replace the in-process host. What
+            // it threw, if anything, says more than this.
+            local_agent.get();
+            tensor::check(false,
+                          "supervisor: all workers dead with " +
+                              std::to_string(sched.size() -
+                                             sched.done_count()) +
+                              " cell(s) undone; fix the fault and rerun "
+                              "with --resume");
+        }
         const double now = now_ms();
 
         // Deal: fill each joined host to its capacity, lowest-index
@@ -250,9 +600,9 @@ SweepSummary run_service(core::ExperimentContext& ctx, const SweepSpec& spec,
             purge_dead();
         }
 
-        // Poll: the listener plus every host connection. Timeout is the
-        // nearest lease/backoff event, our next beacon, or the progress
-        // beat — capped so heartbeat-miss checks keep running.
+        // Poll: the listener (if any) plus every host connection. Timeout
+        // is the nearest lease/backoff event, our next beacon, or the
+        // progress beat — capped so heartbeat-miss checks keep running.
         double timeout = sched.next_event_ms(now, 250.0);
         timeout = std::min(timeout, next_hb - now);
         if (opts.progress_sec > 0.0)
@@ -262,7 +612,7 @@ SweepSummary run_service(core::ExperimentContext& ctx, const SweepSpec& spec,
 
         fds.clear();
         fd_host.clear();
-        fds.push_back({listen_fd, POLLIN, 0});
+        fds.push_back({listener.fd, POLLIN, 0});  // fd -1: poll skips it
         fd_host.push_back(nullptr);
         for (auto& hp : hosts) {
             fds.push_back({hp->fd, POLLIN, 0});
@@ -272,17 +622,8 @@ SweepSummary run_service(core::ExperimentContext& ctx, const SweepSpec& spec,
                static_cast<int>(std::ceil(timeout)));
 
         if (fds[0].revents != 0) {
-            for (;;) {
-                const int cfd = net::accept_conn(listen_fd);
-                if (cfd < 0) break;
-                auto h = std::make_unique<Host>();
-                h->id = next_host_id++;
-                h->fd = cfd;
-                h->reader.reset(cfd);
-                h->last_heard = now_ms();
-                util::log_info("service: " + h->name() + " connected");
-                hosts.push_back(std::move(h));
-            }
+            for (int cfd; (cfd = net::accept_conn(listener.fd)) >= 0;)
+                add_host(cfd);
         }
 
         for (std::size_t fi = 1; fi < fds.size(); ++fi) {
@@ -340,12 +681,7 @@ SweepSummary run_service(core::ExperimentContext& ctx, const SweepSpec& spec,
                             break;
                         }
                         const auto sp = id_to_sched.find(id);
-                        if (sp != id_to_sched.end()) {
-                            h.leased.erase(std::remove(h.leased.begin(),
-                                                       h.leased.end(),
-                                                       sp->second),
-                                           h.leased.end());
-                        }
+                        if (sp != id_to_sched.end()) h.release(sp->second);
                         if (results.find(id) != results.end()) {
                             // The cell was already durably recorded — a
                             // slow host finishing after its lease was
@@ -370,7 +706,7 @@ SweepSummary run_service(core::ExperimentContext& ctx, const SweepSpec& spec,
                         manifest.record(id, r);  // durable before counted
                         results[id] = r;
                         XS_COUNT("sweep.cells.done", 1);
-                        if (sp != id_to_sched.end()) sched.ack(sp->second);
+                        sched.ack(sp->second);
                         ++summary.cells_executed;
                         ++h.cells_done;
                         if (opts.cell_budget_ms > 0.0 &&
@@ -391,25 +727,27 @@ SweepSummary run_service(core::ExperimentContext& ctx, const SweepSpec& spec,
                         break;
                     }
                     case wire::MsgType::kFail: {
-                        std::int64_t ci = -1;
+                        std::int64_t ci = -1, attempt = -1;
                         std::string reason;
-                        if (!net::decode_fail(msg.payload, ci, reason)) {
+                        if (!net::decode_fail(msg.payload, ci, attempt,
+                                              reason)) {
                             host_dead(h, "sent an undecodable fail");
                             break;
                         }
                         const auto cp =
                             cell_to_sched.find(static_cast<std::size_t>(ci));
                         if (cp == cell_to_sched.end()) break;
-                        h.leased.erase(std::remove(h.leased.begin(),
-                                                   h.leased.end(),
-                                                   cp->second),
-                                       h.leased.end());
-                        // Owner check: a fail from a host whose lease
-                        // already expired (the cell moved on) is stale —
-                        // its worker slot freed up, nothing else.
-                        if (sched.at(cp->second).in_flight &&
-                            sched.at(cp->second).owner == h.id)
-                            attempt_failed(cp->second, reason);
+                        const std::size_t p = cp->second;
+                        h.release(p);
+                        // A fail counts only against the attempt it names,
+                        // held by this host. A fail from an attempt whose
+                        // lease already expired is stale — even when the
+                        // re-deal went to this same host — and just frees
+                        // the worker slot.
+                        if (sched.at(p).in_flight &&
+                            sched.at(p).owner == h.id &&
+                            sched.attempts_of(p) - 1 == attempt)
+                            attempt_failed(p, reason);
                         break;
                     }
                     case wire::MsgType::kMetrics: {
@@ -433,13 +771,17 @@ SweepSummary run_service(core::ExperimentContext& ctx, const SweepSpec& spec,
         }
         purge_dead();
 
-        // Lease expiry: take the cell back and re-deal elsewhere, but keep
-        // the slow host's connection — its late ack, if it ever lands, is
-        // deduped above. Determinism is untouched either way.
+        // Lease expiry is the watchdog: take the cell back and re-deal it,
+        // counted as a budget overrun like a slow in-process cell. The slow
+        // host's connection stays open — its late ack, if it ever lands, is
+        // deduped above; an agent re-dealt its own expired cell stops the
+        // old attempt's worker itself.
         for (const std::size_t p : sched.expired(now_ms())) {
-            const std::int64_t owner = sched.at(p).owner;
-            std::string owner_name = "host" + std::to_string(owner);
-            attempt_failed(p, "lease expired on " + owner_name);
+            ++summary.watchdog_kills;
+            ++summary.cells_over_budget;
+            attempt_failed(p, "lease expired on host" +
+                                  std::to_string(sched.at(p).owner) +
+                                  " after " + util::fmt(lease_ms, 0) + " ms");
         }
 
         // Beacons out, silence check in. Any frame refreshes last_heard, so
@@ -494,10 +836,8 @@ SweepSummary run_service(core::ExperimentContext& ctx, const SweepSpec& spec,
     // Our grace covers theirs; a host that dies instead contributes nothing.
     for (auto& hp : hosts)
         if (hp->fd >= 0 &&
-            !net::send_frame(hp->fd, wire::MsgType::kShutdown, "")) {
-            ::close(hp->fd);
-            hp->fd = -1;
-        }
+            !net::send_frame(hp->fd, wire::MsgType::kShutdown, ""))
+            hp->close();
     purge_dead();
     const double grace_deadline = now_ms() + 10000.0;
     while (!hosts.empty() && now_ms() < grace_deadline) {
@@ -541,9 +881,7 @@ SweepSummary run_service(core::ExperimentContext& ctx, const SweepSpec& spec,
                             manifest.record(id, r);
                             results[id] = r;
                             ++summary.cells_executed;
-                            const auto sp = id_to_sched.find(id);
-                            if (sp != id_to_sched.end())
-                                sched.ack(sp->second);
+                            sched.ack(id_to_sched.at(id));
                         }
                     }
                     continue;
@@ -552,39 +890,69 @@ SweepSummary run_service(core::ExperimentContext& ctx, const SweepSpec& spec,
                     util::metrics::Snapshot snap;
                     if (util::metrics::from_json(msg.payload, snap))
                         util::metrics::merge(host_metrics, snap);
-                    ::close(h.fd);  // the metrics frame is the goodbye
-                    h.fd = -1;
+                    h.close();  // the metrics frame is the goodbye
                     break;
                 }
             }
-            if (h.fd >= 0 && h.reader.finished()) {
-                ::close(h.fd);
-                h.fd = -1;
-            }
+            if (h.reader.finished()) h.close();
         }
         purge_dead();
     }
-    for (auto& hp : hosts)
-        if (hp->fd >= 0) ::close(hp->fd);
     hosts.clear();
-    ::close(listen_fd);
+    if (local_agent.valid()) summary.worker_restarts = local_agent.get();
 
     // Drained early: undone cells stay pending (and resumable).
     summary.cells_pending += static_cast<std::int64_t>(sched.size()) -
                              static_cast<std::int64_t>(sched.done_count());
+    return finish();
+}
 
-    tensor::check(manifest.ok(), "service: manifest writes to '" +
-                                     summary.manifest_path +
-                                     "' failed; resume state is incomplete");
-    aggregate_and_write_csv(cells, spec, results, summary);
-#if XS_TELEMETRY_ENABLED
-    util::metrics::Snapshot final_snap = util::metrics::snapshot();
-    util::metrics::merge(final_snap, host_metrics);
-    merge_prior_metrics(prior_metrics, final_snap);
-    summary.metrics_json = util::metrics::to_json(final_snap);
-    manifest.record_metrics(summary.metrics_json);
-#endif
-    return summary;
+}  // namespace
+
+// The join handshake must prove the agent expands the *exact same grid*,
+// not just the same experiment config: sweep_config_fingerprint covers the
+// inputs that change a cell's result (it gates manifest resume, where a
+// grown grid is legal), but an agent running --sizes=32 against a
+// --sizes=16 service shares that fingerprint while producing cells this
+// sweep never dealt — which must never blend into the manifest. So the
+// wire fingerprint appends an order-sensitive FNV-1a hash over every
+// expanded cell id plus the cell count.
+std::string join_fingerprint(const std::string& config_fp,
+                             const std::vector<SweepCell>& cells) {
+    std::uint64_t h = 1469598103934665603ull;
+    for (const SweepCell& c : cells) {
+        for (const char ch : c.id())
+            h = (h ^ static_cast<unsigned char>(ch)) * 1099511628211ull;
+        h = (h ^ 0xffu) * 1099511628211ull;  // id separator
+    }
+    std::string hex(16, '0');
+    for (int i = 15; i >= 0; --i, h >>= 4) hex[i] = "0123456789abcdef"[h & 15];
+    return config_fp + "/grid-" + std::to_string(cells.size()) + "-" + hex;
+}
+
+void request_drain() { g_drain.store(true, std::memory_order_relaxed); }
+bool drain_requested() { return g_drain.load(std::memory_order_relaxed); }
+
+SweepSummary run_service(core::ExperimentContext& ctx, const SweepSpec& spec,
+                         const SweepOptions& opts, const ServiceOptions& svc) {
+    return coordinate(ctx, spec, opts, svc, nullptr);
+}
+
+SweepSummary run_supervised(core::ExperimentContext& ctx, const SweepSpec& spec,
+                            const SweepOptions& opts,
+                            const SupervisorOptions& sup) {
+    tensor::check(!sup.worker_cmd.empty(),
+                  "supervisor: worker_cmd is empty (use "
+                  "worker_command_from_argv)");
+    tensor::check(sup.workers >= 1, "supervisor: need at least one worker");
+    ServiceOptions svc;  // no listener; heartbeat defaults
+    svc.max_cell_retries = sup.max_cell_retries;
+    svc.retry_backoff_ms = sup.retry_backoff_ms;
+    AgentOptions local;
+    local.workers = sup.workers;
+    local.worker_cmd = sup.worker_cmd;
+    local.max_worker_restarts = sup.max_worker_restarts;
+    return coordinate(ctx, spec, opts, svc, &local);
 }
 
 int run_agent(core::ExperimentContext& ctx, const SweepSpec& spec,
@@ -599,327 +967,65 @@ int run_agent(core::ExperimentContext& ctx, const SweepSpec& spec,
         join_fingerprint(sweep_config_fingerprint(ctx, spec), cells);
 
     // Prepare every distinct model in the grid before forking workers: the
-    // agent doesn't know which cells it will be dealt, and workers resolve
-    // prepared specs from the on-disk model cache.
-    {
-        std::set<std::string> seen;
-        for (const SweepCell& c : cells) {
-            core::ModelSpec ms = ctx.spec(c.variant, c.num_classes,
-                                          c.prune.method, c.prune.sparsity,
-                                          c.mitigation.wct);
-            if (seen.insert(ms.key()).second) ctx.prepared(ms);
-        }
-    }
+    // agent doesn't know which cells it will be dealt.
+    std::vector<std::size_t> all(cells.size());
+    std::iota(all.begin(), all.end(), std::size_t{0});
+    prepare_models(ctx, cells, all);
 
     ::signal(SIGPIPE, SIG_IGN);
-    WorkerPool pool(opts.worker_cmd, opts.max_worker_restarts);
-    tensor::check(pool.spawn(static_cast<std::size_t>(opts.workers)),
-                  "agent: failed to spawn worker process");
+    AgentState st(cells, opts, static_cast<std::size_t>(opts.workers), true);
 
-    std::deque<std::pair<std::int64_t, std::int64_t>> deals;  // cell, attempt
-    std::deque<std::pair<wire::MsgType, std::string>> outbox;
-    double heartbeat_ms = 1000.0, lease_ms = 0.0;
-    int fd = -1;
-    wire::MessageReader sock;
-    std::int64_t failures = 0;  // consecutive connect/join failures
-    double last_heard = 0.0, next_hb = 0.0;
-
-    // Forward a frame to the service now, or park it in the outbox until
-    // the next successful join — acks survive disconnects, and replaying
-    // them is safe because the service dedups against recorded results.
-    const auto disconnect = [&](const std::string& why) {
-        if (fd < 0) return;
-        util::log_warn("agent: connection lost (" + why + "); reconnecting");
-        ::close(fd);
-        fd = -1;
-        failures = 1;
-        deals.clear();  // undispatched deals re-deal service-side
-    };
-    const auto queue_send = [&](wire::MsgType type,
-                                const std::string& payload) {
-        if (fd >= 0 && net::send_frame(fd, type, payload)) return;
-        outbox.emplace_back(type, payload);
-        disconnect("send failed");
-    };
-
-    for (;;) {
-        if (fd < 0) {
-            // (Re)connect with capped exponential backoff, then the kJoin
-            // handshake. A kFail reply is fatal — a fingerprint mismatch
-            // cannot be fixed by retrying.
-            if (opts.max_reconnects >= 0 && failures > opts.max_reconnects) {
-                util::log_error("agent: giving up after " +
-                                std::to_string(failures - 1) +
-                                " reconnect attempt(s)");
-                pool.shutdown(5000.0, nullptr);
-                return 1;
-            }
-            if (failures > 0) {
-                const double backoff = std::min(
-                    opts.reconnect_backoff_ms *
-                        std::pow(2.0, static_cast<double>(failures - 1)),
-                    opts.reconnect_backoff_cap_ms);
-                ::usleep(static_cast<useconds_t>(backoff * 1000.0));
-            }
-            std::string err;
-            fd = net::connect_to(opts.host, opts.port, &err);
-            if (fd < 0) {
-                util::log_warn("agent: " + err);
-                ++failures;
-                continue;
-            }
-            sock.reset(fd);
-            if (!net::send_frame(
-                    fd, wire::MsgType::kJoin,
-                    net::encode_join(join_fp,
-                                     static_cast<std::int64_t>(pool.size())))) {
-                disconnect("join send failed");
-                continue;
-            }
-            // Wait for the join reply (bounded; a silent service means it
-            // died between accept and reply — retry).
-            bool ok = false, fatal = false;
-            const double join_deadline = now_ms() + 10000.0;
-            while (!ok && !fatal) {
-                wire::Message msg;
-                if (sock.pop(msg)) {
-                    if (msg.type == wire::MsgType::kJoin &&
-                        net::decode_join_ok(msg.payload, heartbeat_ms,
-                                            lease_ms)) {
-                        ok = true;
-                    } else if (msg.type == wire::MsgType::kFail) {
-                        util::log_error("agent: " + msg.payload);
-                        fatal = true;
-                    } else {
-                        util::log_error("agent: unexpected join reply type " +
-                                        std::to_string(
-                                            static_cast<int>(msg.type)));
-                        fatal = true;
-                    }
-                    continue;
-                }
-                const double left = join_deadline - now_ms();
-                if (sock.finished() || left <= 0.0) break;
-                pollfd pfd{fd, POLLIN, 0};
-                ::poll(&pfd, 1, static_cast<int>(std::ceil(left)));
-                sock.fill();
-            }
-            if (fatal) {
-                ::close(fd);
-                pool.shutdown(5000.0, nullptr);
-                return 1;
-            }
-            if (!ok) {
-                disconnect("no join reply");
-                continue;
-            }
-            failures = 0;
-            last_heard = now_ms();
-            next_hb = last_heard + heartbeat_ms;
-            util::log_info("agent: joined " + opts.host + ":" +
-                           std::to_string(opts.port) + " (heartbeat " +
-                           util::fmt(heartbeat_ms, 0) + " ms, lease " +
-                           util::fmt(lease_ms, 0) + " ms)");
-            while (!outbox.empty()) {
-                if (fd < 0 ||
-                    !net::send_frame(fd, outbox.front().first,
-                                     outbox.front().second)) {
-                    disconnect("outbox replay failed");
-                    break;
-                }
-                outbox.pop_front();
-            }
-            continue;
-        }
-
-        // An agent with no live workers can't execute anything: exit so the
-        // service's host-death path re-deals our leases immediately.
-        if (pool.alive_count() == 0) {
-            util::log_error(
-                "agent: all workers dead (restart budget exhausted)");
-            ::close(fd);
+    // (Re)connect with capped exponential backoff, join, and run the event
+    // loop until the service shuts us down; a lost link reconnects.
+    for (std::int64_t failures = 0;;) {  // consecutive failed connects/joins
+        if (opts.max_reconnects >= 0 && failures > opts.max_reconnects) {
+            util::log_error("agent: giving up after " +
+                            std::to_string(failures - 1) +
+                            " reconnect attempt(s)");
+            st.pool.shutdown(5000.0, nullptr);
             return 1;
         }
-
-        // Dispatch queued deals to idle ready workers.
-        for (std::size_t wi = 0;
-             wi < pool.size() && !deals.empty(); ++wi) {
-            PoolWorker& w = pool[wi];
-            if (!w.alive || !w.ready || w.dealt >= 0) continue;
-            const auto [ci, attempt] = deals.front();
-            if (!wire::write_message(w.deal_fd, wire::MsgType::kDeal,
-                                     wire::encode_deal(ci, attempt))) {
-                pool.kill(wi);
-                bool respawned = false;
-                const std::string detail = pool.reap_and_respawn(wi,
-                                                                 respawned);
-                util::log_warn("agent: worker rejected a deal (" + detail +
-                               (respawned ? "); respawned" : "); retired"));
-                continue;
-            }
-            deals.pop_front();
-            w.dealt = ci;
-            w.ready = false;
-            // Local watchdog mirrors the service lease: a hung worker is
-            // killed here and failed back, instead of silently pinning a
-            // capacity slot until the service re-deals around us.
-            w.deadline = lease_ms > 0.0 ? now_ms() + lease_ms : 0.0;
+        if (failures > 0) {
+            const double backoff = std::min(
+                opts.reconnect_backoff_ms *
+                    std::pow(2.0, static_cast<double>(failures - 1)),
+                opts.reconnect_backoff_cap_ms);
+            ::usleep(static_cast<useconds_t>(backoff * 1000.0));
         }
-
-        const double now = now_ms();
-        double timeout = std::min(next_hb - now, 250.0);
-        for (std::size_t wi = 0; wi < pool.size(); ++wi) {
-            const PoolWorker& w = pool[wi];
-            if (w.alive && w.dealt >= 0 && w.deadline > 0.0)
-                timeout = std::min(timeout, w.deadline - now);
+        std::string err;
+        const OwnedFd link{net::connect_to(opts.host, opts.port, &err)};
+        if (link.fd < 0) {
+            util::log_warn("agent: " + err);
+            ++failures;
+            continue;
         }
-        timeout = std::max(timeout, 0.0);
-
-        std::vector<pollfd> fds;
-        std::vector<std::int64_t> owner;  // -1 = socket, else worker index
-        fds.push_back({fd, POLLIN, 0});
-        owner.push_back(-1);
-        for (std::size_t wi = 0; wi < pool.size(); ++wi)
-            if (pool[wi].alive) {
-                fds.push_back({pool[wi].ack_fd, POLLIN, 0});
-                owner.push_back(static_cast<std::int64_t>(wi));
-            }
-        ::poll(fds.data(), static_cast<nfds_t>(fds.size()),
-               static_cast<int>(std::ceil(timeout)));
-
-        // Socket first: deals and shutdowns beat local bookkeeping.
-        if (fds[0].revents != 0) {
-            last_heard = now_ms();
-            sock.fill();
-            wire::Message msg;
-            bool shutdown = false;
-            while (fd >= 0 && sock.pop(msg)) {
-                switch (msg.type) {
-                    case wire::MsgType::kDeal: {
-                        std::int64_t ci = -1, attempt = 0;
-                        if (!wire::decode_deal(msg.payload, ci, attempt) ||
-                            ci < 0 ||
-                            ci >= static_cast<std::int64_t>(cells.size())) {
-                            util::log_error("agent: malformed deal '" +
-                                            msg.payload + "'");
-                            break;
-                        }
-                        // Fault seam: kill/hang the whole host here, mid
-                        // deal, on the configured attempt — the service's
-                        // host-death recovery is exercised by a real dead
-                        // process, not a mock.
-                        util::fault::execute(
-                            util::fault::at("agent-deal", ci, attempt),
-                            "agent-deal", ci);
-                        deals.emplace_back(ci, attempt);
-                        break;
-                    }
-                    case wire::MsgType::kHeartbeat:
-                        break;  // last_heard already refreshed
-                    case wire::MsgType::kShutdown:
-                        shutdown = true;
-                        break;
-                    default:
-                        util::log_warn(
-                            "agent: unexpected message type " +
-                            std::to_string(static_cast<int>(msg.type)));
-                }
-                if (shutdown) break;
-            }
-            if (shutdown) {
-#if XS_TELEMETRY_ENABLED
-                util::metrics::Snapshot merged = util::metrics::snapshot();
-                pool.shutdown(5000.0, &merged);
-                net::send_frame(fd, wire::MsgType::kMetrics,
-                                util::metrics::to_json(merged));
-#else
-                pool.shutdown(5000.0, nullptr);
-#endif
-                ::close(fd);
+        wire::MessageReader sock(link.fd);
+        double heartbeat_ms = 1000.0, lease_ms = 0.0;
+        const Joined joined =
+            agent_join(link.fd, sock, join_fp,
+                       static_cast<std::int64_t>(st.pool.size()), heartbeat_ms,
+                       lease_ms);
+        if (joined == Joined::kRejected) {
+            st.pool.shutdown(5000.0, nullptr);
+            return 1;
+        }
+        if (joined == Joined::kLost) {
+            util::log_warn("agent: join failed; reconnecting");
+            ++failures;
+            continue;
+        }
+        util::log_info("agent: joined " + opts.host + ":" +
+                       std::to_string(opts.port) + " (heartbeat " +
+                       util::fmt(heartbeat_ms, 0) + " ms, lease " +
+                       util::fmt(lease_ms, 0) + " ms)");
+        switch (agent_loop(st, link.fd, sock, heartbeat_ms, lease_ms)) {
+            case LinkEnd::kShutdown:
                 util::log_info("agent: shut down by the service");
                 return 0;
-            }
-            if (fd >= 0 && sock.finished()) disconnect("service closed");
-        }
-
-        // Silence check directly after the socket read, so a local stall (a
-        // long cell, scheduler starvation, a fault-injected delay) can
-        // never declare a healthy service dead while its frames sit unread
-        // in our buffer — whatever arrived during the stall just refreshed
-        // last_heard above.
-        if (fd >= 0 && now_ms() - last_heard > heartbeat_ms * 3.0)
-            disconnect("service silent for 3 heartbeats");
-
-        for (std::size_t fi = 1; fi < fds.size(); ++fi) {
-            if (fds[fi].revents == 0) continue;
-            const std::size_t wi = static_cast<std::size_t>(owner[fi]);
-            PoolWorker& w = pool[wi];
-            if (!w.alive) continue;
-            w.reader.fill();
-            wire::Message msg;
-            while (w.reader.pop(msg)) {
-                switch (msg.type) {
-                    case wire::MsgType::kHello:
-                        w.ready = true;
-                        break;
-                    case wire::MsgType::kAck:
-                        queue_send(wire::MsgType::kAck, msg.payload);
-                        w.dealt = -1;
-                        w.deadline = 0.0;
-                        w.ready = true;
-                        break;
-                    case wire::MsgType::kFail:
-                        if (w.dealt >= 0)
-                            queue_send(wire::MsgType::kFail,
-                                       net::encode_fail(w.dealt,
-                                                        msg.payload));
-                        w.dealt = -1;
-                        w.deadline = 0.0;
-                        w.ready = true;
-                        break;
-                    default:
-                        util::log_warn(
-                            "agent: unexpected worker message type " +
-                            std::to_string(static_cast<int>(msg.type)));
-                }
-            }
-            if (w.reader.finished()) {
-                const std::int64_t dealt = w.dealt;
-                bool respawned = false;
-                const std::string detail =
-                    pool.reap_and_respawn(wi, respawned);
-                util::log_warn("agent: worker " + detail +
-                               (respawned ? "; respawned" : "; retired"));
-                if (dealt >= 0)
-                    queue_send(wire::MsgType::kFail,
-                               net::encode_fail(dealt, "worker " + detail));
-            }
-        }
-
-        // Local watchdog: kill workers holding a cell past the lease.
-        const double t = now_ms();
-        for (std::size_t wi = 0; wi < pool.size(); ++wi) {
-            PoolWorker& w = pool[wi];
-            if (!w.alive || w.dealt < 0 || w.deadline <= 0.0 ||
-                t < w.deadline)
-                continue;
-            const std::int64_t dealt = w.dealt;
-            pool.kill(wi);
-            bool respawned = false;
-            const std::string detail = pool.reap_and_respawn(wi, respawned);
-            util::log_warn("agent: watchdog-killed worker on cell " +
-                           std::to_string(dealt) +
-                           (respawned ? "; respawned" : "; retired"));
-            queue_send(wire::MsgType::kFail,
-                       net::encode_fail(dealt, "watchdog-killed after " +
-                                                   util::fmt(lease_ms, 0) +
-                                                   " ms"));
-        }
-
-        if (fd >= 0 && t >= next_hb) {
-            next_hb = t + heartbeat_ms;
-            if (!net::send_frame(fd, wire::MsgType::kHeartbeat, ""))
-                disconnect("heartbeat send failed");
+            case LinkEnd::kPoolDead:
+                return 1;
+            case LinkEnd::kLost:
+                failures = 1;  // reconnect after the first backoff step
         }
     }
 }

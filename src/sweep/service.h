@@ -1,18 +1,24 @@
-// Fault-tolerant multi-host sweep service (DESIGN.md §11).
+// Fault-tolerant sweep service: the one coordinator (DESIGN.md §9/§11).
 //
-// One coordinator (examples/sweep_serve.cpp) owns the grid, the manifest,
-// and the aggregate CSV; any number of agent hosts (sweep_runner
-// --agent=host:port) connect over TCP (sweep/net.h), each running the PR 6
-// forked worker pool locally. Cells are scheduled as *leases*
-// (sweep/lease.h): a deal carries a deadline derived from the per-cell
-// wall-time budget, and a cell still unacknowledged past it is re-dealt to
-// another host with exponential backoff — while the slow host's connection
-// stays open, so its eventual late acknowledgement arrives and is deduped
-// against the recorded results. The fsync'd manifest append is the only ack
-// that counts: a duplicate ack (slow-but-alive host, or an agent replaying
-// its outbox after a reconnect) is counted and dropped, never recorded
-// twice, so the aggregate CSV stays byte-identical to a single-process run
-// at any host count, across kills, partitions, and reconnects.
+// The coordinator owns the grid, the manifest, and the aggregate CSV, and
+// deals cells to agent hosts, each driving a forked worker pool
+// (sweep/pool.h). It has two front ends over the same loop and the same
+// agent. run_service (examples/sweep_serve.cpp) listens, and any number of
+// agent hosts (sweep_runner --agent=host:port) connect over TCP
+// (sweep/net.h). run_supervised (sweep/supervisor.h, sweep_runner
+// --workers=N) has no listener: its one host is an in-process agent on a
+// thread, linked by a socketpair.
+//
+// Cells are scheduled as *leases* (sweep/lease.h): a deal carries a
+// deadline derived from the per-cell wall-time budget, and a cell still
+// unacknowledged past it is re-dealt with exponential backoff — while the
+// slow host's connection stays open, so its eventual late acknowledgement
+// arrives and is deduped against the recorded results. The fsync'd manifest
+// append is the only ack that counts: a duplicate ack (slow-but-alive host,
+// or an agent replaying its outbox after a reconnect) is counted and
+// dropped, never recorded twice, so the aggregate CSV stays byte-identical
+// to a single-process run at any host count, across kills, partitions, and
+// reconnects.
 //
 // Liveness is heartbeat-based: the join handshake tells the agent the
 // service's heartbeat cadence and lease duration, both sides beacon every
@@ -57,14 +63,19 @@ struct ServiceOptions {
     bool drain = false;
 };
 
-// Run the sweep as a coordinator service. Shares resume loading,
-// fingerprinting, lease scheduling, and aggregation with the supervisor;
+// Run the sweep as a coordinator service that agents join over TCP;
 // opts.cell_budget_ms becomes the lease duration. Blocks until every
 // pending cell is acknowledged or quarantined (or the service drains).
 // Throws only on coordinator-side failures (manifest I/O, listen failure);
 // host deaths and per-cell failures are retried or quarantined.
 SweepSummary run_service(core::ExperimentContext& ctx, const SweepSpec& spec,
                          const SweepOptions& opts, const ServiceOptions& svc);
+
+// The kJoin fingerprint: the config fingerprint plus the expanded cell
+// count and an order-sensitive hash over every cell id, so a joining agent
+// proves it expands the exact same grid.
+std::string join_fingerprint(const std::string& config_fp,
+                             const std::vector<SweepCell>& cells);
 
 // Async-signal-safe drain switch for the running service (and a test hook):
 // stop dealing, finish in-flight leases, shut down, stay resumable.
@@ -92,9 +103,10 @@ struct AgentOptions {
 
 // Run this process as an agent host: prepare every distinct model the grid
 // can deal (agents don't know their assignment up front), spawn the local
-// worker pool, join the service, and bridge deals to workers and acks back
-// to the service until it sends kShutdown. Returns a process exit code;
-// a fingerprint rejection is fatal (no reconnect loop can fix it).
+// worker pool, join the service, and run the agent's event loop — bridging
+// deals to workers and acks and fails back — until the service sends
+// kShutdown, reconnecting whenever the link drops. Returns a process exit
+// code; a fingerprint rejection is fatal (no reconnect loop can fix it).
 int run_agent(core::ExperimentContext& ctx, const SweepSpec& spec,
               const AgentOptions& opts);
 

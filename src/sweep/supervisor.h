@@ -1,13 +1,16 @@
 // Crash-isolated multi-process sweep execution (DESIGN.md §9).
 //
-// The supervisor runs a SweepSpec grid with the cells executed in forked
+// run_supervised runs a SweepSpec grid with the cells executed in forked
 // worker *processes* instead of threads, so a crash (solver bug, OOM kill,
 // injected fault) or a hang takes down one worker and one attempt of one
-// cell — never the sweep. The coordinator deals cells over anonymous pipes
-// (sweep/wire.h), records each acknowledged cell durably in the manifest
-// (the fsync'd append *is* the ack), re-deals cells whose worker died or
-// blew the watchdog deadline, retries with exponential backoff, and
-// quarantines poison cells after the retry budget instead of aborting.
+// cell — never the sweep. It is the listener-less front end of the sweep
+// service's coordinator (sweep/service.h): the coordinator's only host is
+// an in-process agent on a thread, linked by a socketpair, that drives the
+// forked worker pool. Everything else is the service's: cells are leased
+// and re-dealt with exponential backoff when a worker dies, fails, or
+// outlives its lease; poison cells are quarantined after the retry budget
+// instead of aborting; each acknowledged cell is recorded durably in the
+// manifest (the fsync'd append *is* the ack).
 //
 // Determinism: workers execute the exact run_sweep_cell() the in-process
 // SweepRunner uses, with per-cell seeds derived from the cell identity, so
@@ -18,7 +21,7 @@
 // Worker processes are the *same binary* re-exec'd with --worker
 // --wire-in=<fd> --wire-out=<fd> (fork alone is unsafe under the process
 // thread pool; fork+exec restarts clean). The driver wires this up with
-// worker_command_from_argv() + worker_main().
+// worker_command_from_argv() + worker_main(), which live in supervisor.cpp.
 #pragma once
 
 #include "core/experiments.h"
@@ -36,7 +39,7 @@ struct SupervisorOptions {
     std::int64_t workers = 2;
     // argv prefix of the worker command: the executable plus every
     // experiment/spec flag, so the child reconstructs an identical
-    // ExperimentContext and SweepSpec. The supervisor appends
+    // ExperimentContext and SweepSpec. The worker pool appends
     // --worker --wire-in=<fd> --wire-out=<fd>.
     std::vector<std::string> worker_cmd;
     // Re-deal a failed cell this many times after its first attempt before
@@ -46,16 +49,20 @@ struct SupervisorOptions {
     double retry_backoff_ms = 250.0;
     // Worker respawns allowed across the pool before dead slots are retired
     // instead of restarted. The sweep only aborts when every slot is gone
-    // and undone cells remain (the manifest keeps the resume state).
+    // and undone cells remain — no other host can join to finish them (the
+    // manifest keeps the resume state).
     std::int64_t max_worker_restarts = 4;
 };
 
-// Execute the sweep under process supervision. Shares resume loading,
+// Execute the sweep under process supervision: the service's coordinator
+// with one in-process agent host and no listener. Shares resume loading,
 // fingerprinting, cell execution, and aggregation with SweepRunner::run();
-// opts.cell_budget_ms becomes the per-cell watchdog deadline (a worker
-// holding a cell past it is SIGKILLed and the cell re-dealt). Throws only
+// opts.cell_budget_ms becomes the lease (its expiry is the watchdog: the
+// cell is re-dealt and the worker still on it SIGKILLed).
+// SweepSummary::worker_restarts is the agent's worker respawns. Throws only
 // on coordinator-side failures (manifest I/O, fingerprint mismatch, the
-// whole pool dead); per-cell failures are quarantined, not thrown.
+// whole pool dead) or what the agent thread threw; per-cell failures are
+// quarantined, not thrown.
 SweepSummary run_supervised(core::ExperimentContext& ctx, const SweepSpec& spec,
                             const SweepOptions& opts,
                             const SupervisorOptions& sup);
@@ -69,8 +76,8 @@ int worker_main(core::ExperimentContext& ctx, const SweepSpec& spec,
 // Build SupervisorOptions::worker_cmd from this process's argv: the
 // executable resolved via /proc/self/exe (argv[0] may be PATH-relative and
 // the cwd may differ) plus every original flag except the supervision ones
-// (--worker, --wire-*, --workers), which the supervisor re-appends per
-// worker.
+// (--worker, --wire-*, --workers, --agent); the worker pool appends its own
+// --worker --wire-in/--wire-out per spawn.
 std::vector<std::string> worker_command_from_argv(int argc, char** argv);
 
 }  // namespace xs::sweep

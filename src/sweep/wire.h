@@ -1,12 +1,13 @@
 // Length-prefixed message framing for the sweep supervision transports
-// (DESIGN.md §9/§11). Coordinators, agents, and worker processes exchange
-// small framed messages: a 4-byte little-endian payload length, a 1-byte
-// type tag, then the payload bytes. The framing is transport-agnostic —
-// anonymous pipes for the single-host supervisor, TCP sockets for the
-// multi-host service (sweep/net.h) — because both deliver bytes in order
-// but not in frames; the receiving side reassembles, nonblocking reads
-// through a buffering MessageReader (driven by poll), blocking reads
-// through read_message().
+// (DESIGN.md §9/§11). The coordinator, its agents, and their worker
+// processes exchange small framed messages: a 4-byte little-endian payload
+// length, a 1-byte type tag, then the payload bytes. The framing is
+// transport-agnostic — anonymous pipes between an agent and its workers,
+// TCP sockets or a socketpair between the coordinator and its agents
+// (sweep/net.h) — because all of them deliver bytes in order but not in
+// frames; the receiving side reassembles, nonblocking reads through a
+// buffering MessageReader (driven by poll), blocking reads through
+// read_message().
 //
 // Message flow:
 //   worker/agent → coordinator:
@@ -15,8 +16,10 @@
 //                its worker capacity; a fingerprint mismatch is rejected)
 //       kAck    (payload = the cell's manifest JSONL line)
 //       kFail   (payload = error text on pipes;
-//                "<cell index> <reason>" on sockets, where many cells are
-//                in flight per peer and the text alone can't name the cell)
+//                "<cell index> <attempt> <reason>" on sockets, where many
+//                cells are in flight per peer: the text alone can't name
+//                the cell, and a host re-dealt its own expired cell must
+//                not have the old attempt's fail count against the new)
 //       kHeartbeat (liveness beacon on the service cadence)
 //       kMetrics (payload = util/metrics.h snapshot JSON,
 //                 sent once in response to kShutdown)

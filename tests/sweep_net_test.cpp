@@ -119,14 +119,27 @@ TEST(SweepNet, JoinCodecsRoundTrip) {
 }
 
 TEST(SweepNet, FailCodecCarriesReasonWithSpaces) {
-    std::int64_t ci = -1;
+    std::int64_t ci = -1, attempt = -1;
     std::string reason;
     EXPECT_TRUE(net::decode_fail(
-        net::encode_fail(7, "worker killed by signal 9"), ci, reason));
+        net::encode_fail(7, 1, "worker killed by signal 9"), ci, attempt,
+        reason));
     EXPECT_EQ(ci, 7);
+    EXPECT_EQ(attempt, 1);
     EXPECT_EQ(reason, "worker killed by signal 9");
-    EXPECT_FALSE(net::decode_fail("", ci, reason));
-    EXPECT_FALSE(net::decode_fail("notanumber reason", ci, reason));
+    EXPECT_TRUE(net::decode_fail(net::encode_fail(0, 0, ""), ci, attempt,
+                                 reason));
+    EXPECT_EQ(ci, 0);
+    EXPECT_EQ(attempt, 0);
+    EXPECT_EQ(reason, "");
+    EXPECT_FALSE(net::decode_fail("", ci, attempt, reason));
+    EXPECT_FALSE(net::decode_fail("notanumber 0 reason", ci, attempt, reason));
+    // The attempt is mandatory: a payload without one never decodes, even
+    // when its reason happens to start with a number.
+    EXPECT_FALSE(net::decode_fail("7 worker killed", ci, attempt, reason));
+    EXPECT_FALSE(net::decode_fail("7 reason", ci, attempt, reason));
+    EXPECT_FALSE(net::decode_fail("7 1", ci, attempt, reason));
+    EXPECT_FALSE(net::decode_fail("7 -1 reason", ci, attempt, reason));
 }
 
 TEST(SweepNet, LoopbackListenConnectFrameRoundTrip) {

@@ -20,18 +20,22 @@
 #include "sweep/runner.h"
 #include "sweep/service.h"
 #include "sweep/supervisor.h"
+#include "sweep/wire.h"
 #include "util/flags.h"
 #include "util/metrics.h"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include <poll.h>
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -352,6 +356,10 @@ TEST(SweepService, LateDuplicateAckIsDedupedNeverDoubleRecorded) {
     EXPECT_EQ(summary.cells_failed, 0);
     EXPECT_GE(summary.cell_retries, 1);     // a lease expired and re-dealt
     EXPECT_GE(summary.duplicate_acks, 1);   // the late copy was deduped
+    // A lease expiry is the watchdog, and a budget overrun, on this front
+    // end as under run_supervised.
+    EXPECT_GE(summary.watchdog_kills, 1);
+    EXPECT_GE(summary.cells_over_budget, 1);
     EXPECT_EQ(slurp(summary.csv_path), baseline_csv());
 
     // The dedup claim, verified against the bytes on disk: every cell has
@@ -363,6 +371,91 @@ TEST(SweepService, LateDuplicateAckIsDedupedNeverDoubleRecorded) {
                   1)
             << cell.id();
     for (auto& a : agents) EXPECT_TRUE(exited_ok(a.wait()));
+}
+
+// Pop the next frame that is not a heartbeat, beating back while waiting
+// so the service never declares the hand-driven host silent. False on EOF
+// or after 10 s.
+bool next_frame(int fd, wire::MessageReader& in, wire::Message& msg) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (std::chrono::steady_clock::now() < deadline) {
+        while (in.pop(msg))
+            if (msg.type != wire::MsgType::kHeartbeat) return true;
+        if (in.finished()) return false;
+        pollfd pfd{fd, POLLIN, 0};
+        ::poll(&pfd, 1, 50);
+        in.fill();
+        net::send_frame(fd, wire::MsgType::kHeartbeat, "");
+    }
+    return false;
+}
+
+// A fail names its attempt. A lone host is always re-dealt its own expired
+// cells, so the expired attempt's late fail (a watchdog kill, a crash)
+// reaches the host that runs the re-deal — and must not fail it: with one
+// retry that would quarantine the cell, and its real result would then be
+// dropped as a duplicate. The agent is played by hand over loopback.
+TEST(SweepService, FailOfAnExpiredAttemptDoesNotFailTheReDeal) {
+    baseline_csv();
+    const SweepSpec spec = tiny_spec();
+    const std::vector<SweepCell> cells = spec.expand();
+    const std::string join_fp =
+        join_fingerprint(sweep_config_fingerprint(ctx(), spec), cells);
+    CellResult result = run_sweep_cell(ctx(), spec, cells[0]);
+    result.attempts = 2;
+
+    int port = 0;
+    ServiceOptions svc = fast_svc(port);
+    svc.max_cell_retries = 1;
+    SweepOptions opts;
+    opts.csv_name = "svc_stale.csv";
+    opts.manifest_name = "svc_stale.jsonl";
+    opts.max_cells = 1;           // cell 0 only
+    opts.cell_budget_ms = 300.0;  // the lease
+
+    std::thread agent([&] {
+        std::string err;
+        const int fd = net::connect_to(
+            "127.0.0.1", static_cast<std::uint16_t>(port), &err);
+        ASSERT_GE(fd, 0) << err;
+        wire::MessageReader in(fd);
+        wire::Message msg;
+        std::int64_t ci = -1, attempt = -1;
+        ASSERT_TRUE(net::send_frame(fd, wire::MsgType::kJoin,
+                                    net::encode_join(join_fp, 2)));
+        ASSERT_TRUE(next_frame(fd, in, msg));
+        EXPECT_EQ(msg.type, wire::MsgType::kJoin);
+        // Attempt 0 arrives and is held past its lease...
+        ASSERT_TRUE(next_frame(fd, in, msg));
+        ASSERT_EQ(msg.type, wire::MsgType::kDeal);
+        ASSERT_TRUE(wire::decode_deal(msg.payload, ci, attempt));
+        EXPECT_EQ(ci, 0);
+        EXPECT_EQ(attempt, 0);
+        // ...so the service re-deals the cell to this, its only host.
+        ASSERT_TRUE(next_frame(fd, in, msg));
+        ASSERT_EQ(msg.type, wire::MsgType::kDeal);
+        ASSERT_TRUE(wire::decode_deal(msg.payload, ci, attempt));
+        EXPECT_EQ(ci, 0);
+        EXPECT_EQ(attempt, 1);
+        // Attempt 0's late fail, then attempt 1's result.
+        EXPECT_TRUE(net::send_frame(
+            fd, wire::MsgType::kFail,
+            net::encode_fail(0, 0, "worker watchdog-killed")));
+        EXPECT_TRUE(net::send_frame(fd, wire::MsgType::kAck,
+                                    encode_manifest_line(cells[0].id(),
+                                                         result)));
+        ASSERT_TRUE(next_frame(fd, in, msg));
+        EXPECT_EQ(msg.type, wire::MsgType::kShutdown);
+        ::close(fd);
+    });
+    const SweepSummary summary = run_service(ctx(), spec, opts, svc);
+    agent.join();
+    EXPECT_EQ(summary.cells_executed, 1);
+    EXPECT_EQ(summary.cells_failed, 0);
+    EXPECT_EQ(summary.cell_retries, 1);
+    EXPECT_EQ(load_manifest(summary.manifest_path).at(cells[0].id()).status,
+              "ok");
 }
 
 TEST(SweepService, CoordinatorResumeIsByteIdenticalAndCarriesMetrics) {
