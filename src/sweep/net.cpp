@@ -230,20 +230,17 @@ std::string encode_fail(std::int64_t cell_index, std::int64_t attempt,
 bool decode_fail(const std::string& payload, std::int64_t& cell_index,
                  std::int64_t& attempt, std::string& reason) {
     // Two nonnegative decimal fields, each closed by one space.
-    std::int64_t fields[2] = {0, 0};
     std::size_t pos = 0;
-    for (std::int64_t& field : fields) {
+    for (std::int64_t* field : {&cell_index, &attempt}) {
         const auto space = payload.find(' ', pos);
         if (space == std::string::npos || space == pos) return false;
         const std::string num = payload.substr(pos, space - pos);
         char* end = nullptr;
         const long long v = std::strtoll(num.c_str(), &end, 10);
         if (end != num.c_str() + num.size() || v < 0) return false;
-        field = v;
+        *field = v;
         pos = space + 1;
     }
-    cell_index = fields[0];
-    attempt = fields[1];
     reason = payload.substr(pos);
     return true;
 }

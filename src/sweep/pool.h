@@ -32,6 +32,7 @@ struct PoolWorker {
     bool ready = false;         // said hello / finished its last cell
     std::int64_t dealt = -1;    // cell index in flight here, -1 = idle
     std::int64_t attempt = -1;  // the attempt of `dealt` this worker runs
+    std::int64_t link = -1;     // the agent link `dealt` arrived on
     double deadline = 0.0;      // caller-armed watchdog; 0 = none
 };
 

@@ -88,7 +88,9 @@ struct SweepSummary {
     std::int64_t cells_executed = 0;
     std::int64_t cells_resumed = 0;   // taken from the manifest (ok + failed)
     std::int64_t cells_pending = 0;   // skipped by max_cells
-    std::int64_t cells_over_budget = 0;  // executed cells over cell_budget_ms
+    // Cells over cell_budget_ms, each counted once: by its wall time, or
+    // under the coordinator by a lease expiry.
+    std::int64_t cells_over_budget = 0;
     // Robustness accounting (populated by the coordinator behind
     // run_supervised and run_service; the in-process runner only carries
     // failed cells forward from a resumed manifest).

@@ -17,11 +17,13 @@
 #include <cmath>
 #include <csignal>
 #include <cstdint>
+#include <cstdlib>
 #include <deque>
 #include <future>
 #include <map>
 #include <memory>
 #include <numeric>
+#include <set>
 #include <string>
 #include <utility>
 
@@ -43,38 +45,39 @@ std::atomic<bool> g_drain{false};
 
 // An fd closed on every exit path, exceptions included.
 struct OwnedFd {
-    int fd = -1;
-    ~OwnedFd() {
+    explicit OwnedFd(int f = -1) : fd(f) {}
+    OwnedFd(const OwnedFd&) = delete;
+    OwnedFd& operator=(const OwnedFd&) = delete;
+    ~OwnedFd() { close(); }
+    void close() {
         if (fd >= 0) ::close(fd);
+        fd = -1;
     }
+    int fd;
 };
 
 // One connected agent host, joined or not. The host id is the lease owner
 // token; a reconnecting agent gets a fresh id, so acks and fails from its
 // previous incarnation can never be mistaken for the current lease holder.
-// A Host closes its own fd.
 struct Host {
     std::int64_t id = -1;
-    int fd = -1;
+    OwnedFd sock;
     wire::MessageReader reader;
     bool joined = false;
     std::int64_t capacity = 0;
-    // Scheduler positions dealt here and not yet acked/failed back by this
-    // host, one entry per deal. A lease that expires and is re-dealt stays
-    // in this list — the slow host's worker is still genuinely busy on it —
-    // so a cell re-dealt to the same host appears twice.
-    std::vector<std::size_t> leased;
+    // (scheduler position, attempt) of each deal made here and not yet
+    // acked or failed back by this host. A lease that expires and is
+    // re-dealt stays in this list — the slow host's worker is still
+    // genuinely busy on it — so a cell re-dealt to the same host appears
+    // twice, once per attempt.
+    std::vector<std::pair<std::size_t, std::int64_t>> leased;
     double last_heard = 0.0;
     std::int64_t cells_done = 0;
 
-    ~Host() { close(); }
-    void close() {
-        if (fd >= 0) ::close(fd);
-        fd = -1;
-    }
-    // Each ack or fail frees exactly one of this host's slots for p.
-    void release(std::size_t p) {
-        const auto it = std::find(leased.begin(), leased.end(), p);
+    // An ack or fail frees the slot of the attempt it names, if held here.
+    void release(std::size_t p, std::int64_t attempt) {
+        const auto it =
+            std::find(leased.begin(), leased.end(), std::make_pair(p, attempt));
         if (it != leased.end()) leased.erase(it);
     }
     std::string name() const { return "host" + std::to_string(id); }
@@ -104,6 +107,7 @@ struct AgentState {
     // besides the workers'. The in-process agent leaves it out: the
     // coordinator's snapshot already counts this thread.
     bool own_metrics;
+    std::int64_t links = 0;  // links joined so far (PoolWorker::link)
 };
 
 enum class Joined { kOk, kLost, kRejected };
@@ -150,6 +154,7 @@ enum class LinkEnd { kShutdown, kLost, kPoolDead };
 LinkEnd agent_loop(AgentState& st, int fd, wire::MessageReader& sock,
                    double heartbeat_ms, double lease_ms) {
     WorkerPool& pool = st.pool;
+    const std::int64_t link = ++st.links;
     std::deque<std::pair<std::int64_t, std::int64_t>> deals;  // cell, attempt
     bool linked = true;
     const auto lose_link = [&](const std::string& why) {
@@ -162,16 +167,50 @@ LinkEnd agent_loop(AgentState& st, int fd, wire::MessageReader& sock,
         lose_link("send failed");
     };
     // Reap worker wi (respawning it while the budget lasts) and fail the
-    // cell it held, if any, back to the service.
+    // cell it held, if any, back to the service. A retired slot shrinks
+    // this host, and kCapacity says so before the fail frees the cell's
+    // lease slot, so the service never deals a cell no live worker can take.
     const auto worker_lost = [&](std::size_t wi, const std::string& why) {
         const std::int64_t cell = pool[wi].dealt, attempt = pool[wi].attempt;
         bool respawned = false;
         const std::string how = pool.reap_and_respawn(wi, respawned);
         const std::string reason = why.empty() ? "worker " + how : why;
+        XS_COUNT("sweep.workers.lost", 1);
         util::log_warn("agent: " + reason +
                        (respawned ? "; respawned" : "; retired"));
+        if (!respawned)
+            send(wire::MsgType::kCapacity, std::to_string(pool.alive_count()));
         if (cell >= 0)
             send(wire::MsgType::kFail, net::encode_fail(cell, attempt, reason));
+    };
+    // Forward what worker wi has written — hellos, acks, fails — and reap
+    // it on EOF.
+    const auto drain = [&](std::size_t wi) {
+        PoolWorker& w = pool[wi];
+        w.reader.fill();
+        wire::Message msg;
+        while (w.reader.pop(msg)) {
+            switch (msg.type) {
+                case wire::MsgType::kHello:
+                    break;
+                case wire::MsgType::kAck:
+                    send(wire::MsgType::kAck, msg.payload);
+                    break;
+                case wire::MsgType::kFail:
+                    if (w.dealt >= 0)
+                        send(wire::MsgType::kFail,
+                             net::encode_fail(w.dealt, w.attempt, msg.payload));
+                    break;  // the worker itself is fine
+                default:
+                    util::log_warn("agent: unexpected worker message type " +
+                                   std::to_string(static_cast<int>(msg.type)));
+                    continue;
+            }
+            w.dealt = -1;
+            w.deadline = 0.0;
+            w.ready = true;
+        }
+        if (w.reader.finished()) worker_lost(wi, "");
     };
 
     while (linked && !st.outbox.empty()) {
@@ -184,13 +223,78 @@ LinkEnd agent_loop(AgentState& st, int fd, wire::MessageReader& sock,
     double last_heard = now_ms();
     double next_hb = last_heard + heartbeat_ms;
     while (linked) {
-        // An agent with no live workers can't execute anything: end the
-        // link so the service's host-death path re-deals our leases.
+        // Service frames first: deals and shutdowns beat local bookkeeping.
+        // They are popped before any poll, since the reader can hold frames
+        // no poll announces: the join reply's read may carry the first deals.
+        wire::Message msg;
+        while (linked && sock.pop(msg)) {
+            switch (msg.type) {
+                case wire::MsgType::kDeal: {
+                    std::int64_t ci = -1, attempt = 0;
+                    if (!wire::decode_deal(msg.payload, ci, attempt) ||
+                        ci < 0 ||
+                        ci >= static_cast<std::int64_t>(st.cells.size())) {
+                        util::log_error("agent: malformed deal '" +
+                                        msg.payload + "'");
+                        break;
+                    }
+                    // Fault seam: kill/hang the whole host here, mid deal, on
+                    // the configured attempt — the service's host-death
+                    // recovery is exercised by a real dead process.
+                    util::fault::execute(
+                        util::fault::at("agent-deal", ci, attempt),
+                        "agent-deal", ci);
+                    deals.emplace_back(ci, attempt);
+                    // Over the link that dealt it, a re-deal of a cell a worker
+                    // still runs means the service took that attempt back when
+                    // its lease expired (a lone host is always re-dealt its own
+                    // expired cells): stop the worker, unless its result is
+                    // already in the pipe — an ack that has arrived beats the
+                    // axe. An attempt from an earlier link runs on: the service
+                    // failed it with that link, not with the worker, and its
+                    // result is recorded or deduped.
+                    for (std::size_t wi = 0; wi < pool.size(); ++wi) {
+                        if (!pool[wi].alive || pool[wi].dealt != ci ||
+                            pool[wi].link != link)
+                            continue;
+                        drain(wi);
+                        if (pool[wi].alive && pool[wi].dealt == ci) {
+                            pool.kill(wi);
+                            worker_lost(wi, "worker stopped: its lease expired "
+                                            "and the cell was re-dealt");
+                        }
+                    }
+                    break;
+                }
+                case wire::MsgType::kHeartbeat:
+                    break;  // last_heard already refreshed
+                case wire::MsgType::kShutdown: {
+#if XS_TELEMETRY_ENABLED
+                    util::metrics::Snapshot merged;
+                    if (st.own_metrics) merged = util::metrics::snapshot();
+                    pool.shutdown(5000.0, &merged);
+                    net::send_frame(fd, wire::MsgType::kMetrics,
+                                    util::metrics::to_json(merged));
+#else
+                    pool.shutdown(5000.0, nullptr);
+#endif
+                    return LinkEnd::kShutdown;
+                }
+                default:
+                    util::log_warn("agent: unexpected message type " +
+                                   std::to_string(static_cast<int>(msg.type)));
+            }
+        }
+        if (sock.finished()) lose_link("service closed");
+
+        // An agent with no live workers can't execute anything, nor rejoin:
+        // end the link so the service's host-death path takes our leases.
         if (pool.alive_count() == 0) {
             util::log_error(
                 "agent: all workers dead (restart budget exhausted)");
             return LinkEnd::kPoolDead;
         }
+        if (!linked) break;
 
         for (std::size_t wi = 0; wi < pool.size() && !deals.empty(); ++wi) {
             PoolWorker& w = pool[wi];
@@ -205,6 +309,7 @@ LinkEnd agent_loop(AgentState& st, int fd, wire::MessageReader& sock,
             deals.pop_front();
             w.dealt = ci;
             w.attempt = attempt;
+            w.link = link;
             w.ready = false;
             // Local watchdog, one heartbeat behind the service's lease: a
             // hung worker is killed here and failed back instead of pinning
@@ -234,65 +339,9 @@ LinkEnd agent_loop(AgentState& st, int fd, wire::MessageReader& sock,
         ::poll(fds.data(), static_cast<nfds_t>(fds.size()),
                static_cast<int>(std::ceil(timeout)));
 
-        // Socket first: deals and shutdowns beat local bookkeeping.
         if (fds[0].revents != 0) {
             last_heard = now_ms();
             sock.fill();
-            wire::Message msg;
-            while (linked && sock.pop(msg)) {
-                switch (msg.type) {
-                    case wire::MsgType::kDeal: {
-                        std::int64_t ci = -1, attempt = 0;
-                        if (!wire::decode_deal(msg.payload, ci, attempt) ||
-                            ci < 0 ||
-                            ci >= static_cast<std::int64_t>(st.cells.size())) {
-                            util::log_error("agent: malformed deal '" +
-                                            msg.payload + "'");
-                            break;
-                        }
-                        // Fault seam: kill/hang the whole host here, mid
-                        // deal, on the configured attempt — the service's
-                        // host-death recovery is exercised by a real dead
-                        // process, not a mock.
-                        util::fault::execute(
-                            util::fault::at("agent-deal", ci, attempt),
-                            "agent-deal", ci);
-                        // A re-deal of a cell one of our workers still runs:
-                        // the service took that attempt back when its lease
-                        // expired, so stop the worker now. A lone host is
-                        // always re-dealt its own expired cells.
-                        for (std::size_t wi = 0; wi < pool.size(); ++wi)
-                            if (pool[wi].alive && pool[wi].dealt == ci) {
-                                pool.kill(wi);
-                                worker_lost(wi,
-                                            "worker stopped: its lease "
-                                            "expired and the cell was "
-                                            "re-dealt");
-                            }
-                        deals.emplace_back(ci, attempt);
-                        break;
-                    }
-                    case wire::MsgType::kHeartbeat:
-                        break;  // last_heard already refreshed
-                    case wire::MsgType::kShutdown: {
-#if XS_TELEMETRY_ENABLED
-                        util::metrics::Snapshot merged;
-                        if (st.own_metrics) merged = util::metrics::snapshot();
-                        pool.shutdown(5000.0, &merged);
-                        net::send_frame(fd, wire::MsgType::kMetrics,
-                                        util::metrics::to_json(merged));
-#else
-                        pool.shutdown(5000.0, nullptr);
-#endif
-                        return LinkEnd::kShutdown;
-                    }
-                    default:
-                        util::log_warn(
-                            "agent: unexpected message type " +
-                            std::to_string(static_cast<int>(msg.type)));
-                }
-            }
-            if (sock.finished()) lose_link("service closed");
         }
 
         // Silence check directly after the socket read, so a local stall (a
@@ -303,38 +352,9 @@ LinkEnd agent_loop(AgentState& st, int fd, wire::MessageReader& sock,
         if (now_ms() - last_heard > heartbeat_ms * 3.0)
             lose_link("service silent for 3 heartbeats");
 
-        for (std::size_t fi = 1; fi < fds.size(); ++fi) {
-            if (fds[fi].revents == 0) continue;
-            const std::size_t wi = owner[fi - 1];
-            PoolWorker& w = pool[wi];
-            if (!w.alive) continue;
-            w.reader.fill();
-            wire::Message msg;
-            while (w.reader.pop(msg)) {
-                switch (msg.type) {
-                    case wire::MsgType::kHello:
-                        break;
-                    case wire::MsgType::kAck:
-                        send(wire::MsgType::kAck, msg.payload);
-                        break;
-                    case wire::MsgType::kFail:
-                        if (w.dealt >= 0)
-                            send(wire::MsgType::kFail,
-                                 net::encode_fail(w.dealt, w.attempt,
-                                                  msg.payload));
-                        break;  // the worker itself is fine
-                    default:
-                        util::log_warn(
-                            "agent: unexpected worker message type " +
-                            std::to_string(static_cast<int>(msg.type)));
-                        continue;
-                }
-                w.dealt = -1;
-                w.deadline = 0.0;
-                w.ready = true;
-            }
-            if (w.reader.finished()) worker_lost(wi, "");
-        }
+        for (std::size_t fi = 1; fi < fds.size(); ++fi)
+            if (fds[fi].revents != 0 && pool[owner[fi - 1]].alive)
+                drain(owner[fi - 1]);
 
         const double t = now_ms();
         for (std::size_t wi = 0; wi < pool.size(); ++wi) {
@@ -458,7 +478,7 @@ SweepSummary coordinate(core::ExperimentContext& ctx, const SweepSpec& spec,
     const auto add_host = [&](int fd) {
         auto h = std::make_unique<Host>();
         h->id = next_host_id++;
-        h->fd = fd;
+        h->sock.fd = fd;
         h->reader.reset(fd);
         h->last_heard = now_ms();
         util::log_info("service: " + h->name() + " connected");
@@ -495,20 +515,27 @@ SweepSummary coordinate(core::ExperimentContext& ctx, const SweepSpec& spec,
 
     std::int64_t quarantined = 0;
     const double lease_ms = opts.cell_budget_ms;
+    // Cells whose budget overrun is counted: once per cell, whether its
+    // lease expired or a slow ack landed first.
+    std::set<std::size_t> overran;
+
+    // Whether host h holds cell p's in-flight attempt `attempt`.
+    const auto holds = [&](const Host& h, std::size_t p, std::int64_t attempt) {
+        return sched.at(p).in_flight && sched.at(p).owner == h.id &&
+               sched.attempts_of(p) - 1 == attempt;
+    };
 
     const auto attempt_failed = [&](std::size_t p, const std::string& reason) {
         const SweepCell& cell = cells[sched.at(p).cell_index];
         const std::int64_t attempts = sched.attempts_of(p);
-        if (sched.fail(p, now_ms()) == LeaseScheduler::FailOutcome::kRetry) {
-            const double backoff =
-                svc.retry_backoff_ms *
-                std::pow(2.0, static_cast<double>(attempts - 1));
+        const double t = now_ms();
+        if (sched.fail(p, t) == LeaseScheduler::FailOutcome::kRetry) {
             ++summary.cell_retries;
             XS_COUNT("sweep.cells.retried", 1);
             util::log_warn("service: cell " + cell.id() + " attempt " +
                            std::to_string(attempts) + " failed (" + reason +
-                           "); re-dealing in " + util::fmt(backoff, 0) +
-                           " ms");
+                           "); re-dealing in " +
+                           util::fmt(sched.at(p).eligible_at - t, 0) + " ms");
         } else {
             CellResult fr;
             fr.status = "failed";
@@ -527,29 +554,48 @@ SweepSummary coordinate(core::ExperimentContext& ctx, const SweepSpec& spec,
     // Declare a host dead: every lease it still owns fails (re-deal with
     // backoff elsewhere); leases it was slow on (owner already moved) just
     // vanish with it. The fd closes; a reconnecting agent is a new host.
+    // Without a listener the sweep now aborts, so the host's leases are
+    // undealt instead: the lost host, not the cell, ended those attempts,
+    // and --resume must run them again.
     const auto host_dead = [&](Host& h, const std::string& why) {
         util::log_warn("service: " + h.name() + " " + why +
                        (h.leased.empty()
                             ? ""
                             : " with " + std::to_string(h.leased.size()) +
                                   " lease(s)"));
-        for (const std::size_t p : h.leased)
-            if (sched.at(p).in_flight && sched.at(p).owner == h.id)
+        for (const auto& [p, attempt] : h.leased) {
+            if (!holds(h, p, attempt)) continue;
+            if (listener.fd < 0)
+                sched.undeal(p);
+            else
                 attempt_failed(p, h.name() + " " + why);
+        }
         h.leased.clear();
-        h.close();
+        h.sock.close();
     };
 
     const auto purge_dead = [&]() {
         hosts.erase(std::remove_if(hosts.begin(), hosts.end(),
                                    [](const std::unique_ptr<Host>& h) {
-                                       return h->fd < 0;
+                                       return h->sock.fd < 0;
                                    }),
                     hosts.end());
     };
 
+    // Poll `listen_fd` (-1: none) and every host; fds[i + 1] is fd_host[i]'s.
     std::vector<pollfd> fds;
     std::vector<Host*> fd_host;
+    const auto poll_hosts = [&](int listen_fd, double timeout_ms) {
+        fds.assign(1, pollfd{listen_fd, POLLIN, 0});
+        fd_host.clear();
+        for (auto& hp : hosts) {
+            fds.push_back({hp->sock.fd, POLLIN, 0});
+            fd_host.push_back(hp.get());
+        }
+        ::poll(fds.data(), static_cast<nfds_t>(fds.size()),
+               static_cast<int>(std::ceil(std::max(timeout_ms, 0.0))));
+    };
+
     const util::Stopwatch run_clock;
     double next_beat = opts.progress_sec;
     double next_hb = now_ms() + svc.heartbeat_ms;
@@ -575,7 +621,7 @@ SweepSummary coordinate(core::ExperimentContext& ctx, const SweepSpec& spec,
         if (!draining) {
             for (auto& hp : hosts) {
                 Host& h = *hp;
-                if (h.fd < 0 || !h.joined) continue;
+                if (h.sock.fd < 0 || !h.joined) continue;
                 while (static_cast<std::int64_t>(h.leased.size()) <
                        h.capacity) {
                     const std::int64_t p = sched.next_eligible(now);
@@ -583,16 +629,16 @@ SweepSummary coordinate(core::ExperimentContext& ctx, const SweepSpec& spec,
                     const std::size_t pi = static_cast<std::size_t>(p);
                     const std::size_t ci = sched.at(pi).cell_index;
                     sched.deal(pi, now, lease_ms, h.id);
-                    const std::string payload =
-                        wire::encode_deal(static_cast<std::int64_t>(ci),
-                                          sched.attempts_of(pi) - 1);
-                    if (!net::send_frame(h.fd, wire::MsgType::kDeal,
-                                         payload)) {
+                    const std::int64_t attempt = sched.attempts_of(pi) - 1;
+                    if (!net::send_frame(h.sock.fd, wire::MsgType::kDeal,
+                                         wire::encode_deal(
+                                             static_cast<std::int64_t>(ci),
+                                             attempt))) {
                         sched.undeal(pi);  // never reached the host
                         host_dead(h, "rejected a deal (send failed)");
                         break;
                     }
-                    h.leased.push_back(pi);
+                    h.leased.emplace_back(pi, attempt);
                     XS_DLOG("service: dealt cell " + cells[ci].id() + " to " +
                             h.name());
                 }
@@ -608,18 +654,7 @@ SweepSummary coordinate(core::ExperimentContext& ctx, const SweepSpec& spec,
         if (opts.progress_sec > 0.0)
             timeout = std::min(timeout,
                                (next_beat - run_clock.seconds()) * 1000.0);
-        timeout = std::max(timeout, 0.0);
-
-        fds.clear();
-        fd_host.clear();
-        fds.push_back({listener.fd, POLLIN, 0});  // fd -1: poll skips it
-        fd_host.push_back(nullptr);
-        for (auto& hp : hosts) {
-            fds.push_back({hp->fd, POLLIN, 0});
-            fd_host.push_back(hp.get());
-        }
-        ::poll(fds.data(), static_cast<nfds_t>(fds.size()),
-               static_cast<int>(std::ceil(timeout)));
+        poll_hosts(listener.fd, timeout);
 
         if (fds[0].revents != 0) {
             for (int cfd; (cfd = net::accept_conn(listener.fd)) >= 0;)
@@ -628,17 +663,17 @@ SweepSummary coordinate(core::ExperimentContext& ctx, const SweepSpec& spec,
 
         for (std::size_t fi = 1; fi < fds.size(); ++fi) {
             if (fds[fi].revents == 0) continue;
-            Host& h = *fd_host[fi];
+            Host& h = *fd_host[fi - 1];
             h.last_heard = now_ms();
             h.reader.fill();
             wire::Message msg;
-            while (h.fd >= 0 && h.reader.pop(msg)) {
+            while (h.sock.fd >= 0 && h.reader.pop(msg)) {
                 switch (msg.type) {
                     case wire::MsgType::kJoin: {
                         std::string fp;
                         std::int64_t capacity = 0;
                         if (!net::decode_join(msg.payload, fp, capacity)) {
-                            net::send_frame(h.fd, wire::MsgType::kFail,
+                            net::send_frame(h.sock.fd, wire::MsgType::kFail,
                                             "join rejected: malformed join");
                             host_dead(h, "sent a malformed join");
                             break;
@@ -651,7 +686,7 @@ SweepSummary coordinate(core::ExperimentContext& ctx, const SweepSpec& spec,
                                 "); rejecting — the agent is running a "
                                 "different grid, spec, or experiment config");
                             net::send_frame(
-                                h.fd, wire::MsgType::kFail,
+                                h.sock.fd, wire::MsgType::kFail,
                                 "join rejected: fingerprint mismatch "
                                 "(service: " + join_fp + ")");
                             host_dead(h, "fingerprint mismatch");
@@ -661,7 +696,7 @@ SweepSummary coordinate(core::ExperimentContext& ctx, const SweepSpec& spec,
                         h.capacity = capacity;
                         ++summary.hosts_joined;
                         if (!net::send_frame(
-                                h.fd, wire::MsgType::kJoin,
+                                h.sock.fd, wire::MsgType::kJoin,
                                 net::encode_join_ok(svc.heartbeat_ms,
                                                     lease_ms)))
                             host_dead(h, "join reply failed");
@@ -681,7 +716,8 @@ SweepSummary coordinate(core::ExperimentContext& ctx, const SweepSpec& spec,
                             break;
                         }
                         const auto sp = id_to_sched.find(id);
-                        if (sp != id_to_sched.end()) h.release(sp->second);
+                        if (sp != id_to_sched.end())
+                            h.release(sp->second, r.attempts - 1);
                         if (results.find(id) != results.end()) {
                             // The cell was already durably recorded — a
                             // slow host finishing after its lease was
@@ -710,7 +746,8 @@ SweepSummary coordinate(core::ExperimentContext& ctx, const SweepSpec& spec,
                         ++summary.cells_executed;
                         ++h.cells_done;
                         if (opts.cell_budget_ms > 0.0 &&
-                            r.wall_ms > opts.cell_budget_ms) {
+                            r.wall_ms > opts.cell_budget_ms &&
+                            overran.insert(sp->second).second) {
                             ++summary.cells_over_budget;
                             util::log_warn(
                                 "sweep cell " + id + " over budget: " +
@@ -738,35 +775,27 @@ SweepSummary coordinate(core::ExperimentContext& ctx, const SweepSpec& spec,
                             cell_to_sched.find(static_cast<std::size_t>(ci));
                         if (cp == cell_to_sched.end()) break;
                         const std::size_t p = cp->second;
-                        h.release(p);
+                        h.release(p, attempt);
                         // A fail counts only against the attempt it names,
                         // held by this host. A fail from an attempt whose
                         // lease already expired is stale — even when the
                         // re-deal went to this same host — and just frees
                         // the worker slot.
-                        if (sched.at(p).in_flight &&
-                            sched.at(p).owner == h.id &&
-                            sched.attempts_of(p) - 1 == attempt)
-                            attempt_failed(p, reason);
+                        if (holds(h, p, attempt)) attempt_failed(p, reason);
                         break;
                     }
-                    case wire::MsgType::kMetrics: {
-                        util::metrics::Snapshot snap;
-                        if (util::metrics::from_json(msg.payload, snap))
-                            util::metrics::merge(host_metrics, snap);
-                        else
-                            util::log_warn(
-                                "service: discarding an unparsable metrics "
-                                "frame from " + h.name());
+                    case wire::MsgType::kCapacity:
+                        // A worker slot retired: deal no more than the
+                        // host's live workers.
+                        h.capacity = std::atoll(msg.payload.c_str());
                         break;
-                    }
-                    default:
+                    default:  // kMetrics only answers kShutdown, sent below
                         host_dead(h, "sent unexpected message type " +
                                          std::to_string(static_cast<int>(
                                              msg.type)));
                 }
             }
-            if (h.fd >= 0 && h.reader.finished())
+            if (h.sock.fd >= 0 && h.reader.finished())
                 host_dead(h, "disconnected");
         }
         purge_dead();
@@ -778,7 +807,7 @@ SweepSummary coordinate(core::ExperimentContext& ctx, const SweepSpec& spec,
         // old attempt's worker itself.
         for (const std::size_t p : sched.expired(now_ms())) {
             ++summary.watchdog_kills;
-            ++summary.cells_over_budget;
+            if (overran.insert(p).second) ++summary.cells_over_budget;
             attempt_failed(p, "lease expired on host" +
                                   std::to_string(sched.at(p).owner) +
                                   " after " + util::fmt(lease_ms, 0) + " ms");
@@ -790,12 +819,13 @@ SweepSummary coordinate(core::ExperimentContext& ctx, const SweepSpec& spec,
         if (tnow >= next_hb) {
             next_hb = tnow + svc.heartbeat_ms;
             for (auto& hp : hosts)
-                if (hp->fd >= 0 && hp->joined &&
-                    !net::send_frame(hp->fd, wire::MsgType::kHeartbeat, ""))
+                if (hp->sock.fd >= 0 && hp->joined &&
+                    !net::send_frame(hp->sock.fd, wire::MsgType::kHeartbeat,
+                                     ""))
                     host_dead(*hp, "heartbeat send failed");
         }
         for (auto& hp : hosts)
-            if (hp->fd >= 0 &&
+            if (hp->sock.fd >= 0 &&
                 tnow - hp->last_heard >
                     svc.heartbeat_ms *
                         static_cast<double>(svc.heartbeat_misses))
@@ -805,12 +835,11 @@ SweepSummary coordinate(core::ExperimentContext& ctx, const SweepSpec& spec,
         purge_dead();
 
         if (opts.progress_sec > 0.0 && run_clock.seconds() >= next_beat) {
-            next_beat = run_clock.seconds() + opts.progress_sec;
             const double elapsed = run_clock.seconds();
+            next_beat = elapsed + opts.progress_sec;
             const double done = static_cast<double>(sched.done_count());
             const double rate = elapsed > 0.0 ? done / elapsed : 0.0;
-            const double left =
-                static_cast<double>(sched.size() - sched.done_count());
+            const double left = static_cast<double>(sched.size()) - done;
             std::string host_line;
             for (const auto& hp : hosts) {
                 if (!hp->joined) continue;
@@ -835,24 +864,16 @@ SweepSummary coordinate(core::ExperimentContext& ctx, const SweepSpec& spec,
     // local pool (its own 5 s grace), and answers with one kMetrics frame.
     // Our grace covers theirs; a host that dies instead contributes nothing.
     for (auto& hp : hosts)
-        if (hp->fd >= 0 &&
-            !net::send_frame(hp->fd, wire::MsgType::kShutdown, ""))
-            hp->close();
+        if (hp->sock.fd >= 0 &&
+            !net::send_frame(hp->sock.fd, wire::MsgType::kShutdown, ""))
+            hp->sock.close();
     purge_dead();
     const double grace_deadline = now_ms() + 10000.0;
     while (!hosts.empty() && now_ms() < grace_deadline) {
-        fds.clear();
-        fd_host.clear();
-        for (auto& hp : hosts) {
-            fds.push_back({hp->fd, POLLIN, 0});
-            fd_host.push_back(hp.get());
-        }
-        const double left = grace_deadline - now_ms();
-        ::poll(fds.data(), static_cast<nfds_t>(fds.size()),
-               static_cast<int>(std::ceil(std::max(left, 0.0))));
-        for (std::size_t fi = 0; fi < fds.size(); ++fi) {
+        poll_hosts(-1, grace_deadline - now_ms());
+        for (std::size_t fi = 1; fi < fds.size(); ++fi) {
             if (fds[fi].revents == 0) continue;
-            Host& h = *fd_host[fi];
+            Host& h = *fd_host[fi - 1];
             h.reader.fill();
             wire::Message msg;
             while (h.reader.pop(msg)) {
@@ -890,11 +911,14 @@ SweepSummary coordinate(core::ExperimentContext& ctx, const SweepSpec& spec,
                     util::metrics::Snapshot snap;
                     if (util::metrics::from_json(msg.payload, snap))
                         util::metrics::merge(host_metrics, snap);
-                    h.close();  // the metrics frame is the goodbye
+                    else
+                        util::log_warn("service: discarding an unparsable "
+                                       "metrics frame from " + h.name());
+                    h.sock.close();  // the metrics frame is the goodbye
                     break;
                 }
             }
-            if (h.reader.finished()) h.close();
+            if (h.reader.finished()) h.sock.close();
         }
         purge_dead();
     }
@@ -1003,8 +1027,8 @@ int run_agent(core::ExperimentContext& ctx, const SweepSpec& spec,
         double heartbeat_ms = 1000.0, lease_ms = 0.0;
         const Joined joined =
             agent_join(link.fd, sock, join_fp,
-                       static_cast<std::int64_t>(st.pool.size()), heartbeat_ms,
-                       lease_ms);
+                       static_cast<std::int64_t>(st.pool.alive_count()),
+                       heartbeat_ms, lease_ms);
         if (joined == Joined::kRejected) {
             st.pool.shutdown(5000.0, nullptr);
             return 1;

@@ -86,7 +86,7 @@ struct AgentOptions {
     std::string host = "127.0.0.1";
     std::uint16_t port = 7473;
     // Local worker processes; advertised to the service as this host's
-    // deal capacity.
+    // deal capacity, which shrinks as worker slots retire.
     std::int64_t workers = 2;
     // Worker argv prefix, as SupervisorOptions::worker_cmd.
     std::vector<std::string> worker_cmd;

@@ -21,6 +21,8 @@
 //                the cell, and a host re-dealt its own expired cell must
 //                not have the old attempt's fail count against the new)
 //       kHeartbeat (liveness beacon on the service cadence)
+//       kCapacity (payload = "<capacity>": a worker slot retired, so the
+//                host shrinks to its live workers)
 //       kMetrics (payload = util/metrics.h snapshot JSON,
 //                 sent once in response to kShutdown)
 //   coordinator → worker/agent:
@@ -53,6 +55,7 @@ enum class MsgType : std::uint8_t {
     kMetrics = 6,
     kJoin = 7,       // agent → service handshake / service → agent accept
     kHeartbeat = 8,  // liveness beacon (either direction, empty payload)
+    kCapacity = 9,   // agent → service: a worker slot retired
 };
 
 struct Message {

@@ -10,6 +10,8 @@
 // reconnect+replay, expired leases with late duplicate acks, and
 // coordinator restarts (--resume). Faults are injected into the *agent*
 // processes via their environment (XS_FAULT), never into the coordinator.
+// Protocol races no real agent hits on cue are played by a hand-driven
+// agent over loopback (HandAgent).
 //
 // This binary is its own worker AND its own agent: it provides main()
 // (CMake links it without gtest_main) and re-execs itself, exactly like the
@@ -375,10 +377,10 @@ TEST(SweepService, LateDuplicateAckIsDedupedNeverDoubleRecorded) {
 
 // Pop the next frame that is not a heartbeat, beating back while waiting
 // so the service never declares the hand-driven host silent. False on EOF
-// or after 10 s.
-bool next_frame(int fd, wire::MessageReader& in, wire::Message& msg) {
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+// or once `wait` has passed.
+bool next_frame(int fd, wire::MessageReader& in, wire::Message& msg,
+                std::chrono::milliseconds wait = std::chrono::seconds(10)) {
+    const auto deadline = std::chrono::steady_clock::now() + wait;
     while (std::chrono::steady_clock::now() < deadline) {
         while (in.pop(msg))
             if (msg.type != wire::MsgType::kHeartbeat) return true;
@@ -391,71 +393,202 @@ bool next_frame(int fd, wire::MessageReader& in, wire::Message& msg) {
     return false;
 }
 
+// An agent played by hand over loopback, for protocol races a real agent
+// cannot be made to hit on cue.
+struct HandAgent {
+    int fd = -1;
+    wire::MessageReader in;
+
+    // Connect and join with `capacity`.
+    HandAgent(int port, const std::string& join_fp, std::int64_t capacity) {
+        std::string err;
+        fd = net::connect_to("127.0.0.1", static_cast<std::uint16_t>(port),
+                             &err);
+        EXPECT_GE(fd, 0) << err;
+        in.reset(fd);
+        send(wire::MsgType::kJoin, net::encode_join(join_fp, capacity));
+        EXPECT_EQ(next_type(), wire::MsgType::kJoin);
+    }
+    ~HandAgent() { ::close(fd); }
+
+    // The type of the next frame that is not a heartbeat; kHeartbeat
+    // stands for "none came".
+    wire::MsgType next_type() {
+        wire::Message msg;
+        return next_frame(fd, in, msg) ? msg.type : wire::MsgType::kHeartbeat;
+    }
+    // The next frame must deal `cell` at `attempt`.
+    void expect_deal(std::int64_t cell, std::int64_t attempt) {
+        wire::Message msg;
+        std::int64_t ci = -1, at = -1;
+        ASSERT_TRUE(next_frame(fd, in, msg));
+        ASSERT_EQ(msg.type, wire::MsgType::kDeal);
+        ASSERT_TRUE(wire::decode_deal(msg.payload, ci, at));
+        EXPECT_EQ(ci, cell);
+        EXPECT_EQ(at, attempt);
+    }
+    void send(wire::MsgType type, const std::string& payload) {
+        EXPECT_TRUE(net::send_frame(fd, type, payload));
+    }
+};
+
+// The first cells of the grid, played against a hand-driven agent: the
+// join fingerprint, the options, and real results to ack with.
+struct HandSweep {
+    SweepSpec spec = tiny_spec();
+    std::vector<SweepCell> cells = spec.expand();
+    std::string join_fp =
+        join_fingerprint(sweep_config_fingerprint(ctx(), spec), cells);
+    SweepOptions opts;
+
+    HandSweep(const std::string& name, std::int64_t ncells) {
+        opts.csv_name = name + ".csv";
+        opts.manifest_name = name + ".jsonl";
+        opts.max_cells = ncells;
+    }
+    // Cell i's kAck payload, as its worker would send it for attempt
+    // `attempts - 1`.
+    std::string ack(std::size_t i, std::int64_t attempts,
+                    double wall_ms = -1.0) const {
+        CellResult r = run_sweep_cell(ctx(), spec, cells[i]);
+        r.attempts = attempts;
+        if (wall_ms >= 0.0) r.wall_ms = wall_ms;
+        return encode_manifest_line(cells[i].id(), r);
+    }
+};
+
 // A fail names its attempt. A lone host is always re-dealt its own expired
 // cells, so the expired attempt's late fail (a watchdog kill, a crash)
 // reaches the host that runs the re-deal — and must not fail it: with one
 // retry that would quarantine the cell, and its real result would then be
-// dropped as a duplicate. The agent is played by hand over loopback.
+// dropped as a duplicate.
 TEST(SweepService, FailOfAnExpiredAttemptDoesNotFailTheReDeal) {
     baseline_csv();
-    const SweepSpec spec = tiny_spec();
-    const std::vector<SweepCell> cells = spec.expand();
-    const std::string join_fp =
-        join_fingerprint(sweep_config_fingerprint(ctx(), spec), cells);
-    CellResult result = run_sweep_cell(ctx(), spec, cells[0]);
-    result.attempts = 2;
-
+    HandSweep sweep("svc_stale", 1);
+    sweep.opts.cell_budget_ms = 300.0;  // the lease
+    const std::string ack = sweep.ack(0, 2);
     int port = 0;
     ServiceOptions svc = fast_svc(port);
     svc.max_cell_retries = 1;
-    SweepOptions opts;
-    opts.csv_name = "svc_stale.csv";
-    opts.manifest_name = "svc_stale.jsonl";
-    opts.max_cells = 1;           // cell 0 only
-    opts.cell_budget_ms = 300.0;  // the lease
 
     std::thread agent([&] {
-        std::string err;
-        const int fd = net::connect_to(
-            "127.0.0.1", static_cast<std::uint16_t>(port), &err);
-        ASSERT_GE(fd, 0) << err;
-        wire::MessageReader in(fd);
-        wire::Message msg;
-        std::int64_t ci = -1, attempt = -1;
-        ASSERT_TRUE(net::send_frame(fd, wire::MsgType::kJoin,
-                                    net::encode_join(join_fp, 2)));
-        ASSERT_TRUE(next_frame(fd, in, msg));
-        EXPECT_EQ(msg.type, wire::MsgType::kJoin);
-        // Attempt 0 arrives and is held past its lease...
-        ASSERT_TRUE(next_frame(fd, in, msg));
-        ASSERT_EQ(msg.type, wire::MsgType::kDeal);
-        ASSERT_TRUE(wire::decode_deal(msg.payload, ci, attempt));
-        EXPECT_EQ(ci, 0);
-        EXPECT_EQ(attempt, 0);
-        // ...so the service re-deals the cell to this, its only host.
-        ASSERT_TRUE(next_frame(fd, in, msg));
-        ASSERT_EQ(msg.type, wire::MsgType::kDeal);
-        ASSERT_TRUE(wire::decode_deal(msg.payload, ci, attempt));
-        EXPECT_EQ(ci, 0);
-        EXPECT_EQ(attempt, 1);
+        HandAgent a(port, sweep.join_fp, 2);
+        a.expect_deal(0, 0);  // held past its lease...
+        a.expect_deal(0, 1);  // ...so the service re-deals it here
         // Attempt 0's late fail, then attempt 1's result.
-        EXPECT_TRUE(net::send_frame(
-            fd, wire::MsgType::kFail,
-            net::encode_fail(0, 0, "worker watchdog-killed")));
-        EXPECT_TRUE(net::send_frame(fd, wire::MsgType::kAck,
-                                    encode_manifest_line(cells[0].id(),
-                                                         result)));
-        ASSERT_TRUE(next_frame(fd, in, msg));
-        EXPECT_EQ(msg.type, wire::MsgType::kShutdown);
-        ::close(fd);
+        a.send(wire::MsgType::kFail,
+               net::encode_fail(0, 0, "worker watchdog-killed"));
+        a.send(wire::MsgType::kAck, ack);
+        EXPECT_EQ(a.next_type(), wire::MsgType::kShutdown);
     });
-    const SweepSummary summary = run_service(ctx(), spec, opts, svc);
+    const SweepSummary summary =
+        run_service(ctx(), sweep.spec, sweep.opts, svc);
     agent.join();
     EXPECT_EQ(summary.cells_executed, 1);
     EXPECT_EQ(summary.cells_failed, 0);
     EXPECT_EQ(summary.cell_retries, 1);
-    EXPECT_EQ(load_manifest(summary.manifest_path).at(cells[0].id()).status,
+    EXPECT_EQ(summary.watchdog_kills, 1);
+    EXPECT_EQ(summary.cells_over_budget, 1);
+    EXPECT_EQ(load_manifest(summary.manifest_path)
+                  .at(sweep.cells[0].id())
+                  .status,
               "ok");
+}
+
+// The lease expiry already counted the cell's budget overrun. When the
+// expired attempt's slow ack then lands before its re-deal's, it is
+// recorded, but the same cell is not counted over budget twice.
+TEST(SweepService, SlowAckOfAnExpiredLeaseCountsOneOverrun) {
+    baseline_csv();
+    HandSweep sweep("svc_overrun", 1);
+    sweep.opts.cell_budget_ms = 300.0;
+    const std::string slow_ack = sweep.ack(0, 1, 400.0);  // over budget
+    int port = 0;
+    const ServiceOptions svc = fast_svc(port);
+
+    std::thread agent([&] {
+        HandAgent a(port, sweep.join_fp, 2);
+        a.expect_deal(0, 0);
+        a.expect_deal(0, 1);
+        a.send(wire::MsgType::kAck, slow_ack);  // attempt 0's
+        EXPECT_EQ(a.next_type(), wire::MsgType::kShutdown);
+    });
+    const SweepSummary summary =
+        run_service(ctx(), sweep.spec, sweep.opts, svc);
+    agent.join();
+    EXPECT_EQ(summary.cells_executed, 1);
+    EXPECT_EQ(summary.watchdog_kills, 1);
+    EXPECT_EQ(summary.cells_over_budget, 1);
+}
+
+// A worker slot that retires shrinks its host: after kCapacity the service
+// deals the host no more cells than it has live workers, so no lease waits
+// on a worker that is gone.
+TEST(SweepService, RetiredWorkerSlotShrinksTheHost) {
+    baseline_csv();
+    HandSweep sweep("svc_shrink", 2);
+    const std::string ack0 = sweep.ack(0, 2), ack1 = sweep.ack(1, 1);
+    int port = 0;
+    const ServiceOptions svc = fast_svc(port);
+
+    std::thread agent([&] {
+        HandAgent a(port, sweep.join_fp, 2);
+        a.expect_deal(0, 0);
+        a.expect_deal(1, 0);
+        // Cell 0's worker dies and its slot retires.
+        a.send(wire::MsgType::kCapacity, "1");
+        a.send(wire::MsgType::kFail,
+               net::encode_fail(0, 0, "worker killed by signal 9"));
+        // Cell 0 is due again after a 20 ms backoff, but the one live
+        // worker still holds cell 1: nothing may be dealt until it acks.
+        wire::Message msg;
+        EXPECT_FALSE(
+            next_frame(a.fd, a.in, msg, std::chrono::milliseconds(500)));
+        a.send(wire::MsgType::kAck, ack1);
+        a.expect_deal(0, 1);
+        a.send(wire::MsgType::kAck, ack0);
+        EXPECT_EQ(a.next_type(), wire::MsgType::kShutdown);
+    });
+    const SweepSummary summary =
+        run_service(ctx(), sweep.spec, sweep.opts, svc);
+    agent.join();
+    EXPECT_EQ(summary.cells_executed, 2);
+    EXPECT_EQ(summary.cells_failed, 0);
+    EXPECT_EQ(summary.cell_retries, 1);
+}
+
+// An agent that rejoins mid-cell is re-dealt the cell its worker still
+// runs: the service failed that attempt with the lost link, not with the
+// worker. The worker must run on — no kill, no respawn — while the re-deal
+// runs on the agent's other worker.
+TEST(SweepService, RejoinedAgentKeepsItsBusyWorkers) {
+    baseline_csv();
+    int port = 0;
+    const ServiceOptions svc = fast_svc(port);
+    // Whichever worker takes cell 0 hangs on attempt 0. Deals are handed
+    // out in order, so cell 0 is on a worker before the other one acks
+    // cell 1, and sending that first ack severs the link. The hung worker
+    // is only reaped by the agent's shutdown grace (5 s).
+    AgentProc agent(spawn_agent(port, 2,
+                                "hang@cell:0,net-disconnect@net-send-ack:0",
+                                "", nullptr, "10"));
+
+    SweepOptions opts;
+    opts.csv_name = "svc_rejoin.csv";
+    opts.manifest_name = "svc_rejoin.jsonl";
+    const SweepSummary summary = run_service(ctx(), tiny_spec(), opts, svc);
+    EXPECT_EQ(summary.cells_executed, 4);
+    EXPECT_EQ(summary.cells_failed, 0);
+    EXPECT_GE(summary.hosts_joined, 2);  // the join plus the rejoin
+    EXPECT_EQ(slurp(summary.csv_path), baseline_csv());
+    EXPECT_TRUE(exited_ok(agent.wait()));
+#if XS_TELEMETRY_ENABLED
+    // The agent's own counters ride in its kMetrics frame.
+    util::metrics::Snapshot snap;
+    ASSERT_TRUE(util::metrics::from_json(summary.metrics_json, snap));
+    const auto lost = snap.counters.find("sweep.workers.lost");
+    EXPECT_EQ(lost == snap.counters.end() ? 0u : lost->second, 0u);
+#endif
 }
 
 TEST(SweepService, CoordinatorResumeIsByteIdenticalAndCarriesMetrics) {

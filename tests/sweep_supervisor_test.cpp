@@ -304,6 +304,34 @@ TEST(SweepSupervisor, PoolExhaustionAbortsResumably) {
                  std::exception);
 }
 
+// Retired slots shrink the in-process host, so the coordinator never deals
+// a cell that no live worker can start. Here the worker on cell 0 crashes
+// and retires while the other hangs on cell 1 until its lease runs out and
+// it is killed too. Only those two cells ran, so only they are quarantined;
+// cells 2 and 3 stay unrecorded for the --resume the abort asks for.
+TEST(SweepSupervisor, PoolDeathQuarantinesOnlyCellsThatRan) {
+    baseline_csv();
+    EnvFault fault("crash@cell:0*,hang@cell:1");
+    SweepOptions opts;
+    opts.csv_name = "sup_shrink.csv";
+    opts.manifest_name = "sup_shrink.jsonl";
+    opts.cell_budget_ms = 1000.0;
+    SupervisorOptions sup = sup_opts();  // two workers, both dealt at once
+    sup.max_worker_restarts = 0;
+    sup.max_cell_retries = 0;
+    EXPECT_THROW(run_supervised(ctx(), tiny_spec(), opts, sup),
+                 std::exception);
+
+    const std::vector<SweepCell> cells = tiny_spec().expand();
+    const auto manifest =
+        load_manifest(ctx().csv_path(opts.manifest_name));
+    EXPECT_EQ(manifest.size(), 2u);
+    for (std::size_t i = 0; i < 2; ++i)
+        EXPECT_TRUE(manifest.count(cells[i].id()) == 1 &&
+                    manifest.at(cells[i].id()).failed())
+            << cells[i].id();
+}
+
 TEST(SweepSupervisor, TornManifestRecordIsSkippedAndReExecuted) {
     baseline_csv();
     // Tear the 2nd data record mid-append (single-process runner, so the
