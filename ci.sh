@@ -6,7 +6,11 @@
 # plus a Debug job with Address- and UB-sanitizers over the unit-labeled
 # tests. Both jobs compile with -Wall
 # -Wextra -Werror (XS_WERROR) and use ccache when available (the GitHub
-# workflow caches its directory). Run from anywhere.
+# workflow caches its directory). The release job builds for the host CPU
+# (-march=native: the AVX-512 kernels on an AVX-512 host); the sanitize job
+# builds portable code (XS_NATIVE_ARCH=OFF), so the non-AVX-512 paths
+# compile under -Werror and run under the sanitizers on every host. Run
+# from anywhere.
 #
 # Usage: ci.sh [release|sanitize|all]   (default: all)
 set -euo pipefail
@@ -48,8 +52,8 @@ run_release() {
 # Sweep smoke: a dry-run plus one tiny circuit/fast grid through the real
 # sweep_runner driver, so the backend axis, the stage pipeline, per-cell
 # budgeting, and manifest/CSV plumbing can't bit-rot unnoticed. A second
-# run of the same grid with full telemetry armed (detail metrics, a chrome
-# trace, a metrics snapshot, the progress heartbeat) must reproduce the
+# run of the same grid with full telemetry armed (a chrome trace, a
+# metrics snapshot, the progress heartbeat) must reproduce the
 # plain run's CSV byte for byte — observability must never perturb results
 # — and its metrics/trace JSONs must pass bench/check_metrics.py. A further
 # --workers=2 run (the service's coordinator dealing to an in-process agent
@@ -78,7 +82,7 @@ run_sweep_smoke() {
     return 1
   fi
   echo "=== telemetry sweep smoke (metrics + trace + heartbeat) ==="
-  XS_METRICS=detail "$repo_root/build-release/sweep_runner" \
+  "$repo_root/build-release/sweep_runner" \
     "${smoke_flags[@]}" --cell-budget-ms=120000 --progress-sec=1 \
     --metrics-out="$smoke_dir/metrics.json" --trace="$smoke_dir/trace.json" \
     --csv=sweep_telemetry.csv --manifest=sweep_telemetry.jsonl
@@ -208,7 +212,7 @@ run_bench_gate() {
 run_sanitize() {
   echo "=== Debug + ASan/UBSan build + ctest (unit label) ==="
   cmake -B "$repo_root/build-asan" -S "$repo_root" \
-    -DCMAKE_BUILD_TYPE=Debug -DXS_SANITIZE=ON \
+    -DCMAKE_BUILD_TYPE=Debug -DXS_SANITIZE=ON -DXS_NATIVE_ARCH=OFF \
     -DXS_BUILD_BENCH=OFF -DXS_BUILD_EXAMPLES=OFF "${cmake_common[@]}"
   cmake --build "$repo_root/build-asan" -j"$jobs"
   # Integration-labeled tests are minutes-long under sanitizers; they are

@@ -5,7 +5,6 @@
 #include "nn/layers_basic.h"
 #include "nn/linear.h"
 #include "tensor/gemm.h"
-#include "tensor/im2col.h"
 #include "util/metrics.h"
 #include "util/parallel.h"
 #include "util/trace.h"
@@ -26,43 +25,37 @@ namespace {
 // allocation-free parallel_for_workers overload. All fields are set before
 // the dispatch and only read (or written at disjoint offsets) inside.
 
-// Phase 1 of a conv step: batched im2col straight into packed-B panels.
-// Workers split the panel range; panels write disjoint regions.
-struct PackCtx {
+// A conv step's GEMMs: every lane's (row-panel × n-block) tiles in one
+// dispatch, lane-major. Lane r reads its activation at x + r·x_lane
+// (x_lane = 0 while the lanes share the input) and writes its channel-major
+// output (cout × n_cols) at y + r·y_lane. Tiles write disjoint regions.
+struct ConvCtx {
+    const CompiledInstance* const* instances;
+    std::size_t slot;
+    const tensor::ConvTables* tables;
     const float* x;
-    float* packed;
-    std::int64_t n, cin, h, w, s_img, s_c, k, stride, pad;
+    float* y;
+    std::int64_t x_lane, y_lane, tiles;
+    bool epilogue, relu;
 };
 
-void pack_kernel(void* pv, std::size_t /*worker*/, std::size_t lo,
+void conv_kernel(void* pv, std::size_t /*worker*/, std::size_t lo,
                  std::size_t hi) {
-    PackCtx& ctx = *static_cast<PackCtx*>(pv);
-    tensor::im2col_pack_b(ctx.x, ctx.n, ctx.cin, ctx.h, ctx.w, ctx.s_img,
-                          ctx.s_c, ctx.k, ctx.k, ctx.stride, ctx.pad,
-                          ctx.packed, static_cast<std::int64_t>(lo),
-                          static_cast<std::int64_t>(hi));
-}
-
-// Phase 2: tiled GEMM over (row-panel × n-block) tiles with the fused
-// bias+ReLU epilogue. Workers split the tile range; tiles write disjoint
-// C regions.
-struct TileCtx {
-    const tensor::PackedGemmA* wpack;
-    const float* wraw;  // folded weights (cout × patch)
-    const float* packed;
-    float* y;  // channel-major (cout × n·out_hw)
-    const float* bias;
-    std::int64_t lda, n_cols;
-    bool relu;
-};
-
-void gemm_tile_kernel(void* pv, std::size_t /*worker*/, std::size_t lo,
-                      std::size_t hi) {
-    TileCtx& ctx = *static_cast<TileCtx*>(pv);
-    tensor::gemm_prepacked_tiles(*ctx.wpack, ctx.wraw, ctx.lda, ctx.packed,
-                                 ctx.n_cols, ctx.y, ctx.n_cols, ctx.bias,
-                                 ctx.relu, static_cast<std::int64_t>(lo),
-                                 static_cast<std::int64_t>(hi));
+    const ConvCtx& ctx = *static_cast<const ConvCtx*>(pv);
+    const std::int64_t n_cols = ctx.tables->n_cols;
+    for (auto t = static_cast<std::int64_t>(lo);
+         t < static_cast<std::int64_t>(hi);) {
+        const std::int64_t r = t / ctx.tiles;
+        const std::int64_t t_hi =
+            std::min(static_cast<std::int64_t>(hi), (r + 1) * ctx.tiles);
+        const CompiledInstance::Slot& sl = ctx.instances[r]->slots[ctx.slot];
+        tensor::gemm_conv_tiles(sl.wpack, *ctx.tables, ctx.x + r * ctx.x_lane,
+                                ctx.y + r * ctx.y_lane, n_cols,
+                                ctx.epilogue ? sl.b.data() : nullptr,
+                                ctx.relu, t - r * ctx.tiles,
+                                t_hi - r * ctx.tiles);
+        t = t_hi;
+    }
 }
 
 // Pooling is plane-local, so one kernel serves both activation layouts
@@ -121,8 +114,8 @@ void pool_kernel(void* pv, std::size_t /*worker*/, std::size_t lo,
 
 // Per-thread scratch shared by every engine on the thread: the activation
 // ping-pong pair (a forward is synchronous, so two engines never overlap on
-// one thread) and the packed im2col panel store. Evaluators construct a
-// fresh engine per Monte-Carlo evaluation; engine-owned buffers this large
+// one thread) and the conv step's B tables. Evaluators construct a fresh
+// engine per Monte-Carlo evaluation; engine-owned buffers this large
 // (multi-MB) would be mmap'd by the allocator and returned to the OS on
 // every engine destruction, repaying page faults and zero fills each eval.
 // Thread-locality makes the sharing race-free; the engine copies its final
@@ -130,8 +123,7 @@ void pool_kernel(void* pv, std::size_t /*worker*/, std::size_t lo,
 // callers never hold references into this scratch.
 struct EngineScratch {
     Tensor arena[2];            // ping-pong activation buffers
-    std::vector<float> packedb;  // packed im2col panels, grown once and
-                                 // reused across layers/batches/engines
+    tensor::ConvTables conv;    // rebuilt per conv step; grows once
 };
 
 EngineScratch& engine_scratch() {
@@ -159,11 +151,18 @@ void InferenceEngine::build_plan(Sequential& model) {
         Step s;
         s.layer = l;
         if (auto* conv = dynamic_cast<Conv2d*>(l)) {
+            // The conv step reads B in place (gemm_conv_tiles), which covers
+            // stride-1 "same" convolutions only.
+            check(conv->stride() == 1 &&
+                      2 * conv->pad() == conv->kernel() - 1,
+                  "InferenceEngine: conv layer '" + l->name() + "' (" +
+                      conv->describe() +
+                      ") is not a stride-1 same convolution "
+                      "(2·pad = kernel − 1)");
             s.kind = Step::Kind::kConv;
             s.cin = conv->in_channels();
             s.cout = conv->out_channels();
             s.k = conv->kernel();
-            s.stride = conv->stride();
             s.pad = conv->pad();
             s.patch = s.cin * s.k * s.k;
             if (next < count) {
@@ -202,8 +201,14 @@ void InferenceEngine::build_plan(Sequential& model) {
         } else {
             s.kind = Step::Kind::kGeneric;
         }
-        if (s.kind == Step::Kind::kConv || s.kind == Step::Kind::kLinear)
+        if (s.kind == Step::Kind::kConv || s.kind == Step::Kind::kLinear) {
+#if XS_TELEMETRY_ENABLED
+            slot_timers_.push_back(util::metrics::histogram(
+                "nn.step." + std::to_string(mappable_steps_.size()) +
+                (s.kind == Step::Kind::kConv ? ".conv.ns" : ".linear.ns")));
+#endif
             mappable_steps_.push_back(steps_.size());
+        }
         steps_.push_back(std::move(s));
         i = next;
     }
@@ -313,7 +318,6 @@ const Tensor& InferenceEngine::forward_batched(
 
     EngineScratch& scratch = engine_scratch();
     Tensor* const batch_arena_ = scratch.arena;
-    std::vector<float>& packedb_ = scratch.packedb;
     const std::int64_t R = static_cast<std::int64_t>(count);
     cur_shape_ = shape;
     const float* cur = x;
@@ -344,25 +348,31 @@ const Tensor& InferenceEngine::forward_batched(
         uniform = false;
     };
 
-    // Per-lane CN → batch-major transpose (flatten boundary / trunk end).
-    const auto to_batch_major_lanes = [&]() {
-        const std::int64_t n = cur_shape_[0], c = cur_shape_[1],
-                           hw = cur_shape_[2] * cur_shape_[3];
-        const std::int64_t block = n * c * hw;
+    // Swap the two leading dims of each (a × b × H·W) block — one block
+    // while the lanes share the activation, else R: batch-major NCHW ↔
+    // channel-major CN.
+    const auto swap_major = [&](std::int64_t a, std::int64_t b) {
+        const std::int64_t hw = cur_shape_[2] * cur_shape_[3];
+        const std::int64_t block = a * b * hw;
+        const std::int64_t blocks = uniform ? 1 : R;
         const int dst = dst_of(cur_arena);
         Tensor& y = batch_arena_[dst];
-        y.reset(R, block);
-        for (std::int64_t r = 0; r < R; ++r) {
+        y.reset(blocks, block);
+        for (std::int64_t r = 0; r < blocks; ++r) {
             const float* src = cur + r * block;
             float* dp = y.data() + r * block;
-            for (std::int64_t ch = 0; ch < c; ++ch)
-                for (std::int64_t i = 0; i < n; ++i)
-                    std::memcpy(dp + (i * c + ch) * hw, src + (ch * n + i) * hw,
+            for (std::int64_t i = 0; i < a; ++i)
+                for (std::int64_t j = 0; j < b; ++j)
+                    std::memcpy(dp + (j * a + i) * hw, src + (i * b + j) * hw,
                                 static_cast<std::size_t>(hw) * sizeof(float));
         }
         cur = y.data();
         cur_arena = dst;
-        cn = false;
+        cn = !cn;
+    };
+    // CN → batch-major (flatten boundary / trunk end).
+    const auto to_batch_major_lanes = [&]() {
+        swap_major(cur_shape_[1], cur_shape_[0]);
     };
 
     for (Step& step : steps_) {
@@ -383,131 +393,55 @@ const Tensor& InferenceEngine::forward_batched(
         }
         switch (step.kind) {
             case Step::Kind::kConv: {
-                XS_TIMER_NS("nn.step.conv.ns");
+#if XS_TELEMETRY_ENABLED
+                const util::metrics::ScopedTimerNs timer(slot_timers_[slot]);
+#endif
                 XS_TRACE_SPAN("conv");
                 check(cur_shape_.size() == 4 && cur_shape_[1] == step.cin,
                       "InferenceEngine: conv input shape mismatch");
                 const std::int64_t n = cur_shape_[0], h = cur_shape_[2],
                                    w = cur_shape_[3];
-                const std::int64_t oh =
-                    tensor::conv_out_size(h, step.k, step.stride, step.pad);
-                const std::int64_t ow =
-                    tensor::conv_out_size(w, step.k, step.stride, step.pad);
-                const std::int64_t n_cols = n * oh * ow;
+                // B is read in place (gemm_conv_tiles). A batch-major input
+                // qualifies when every 16-column panel lies inside one
+                // image; any other is copied to channel-major first.
+                if (!cn && (h * w) % tensor::kPackNr != 0)
+                    swap_major(n, step.cin);
                 const std::int64_t in_block = block_numel();
+                const std::int64_t s_img = cn ? h * w : step.cin * h * w;
+                const std::int64_t s_c = cn ? n * h * w : h * w;
+                tensor::conv_tables(n, step.cin, h, w, s_img, s_c, step.k,
+                                    step.pad, scratch.conv);
+                const std::int64_t n_cols = scratch.conv.n_cols;
                 const std::int64_t out_block = step.cout * n_cols;
-                const std::int64_t packed_size =
-                    tensor::packed_b_size(step.patch, n_cols);
-                if (static_cast<std::int64_t>(packedb_.size()) < packed_size)
-                    packedb_.resize(static_cast<std::size_t>(packed_size));
                 const int dst = dst_of(cur_arena);
                 Tensor& y = batch_arena_[dst];
                 y.reset(R, out_block);
-                PackCtx pctx;
-                pctx.packed = packedb_.data();
-                pctx.n = n;
-                pctx.cin = step.cin;
-                pctx.h = h;
-                pctx.w = w;
-                pctx.s_img = cn ? h * w : step.cin * h * w;
-                pctx.s_c = cn ? n * h * w : h * w;
-                pctx.k = step.k;
-                pctx.stride = step.stride;
-                pctx.pad = step.pad;
-                TileCtx tctx;
-                tctx.packed = packedb_.data();
-                tctx.lda = step.patch;
-                tctx.n_cols = n_cols;
-                tctx.relu = step.relu;
-                const std::int64_t total_panels =
-                    tensor::packed_b_panels(n_cols);
-                const std::int64_t block_panels =
-                    tensor::kPackNc / tensor::kPackNr;
-                const std::int64_t row_panels =
-                    (step.cout + tensor::kPackMr - 1) / tensor::kPackMr;
-                const std::int64_t n_blocks =
-                    (total_panels + block_panels - 1) / block_panels;
-                const auto set_lane = [&](std::int64_t r) {
-                    const CompiledInstance::Slot& sl = instances[r]->slots[slot];
-                    tctx.wpack = &sl.wpack;
-                    tctx.wraw = sl.w.data();
-                    tctx.bias = step.epilogue ? sl.b.data() : nullptr;
-                    tctx.y = y.data() + r * out_block;
-                };
-                const bool split_timing = util::metrics::detail_enabled();
-                std::uint64_t pack_ns = 0, kernel_ns = 0;
-                const auto run_blocks = [&]() {
-                    for (std::int64_t nb = 0; nb < n_blocks; ++nb) {
-                        const std::int64_t p_lo = nb * block_panels;
-                        const std::int64_t p_hi =
-                            std::min(total_panels, p_lo + block_panels);
-                        const std::uint64_t t0 =
-                            split_timing ? util::metrics::detail::now_ns() : 0;
-                        util::parallel_for_workers(
-                            static_cast<std::size_t>(p_lo),
-                            static_cast<std::size_t>(p_hi), &pack_kernel,
-                            &pctx);
-                        if (split_timing) {
-                            const std::uint64_t t1 =
-                                util::metrics::detail::now_ns();
-                            pack_ns += t1 - t0;
-                            kernel_ns -= t1;  // closed after the GEMM below
-                        }
-                        if (uniform) {
-                            // Shared input: pack each n-block once and GEMM
-                            // it for every instance while cache-resident —
-                            // the R-fold pack amortization that makes the
-                            // repeat batch cheaper than R forwards.
-                            for (std::int64_t r = 0; r < R; ++r) {
-                                set_lane(r);
-                                util::parallel_for_workers(
-                                    static_cast<std::size_t>(nb * row_panels),
-                                    static_cast<std::size_t>((nb + 1) *
-                                                             row_panels),
-                                    &gemm_tile_kernel, &tctx);
-                            }
-                        } else {
-                            util::parallel_for_workers(
-                                static_cast<std::size_t>(nb * row_panels),
-                                static_cast<std::size_t>((nb + 1) * row_panels),
-                                &gemm_tile_kernel, &tctx);
-                        }
-                        if (split_timing)
-                            kernel_ns += util::metrics::detail::now_ns();
-                    }
-                };
-                if (uniform) {
-                    pctx.x = cur;
-                    run_blocks();
-                    uniform = false;
-                } else {
-                    for (std::int64_t r = 0; r < R; ++r) {
-                        pctx.x = cur + r * in_block;
-                        set_lane(r);
-                        run_blocks();
-                    }
-                }
-                if (split_timing) {
-                    static const util::metrics::Histogram pack_hist =
-                        util::metrics::histogram("gemm.pack.ns");
-                    static const util::metrics::Histogram kernel_hist =
-                        util::metrics::histogram("gemm.kernel.ns");
-                    pack_hist.record(pack_ns);
-                    kernel_hist.record(kernel_ns);
-                }
+                ConvCtx ctx;
+                ctx.instances = instances;
+                ctx.slot = slot;
+                ctx.tables = &scratch.conv;
+                ctx.x = cur;
+                ctx.y = y.data();
+                ctx.x_lane = uniform ? 0 : in_block;
+                ctx.y_lane = out_block;
+                ctx.tiles = tensor::gemm_tile_count(step.cout, n_cols);
+                ctx.epilogue = step.epilogue;
+                ctx.relu = step.relu;
+                util::parallel_for_workers(
+                    0, static_cast<std::size_t>(R * ctx.tiles), &conv_kernel,
+                    &ctx);
+                uniform = false;
                 cur = y.data();
                 cur_arena = dst;
                 cn = true;
-                cur_shape_.resize(4);
-                cur_shape_[0] = n;
-                cur_shape_[1] = step.cout;
-                cur_shape_[2] = oh;
-                cur_shape_[3] = ow;
+                cur_shape_[1] = step.cout;  // "same" conv: H and W unchanged
                 ++slot;
                 break;
             }
             case Step::Kind::kLinear: {
-                XS_TIMER_NS("nn.step.linear.ns");
+#if XS_TELEMETRY_ENABLED
+                const util::metrics::ScopedTimerNs timer(slot_timers_[slot]);
+#endif
                 XS_TRACE_SPAN("linear");
                 check(cur_shape_.size() == 2 &&
                           cur_shape_[1] == step.in_features,

@@ -14,9 +14,9 @@
 //    once per compile, and the bias+ReLU epilogue runs on each GEMM tile
 //    while it is hot — eliminating two full passes over every activation
 //    map plus the per-call weight packing.
-//  * im2col writes the packed-B panel layout directly (im2col_pack_b), so
-//    the GEMM's column-packing pass disappears; the panel buffer grows
-//    once and is reused across batches, layers, and engines.
+//  * The GEMM reads its B — the im2col matrix — in place from the
+//    activation with masked loads (gemm_conv_tiles): no im2col copy and no
+//    packed-B buffer. The plan accepts stride-1 "same" convolutions only.
 //  * Conv activations stay channel-major ("CN": channels × batch·H·W)
 //    through the conv trunk, so batched GEMM outputs need no reshuffle;
 //    Flatten transposes back to batch-major once, on the smallest map.
@@ -31,13 +31,17 @@
 // touching the model — folding happens after the swap, per compile, so BN
 // folding composes correctly with per-repeat degraded weights.
 //
-// After a warm-up forward, steady-state forwards of the same batch shape
-// perform zero heap allocations (pinned by tests/nn_infer_test.cpp).
+// Each conv/linear step records its time in its own histogram,
+// nn.step.<slot>.conv.ns / nn.step.<slot>.linear.ns (slots ordered like
+// map::mappable_layers). After a warm-up forward, steady-state forwards of
+// the same batch shape perform zero heap allocations (pinned by
+// tests/nn_infer_test.cpp).
 #pragma once
 
 #include "nn/sequential.h"
 #include "tensor/gemm.h"
 #include "tensor/tensor.h"
+#include "util/metrics.h"
 
 #include <cstdint>
 #include <vector>
@@ -70,7 +74,8 @@ public:
     // outlive the engine and its layer structure must not change. Parameter
     // changes after construction reach the engine only through instances
     // compiled afterwards (compile_instance); forward() keeps the weights
-    // captured here.
+    // captured here. Throws for a conv that is not a stride-1 "same"
+    // convolution (2·pad = kernel − 1).
     explicit InferenceEngine(Sequential& model);
 
     // Non-copyable (owns arenas keyed to the plan), movable.
@@ -103,8 +108,8 @@ public:
         CompiledInstance& out) const;
 
     // Evaluate `count` compiled instances over ONE input batch in a single
-    // pass: lanes share the input (and the first conv's im2col pack) and
-    // produce a lane-major stacked output — rows [r·n, (r+1)·n) are
+    // pass: lanes share the input (the first conv reads it once for all
+    // of them) and produce a lane-major stacked output — rows [r·n, (r+1)·n) are
     // instance r's result, bit-identical to a one-lane pass of instance r.
     // The returned reference points at an engine-owned buffer and stays
     // valid until the next forward/forward_batched call on this engine.
@@ -135,7 +140,7 @@ private:
         bool relu = false;          // fused ReLU epilogue
         bool epilogue = false;      // bias add and/or ReLU needed
         // Geometry captured at plan time (layer structure is immutable).
-        std::int64_t cin = 0, cout = 0, k = 0, stride = 0, pad = 0, patch = 0;
+        std::int64_t cin = 0, cout = 0, k = 0, pad = 0, patch = 0;
         std::int64_t in_features = 0, out_features = 0;
         std::int64_t pool_kernel = 0;
     };
@@ -144,9 +149,13 @@ private:
 
     std::vector<Step> steps_;
     std::vector<std::size_t> mappable_steps_;  // steps_ indices of mappables
+#if XS_TELEMETRY_ENABLED
+    // Per mappable slot: nn.step.<slot>.<conv|linear>.ns.
+    std::vector<util::metrics::Histogram> slot_timers_;
+#endif
     CompiledInstance own_;  // model parameters at construction (forward())
-    // Activation ping-pong buffers and the packed im2col panel store live in
-    // a per-thread scratch arena shared by every engine on the thread (see
+    // Activation ping-pong buffers and the conv B tables live in a
+    // per-thread scratch arena shared by every engine on the thread (see
     // engine_scratch() in infer.cpp): evaluators build a fresh engine per
     // Monte-Carlo evaluation, and per-engine buffers would hand their multi-MB
     // allocations back to the OS each time — repaying page faults and zero

@@ -5,7 +5,12 @@
 #include "util/parallel.h"
 
 #include <algorithm>
+#include <numeric>
 #include <vector>
+
+#if defined(__AVX512F__)
+#include <immintrin.h>
+#endif
 
 namespace xs::tensor {
 namespace {
@@ -15,7 +20,7 @@ namespace {
 // blocked micro-kernel runs over the packed panels. Packing buffers are
 // thread-local and only grow, so the steady state allocates nothing.
 // The block geometry is public (gemm.h) because im2col_pack_b emits the
-// packed-B layout directly.
+// packed-B layout directly and conv_tables addresses B panels in place.
 constexpr std::int64_t kMr = kPackMr;  // micro-kernel rows
 constexpr std::int64_t kNr = kPackNr;  // micro-kernel cols (one AVX-512 vector)
 constexpr std::int64_t kKc = kPackKc;  // k-block depth
@@ -80,12 +85,35 @@ void pack_a(const float* a, std::int64_t lda, std::int64_t i0, std::int64_t i1,
 // The vector kernels spell out their kMr accumulators and arow lanes by
 // hand; retuning kMr requires rewriting them.
 static_assert(kMr == 8, "micro_kernel is hand-unrolled for kMr == 8");
+static_assert(kNr == 16, "lane masks are 16 bits wide");
 using Vf = float __attribute__((vector_size(kNr * sizeof(float))));
 
-inline Vf load_vf(const float* p) {
-    Vf v;
-    __builtin_memcpy(&v, p, sizeof(Vf));
-    return v;
+// Vectors pass through out-parameters, never by value: without AVX-512 a
+// 64-byte vector argument or return changes the ABI (GCC -Wpsabi).
+inline void load_vf(const float* p, Vf& out) {
+    __builtin_memcpy(&out, p, sizeof(Vf));
+}
+
+// out = x[off + l] for the lanes l set in `mask`, 0 elsewhere. Masked-off
+// lanes are never read, so they may lie outside the activation.
+inline void load_masked(const float* x, std::int64_t off, unsigned mask,
+                        Vf& out) {
+#if defined(__AVX512F__)
+    // Fault-suppressing masked load.
+    const __m512 v =
+        _mm512_maskz_loadu_ps(static_cast<__mmask16>(mask), x + off);
+    __builtin_memcpy(&out, &v, sizeof(Vf));
+#else
+    if (mask == 0xFFFFu) {
+        load_vf(x + off, out);
+        return;
+    }
+    out = Vf{};
+    for (; mask != 0; mask &= mask - 1) {
+        const int l = __builtin_ctz(mask);
+        out[l] = x[off + l];
+    }
+#endif
 }
 
 void micro_kernel(std::int64_t kc, float alpha, const float* ap,
@@ -94,7 +122,8 @@ void micro_kernel(std::int64_t kc, float alpha, const float* ap,
     Vf a0{}, a1{}, a2{}, a3{}, a4{}, a5{}, a6{}, a7{};
     for (std::int64_t p = 0; p < kc; ++p) {
         const float* arow = ap + p * kMr;
-        const Vf bv = load_vf(bp + p * kNr);
+        Vf bv;
+        load_vf(bp + p * kNr, bv);
         a0 += arow[0] * bv;
         a1 += arow[1] * bv;
         a2 += arow[2] * bv;
@@ -108,7 +137,8 @@ void micro_kernel(std::int64_t kc, float alpha, const float* ap,
     if (nr == kNr) {
         for (std::int64_t r = 0; r < mr; ++r) {
             float* cr = c + r * ldc;
-            Vf cv = load_vf(cr);
+            Vf cv;
+            load_vf(cr, cv);
             cv += alpha * acc[r];
             __builtin_memcpy(cr, &cv, sizeof(Vf));
         }
@@ -132,7 +162,11 @@ inline void store_panel(const Vf* acc, float* c, std::int64_t ldc,
         float* cr = c + r * ldc;
         if (nr == kNr) {
             Vf cv = acc[r];
-            if (load_c) cv += load_vf(cr);
+            if (load_c) {
+                Vf cold;
+                load_vf(cr, cold);
+                cv += cold;
+            }
             if (bias) cv += bias[r];
             if (relu) cv = cv > zero ? cv : zero;
             __builtin_memcpy(cr, &cv, sizeof(Vf));
@@ -149,46 +183,129 @@ inline void store_panel(const Vf* acc, float* c, std::int64_t ldc,
     }
 }
 
-// The tiled path's kernel: one pass over a packed A panel feeds TWO
-// adjacent B panels (an 8×32 register tile — 16 accumulators + 2 B vectors
-// fit the 32 zmm registers). A single-panel kernel is load-bound (9 loads
-// per 8 FMAs); amortizing the A broadcasts over two panels restores
-// FMA-bound throughput. Only the last panel of a block may be partial, so
-// either nr0 = kNr, or the panel is a lone tail and nr1 = 0 (its second
-// panel's products are never stored).
+// Where the tiled kernel reads B. A source hands out, per (n-block,
+// k-block, panel pair), a pair reader whose load(p, b0, b1) fills b0 and b1
+// with row p (relative to the k-block) of the two column panels.
+
+// Packed panels in the layout im2col_pack_b emits (gemm.h).
+struct PackedPair {
+    const float* bp0;
+    const float* bp1;
+    void load(std::int64_t p, Vf& b0, Vf& b1) const {
+        load_vf(bp0 + p * kNr, b0);
+        load_vf(bp1 + p * kNr, b1);
+    }
+};
+
+struct PackedSource {
+    const float* packed_b;
+    std::int64_t k;
+    // Panels jp and (when `two`) jp + 1 of n-block nb, k-block [pc, pc+kc);
+    // blk_panels is the n-block's panel count.
+    PackedPair pair(std::int64_t nb, std::int64_t blk_panels, std::int64_t pc,
+                    std::int64_t kc, std::int64_t jp, bool two) const {
+        // Full n-blocks before nb hold kNc/kNr panels of k rows each; earlier
+        // k-blocks of this one hold blk_panels · kc' · kNr floats, Σ kc' = pc.
+        const float* bp0 = packed_b + nb * (kNc / kNr) * k * kNr +
+                           blk_panels * pc * kNr + jp * kc * kNr;
+        return {bp0, two ? bp0 + kc * kNr : bp0};
+    }
+};
+
+// The activation, read in place through ConvTables.
+struct ConvPair {
+    const float* x0;  // the activation at each panel's first column
+    const float* x1;
+    const std::int64_t* offset;  // the k-block's rows of ConvTables
+    const std::int32_t* tap;
+    const std::uint16_t* mask0;  // each panel's mask row
+    const std::uint16_t* mask1;
+    void load(std::int64_t p, Vf& b0, Vf& b1) const {
+        const std::int64_t off = offset[p];
+        const std::int32_t t = tap[p];
+        load_masked(x0, off, mask0[t], b0);
+        load_masked(x1, off, mask1[t], b1);
+    }
+};
+
+struct ConvSource {
+    const ConvTables& t;
+    const float* x;
+    ConvPair pair(std::int64_t nb, std::int64_t /*blk_panels*/,
+                  std::int64_t pc, std::int64_t /*kc*/, std::int64_t jp,
+                  bool two) const {
+        const std::int64_t g0 = nb * (kNc / kNr) + jp;  // global panel
+        const std::int64_t g1 = two ? g0 + 1 : g0;
+        return {x + base(g0),          x + base(g1),
+                t.offset.data() + pc,  t.tap.data() + pc,
+                mask_row(g0),          mask_row(g1)};
+    }
+    // Panel g's first column in x: image j / H·W, position j mod H·W.
+    std::int64_t base(std::int64_t g) const {
+        const std::int64_t j = g * kNr;
+        return j / t.hw * t.s_img + j % t.hw;
+    }
+    const std::uint16_t* mask_row(std::int64_t g) const {
+        const bool last = (g + 1) * kNr >= t.n_cols;
+        return t.mask.data() + (last ? t.phases : g % t.phases) * t.taps;
+    }
+};
+
+// The tiled kernel: one pass over a packed A panel feeds TWO adjacent B
+// panels (an 8×32 register tile — 16 accumulators + 2 B vectors fit the 32
+// zmm registers). A single-panel kernel is load-bound (9 loads per 8 FMAs);
+// amortizing the A broadcasts over two panels restores FMA-bound
+// throughput. Only the last panel of a block may be partial, so either
+// nr0 = kNr, or the panel is a lone tail and nr1 = 0 (its second panel's
+// products are never stored).
 //
 // kChain picks the accumulation (PackedGemmA): false walks all `steps` k of
 // the block from zero and lets store_panel add C; true walks the block's
 // live list — A packed compactly, B addressed through `live` — starting
-// from C once an earlier block has stored it.
-template <bool kChain>
+// from C once an earlier block has stored it. `b` is the B source's pair
+// reader; the FMA sequence is the same for every source.
+template <bool kChain, class Pair>
 void micro_kernel_x2(std::int64_t steps, const std::int32_t* live,
-                     const float* ap, const float* bp0, const float* bp1,
-                     float* c, std::int64_t ldc, std::int64_t mr,
-                     std::int64_t nr0, std::int64_t nr1, bool load_c,
-                     const float* bias, bool relu) {
+                     const float* ap, const Pair b, float* c,
+                     std::int64_t ldc, std::int64_t mr, std::int64_t nr0,
+                     std::int64_t nr1, bool load_c, const float* bias,
+                     bool relu) {
     // Accumulator start of row r: zero, or (chain, after the first k-block)
     // the partial sums C holds. Rows past mr and lanes past nr are never
     // stored, so they start at zero.
-    const auto start = [&](std::int64_t r, std::int64_t nr, const float* cp) {
+    // (Filled through a temporary: an accumulator whose address is taken
+    // can end up spilled on every k step.)
+    const auto start = [&](std::int64_t r, std::int64_t nr, const float* cp,
+                           Vf& acc) {
         Vf v{};
         if (kChain && load_c && r < mr)
             __builtin_memcpy(&v, cp + r * ldc,
                              static_cast<std::size_t>(nr) * sizeof(float));
-        return v;
+        acc = v;
     };
     float* c1 = c + kNr;
-    Vf x0 = start(0, nr0, c), x1 = start(1, nr0, c), x2 = start(2, nr0, c);
-    Vf x3 = start(3, nr0, c), x4 = start(4, nr0, c), x5 = start(5, nr0, c);
-    Vf x6 = start(6, nr0, c), x7 = start(7, nr0, c);
-    Vf y0 = start(0, nr1, c1), y1 = start(1, nr1, c1), y2 = start(2, nr1, c1);
-    Vf y3 = start(3, nr1, c1), y4 = start(4, nr1, c1), y5 = start(5, nr1, c1);
-    Vf y6 = start(6, nr1, c1), y7 = start(7, nr1, c1);
+    Vf x0, x1, x2, x3, x4, x5, x6, x7, y0, y1, y2, y3, y4, y5, y6, y7;
+    start(0, nr0, c, x0);
+    start(1, nr0, c, x1);
+    start(2, nr0, c, x2);
+    start(3, nr0, c, x3);
+    start(4, nr0, c, x4);
+    start(5, nr0, c, x5);
+    start(6, nr0, c, x6);
+    start(7, nr0, c, x7);
+    start(0, nr1, c1, y0);
+    start(1, nr1, c1, y1);
+    start(2, nr1, c1, y2);
+    start(3, nr1, c1, y3);
+    start(4, nr1, c1, y4);
+    start(5, nr1, c1, y5);
+    start(6, nr1, c1, y6);
+    start(7, nr1, c1, y7);
     for (std::int64_t t = 0; t < steps; ++t) {
         const std::int64_t p = kChain ? live[t] : t;
         const float* arow = ap + t * kMr;
-        const Vf b0 = load_vf(bp0 + p * kNr);
-        const Vf b1 = load_vf(bp1 + p * kNr);
+        Vf b0, b1;
+        b.load(p, b0, b1);
         x0 += arow[0] * b0;
         y0 += arow[0] * b1;
         x1 += arow[1] * b0;
@@ -212,15 +329,15 @@ void micro_kernel_x2(std::int64_t steps, const std::int32_t* live,
     store_panel(acc1, c1, ldc, mr, nr1, !kChain && load_c, bias, relu);
 }
 
-// Tiles [tile_lo, tile_hi) of gemm_prepacked_tiles with one accumulation
-// kind: kChain for a row-sparse PackedGemmA, restart for a dense one.
-template <bool kChain>
-void run_tiles(const PackedGemmA& pa, const float* packed_b, std::int64_t n,
+// Tiles [tile_lo, tile_hi) of an m × n tiled GEMM with one accumulation
+// kind — kChain for a row-sparse PackedGemmA, restart for a dense one —
+// and B from `src`.
+template <bool kChain, class Source>
+void run_tiles(const PackedGemmA& pa, const Source& src, std::int64_t n,
                float* c, std::int64_t ldc, const float* bias, bool relu,
                std::int64_t tile_lo, std::int64_t tile_hi) {
     const std::int64_t m = pa.m, k = pa.k;
     const std::int64_t row_panels = (m + kMr - 1) / kMr;
-    const std::int64_t block_panels = kNc / kNr;  // panels per full n-block
     for (std::int64_t t = tile_lo; t < tile_hi; ++t) {
         const std::int64_t nb = t / row_panels;  // n-block index
         const std::int64_t ip = t % row_panels;  // row-panel index
@@ -229,14 +346,8 @@ void run_tiles(const PackedGemmA& pa, const float* packed_b, std::int64_t n,
         const std::int64_t ib = ip * kMr;
         const std::int64_t mr = std::min(kMr, m - ib);
         const std::int64_t blk_panels = (j1 - jc + kNr - 1) / kNr;
-        // The n-block's packed region: full blocks before it hold
-        // block_panels panels each, k rows, kNr lanes.
-        const float* bblock = packed_b + nb * block_panels * k * kNr;
         for (std::int64_t pc = 0; pc < k; pc += kKc) {
             const std::int64_t kc = std::min(kKc, k - pc);
-            // Sub-block for this k range: previous k-blocks hold
-            // blk_panels · kc' · kNr floats, and Σ kc' = pc.
-            const float* bsub = bblock + blk_panels * pc * kNr;
             // Fused store semantics: the first k-block stores (no C read or
             // zeroing pass), later blocks accumulate, and the last applies
             // bias/ReLU — C is touched exactly once per k-block.
@@ -262,9 +373,9 @@ void run_tiles(const PackedGemmA& pa, const float* packed_b, std::int64_t n,
                 const std::int64_t nr0 = std::min(kNr, j1 - jb);
                 const std::int64_t nr1 =
                     std::clamp(j1 - jb - kNr, std::int64_t{0}, kNr);
-                const float* bp0 = bsub + jp * kc * kNr;
                 micro_kernel_x2<kChain>(
-                    steps, live, ap, bp0, nr1 > 0 ? bp0 + kc * kNr : bp0,
+                    steps, live, ap,
+                    src.pair(nb, blk_panels, pc, kc, jp, nr1 > 0),
                     c + ib * ldc + jb, ldc, mr, nr0, nr1, load_c, bias_row,
                     relu_here);
             }
@@ -514,10 +625,78 @@ void gemm_prepacked_tiles(const PackedGemmA& pa, const float* /*a_raw*/,
                           std::int64_t n, float* c, std::int64_t ldc,
                           const float* bias, bool relu, std::int64_t tile_lo,
                           std::int64_t tile_hi) {
+    const PackedSource src{packed_b, pa.k};
     if (pa.sparse)
-        run_tiles<true>(pa, packed_b, n, c, ldc, bias, relu, tile_lo, tile_hi);
+        run_tiles<true>(pa, src, n, c, ldc, bias, relu, tile_lo, tile_hi);
     else
-        run_tiles<false>(pa, packed_b, n, c, ldc, bias, relu, tile_lo, tile_hi);
+        run_tiles<false>(pa, src, n, c, ldc, bias, relu, tile_lo, tile_hi);
+}
+
+void conv_tables(std::int64_t n_imgs, std::int64_t channels,
+                 std::int64_t height, std::int64_t width,
+                 std::int64_t stride_img, std::int64_t stride_c,
+                 std::int64_t kernel, std::int64_t pad, ConvTables& out) {
+    const std::int64_t hw = height * width;
+    check(kernel >= 1 && 2 * pad == kernel - 1,
+          "conv_tables: needs a stride-1 'same' convolution "
+          "(2·pad = kernel − 1)");
+    check(stride_img == hw || hw % kNr == 0,
+          "conv_tables: panels may span images only in channel-major layout");
+    out.n_cols = n_imgs * hw;
+    out.hw = hw;
+    out.s_img = stride_img;
+    out.taps = kernel * kernel;
+    out.phases = hw / std::gcd(hw, kNr);
+    const std::int64_t k = channels * out.taps;
+    out.offset.resize(static_cast<std::size_t>(k));
+    out.tap.resize(static_cast<std::size_t>(k));
+    std::size_t p = 0;
+    for (std::int64_t ch = 0; ch < channels; ++ch)
+        for (std::int64_t kh = 0; kh < kernel; ++kh)
+            for (std::int64_t kw = 0; kw < kernel; ++kw, ++p) {
+                out.offset[p] =
+                    ch * stride_c + (kh - pad) * width + (kw - pad);
+                out.tap[p] = static_cast<std::int32_t>(kh * kernel + kw);
+            }
+    out.mask.assign(static_cast<std::size_t>((out.phases + 1) * out.taps), 0);
+    if (out.n_cols == 0) return;
+    // Row `phase` describes the panel starting at column phase·kNr (every
+    // panel whose start is congruent to it mod H·W); the last row, the last
+    // panel, which also masks its lanes past n·H·W.
+    const std::int64_t last_panel = packed_b_panels(out.n_cols) - 1;
+    for (std::int64_t row = 0; row <= out.phases; ++row) {
+        const std::int64_t j = (row < out.phases ? row : last_panel) * kNr;
+        const std::int64_t end = row < out.phases ? j + kNr : out.n_cols;
+        for (std::int64_t kh = 0; kh < kernel; ++kh)
+            for (std::int64_t kw = 0; kw < kernel; ++kw) {
+                unsigned m = 0;
+                for (std::int64_t l = 0; l < kNr && j + l < end; ++l) {
+                    const std::int64_t pos = (j + l) % hw;
+                    const std::int64_t iy = pos / width + kh - pad;
+                    const std::int64_t ix = pos % width + kw - pad;
+                    if (iy >= 0 && iy < height && ix >= 0 && ix < width)
+                        m |= 1u << l;
+                }
+                out.mask[static_cast<std::size_t>(
+                    row * out.taps + kh * kernel + kw)] =
+                    static_cast<std::uint16_t>(m);
+            }
+    }
+}
+
+void gemm_conv_tiles(const PackedGemmA& pa, const ConvTables& tables,
+                     const float* x, float* c, std::int64_t ldc,
+                     const float* bias, bool relu, std::int64_t tile_lo,
+                     std::int64_t tile_hi) {
+    check(static_cast<std::size_t>(pa.k) == tables.offset.size(),
+          "gemm_conv_tiles: weight patch size differs from the conv tables");
+    const ConvSource src{tables, x};
+    if (pa.sparse)
+        run_tiles<true>(pa, src, tables.n_cols, c, ldc, bias, relu, tile_lo,
+                        tile_hi);
+    else
+        run_tiles<false>(pa, src, tables.n_cols, c, ldc, bias, relu, tile_lo,
+                         tile_hi);
 }
 
 Tensor matmul(const Tensor& a, const Tensor& b) {

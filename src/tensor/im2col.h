@@ -24,12 +24,15 @@ void col2im(const float* col, std::int64_t channels, std::int64_t height,
 // gemm_prepacked_tiles (geometry constants in tensor/gemm.h): column
 // j = img·out_h·out_w + pos of the virtual (C·kh·kw × n_imgs·out_h·out_w)
 // matrix is receptive field `pos` of image `img`, so one GEMM covers the
-// whole batch and the separate pack_b pass disappears. The input may be
-// batch-major (NCHW: stride_img = C·H·W, stride_c = H·W) or channel-major
-// (CN: stride_c = n_imgs·H·W, stride_img = H·W) — the inference engine
-// keeps conv activations channel-major (DESIGN.md §6). Packs the global
-// column-panel range [panel_lo, panel_hi); panels are independent, so
-// callers parallelize over them.
+// whole batch. The input may be batch-major (NCHW: stride_img = C·H·W,
+// stride_c = H·W) or channel-major (CN: stride_c = n_imgs·H·W,
+// stride_img = H·W), the layouts of the inference engine's conv inputs
+// (DESIGN.md §6). Packs the global column-panel range [panel_lo,
+// panel_hi); panels are independent, so callers parallelize over them.
+//
+// The engine itself reads B in place (gemm_conv_tiles). This packed path is
+// its bit-identity reference in the tests and perfbench's per-layer probe
+// (tensor.conv<i>.im2col_us / gemm_us), and it covers any stride and pad.
 void im2col_pack_b(const float* x, std::int64_t n_imgs, std::int64_t channels,
                    std::int64_t height, std::int64_t width,
                    std::int64_t stride_img, std::int64_t stride_c,

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <mutex>
 #include <stdexcept>
@@ -34,8 +33,6 @@ struct Registry {
     std::size_t next_slot = 0;
     std::vector<Shard*> live;
     std::uint64_t retired[kMaxSlots] = {};
-    std::atomic<bool> detail{false};
-    bool detail_env_read = false;
 };
 
 // Leaked on purpose: threads may still be bumping shards during static
@@ -151,27 +148,6 @@ Counter counter(const std::string& name) {
 
 Histogram histogram(const std::string& name) {
     return Histogram(detail::register_histogram(name));
-}
-
-bool detail_enabled() noexcept {
-    Registry& r = registry();
-    if (!r.detail_env_read) {
-        std::lock_guard<std::mutex> lock(r.mutex);
-        if (!r.detail_env_read) {
-            const char* env = std::getenv("XS_METRICS");
-            if (env != nullptr && std::strcmp(env, "detail") == 0)
-                r.detail.store(true, std::memory_order_relaxed);
-            r.detail_env_read = true;
-        }
-    }
-    return r.detail.load(std::memory_order_relaxed);
-}
-
-void set_detail(bool on) {
-    Registry& r = registry();
-    std::lock_guard<std::mutex> lock(r.mutex);
-    r.detail.store(on, std::memory_order_relaxed);
-    r.detail_env_read = true;
 }
 
 Snapshot snapshot() {

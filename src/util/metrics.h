@@ -73,13 +73,6 @@ private:
 Counter counter(const std::string& name);
 Histogram histogram(const std::string& name);
 
-// Detail mode gates instrumentation that is too fine-grained to keep on by
-// default (per-block GEMM pack/kernel splits). Initialized from the
-// XS_METRICS environment variable ("detail" enables it); tests and drivers
-// may override programmatically.
-bool detail_enabled() noexcept;
-void set_detail(bool on);
-
 // Scoped nanosecond timer recording into a histogram on destruction.
 class ScopedTimerNs {
 public:

@@ -43,10 +43,22 @@ void* operator new(std::size_t size) {
 
 void* operator new[](std::size_t size) { return ::operator new(size); }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// Out of line: once inlined into a caller, GCC 12 pairs the std::free with
+// the caller's operator new and reports a mismatch (-Wmismatched-new-delete),
+// depending on how much of the file it inlines.
+__attribute__((noinline)) void operator delete(void* p) noexcept {
+    std::free(p);
+}
+__attribute__((noinline)) void operator delete[](void* p) noexcept {
+    std::free(p);
+}
+__attribute__((noinline)) void operator delete(void* p, std::size_t) noexcept {
+    std::free(p);
+}
+__attribute__((noinline)) void operator delete[](void* p,
+                                                 std::size_t) noexcept {
+    std::free(p);
+}
 
 namespace xs::nn {
 namespace {
@@ -160,6 +172,63 @@ TEST(InferenceEngine, GenericFallbackMatchesReference) {
     const Tensor& fused = engine.forward(x);
     ASSERT_EQ(fused.shape(), reference.shape());
     EXPECT_TRUE(tensor::allclose(fused, reference, 1e-4f, 1e-3f));
+}
+
+// A batch-major input whose H·W (5×5) is not a multiple of the 16-column
+// panel cannot be read in place: the engine copies it to channel-major
+// first — once while the lanes share the input, per lane after a weightless
+// prefix step (the leading ReLU) has given each lane its own block.
+TEST(InferenceEngine, NchwInputOffThePanelGridMatchesReference) {
+    for (const bool relu_first : {false, true}) {
+        util::Rng rng(10);
+        Sequential model;
+        if (relu_first) model.add(std::make_unique<ReLU>(), "relu0");
+        model.add(std::make_unique<Conv2d>(3, 6, 3, 1, 1, rng), "conv1");
+        model.add(std::make_unique<ReLU>(), "relu1");
+        model.add(std::make_unique<Conv2d>(6, 4, 1, 1, 0, rng), "conv2");
+        model.add(std::make_unique<Flatten>(), "flatten");
+        model.add(std::make_unique<Linear>(4 * 5 * 5, 3, rng), "fc1");
+        InferenceEngine engine(model);
+
+        Tensor x({3, 3, 5, 5});
+        tensor::fill_normal(x, rng, 0.0f, 1.0f);
+        const Tensor reference = model.forward(x, /*training=*/false);
+        const Tensor fused = engine.forward(x);
+        ASSERT_EQ(fused.shape(), reference.shape());
+        EXPECT_TRUE(tensor::allclose(fused, reference, 1e-4f, 1e-3f))
+            << "relu_first " << relu_first << " max diff "
+            << tensor::max_abs_diff(fused, reference);
+
+        CompiledInstance inst;
+        engine.compile_instance({}, inst);
+        const CompiledInstance* ptrs[2] = {&inst, &inst};
+        const Tensor& got =
+            engine.forward_batched(x.data(), x.shape(), ptrs, 2);
+        ASSERT_EQ(got.numel(), 2 * fused.numel());
+        for (std::int64_t i = 0; i < fused.numel(); ++i) {
+            ASSERT_EQ(got[i], fused[i]) << "lane 0 element " << i;
+            ASSERT_EQ(got[fused.numel() + i], fused[i])
+                << "lane 1 element " << i;
+        }
+    }
+}
+
+// The conv step covers stride-1 "same" convolutions only; any other conv
+// fails at plan time, naming the layer, rather than running a fallback.
+TEST(InferenceEngine, RejectsConvGeometryTheKernelDoesNotCover) {
+    util::Rng rng(11);
+    Sequential strided;
+    strided.add(std::make_unique<Conv2d>(3, 4, 3, 2, 1, rng), "conv_s2");
+    EXPECT_THROW(InferenceEngine engine(strided), std::invalid_argument);
+    try {
+        InferenceEngine engine(strided);
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("conv_s2"), std::string::npos)
+            << e.what();
+    }
+    Sequential valid_pad;
+    valid_pad.add(std::make_unique<Conv2d>(3, 4, 3, 1, 0, rng), "conv_p0");
+    EXPECT_THROW(InferenceEngine engine(valid_pad), std::invalid_argument);
 }
 
 TEST(InferenceEngine, MacOverridesMatchInjectedWeights) {

@@ -1,4 +1,5 @@
 #include "tensor/gemm.h"
+#include "tensor/im2col.h"
 #include "tensor/ops.h"
 
 #include <gtest/gtest.h>
@@ -404,6 +405,124 @@ TEST(GemmPrepacked, RowSparseTilesAreBitIdenticalToZeroSkipLoop) {
                     << max_abs_diff(got, want);
             }
     }
+}
+
+// The inference engine's conv GEMM reads B in place from the activation
+// (gemm_conv_tiles). The packed path it replaced — im2col_pack_b into
+// panels, then gemm_prepacked_tiles — is its reference: same tiles, same
+// FMA sequence per output, same B values, so the outputs must match bit for
+// bit, padded positions and panel tails included.
+struct ConvCase {
+    const char* name;
+    std::int64_t n, c, h, w, cout, kernel;
+    bool nchw;  // batch-major input read in place (else channel-major)
+};
+
+void expect_conv_matches_packed(const ConvCase& cs) {
+    const std::int64_t pad = (cs.kernel - 1) / 2;
+    const std::int64_t hw = cs.h * cs.w;
+    const std::int64_t k = cs.c * cs.kernel * cs.kernel;
+    const std::int64_t n_cols = cs.n * hw;
+    const std::int64_t s_img = cs.nchw ? cs.c * hw : hw;
+    const std::int64_t s_c = cs.nchw ? hw : cs.n * hw;
+    util::Rng rng(static_cast<std::uint64_t>(cs.n * 1009 + cs.c * 31 + cs.h));
+    Tensor x({cs.n * cs.c * hw}), bias({cs.cout});
+    fill_normal(x, rng, 0.0f, 1.0f);
+    fill_normal(bias, rng, 0.0f, 1.0f);
+
+    std::vector<float> packed(static_cast<std::size_t>(packed_b_size(k, n_cols)));
+    im2col_pack_b(x.data(), cs.n, cs.c, cs.h, cs.w, s_img, s_c, cs.kernel,
+                  cs.kernel, 1, pad, packed.data(), 0, packed_b_panels(n_cols));
+    ConvTables tables;
+    conv_tables(cs.n, cs.c, cs.h, cs.w, s_img, s_c, cs.kernel, pad, tables);
+    ASSERT_EQ(tables.n_cols, n_cols);
+
+    const std::int64_t tiles = gemm_tile_count(cs.cout, n_cols);
+    struct Weights {
+        const char* name;
+        bool pruned;
+        Pattern pattern;
+    };
+    for (const Weights& wk :
+         {Weights{"dense", false, Pattern::kRandom},
+          Weights{"c/f", true, Pattern::kChannelFilter},
+          Weights{"xcs", true, Pattern::kXbarColumns}}) {
+        Tensor a({cs.cout, k});
+        fill_normal(a, rng, 0.0f, 1.0f);
+        if (wk.pruned) prune_pattern(a, wk.pattern, rng);
+        PackedGemmA pa;
+        gemm_pack_a(cs.cout, k, a.data(), k, pa);
+        // Pruned weights take the chain-accumulating row-sparse kind unless
+        // the matrix is too small for gemm_pack_a to scan it.
+        if (wk.pruned && cs.cout * k > (1 << 10)) {
+            EXPECT_TRUE(pa.sparse) << cs.name << " " << wk.name;
+        }
+        // Sentinel-filled, so an element the kernel fails to write shows up
+        // as a mismatch too.
+        Tensor got({cs.cout, n_cols}, 7.0f), want({cs.cout, n_cols}, 7.0f);
+        gemm_prepacked_tiles(pa, a.data(), k, packed.data(), n_cols,
+                             want.data(), n_cols, bias.data(), /*relu=*/true,
+                             0, tiles);
+        gemm_conv_tiles(pa, tables, x.data(), got.data(), n_cols, bias.data(),
+                        /*relu=*/true, 0, tiles);
+        EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                              static_cast<std::size_t>(got.numel()) *
+                                  sizeof(float)),
+                  0)
+            << cs.name << " " << wk.name
+            << (pa.sparse ? " (row-sparse)" : " (dense kind)") << " max diff "
+            << max_abs_diff(got, want);
+    }
+}
+
+TEST(GemmConv, InPlaceBIsBitIdenticalToPackedVggShapes) {
+    // VGG11 at width 0.125 on 32×32 inputs, batch 64: every conv layer's
+    // channel-major input, and the first layer's NCHW network input read in
+    // place. W = 8, 4 and 2 put several rows or images in one panel; K >
+    // kPackKc from conv3 on.
+    const ConvCase cases[] = {
+        {"conv0", 64, 3, 32, 32, 8, 3, false},
+        {"conv0 nchw", 64, 3, 32, 32, 8, 3, true},
+        {"conv1", 64, 8, 16, 16, 16, 3, false},
+        {"conv2", 64, 16, 8, 8, 32, 3, false},
+        {"conv3", 64, 32, 8, 8, 32, 3, false},
+        {"conv4", 64, 32, 4, 4, 64, 3, false},
+        {"conv5", 64, 64, 4, 4, 64, 3, false},
+        {"conv6", 64, 64, 2, 2, 64, 3, false},
+        {"conv7", 64, 64, 2, 2, 64, 3, false},
+    };
+    for (const ConvCase& cs : cases) expect_conv_matches_packed(cs);
+}
+
+TEST(GemmConv, InPlaceBIsBitIdenticalToPackedTails) {
+    const ConvCase cases[] = {
+        // n·H·W = 2205: a multiple of none of 16, 32, 1024 — a partial last
+        // panel paired with a full one in the third n-block; K = 360
+        // crosses the k-block; m = 20 is not a multiple of kPackMr.
+        {"tail 7x7", 45, 40, 7, 7, 20, 3, false},
+        // 75 columns of 5×5 images: panels straddle images at every phase,
+        // and the last panel is a lone partial one.
+        {"tail 5x5", 3, 6, 5, 5, 9, 3, false},
+        // 1×1 kernel (pad 0), K = 300 across two k-blocks, 180 columns.
+        {"1x1", 5, 300, 6, 6, 12, 1, false},
+        // 5×5 kernel (pad 2) over 9×9 images.
+        {"5x5 kernel", 3, 4, 9, 9, 10, 5, false},
+        // NCHW in place at H·W = 16: one image per panel.
+        {"nchw 4x4", 7, 5, 4, 4, 8, 3, true},
+        // One image of 2×2: the whole GEMM is one partial panel.
+        {"one panel", 1, 8, 2, 2, 8, 3, false},
+    };
+    for (const ConvCase& cs : cases) expect_conv_matches_packed(cs);
+}
+
+TEST(GemmConv, TablesRejectGeometryTheKernelDoesNotCover) {
+    ConvTables t;
+    // Not a "same" convolution.
+    EXPECT_THROW(conv_tables(2, 3, 8, 8, 64, 128, 3, 0, t),
+                 std::invalid_argument);
+    // NCHW whose panels would straddle images (H·W = 25).
+    EXPECT_THROW(conv_tables(2, 3, 5, 5, 75, 25, 3, 1, t),
+                 std::invalid_argument);
 }
 
 }  // namespace
