@@ -152,8 +152,8 @@ void BM_DegradeTile(benchmark::State& state) {
 }
 BENCHMARK(BM_DegradeTile)->Arg(16)->Arg(32)->Arg(64);
 
-// The tile loop's path: one-lane degrade_tile_batched over a stream of
-// distinct tiles with a reused workspace.
+// The tile loop's path: degrade_tile_batched, one tile per call, over a
+// stream of distinct tiles with a reused workspace.
 void BM_DegradeTileWorkspace(benchmark::State& state) {
     const auto size = state.range(0);
     xbar::CrossbarConfig config;

@@ -176,10 +176,10 @@ void finalize_nf(EvalResult& result) {
 // Every degradation runs here, with one lane per Monte-Carlo repeat: each
 // tile's deterministic prep (extract, differential split) runs once and is
 // shared, the stochastic stages run per lane on private copies with private
-// RNG streams, and the parasitic stage batches the circuit solves across
-// lanes (xbar/solver.h). A single evaluation is the one-lane case. Lane
-// scratch persists across tiles and layers; it carries buffers only, since
-// every solve starts cold.
+// RNG streams, and the parasitic stage solves every lane's tiles, one at a
+// time, in the worker's one solver workspace (xbar/solver.h). A single
+// evaluation is the one-lane case. Lane scratch persists across tiles and
+// layers; it carries buffers only, since every solve starts cold.
 struct BatchLane {
     Tensor g_pos, g_neg, tile_w;
     xbar::TileStageContext ctx;
@@ -190,8 +190,7 @@ struct BatchWorker {
     Tensor base_pos, base_neg;  // shared pre-stochastic differential pair
     std::vector<BatchLane> lanes;                   // one per lane
     std::vector<xbar::TileStageContext*> ctx_ptrs;  // lane ctx view
-    // Batched solver workspace of the lane group (circuit backend; the
-    // other backends use each lane's ctx.ws).
+    // Solver workspace the parasitic stage runs every lane's tiles through.
     xbar::DegradeWorkspace batch;
 };
 
@@ -320,13 +319,12 @@ std::vector<EvalResult> evaluate_repeats_on_crossbars(
                   "mismatch");
     const xbar::TilePipeline pipeline = build_pipeline(config);
 
-    // Repeats ride in groups of half the solver's lane budget, so the
-    // parasitic stage fuses each group's pos+neg solves into one full-width
-    // batched solve (2·kGroupLanes = kMaxSolveLanes). Groups also form the
-    // producer/consumer pipeline below: while group g's batched forward runs
-    // on this thread, group g+1 degrades and compiles on a producer thread.
-    const std::size_t kGroupLanes =
-        static_cast<std::size_t>(xbar::kMaxSolveLanes) / 2;
+    // Repeats ride in groups of four lanes, the unit of the producer/consumer
+    // pipeline below: while group g's batched forward runs on this thread,
+    // group g+1 degrades and compiles on a producer thread. (The circuit
+    // solves do not batch across lanes: each tile solves alone, vectorized
+    // across its own chains.)
+    const std::size_t kGroupLanes = 4;
     const std::size_t n_groups = (R + kGroupLanes - 1) / kGroupLanes;
 
     std::vector<nn::CompiledInstance> instances(R);

@@ -128,10 +128,9 @@ std::uint64_t cell_seed(std::uint64_t master_seed, const SweepCell& cell);
 // Execute one grid cell in the calling process: resolve the prepared
 // (cached) model, build the cell's EvalConfig, evaluate, attach energy.
 // An inference cell is run_sweep_group of that one cell: a one-lane
-// evaluation, whose circuit solves run the one-lane instance of the batched
-// kernel (bit-identical to the scalar solve and 2-3x faster). An nf-only
-// cell runs core::measure_nf. Forked workers execute cells through this one
-// at a time.
+// evaluation, whose circuit solves run the blocked kernel (bit-identical to
+// the scalar solve). An nf-only cell runs core::measure_nf. Forked workers
+// execute cells through this one at a time.
 CellResult run_sweep_cell(core::ExperimentContext& ctx, const SweepSpec& spec,
                           const SweepCell& cell);
 

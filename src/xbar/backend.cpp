@@ -35,16 +35,10 @@ CircuitBackend::CircuitBackend(const CrossbarConfig& config)
 
 void CircuitBackend::degrade(const Tensor& g, DegradeWorkspace& ws,
                              TileDegradeResult& out) const {
+    XS_COUNT("xbar.circuit.tiles", 1);
     const Tensor* gp[1] = {&g};
     TileDegradeResult* op[1] = {&out};
-    degrade_batch(gp, 1, ws, op);
-}
-
-void CircuitBackend::degrade_batch(const Tensor* const* g, int lanes,
-                                   DegradeWorkspace& ws,
-                                   TileDegradeResult* const* out) const {
-    XS_COUNT("xbar.circuit.tiles", static_cast<std::uint64_t>(lanes));
-    degrade_tile_batched(g, lanes, solver_, ws, out);
+    degrade_tile_batched(gp, 1, solver_, ws, op);
 }
 
 namespace {
@@ -130,21 +124,22 @@ const FastBackend::Calibration& FastBackend::calibration_for(
         gc[k] = static_cast<float>(center);
     const std::vector<double> v_in(static_cast<std::size_t>(n),
                                    config_.parasitics.v_nom);
-    SolveWorkspace solve_ws;
-    solver_.solve(g_cal, v_in.data(), solve_ws);
+    BatchedSolveWorkspace solve_ws;
+    const Tensor* gp[1] = {&g_cal};
+    solver_.solve_batched(gp, 1, v_in.data(), solve_ws);
 
     auto cal = std::make_unique<Calibration>();
-    cal->sweeps = solve_ws.iterations;
-    cal->converged = solve_ws.converged;
+    cal->sweeps = solve_ws.iterations[0];
+    cal->converged = solve_ws.converged[0] != 0;
     cal->alpha = Tensor({n, n});
     const double inv_v = 1.0 / config_.parasitics.v_nom;
     float* a = cal->alpha.data();
-    for (std::int64_t k = 0; k < n * n; ++k) {
-        const double ratio = (solve_ws.vr[static_cast<std::size_t>(k)] -
-                              solve_ws.vc[static_cast<std::size_t>(k)]) *
-                             inv_v;
-        a[k] = static_cast<float>(std::max(0.0, ratio));
-    }
+    for (std::int64_t i = 0; i < n; ++i)
+        for (std::int64_t j = 0; j < n; ++j) {
+            const std::size_t k = solve_ws.at(i, j);
+            const double ratio = (solve_ws.vr[k] - solve_ws.vc[k]) * inv_v;
+            a[i * n + j] = static_cast<float>(std::max(0.0, ratio));
+        }
     const Calibration* published = cal.get();
     cache_->owned.push_back(std::move(cal));
     slot.store(published, std::memory_order_release);

@@ -7,8 +7,8 @@
 //
 //  * circuit — the exact cold-started line-relaxation solve of xbar/solver.h
 //              folded through the voltage-division model of xbar/degrade.h,
-//              run through the lane-batched kernel (a single tile is one
-//              lane). The fidelity reference; a pure function of the tile.
+//              one tile per run of the blocked kernel. The fidelity
+//              reference; a pure function of the tile.
 //  * fast    — a calibration-folded linear surrogate: the parasitic network
 //              is solved once per *tile composition bucket* (tiles bucketed
 //              by mean conductance) at the uniform calibration point, and the
@@ -66,15 +66,9 @@ public:
     explicit CircuitBackend(const CrossbarConfig& config);
 
     BackendKind kind() const override { return BackendKind::kCircuit; }
-    // One lane of degrade_batch.
+    // One tile through degrade_tile_batched.
     void degrade(const tensor::Tensor& g, DegradeWorkspace& ws,
                  TileDegradeResult& out) const override;
-
-    // Degrade `lanes` (≤ kMaxSolveLanes) same-size tiles in one lane-batched
-    // solve. Lane r is bit-identical to degrade(g[r]).
-    void degrade_batch(const tensor::Tensor* const* g, int lanes,
-                       DegradeWorkspace& ws,
-                       TileDegradeResult* const* out) const;
 
     const CircuitSolver& solver() const { return solver_; }
 

@@ -38,28 +38,37 @@ void degrade_tile_batched(const Tensor* const* g, int lanes,
     const double v_nom = config.parasitics.v_nom;
     ws.v_in.assign(static_cast<std::size_t>(n), v_nom);
     ws.ideal.resize(static_cast<std::size_t>(n));
-    solver.solve_batched(g, lanes, ws.v_in.data(), ws.solve);
 
-    const int L = lanes;
     const double inv_v = 1.0 / v_nom;
-    const double* vr = ws.solve.vr.data();
-    const double* vc = ws.solve.vc.data();
-    for (int r = 0; r < L; ++r) {
+    const BatchedSolveWorkspace& s = ws.solve;
+    for (int r = 0; r < lanes; ++r) {
+        // One tile per solve: the workspace holds one tile's voltages.
+        solver.solve_batched(g + r, 1, ws.v_in.data(), ws.solve);
         TileDegradeResult& o = *out[r];
-        o.converged = ws.solve.converged[r] != 0;
-        o.sweeps = ws.solve.iterations[r];
+        o.converged = s.converged[0] != 0;
+        o.sweeps = s.iterations[0];
 
         if (!(o.g_eff.rank() == 2 && o.g_eff.dim(0) == n && o.g_eff.dim(1) == n))
             o.g_eff = Tensor({n, n});
         const float* gp = g[r]->data();
         float* ge = o.g_eff.data();
-        for (std::int64_t k = 0; k < n * n; ++k) {
-            const double alpha = (vr[k * L + r] - vc[k * L + r]) * inv_v;
-            // Attenuation can only reduce the device's effective drive; tiny
-            // negative values from numerical round-off are clamped away.
-            ge[k] = static_cast<float>(std::max(0.0, alpha) *
-                                       static_cast<double>(gp[k]));
-        }
+        for (std::int64_t i = 0; i < n; ++i)
+            for (std::int64_t j0 = 0; j0 < n; j0 += kSolveBlock) {
+                // One block of row i: contiguous in both voltage fields.
+                const double* vr = s.vr.data() + s.at(i, j0);
+                const double* vc = s.vc.data() + s.at(i, j0);
+                const std::int64_t w =
+                    std::min<std::int64_t>(kSolveBlock, n - j0);
+                for (std::int64_t jj = 0; jj < w; ++jj) {
+                    const std::int64_t k = i * n + j0 + jj;
+                    const double alpha = (vr[jj] - vc[jj]) * inv_v;
+                    // Attenuation can only reduce the device's effective
+                    // drive; tiny negative values from numerical round-off
+                    // are clamped away.
+                    ge[k] = static_cast<float>(std::max(0.0, alpha) *
+                                               static_cast<double>(gp[k]));
+                }
+            }
 
         solver.ideal_currents(*g[r], ws.v_in.data(), ws.ideal.data());
         double nf_sum = 0.0;
@@ -67,8 +76,7 @@ void degrade_tile_batched(const Tensor* const* g, int lanes,
         for (std::int64_t j = 0; j < n; ++j) {
             const double ii = ws.ideal[static_cast<std::size_t>(j)];
             if (ii <= 0.0) continue;
-            nf_sum +=
-                (ii - ws.solve.currents[static_cast<std::size_t>(j * L + r)]) / ii;
+            nf_sum += (ii - s.currents[static_cast<std::size_t>(j)]) / ii;
             ++nf_count;
         }
         o.nf = nf_count ? nf_sum / static_cast<double>(nf_count) : 0.0;

@@ -22,8 +22,8 @@ struct TileDegradeResult {
     int sweeps = 0;         // relaxation sweeps the solve used
 };
 
-// Reusable scratch for degrade_tile_batched: the lane-batched solver
-// workspace plus the calibration input vector and the ideal-current buffer.
+// Reusable scratch for degrade_tile_batched: the one-tile solver workspace
+// plus the calibration input vector and the ideal-current buffer.
 // One instance per worker thread; reusing it across tiles keeps the steady
 // state free of heap allocations (DESIGN.md §4). The fast and ideal backends
 // use the two vectors as their own per-column scratch.
@@ -38,14 +38,15 @@ struct DegradeWorkspace {
 // equivalent conductance  G′_ij = G_ij · (V_row(i,j) − V_col(i,j)) / v_nom.
 // The resulting G′ reproduces the non-ideal column currents exactly at the
 // calibration input and captures the tile-composition coupling (tiles dense
-// in high conductances sag more). One lane of degrade_tile_batched.
+// in high conductances sag more). One tile of degrade_tile_batched.
 TileDegradeResult degrade_tile(const tensor::Tensor& g,
                                const CrossbarConfig& config);
 
-// Degrade `lanes` (≤ kMaxSolveLanes) same-size tiles in one batched solve.
-// Every solve starts cold, so lane r's g_eff / nf / converged / sweeps
-// depend only on g[r], never on the lane count or on what the workspace
-// solved before. out[r]'s g_eff storage is reused when already tile-shaped,
+// Degrade `lanes` same-size tiles, one solve each: every tile runs through
+// the blocked kernel alone, and G′ is folded straight from the workspace's
+// blocked voltage fields. Every solve starts cold, so lane r's g_eff / nf /
+// converged / sweeps depend only on g[r], never on the lane count or on
+// what the workspace solved before. out[r]'s g_eff storage is reused when already tile-shaped,
 // so steady state allocates nothing.
 void degrade_tile_batched(const tensor::Tensor* const* g, int lanes,
                           const CircuitSolver& solver, DegradeWorkspace& ws,

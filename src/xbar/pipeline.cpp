@@ -90,56 +90,22 @@ private:
 class ParasiticStage final : public TileStage {
 public:
     explicit ParasiticStage(const CrossbarBackend& backend)
-        : backend_(backend),
-          circuit_(dynamic_cast<const CircuitBackend*>(&backend)) {}
+        : backend_(backend) {}
     const char* name() const override { return "parasitics"; }
-    void apply(TileStageContext& ctx) const override {
-        backend_.degrade(*ctx.pos, ctx.ws, ctx.pos_result);
-        backend_.degrade(*ctx.neg, ctx.ws, ctx.neg_result);
-        finish(ctx);
-    }
+    void apply(TileStageContext& ctx) const override { degrade(ctx, ctx.ws); }
 
-    // Batch the circuit solves across repeat lanes. When both differential
-    // arrays of every lane fit the solver's lane budget, pos and neg solve
-    // together in ONE call (pos in lanes [0,count), neg in [count,2·count)) —
-    // at count = 4 that fills all kMaxSolveLanes and the solver's per-lane
-    // inner loops span a full 512-bit double vector. Every solve starts
-    // cold, so lane results do not depend on the lane count or grouping.
-    // A single lane solves pos then neg through the one-lane instance of
-    // the batched kernel, bit-identical to the scalar solve and 2-3x faster.
+    // Each lane's pos then neg tile, one solve per tile, in the lane
+    // group's shared workspace. Every solve starts cold, so lane results do
+    // not depend on the lane count or on what the workspace solved before.
     void apply_batch(TileStageContext* const* lanes, int count,
                      DegradeWorkspace& ws) const override {
-        if (circuit_ == nullptr || count > kMaxSolveLanes) {
-            for (int r = 0; r < count; ++r) apply(*lanes[r]);
-            return;
-        }
-        const Tensor* g[kMaxSolveLanes] = {};
-        TileDegradeResult* res[kMaxSolveLanes] = {};
-        if (count > 1 && 2 * count <= kMaxSolveLanes) {
-            for (int r = 0; r < count; ++r) {
-                g[r] = lanes[r]->pos;
-                res[r] = &lanes[r]->pos_result;
-                g[count + r] = lanes[r]->neg;
-                res[count + r] = &lanes[r]->neg_result;
-            }
-            circuit_->degrade_batch(g, 2 * count, ws, res);
-        } else {
-            for (int r = 0; r < count; ++r) {
-                g[r] = lanes[r]->pos;
-                res[r] = &lanes[r]->pos_result;
-            }
-            circuit_->degrade_batch(g, count, ws, res);
-            for (int r = 0; r < count; ++r) {
-                g[r] = lanes[r]->neg;
-                res[r] = &lanes[r]->neg_result;
-            }
-            circuit_->degrade_batch(g, count, ws, res);
-        }
-        for (int r = 0; r < count; ++r) finish(*lanes[r]);
+        for (int r = 0; r < count; ++r) degrade(*lanes[r], ws);
     }
 
 private:
-    static void finish(TileStageContext& ctx) {
+    void degrade(TileStageContext& ctx, DegradeWorkspace& ws) const {
+        backend_.degrade(*ctx.pos, ws, ctx.pos_result);
+        backend_.degrade(*ctx.neg, ws, ctx.neg_result);
         ctx.converged = ctx.pos_result.converged && ctx.neg_result.converged;
         ctx.nf = 0.5 * (ctx.pos_result.nf + ctx.neg_result.nf);
         ctx.pre_pos = ctx.pos;
@@ -149,7 +115,6 @@ private:
     }
 
     const CrossbarBackend& backend_;
-    const CircuitBackend* circuit_;
 };
 
 class CompensateStage final : public TileStage {

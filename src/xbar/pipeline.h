@@ -77,8 +77,8 @@ public:
     // Apply the stage to `count` per-repeat contexts of the same tile at
     // once. The default per-lane loop is correct for every stage (each lane
     // has its own RNG stream and buffers); the parasitic stage overrides it
-    // to batch the circuit solves across lanes. `ws` is the caller-owned
-    // batched solver scratch of the worker's lane group.
+    // to run every lane's tiles through `ws`, the caller-owned solver
+    // scratch of the worker's lane group, instead of each lane's own.
     virtual void apply_batch(TileStageContext* const* lanes, int count,
                              DegradeWorkspace& ws) const {
         (void)ws;

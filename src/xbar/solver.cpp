@@ -5,17 +5,19 @@
 #include <algorithm>
 #include <cmath>
 
+#if defined(__AVX512F__)
+#include <immintrin.h>
+#endif
+
 namespace xs::xbar {
 
 using tensor::check;
 using tensor::Tensor;
 
-// Independent tridiagonal chains processed simultaneously by the batched
-// kernel so their serial recurrences hide each other's FP latency. Sizes the
-// rhs scratch (kChainUnroll per-chain slices); see solve_batched_impl.
-inline constexpr int kChainUnroll = 4;
-
 namespace {
+
+constexpr int kB = kSolveBlock;
+constexpr std::int64_t kTile = kB * kB;
 
 // A resistance of exactly zero means "ideal conductor"; represent it with a
 // huge-but-finite conductance to keep the linear algebra well posed.
@@ -23,274 +25,336 @@ double safe_conductance(double resistance) {
     return resistance <= 0.0 ? 1e9 : 1.0 / resistance;
 }
 
-// Per-call parameters of a batched solve, captured once so the templated
-// kernel below does not need access to CircuitSolver internals.
-struct BatchedSolveParams {
-    std::int64_t n;
+// A block of kB chains is kH vectors of kV doubles (one AVX-512 register
+// each). GNU vector types, as in tensor/gemm.cpp, keep a block's chains in
+// registers across a chain recurrence, which the auto-vectorizer would
+// scalarize; without AVX-512 the compiler splits each into narrower
+// vectors. Every operation is element-wise IEEE arithmetic in source order
+// (this file is compiled without FP contraction), so each lane computes
+// exactly what the scalar expression computes. Vectors move through memcpy
+// (no alignment assumed) and references: a 64-byte vector passed by value
+// changes the ABI on targets without AVX-512 (GCC -Wpsabi).
+constexpr int kV = 8;
+constexpr int kH = kB / kV;
+static_assert(kB % kV == 0, "a block is a whole number of vectors");
+using Vd = double __attribute__((vector_size(kV * sizeof(double))));
+using Vf = float __attribute__((vector_size(kV * sizeof(float))));
+using Vu = std::uint64_t __attribute__((vector_size(kV * sizeof(double))));
+
+inline void load(const double* p, Vd& v) { __builtin_memcpy(&v, p, sizeof v); }
+inline void store(double* p, const Vd& v) { __builtin_memcpy(p, &v, sizeof v); }
+// Conductances are stored as float and promoted at use, which is exact.
+inline void load_g(const float* p, Vd& v) {
+#if defined(__AVX512F__)
+    // One conversion, not two halves; the all-lanes mask form avoids the
+    // unmasked intrinsic's undefined-source warning under GCC 12.
+    v = _mm512_maskz_cvtps_pd(0xFF, _mm256_loadu_ps(p));
+#else
+    Vf f;
+    __builtin_memcpy(&f, p, sizeof f);
+    v = __builtin_convertvector(f, Vd);
+#endif
+}
+
+// Lane k of out[e] = src[k·stride + e]: the columns of one kV×kV block.
+inline void transpose8(const double* src, std::int64_t stride,
+                       Vd (&out)[kV]) {
+#if defined(__AVX512F__)
+    // Three rounds of two-source permutes: interleave the even / odd
+    // elements of row pairs, then 128-bit pairs, then 256-bit halves.
+    const __m512i even = _mm512_setr_epi64(0, 8, 2, 10, 4, 12, 6, 14);
+    const __m512i odd = _mm512_setr_epi64(1, 9, 3, 11, 5, 13, 7, 15);
+    const __m512i even2 = _mm512_setr_epi64(0, 1, 8, 9, 4, 5, 12, 13);
+    const __m512i odd2 = _mm512_setr_epi64(2, 3, 10, 11, 6, 7, 14, 15);
+    const __m512i lo4 = _mm512_setr_epi64(0, 1, 2, 3, 8, 9, 10, 11);
+    const __m512i hi4 = _mm512_setr_epi64(4, 5, 6, 7, 12, 13, 14, 15);
+    __m512d r[kV], t[kV], u[kV];
+    for (int k = 0; k < kV; ++k) r[k] = _mm512_loadu_pd(src + k * stride);
+    for (int k = 0; k < kV; k += 2) {
+        t[k] = _mm512_permutex2var_pd(r[k], even, r[k + 1]);
+        t[k + 1] = _mm512_permutex2var_pd(r[k], odd, r[k + 1]);
+    }
+    for (int k = 0; k < kV; k += 4)
+        for (int h = k; h < k + 2; ++h) {
+            u[h] = _mm512_permutex2var_pd(t[h], even2, t[h + 2]);
+            u[h + 2] = _mm512_permutex2var_pd(t[h], odd2, t[h + 2]);
+        }
+    for (int k = 0; k < 4; ++k) {
+        out[k] = _mm512_permutex2var_pd(u[k], lo4, u[k + 4]);
+        out[k + 4] = _mm512_permutex2var_pd(u[k], hi4, u[k + 4]);
+    }
+#else
+    for (int e = 0; e < kV; ++e)
+        for (int k = 0; k < kV; ++k) out[e][k] = src[k * stride + e];
+#endif
+}
+
+// dst = srcᵀ for one kB×kB tile of doubles, both row-major; src ≠ dst.
+void transpose_tile(const double* src, double* dst) {
+    for (int qr = 0; qr < kB; qr += kV)
+        for (int qc = 0; qc < kB; qc += kV) {
+            Vd t[kV];
+            transpose8(src + qr * kB + qc, kB, t);
+            for (int e = 0; e < kV; ++e) store(dst + (qc + e) * kB + qr, t[e]);
+        }
+}
+
+// The same for a tile of floats, moved through doubles (exact both ways).
+void transpose_tile(const float* src, float* dst) {
+    for (int qr = 0; qr < kB; qr += kV)
+        for (int qc = 0; qc < kB; qc += kV) {
+            double wide[kV * kV];
+            for (int k = 0; k < kV; ++k) {
+                Vd row;
+                load_g(src + (qr + k) * kB + qc, row);
+                store(wide + k * kV, row);
+            }
+            Vd t[kV];
+            transpose8(wide, kV, t);
+            for (int e = 0; e < kV; ++e) {
+                const Vf narrow = __builtin_convertvector(t[e], Vf);
+                __builtin_memcpy(dst + (qc + e) * kB + qr, &narrow,
+                                 sizeof narrow);
+            }
+        }
+}
+
+// Relaxation update of kV consecutive positions of one block's chains. The
+// back-substitution left their new values in `x` as [position][chain] (row
+// stride kB); the field keeps each chain's positions together, as
+// [chain][position] tiles with row stride kB, the layout the opposite
+// half-sweep reads, so x is transposed on the way in, in registers. Each
+// node is updated as in the scalar solve (d = x − v, v += d), and |d| folds
+// into a running max per vector lane in std::max's form, which skips NaNs
+// exactly as the scalar reduction does.
+void update_positions(const double* x, double* v, Vd& lane_max) {
+    const Vu abs_mask = Vu{} + ~(std::uint64_t{1} << 63);
+    for (int qc = 0; qc < kB; qc += kV) {
+        Vd t[kV];  // t[e]: chain qc + e at the kV positions
+        transpose8(x + qc, kB, t);
+        // A max per kV chains, folded into the sweep's once: neither can be
+        // NaN, so the fold loses nothing and keeps the chain short.
+        Vd m = {};
+        for (int e = 0; e < kV; ++e) {
+            double* ve = v + (qc + e) * kB;
+            Vd old;
+            load(ve, old);
+            const Vd d = t[e] - old;
+            // |d|: clear the sign bit (a vector cast reinterprets bits).
+            const Vd a = (Vd)((Vu)d & abs_mask);
+            m = m < a ? a : m;
+            store(ve, old + d);
+        }
+        lane_max = lane_max < m ? m : lane_max;
+    }
+}
+
+// What both half-sweeps of one solve share.
+struct SweepParams {
+    std::int64_t n, np, nb;  // size, padded size, blocks
     double gdrv, gwr, gwc, gsn;
-    double tolerance;
-    int max_sweeps;
+    const double* v_in;
+    double* rc;  // one block's chain recurrences, np × kB
 };
 
-// Lane-templated kernel: L is a compile-time constant so every `for r < L`
-// loop unrolls/vectorizes into straight vector code. The arithmetic mirrors
-// CircuitSolver::solve expression-for-expression — each lane must produce
-// bit-identical results to a scalar solve, which the equivalence tests pin.
-// Lanes that converge freeze (their voltages stop updating) while the sweep
-// loop continues for the rest; a frozen lane's state is exactly the state
-// the scalar solve would have returned.
-//
-// Chains are processed kChainUnroll at a time. Each chain's recurrence is a
-// serial dependency (step j needs step j-1, a division chain in the
-// factorization), so a single chain leaves the FP units mostly idle waiting
-// on latency; interleaving independent chains fills those stall cycles.
-// Within a chain the expressions — and hence every lane's bit pattern — are
-// untouched; only the order *across* chains changes, and chains within a
-// half-sweep neither read nor write each other's state.
-template <int L>
-void solve_batched_impl(const BatchedSolveParams& p,
-                        const tensor::Tensor* const* g, const double* v_in,
-                        BatchedSolveWorkspace& ws) {
-    const std::int64_t n = p.n;
-    const double gdrv = p.gdrv, gwr = p.gwr, gwc = p.gwc, gsn = p.gsn;
-    constexpr int CU = kChainUnroll;
+// One half-sweep: the exact tridiagonal (Thomas) solve of every row chain
+// (kRow) or every column chain with the other direction's voltages frozen,
+// then the relaxation update of this direction's voltages. Chains run kB at
+// a time, one per vector lane, and every lane's arithmetic is the scalar
+// solve's, expression for expression; only the order across chains changes,
+// and chains of one half-sweep neither read nor write each other's state.
+//   g, inv  this direction's chains, [block][padded position][chain]
+//   other   the frozen field, in the same layout
+//   own     this direction's field as tiles (position block · nb + block),
+//           each [chain][position]
+// On the first sweep the chain factorization (reciprocal pivots) is
+// computed inline, right before the elimination step that needs it, and
+// the row chains skip their g·V_col terms: V_col is identically +0.0
+// against the flat guess and conductances are finite, so those terms are
+// exactly +0.0, and the literal 0.0 left in their place keeps every sum's
+// bits, signed zeros included.
+template <bool kRow>
+void half_sweep(const SweepParams& s, const float* gl, double* invl,
+                const double* other, double* own, bool first,
+                Vd& lane_max) {
+    const std::int64_t n = s.n, nb = s.nb;
+    const double gw = kRow ? s.gwr : s.gwc;
+    // The chain's end terms as the scalar solve forms them: a row's first
+    // node also carries the driver, a column's last node the sense resistor.
+    const double head =
+        kRow ? s.gdrv + (n > 1 ? s.gwr : 0.0) : (n > 1 ? s.gwc : s.gsn);
+    const double end = kRow ? 0.0 : s.gsn;
+    double* rc = s.rc;
+    for (std::int64_t b = 0; b < nb; ++b) {
+        const float* g = gl + b * s.np * kB;
+        double* inv = invl + b * s.np * kB;
+        const double* o = other + b * s.np * kB;
+        // A row chain's driver injection gdrv·V_in; zero on padding chains.
+        Vd src[kH] = {};
+        if constexpr (kRow)
+            for (int c = 0; c < kB && b * kB + c < n; ++c)
+                src[c / kV][c % kV] = s.gdrv * s.v_in[b * kB + c];
 
-    // Lane-major spread of the conductance tiles: r innermost so every
-    // (i,j) writes one full gr cacheline (L = 8 doubles) and the L source
-    // tensors stream sequentially, instead of revisiting each destination
-    // line once per lane. No transposed copy: lane-major means element
-    // (i,j) occupies exactly one cacheline whatever the traversal order,
-    // so the column half-sweep walks this same array with an n·L stride
-    // (constant — the prefetcher tracks it) instead of paying a second
-    // n²·L spread per solve.
-    double* gr = ws.g_row.data();
-    const float* gf[L];
-    for (int r = 0; r < L; ++r) gf[r] = g[r]->data();
-    for (std::int64_t k = 0; k < n * n; ++k) {
-        double* grd = gr + k * L;
-        for (int r = 0; r < L; ++r) grd[r] = gf[r][k];
+        // Forward elimination; x carries each chain's last value.
+        Vd x[kH], gk, ok, ik;
+        if (first) {
+            for (int h = 0; h < kH; ++h) {
+                load_g(g + h * kV, gk);
+                store(inv + h * kV, 1.0 / (head + gk));
+                if constexpr (kRow) {
+                    x[h] = 0.0 + src[h];
+                } else {
+                    load(o + h * kV, ok);
+                    x[h] = gk * ok;
+                }
+                store(rc + h * kV, x[h]);
+            }
+            for (std::int64_t j = 1; j < n; ++j) {
+                const double tail = j + 1 < n ? gw : end;
+                for (int h = 0; h < kH; ++h) {
+                    const std::int64_t k = j * kB + h * kV;
+                    load_g(g + k, gk);
+                    load(inv + k - kB, ik);
+                    const Vd mk = -gw * ik;
+                    store(inv + k, 1.0 / (gw + tail + gk + mk * gw));
+                    if constexpr (kRow) {
+                        x[h] = 0.0 - mk * x[h];
+                    } else {
+                        load(o + k, ok);
+                        x[h] = gk * ok - mk * x[h];
+                    }
+                    store(rc + k, x[h]);
+                }
+            }
+        } else {
+            for (int h = 0; h < kH; ++h) {
+                load_g(g + h * kV, gk);
+                load(o + h * kV, ok);
+                if constexpr (kRow)
+                    x[h] = gk * ok + src[h];
+                else
+                    x[h] = gk * ok;
+                store(rc + h * kV, x[h]);
+            }
+            for (std::int64_t j = 1; j < n; ++j)
+                for (int h = 0; h < kH; ++h) {
+                    const std::int64_t k = j * kB + h * kV;
+                    load_g(g + k, gk);
+                    load(o + k, ok);
+                    load(inv + k - kB, ik);
+                    const Vd mk = -gw * ik;
+                    x[h] = gk * ok - mk * x[h];
+                    store(rc + k, x[h]);
+                }
+        }
+
+        // Back-substitution. Each time kV positions are final, their update
+        // runs (in the shadow of the recurrence's latency). Position groups
+        // wholly past n hold padding nodes only, whose updates are exactly
+        // zero, so they are skipped.
+        const auto relax = [&](std::int64_t j) {
+            if (j % kV == 0)
+                update_positions(rc + j * kB,
+                                 own + ((j / kB) * nb + b) * kTile + j % kB,
+                                 lane_max);
+        };
+        Vd rk;
+        for (int h = 0; h < kH; ++h) {
+            const std::int64_t k = (n - 1) * kB + h * kV;
+            load(rc + k, rk);
+            load(inv + k, ik);
+            x[h] = rk * ik;
+            store(rc + k, x[h]);
+        }
+        relax(n - 1);
+        for (std::int64_t j = n - 2; j >= 0; --j) {
+            for (int h = 0; h < kH; ++h) {
+                const std::int64_t k = j * kB + h * kV;
+                load(rc + k, rk);
+                load(inv + k, ik);
+                x[h] = (rk + gw * x[h]) * ik;
+                store(rc + k, x[h]);
+            }
+            relax(j);
+        }
     }
+}
 
-    // The Thomas factors (reciprocal pivots; the forward multiplier is
-    // recomputed as the identical -gw·inv product, so identical bits) are
-    // NOT built in a standalone pass: sweep 0's forward eliminations below
-    // compute each chain's factors inline, right before the value that
-    // needs them — the factor recurrence and the elimination visit the
-    // same gr/gc/inv streams in the same order, so fusing them removes one
-    // full re-stream of both arrays per solve without touching any
-    // expression.
+// Solve one tile into ws, recording its outputs as lane `lane`.
+//
+// Layout: the row half-sweep reads V_col in row blocks ([row block][column]
+// [row in block]) and the column half-sweep reads V_row in column blocks
+// ([column block][row][column in block]), each contiguous per block; each
+// half-sweep writes its own field transposed, kV positions at a time
+// (update_positions).
+// At the end V_col moves to column blocks too, so both fields share
+// BatchedSolveWorkspace::at.
+void solve_tile(const SweepParams& s, const Tensor& g, double tolerance,
+                int max_sweeps, BatchedSolveWorkspace& ws, int lane) {
+    const std::int64_t n = s.n, np = s.np, nb = s.nb;
 
-    // Initial guess, as in the scalar solve: rows at their source voltage,
-    // columns at ground.
+    // Chain layouts, [block][padded position][chain]. Column block bj at
+    // position i is the row-major stretch G(i, bj·kB …); the row chains are
+    // its tile-by-tile transpose. Padding rows and chains keep the zeros
+    // ensure() wrote.
+    const float* gf = g.data();
+    float* grow = ws.g_row.data();
+    float* gcol = ws.g_col.data();
+    for (std::int64_t i = 0; i < n; ++i)
+        for (std::int64_t bj = 0; bj < nb; ++bj)
+            std::copy_n(gf + i * n + bj * kB,
+                        std::min<std::int64_t>(kB, n - bj * kB),
+                        gcol + (bj * np + i) * kB);
+    for (std::int64_t bi = 0; bi < nb; ++bi)
+        for (std::int64_t bj = 0; bj < nb; ++bj)
+            transpose_tile(gcol + (bj * np + bi * kB) * kB,
+                           grow + (bi * np + bj * kB) * kB);
+
+    // Initial guess: rows at their source voltage, columns at ground, and
+    // every padding node at zero.
     double* vr = ws.vr.data();
     double* vc = ws.vc.data();
-    for (std::int64_t i = 0; i < n; ++i) {
-        const double vi = v_in[i];
-        for (std::int64_t j = 0; j < n; ++j)
-            for (int r = 0; r < L; ++r) vr[(i * n + j) * L + r] = vi;
-    }
-    std::fill(vc, vc + n * n * L, 0.0);
+    std::fill(vr, vr + np * np, 0.0);
+    std::fill(vc, vc + np * np, 0.0);
+    for (std::int64_t bj = 0; bj < nb; ++bj)
+        for (std::int64_t i = 0; i < n; ++i)
+            std::fill_n(vr + (bj * np + i) * kB,
+                        std::min<std::int64_t>(kB, n - bj * kB), s.v_in[i]);
 
-    double* rb = ws.rhs.data();
-    bool active[L];
-    double sweep_delta[L];
-    for (int r = 0; r < L; ++r) {
-        active[r] = true;
-        ws.iterations[r] = 0;
-        ws.max_delta[r] = 0.0;
-        ws.converged[r] = 0;
-    }
-    int n_active = L;
-    for (int sweep = 0; sweep < p.max_sweeps && n_active > 0; ++sweep) {
-        for (int r = 0; r < L; ++r) sweep_delta[r] = 0.0;
-
-        // Row chains, kChainUnroll interleaved. The recurrences run
-        // unguarded for every lane (cheaper than masking and they only write
-        // scratch); the voltage update is lane-gated so frozen lanes keep
-        // their converged state untouched. Chains only read vc and write
-        // their own vr rows, so interleaving cannot reorder visible effects;
-        // sweep_delta is a max-reduction, commutative exactly.
-        for (std::int64_t i0 = 0; i0 < n; i0 += CU) {
-            const int nc = static_cast<int>(std::min<std::int64_t>(CU, n - i0));
-            const double* grow[CU];
-            double* inv[CU];
-            double* vri[CU];
-            const double* vci[CU];
-            double* rc[CU];
-            for (int c = 0; c < nc; ++c) {
-                const std::int64_t i = i0 + c;
-                grow[c] = gr + i * n * L;
-                inv[c] = ws.row_inv_d.data() + i * n * L;
-                vri[c] = vr + i * n * L;
-                vci[c] = vc + i * n * L;
-                rc[c] = rb + c * n * L;
-            }
-            if (sweep > 0) {
-                for (int c = 0; c < nc; ++c)
-                    for (int r = 0; r < L; ++r)
-                        rc[c][r] = grow[c][r] * vci[c][r] + gdrv * v_in[i0 + c];
-                for (std::int64_t j = 1; j < n; ++j)
-                    for (int c = 0; c < nc; ++c)
-                        for (int r = 0; r < L; ++r) {
-                            const double mj = -gwr * inv[c][(j - 1) * L + r];
-                            rc[c][j * L + r] =
-                                grow[c][j * L + r] * vci[c][j * L + r] -
-                                mj * rc[c][(j - 1) * L + r];
-                        }
-            } else {
-                // Sweep 0: factor + elimination fused. vc is identically +0.0
-                // entering it, so the g·vc terms are exactly +0.0
-                // (conductances are finite, no NaN/Inf) and their loads are
-                // skipped; the literal 0.0 operand left in their place keeps
-                // every sum's bit pattern, signed zeros included.
-                for (int c = 0; c < nc; ++c)
-                    for (int r = 0; r < L; ++r) {
-                        const double d0 =
-                            gdrv + (n > 1 ? gwr : 0.0) + grow[c][r];
-                        inv[c][r] = 1.0 / d0;
-                        rc[c][r] = 0.0 + gdrv * v_in[i0 + c];
-                    }
-                for (std::int64_t j = 1; j < n; ++j)
-                    for (int c = 0; c < nc; ++c)
-                        for (int r = 0; r < L; ++r) {
-                            const double mj = -gwr * inv[c][(j - 1) * L + r];
-                            const double dj = gwr + (j + 1 < n ? gwr : 0.0) +
-                                              grow[c][j * L + r] + mj * gwr;
-                            inv[c][j * L + r] = 1.0 / dj;
-                            rc[c][j * L + r] =
-                                0.0 - mj * rc[c][(j - 1) * L + r];
-                        }
-            }
-            // Back-substitution with the voltage update fused into it: the
-            // update of element j reads only rc[j] (final once written) and
-            // vr[j], and sweep_delta is a commutative max-reduction, so
-            // folding it here instead of a separate pass changes no bits —
-            // it just avoids re-streaming rc and vr once per half-sweep.
-            for (int c = 0; c < nc; ++c)
-                for (int r = 0; r < L; ++r) {
-                    const double x =
-                        rc[c][(n - 1) * L + r] * inv[c][(n - 1) * L + r];
-                    rc[c][(n - 1) * L + r] = x;
-                    const double d = x - vri[c][(n - 1) * L + r];
-                    if (active[r]) {
-                        sweep_delta[r] = std::max(sweep_delta[r], std::fabs(d));
-                        vri[c][(n - 1) * L + r] += d;
-                    }
-                }
-            for (std::int64_t j = n - 2; j >= 0; --j)
-                for (int c = 0; c < nc; ++c)
-                    for (int r = 0; r < L; ++r) {
-                        const double x =
-                            (rc[c][j * L + r] + gwr * rc[c][(j + 1) * L + r]) *
-                            inv[c][j * L + r];
-                        rc[c][j * L + r] = x;
-                        const double d = x - vri[c][j * L + r];
-                        if (active[r]) {
-                            sweep_delta[r] =
-                                std::max(sweep_delta[r], std::fabs(d));
-                            vri[c][j * L + r] += d;
-                        }
-                    }
-        }
-
-        // Column chains, same interleave (read vr, write own vc columns).
-        for (std::int64_t j0 = 0; j0 < n; j0 += CU) {
-            const int nc = static_cast<int>(std::min<std::int64_t>(CU, n - j0));
-            const double* gcol[CU];
-            double* inv[CU];
-            double* rc[CU];
-            // Column c's conductances live in gr at stride S = n·L: element
-            // i of chain j is gr[(i·n + j)·L .. +L) — one full cacheline,
-            // exactly what a dedicated transposed copy would read.
-            const std::int64_t S = n * L;
-            for (int c = 0; c < nc; ++c) {
-                const std::int64_t j = j0 + c;
-                gcol[c] = gr + j * L;
-                inv[c] = ws.col_inv_d.data() + j * n * L;
-                rc[c] = rb + c * n * L;
-            }
-            if (sweep > 0) {
-                for (int c = 0; c < nc; ++c)
-                    for (int r = 0; r < L; ++r)
-                        rc[c][r] = gcol[c][r] * vr[(j0 + c) * L + r];
-                for (std::int64_t i = 1; i < n; ++i)
-                    for (int c = 0; c < nc; ++c)
-                        for (int r = 0; r < L; ++r) {
-                            const double mi = -gwc * inv[c][(i - 1) * L + r];
-                            rc[c][i * L + r] =
-                                gcol[c][i * S + r] *
-                                    vr[(i * n + (j0 + c)) * L + r] -
-                                mi * rc[c][(i - 1) * L + r];
-                        }
-            } else {
-                // Sweep 0: factor + elimination fused (vr is never zero, so
-                // there is no cold specialization on the column half-sweep).
-                for (int c = 0; c < nc; ++c)
-                    for (int r = 0; r < L; ++r) {
-                        const double d0 = (n > 1 ? gwc : gsn) + gcol[c][r];
-                        inv[c][r] = 1.0 / d0;
-                        rc[c][r] = gcol[c][r] * vr[(j0 + c) * L + r];
-                    }
-                for (std::int64_t i = 1; i < n; ++i)
-                    for (int c = 0; c < nc; ++c)
-                        for (int r = 0; r < L; ++r) {
-                            const double mi = -gwc * inv[c][(i - 1) * L + r];
-                            const double di = gwc + (i + 1 < n ? gwc : gsn) +
-                                              gcol[c][i * S + r] + mi * gwc;
-                            inv[c][i * L + r] = 1.0 / di;
-                            rc[c][i * L + r] =
-                                gcol[c][i * S + r] *
-                                    vr[(i * n + (j0 + c)) * L + r] -
-                                mi * rc[c][(i - 1) * L + r];
-                        }
-            }
-            // Fused back-substitution + update, as in the row pass.
-            for (int c = 0; c < nc; ++c)
-                for (int r = 0; r < L; ++r) {
-                    const double x =
-                        rc[c][(n - 1) * L + r] * inv[c][(n - 1) * L + r];
-                    rc[c][(n - 1) * L + r] = x;
-                    double& v = vc[((n - 1) * n + (j0 + c)) * L + r];
-                    const double d = x - v;
-                    if (active[r]) {
-                        sweep_delta[r] = std::max(sweep_delta[r], std::fabs(d));
-                        v += d;
-                    }
-                }
-            for (std::int64_t i = n - 2; i >= 0; --i)
-                for (int c = 0; c < nc; ++c)
-                    for (int r = 0; r < L; ++r) {
-                        const double x =
-                            (rc[c][i * L + r] + gwc * rc[c][(i + 1) * L + r]) *
-                            inv[c][i * L + r];
-                        rc[c][i * L + r] = x;
-                        double& v = vc[(i * n + (j0 + c)) * L + r];
-                        const double d = x - v;
-                        if (active[r]) {
-                            sweep_delta[r] =
-                                std::max(sweep_delta[r], std::fabs(d));
-                            v += d;
-                        }
-                    }
-        }
-
-        for (int r = 0; r < L; ++r) {
-            if (!active[r]) continue;
-            // Matches the scalar bookkeeping: on the convergence sweep the
-            // scalar loop executes `++sweep; break`, so iterations counts
-            // the sweep that met tolerance.
-            ws.iterations[r] = sweep + 1;
-            ws.max_delta[r] = sweep_delta[r];
-            if (sweep_delta[r] < p.tolerance) {
-                ws.converged[r] = 1;
-                active[r] = false;
-                --n_active;
-            }
+    double max_delta = 0.0;
+    int sweep = 0;
+    for (; sweep < max_sweeps; ++sweep) {
+        Vd lane_max = {};
+        half_sweep<true>(s, grow, ws.row_inv_d.data(), vc, vr, sweep == 0,
+                         lane_max);
+        half_sweep<false>(s, gcol, ws.col_inv_d.data(), vr, vc, sweep == 0,
+                          lane_max);
+        max_delta = 0.0;
+        for (int l = 0; l < kV; ++l)
+            max_delta = max_delta < lane_max[l] ? lane_max[l] : max_delta;
+        if (max_delta < tolerance) {
+            ++sweep;
+            break;
         }
     }
-    for (std::int64_t j = 0; j < n; ++j)
-        for (int r = 0; r < L; ++r)
-            ws.currents[j * L + r] = vc[((n - 1) * n + j) * L + r] * gsn;
+    ws.iterations[lane] = sweep;
+    ws.max_delta[lane] = max_delta;
+    ws.converged[lane] = max_delta < tolerance;
+
+    // V_col from row blocks to column blocks: tile (R, C) moves from
+    // R·nb + C to C·nb + R and is transposed.
+    alignas(64) double tmp[kTile];
+    for (std::int64_t bi = 0; bi < nb; ++bi)
+        for (std::int64_t bj = bi; bj < nb; ++bj) {
+            double* a = vc + (bi * nb + bj) * kTile;
+            double* t = vc + (bj * nb + bi) * kTile;
+            transpose_tile(a, tmp);
+            if (t != a) transpose_tile(t, a);
+            std::copy(tmp, tmp + kTile, t);
+        }
+
+    double* cur = ws.currents.data() + lane * n;
+    for (std::int64_t j = 0; j < n; ++j) cur[j] = vc[ws.at(n - 1, j)] * s.gsn;
 }
 
 }  // namespace
@@ -312,19 +376,23 @@ void SolveWorkspace::ensure(std::int64_t size) {
     n = size;
 }
 
-void BatchedSolveWorkspace::ensure(std::int64_t size, int lane_count) {
-    if (n == size && lanes == lane_count) return;
-    const auto nn = static_cast<std::size_t>(size * size * lane_count);
-    const auto ns = static_cast<std::size_t>(size * lane_count);
-    vr.resize(nn);
-    vc.resize(nn);
-    g_row.resize(nn);
-    row_inv_d.resize(nn);
-    col_inv_d.resize(nn);
-    rhs.resize(ns * static_cast<std::size_t>(kChainUnroll));
-    currents.resize(ns);
+void BatchedSolveWorkspace::ensure(std::int64_t size) {
+    if (n == size) return;
+    const std::int64_t p =
+        (size + kSolveBlock - 1) / kSolveBlock * kSolveBlock;
+    const auto nodes = static_cast<std::size_t>(p * p);
+    // assign, not resize: padding must read zero at every size, and assign
+    // reuses the grown capacity, so a smaller tile allocates nothing.
+    g_row.assign(nodes, 0.0f);
+    g_col.assign(nodes, 0.0f);
+    row_inv_d.assign(nodes, 0.0);
+    col_inv_d.assign(nodes, 0.0);
+    vr.assign(nodes, 0.0);
+    vc.assign(nodes, 0.0);
+    rhs.assign(static_cast<std::size_t>(p * kSolveBlock), 0.0);
+    currents.assign(static_cast<std::size_t>(size * kMaxSolveLanes), 0.0);
     n = size;
-    lanes = lane_count;
+    padded = p;
 }
 
 CircuitSolver::CircuitSolver(const CrossbarConfig& config) : config_(config) {
@@ -509,36 +577,27 @@ void CircuitSolver::solve_batched(const Tensor* const* g, int lanes,
     for (int r = 0; r < lanes; ++r)
         check(g[r]->rank() == 2 && g[r]->dim(0) == n && g[r]->dim(1) == n,
               "CircuitSolver: conductance matrix shape mismatch");
-    ws.ensure(n, lanes);
-    XS_TIMER_NS("xbar.solve.ns");
-    XS_COUNT("xbar.solve.solves", static_cast<std::uint64_t>(lanes));
+    ws.ensure(n);
 #if XS_TELEMETRY_ENABLED
     static const util::metrics::Counter unconverged =
         util::metrics::counter("xbar.solve.unconverged");
 #endif
 
-    const BatchedSolveParams p{n,        g_driver_,  g_wire_row_, g_wire_col_,
-                               g_sense_, tolerance_, max_sweeps_};
-    switch (lanes) {
-        case 1: solve_batched_impl<1>(p, g, v_in, ws); break;
-        case 2: solve_batched_impl<2>(p, g, v_in, ws); break;
-        case 3: solve_batched_impl<3>(p, g, v_in, ws); break;
-        case 4: solve_batched_impl<4>(p, g, v_in, ws); break;
-        case 5: solve_batched_impl<5>(p, g, v_in, ws); break;
-        case 6: solve_batched_impl<6>(p, g, v_in, ws); break;
-        case 7: solve_batched_impl<7>(p, g, v_in, ws); break;
-        case 8: solve_batched_impl<8>(p, g, v_in, ws); break;
-        default: break;
-    }
-
-    std::uint64_t total_sweeps = 0;
-    for (int r = 0; r < lanes; ++r)
-        total_sweeps += static_cast<std::uint64_t>(ws.iterations[r]);
-    XS_COUNT("xbar.solve.sweeps", total_sweeps);
+    const SweepParams p{n,         ws.padded,   ws.padded / kB,
+                        g_driver_, g_wire_row_, g_wire_col_,
+                        g_sense_,  v_in,        ws.rhs.data()};
+    for (int r = 0; r < lanes; ++r) {
+        {
+            XS_TIMER_NS("xbar.solve.ns");  // one sample per tile
+            solve_tile(p, *g[r], tolerance_, max_sweeps_, ws, r);
+        }
+        XS_COUNT("xbar.solve.solves", 1);
+        XS_COUNT("xbar.solve.sweeps",
+                 static_cast<std::uint64_t>(ws.iterations[r]));
 #if XS_TELEMETRY_ENABLED
-    for (int r = 0; r < lanes; ++r)
         if (!ws.converged[r]) unconverged.add(1);
 #endif
+    }
 }
 
 SolveResult CircuitSolver::solve(const Tensor& g,

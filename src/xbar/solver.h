@@ -12,16 +12,21 @@
 // point Gauss–Seidel on the same 2·X² system. A dense Gaussian-elimination
 // reference (solve_dense) validates it in the test suite.
 //
-// The hot entry point is the SolveWorkspace overload (DESIGN.md §4): each
-// chain's tridiagonal factorization is computed once per solve and reused
-// across sweeps, and all scratch lives in a caller-owned workspace so the
-// steady state performs no heap allocation. Every solve starts from the
-// flat initial guess, so a result is a pure function of the tile.
+// The hot entry point is solve_batched (DESIGN.md §3): a blocked kernel that
+// runs each half-sweep across kSolveBlock of the tile's own chains at a time,
+// one chain per vector lane, and is bit-identical to the scalar solve, which
+// stays as the tests' reference. In both, each chain's tridiagonal
+// factorization is computed once per solve and reused across sweeps, and all
+// scratch lives in a caller-owned workspace so the steady state performs no
+// heap allocation (DESIGN.md §4). Every solve starts from the flat initial
+// guess, so a result is a pure function of the tile.
 #pragma once
 
 #include "tensor/tensor.h"
 #include "xbar/config.h"
 
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 namespace xs::xbar {
@@ -59,41 +64,58 @@ struct SolveWorkspace {
     void invalidate() {}
 };
 
-// Upper bound on the lanes one batched solve processes; callers chunk larger
-// repeat counts into groups of this size. Eight doubles fill one AVX-512
-// vector (two AVX2 vectors), so the lane loops below vectorize fully.
+// Upper bound on the lanes (tiles) one solve_batched call accepts; xsbench
+// times full calls of this many lanes.
 inline constexpr int kMaxSolveLanes = 8;
 
-// Reusable scratch for CircuitSolver::solve_batched: `lanes` independent
-// same-size systems solved together, with every buffer lane-interleaved
-// (entry k of lane r lives at index k·lanes + r) so the per-lane inner loops
-// are unit-stride vector operations. Like SolveWorkspace it carries buffers,
-// not state: every lane of every solve starts from the flat initial guess.
+// Chains per block of the blocked kernel. A half-sweep runs kSolveBlock
+// chains side by side, one per vector lane (two AVX-512 or four AVX2
+// vectors of doubles), and the voltage fields move between the two sweep
+// directions as kSolveBlock×kSolveBlock tiles.
+inline constexpr int kSolveBlock = 16;
+
+// Reusable scratch for CircuitSolver::solve_batched, which solves its lanes
+// one tile at a time: the buffers hold ONE tile, whose size is rounded up to
+// `padded`, a whole number of blocks. Padding chains carry zero conductance
+// and zero voltage, so they stay exactly zero and never touch a real node.
+// Like SolveWorkspace it carries buffers, not state: every solve starts from
+// the flat initial guess.
 struct BatchedSolveWorkspace {
-    std::vector<double> vr, vc;    // node voltages, lane-interleaved
-    std::vector<double> currents;  // per-column sensed currents, n×lanes
+    // Node voltages V_row / V_col of the last solved tile, padded×padded in
+    // column blocks: V(i, j) sits at at(i, j), so the stretch of row i that
+    // one block of columns covers is contiguous. (During a solve V_col is
+    // held in row blocks, the layout the row half-sweep reads.)
+    std::vector<double> vr, vc;
+    // Sensed per-column output currents (A), lane r's column j at r·n + j
+    // (room for kMaxSolveLanes lanes).
+    std::vector<double> currents;
 
-    // Per-solve internals (see SolveWorkspace). Unlike the scalar
-    // workspace, only the reciprocal pivots are stored: the sweep kernel is
-    // bandwidth-bound, and the forward multiplier m_k = -gw · inv_d_{k-1}
-    // is one multiply away from data the back-substitution streams anyway —
-    // recomputing it drops a whole factor array from every sweep. There is
-    // also no transposed g copy: lane-major layout puts each element on its
-    // own cacheline, so the column half-sweep strides through g_row.
-    std::vector<double> g_row;
+    // Per-solve internals, laid out [block][padded position][chain] so that
+    // one block's chains are contiguous and a half-sweep step is a vector
+    // operation. Conductances stay float (promoted to double at use, which
+    // is exact): g_row holds the row chains, built from a column-major view
+    // of G, g_col the column chains, built from its row-major view. Only
+    // the reciprocal pivots of each chain's factorization are stored; the
+    // forward multiplier m_k = -gw · inv_d_{k-1} is recomputed at use.
+    std::vector<float> g_row, g_col;
     std::vector<double> row_inv_d, col_inv_d;
-    std::vector<double> rhs;
+    std::vector<double> rhs;  // one block's recurrences, padded×kSolveBlock
 
-    std::int64_t n = 0;  // provisioned size
-    int lanes = 0;       // provisioned lane count
+    std::int64_t n = 0;       // provisioned size
+    std::int64_t padded = 0;  // n rounded up to a multiple of kSolveBlock
 
     // Per-lane last-solve outputs.
     int iterations[kMaxSolveLanes] = {};
     double max_delta[kMaxSolveLanes] = {};
     std::uint8_t converged[kMaxSolveLanes] = {};
 
-    // Provision for (size × lane_count).
-    void ensure(std::int64_t size, int lane_count);
+    // Index of node (i, j) in vr / vc after a solve.
+    std::size_t at(std::int64_t i, std::int64_t j) const {
+        return static_cast<std::size_t>(
+            ((j / kSolveBlock) * padded + i) * kSolveBlock + j % kSolveBlock);
+    }
+    // Provision all buffers for size `size`.
+    void ensure(std::int64_t size);
     // No-op, as SolveWorkspace::invalidate.
     void invalidate() {}
 };
@@ -122,12 +144,14 @@ public:
     bool solve(const tensor::Tensor& g, const double* v_in,
                SolveWorkspace& ws) const;
 
-    // Solve `lanes` (≤ kMaxSolveLanes) independent conductance fields that
-    // share the same input voltages in one pass, vectorizing the chain
-    // recurrences across lanes. Each lane runs the identical sweep sequence
-    // as the scalar overload and freezes at its own convergence sweep, so
-    // lane r's voltages, currents, iteration count, and convergence flag are
-    // bit-identical to a scalar solve of g[r].
+    // Solve `lanes` (≤ kMaxSolveLanes) conductance fields that share the
+    // same input voltages, one tile after another through the blocked
+    // kernel, which vectorizes each half-sweep across the tile's own chains.
+    // Every per-element expression and the order of every chain's
+    // recurrence are the scalar overload's, so lane r's currents, sweep
+    // count, max_delta and convergence flag are bit-identical to a scalar
+    // solve of g[r]. The voltage fields hold the last lane's tile; solve
+    // one lane per call to read each tile's voltages.
     void solve_batched(const tensor::Tensor* const* g, int lanes,
                        const double* v_in, BatchedSolveWorkspace& ws) const;
 

@@ -154,7 +154,7 @@ TEST(RepeatBatch, ColdMatchesSequentialBitExactAcrossRepeatCounts) {
     nn::Sequential model = tiny_vgg(12);
     const nn::Dataset test = tiny_dataset(15);
     // 1 = a lone lane, 3 = one partial group, 8 = two full groups through
-    // the producer/consumer pipeline (groups of kMaxSolveLanes/2 repeats).
+    // the producer/consumer pipeline (groups of four repeats).
     for (const std::int64_t repeats : {1, 3, 8}) {
         EvalConfig config = base_config(xbar::BackendKind::kCircuit);
         config.repeats = repeats;

@@ -1,8 +1,10 @@
-// Bit-identity of the lane-batched solver/degrade path against the scalar
-// solve. The batched kernels mirror the scalar arithmetic expression-for-
-// expression; these tests pin that every lane's voltages, currents, sweep
-// counts, and NF are byte-identical to solving each repeat alone in a fresh
-// workspace — the property the repeat-batched evaluator relies on.
+// Bit-identity of the batched solver/degrade path against the scalar solve.
+// The blocked kernel runs each half-sweep across a tile's own chains, 16 to
+// a block, but every chain's arithmetic mirrors the scalar solve expression
+// for expression; these tests pin that every lane's voltages, currents,
+// sweep counts, max_delta and NF are byte-identical to solving each tile
+// alone in a fresh scalar workspace, at sizes that fill whole blocks and at
+// sizes that leave a partial last block.
 #include "util/rng.h"
 #include "xbar/config.h"
 #include "xbar/degrade.h"
@@ -47,6 +49,49 @@ void expect_bits_eq(double a, double b, const char* what, int lane) {
     std::memcpy(&bb, &b, sizeof(bb));
     EXPECT_EQ(ba, bb) << what << " mismatch in lane " << lane << ": " << a
                       << " vs " << b;
+}
+
+// Scale every parasitic resistance of `c` by `k`.
+CrossbarConfig scaled(CrossbarConfig c, double k) {
+    c.parasitics.r_driver *= k;
+    c.parasitics.r_wire_row *= k;
+    c.parasitics.r_wire_col *= k;
+    c.parasitics.r_sense *= k;
+    return c;
+}
+
+// The blocked fields of the last solved tile, unpacked row-major.
+std::vector<double> unpack(const std::vector<double>& field,
+                           const BatchedSolveWorkspace& ws) {
+    std::vector<double> out;
+    for (std::int64_t i = 0; i < ws.n; ++i)
+        for (std::int64_t j = 0; j < ws.n; ++j)
+            out.push_back(field[ws.at(i, j)]);
+    return out;
+}
+
+bool same_bytes(const double* a, const double* b, std::size_t count) {
+    return std::memcmp(a, b, count * sizeof(double)) == 0;
+}
+
+// Lane `lane` of a batched solve against a scalar solve of the same tile:
+// sweep count, convergence, max_delta and currents, plus both voltage
+// fields when the lane was the last one solved.
+void expect_lane_eq(const BatchedSolveWorkspace& b, int lane,
+                    const SolveWorkspace& s, bool voltages) {
+    const auto n = static_cast<std::size_t>(b.n);
+    ASSERT_EQ(b.iterations[lane], s.iterations) << "lane " << lane;
+    EXPECT_EQ(b.converged[lane] != 0, s.converged) << "lane " << lane;
+    EXPECT_TRUE(same_bytes(&b.max_delta[lane], &s.max_delta, 1))
+        << "max_delta lane " << lane << ": " << b.max_delta[lane] << " vs "
+        << s.max_delta;
+    EXPECT_TRUE(same_bytes(b.currents.data() + lane * n, s.currents.data(), n))
+        << "currents lane " << lane;
+    if (!voltages) return;
+    EXPECT_TRUE(same_bytes(unpack(b.vr, b).data(), s.vr.data(), n * n))
+        << "vr lane " << lane;
+    EXPECT_TRUE(same_bytes(unpack(b.vc, b).data(), s.vc.data(), n * n))
+        << "vc lane " << lane;
 }
 
 // Scalar reference for one lane of degrade_tile_batched: a scalar solve in
@@ -111,21 +156,86 @@ TEST(BatchedSolver, ColdSolveMatchesScalarBitExact) {
         for (int r = 0; r < lanes; ++r) {
             SolveWorkspace sws;
             solver.solve(gs[static_cast<std::size_t>(r)], v.data(), sws);
-            ASSERT_EQ(bws.iterations[r], sws.iterations) << "lane " << r;
-            EXPECT_EQ(bws.converged[r] != 0, sws.converged);
-            expect_bits_eq(bws.max_delta[r], sws.max_delta, "max_delta", r);
-            for (std::int64_t k = 0; k < 16 * 16; ++k) {
-                expect_bits_eq(bws.vr[static_cast<std::size_t>(k * lanes + r)],
-                               sws.vr[static_cast<std::size_t>(k)], "vr", r);
-                expect_bits_eq(bws.vc[static_cast<std::size_t>(k * lanes + r)],
-                               sws.vc[static_cast<std::size_t>(k)], "vc", r);
-            }
-            for (std::int64_t j = 0; j < 16; ++j)
-                expect_bits_eq(
-                    bws.currents[static_cast<std::size_t>(j * lanes + r)],
-                    sws.currents[static_cast<std::size_t>(j)], "currents", r);
+            expect_lane_eq(bws, r, sws, r == lanes - 1);
         }
     }
+}
+
+TEST(BatchedSolver, PartialBlocksMatchScalarBitExact) {
+    // Sizes below, at and between whole 16-chain blocks, at 4× the default
+    // parasitics (stronger coupling, more sweeps). One lane compares both
+    // voltage fields of every tile; eight lanes compare every lane's
+    // currents and sweep statistics, and, through the degrade path, every
+    // lane's G′, which reads both fields at every node.
+    for (const std::int64_t n : {1, 2, 3, 17, 33, 32, 64, 128}) {
+        SCOPED_TRACE("n = " + std::to_string(n));
+        CrossbarConfig c = scaled(CrossbarConfig{}, 4.0);
+        c.size = n;
+        const CircuitSolver solver(c);
+        const std::vector<double> v(static_cast<std::size_t>(n),
+                                    c.parasitics.v_nom);
+        std::vector<Tensor> gs;
+        std::vector<const Tensor*> gp;
+        for (int r = 0; r < kMaxSolveLanes; ++r)
+            gs.push_back(random_g(
+                n, 300 + static_cast<std::uint64_t>(n * 10 + r), c.device));
+        for (auto& g : gs) gp.push_back(&g);
+
+        std::vector<SolveWorkspace> ref(gs.size());
+        for (std::size_t r = 0; r < gs.size(); ++r) {
+            solver.solve(gs[r], v.data(), ref[r]);
+            ASSERT_TRUE(ref[r].converged);
+        }
+
+        BatchedSolveWorkspace one;
+        for (int r = 0; r < kMaxSolveLanes; ++r) {
+            solver.solve_batched(gp.data() + r, 1, v.data(), one);
+            expect_lane_eq(one, 0, ref[static_cast<std::size_t>(r)], true);
+        }
+
+        BatchedSolveWorkspace eight;
+        solver.solve_batched(gp.data(), kMaxSolveLanes, v.data(), eight);
+        for (int r = 0; r < kMaxSolveLanes; ++r)
+            expect_lane_eq(eight, r, ref[static_cast<std::size_t>(r)],
+                           r == kMaxSolveLanes - 1);
+
+        DegradeWorkspace ws;
+        std::vector<TileDegradeResult> out(gs.size());
+        std::vector<TileDegradeResult*> op;
+        for (auto& o : out) op.push_back(&o);
+        degrade_tile_batched(gp.data(), kMaxSolveLanes, solver, ws, op.data());
+        for (int r = 0; r < kMaxSolveLanes; ++r) {
+            const TileDegradeResult e =
+                reference_degrade(gs[static_cast<std::size_t>(r)], solver);
+            const TileDegradeResult& o = out[static_cast<std::size_t>(r)];
+            ASSERT_EQ(o.sweeps, e.sweeps) << "lane " << r;
+            expect_bits_eq(o.nf, e.nf, "nf", r);
+            const auto bytes = static_cast<std::size_t>(n * n) * sizeof(float);
+            EXPECT_EQ(std::memcmp(o.g_eff.data(), e.g_eff.data(), bytes), 0)
+                << "g_eff lane " << r;
+        }
+    }
+}
+
+TEST(BatchedSolver, UnconvergedPartialBlockMatchesScalar) {
+    // A two-sweep budget at n = 17 (one whole block plus a one-chain
+    // block): the solve stops unconverged, and every output, max_delta
+    // included, must still match the scalar solve bit for bit.
+    CrossbarConfig c = scaled(CrossbarConfig{}, 4.0);
+    c.size = 17;
+    CircuitSolver solver(c);
+    solver.set_max_sweeps(2);
+    const std::vector<double> v(17, c.parasitics.v_nom);
+    const Tensor g = random_g(17, 77, c.device);
+    const Tensor* gp[1] = {&g};
+
+    SolveWorkspace sws;
+    EXPECT_FALSE(solver.solve(g, v.data(), sws));
+    BatchedSolveWorkspace bws;
+    solver.solve_batched(gp, 1, v.data(), bws);
+    EXPECT_EQ(bws.converged[0], 0);
+    EXPECT_EQ(bws.iterations[0], 2);
+    expect_lane_eq(bws, 0, sws, true);
 }
 
 TEST(BatchedSolver, ReusedWorkspaceMatchesFreshScalarSolves) {
@@ -148,20 +258,10 @@ TEST(BatchedSolver, ReusedWorkspaceMatchesFreshScalarSolves) {
         for (auto& g : gs) gp.push_back(&g);
         solver.solve_batched(gp.data(), lanes, v.data(), bws);
         for (int r = 0; r < lanes; ++r) {
+            SCOPED_TRACE("step " + std::to_string(s));
             SolveWorkspace sws;
             solver.solve(*gp[static_cast<std::size_t>(r)], v.data(), sws);
-            ASSERT_EQ(bws.iterations[r], sws.iterations)
-                << "step " << s << " lane " << r;
-            for (std::int64_t k = 0; k < 16 * 16; ++k) {
-                expect_bits_eq(bws.vr[static_cast<std::size_t>(k * lanes + r)],
-                               sws.vr[static_cast<std::size_t>(k)], "vr", r);
-                expect_bits_eq(bws.vc[static_cast<std::size_t>(k * lanes + r)],
-                               sws.vc[static_cast<std::size_t>(k)], "vc", r);
-            }
-            for (std::int64_t j = 0; j < 16; ++j)
-                expect_bits_eq(
-                    bws.currents[static_cast<std::size_t>(j * lanes + r)],
-                    sws.currents[static_cast<std::size_t>(j)], "currents", r);
+            expect_lane_eq(bws, r, sws, r == lanes - 1);
         }
     }
 }
@@ -186,14 +286,8 @@ TEST(BatchedSolver, LanesConvergeIndependently) {
     solver.solve(easy, v.data(), se);
     solver.solve(hard, v.data(), sh);
     EXPECT_NE(se.iterations, sh.iterations);  // genuinely different lanes
-    ASSERT_EQ(bws.iterations[0], se.iterations);
-    ASSERT_EQ(bws.iterations[1], sh.iterations);
-    for (std::int64_t j = 0; j < 16; ++j) {
-        expect_bits_eq(bws.currents[static_cast<std::size_t>(j * 2)],
-                       se.currents[static_cast<std::size_t>(j)], "easy", 0);
-        expect_bits_eq(bws.currents[static_cast<std::size_t>(j * 2 + 1)],
-                       sh.currents[static_cast<std::size_t>(j)], "hard", 1);
-    }
+    expect_lane_eq(bws, 0, se, false);
+    expect_lane_eq(bws, 1, sh, true);
 }
 
 TEST(BatchedDegrade, MatchesScalarReferencePerLane) {

@@ -1,7 +1,9 @@
 // Pins the zero-allocation guarantee of the workspace solve pipeline: after
-// a warm-up call, repeated one-lane degrade_tile_batched / solve calls with
-// a reused workspace must perform no heap allocation. The global operator new/delete
-// pair below counts every allocation in this test binary.
+// a warm-up call, repeated degrade_tile_batched / solve_batched / solve calls
+// with a reused workspace must perform no heap allocation, also when the
+// tile size changes below the size the workspace was warmed at. The global
+// operator new/delete pair below counts every allocation in this test
+// binary.
 #include "xbar/degrade.h"
 #include "xbar/solver.h"
 
@@ -10,6 +12,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
 namespace {
 
@@ -82,6 +85,41 @@ TEST(WorkspaceAllocation, DegradeTileSteadyStateAllocatesNothing) {
     EXPECT_EQ(g_alloc_count.load(), before);
     EXPECT_TRUE(out.converged);
     EXPECT_GT(out.nf, 0.0);
+}
+
+TEST(WorkspaceAllocation, SmallerTilesAfterWarmUpAllocateNothing) {
+    // The NF sweep's size pattern: a worker's workspace first sees 128×128
+    // tiles, then 32, 64 and 128 again. Provisioned once at the largest
+    // size, the blocked kernel's buffers cover every smaller one.
+    const std::int64_t sizes[] = {32, 64, 128};
+    std::vector<CircuitSolver> solvers;
+    std::vector<Tensor> tiles;
+    std::vector<TileDegradeResult> outs(3);
+    for (std::size_t s = 0; s < 3; ++s) {
+        CrossbarConfig config;
+        config.size = sizes[s];
+        solvers.emplace_back(config);
+        tiles.push_back(random_g(sizes[s], 10 + s, config.device));
+        outs[s].g_eff = Tensor({sizes[s], sizes[s]});  // output storage only
+    }
+    const std::vector<double> v(128, 0.25);
+
+    BatchedSolveWorkspace bws;
+    DegradeWorkspace dws;
+    const Tensor* g128[1] = {&tiles[2]};
+    TileDegradeResult* o128[1] = {&outs[2]};
+    solvers[2].solve_batched(g128, 1, v.data(), bws);  // warm-up at 128
+    degrade_tile_batched(g128, 1, solvers[2], dws, o128);
+
+    const long before = g_alloc_count.load();
+    for (std::size_t s = 0; s < 3; ++s) {
+        const Tensor* gp[1] = {&tiles[s]};
+        TileDegradeResult* op[1] = {&outs[s]};
+        solvers[s].solve_batched(gp, 1, v.data(), bws);
+        degrade_tile_batched(gp, 1, solvers[s], dws, op);
+    }
+    EXPECT_EQ(g_alloc_count.load(), before);
+    for (const TileDegradeResult& out : outs) EXPECT_TRUE(out.converged);
 }
 
 }  // namespace
