@@ -4,9 +4,11 @@
 // time.
 #include "core/evaluator.h"
 #include "data/synthetic.h"
+#include "nn/conv2d.h"
 #include "nn/infer.h"
 #include "nn/trainer.h"
 #include "nn/vgg.h"
+#include "prune/prune.h"
 #include "tensor/gemm.h"
 #include "tensor/im2col.h"
 #include "tensor/ops.h"
@@ -15,6 +17,8 @@
 #include "xbar/solver.h"
 
 #include <benchmark/benchmark.h>
+
+#include <memory>
 
 namespace {
 
@@ -50,6 +54,45 @@ void BM_GemmSparse(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
 }
 BENCHMARK(BM_GemmSparse)->Arg(128)->Arg(256);
+
+// The engine's conv GEMM (gemm_conv_tiles, B read in place) on VGG11
+// conv3's shape at width 0.125: 32 → 32 channels, 8×8 images, batch 64,
+// fused bias + ReLU, one thread. Arg 0: unpruned weights; 1: C/F at 0.8;
+// 2: XCS at 0.8 — the second of two convs pruned by prune_at_init, so C/F
+// drops its input channels as well as its filters. Items are the dense
+// multiply-adds, so a pruned layer's rate is its speed-up over dense.
+void BM_ConvTiles(benchmark::State& state) {
+    constexpr std::int64_t n = 64, c = 32, hw = 8, patch = c * 9;
+    util::Rng rng(30);
+    nn::Sequential model;
+    model.add(std::make_unique<nn::Conv2d>(c, c, 3, 1, 1, rng));
+    model.add(std::make_unique<nn::Conv2d>(c, c, 3, 1, 1, rng));
+    if (state.range(0) > 0) {
+        prune::PruneConfig pc;
+        pc.method = state.range(0) == 1 ? prune::Method::kChannelFilter
+                                        : prune::Method::kXbarColumn;
+        pc.spare_first_conv = false;
+        prune::prune_at_init(model, pc);
+    }
+    const tensor::Tensor& w =
+        dynamic_cast<nn::Conv2d&>(model.layer(1)).weight().value;
+    tensor::PackedGemmA pa;
+    tensor::gemm_pack_a(c, patch, w.data(), patch, pa);
+    tensor::ConvTables tables;
+    tensor::conv_tables(n, c, hw, hw, hw * hw, n * hw * hw, 3, 1, tables);
+    tensor::Tensor x({c, tables.n_cols}), y({c, tables.n_cols}), bias({c});
+    tensor::fill_normal(x, rng, 0.0f, 1.0f);
+    tensor::fill_normal(bias, rng, 0.0f, 1.0f);
+    const std::int64_t tiles = tensor::gemm_tile_count(c, tables.n_cols);
+    for (auto _ : state) {
+        tensor::gemm_conv_tiles(pa, tables, x.data(), y.data(), tables.n_cols,
+                                bias.data(), /*relu=*/true, 0, tiles);
+        benchmark::DoNotOptimize(y.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * c * patch * tables.n_cols);
+}
+BENCHMARK(BM_ConvTiles)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_Im2col(benchmark::State& state) {
     const std::int64_t c = state.range(0), s = 32, k = 3;

@@ -51,7 +51,9 @@ run_release() {
 
 # Sweep smoke: a dry-run plus one tiny circuit/fast grid through the real
 # sweep_runner driver, so the backend axis, the stage pipeline, per-cell
-# budgeting, and manifest/CSV plumbing can't bit-rot unnoticed. A second
+# budgeting, and manifest/CSV plumbing can't bit-rot unnoticed. The grid
+# runs unpruned, C/F- and XCS-pruned models, so every byte compare below
+# also reaches the row-sparse conv kernel. A second
 # run of the same grid with full telemetry armed (a chrome trace, a
 # metrics snapshot, the progress heartbeat) must reproduce the
 # plain run's CSV byte for byte — observability must never perturb results
@@ -72,7 +74,7 @@ run_sweep_smoke() {
   rm -rf "$smoke_dir"
   local smoke_flags=(--width=0.0625 --train-count=96 --test-count=48
     --epochs=1 --batch=16 --sizes=16 --sweep-repeats=1
-    --backends=circuit,fast --out-dir="$smoke_dir"
+    --prune=none,cf:0.8,xcs:0.8 --backends=circuit,fast --out-dir="$smoke_dir"
     --cache-dir="$smoke_dir/models")
   "$repo_root/build-release/sweep_runner" "${smoke_flags[@]}" --dry-run
   "$repo_root/build-release/sweep_runner" "${smoke_flags[@]}" \
@@ -134,7 +136,7 @@ run_service_smoke() {
   local smoke_dir="$repo_root/build-release/sweep-smoke"
   local grid_flags=(--width=0.0625 --train-count=96 --test-count=48
     --epochs=1 --batch=16 --sizes=16 --sweep-repeats=4
-    --backends=circuit,fast --out-dir="$smoke_dir"
+    --prune=none,cf:0.8,xcs:0.8 --backends=circuit,fast --out-dir="$smoke_dir"
     --cache-dir="$smoke_dir/models")
   # Single-process reference of the exact grid (models come from the sweep
   # smoke's cache, so this is a few seconds of cells).

@@ -25,7 +25,7 @@ namespace {
 // allocation-free parallel_for_workers overload. All fields are set before
 // the dispatch and only read (or written at disjoint offsets) inside.
 
-// A conv step's GEMMs: every lane's (row-panel × n-block) tiles in one
+// A conv step's GEMMs: every lane's (row group × n-block) tiles in one
 // dispatch, lane-major. Lane r reads its activation at x + r·x_lane
 // (x_lane = 0 while the lanes share the input) and writes its channel-major
 // output (cout × n_cols) at y + r·y_lane. Tiles write disjoint regions.

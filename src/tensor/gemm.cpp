@@ -149,43 +149,59 @@ void micro_kernel(std::int64_t kc, float alpha, const float* ap,
         }
     }
 }
+
+// The kernel reads where a panel's accumulator rows go from a
+// PackedGemmA::Panel: accumulator row r < `rows` is C row row[r], `carry`
+// marks the rows whose C holds a partial sum to continue, and `finish` the
+// rows whose sum is complete after this panel (bias/ReLU). A dense panel's
+// rows are its own consecutive rows, all carrying after the first k-block
+// and all finishing in the last; a gathered panel's come from the pack.
+using Panel = PackedGemmA::Panel;
+
 // Writeback of one accumulator panel with the tile path's fused semantics:
-// the first k-block stores (beta = 0, no C read or pre-zeroing pass), later
-// k-blocks accumulate, and the last k-block applies the per-row bias and/or
-// ReLU — so C is touched exactly once per k-block and the separate zeroing
-// and epilogue passes over the conv output disappear.
+// C is written once per panel, never zeroed first, and a finishing row gets
+// the per-row bias and/or ReLU on the way out — so the separate zeroing and
+// epilogue passes over the conv output disappear. With `add_c` the
+// carrying rows add the partial sum C holds (dense restart accumulation).
 inline void store_panel(const Vf* acc, float* c, std::int64_t ldc,
-                        std::int64_t mr, std::int64_t nr, bool load_c,
+                        const Panel& rows, std::int64_t nr, bool add_c,
                         const float* bias, bool relu) {
     const Vf zero{};
-    for (std::int64_t r = 0; r < mr; ++r) {
-        float* cr = c + r * ldc;
+    for (std::int64_t r = 0; r < rows.rows; ++r) {
+        const std::int32_t i = rows.row[r];
+        float* cr = c + i * ldc;
+        const bool load = add_c && ((rows.carry >> r) & 1u);
+        const bool fin = (rows.finish >> r) & 1u;
+        const float* add = fin ? bias : nullptr;
+        const bool clamp = fin && relu;
         if (nr == kNr) {
             Vf cv = acc[r];
-            if (load_c) {
+            if (load) {
                 Vf cold;
                 load_vf(cr, cold);
                 cv += cold;
             }
-            if (bias) cv += bias[r];
-            if (relu) cv = cv > zero ? cv : zero;
+            if (add) cv += add[i];
+            if (clamp) cv = cv > zero ? cv : zero;
             __builtin_memcpy(cr, &cv, sizeof(Vf));
             continue;
         }
         // Partial panel: scalar tail — a vector C load would read past the
-        // row end.
-        const float add = bias ? bias[r] : 0.0f;
+        // row end. Same operations in the same order as the vector path.
         for (std::int64_t j = 0; j < nr; ++j) {
-            float v = acc[r][j] + add + (load_c ? cr[j] : 0.0f);
-            if (relu && v < 0.0f) v = 0.0f;
+            float v = acc[r][j];
+            if (load) v += cr[j];
+            if (add) v += add[i];
+            if (clamp) v = v > 0.0f ? v : 0.0f;
             cr[j] = v;
         }
     }
 }
 
-// Where the tiled kernel reads B. A source hands out, per (n-block,
-// k-block, panel pair), a pair reader whose load(p, b0, b1) fills b0 and b1
-// with row p (relative to the k-block) of the two column panels.
+// Where the tiled kernel reads B. A source hands out, per (n-block, panel
+// pair), a column reader whose at(pc, kc) is the pair reader of k-block
+// [pc, pc + kc): its load(p, b0, b1) fills b0 and b1 with row p (relative
+// to the k-block) of the two column panels.
 
 // Packed panels in the layout im2col_pack_b emits (gemm.h).
 struct PackedPair {
@@ -197,18 +213,27 @@ struct PackedPair {
     }
 };
 
+struct PackedColumns {
+    const float* block;  // the n-block's panels
+    std::int64_t blk_panels, jp;
+    bool two;
+    PackedPair at(std::int64_t pc, std::int64_t kc) const {
+        // Earlier k-blocks of the n-block hold blk_panels · kc' · kNr
+        // floats, Σ kc' = pc.
+        const float* bp0 = block + blk_panels * pc * kNr + jp * kc * kNr;
+        return {bp0, two ? bp0 + kc * kNr : bp0};
+    }
+};
+
 struct PackedSource {
     const float* packed_b;
     std::int64_t k;
-    // Panels jp and (when `two`) jp + 1 of n-block nb, k-block [pc, pc+kc);
-    // blk_panels is the n-block's panel count.
-    PackedPair pair(std::int64_t nb, std::int64_t blk_panels, std::int64_t pc,
-                    std::int64_t kc, std::int64_t jp, bool two) const {
-        // Full n-blocks before nb hold kNc/kNr panels of k rows each; earlier
-        // k-blocks of this one hold blk_panels · kc' · kNr floats, Σ kc' = pc.
-        const float* bp0 = packed_b + nb * (kNc / kNr) * k * kNr +
-                           blk_panels * pc * kNr + jp * kc * kNr;
-        return {bp0, two ? bp0 + kc * kNr : bp0};
+    // Panels jp and (when `two`) jp + 1 of n-block nb; blk_panels is the
+    // n-block's panel count. Full n-blocks before nb hold kNc/kNr panels of
+    // k rows each.
+    PackedColumns columns(std::int64_t nb, std::int64_t blk_panels,
+                          std::int64_t jp, bool two) const {
+        return {packed_b + nb * (kNc / kNr) * k * kNr, blk_panels, jp, two};
     }
 };
 
@@ -216,7 +241,7 @@ struct PackedSource {
 struct ConvPair {
     const float* x0;  // the activation at each panel's first column
     const float* x1;
-    const std::int64_t* offset;  // the k-block's rows of ConvTables
+    const std::int64_t* offset;  // ConvTables rows from the k-block's first
     const std::int32_t* tap;
     const std::uint16_t* mask0;  // each panel's mask row
     const std::uint16_t* mask1;
@@ -226,19 +251,23 @@ struct ConvPair {
         load_masked(x0, off, mask0[t], b0);
         load_masked(x1, off, mask1[t], b1);
     }
+    ConvPair at(std::int64_t pc, std::int64_t /*kc*/) const {
+        ConvPair r = *this;
+        r.offset += pc;
+        r.tap += pc;
+        return r;
+    }
 };
 
 struct ConvSource {
     const ConvTables& t;
     const float* x;
-    ConvPair pair(std::int64_t nb, std::int64_t /*blk_panels*/,
-                  std::int64_t pc, std::int64_t /*kc*/, std::int64_t jp,
-                  bool two) const {
+    ConvPair columns(std::int64_t nb, std::int64_t /*blk_panels*/,
+                     std::int64_t jp, bool two) const {
         const std::int64_t g0 = nb * (kNc / kNr) + jp;  // global panel
         const std::int64_t g1 = two ? g0 + 1 : g0;
-        return {x + base(g0),          x + base(g1),
-                t.offset.data() + pc,  t.tap.data() + pc,
-                mask_row(g0),          mask_row(g1)};
+        return {x + base(g0),     x + base(g1), t.offset.data(),
+                t.tap.data(),     mask_row(g0), mask_row(g1)};
     }
     // Panel g's first column in x: image j / H·W, position j mod H·W.
     std::int64_t base(std::int64_t g) const {
@@ -257,30 +286,36 @@ struct ConvSource {
 // amortizing the A broadcasts over two panels restores FMA-bound
 // throughput. Only the last panel of a block may be partial, so either
 // nr0 = kNr, or the panel is a lone tail and nr1 = 0 (its second panel's
-// products are never stored).
+// products are never stored). `c` is C at the first panel's first column;
+// `rows` places the accumulator rows in it.
 //
 // kChain picks the accumulation (PackedGemmA): false walks all `steps` k of
-// the block from zero and lets store_panel add C; true walks the block's
-// live list — A packed compactly, B addressed through `live` — starting
-// from C once an earlier block has stored it. `b` is the B source's pair
-// reader; the FMA sequence is the same for every source.
+// the block from zero and lets store_panel add C; true walks the panel's
+// live k — A packed compactly, B addressed through `live` — starting each
+// carrying row from C. `b` is the B source's pair reader; the FMA sequence
+// is the same for every source.
 template <bool kChain, class Pair>
 void micro_kernel_x2(std::int64_t steps, const std::int32_t* live,
                      const float* ap, const Pair b, float* c,
-                     std::int64_t ldc, std::int64_t mr, std::int64_t nr0,
-                     std::int64_t nr1, bool load_c, const float* bias,
+                     std::int64_t ldc, const Panel& rows,
+                     std::int64_t nr0, std::int64_t nr1, const float* bias,
                      bool relu) {
-    // Accumulator start of row r: zero, or (chain, after the first k-block)
-    // the partial sums C holds. Rows past mr and lanes past nr are never
+    // Accumulator start of row r: zero, or (chain, carrying row) the
+    // partial sum C holds. Rows past `rows.rows` and lanes past nr are never
     // stored, so they start at zero.
     // (Filled through a temporary: an accumulator whose address is taken
     // can end up spilled on every k step.)
     const auto start = [&](std::int64_t r, std::int64_t nr, const float* cp,
                            Vf& acc) {
         Vf v{};
-        if (kChain && load_c && r < mr)
-            __builtin_memcpy(&v, cp + r * ldc,
-                             static_cast<std::size_t>(nr) * sizeof(float));
+        if (kChain && ((rows.carry >> r) & 1u)) {
+            const float* src = cp + rows.row[r] * ldc;
+            if (nr == kNr)
+                load_vf(src, v);
+            else
+                __builtin_memcpy(&v, src,
+                                 static_cast<std::size_t>(nr) * sizeof(float));
+        }
         acc = v;
     };
     float* c1 = c + kNr;
@@ -325,59 +360,84 @@ void micro_kernel_x2(std::int64_t steps, const std::int32_t* live,
     }
     const Vf acc0[kMr] = {x0, x1, x2, x3, x4, x5, x6, x7};
     const Vf acc1[kMr] = {y0, y1, y2, y3, y4, y5, y6, y7};
-    store_panel(acc0, c, ldc, mr, nr0, !kChain && load_c, bias, relu);
-    store_panel(acc1, c1, ldc, mr, nr1, !kChain && load_c, bias, relu);
+    store_panel(acc0, c, ldc, rows, nr0, !kChain, bias, relu);
+    store_panel(acc1, c1, ldc, rows, nr1, !kChain, bias, relu);
 }
 
 // Tiles [tile_lo, tile_hi) of an m × n tiled GEMM with one accumulation
 // kind — kChain for a row-sparse PackedGemmA, restart for a dense one —
-// and B from `src`.
+// and B from `src`. A tile is a kPackMc-row group × a column slice of an
+// n-block (gemm_tile_count). Each of the group's panels, in k order,
+// runs over the slice's column panels two at a time; consecutive kernel
+// calls thus write different columns, so a row-sparse chain that continues
+// in the next panel does not stall the next call.
 template <bool kChain, class Source>
 void run_tiles(const PackedGemmA& pa, const Source& src, std::int64_t n,
                float* c, std::int64_t ldc, const float* bias, bool relu,
                std::int64_t tile_lo, std::int64_t tile_hi) {
+    static_assert(kNc % kPackNt == 0 && kPackNt % (2 * kNr) == 0,
+                  "a slice holds whole panel pairs of one n-block");
+    constexpr std::int64_t kPairs = kPackNt / (2 * kNr);
     const std::int64_t m = pa.m, k = pa.k;
+    const std::int64_t groups = (m + kPackMc - 1) / kPackMc;
     const std::int64_t row_panels = (m + kMr - 1) / kMr;
+    const std::int64_t width = gemm_tile_width(n);
     for (std::int64_t t = tile_lo; t < tile_hi; ++t) {
-        const std::int64_t nb = t / row_panels;  // n-block index
-        const std::int64_t ip = t % row_panels;  // row-panel index
-        const std::int64_t jc = nb * kNc;
-        const std::int64_t j1 = std::min(n, jc + kNc);
-        const std::int64_t ib = ip * kMr;
-        const std::int64_t mr = std::min(kMr, m - ib);
-        const std::int64_t blk_panels = (j1 - jc + kNr - 1) / kNr;
-        for (std::int64_t pc = 0; pc < k; pc += kKc) {
+        const std::int64_t j0 = t / groups * width;  // the slice's columns
+        const std::int64_t j1 = std::min(n, j0 + width);
+        const std::int64_t g = t % groups;  // row-group index
+        const std::int64_t nb = j0 / kNc;   // n-block index
+        const std::int64_t blk_panels =
+            (std::min(n, (nb + 1) * kNc) - nb * kNc + kNr - 1) / kNr;
+        // The slice's column-panel pairs, set up once per tile.
+        decltype(src.columns(0, 0, 0, false)) cols[kPairs];
+        std::int64_t nr0[kPairs], nr1[kPairs];
+        const std::int64_t pairs = (j1 - j0 + 2 * kNr - 1) / (2 * kNr);
+        for (std::int64_t q = 0; q < pairs; ++q) {
+            const std::int64_t jb = j0 + 2 * q * kNr;
+            nr0[q] = std::min(kNr, j1 - jb);
+            nr1[q] = std::clamp(j1 - jb - kNr, std::int64_t{0}, kNr);
+            cols[q] = src.columns(nb, blk_panels, (jb - nb * kNc) / kNr,
+                                  nr1[q] > 0);
+        }
+        // One packed panel of k-block [pc, pc + kc) against the slice.
+        const auto run_panel = [&](std::int64_t pc, std::int64_t steps,
+                                   const std::int32_t* live, const float* ap,
+                                   const Panel& rows) {
             const std::int64_t kc = std::min(kKc, k - pc);
-            // Fused store semantics: the first k-block stores (no C read or
-            // zeroing pass), later blocks accumulate, and the last applies
-            // bias/ReLU — C is touched exactly once per k-block.
-            const bool load_c = pc != 0;
-            const bool last = pc + kc == k;
-            const float* bias_row = (last && bias) ? bias + ib : nullptr;
-            const bool relu_here = last && relu;
-            // The row panel's A for this k-block and the k indices it walks.
-            std::int64_t steps = kc;
-            const std::int32_t* live = nullptr;
-            std::int64_t a_off = row_panels * kMr * pc + ip * kc * kMr;
-            if (kChain) {
-                const auto s = static_cast<std::size_t>(
-                    (pc / kKc) * row_panels + ip);
-                a_off = pa.live_begin[s];
-                steps = pa.live_begin[s + 1] - a_off;
-                live = pa.live.data() + a_off;
-                a_off *= kMr;
+            for (std::int64_t q = 0; q < pairs; ++q)
+                micro_kernel_x2<kChain>(steps, live, ap, cols[q].at(pc, kc),
+                                        c + j0 + 2 * q * kNr, ldc, rows,
+                                        nr0[q], nr1[q], bias, relu);
+        };
+        if constexpr (kChain) {
+            const auto end = static_cast<std::size_t>(
+                pa.group_begin[static_cast<std::size_t>(g + 1)]);
+            for (auto s = static_cast<std::size_t>(
+                     pa.group_begin[static_cast<std::size_t>(g)]);
+                 s < end; ++s) {
+                const Panel& gp = pa.gathered[s];
+                run_panel(gp.k0, gp.steps, pa.live.data() + gp.begin,
+                          pa.panels.data() + gp.begin * kMr, gp);
             }
-            const float* ap = pa.panels.data() + a_off;
-            for (std::int64_t jp = 0; jp < blk_panels; jp += 2) {
-                const std::int64_t jb = jc + jp * kNr;
-                const std::int64_t nr0 = std::min(kNr, j1 - jb);
-                const std::int64_t nr1 =
-                    std::clamp(j1 - jb - kNr, std::int64_t{0}, kNr);
-                micro_kernel_x2<kChain>(
-                    steps, live, ap,
-                    src.pair(nb, blk_panels, pc, kc, jp, nr1 > 0),
-                    c + ib * ldc + jb, ldc, mr, nr0, nr1, load_c, bias_row,
-                    relu_here);
+            continue;
+        }
+        const std::int64_t i1 = std::min(m, (g + 1) * kPackMc);
+        for (std::int64_t ib = g * kPackMc; ib < i1; ib += kMr) {
+            Panel rows;
+            rows.rows = static_cast<std::int32_t>(std::min(kMr, m - ib));
+            for (std::int32_t r = 0; r < rows.rows; ++r)
+                rows.row[r] = static_cast<std::int32_t>(ib) + r;
+            // Restart accumulation: the first k-block stores, later blocks
+            // add C, and the last applies bias/ReLU — C is touched exactly
+            // once per k-block.
+            for (std::int64_t pc = 0; pc < k; pc += kKc) {
+                const std::int64_t kc = std::min(kKc, k - pc);
+                rows.carry = pc != 0 ? 0xFFu : 0u;
+                rows.finish = pc + kc == k ? 0xFFu : 0u;
+                run_panel(pc, kc, nullptr,
+                          pa.panels.data() + row_panels * kMr * pc + ib * kc,
+                          rows);
             }
         }
     }
@@ -520,6 +580,104 @@ void gemm_impl(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
     }
 }
 
+// Row-sparse packing (PackedGemmA). Bit i of the result: row g0 + i of A
+// has a non-zero in k range [p, q).
+std::uint32_t nonzero_rows(const float* a, std::int64_t lda, std::int64_t g0,
+                           std::int64_t rows, std::int64_t p, std::int64_t q) {
+    std::uint32_t set = 0;
+    for (std::int64_t i = 0; i < rows; ++i) {
+        const float* ai = a + (g0 + i) * lda;
+        for (std::int64_t kk = p; kk < q; ++kk)
+            if (ai[kk] != 0.0f) {
+                set |= 1u << i;
+                break;
+            }
+    }
+    return set;
+}
+
+// Gathered panels of the rows `set` (bit i: row g0 + i) over k range
+// [p, q) of the k-block starting at pc: kMr rows per panel in row order,
+// each panel holding the k where one of its rows is non-zero. An empty
+// range gives zero-step panels. `seen` holds the group's rows packed so
+// far: a row already in it carries its chain on.
+void pack_segment(const float* a, std::int64_t lda, std::int64_t g0,
+                  std::uint32_t set, std::int64_t pc, std::int64_t p,
+                  std::int64_t q, std::uint32_t& seen, PackedGemmA& out) {
+    while (set != 0) {
+        Panel pn;
+        pn.k0 = pc;
+        pn.begin = static_cast<std::int64_t>(out.live.size());
+        for (; pn.rows < kMr && set != 0; ++pn.rows, set &= set - 1) {
+            const int i = __builtin_ctz(set);
+            pn.row[pn.rows] = static_cast<std::int32_t>(g0 + i);
+            if ((seen >> i) & 1u)
+                pn.carry |= static_cast<std::uint8_t>(1u << pn.rows);
+            seen |= 1u << i;
+        }
+        for (std::int64_t kk = p; kk < q; ++kk) {
+            float col[kMr] = {};
+            bool live = false;
+            for (std::int32_t r = 0; r < pn.rows; ++r) {
+                col[r] = a[pn.row[r] * lda + kk];
+                live |= col[r] != 0.0f;
+            }
+            if (!live) continue;
+            out.live.push_back(static_cast<std::int32_t>(kk - pc));
+            out.panels.insert(out.panels.end(), col, col + kMr);
+        }
+        pn.steps = static_cast<std::int64_t>(out.live.size()) - pn.begin;
+        out.gathered.push_back(pn);
+    }
+}
+
+void pack_gathered(std::int64_t m, std::int64_t k, const float* a,
+                   std::int64_t lda, PackedGemmA& out) {
+    static_assert(kPackMc <= 32, "a group's row set is a 32-bit mask");
+    static_assert(kKc % kPackKs == 0, "segments never cross a k-block");
+    out.panels.clear();
+    out.gathered.clear();
+    out.live.clear();
+    out.group_begin.assign(1, 0);
+    for (std::int64_t g0 = 0; g0 < m; g0 += kPackMc) {
+        const std::int64_t rows = std::min(kPackMc, m - g0);
+        const std::size_t first = out.gathered.size();
+        std::uint32_t seen = 0;
+        for (std::int64_t pc = 0; pc < k; pc += kKc) {
+            const std::int64_t k1 = std::min(k, pc + kKc);
+            // The k-block's kPackKs-deep chunks and their non-zero rows; a
+            // segment runs over consecutive chunks with the same set.
+            std::uint32_t sets[kKc / kPackKs];
+            const std::int64_t chunks = (k1 - pc + kPackKs - 1) / kPackKs;
+            for (std::int64_t ch = 0; ch < chunks; ++ch)
+                sets[ch] = nonzero_rows(a, lda, g0, rows, pc + ch * kPackKs,
+                                        std::min(k1, pc + (ch + 1) * kPackKs));
+            for (std::int64_t ch = 0; ch < chunks;) {
+                std::int64_t end = ch + 1;
+                while (end < chunks && sets[end] == sets[ch]) ++end;
+                pack_segment(a, lda, g0, sets[ch], pc, pc + ch * kPackKs,
+                             std::min(k1, pc + end * kPackKs), seen, out);
+                ch = end;
+            }
+        }
+        // Rows live nowhere still need their (bias/ReLU of zero) store.
+        const std::uint32_t all = rows == 32 ? ~0u : (1u << rows) - 1u;
+        pack_segment(a, lda, g0, all & ~seen, 0, 0, 0, seen, out);
+        // A row's chain ends in its last panel.
+        std::uint32_t later = 0;
+        for (std::size_t s = out.gathered.size(); s-- > first;) {
+            Panel& pn = out.gathered[s];
+            for (std::int32_t r = 0; r < pn.rows; ++r) {
+                const std::uint32_t bit = 1u << (pn.row[r] - g0);
+                if (!(later & bit))
+                    pn.finish |= static_cast<std::uint8_t>(1u << r);
+                later |= bit;
+            }
+        }
+        out.group_begin.push_back(static_cast<std::int64_t>(out.gathered.size()));
+    }
+}
+
 }  // namespace
 
 void gemm_serial(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
@@ -536,33 +694,9 @@ void gemm_pack_a(std::int64_t m, std::int64_t k, const float* a,
     // fixes the accumulation order (PackedGemmA), so it must not change:
     // pruned layers' results are those of the zero-skip loop.
     out.sparse = m * k > (1 << 10) && a_is_sparse(m, k, a, lda);
-    out.live.clear();
-    out.live_begin.clear();
     if (out.sparse) {
         XS_COUNT("gemm.pack_a.sparse", 1);
-        // Per (k-block, row panel): the live k indices, each with its
-        // kMr-tall column of the panel.
-        out.panels.clear();
-        out.live_begin.push_back(0);
-        for (std::int64_t pc = 0; pc < k; pc += kKc) {
-            const std::int64_t k1 = std::min(k, pc + kKc);
-            for (std::int64_t ib = 0; ib < m; ib += kMr) {
-                const std::int64_t h = std::min(kMr, m - ib);
-                for (std::int64_t p = pc; p < k1; ++p) {
-                    float col[kMr] = {};
-                    bool live = false;
-                    for (std::int64_t r = 0; r < h; ++r) {
-                        col[r] = a[(ib + r) * lda + p];
-                        live |= col[r] != 0.0f;
-                    }
-                    if (!live) continue;
-                    out.live.push_back(static_cast<std::int32_t>(p - pc));
-                    out.panels.insert(out.panels.end(), col, col + kMr);
-                }
-                out.live_begin.push_back(
-                    static_cast<std::int64_t>(out.live.size()));
-            }
-        }
+        pack_gathered(m, k, a, lda, out);
         return;
     }
     XS_COUNT("gemm.pack_a.dense", 1);

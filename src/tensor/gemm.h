@@ -20,39 +20,72 @@ void gemm_serial(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
                  const float* a, std::int64_t lda, const float* b,
                  std::int64_t ldb, float beta, float* c, std::int64_t ldc);
 
+// ---- tiled GEMM geometry ----
+//
+// gemm_conv_tiles (the engine) and gemm_prepacked_tiles (its reference)
+// run one register-tiled 8×32 kernel over the same (row group × column
+// slice) tiles; they differ only in where the kernel reads B. The panel
+// geometry:
+constexpr std::int64_t kPackMr = 8;     // row-panel height (micro-kernel)
+constexpr std::int64_t kPackMc = 32;    // tile height: a group of row panels
+constexpr std::int64_t kPackNr = 16;    // column-panel width
+constexpr std::int64_t kPackKc = 256;   // k-block depth
+constexpr std::int64_t kPackKs = 32;    // row-sparse k-segment granularity
+constexpr std::int64_t kPackNc = 1024;  // n-block width
+constexpr std::int64_t kPackNt = 256;   // tile width: a quarter n-block
+
 // Reusable packed-A operand for repeated GEMMs against one left-hand matrix.
 // The inference engine packs each conv layer's folded weights once per
 // compiled instance and runs the whole batch through them as one tiled GEMM
 // (gemm_conv_tiles, DESIGN.md §6) — the per-call sparsity scan and
 // A-packing of gemm() disappear from the batch loop.
 //
-// Every matrix is packed into kPackMr-row panels, k-block by k-block. A
-// row-sparse matrix (pruned weights, < 25 % non-zero) keeps only its *live*
-// k indices per (k-block, row panel) — those where at least one row of the
-// panel is non-zero — and the tiled kernel walks just those. The two kinds
-// also accumulate differently, and each order is pinned by results that
-// must not move:
+// A dense matrix is packed into kPackMr-row panels over every k, k-block by
+// k-block. A row-sparse one (pruned weights, < 25 % non-zero) is packed
+// into *gathered* panels: per kPackMc-row group, its k is cut into
+// segments at each kPackKs boundary where the group's set of non-zero rows
+// changes (never across a k-block), and each segment packs only its live
+// rows, kPackMr per panel, each panel with its rows' C indices and the
+// union of their live k. Dead filters and pruned column segments therefore
+// cost no multiplies. The two kinds also accumulate differently, and each
+// order is pinned by results that must not move:
 //  * dense: each k-block's products start from zero and are added to C
 //    (restart per k-block). A running sum rounds differently, so switching
 //    would change every unpruned result;
-//  * row-sparse: the accumulators start from C after the first k-block
-//    (chain accumulation), so every output element gets exactly the
-//    c += a·b sequence of a zero-skip loop over its row. The zeros a live
-//    index carries for the panel's other rows add an exact +0 to a chain
-//    that starts at +0, so the results are bit-identical to that loop
+//  * row-sparse: chain accumulation. A row starts from +0 in its first
+//    live panel, from the partial sum C holds in later ones, and gets the
+//    bias/ReLU epilogue in its last; rows live nowhere get the store of a
+//    zero accumulator. So every output element gets exactly the c += a·b
+//    sequence of a zero-skip loop over its row. The zeros a live k carries
+//    for the panel's other rows add an exact +0 to a chain that starts at
+//    +0, so the results are bit-identical to that loop
 //    (tests/tensor_gemm_test.cpp compares them with memcmp).
 struct PackedGemmA {
     std::int64_t m = 0, k = 0;
-    bool sparse = false;  // row-sparse: live k lists, chain accumulation
-    // Dense: (k-block × row panel) panels over every k. Row-sparse: the
-    // same order, each panel holding only its live k rows.
+    bool sparse = false;  // row-sparse: gathered panels, chain accumulation
+    // One gathered panel (row-sparse only): kPackMr rows × `steps` live k.
+    struct Panel {
+        std::int64_t k0 = 0;     // first k of its k-block
+        std::int64_t begin = 0;  // its first entry of `live`; its A starts
+                                 // at float begin · kPackMr of `panels`
+        std::int64_t steps = 0;  // live k: 0 for rows live nowhere
+        std::int32_t row[kPackMr] = {};  // C row of each packed row
+        std::int32_t rows = 0;           // packed rows, the rest zero
+        // Bit r: row[r] continues a chain whose partial sum C holds (else
+        // it starts from +0) / row[r]'s chain ends here (bias/ReLU).
+        std::uint8_t carry = 0, finish = 0;
+    };
+    // Dense: (k-block × row panel) panels over every k. Row-sparse: each
+    // gathered panel's live k columns, kPackMr floats per k, in the order
+    // of `gathered`.
     std::vector<float> panels;
-    // Row-sparse only: live k offsets (relative to the k-block start) of
-    // every (k-block, row panel) in panel order, delimited by live_begin
-    // (k-blocks × row panels + 1 entries). Panel s starts at float
-    // live_begin[s] · kPackMr of `panels`. Repacking reuses the capacity.
+    // Row-sparse only, all reusing their capacity on repack: the gathered
+    // panels, group by group, each group's in k order; the live k offsets
+    // (from the panel's k0) of every panel; and where each group's panels
+    // begin (groups + 1 entries).
+    std::vector<Panel> gathered;
     std::vector<std::int32_t> live;
-    std::vector<std::int64_t> live_begin;
+    std::vector<std::int64_t> group_begin;
 };
 
 // Analyze and pack A (m × k, leading dimension lda); reuses storage.
@@ -70,14 +103,6 @@ void gemm_prepacked_serial(const PackedGemmA& pa, const float* a_raw,
                            float* c, std::int64_t ldc);
 
 // ---- tiled GEMM: the inference engine's conv path ----
-//
-// gemm_conv_tiles (the engine) and gemm_prepacked_tiles (its reference)
-// run one register-tiled 8×32 kernel over the same (row-panel × n-block)
-// tiles; they differ only in where the kernel reads B. The panel geometry:
-constexpr std::int64_t kPackMr = 8;     // row-panel height (micro-kernel)
-constexpr std::int64_t kPackNr = 16;    // column-panel width
-constexpr std::int64_t kPackKc = 256;   // k-block depth
-constexpr std::int64_t kPackNc = 1024;  // n-block width
 
 // Packed B as im2col_pack_b emits it: for each kNc-wide n-block, for each
 // kKc-deep k-block, kNr-wide column panels, k-major inside a panel,
@@ -90,9 +115,23 @@ inline std::int64_t packed_b_panels(std::int64_t n) {
 inline std::int64_t packed_b_size(std::int64_t k, std::int64_t n) {
     return packed_b_panels(n) * k * kPackNr;
 }
-// Tiles of the (row-panel × n-block) grid both tiled GEMMs walk.
+// Columns per tile of an n-column tiled GEMM: kPackNt, or, below 4·kPackNt
+// columns, a quarter of n rounded up to whole column-panel pairs. Either
+// way a slice lies inside one n-block, and a one-lane forward keeps about
+// as many tiles to share among the pool's workers as 8-row tiles gave it.
+inline std::int64_t gemm_tile_width(std::int64_t n) {
+    const std::int64_t pair = 2 * kPackNr;
+    const std::int64_t quarter = (n + 4 * pair - 1) / (4 * pair) * pair;
+    return quarter < pair ? pair : quarter > kPackNt ? kPackNt : quarter;
+}
+
+// Tiles of the grid both tiled GEMMs walk: a tile is kPackMc rows (a dense
+// matrix's row panels there, or a row-sparse one's gathered panels of that
+// group) by gemm_tile_width(n) columns; tile t is column slice t / groups,
+// group t mod groups. Tiles write disjoint C regions.
 inline std::int64_t gemm_tile_count(std::int64_t m, std::int64_t n) {
-    return ((m + kPackMr - 1) / kPackMr) * ((n + kPackNc - 1) / kPackNc);
+    const std::int64_t width = gemm_tile_width(n);
+    return ((m + kPackMc - 1) / kPackMc) * ((n + width - 1) / width);
 }
 
 // C (m×n) = A·B over packed B for the tile range [tile_lo, tile_hi), with an

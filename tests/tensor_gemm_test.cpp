@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <tuple>
 #include <vector>
@@ -234,26 +235,27 @@ TEST(GemmPrepacked, TilesWithFusedEpilogueMatchReference) {
     }
 }
 
-// Verbatim copy of the scalar zero-skip tile loop that row-sparse A (pruned
-// weights) used to run through in gemm_prepacked_tiles. Pruned layers now
-// share the packed register-tiled kernel, which must reproduce this loop's
-// results bit for bit.
+// The scalar zero-skip tile loop that row-sparse A (pruned weights) used to
+// run through in gemm_prepacked_tiles, over today's (row group × column
+// slice) tiles. Pruned layers now share the packed register-tiled kernel,
+// which must reproduce this loop's results bit for bit.
 void zero_skip_tiles(const PackedGemmA& pa, const float* a_raw,
                      std::int64_t lda, const float* packed_b, std::int64_t n,
                      float* c, std::int64_t ldc, const float* bias, bool relu,
                      std::int64_t tile_lo, std::int64_t tile_hi) {
-    constexpr std::int64_t kMr = kPackMr, kNr = kPackNr, kKc = kPackKc,
-                           kNc = kPackNc;
+    constexpr std::int64_t kNr = kPackNr, kKc = kPackKc, kNc = kPackNc;
     const std::int64_t m = pa.m, k = pa.k;
-    const std::int64_t row_panels = (m + kMr - 1) / kMr;
+    const std::int64_t groups = (m + kPackMc - 1) / kPackMc;
     const std::int64_t block_panels = kNc / kNr;  // panels per full n-block
     for (std::int64_t t = tile_lo; t < tile_hi; ++t) {
-        const std::int64_t nb = t / row_panels;  // n-block index
-        const std::int64_t ip = t % row_panels;  // row-panel index
+        const std::int64_t g = t % groups;  // row-group index
+        const std::int64_t s0 = t / groups * gemm_tile_width(n);  // slice
+        const std::int64_t s1 = std::min(n, s0 + gemm_tile_width(n));
+        const std::int64_t nb = s0 / kNc;  // n-block index
         const std::int64_t jc = nb * kNc;
         const std::int64_t j1 = std::min(n, jc + kNc);
-        const std::int64_t ib = ip * kMr;
-        const std::int64_t i_hi = std::min(m, ib + kMr);
+        const std::int64_t ib = g * kPackMc;
+        const std::int64_t i_hi = std::min(m, ib + kPackMc);
         const std::int64_t blk_panels = (j1 - jc + kNr - 1) / kNr;
         // The n-block's packed region: full blocks before it hold
         // block_panels panels each, k rows, kNr lanes.
@@ -262,7 +264,7 @@ void zero_skip_tiles(const PackedGemmA& pa, const float* a_raw,
         // Zero-skip kernel over packed panels: pays only for non-zero
         // weights (pruned layers).
         for (std::int64_t i = ib; i < i_hi; ++i)
-            std::fill(c + i * ldc + jc, c + i * ldc + j1, 0.0f);
+            std::fill(c + i * ldc + s0, c + i * ldc + s1, 0.0f);
         for (std::int64_t pc = 0; pc < k; pc += kKc) {
             const std::int64_t k1 = std::min(k, pc + kKc);
             const std::int64_t kc = k1 - pc;
@@ -274,7 +276,8 @@ void zero_skip_tiles(const PackedGemmA& pa, const float* a_raw,
                     const float aip = ai[p];
                     if (aip == 0.0f) continue;
                     const float* brow = bsub + (p - pc) * kNr;
-                    for (std::int64_t jp = 0; jp < blk_panels; ++jp) {
+                    for (std::int64_t jp = (s0 - jc) / kNr;
+                         jp < (s1 - jc + kNr - 1) / kNr; ++jp) {
                         const float* bp = brow + jp * kc * kNr;
                         float* cp = ci + jp * kNr;
                         const std::int64_t nr =
@@ -290,10 +293,10 @@ void zero_skip_tiles(const PackedGemmA& pa, const float* a_raw,
                 const float add = bias ? bias[i] : 0.0f;
                 float* ci = c + i * ldc;
                 if (relu) {
-                    for (std::int64_t j = jc; j < j1; ++j)
+                    for (std::int64_t j = s0; j < s1; ++j)
                         ci[j] = std::max(ci[j] + add, 0.0f);
                 } else {
-                    for (std::int64_t j = jc; j < j1; ++j) ci[j] += add;
+                    for (std::int64_t j = s0; j < s1; ++j) ci[j] += add;
                 }
             }
         }
@@ -302,30 +305,98 @@ void zero_skip_tiles(const PackedGemmA& pa, const float* a_raw,
 
 // Sparsity patterns of pruned conv weights (m output channels × k patch
 // entries), each well under the 25 % density that makes A row-sparse.
-enum class Pattern { kRandom, kChannelFilter, kXbarColumns };
+enum class Pattern {
+    kRandom,
+    kChannelFilter,
+    kXbarSegments,
+    kXbarRuns,
+    kXbarRows
+};
+
+// The `keep` largest of `scores` (ties to the lower index), as
+// prune::prune_at_init ranks its structures.
+std::vector<bool> keep_top(const std::vector<double>& scores,
+                           std::int64_t keep) {
+    std::vector<std::size_t> order(scores.size());
+    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t x, std::size_t y) {
+                         return scores[x] > scores[y];
+                     });
+    std::vector<bool> kept(scores.size(), false);
+    for (std::size_t i = 0; i < static_cast<std::size_t>(keep); ++i)
+        kept[order[i]] = true;
+    return kept;
+}
+
+// Crossbar-segment pruning of a (m × k) weight matrix at 0.8 sparsity,
+// mirroring prune::prune_segments: XCS zeroes 32-long runs of one row's k
+// (a crossbar column's segment, kept per (block, output)); XRS zeroes
+// 32-row runs of one k (kept per (k, block of outputs)). The lowest-norm
+// 80 % of the segments go.
+void prune_xbar_segments(Tensor& a, bool columns) {
+    constexpr std::int64_t seg = 32;
+    const std::int64_t m = a.dim(0), k = a.dim(1);
+    const std::int64_t outer = columns ? m : k;
+    const std::int64_t blocks = ((columns ? k : m) + seg - 1) / seg;
+    const auto at = [&](std::int64_t o, std::int64_t b,
+                        std::int64_t x) -> float* {
+        const std::int64_t in = b * seg + x;
+        if (in >= (columns ? k : m)) return nullptr;
+        return columns ? &a.at(o, in) : &a.at(in, o);
+    };
+    std::vector<double> scores(static_cast<std::size_t>(outer * blocks));
+    for (std::int64_t o = 0; o < outer; ++o)
+        for (std::int64_t b = 0; b < blocks; ++b)
+            for (std::int64_t x = 0; x < seg; ++x)
+                if (const float* v = at(o, b, x))
+                    scores[static_cast<std::size_t>(b * outer + o)] +=
+                        static_cast<double>(*v) * *v;
+    const std::vector<bool> kept = keep_top(
+        scores, std::llround(0.2 * static_cast<double>(outer * blocks)));
+    for (std::int64_t o = 0; o < outer; ++o)
+        for (std::int64_t b = 0; b < blocks; ++b)
+            if (!kept[static_cast<std::size_t>(b * outer + o)])
+                for (std::int64_t x = 0; x < seg; ++x)
+                    if (float* v = at(o, b, x)) *v = 0.0f;
+}
 
 void prune_pattern(Tensor& a, Pattern pattern, util::Rng& rng) {
+    if (pattern == Pattern::kXbarSegments || pattern == Pattern::kXbarRows) {
+        prune_xbar_segments(a, pattern == Pattern::kXbarSegments);
+        return;
+    }
     const std::int64_t m = a.dim(0), k = a.dim(1);
     for (std::int64_t i = 0; i < m; ++i)
         for (std::int64_t p = 0; p < k; ++p) {
             bool keep = true;
             switch (pattern) {
                 case Pattern::kRandom:
-                    // Scattered weights, plus all-zero rows and columns and
-                    // an all-zero row panel (rows 8..15: empty live lists).
+                    // Scattered weights, plus all-zero rows and columns, an
+                    // all-zero row panel (rows 8..15), an all-zero 32-row
+                    // group (rows 32..63: no gathered panel but the zero
+                    // store), and row 2, live only in the last k-segment
+                    // (its first panel is also its last).
+                    if (i == 2) {
+                        keep = p >= k - kPackKs / 2 && p % 7 != 2;
+                        break;
+                    }
                     keep = rng.uniform() < 0.15 && i % 5 != 3 &&
-                           p % 7 != 2 && (i < 8 || i >= 16);
+                           p % 7 != 2 && (i < 8 || i >= 16) &&
+                           (i < 32 || i >= 64);
                     break;
                 case Pattern::kChannelFilter:
                     // Whole filters (rows) and whole input channels (runs
                     // of 9 patch entries) pruned.
                     keep = i % 3 == 0 && (p / 9) % 5 < 2;
                     break;
-                case Pattern::kXbarColumns:
-                    // Zeroed column segments: each output keeps a few
-                    // 16-long runs of its patch (one crossbar column's
-                    // segment per tile row), chosen per output.
+                case Pattern::kXbarRuns:
+                    // Each output keeps a few 16-long runs of its patch,
+                    // chosen per output; half of them straddle a 32-k
+                    // segment boundary.
                     keep = (p / 16 + 3 * i) % 7 == 0;
+                    break;
+                default:
                     break;
             }
             if (!keep) a.at(i, p) = 0.0f;
@@ -338,17 +409,123 @@ TEST(GemmPrepacked, RepackingRowSparseReusesStorage) {
     util::Rng rng(41);
     Tensor a({37, 280});
     fill_normal(a, rng, 0.0f, 1.0f);
-    prune_pattern(a, Pattern::kXbarColumns, rng);
+    prune_pattern(a, Pattern::kXbarSegments, rng);
     PackedGemmA pa;
     gemm_pack_a(37, 280, a.data(), 280, pa);
     ASSERT_TRUE(pa.sparse);
     const float* panels = pa.panels.data();
+    const PackedGemmA::Panel* gathered = pa.gathered.data();
     const std::int32_t* live = pa.live.data();
-    const std::int64_t* live_begin = pa.live_begin.data();
+    const std::int64_t* group_begin = pa.group_begin.data();
     gemm_pack_a(37, 280, a.data(), 280, pa);
     EXPECT_EQ(pa.panels.data(), panels);
+    EXPECT_EQ(pa.gathered.data(), gathered);
     EXPECT_EQ(pa.live.data(), live);
-    EXPECT_EQ(pa.live_begin.data(), live_begin);
+    EXPECT_EQ(pa.group_begin.data(), group_begin);
+}
+
+// The packed floats are the kernel's multiply work: packed k-columns ×
+// kPackMr rows, multiplied against every 16-column B panel. Gathering a
+// segment's live rows must pay for those rows only.
+TEST(GemmPrepacked, RowSparsePackingPaysForLiveRowsOnly) {
+    const std::int64_t m = 64, k = 576;
+    const auto dense_work = static_cast<double>(m * k);
+    util::Rng rng(43);
+    {
+        // XCS at 0.8, shaped as prune_segments leaves a VGG11 conv layer:
+        // about 20 % of the rows live in each 32-k segment. Fixed 8-row
+        // panels, which skip a k only when all 8 rows are zero there, would
+        // keep about 0.83 of the dense work.
+        Tensor a({m, k});
+        fill_normal(a, rng, 0.0f, 1.0f);
+        prune_pattern(a, Pattern::kXbarSegments, rng);
+        PackedGemmA pa;
+        gemm_pack_a(m, k, a.data(), k, pa);
+        ASSERT_TRUE(pa.sparse);
+        EXPECT_LE(static_cast<double>(pa.panels.size()), 0.45 * dense_work)
+            << "xcs packs " << static_cast<double>(pa.panels.size()) / dense_work
+            << " of dense";
+    }
+    {
+        // C/F at 0.8: a fifth of the filters over a fifth of the input
+        // channels. Each group packs its live rows, rounded up to whole
+        // panels, over the live k only.
+        Tensor a({m, k});
+        fill_normal(a, rng, 0.0f, 1.0f);
+        for (std::int64_t i = 0; i < m; ++i)
+            for (std::int64_t p = 0; p < k; ++p)
+                if (i % 5 != 0 || (p / 9) % 5 != 0) a.at(i, p) = 0.0f;
+        PackedGemmA pa;
+        gemm_pack_a(m, k, a.data(), k, pa);
+        ASSERT_TRUE(pa.sparse);
+        std::int64_t live_k = 0;
+        for (std::int64_t p = 0; p < k; ++p) live_k += (p / 9) % 5 == 0;
+        std::int64_t bound = 0;
+        for (std::int64_t g0 = 0; g0 < m; g0 += kPackMc) {
+            std::int64_t live_rows = 0;
+            for (std::int64_t i = g0; i < std::min(m, g0 + kPackMc); ++i)
+                live_rows += i % 5 == 0;
+            bound += (live_rows + kPackMr - 1) / kPackMr * kPackMr * live_k;
+        }
+        EXPECT_LE(static_cast<std::int64_t>(pa.panels.size()), bound);
+    }
+    {
+        // XRS at 0.8 (32-row runs of one k): every live row of a group is
+        // live at the same k, so gathering packs exactly what fixed 8-row
+        // panels holding each k where one of their rows is non-zero pack.
+        Tensor a({m, k});
+        fill_normal(a, rng, 0.0f, 1.0f);
+        prune_pattern(a, Pattern::kXbarRows, rng);
+        PackedGemmA pa;
+        gemm_pack_a(m, k, a.data(), k, pa);
+        ASSERT_TRUE(pa.sparse);
+        std::int64_t fixed_panels = 0;  // Σ live k of each 8-row panel
+        for (std::int64_t ib = 0; ib < m; ib += kPackMr)
+            for (std::int64_t p = 0; p < k; ++p) {
+                bool live = false;
+                for (std::int64_t i = ib; i < std::min(m, ib + kPackMr); ++i)
+                    live |= a.at(i, p) != 0.0f;
+                fixed_panels += live;
+            }
+        EXPECT_EQ(static_cast<std::int64_t>(pa.panels.size()),
+                  fixed_panels * kPackMr);
+    }
+}
+
+// The partial last column panel stores through a scalar tail. It must
+// apply the epilogue in the vector path's order, (acc + C) + bias, or an
+// output of a multi-k-block dense layer rounds differently there.
+TEST(GemmPrepacked, PartialPanelStoresLikeAFullPanel) {
+    for (const bool sparse : {false, true}) {
+        const std::int64_t m = 32, n = 24, k = 600;  // three k-blocks
+        util::Rng rng(sparse ? 51u : 52u);
+        Tensor a({m, k}), b({k, n}), bias({m});
+        fill_normal(a, rng, 0.0f, 1.0f);
+        fill_normal(b, rng, 0.0f, 1.0f);
+        fill_normal(bias, rng, 0.0f, 1.0f);
+        if (sparse)
+            for (std::int64_t i = 0; i < a.numel(); ++i)
+                if (rng.uniform() < 0.9) a[i] = 0.0f;
+        // Column 16, in the partial second panel, repeats column 0.
+        for (std::int64_t p = 0; p < k; ++p) b.at(p, 16) = b.at(p, 0);
+        PackedGemmA pa;
+        gemm_pack_a(m, k, a.data(), k, pa);
+        ASSERT_EQ(pa.sparse, sparse);
+        std::vector<float> packed;
+        pack_b_reference(b, k, n, packed);
+        for (const bool relu : {false, true}) {
+            Tensor c({m, n});
+            gemm_prepacked_tiles(pa, a.data(), k, packed.data(), n, c.data(),
+                                 n, bias.data(), relu, 0,
+                                 gemm_tile_count(m, n));
+            for (std::int64_t i = 0; i < m; ++i) {
+                const float full = c.at(i, 0), partial = c.at(i, 16);
+                EXPECT_EQ(std::memcmp(&full, &partial, sizeof(float)), 0)
+                    << (sparse ? "sparse" : "dense") << " relu " << relu
+                    << " row " << i << ": " << full << " vs " << partial;
+            }
+        }
+    }
 }
 
 TEST(GemmPrepacked, RowSparseTilesAreBitIdenticalToZeroSkipLoop) {
@@ -356,20 +533,26 @@ TEST(GemmPrepacked, RowSparseTilesAreBitIdenticalToZeroSkipLoop) {
         std::int64_t m, n, k;
         Pattern pattern;
     };
-    // k spans one to three k-blocks; m is not a multiple of kPackMr; the n
-    // values end in a second n-block whose last panel is partial, once as
-    // the partner of a full panel (1048 = 1024 + 16 + 8) and once alone
-    // (1100 = 1024 + 4·16 + 12).
+    // k spans one to three k-blocks; m is not a multiple of kPackMr, and
+    // from 33 rows on the tiles have a second row group (from 65, a third,
+    // after kRandom's all-zero group); the n values end in a second
+    // n-block whose last panel is partial, once as the partner of a full
+    // panel (1048 = 1024 + 16 + 8) and once alone (1100 = 1024 + 4·16 + 12).
     const Case cases[] = {
         {45, 1100, 27, Pattern::kRandom},
         {37, 1048, 280, Pattern::kRandom},
         {13, 1100, 576, Pattern::kRandom},
+        {70, 1048, 600, Pattern::kRandom},
         {41, 1048, 27, Pattern::kChannelFilter},
         {20, 1100, 280, Pattern::kChannelFilter},
         {44, 1048, 576, Pattern::kChannelFilter},
-        {39, 1100, 27, Pattern::kXbarColumns},
-        {37, 1100, 280, Pattern::kXbarColumns},
-        {52, 1048, 576, Pattern::kXbarColumns},
+        {39, 1100, 27, Pattern::kXbarSegments},
+        {37, 1100, 280, Pattern::kXbarSegments},
+        {52, 1048, 576, Pattern::kXbarSegments},
+        {64, 1100, 600, Pattern::kXbarSegments},
+        {37, 1100, 280, Pattern::kXbarRuns},
+        {52, 1048, 576, Pattern::kXbarRuns},
+        {64, 1048, 576, Pattern::kXbarRows},
     };
     for (const Case& cs : cases) {
         util::Rng rng(static_cast<std::uint64_t>(cs.m * 131 + cs.k));
@@ -411,7 +594,8 @@ TEST(GemmPrepacked, RowSparseTilesAreBitIdenticalToZeroSkipLoop) {
 // (gemm_conv_tiles). The packed path it replaced — im2col_pack_b into
 // panels, then gemm_prepacked_tiles — is its reference: same tiles, same
 // FMA sequence per output, same B values, so the outputs must match bit for
-// bit, padded positions and panel tails included.
+// bit, padded positions and panel tails included. For pruned weights the
+// packed path must in turn match the zero-skip loop bit for bit.
 struct ConvCase {
     const char* name;
     std::int64_t n, c, h, w, cout, kernel;
@@ -446,32 +630,53 @@ void expect_conv_matches_packed(const ConvCase& cs) {
     for (const Weights& wk :
          {Weights{"dense", false, Pattern::kRandom},
           Weights{"c/f", true, Pattern::kChannelFilter},
-          Weights{"xcs", true, Pattern::kXbarColumns}}) {
+          Weights{"xcs", true, Pattern::kXbarSegments},
+          Weights{"xcs runs", true, Pattern::kXbarRuns}}) {
         Tensor a({cs.cout, k});
         fill_normal(a, rng, 0.0f, 1.0f);
         if (wk.pruned) prune_pattern(a, wk.pattern, rng);
         PackedGemmA pa;
         gemm_pack_a(cs.cout, k, a.data(), k, pa);
-        // Pruned weights take the chain-accumulating row-sparse kind unless
-        // the matrix is too small for gemm_pack_a to scan it.
-        if (wk.pruned && cs.cout * k > (1 << 10)) {
-            EXPECT_TRUE(pa.sparse) << cs.name << " " << wk.name;
-        }
-        // Sentinel-filled, so an element the kernel fails to write shows up
-        // as a mismatch too.
-        Tensor got({cs.cout, n_cols}, 7.0f), want({cs.cout, n_cols}, 7.0f);
-        gemm_prepacked_tiles(pa, a.data(), k, packed.data(), n_cols,
-                             want.data(), n_cols, bias.data(), /*relu=*/true,
-                             0, tiles);
-        gemm_conv_tiles(pa, tables, x.data(), got.data(), n_cols, bias.data(),
-                        /*relu=*/true, 0, tiles);
-        EXPECT_EQ(std::memcmp(got.data(), want.data(),
-                              static_cast<std::size_t>(got.numel()) *
-                                  sizeof(float)),
-                  0)
-            << cs.name << " " << wk.name
-            << (pa.sparse ? " (row-sparse)" : " (dense kind)") << " max diff "
-            << max_abs_diff(got, want);
+        // Weights under 25 % non-zero take the chain-accumulating row-sparse
+        // kind unless the matrix is too small for gemm_pack_a to scan it
+        // (XCS leaves conv1, whose 72-long rows end in a short segment,
+        // just over the threshold).
+        std::int64_t nnz = 0;
+        for (std::int64_t i = 0; i < a.numel(); ++i) nnz += a[i] != 0.0f;
+        EXPECT_EQ(pa.sparse,
+                  cs.cout * k > (1 << 10) &&
+                      nnz < static_cast<std::int64_t>(
+                                0.25 * static_cast<double>(cs.cout * k)))
+            << cs.name << " " << wk.name;
+        for (const bool with_bias : {false, true})
+            for (const bool relu : {false, true}) {
+                const float* bias_ptr = with_bias ? bias.data() : nullptr;
+                // Sentinel-filled, so an element the kernel fails to write
+                // shows up as a mismatch too.
+                Tensor got({cs.cout, n_cols}, 7.0f),
+                    want({cs.cout, n_cols}, 7.0f);
+                gemm_prepacked_tiles(pa, a.data(), k, packed.data(), n_cols,
+                                     want.data(), n_cols, bias_ptr, relu, 0,
+                                     tiles);
+                gemm_conv_tiles(pa, tables, x.data(), got.data(), n_cols,
+                                bias_ptr, relu, 0, tiles);
+                const auto bytes =
+                    static_cast<std::size_t>(got.numel()) * sizeof(float);
+                EXPECT_EQ(std::memcmp(got.data(), want.data(), bytes), 0)
+                    << cs.name << " " << wk.name
+                    << (pa.sparse ? " (row-sparse)" : " (dense kind)")
+                    << " bias " << with_bias << " relu " << relu
+                    << " max diff " << max_abs_diff(got, want);
+                if (!pa.sparse) continue;
+                Tensor loop({cs.cout, n_cols}, 7.0f);
+                zero_skip_tiles(pa, a.data(), k, packed.data(), n_cols,
+                                loop.data(), n_cols, bias_ptr, relu, 0,
+                                tiles);
+                EXPECT_EQ(std::memcmp(want.data(), loop.data(), bytes), 0)
+                    << cs.name << " " << wk.name << " vs zero-skip loop, bias "
+                    << with_bias << " relu " << relu << " max diff "
+                    << max_abs_diff(want, loop);
+            }
     }
 }
 
