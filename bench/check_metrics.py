@@ -2,6 +2,7 @@
 """Validate sweep telemetry artifacts (DESIGN.md §10).
 
 Usage: check_metrics.py [--clean] METRICS_JSON [TRACE_JSON] [MANIFEST_JSONL]
+       check_metrics.py [--clean] --manifest=MANIFEST_JSONL METRICS_JSON
 
 Checks, in order:
   * METRICS_JSON parses and has exactly the schema keys "counters" and
@@ -16,7 +17,8 @@ Checks, in order:
     on clean shutdown) and retried cells execute more than once.
   * TRACE_JSON (when given) is a chrome://tracing file: non-empty
     traceEvents, each a complete "X" event with name/ph/ts/dur/pid/tid.
-  * MANIFEST_JSONL (when given) is cross-checked against the counters:
+  * MANIFEST_JSONL (when given, positionally after a trace or with
+    --manifest= for a run without one) is cross-checked against the counters:
     sweep.cells.done == number of ok cell records (the acknowledgement
     count), and the trailing {"metrics": ...} record matches METRICS_JSON.
 
@@ -106,8 +108,9 @@ def check_manifest(path, counters, metrics):
 def main(argv):
     args = argv[1:]
     clean = "--clean" in args
-    args = [a for a in args if a != "--clean"]
-    if not args:
+    manifest = [a.split("=", 1)[1] for a in args if a.startswith("--manifest=")]
+    args = [a for a in args if a != "--clean" and not a.startswith("--manifest=")]
+    if not args or len(manifest) > 1 or (manifest and len(args) > 1):
         print(__doc__.strip(), file=sys.stderr)
         return 2
     with open(args[0]) as f:
@@ -118,7 +121,9 @@ def main(argv):
     if len(args) > 1:
         check_trace(args[1])
     if len(args) > 2:
-        check_manifest(args[2], counters, metrics)
+        manifest = [args[2]]
+    if manifest:
+        check_manifest(manifest[0], counters, metrics)
     print("check_metrics: OK")
     return 0
 

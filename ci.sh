@@ -62,7 +62,8 @@ run_release() {
 # over a socketpair) with an injected worker crash (XS_FAULT) must report
 # at least one worker restart and one cell retry — proof the fault fired —
 # and reproduce the single-process CSV byte for byte, while still emitting
-# a merged, validatable metrics snapshot. Lane-batched groups against one-cell
+# a merged, validatable metrics snapshot whose sweep.cells.done matches
+# the ok records of its manifest. Lane-batched groups against one-cell
 # execution of the same 4-repeat grid points are byte-compared by the
 # service smoke below (its agents run one cell at a time).
 run_sweep_smoke() {
@@ -116,6 +117,7 @@ run_sweep_smoke() {
   if command -v python3 >/dev/null 2>&1; then
     # No --clean: the injected crash loses that worker's executed-count.
     python3 "$repo_root/bench/check_metrics.py" \
+      --manifest="$smoke_dir/sweep_supervised.jsonl" \
       "$smoke_dir/metrics_supervised.json"
   fi
 }
@@ -127,7 +129,8 @@ run_sweep_smoke() {
 # coordinator must re-deal the lost cell, dedup any late duplicate ack,
 # and produce an aggregate CSV byte-identical to a single-process run of
 # the same grid — the service's core invariant (DESIGN.md §11) — while
-# its merged per-host metrics snapshot passes bench/check_metrics.py.
+# its merged per-host metrics snapshot passes bench/check_metrics.py,
+# cross-checked against the manifest like the supervised smoke's.
 run_service_smoke() {
   if [[ ! -x "$repo_root/build-release/sweep_serve" ]]; then
     return 0
@@ -174,6 +177,7 @@ run_service_smoke() {
   if command -v python3 >/dev/null 2>&1; then
     # No --clean: the injected disconnect can strand one agent's counts.
     python3 "$repo_root/bench/check_metrics.py" \
+      --manifest="$smoke_dir/service.jsonl" \
       "$smoke_dir/metrics_service.json"
   fi
 }

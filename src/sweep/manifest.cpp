@@ -210,10 +210,6 @@ std::map<std::string, CellResult> load_manifest(const std::string& path) {
     return load_manifest_file(path).results;
 }
 
-std::string load_manifest_config(const std::string& path) {
-    return load_manifest_file(path).config;
-}
-
 ManifestWriter::ManifestWriter(const std::string& path, bool append)
     : f_(std::fopen(path.c_str(), append ? "ab" : "wb")) {
     ok_ = f_ != nullptr;

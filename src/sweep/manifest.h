@@ -76,9 +76,8 @@ struct ManifestLoad {
 // count of corrupt lines skipped (the caller should warn when nonzero).
 ManifestLoad load_manifest_file(const std::string& path);
 
-// Compatibility wrappers over load_manifest_file().
+// The records of load_manifest_file().
 std::map<std::string, CellResult> load_manifest(const std::string& path);
-std::string load_manifest_config(const std::string& path);
 
 // Serialized durable append writer shared by all sweep shards (and used by
 // the service's coordinator, where the append is the deal

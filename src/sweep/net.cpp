@@ -42,6 +42,16 @@ bool prep_fd(int fd) {
     return true;
 }
 
+// All of `num` as one decimal number (strtoll's syntax) of at least `min`.
+bool parse_count(const std::string& num, long long min, std::int64_t& out) {
+    if (num.empty()) return false;
+    char* end = nullptr;
+    const long long v = std::strtoll(num.c_str(), &end, 10);
+    if (end != num.c_str() + num.size() || v < min) return false;
+    out = v;
+    return true;
+}
+
 }  // namespace
 
 int listen_on(std::uint16_t port, std::string* err) {
@@ -194,15 +204,14 @@ bool decode_join(const std::string& payload, std::string& fingerprint,
                  std::int64_t& capacity) {
     const auto space = payload.rfind(' ');
     if (space == std::string::npos || space == 0 ||
-        space + 1 >= payload.size())
+        !parse_count(payload.substr(space + 1), 1, capacity))
         return false;
-    char* end = nullptr;
-    const std::string cap = payload.substr(space + 1);
-    const long long v = std::strtoll(cap.c_str(), &end, 10);
-    if (end != cap.c_str() + cap.size() || v < 1) return false;
     fingerprint = payload.substr(0, space);
-    capacity = v;
     return true;
+}
+
+bool decode_capacity(const std::string& payload, std::int64_t& capacity) {
+    return parse_count(payload, 0, capacity);
 }
 
 std::string encode_join_ok(double heartbeat_ms, double lease_ms) {
@@ -234,11 +243,8 @@ bool decode_fail(const std::string& payload, std::int64_t& cell_index,
     for (std::int64_t* field : {&cell_index, &attempt}) {
         const auto space = payload.find(' ', pos);
         if (space == std::string::npos || space == pos) return false;
-        const std::string num = payload.substr(pos, space - pos);
-        char* end = nullptr;
-        const long long v = std::strtoll(num.c_str(), &end, 10);
-        if (end != num.c_str() + num.size() || v < 0) return false;
-        *field = v;
+        if (!parse_count(payload.substr(pos, space - pos), 0, *field))
+            return false;
         pos = space + 1;
     }
     reason = payload.substr(pos);

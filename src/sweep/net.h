@@ -78,6 +78,10 @@ std::string encode_join(const std::string& fingerprint, std::int64_t capacity);
 bool decode_join(const std::string& payload, std::string& fingerprint,
                  std::int64_t& capacity);
 
+// Agent → service when a worker slot retires: "<capacity>", the agent's live
+// worker count, a non-negative decimal.
+bool decode_capacity(const std::string& payload, std::int64_t& capacity);
+
 // Service → agent on accepted join: "<heartbeat_ms> <lease_ms>" — the
 // heartbeat cadence the agent must beat and the per-deal lease budget it
 // should use as its local watchdog (0 = no lease).

@@ -196,11 +196,14 @@ std::string sweep_config_fingerprint(const core::ExperimentContext& ctx,
            "/rng-zig128";
 }
 
-std::map<std::string, CellResult> load_resume_state(
-    const std::string& manifest_path, const std::string& config_fp,
-    SweepSummary& summary, bool& had_config) {
+namespace {
+
+// --resume state: every record in the manifest, its config line and its
+// prior metrics record. Corrupt lines are skipped with a loud warning; a
+// fingerprint mismatch is refused.
+ManifestLoad load_resume_state(const std::string& manifest_path,
+                               const std::string& config_fp) {
     ManifestLoad load = load_manifest_file(manifest_path);
-    summary.manifest_lines_skipped = load.skipped_lines;
     if (load.skipped_lines > 0)
         util::log_warn("sweep: manifest '" + manifest_path + "' has " +
                        std::to_string(load.skipped_lines) +
@@ -210,11 +213,12 @@ std::map<std::string, CellResult> load_resume_state(
                       "' was recorded under a different configuration (" +
                       load.config + " vs " + config_fp +
                       "); rerun without --resume or delete it");
-    had_config = !load.config.empty();
-    summary.metrics_json = load.metrics_json;
-    return std::move(load.results);
+    return load;
 }
 
+// Fold a resumed manifest's prior {"metrics":…} record (inner JSON; "" is a
+// no-op) into `snap`, so the record appended at the end of this run carries
+// the whole sweep's totals.
 void merge_prior_metrics(const std::string& prior_json,
                          util::metrics::Snapshot& snap) {
     if (prior_json.empty()) return;
@@ -227,8 +231,12 @@ void merge_prior_metrics(const std::string& prior_json,
             "telemetry totals restart from this run");
 }
 
+// Aggregate `results` over the grid into summary.rows (expansion order) and
+// write the aggregate CSV (complete groups only, fixed formatting). Failed
+// cells never aggregate: their groups are incomplete, excluded from the
+// CSV, and accounted in summary.cells_failed / failed_cells.
 void aggregate_and_write_csv(const std::vector<SweepCell>& cells,
-                             const SweepSpec& spec,
+                             std::int64_t repeats,
                              const std::map<std::string, CellResult>& results,
                              SweepSummary& summary) {
     XS_TIMER_NS("sweep.phase.aggregate.ns");
@@ -242,9 +250,9 @@ void aggregate_and_write_csv(const std::vector<SweepCell>& cells,
     for (std::size_t i = 0; i < cells.size();) {
         GroupRow row;
         row.cell = cells[i];
-        row.repeats_total = spec.repeats;
+        row.repeats_total = repeats;
         std::vector<const CellResult*> got;
-        for (std::int64_t r = 0; r < spec.repeats; ++r, ++i) {
+        for (std::int64_t r = 0; r < repeats; ++r, ++i) {
             const auto it = results.find(cells[i].id());
             if (it == results.end()) continue;
             if (it->second.failed()) {
@@ -311,47 +319,161 @@ void aggregate_and_write_csv(const std::vector<SweepCell>& cells,
                        " quarantined cell(s) excluded from the aggregate CSV");
 }
 
+}  // namespace
+
+SweepLedger::SweepLedger(const core::ExperimentContext& ctx,
+                         const SweepSpec& spec, const SweepOptions& opts)
+    : cells_(spec.expand()),
+      repeats_(spec.repeats),
+      opts_(opts),
+      config_fp_(sweep_config_fingerprint(ctx, spec)),
+      recorded_(opts.resume ? load_resume_state(
+                                  ctx.csv_path(opts.manifest_name), config_fp_)
+                            : ManifestLoad{}),
+      manifest_(ctx.csv_path(opts.manifest_name), opts.resume) {
+    summary_.cells_total = static_cast<std::int64_t>(cells_.size());
+    summary_.manifest_path = ctx.csv_path(opts.manifest_name);
+    summary_.csv_path = ctx.csv_path(opts.csv_name);
+    summary_.manifest_lines_skipped = recorded_.skipped_lines;
+    tensor::check(manifest_.ok(), "sweep: cannot open manifest '" +
+                                      summary_.manifest_path +
+                                      "' for writing");
+    if (recorded_.config.empty()) manifest_.record_config(config_fp_);
+
+    for (std::size_t i = 0; i < cells_.size(); ++i)
+        if (recorded_.results.find(cells_[i].id()) == recorded_.results.end())
+            pending_.push_back(i);
+    summary_.cells_resumed =
+        summary_.cells_total - static_cast<std::int64_t>(pending_.size());
+    if (opts.max_cells >= 0 &&
+        pending_.size() > static_cast<std::size_t>(opts.max_cells))
+        pending_.resize(static_cast<std::size_t>(opts.max_cells));
+    for (std::size_t p = 0; p < pending_.size(); ++p)
+        position_[cells_[pending_[p]].id()] = p;
+}
+
+std::int64_t SweepLedger::position(const std::string& id) const {
+    const auto it = position_.find(id);
+    return it == position_.end() ? -1 : static_cast<std::int64_t>(it->second);
+}
+
+SweepLedger::Recorded SweepLedger::record(const std::string& id,
+                                          const CellResult& r,
+                                          const std::string& via) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (recorded_.results.find(id) != recorded_.results.end()) {
+        // A slow host finishing after its lease was re-dealt, or an agent
+        // replaying its outbox after a reconnect.
+        ++summary_.duplicate_acks;
+        XS_COUNT("sweep.service.duplicate_acks", 1);
+        util::log_info("sweep: duplicate result for " + id +
+                       (via.empty() ? "" : " from " + via) + " deduped");
+        return Recorded::kDuplicate;
+    }
+    const std::int64_t p = position(id);
+    // Recording a cell the run never dealt would poison the manifest for
+    // resume.
+    if (p < 0) return Recorded::kForeign;
+    manifest_.record(id, r);  // durable before counted
+    recorded_.results[id] = r;
+    XS_COUNT("sweep.cells.done", 1);
+    ++summary_.cells_executed;
+    ++settled_;
+    util::log_info("sweep cell " + std::to_string(settled_) + "/" +
+                   std::to_string(pending_.size()) + " " + id + ": acc " +
+                   util::fmt(r.accuracy) + "% (" + util::fmt(r.wall_ms, 0) +
+                   " ms" + (via.empty() ? "" : ", " + via) + ")");
+    if (opts_.cell_budget_ms > 0.0 && r.wall_ms > opts_.cell_budget_ms &&
+        overran_.insert(static_cast<std::size_t>(p)).second) {
+        ++summary_.cells_over_budget;
+        util::log_warn("sweep cell " + id + " over budget: " +
+                       util::fmt(r.wall_ms, 0) + " ms > " +
+                       util::fmt(opts_.cell_budget_ms, 0) + " ms");
+    }
+    return Recorded::kNew;
+}
+
+void SweepLedger::quarantine(std::size_t p, std::int64_t attempts,
+                             const std::string& reason) {
+    const SweepCell& cell = cells_[pending_[p]];
+    CellResult failed;
+    failed.status = "failed";
+    failed.reason = reason;
+    failed.attempts = attempts;
+    failed.backend = xbar::backend_name(cell.backend);
+    std::lock_guard<std::mutex> lock(mu_);
+    manifest_.record(cell.id(), failed);
+    recorded_.results[cell.id()] = failed;
+    ++settled_;
+    util::log_warn("sweep: quarantined cell " + cell.id() + " after " +
+                   std::to_string(attempts) + " attempt(s): " + reason);
+}
+
+void SweepLedger::lease_overrun(std::size_t p) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (overran_.insert(p).second) ++summary_.cells_over_budget;
+}
+
+void SweepLedger::progress(double elapsed_s, std::int64_t retries,
+                           const std::string& hosts) const {
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto failed = std::count_if(
+        recorded_.results.begin(), recorded_.results.end(),
+        [](const auto& kv) { return kv.second.failed(); });
+    const double rate =
+        elapsed_s > 0.0 ? static_cast<double>(settled_) / elapsed_s : 0.0;
+    const double left = static_cast<double>(pending_.size()) -
+                        static_cast<double>(settled_);
+    util::log_info(
+        "progress: " + std::to_string(settled_) + "/" +
+        std::to_string(pending_.size()) + " cells (" +
+        std::to_string(failed) + " failed, " + std::to_string(retries) +
+        " retries, " + std::to_string(summary_.duplicate_acks) +
+        " dup acks), " + util::fmt(rate, 2) + " cells/s, eta " +
+        (rate > 0.0 ? util::fmt(left / rate, 0) + " s" : "--") + hosts);
+}
+
+SweepSummary SweepLedger::finish(const util::metrics::Snapshot& host_metrics) {
+    std::lock_guard<std::mutex> lock(mu_);
+    // A bad manifest stream (disk full, I/O error) silently drops resume
+    // state — fail loudly rather than let --resume re-run finished cells.
+    tensor::check(manifest_.ok(), "sweep: manifest writes to '" +
+                                      summary_.manifest_path +
+                                      "' failed; resume state is incomplete");
+    tensor::check(!(opts_.cell_budget_abort && summary_.cells_over_budget > 0),
+                  "sweep: " + std::to_string(summary_.cells_over_budget) +
+                      " cell(s) exceeded the " +
+                      util::fmt(opts_.cell_budget_ms, 0) +
+                      " ms budget (--cell-budget-abort)");
+    summary_.cells_pending = 0;
+    for (const SweepCell& cell : cells_)
+        if (recorded_.results.find(cell.id()) == recorded_.results.end())
+            ++summary_.cells_pending;
+    aggregate_and_write_csv(cells_, repeats_, recorded_.results, summary_);
+#if XS_TELEMETRY_ENABLED
+    // Snapshot after aggregation so the aggregate phase timing is included;
+    // a resumed run folds the prior record's totals in, so the manifest's
+    // newest metrics record covers the whole sweep. The manifest copy is an
+    // uncounted informational record.
+    util::metrics::Snapshot snap = util::metrics::snapshot();
+    util::metrics::merge(snap, host_metrics);
+    merge_prior_metrics(recorded_.metrics_json, snap);
+    summary_.metrics_json = util::metrics::to_json(snap);
+    manifest_.record_metrics(summary_.metrics_json);
+#else
+    (void)host_metrics;
+#endif
+    return summary_;
+}
+
 SweepRunner::SweepRunner(core::ExperimentContext& ctx, SweepSpec spec,
                          SweepOptions opts)
     : ctx_(ctx), spec_(std::move(spec)), opts_(std::move(opts)) {}
 
 SweepSummary SweepRunner::run() {
-    const std::vector<SweepCell> cells = spec_.expand();
-    SweepSummary summary;
-    summary.cells_total = static_cast<std::int64_t>(cells.size());
-    summary.manifest_path = ctx_.csv_path(opts_.manifest_name);
-    summary.csv_path = ctx_.csv_path(opts_.csv_name);
-
-    const std::string config_fp = sweep_config_fingerprint(ctx_, spec_);
-    std::map<std::string, CellResult> results;
-    bool had_config = false;
-    if (opts_.resume)
-        results = load_resume_state(summary.manifest_path, config_fp, summary,
-                                    had_config);
-    const std::string prior_metrics = summary.metrics_json;
-    ManifestWriter manifest(summary.manifest_path, opts_.resume);
-    tensor::check(manifest.ok(), "sweep: cannot open manifest '" +
-                                     summary.manifest_path + "' for writing");
-    if (!had_config) manifest.record_config(config_fp);
-
-    // Quarantined cells carried in from the resumed manifest, for the
-    // progress heartbeat (the in-process runner never quarantines itself).
-    std::int64_t failed_seen = 0;
-    for (const auto& kv : results)
-        if (kv.second.failed()) ++failed_seen;
-
-    // Pending cells in expansion order (resume skips recorded ones — both
-    // finished and quarantined; delete the manifest to retry a quarantine).
-    std::vector<std::size_t> pending;
-    for (std::size_t i = 0; i < cells.size(); ++i)
-        if (results.find(cells[i].id()) == results.end()) pending.push_back(i);
-    summary.cells_resumed =
-        summary.cells_total - static_cast<std::int64_t>(pending.size());
-    if (opts_.max_cells >= 0 &&
-        pending.size() > static_cast<std::size_t>(opts_.max_cells))
-        pending.resize(static_cast<std::size_t>(opts_.max_cells));
-    summary.cells_pending = summary.cells_total - summary.cells_resumed -
-                            static_cast<std::int64_t>(pending.size());
+    SweepLedger ledger(ctx_, spec_, opts_);
+    const std::vector<SweepCell>& cells = ledger.cells();
+    const std::vector<std::size_t>& pending = ledger.pending();
 
     // Prepare every distinct model before sharding: training parallelizes
     // across the whole pool here, no shard ever stalls on another shard's
@@ -367,38 +489,22 @@ SweepSummary SweepRunner::run() {
     const std::size_t nshards =
         opts_.shards > 0 ? static_cast<std::size_t>(opts_.shards)
                          : util::worker_count();
-    std::vector<CellResult> executed(pending.size());
     std::vector<std::exception_ptr> errors(nshards);
-    std::atomic<std::int64_t> completed{0};
-    std::atomic<std::int64_t> over_budget{0};
-    // Heartbeat state: checked after every completed cell, emitted by
-    // whichever shard wins the CAS once the interval elapses.
+    // Heartbeat: checked after every recorded cell, printed by whichever
+    // shard wins the CAS once the interval elapses.
     const util::Stopwatch run_clock;
     std::atomic<std::int64_t> last_beat_ms{0};
     const std::int64_t beat_interval_ms =
         static_cast<std::int64_t>(opts_.progress_sec * 1000.0);
-    const auto maybe_heartbeat = [&](std::int64_t done) {
+    const auto record = [&](std::size_t p, const CellResult& result) {
+        ledger.record(cells[pending[p]].id(), result);
         if (beat_interval_ms <= 0) return;
         const auto now_ms =
             static_cast<std::int64_t>(run_clock.seconds() * 1000.0);
         std::int64_t prev = last_beat_ms.load(std::memory_order_relaxed);
-        if (now_ms - prev < beat_interval_ms ||
-            !last_beat_ms.compare_exchange_strong(prev, now_ms))
-            return;
-        const double rate =
-            now_ms > 0 ? static_cast<double>(done) * 1000.0 /
-                             static_cast<double>(now_ms)
-                       : 0.0;
-        const std::int64_t remaining =
-            static_cast<std::int64_t>(pending.size()) - done;
-        util::log_info(
-            "progress: " + std::to_string(done) + "/" +
-            std::to_string(pending.size()) + " cells (" +
-            std::to_string(failed_seen) + " failed), " +
-            util::fmt(rate, 2) + " cells/s, eta " +
-            (rate > 0.0
-                 ? util::fmt(static_cast<double>(remaining) / rate, 0) + " s"
-                 : "--"));
+        if (now_ms - prev >= beat_interval_ms &&
+            last_beat_ms.compare_exchange_strong(prev, now_ms))
+            ledger.progress(static_cast<double>(now_ms) / 1000.0);
     };
     // Work units: a unit is either one cell or a contiguous run of pending
     // cells from the same repeat group, executed as one lane-batched
@@ -427,26 +533,6 @@ SweepSummary SweepRunner::run() {
         units.push_back(Unit{p, q - p});
         p = q;
     }
-    // Shared per-cell bookkeeping, identical for every unit size.
-    const auto record_one = [&](std::size_t p, CellResult&& result) {
-        const SweepCell& cell = cells[pending[p]];
-        executed[p] = std::move(result);
-        manifest.record(cell.id(), executed[p]);
-        XS_COUNT("sweep.cells.done", 1);
-        const std::int64_t n = ++completed;
-        maybe_heartbeat(n);
-        util::log_info("sweep cell " + std::to_string(n) + "/" +
-                       std::to_string(pending.size()) + " " + cell.id() +
-                       ": acc " + util::fmt(executed[p].accuracy) + "% (" +
-                       util::fmt(executed[p].wall_ms, 0) + " ms)");
-        if (opts_.cell_budget_ms > 0.0 &&
-            executed[p].wall_ms > opts_.cell_budget_ms) {
-            ++over_budget;
-            util::log_warn("sweep cell " + cell.id() + " over budget: " +
-                           util::fmt(executed[p].wall_ms, 0) + " ms > " +
-                           util::fmt(opts_.cell_budget_ms, 0) + " ms");
-        }
-    };
     std::atomic<std::size_t> next_unit{0};
     util::parallel_for_workers(
         0, nshards, [&](std::size_t, std::size_t lo, std::size_t hi) {
@@ -454,20 +540,16 @@ SweepSummary SweepRunner::run() {
                 try {
                     for (std::size_t u; (u = next_unit++) < units.size();) {
                         const Unit unit = units[u];
-                        if (unit.count == 1) {
-                            record_one(unit.begin,
-                                       run_sweep_cell(ctx_, spec_,
-                                                      cells[pending[unit.begin]]));
-                            continue;
-                        }
                         std::vector<const SweepCell*> group(unit.count);
                         for (std::size_t i = 0; i < unit.count; ++i)
                             group[i] = &cells[pending[unit.begin + i]];
-                        std::vector<CellResult> results_batch =
-                            run_sweep_group(ctx_, spec_, group);
+                        const std::vector<CellResult> results =
+                            spec_.nf_only
+                                ? std::vector<CellResult>{run_sweep_cell(
+                                      ctx_, spec_, *group.front())}
+                                : run_sweep_group(ctx_, spec_, group);
                         for (std::size_t i = 0; i < unit.count; ++i)
-                            record_one(unit.begin + i,
-                                       std::move(results_batch[i]));
+                            record(unit.begin + i, results[i]);
                     }
                 } catch (...) {
                     errors[s] = std::current_exception();
@@ -476,35 +558,7 @@ SweepSummary SweepRunner::run() {
         });
     for (const auto& error : errors)
         if (error) std::rethrow_exception(error);
-    // A bad manifest stream (disk full, I/O error) silently drops resume
-    // state — fail loudly rather than let --resume re-run finished cells.
-    tensor::check(manifest.ok(), "sweep: manifest writes to '" +
-                                     summary.manifest_path +
-                                     "' failed; resume state is incomplete");
-    summary.cells_executed = completed.load();
-    summary.cells_over_budget = over_budget.load();
-    // Abort only after every dispatched cell is recorded: an interrupted
-    // budget run must stay resumable.
-    tensor::check(!(opts_.cell_budget_abort && summary.cells_over_budget > 0),
-                  "sweep: " + std::to_string(summary.cells_over_budget) +
-                      " cell(s) exceeded the " +
-                      util::fmt(opts_.cell_budget_ms, 0) +
-                      " ms budget (--cell-budget-abort)");
-    for (std::size_t p = 0; p < pending.size(); ++p)
-        results[cells[pending[p]].id()] = executed[p];
-
-    aggregate_and_write_csv(cells, spec_, results, summary);
-#if XS_TELEMETRY_ENABLED
-    // Snapshot after aggregation so the aggregate phase timing is included;
-    // a resumed run folds the prior record's totals in first, so the
-    // manifest's newest metrics record covers the whole sweep. The manifest
-    // copy is an uncounted informational record.
-    util::metrics::Snapshot final_snap = util::metrics::snapshot();
-    merge_prior_metrics(prior_metrics, final_snap);
-    summary.metrics_json = util::metrics::to_json(final_snap);
-    manifest.record_metrics(summary.metrics_json);
-#endif
-    return summary;
+    return ledger.finish();
 }
 
 std::string accuracy_vs_size_table(const SweepSummary& summary) {

@@ -2,9 +2,7 @@
 //
 // `shards` executors run concurrently on the process-wide worker pool and
 // are dealt work units dynamically: each takes the next undealt unit from a
-// shared cursor whenever it finishes one. Every completed cell is appended
-// to a JSONL manifest (sweep/manifest.h) so an interrupted sweep resumes
-// with --resume, skipping finished cells. A unit is normally one grid
+// shared cursor whenever it finishes one. A unit is normally one grid
 // point's pending repeats, evaluated in a single lane-batched pass
 // (run_sweep_group); nf-only sweeps run one-cell units (run_sweep_cell).
 // Per-cell RNG seeds derive from the cell's stable group id — never from
@@ -12,13 +10,13 @@
 // cold, so the aggregate CSV is byte-identical at any shard count, however
 // cells are grouped, with or without interruption.
 //
-// For crash isolation, the sweep service's coordinator (sweep/service.h)
-// executes the same grid in forked worker *processes* — local ones under
-// run_supervised (sweep/supervisor.h), remote agents' under run_service; it
-// shares this header's cell execution, fingerprinting, resume loading, and
-// aggregation, so the two execution engines cannot drift apart — a
-// supervised sweep's aggregate CSV is byte-identical to a single-process
-// run of the same spec.
+// Every finished cell goes to the SweepLedger, which appends it to a JSONL
+// manifest (sweep/manifest.h) before counting it — so --resume skips
+// finished cells — and writes the aggregate CSV. For crash isolation the
+// sweep service's coordinator (sweep/service.h) runs the same cells in
+// forked worker *processes* (run_supervised, run_service) and keeps the
+// same ledger, so a supervised sweep's aggregate CSV is byte-identical to a
+// single-process run of the same spec.
 #pragma once
 
 #include "core/experiments.h"
@@ -28,6 +26,8 @@
 
 #include <cstdint>
 #include <map>
+#include <mutex>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -87,7 +87,9 @@ struct SweepSummary {
     std::int64_t cells_total = 0;
     std::int64_t cells_executed = 0;
     std::int64_t cells_resumed = 0;   // taken from the manifest (ok + failed)
-    std::int64_t cells_pending = 0;   // skipped by max_cells
+    // Grid cells with no record at the end: cut by max_cells, or left
+    // undealt by a draining coordinator.
+    std::int64_t cells_pending = 0;
     // Cells over cell_budget_ms, each counted once: by its wall time, or
     // under the coordinator by a lease expiry.
     std::int64_t cells_over_budget = 0;
@@ -103,7 +105,7 @@ struct SweepSummary {
     // Host accounting of the coordinator (sweep/service.h): run_supervised's
     // one in-process host joins once; zero for the in-process runner.
     std::int64_t hosts_joined = 0;    // successful kJoin handshakes, cumulative
-    std::int64_t duplicate_acks = 0;  // acks deduped against recorded results
+    std::int64_t duplicate_acks = 0;  // results deduped against recorded ones
     // Merged telemetry snapshot (util/metrics.h JSON schema): this process
     // plus — under the coordinator — every host's kMetrics frame, which
     // carries its workers' snapshots. Also
@@ -121,9 +123,9 @@ struct SweepSummary {
 // isolate model error.
 std::uint64_t cell_seed(std::uint64_t master_seed, const SweepCell& cell);
 
-// ---- building blocks shared by SweepRunner and the coordinator ----
-// Both execution engines compose exactly these, so their aggregate CSVs
-// cannot diverge.
+// ---- shared by SweepRunner and the coordinator ----
+// Both executors run cells through these and record them through one
+// SweepLedger, so their aggregate CSVs cannot diverge.
 
 // Execute one grid cell in the calling process: resolve the prepared
 // (cached) model, build the cell's EvalConfig, evaluate, attach energy.
@@ -159,39 +161,82 @@ void prepare_models(core::ExperimentContext& ctx,
 std::string sweep_config_fingerprint(const core::ExperimentContext& ctx,
                                      const SweepSpec& spec);
 
-// Resume support: load the manifest, warn (loudly, with a count) about
-// corrupt lines, and refuse a fingerprint mismatch. Returns recorded
-// results (ok and failed); `summary` gets manifest_lines_skipped and — so
-// telemetry totals accumulate across resumes instead of resetting — the
-// prior run's metrics record into metrics_json (see merge_prior_metrics).
-// `had_config` reports whether the manifest already carries a fingerprint.
-std::map<std::string, CellResult> load_resume_state(
-    const std::string& manifest_path, const std::string& config_fp,
-    SweepSummary& summary, bool& had_config);
+// The bookkeeping of one sweep run, shared by every executor: the executor
+// decides which cell runs where, the ledger what happens to its result.
+// Thread-safe: the runner's shards record concurrently.
+class SweepLedger {
+public:
+    // Expand the grid; under opts.resume load the manifest (warn about
+    // corrupt lines, refuse a fingerprint mismatch, keep the prior metrics
+    // record). Open the manifest (a fresh run truncates it) and list the
+    // cells with no record, in expansion order, cut at opts.max_cells.
+    SweepLedger(const core::ExperimentContext& ctx, const SweepSpec& spec,
+                const SweepOptions& opts);
 
-// Fold a resumed manifest's prior {"metrics":…} record (inner JSON; "" is a
-// no-op) into `snap`, so the record appended at the end of this run carries
-// the whole sweep's totals — every execution engine calls this before
-// ManifestWriter::record_metrics.
-void merge_prior_metrics(const std::string& prior_json,
-                         util::metrics::Snapshot& snap);
+    const std::vector<SweepCell>& cells() const { return cells_; }
+    // Indices into cells(); a cell's place here is its *position*.
+    const std::vector<std::size_t>& pending() const { return pending_; }
+    const std::string& config_fingerprint() const { return config_fp_; }
+    // Position of cell `id`, or -1 when this run does not execute it.
+    std::int64_t position(const std::string& id) const;
 
-// Aggregate `results` over the grid into summary.rows (expansion order) and
-// write the aggregate CSV (complete groups only, fixed formatting). Failed
-// cells never aggregate: their groups are incomplete, excluded from the
-// CSV, and accounted in summary.cells_failed / failed_cells.
-void aggregate_and_write_csv(const std::vector<SweepCell>& cells,
-                             const SweepSpec& spec,
-                             const std::map<std::string, CellResult>& results,
-                             SweepSummary& summary);
+    enum class Recorded {
+        kNew,        // appended durably, then counted
+        kDuplicate,  // already recorded: counted in duplicate_acks, dropped
+        kForeign,    // not a pending cell: dropped
+    };
+    // Append an ok result (write, flush, fsync) and only then count it:
+    // sweep.cells.done, cells_executed, the "sweep cell n/m" log line, and
+    // an overrun of opts.cell_budget_ms, at most one per cell. The first
+    // append wins. `via` names the executor in the log lines.
+    Recorded record(const std::string& id, const CellResult& r,
+                    const std::string& via = "");
+    // Record the cell at position `p`, which has no record yet, as
+    // quarantined after `attempts` attempts: resume skips it and
+    // aggregation leaves it out.
+    void quarantine(std::size_t p, std::int64_t attempts,
+                    const std::string& reason);
+    // The lease on position `p` expired: a budget overrun, at most one per
+    // cell.
+    void lease_overrun(std::size_t p);
+
+    // The progress line: cells settled this run out of pending(), failed
+    // records, the executor's `retries`, duplicates, rate and ETA over
+    // `elapsed_s`, then `hosts` (the coordinator's per-host breakdown).
+    void progress(double elapsed_s, std::int64_t retries = 0,
+                  const std::string& hosts = "") const;
+
+    // Once, after the last record: check the manifest stream, throw under
+    // opts.cell_budget_abort if a cell overran, write the aggregate CSV, and
+    // append the metrics record — this process's snapshot, `host_metrics`
+    // and the resumed prior record merged.
+    SweepSummary finish(const util::metrics::Snapshot& host_metrics = {});
+
+private:
+    const std::vector<SweepCell> cells_;
+    const std::int64_t repeats_;
+    const SweepOptions opts_;
+    const std::string config_fp_;
+    // Set by the constructor, then fixed.
+    std::vector<std::size_t> pending_;
+    std::map<std::string, std::size_t> position_;  // id → position
+
+    mutable std::mutex mu_;  // guards the members below
+    // The manifest: the --resume load (metrics_json stays the prior run's
+    // record), then every record this run appends.
+    ManifestLoad recorded_;
+    ManifestWriter manifest_;
+    SweepSummary summary_;  // counts so far; finish() completes it
+    std::set<std::size_t> overran_;  // positions with a counted overrun
+    std::int64_t settled_ = 0;       // recorded or quarantined this run
+};
 
 class SweepRunner {
 public:
     SweepRunner(core::ExperimentContext& ctx, SweepSpec spec, SweepOptions opts);
 
-    // Prepare shared models (each once), execute pending cells sharded,
-    // append the manifest, and write the aggregate CSV (complete groups
-    // only, expansion order).
+    // Prepare shared models (each once), execute the ledger's pending
+    // cells sharded, recording each as it finishes, and finish the ledger.
     SweepSummary run();
 
 private:

@@ -17,13 +17,10 @@
 #include <cmath>
 #include <csignal>
 #include <cstdint>
-#include <cstdlib>
 #include <deque>
 #include <future>
-#include <map>
 #include <memory>
 #include <numeric>
-#include <set>
 #include <string>
 #include <utility>
 
@@ -402,68 +399,23 @@ std::int64_t run_local_agent(const std::vector<SweepCell>& cells,
 // is no listener: the only host is an in-process agent on a thread, linked
 // by a socketpair, driving local->workers forked workers (run_supervised) —
 // and once that host is gone the sweep aborts, since no other can join.
+// The coordinator keeps leases, hosts and the wire; what happens to a
+// result is the SweepLedger's.
 SweepSummary coordinate(core::ExperimentContext& ctx, const SweepSpec& spec,
                         const SweepOptions& opts, const ServiceOptions& svc,
                         const AgentOptions* local) {
     OwnedFd listener{svc.listen_fd};
-    const std::vector<SweepCell> cells = spec.expand();
-    SweepSummary summary;
-    summary.cells_total = static_cast<std::int64_t>(cells.size());
-    summary.manifest_path = ctx.csv_path(opts.manifest_name);
-    summary.csv_path = ctx.csv_path(opts.csv_name);
+    SweepLedger ledger(ctx, spec, opts);
+    const std::vector<SweepCell>& cells = ledger.cells();
+    const std::string join_fp =
+        join_fingerprint(ledger.config_fingerprint(), cells);
 
-    const std::string config_fp = sweep_config_fingerprint(ctx, spec);
-    const std::string join_fp = join_fingerprint(config_fp, cells);
-    std::map<std::string, CellResult> results;
-    bool had_config = false;
-    if (opts.resume)
-        results = load_resume_state(summary.manifest_path, config_fp, summary,
-                                    had_config);
-    const std::string prior_metrics = summary.metrics_json;
-    ManifestWriter manifest(summary.manifest_path, opts.resume);
-    tensor::check(manifest.ok(), "service: cannot open manifest '" +
-                                     summary.manifest_path + "' for writing");
-    if (!had_config) manifest.record_config(config_fp);
-
-    // Undone cells in expansion order (resume skips recorded ones, failed
-    // included), truncated by max_cells like the in-process runner.
-    std::vector<std::size_t> undone;
-    for (std::size_t i = 0; i < cells.size(); ++i)
-        if (results.find(cells[i].id()) == results.end()) undone.push_back(i);
-    summary.cells_resumed =
-        summary.cells_total - static_cast<std::int64_t>(undone.size());
-    if (opts.max_cells >= 0 &&
-        undone.size() > static_cast<std::size_t>(opts.max_cells))
-        undone.resize(static_cast<std::size_t>(opts.max_cells));
-    summary.cells_pending = summary.cells_total - summary.cells_resumed -
-                            static_cast<std::int64_t>(undone.size());
-
+    // A cell's scheduler position is its ledger position.
     LeaseScheduler sched(svc.max_cell_retries, svc.retry_backoff_ms);
-    std::map<std::string, std::size_t> id_to_sched;
-    std::map<std::size_t, std::size_t> cell_to_sched;
-    for (const std::size_t i : undone) {
-        id_to_sched[cells[i].id()] = sched.size();
-        cell_to_sched[i] = sched.size();
-        sched.add(i);
-    }
+    for (const std::size_t i : ledger.pending()) sched.add(i);
 
     util::metrics::Snapshot host_metrics;  // kMetrics frames, all hosts
-    // Aggregate what the manifest holds and append the merged telemetry.
-    const auto finish = [&]() {
-        tensor::check(manifest.ok(),
-                      "service: manifest writes to '" + summary.manifest_path +
-                          "' failed; resume state is incomplete");
-        aggregate_and_write_csv(cells, spec, results, summary);
-#if XS_TELEMETRY_ENABLED
-        util::metrics::Snapshot final_snap = util::metrics::snapshot();
-        util::metrics::merge(final_snap, host_metrics);
-        merge_prior_metrics(prior_metrics, final_snap);
-        summary.metrics_json = util::metrics::to_json(final_snap);
-        manifest.record_metrics(summary.metrics_json);
-#endif
-        return summary;
-    };
-    if (sched.size() == 0) return finish();
+    if (sched.size() == 0) return ledger.finish(host_metrics);
 
     // A host dying mid-send surfaces as EPIPE on our write, not a signal.
     ::signal(SIGPIPE, SIG_IGN);
@@ -496,7 +448,7 @@ SweepSummary coordinate(core::ExperimentContext& ctx, const SweepSpec& spec,
         // Train (or load) every model the pending cells need before the
         // agent forks its workers, which then load them from the model
         // cache — and before the link's heartbeat clock starts.
-        prepare_models(ctx, cells, undone);
+        prepare_models(ctx, cells, ledger.pending());
         int sv[2];
         tensor::check(::socketpair(AF_UNIX,
                                    SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC,
@@ -513,11 +465,9 @@ SweepSummary coordinate(core::ExperimentContext& ctx, const SweepSpec& spec,
         agent_end.fd = -1;
     }
 
-    std::int64_t quarantined = 0;
+    // Lease and host accounting; the ledger counts the cells.
+    std::int64_t hosts_joined = 0, watchdog_kills = 0;
     const double lease_ms = opts.cell_budget_ms;
-    // Cells whose budget overrun is counted: once per cell, whether its
-    // lease expired or a slow ack landed first.
-    std::set<std::size_t> overran;
 
     // Whether host h holds cell p's in-flight attempt `attempt`.
     const auto holds = [&](const Host& h, std::size_t p, std::int64_t attempt) {
@@ -530,24 +480,13 @@ SweepSummary coordinate(core::ExperimentContext& ctx, const SweepSpec& spec,
         const std::int64_t attempts = sched.attempts_of(p);
         const double t = now_ms();
         if (sched.fail(p, t) == LeaseScheduler::FailOutcome::kRetry) {
-            ++summary.cell_retries;
             XS_COUNT("sweep.cells.retried", 1);
             util::log_warn("service: cell " + cell.id() + " attempt " +
                            std::to_string(attempts) + " failed (" + reason +
                            "); re-dealing in " +
                            util::fmt(sched.at(p).eligible_at - t, 0) + " ms");
         } else {
-            CellResult fr;
-            fr.status = "failed";
-            fr.reason = reason;
-            fr.attempts = attempts;
-            fr.backend = xbar::backend_name(cell.backend);
-            manifest.record(cell.id(), fr);
-            results[cell.id()] = fr;
-            ++quarantined;
-            util::log_warn("service: quarantined cell " + cell.id() +
-                           " after " + std::to_string(attempts) +
-                           " attempt(s): " + reason);
+            ledger.quarantine(p, attempts, reason);
         }
     };
 
@@ -572,6 +511,35 @@ SweepSummary coordinate(core::ExperimentContext& ctx, const SweepSpec& spec,
         }
         h.leased.clear();
         h.sock.close();
+    };
+
+    // The one kAck handler, in the main loop and in the shutdown grace
+    // alike: free the slot of the attempt the ack names, and let the ledger
+    // record the cell or count the copy as a duplicate.
+    const auto on_ack = [&](Host& h, const std::string& payload) {
+        std::string id;
+        CellResult r;
+        if (!decode_manifest_line(payload, id, r)) {
+            host_dead(h, "sent an undecodable ack");
+            return;
+        }
+        const std::int64_t p = ledger.position(id);
+        if (p >= 0) h.release(static_cast<std::size_t>(p), r.attempts - 1);
+        switch (ledger.record(id, r,
+                              h.name() + ", attempt " +
+                                  std::to_string(r.attempts))) {
+            case SweepLedger::Recorded::kNew:
+                sched.ack(static_cast<std::size_t>(p));
+                ++h.cells_done;
+                break;
+            case SweepLedger::Recorded::kDuplicate:
+                break;
+            case SweepLedger::Recorded::kForeign:
+                // Belt-and-braces behind the join fingerprint: an id that
+                // is neither recorded nor pending is not a cell of this
+                // sweep.
+                host_dead(h, "acked a cell outside this sweep (" + id + ")");
+        }
     };
 
     const auto purge_dead = [&]() {
@@ -694,7 +662,7 @@ SweepSummary coordinate(core::ExperimentContext& ctx, const SweepSpec& spec,
                         }
                         h.joined = true;
                         h.capacity = capacity;
-                        ++summary.hosts_joined;
+                        ++hosts_joined;
                         if (!net::send_frame(
                                 h.sock.fd, wire::MsgType::kJoin,
                                 net::encode_join_ok(svc.heartbeat_ms,
@@ -708,61 +676,9 @@ SweepSummary coordinate(core::ExperimentContext& ctx, const SweepSpec& spec,
                     }
                     case wire::MsgType::kHeartbeat:
                         break;  // last_heard already refreshed
-                    case wire::MsgType::kAck: {
-                        std::string id;
-                        CellResult r;
-                        if (!decode_manifest_line(msg.payload, id, r)) {
-                            host_dead(h, "sent an undecodable ack");
-                            break;
-                        }
-                        const auto sp = id_to_sched.find(id);
-                        if (sp != id_to_sched.end())
-                            h.release(sp->second, r.attempts - 1);
-                        if (results.find(id) != results.end()) {
-                            // The cell was already durably recorded — a
-                            // slow host finishing after its lease was
-                            // re-dealt, or an agent replaying its outbox
-                            // after a reconnect. First append won; drop it.
-                            ++summary.duplicate_acks;
-                            XS_COUNT("sweep.service.duplicate_acks", 1);
-                            util::log_info("service: duplicate ack for " +
-                                           id + " from " + h.name() +
-                                           " deduped");
-                            break;
-                        }
-                        if (sp == id_to_sched.end()) {
-                            // Belt-and-braces behind the join fingerprint:
-                            // an id that is neither recorded nor scheduled
-                            // is not a cell of this sweep, and recording it
-                            // would poison the manifest for resume.
-                            host_dead(h, "acked a cell outside this sweep "
-                                         "(" + id + ")");
-                            break;
-                        }
-                        manifest.record(id, r);  // durable before counted
-                        results[id] = r;
-                        XS_COUNT("sweep.cells.done", 1);
-                        sched.ack(sp->second);
-                        ++summary.cells_executed;
-                        ++h.cells_done;
-                        if (opts.cell_budget_ms > 0.0 &&
-                            r.wall_ms > opts.cell_budget_ms &&
-                            overran.insert(sp->second).second) {
-                            ++summary.cells_over_budget;
-                            util::log_warn(
-                                "sweep cell " + id + " over budget: " +
-                                util::fmt(r.wall_ms, 0) + " ms > " +
-                                util::fmt(opts.cell_budget_ms, 0) + " ms");
-                        }
-                        util::log_info(
-                            "sweep cell " +
-                            std::to_string(sched.done_count()) + "/" +
-                            std::to_string(sched.size()) + " " + id +
-                            ": acc " + util::fmt(r.accuracy) + "% (" +
-                            util::fmt(r.wall_ms, 0) + " ms, " + h.name() +
-                            ", attempt " + std::to_string(r.attempts) + ")");
+                    case wire::MsgType::kAck:
+                        on_ack(h, msg.payload);
                         break;
-                    }
                     case wire::MsgType::kFail: {
                         std::int64_t ci = -1, attempt = -1;
                         std::string reason;
@@ -771,23 +687,27 @@ SweepSummary coordinate(core::ExperimentContext& ctx, const SweepSpec& spec,
                             host_dead(h, "sent an undecodable fail");
                             break;
                         }
-                        const auto cp =
-                            cell_to_sched.find(static_cast<std::size_t>(ci));
-                        if (cp == cell_to_sched.end()) break;
-                        const std::size_t p = cp->second;
-                        h.release(p, attempt);
+                        if (ci >= static_cast<std::int64_t>(cells.size()))
+                            break;
+                        const std::int64_t p = ledger.position(
+                            cells[static_cast<std::size_t>(ci)].id());
+                        if (p < 0) break;
+                        h.release(static_cast<std::size_t>(p), attempt);
                         // A fail counts only against the attempt it names,
                         // held by this host. A fail from an attempt whose
                         // lease already expired is stale — even when the
                         // re-deal went to this same host — and just frees
                         // the worker slot.
-                        if (holds(h, p, attempt)) attempt_failed(p, reason);
+                        if (holds(h, static_cast<std::size_t>(p), attempt))
+                            attempt_failed(static_cast<std::size_t>(p),
+                                           reason);
                         break;
                     }
                     case wire::MsgType::kCapacity:
                         // A worker slot retired: deal no more than the
                         // host's live workers.
-                        h.capacity = std::atoll(msg.payload.c_str());
+                        if (!net::decode_capacity(msg.payload, h.capacity))
+                            host_dead(h, "sent a malformed capacity");
                         break;
                     default:  // kMetrics only answers kShutdown, sent below
                         host_dead(h, "sent unexpected message type " +
@@ -803,11 +723,11 @@ SweepSummary coordinate(core::ExperimentContext& ctx, const SweepSpec& spec,
         // Lease expiry is the watchdog: take the cell back and re-deal it,
         // counted as a budget overrun like a slow in-process cell. The slow
         // host's connection stays open — its late ack, if it ever lands, is
-        // deduped above; an agent re-dealt its own expired cell stops the
-        // old attempt's worker itself.
+        // deduped by the ledger; an agent re-dealt its own expired cell
+        // stops the old attempt's worker itself.
         for (const std::size_t p : sched.expired(now_ms())) {
-            ++summary.watchdog_kills;
-            if (overran.insert(p).second) ++summary.cells_over_budget;
+            ++watchdog_kills;
+            ledger.lease_overrun(p);
             attempt_failed(p, "lease expired on host" +
                                   std::to_string(sched.at(p).owner) +
                                   " after " + util::fmt(lease_ms, 0) + " ms");
@@ -837,9 +757,6 @@ SweepSummary coordinate(core::ExperimentContext& ctx, const SweepSpec& spec,
         if (opts.progress_sec > 0.0 && run_clock.seconds() >= next_beat) {
             const double elapsed = run_clock.seconds();
             next_beat = elapsed + opts.progress_sec;
-            const double done = static_cast<double>(sched.done_count());
-            const double rate = elapsed > 0.0 ? done / elapsed : 0.0;
-            const double left = static_cast<double>(sched.size()) - done;
             std::string host_line;
             for (const auto& hp : hosts) {
                 if (!hp->joined) continue;
@@ -847,22 +764,18 @@ SweepSummary coordinate(core::ExperimentContext& ctx, const SweepSpec& spec,
                              std::to_string(hp->leased.size()) + " busy/" +
                              std::to_string(hp->cells_done) + " done";
             }
-            util::log_info(
-                "progress: " + std::to_string(sched.done_count()) + "/" +
-                std::to_string(sched.size()) + " cells (" +
-                std::to_string(quarantined) + " failed, " +
-                std::to_string(summary.cell_retries) + " retries, " +
-                std::to_string(summary.duplicate_acks) + " dup acks), " +
-                util::fmt(rate, 2) + " cells/s, eta " +
-                (rate > 0.0 ? util::fmt(left / rate, 0) + " s" : "?") +
-                "; hosts: " + std::to_string(hosts.size()) + " connected" +
-                (host_line.empty() ? "" : " —" + host_line));
+            ledger.progress(elapsed, sched.retries(),
+                            "; hosts: " + std::to_string(hosts.size()) +
+                                " connected" +
+                                (host_line.empty() ? "" : " —" + host_line));
         }
     }
 
     // Orderly shutdown: every connected host gets kShutdown, drains its
     // local pool (its own 5 s grace), and answers with one kMetrics frame.
     // Our grace covers theirs; a host that dies instead contributes nothing.
+    // A delayed ack can land meanwhile (the sweep finished off a re-deal
+    // while the slow host was still computing).
     for (auto& hp : hosts)
         if (hp->sock.fd >= 0 &&
             !net::send_frame(hp->sock.fd, wire::MsgType::kShutdown, ""))
@@ -876,38 +789,10 @@ SweepSummary coordinate(core::ExperimentContext& ctx, const SweepSpec& spec,
             Host& h = *fd_host[fi - 1];
             h.reader.fill();
             wire::Message msg;
-            while (h.reader.pop(msg)) {
+            while (h.sock.fd >= 0 && h.reader.pop(msg)) {
                 if (msg.type == wire::MsgType::kAck) {
-                    // A delayed ack can land during the shutdown grace (the
-                    // sweep finished off a re-deal while the slow host was
-                    // still computing). Same rule as the main loop: first
-                    // durable append won, later copies are counted and
-                    // dropped — never ignored, or the dedup accounting
-                    // would depend on timing.
-                    std::string id;
-                    CellResult r;
-                    if (decode_manifest_line(msg.payload, id, r)) {
-                        if (results.find(id) != results.end()) {
-                            ++summary.duplicate_acks;
-                            XS_COUNT("sweep.service.duplicate_acks", 1);
-                            util::log_info("service: duplicate ack for " +
-                                           id + " from " + h.name() +
-                                           " during shutdown deduped");
-                        } else if (id_to_sched.find(id) ==
-                                   id_to_sched.end()) {
-                            util::log_warn("service: dropping an ack for a "
-                                           "cell outside this sweep (" + id +
-                                           ") from " + h.name());
-                        } else {
-                            manifest.record(id, r);
-                            results[id] = r;
-                            ++summary.cells_executed;
-                            sched.ack(id_to_sched.at(id));
-                        }
-                    }
-                    continue;
-                }
-                if (msg.type == wire::MsgType::kMetrics) {
+                    on_ack(h, msg.payload);
+                } else if (msg.type == wire::MsgType::kMetrics) {
                     util::metrics::Snapshot snap;
                     if (util::metrics::from_json(msg.payload, snap))
                         util::metrics::merge(host_metrics, snap);
@@ -915,7 +800,6 @@ SweepSummary coordinate(core::ExperimentContext& ctx, const SweepSpec& spec,
                         util::log_warn("service: discarding an unparsable "
                                        "metrics frame from " + h.name());
                     h.sock.close();  // the metrics frame is the goodbye
-                    break;
                 }
             }
             if (h.reader.finished()) h.sock.close();
@@ -923,12 +807,15 @@ SweepSummary coordinate(core::ExperimentContext& ctx, const SweepSpec& spec,
         purge_dead();
     }
     hosts.clear();
-    if (local_agent.valid()) summary.worker_restarts = local_agent.get();
+    const std::int64_t worker_restarts =
+        local_agent.valid() ? local_agent.get() : 0;
 
-    // Drained early: undone cells stay pending (and resumable).
-    summary.cells_pending += static_cast<std::int64_t>(sched.size()) -
-                             static_cast<std::int64_t>(sched.done_count());
-    return finish();
+    SweepSummary summary = ledger.finish(host_metrics);
+    summary.hosts_joined = hosts_joined;
+    summary.watchdog_kills = watchdog_kills;
+    summary.cell_retries = sched.retries();
+    summary.worker_restarts = worker_restarts;
+    return summary;
 }
 
 }  // namespace

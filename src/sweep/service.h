@@ -1,9 +1,10 @@
 // Fault-tolerant sweep service: the one coordinator (DESIGN.md §9/§11).
 //
-// The coordinator owns the grid, the manifest, and the aggregate CSV, and
-// deals cells to agent hosts, each driving a forked worker pool
-// (sweep/pool.h). It has two front ends over the same loop and the same
-// agent. run_service (examples/sweep_serve.cpp) listens, and any number of
+// The coordinator deals cells to agent hosts, each driving a forked worker
+// pool (sweep/pool.h). It keeps leases, hosts and the wire; the grid, the
+// manifest, the counts and the aggregate CSV are its SweepLedger's
+// (sweep/runner.h), the one the in-process runner keeps too. It has two
+// front ends over the same loop and the same agent. run_service (examples/sweep_serve.cpp) listens, and any number of
 // agent hosts (sweep_runner --agent=host:port) connect over TCP
 // (sweep/net.h). run_supervised (sweep/supervisor.h, sweep_runner
 // --workers=N) has no listener: its one host is an in-process agent on a
@@ -14,11 +15,12 @@
 // unacknowledged past it is re-dealt with exponential backoff — while the
 // slow host's connection stays open, so its eventual late acknowledgement
 // arrives and is deduped against the recorded results. The fsync'd manifest
-// append is the only ack that counts: a duplicate ack (slow-but-alive host,
-// or an agent replaying its outbox after a reconnect) is counted and
-// dropped, never recorded twice, so the aggregate CSV stays byte-identical
-// to a single-process run at any host count, across kills, partitions, and
-// reconnects.
+// append is the only ack that counts: one ack handler, in the main loop and
+// in the shutdown grace alike, hands every result to the ledger, which
+// counts a duplicate (slow-but-alive host, or an agent replaying its outbox
+// after a reconnect) and drops it, never recording it twice, so the
+// aggregate CSV stays byte-identical to a single-process run at any host
+// count, across kills, partitions, and reconnects.
 //
 // Liveness is heartbeat-based: the join handshake tells the agent the
 // service's heartbeat cadence and lease duration, both sides beacon every

@@ -9,8 +9,10 @@
 // forked worker pool. Everything else is the service's: cells are leased
 // and re-dealt with exponential backoff when a worker dies, fails, or
 // outlives its lease; poison cells are quarantined after the retry budget
-// instead of aborting; each acknowledged cell is recorded durably in the
-// manifest (the fsync'd append *is* the ack).
+// instead of aborting. Each acknowledged cell goes to the SweepLedger the
+// in-process SweepRunner keeps too (sweep/runner.h), which records it
+// durably in the manifest (the fsync'd append *is* the ack) before counting
+// it.
 //
 // Determinism: workers execute the exact run_sweep_cell() the in-process
 // SweepRunner uses, with per-cell seeds derived from the cell identity, so
@@ -55,8 +57,8 @@ struct SupervisorOptions {
 };
 
 // Execute the sweep under process supervision: the service's coordinator
-// with one in-process agent host and no listener. Shares resume loading,
-// fingerprinting, cell execution, and aggregation with SweepRunner::run();
+// with one in-process agent host and no listener. Shares cell execution and
+// the SweepLedger (resume, recording, aggregation) with SweepRunner::run();
 // opts.cell_budget_ms becomes the lease (its expiry is the watchdog: the
 // cell is re-dealt and the worker still on it SIGKILLed).
 // SweepSummary::worker_restarts is the agent's worker respawns. Throws only

@@ -47,7 +47,7 @@ public:
     QuantizeStage(const DeviceConfig& device, std::int64_t levels)
         : device_(device), levels_(levels) {}
     const char* name() const override { return "quantize"; }
-    void apply(TileStageContext& ctx) const override {
+    void apply(TileStageContext& ctx, DegradeWorkspace&) const override {
         quantize_conductance(*ctx.pos, device_, levels_);
         quantize_conductance(*ctx.neg, device_, levels_);
     }
@@ -61,7 +61,7 @@ class VariationStage final : public TileStage {
 public:
     explicit VariationStage(const DeviceConfig& device) : device_(device) {}
     const char* name() const override { return "variation"; }
-    void apply(TileStageContext& ctx) const override {
+    void apply(TileStageContext& ctx, DegradeWorkspace&) const override {
         apply_variation(*ctx.pos, device_, *ctx.rng);
         apply_variation(*ctx.neg, device_, *ctx.rng);
     }
@@ -75,7 +75,7 @@ public:
     FaultStage(const DeviceConfig& device, const FaultConfig& faults)
         : device_(device), faults_(faults) {}
     const char* name() const override { return "faults"; }
-    void apply(TileStageContext& ctx) const override {
+    void apply(TileStageContext& ctx, DegradeWorkspace&) const override {
         apply_stuck_faults(*ctx.pos, device_, faults_, *ctx.rng);
         apply_stuck_faults(*ctx.neg, device_, faults_, *ctx.rng);
     }
@@ -87,23 +87,15 @@ private:
 
 // Degrade both arrays through the backend and retarget the active pair at
 // the G′ buffers, keeping the pre-parasitic pair reachable for compensation.
+// The pos then the neg tile, one solve each, in the lane group's shared
+// workspace. Every solve starts cold, so a lane's result does not depend on
+// the lane count or on what the workspace solved before.
 class ParasiticStage final : public TileStage {
 public:
     explicit ParasiticStage(const CrossbarBackend& backend)
         : backend_(backend) {}
     const char* name() const override { return "parasitics"; }
-    void apply(TileStageContext& ctx) const override { degrade(ctx, ctx.ws); }
-
-    // Each lane's pos then neg tile, one solve per tile, in the lane
-    // group's shared workspace. Every solve starts cold, so lane results do
-    // not depend on the lane count or on what the workspace solved before.
-    void apply_batch(TileStageContext* const* lanes, int count,
-                     DegradeWorkspace& ws) const override {
-        for (int r = 0; r < count; ++r) degrade(*lanes[r], ws);
-    }
-
-private:
-    void degrade(TileStageContext& ctx, DegradeWorkspace& ws) const {
+    void apply(TileStageContext& ctx, DegradeWorkspace& ws) const override {
         backend_.degrade(*ctx.pos, ws, ctx.pos_result);
         backend_.degrade(*ctx.neg, ws, ctx.neg_result);
         ctx.converged = ctx.pos_result.converged && ctx.neg_result.converged;
@@ -114,13 +106,14 @@ private:
         ctx.neg = &ctx.neg_result.g_eff;
     }
 
+private:
     const CrossbarBackend& backend_;
 };
 
 class CompensateStage final : public TileStage {
 public:
     const char* name() const override { return "compensate"; }
-    void apply(TileStageContext& ctx) const override {
+    void apply(TileStageContext& ctx, DegradeWorkspace&) const override {
         tensor::check(ctx.pre_pos != nullptr,
                       "compensate stage requires a preceding parasitic stage");
         compensate_columns(*ctx.pos, *ctx.pre_pos, ctx);
@@ -149,10 +142,11 @@ void TilePipeline::run_batch(TileStageContext* const* lanes, int count,
     for (std::size_t i = 0; i < stages_.size(); ++i) {
         util::trace::Span span(stages_[i]->name());
         util::metrics::ScopedTimerNs stage_timer(stage_timers_[i]);
-        stages_[i]->apply_batch(lanes, count, ws);
+        for (int r = 0; r < count; ++r) stages_[i]->apply(*lanes[r], ws);
     }
 #else
-    for (const auto& stage : stages_) stage->apply_batch(lanes, count, ws);
+    for (const auto& stage : stages_)
+        for (int r = 0; r < count; ++r) stage->apply(*lanes[r], ws);
 #endif
 }
 

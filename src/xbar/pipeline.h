@@ -50,7 +50,6 @@ struct TileStageContext {
     bool converged = true;  // circuit solves reached tolerance
 
     // Worker-lifetime scratch (grown once, then reused).
-    DegradeWorkspace ws;
     TileDegradeResult pos_result, neg_result;
     std::vector<double> col_before, col_after;  // compensation column sums
 
@@ -67,23 +66,13 @@ struct TileStageContext {
 
 // One non-ideality transformation of the active differential pair. Stages
 // are immutable after construction and shared by all workers; anything
-// mutable lives in the per-worker context.
+// mutable lives in the per-worker context, or in `ws`, the solver scratch
+// the worker's lanes share (only the parasitic stage solves).
 class TileStage {
 public:
     virtual ~TileStage() = default;
     virtual const char* name() const = 0;
-    virtual void apply(TileStageContext& ctx) const = 0;
-
-    // Apply the stage to `count` per-repeat contexts of the same tile at
-    // once. The default per-lane loop is correct for every stage (each lane
-    // has its own RNG stream and buffers); the parasitic stage overrides it
-    // to run every lane's tiles through `ws`, the caller-owned solver
-    // scratch of the worker's lane group, instead of each lane's own.
-    virtual void apply_batch(TileStageContext* const* lanes, int count,
-                             DegradeWorkspace& ws) const {
-        (void)ws;
-        for (int r = 0; r < count; ++r) apply(*lanes[r]);
-    }
+    virtual void apply(TileStageContext& ctx, DegradeWorkspace& ws) const = 0;
 };
 
 // An ordered stage list plus the backend the parasitic stage solves with.
@@ -97,11 +86,12 @@ public:
     void add(std::unique_ptr<TileStage> stage);
 
     // Apply every stage in order to `count` per-repeat contexts of one tile
-    // (count = 1 for a single evaluation), letting stages batch across the
-    // repeat lanes. Each stage is timed into an "xbar.stage.<name>.ns"
-    // histogram (registered once in add()) and wrapped in a trace span; the
-    // whole tile lands in "xbar.tile.ns" (one record per lane group). Solves
-    // start cold, so lane r's outputs do not depend on `count`.
+    // (count = 1 for a single evaluation), stage by stage across the lanes;
+    // the parasitic stage solves every lane's tiles in `ws`. Each stage is
+    // timed into an "xbar.stage.<name>.ns" histogram (registered once in
+    // add()) and wrapped in a trace span; the whole tile lands in
+    // "xbar.tile.ns" (one record per lane group). Solves start cold, so
+    // lane r's outputs do not depend on `count`.
     void run_batch(TileStageContext* const* lanes, int count,
                    DegradeWorkspace& ws) const;
 

@@ -1,6 +1,6 @@
 // Transport-layer coverage for the multi-host sweep service (sweep/net.h):
-// loopback listener/connector round trips, the kJoin/kFail payload codecs,
-// the "net-send" fault-injection sites (drop, partial write, delay,
+// loopback listener/connector round trips, the kJoin/kCapacity/kFail payload
+// codecs, the "net-send" fault-injection sites (drop, partial write, delay,
 // disconnect) observed from the *receiving* side — a torn frame must
 // surface as EOF, never as a chimera message — and the wire::write_message
 // EAGAIN path on a nonblocking socket with a tiny send buffer (a short
@@ -9,7 +9,6 @@
 // (last record wins) that the service's resume carry-forward rides on.
 #include "sweep/manifest.h"
 #include "sweep/net.h"
-#include "sweep/runner.h"
 #include "sweep/wire.h"
 #include "util/faultinject.h"
 #include "util/metrics.h"
@@ -109,6 +108,16 @@ TEST(SweepNet, JoinCodecsRoundTrip) {
     EXPECT_EQ(capacity, 8);
     EXPECT_FALSE(net::decode_join("", fp, capacity));
     EXPECT_FALSE(net::decode_join("fingerprint-only", fp, capacity));
+
+    // kCapacity: the agent's live worker count, a non-negative decimal.
+    EXPECT_TRUE(net::decode_capacity("0", capacity));
+    EXPECT_EQ(capacity, 0);
+    EXPECT_TRUE(net::decode_capacity("3", capacity));
+    EXPECT_EQ(capacity, 3);
+    for (const char* bad : {"", "two", "-1", "3x", "3 1"}) {
+        EXPECT_FALSE(net::decode_capacity(bad, capacity)) << bad;
+        EXPECT_EQ(capacity, 3) << bad;  // left untouched
+    }
 
     double hb = 0.0, lease = 0.0;
     EXPECT_TRUE(
@@ -330,26 +339,6 @@ TEST(SweepNet, ManifestMetricsRecordLastWins) {
     EXPECT_EQ(load.results.size(), 2u);
     EXPECT_EQ(load.config, "fp");
     EXPECT_EQ(load.metrics_json, util::metrics::to_json(second));
-}
-
-TEST(SweepNet, MergePriorMetricsFoldsAndSurvivesGarbage) {
-    util::metrics::Snapshot prior;
-    prior.counters["sweep.cells.done"] = 2;
-    prior.counters["only.in.prior"] = 7;
-
-    util::metrics::Snapshot now;
-    now.counters["sweep.cells.done"] = 2;
-    merge_prior_metrics(util::metrics::to_json(prior), now);
-    EXPECT_EQ(now.counters.at("sweep.cells.done"), 4u);
-    EXPECT_EQ(now.counters.at("only.in.prior"), 7u);
-
-    // An unparsable prior record warns and leaves the snapshot untouched —
-    // telemetry never fails a sweep.
-    util::metrics::Snapshot untouched = now;
-    merge_prior_metrics("{not json", now);
-    EXPECT_EQ(now, untouched);
-    merge_prior_metrics("", now);  // no prior record at all is the norm
-    EXPECT_EQ(now, untouched);
 }
 
 }  // namespace

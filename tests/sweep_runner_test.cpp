@@ -2,8 +2,12 @@
 // resume after a mid-sweep interruption reproduces the uninterrupted
 // aggregate CSV byte for byte, the CSV is invariant to the shard count, and
 // the thread-safe ExperimentContext prepares each shared model exactly once.
+// The SweepLedger's recording policy is also driven directly, in process,
+// with made-up results: what the coordinator's forked hosts would otherwise
+// have to be made to hit on cue.
 #include "core/experiments.h"
 #include "sweep/runner.h"
+#include "util/metrics.h"
 #include "util/parallel.h"
 
 #include <gtest/gtest.h>
@@ -373,6 +377,164 @@ TEST(SweepRunner, ConcurrentPreparedReturnsOneModelInstance) {
     });
     for (const auto* model : seen) EXPECT_EQ(model, seen[0]);
 }
+
+// ---- SweepLedger, driven directly ----
+
+SweepOptions ledger_opts(const std::string& name) {
+    SweepOptions opts;
+    opts.csv_name = name + ".csv";
+    opts.manifest_name = name + ".jsonl";
+    return opts;
+}
+
+// A made-up ok result: the ledger records whatever it is given.
+CellResult made_up(double accuracy, double wall_ms = 10.0) {
+    CellResult r;
+    r.accuracy = accuracy;
+    r.nf_mean = 0.01;
+    r.tiles = 4;
+    r.wall_ms = wall_ms;
+    return r;
+}
+
+int manifest_lines_of(const std::string& path, const std::string& id) {
+    std::istringstream in(slurp(path));
+    int n = 0;
+    for (std::string line; std::getline(in, line);)
+        if (line.find("\"cell\":\"" + id + "\"") != std::string::npos) ++n;
+    return n;
+}
+
+TEST(SweepLedger, RecordingACellTwiceKeepsTheFirstAndCountsOneDuplicate) {
+    SweepLedger ledger(ctx(), tiny_spec(), ledger_opts("ledger_dup"));
+    const std::string id = ledger.cells()[ledger.pending()[0]].id();
+    EXPECT_EQ(ledger.record(id, made_up(50.0)), SweepLedger::Recorded::kNew);
+    EXPECT_EQ(ledger.record(id, made_up(20.0)),
+              SweepLedger::Recorded::kDuplicate);
+    EXPECT_EQ(ledger.record("vgg11-c10/no-such-cell/r0", made_up(20.0)),
+              SweepLedger::Recorded::kForeign);
+    const SweepSummary summary = ledger.finish();
+    EXPECT_EQ(summary.cells_executed, 1);
+    EXPECT_EQ(summary.duplicate_acks, 1);
+    EXPECT_EQ(summary.cells_pending, 3);
+    EXPECT_EQ(manifest_lines_of(summary.manifest_path, id), 1);
+    const auto manifest = load_manifest(summary.manifest_path);
+    EXPECT_EQ(manifest.size(), 1u);
+    EXPECT_EQ(manifest.at(id).accuracy, 50.0);  // the first append won
+}
+
+TEST(SweepLedger, LeaseOverrunThenSlowResultCountsOneOverrun) {
+    SweepOptions opts = ledger_opts("ledger_overrun");
+    opts.cell_budget_ms = 100.0;
+    SweepLedger ledger(ctx(), tiny_spec(), opts);
+    const std::vector<std::size_t>& pending = ledger.pending();
+    ledger.lease_overrun(0);
+    ledger.lease_overrun(0);  // expired again after its re-deal
+    ledger.record(ledger.cells()[pending[0]].id(), made_up(50.0, 400.0));
+    // A slow result with no expiry before it is an overrun of its own.
+    ledger.record(ledger.cells()[pending[1]].id(), made_up(50.0, 400.0));
+    ledger.record(ledger.cells()[pending[2]].id(), made_up(50.0, 40.0));
+    EXPECT_EQ(ledger.finish().cells_over_budget, 2);
+}
+
+TEST(SweepLedger, QuarantineIsSkippedOnResumeAndKeptOutOfTheCsv) {
+    SweepOptions opts = ledger_opts("ledger_quarantine");
+    std::string quarantined_id;
+    {
+        SweepLedger ledger(ctx(), tiny_spec(), opts);
+        ASSERT_EQ(ledger.pending().size(), 4u);
+        quarantined_id = ledger.cells()[ledger.pending()[1]].id();
+        ledger.quarantine(1, 3, "worker killed by signal 9");
+        for (const std::size_t p : {0, 2, 3})
+            ledger.record(ledger.cells()[ledger.pending()[p]].id(),
+                          made_up(40.0 + static_cast<double>(p)));
+        const SweepSummary summary = ledger.finish();
+        EXPECT_EQ(summary.cells_executed, 3);
+        EXPECT_EQ(summary.cells_failed, 1);
+    }
+    const auto manifest = load_manifest(ctx().csv_path(opts.manifest_name));
+    ASSERT_EQ(manifest.count(quarantined_id), 1u);
+    EXPECT_EQ(manifest.at(quarantined_id).status, "failed");
+    EXPECT_EQ(manifest.at(quarantined_id).attempts, 3);
+
+    opts.resume = true;
+    SweepLedger resumed(ctx(), tiny_spec(), opts);
+    EXPECT_TRUE(resumed.pending().empty());  // the quarantine is settled
+    EXPECT_EQ(resumed.position(quarantined_id), -1);
+    const SweepSummary summary = resumed.finish();
+    EXPECT_EQ(summary.cells_resumed, 4);
+    EXPECT_EQ(summary.cells_pending, 0);
+    EXPECT_EQ(summary.cells_failed, 1);
+    ASSERT_EQ(summary.failed_cells.size(), 1u);
+    EXPECT_EQ(summary.failed_cells[0], quarantined_id);
+    // The quarantined cell's group is incomplete and off the CSV: header
+    // plus the other group.
+    ASSERT_EQ(summary.rows.size(), 2u);
+    EXPECT_FALSE(summary.rows[0].complete());
+    EXPECT_EQ(summary.rows[0].repeats_failed, 1);
+    EXPECT_TRUE(summary.rows[1].complete());
+    std::istringstream csv(slurp(summary.csv_path));
+    int lines = 0;
+    for (std::string line; std::getline(csv, line);) ++lines;
+    EXPECT_EQ(lines, 2);
+}
+
+#if XS_TELEMETRY_ENABLED
+std::uint64_t counter(const SweepSummary& summary, const std::string& name) {
+    util::metrics::Snapshot snap;
+    EXPECT_TRUE(util::metrics::from_json(summary.metrics_json, snap));
+    const auto it = snap.counters.find(name);
+    return it == snap.counters.end() ? 0 : it->second;
+}
+
+TEST(SweepLedger, CellsDoneCountsTheOkRecords) {
+    util::metrics::reset();
+    SweepLedger ledger(ctx(), tiny_spec(), ledger_opts("ledger_done"));
+    const auto id = [&](std::size_t p) {
+        return ledger.cells()[ledger.pending()[p]].id();
+    };
+    ledger.record(id(0), made_up(50.0));
+    ledger.record(id(0), made_up(50.0));  // a duplicate is not done twice
+    ledger.quarantine(1, 3, "poison");    // nor is a quarantine done at all
+    ledger.record(id(2), made_up(50.0));
+    const SweepSummary summary = ledger.finish();
+    std::uint64_t ok = 0;
+    for (const auto& [cell, r] : load_manifest(summary.manifest_path))
+        if (!r.failed()) ++ok;
+    EXPECT_EQ(ok, 2u);
+    EXPECT_EQ(counter(summary, "sweep.cells.done"), ok);
+}
+
+// A resumed run folds the manifest's prior metrics record into its own, so
+// the newest record carries the whole sweep's totals; an unparsable prior
+// record only restarts the totals — telemetry never fails a sweep.
+TEST(SweepLedger, ResumeFoldsThePriorMetricsRecordAndSurvivesGarbage) {
+    util::metrics::Snapshot prior;
+    prior.counters["sweep.cells.done"] = 2;
+    prior.counters["only.in.prior"] = 7;
+    for (const bool garbage : {false, true}) {
+        SCOPED_TRACE(garbage ? "garbage" : "prior record");
+        SweepOptions opts = ledger_opts("ledger_prior");
+        {
+            ManifestWriter w(ctx().csv_path(opts.manifest_name), false);
+            w.record_config(sweep_config_fingerprint(ctx(), tiny_spec()));
+            w.record_metrics(garbage ? "{not json}"
+                                     : util::metrics::to_json(prior));
+            ASSERT_TRUE(w.ok());
+        }
+        util::metrics::reset();  // a restarted process
+        opts.resume = true;
+        SweepLedger ledger(ctx(), tiny_spec(), opts);
+        ASSERT_EQ(ledger.pending().size(), 4u);
+        for (const std::size_t p : {0, 1})
+            ledger.record(ledger.cells()[ledger.pending()[p]].id(),
+                          made_up(50.0));
+        const SweepSummary summary = ledger.finish();
+        EXPECT_EQ(counter(summary, "sweep.cells.done"), garbage ? 2u : 4u);
+        EXPECT_EQ(counter(summary, "only.in.prior"), garbage ? 0u : 7u);
+    }
+}
+#endif
 
 }  // namespace
 }  // namespace xs::sweep

@@ -557,6 +557,69 @@ TEST(SweepService, RetiredWorkerSlotShrinksTheHost) {
     EXPECT_EQ(summary.cell_retries, 1);
 }
 
+// kCapacity is outside input like any frame: a payload that is not a
+// non-negative decimal drops the host, as an undecodable ack or fail does,
+// instead of setting a capacity that is never dealt to again while the
+// host's heartbeats keep it alive. Its lease goes to the next host.
+TEST(SweepService, MalformedCapacityDropsTheHost) {
+    baseline_csv();
+    HandSweep sweep("svc_badcap", 1);
+    const std::string ack = sweep.ack(0, 2);
+    int port = 0;
+    const ServiceOptions svc = fast_svc(port);
+
+    std::thread agent([&] {
+        {
+            HandAgent a(port, sweep.join_fp, 1);
+            a.expect_deal(0, 0);
+            a.send(wire::MsgType::kCapacity, "two");
+            wire::Message msg;
+            EXPECT_FALSE(
+                next_frame(a.fd, a.in, msg, std::chrono::milliseconds(2000)));
+            EXPECT_TRUE(a.in.finished()) << "the service kept the link open";
+        }
+        HandAgent b(port, sweep.join_fp, 1);
+        b.expect_deal(0, 1);
+        b.send(wire::MsgType::kAck, ack);
+        EXPECT_EQ(b.next_type(), wire::MsgType::kShutdown);
+    });
+    const SweepSummary summary =
+        run_service(ctx(), sweep.spec, sweep.opts, svc);
+    agent.join();
+    EXPECT_EQ(summary.cells_executed, 1);
+    EXPECT_EQ(summary.hosts_joined, 2);
+    EXPECT_EQ(summary.cell_retries, 1);
+}
+
+// The shutdown grace takes the main loop's ack path: an ack for a cell
+// outside this sweep drops the host there too, instead of waiting out the
+// grace for its kMetrics frame.
+TEST(SweepService, ForeignAckDuringShutdownDropsTheHost) {
+    baseline_csv();
+    HandSweep sweep("svc_grace", 1);
+    const std::string ack = sweep.ack(0, 1);
+    int port = 0;
+    const ServiceOptions svc = fast_svc(port);
+
+    std::thread agent([&] {
+        HandAgent a(port, sweep.join_fp, 1);
+        a.expect_deal(0, 0);
+        a.send(wire::MsgType::kAck, ack);
+        EXPECT_EQ(a.next_type(), wire::MsgType::kShutdown);
+        a.send(wire::MsgType::kAck,
+               encode_manifest_line("vgg11-c10/not-a-cell/r0", CellResult{}));
+        wire::Message msg;
+        EXPECT_FALSE(
+            next_frame(a.fd, a.in, msg, std::chrono::milliseconds(2000)));
+        EXPECT_TRUE(a.in.finished()) << "the service kept the link open";
+    });
+    const SweepSummary summary =
+        run_service(ctx(), sweep.spec, sweep.opts, svc);
+    agent.join();
+    EXPECT_EQ(summary.cells_executed, 1);
+    EXPECT_EQ(load_manifest(summary.manifest_path).size(), 1u);
+}
+
 // An agent that rejoins mid-cell is re-dealt the cell its worker still
 // runs: the service failed that attempt with the lost link, not with the
 // worker. The worker must run on — no kill, no respawn — while the re-deal
