@@ -86,13 +86,47 @@ void BM_ConvTiles(benchmark::State& state) {
     const std::int64_t tiles = tensor::gemm_tile_count(c, tables.n_cols);
     for (auto _ : state) {
         tensor::gemm_conv_tiles(pa, tables, x.data(), y.data(), tables.n_cols,
-                                bias.data(), /*relu=*/true, 0, tiles);
+                                bias.data(), /*relu=*/true, /*pool=*/false, 0,
+                                tiles);
         benchmark::DoNotOptimize(y.data());
         benchmark::ClobberMemory();
     }
     state.SetItemsProcessed(state.iterations() * c * patch * tables.n_cols);
 }
 BENCHMARK(BM_ConvTiles)->Arg(0)->Arg(1)->Arg(2);
+
+// The engine's pooled conv steps: gemm_conv_tiles with the 2×2 max-pool
+// epilogue, which writes only the quarter-size map. VGG11 at width 0.125,
+// batch 64, unpruned weights, bias + ReLU, one thread. Arg 0: conv0 (3 → 8
+// channels at 32×32, reading the NCHW network input in place); 1: conv1
+// (8 → 16 at 16×16, channel-major). Items are the conv's multiply-adds.
+void BM_ConvPool(benchmark::State& state) {
+    const bool stem = state.range(0) == 0;
+    const std::int64_t n = 64, c = stem ? 3 : 8, cout = stem ? 8 : 16;
+    const std::int64_t hw = stem ? 32 : 16, patch = c * 9;
+    util::Rng rng(31);
+    tensor::Tensor w({cout, patch}), x({n * c * hw * hw}), bias({cout});
+    tensor::fill_normal(w, rng, 0.0f, 0.3f);
+    tensor::fill_normal(x, rng, 0.0f, 1.0f);
+    tensor::fill_normal(bias, rng, 0.0f, 0.1f);
+    tensor::PackedGemmA pa;
+    tensor::gemm_pack_a(cout, patch, w.data(), patch, pa);
+    tensor::ConvTables tables;
+    tensor::conv_tables(n, c, hw, hw, stem ? c * hw * hw : hw * hw,
+                        stem ? hw * hw : n * hw * hw, 3, 1, tables);
+    const std::int64_t pooled = tables.n_cols / 4;
+    tensor::Tensor y({cout, pooled});
+    const std::int64_t tiles = tensor::gemm_tile_count(cout, tables.n_cols);
+    for (auto _ : state) {
+        tensor::gemm_conv_tiles(pa, tables, x.data(), y.data(), pooled,
+                                bias.data(), /*relu=*/true, /*pool=*/true, 0,
+                                tiles);
+        benchmark::DoNotOptimize(y.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * cout * patch * tables.n_cols);
+}
+BENCHMARK(BM_ConvPool)->Arg(0)->Arg(1);
 
 void BM_Im2col(benchmark::State& state) {
     const std::int64_t c = state.range(0), s = 32, k = 3;

@@ -54,10 +54,13 @@
 #include "util/trace.h"
 
 #include <cstdio>
+#include <exception>
 #include <string>
 #include <unistd.h>
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
     using namespace xs;
     const util::Flags flags(argc, argv);
     core::ExperimentContext ctx(flags);
@@ -184,4 +187,17 @@ int main(int argc, char** argv) {
     if (summary.cells_pending > 0)
         std::printf("(incomplete — rerun with --resume to finish)\n");
     return 0;
+}
+
+}  // namespace
+
+// A bad grid or flag (a crossbar size of 0, an unknown mitigation, a
+// --resume fingerprint mismatch, ...) is logged and exits 1.
+int main(int argc, char** argv) {
+    try {
+        return run(argc, argv);
+    } catch (const std::exception& e) {
+        xs::util::log_error(std::string("sweep_runner: ") + e.what());
+        return 1;
+    }
 }

@@ -24,11 +24,14 @@
 
 #include <csignal>
 #include <cstdio>
+#include <exception>
 #include <string>
 
 extern "C" void xs_serve_on_signal(int) { xs::sweep::request_drain(); }
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
     using namespace xs;
     const util::Flags flags(argc, argv);
     core::ExperimentContext ctx(flags);
@@ -109,4 +112,16 @@ int main(int argc, char** argv) {
     if (summary.cells_pending > 0)
         std::printf("(incomplete — rerun with --resume to finish)\n");
     return 0;
+}
+
+}  // namespace
+
+// A bad grid or flag is logged and exits 1.
+int main(int argc, char** argv) {
+    try {
+        return run(argc, argv);
+    } catch (const std::exception& e) {
+        xs::util::log_error(std::string("sweep_serve: ") + e.what());
+        return 1;
+    }
 }

@@ -28,6 +28,7 @@ Tiling tile_dense(std::int64_t rows, std::int64_t cols, std::int64_t xbar_size) 
 
 Tiling tile_xcs(const Tensor& matrix, std::int64_t xbar_size) {
     check(matrix.rank() == 2, "tile_xcs: expects a rank-2 matrix");
+    check(xbar_size > 0, "tile_xcs: crossbar size must be positive");
     const std::int64_t rows = matrix.dim(0), cols = matrix.dim(1);
     Tiling t;
     t.xbar_size = xbar_size;
@@ -60,6 +61,7 @@ Tiling tile_xcs(const Tensor& matrix, std::int64_t xbar_size) {
 
 Tiling tile_xrs(const Tensor& matrix, std::int64_t xbar_size) {
     check(matrix.rank() == 2, "tile_xrs: expects a rank-2 matrix");
+    check(xbar_size > 0, "tile_xrs: crossbar size must be positive");
     const std::int64_t rows = matrix.dim(0), cols = matrix.dim(1);
     Tiling t;
     t.xbar_size = xbar_size;

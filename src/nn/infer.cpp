@@ -25,24 +25,24 @@ namespace {
 // allocation-free parallel_for_workers overload. All fields are set before
 // the dispatch and only read (or written at disjoint offsets) inside.
 
-// A conv step's GEMMs: every lane's (row group × n-block) tiles in one
-// dispatch, lane-major. Lane r reads its activation at x + r·x_lane
+// A conv step's GEMMs: every lane's (row group × column slice) tiles in
+// one dispatch, lane-major. Lane r reads its activation at x + r·x_lane
 // (x_lane = 0 while the lanes share the input) and writes its channel-major
-// output (cout × n_cols) at y + r·y_lane. Tiles write disjoint regions.
+// output (cout × ldc: n_cols, or n_cols / 4 when the step pools) at
+// y + r·y_lane. Tiles write disjoint regions.
 struct ConvCtx {
     const CompiledInstance* const* instances;
     std::size_t slot;
     const tensor::ConvTables* tables;
     const float* x;
     float* y;
-    std::int64_t x_lane, y_lane, tiles;
-    bool epilogue, relu;
+    std::int64_t x_lane, y_lane, ldc, tiles;
+    bool epilogue, relu, pool;
 };
 
 void conv_kernel(void* pv, std::size_t /*worker*/, std::size_t lo,
                  std::size_t hi) {
     const ConvCtx& ctx = *static_cast<const ConvCtx*>(pv);
-    const std::int64_t n_cols = ctx.tables->n_cols;
     for (auto t = static_cast<std::int64_t>(lo);
          t < static_cast<std::int64_t>(hi);) {
         const std::int64_t r = t / ctx.tiles;
@@ -50,17 +50,19 @@ void conv_kernel(void* pv, std::size_t /*worker*/, std::size_t lo,
             std::min(static_cast<std::int64_t>(hi), (r + 1) * ctx.tiles);
         const CompiledInstance::Slot& sl = ctx.instances[r]->slots[ctx.slot];
         tensor::gemm_conv_tiles(sl.wpack, *ctx.tables, ctx.x + r * ctx.x_lane,
-                                ctx.y + r * ctx.y_lane, n_cols,
+                                ctx.y + r * ctx.y_lane, ctx.ldc,
                                 ctx.epilogue ? sl.b.data() : nullptr,
-                                ctx.relu, t - r * ctx.tiles,
+                                ctx.relu, ctx.pool, t - r * ctx.tiles,
                                 t_hi - r * ctx.tiles);
         t = t_hi;
     }
 }
 
-// Pooling is plane-local, so one kernel serves both activation layouts
-// (batch-major NCHW and the engine's channel-major CN): plane i of the
-// input maps to plane i of the output in either ordering.
+// The standalone pool step, for pools that follow no conv (a conv's 2×2
+// max-pool runs in its GEMM epilogue). Pooling is plane-local, so one
+// kernel serves both activation layouts (batch-major NCHW and the engine's
+// channel-major CN): plane i of the input maps to plane i of the output in
+// either ordering.
 struct PoolCtx {
     const float* x;
     float* y;
@@ -77,19 +79,6 @@ void pool_kernel(void* pv, std::size_t /*worker*/, std::size_t lo,
     for (std::size_t idx = lo; idx < hi; ++idx) {
         const float* plane = ctx.x + static_cast<std::int64_t>(idx) * plane_in;
         float* out = ctx.y + static_cast<std::int64_t>(idx) * plane_out;
-        if (ctx.is_max && ctx.k == 2) {
-            // The VGG configuration: a branch-free 2×2 max the compiler can
-            // vectorize with pairwise shuffles.
-            for (std::int64_t oi = 0; oi < ctx.oh; ++oi) {
-                const float* r0 = plane + 2 * oi * ctx.w;
-                const float* r1 = r0 + ctx.w;
-                float* o = out + oi * ctx.ow;
-                for (std::int64_t oj = 0; oj < ctx.ow; ++oj)
-                    o[oj] = std::max(std::max(r0[2 * oj], r0[2 * oj + 1]),
-                                     std::max(r1[2 * oj], r1[2 * oj + 1]));
-            }
-            continue;
-        }
         for (std::int64_t oi = 0; oi < ctx.oh; ++oi)
             for (std::int64_t oj = 0; oj < ctx.ow; ++oj) {
                 if (ctx.is_max) {
@@ -175,6 +164,13 @@ void InferenceEngine::build_plan(Sequential& model) {
             if (next < count && dynamic_cast<ReLU*>(&model.layer(next))) {
                 s.relu = true;
                 next = next_real(next + 1);
+            }
+            if (next < count) {
+                auto* mp = dynamic_cast<MaxPool2d*>(&model.layer(next));
+                if (mp && mp->kernel() == 2) {
+                    s.pool = true;
+                    next = next_real(next + 1);
+                }
             }
             s.epilogue = s.relu || s.bn != nullptr || conv->has_bias();
         } else if (auto* fc = dynamic_cast<Linear*>(l)) {
@@ -401,6 +397,19 @@ const Tensor& InferenceEngine::forward_batched(
                       "InferenceEngine: conv input shape mismatch");
                 const std::int64_t n = cur_shape_[0], h = cur_shape_[2],
                                    w = cur_shape_[3];
+                if (step.pool) {
+                    check(h % 2 == 0 && w % 2 == 0,
+                          "InferenceEngine: pool input not divisible by "
+                          "kernel");
+                    if (!tensor::gemm_tiles_hold_row_pairs(n * h * w, w))
+                        check(false, "InferenceEngine: conv layer '" +
+                                         step.layer->name() +
+                                         "' feeds a 2×2 max-pool over " +
+                                         std::to_string(h) + "×" +
+                                         std::to_string(w) +
+                                         " maps, whose row pairs its GEMM "
+                                         "tiles do not hold whole");
+                }
                 // B is read in place (gemm_conv_tiles). A batch-major input
                 // qualifies when every 16-column panel lies inside one
                 // image; any other is copied to channel-major first.
@@ -412,7 +421,8 @@ const Tensor& InferenceEngine::forward_batched(
                 tensor::conv_tables(n, step.cin, h, w, s_img, s_c, step.k,
                                     step.pad, scratch.conv);
                 const std::int64_t n_cols = scratch.conv.n_cols;
-                const std::int64_t out_block = step.cout * n_cols;
+                const std::int64_t ldc = step.pool ? n_cols / 4 : n_cols;
+                const std::int64_t out_block = step.cout * ldc;
                 const int dst = dst_of(cur_arena);
                 Tensor& y = batch_arena_[dst];
                 y.reset(R, out_block);
@@ -424,9 +434,11 @@ const Tensor& InferenceEngine::forward_batched(
                 ctx.y = y.data();
                 ctx.x_lane = uniform ? 0 : in_block;
                 ctx.y_lane = out_block;
+                ctx.ldc = ldc;
                 ctx.tiles = tensor::gemm_tile_count(step.cout, n_cols);
                 ctx.epilogue = step.epilogue;
                 ctx.relu = step.relu;
+                ctx.pool = step.pool;
                 util::parallel_for_workers(
                     0, static_cast<std::size_t>(R * ctx.tiles), &conv_kernel,
                     &ctx);
@@ -435,6 +447,10 @@ const Tensor& InferenceEngine::forward_batched(
                 cur_arena = dst;
                 cn = true;
                 cur_shape_[1] = step.cout;  // "same" conv: H and W unchanged
+                if (step.pool) {
+                    cur_shape_[2] = h / 2;
+                    cur_shape_[3] = w / 2;
+                }
                 ++slot;
                 break;
             }

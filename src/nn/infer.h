@@ -8,12 +8,14 @@
 // The engine instead compiles the layer stack into a step plan once and
 // streams activations through a two-buffer ping-pong arena:
 //
-//  * Conv2d (+ following BatchNorm2d, + following ReLU) become ONE step:
-//    the BN affine is folded into the conv weights/bias at compile time,
-//    the whole batch runs as a single tiled GEMM against weights packed
-//    once per compile, and the bias+ReLU epilogue runs on each GEMM tile
-//    while it is hot — eliminating two full passes over every activation
-//    map plus the per-call weight packing.
+//  * Conv2d (+ following BatchNorm2d, + following ReLU, + following 2×2
+//    MaxPool2d) become ONE step: the BN affine is folded into the conv
+//    weights/bias at compile time, the whole batch runs as a single tiled
+//    GEMM against weights packed once per compile, and the bias+ReLU
+//    epilogue runs on each GEMM tile while it is hot — eliminating two full
+//    passes over every activation map plus the per-call weight packing. A
+//    pooled step's tiles pool in the same epilogue and write only the
+//    quarter-size map, so the full-resolution one is never stored.
 //  * The GEMM reads its B — the im2col matrix — in place from the
 //    activation with masked loads (gemm_conv_tiles): no im2col copy and no
 //    packed-B buffer. The plan accepts stride-1 "same" convolutions only.
@@ -33,9 +35,9 @@
 //
 // Each conv/linear step records its time in its own histogram,
 // nn.step.<slot>.conv.ns / nn.step.<slot>.linear.ns (slots ordered like
-// map::mappable_layers). After a warm-up forward, steady-state forwards of
-// the same batch shape perform zero heap allocations (pinned by
-// tests/nn_infer_test.cpp).
+// map::mappable_layers); a pooled conv step's time includes its pool.
+// After a warm-up forward, steady-state forwards of the same batch shape
+// perform zero heap allocations (pinned by tests/nn_infer_test.cpp).
 #pragma once
 
 #include "nn/sequential.h"
@@ -75,7 +77,9 @@ public:
     // changes after construction reach the engine only through instances
     // compiled afterwards (compile_instance); forward() keeps the weights
     // captured here. Throws for a conv that is not a stride-1 "same"
-    // convolution (2·pad = kernel − 1).
+    // convolution (2·pad = kernel − 1). A pooled conv step's forward throws,
+    // naming the layer, for maps whose row pairs its GEMM tiles do not hold
+    // whole (tensor::gemm_tiles_hold_row_pairs; never at VGG's shapes).
     explicit InferenceEngine(Sequential& model);
 
     // Non-copyable (owns arenas keyed to the plan), movable.
@@ -125,7 +129,7 @@ public:
 private:
     struct Step {
         enum class Kind {
-            kConv,      // Conv2d [+ folded BN] [+ fused ReLU]
+            kConv,      // Conv2d [+ folded BN] [+ fused ReLU] [+ 2×2 max]
             kLinear,    // Linear [+ fused ReLU]
             kBatchNorm, // standalone BatchNorm2d (eval statistics)
             kReLU,      // standalone ReLU (in-place on the arena)
@@ -138,6 +142,7 @@ private:
         Layer* layer = nullptr;
         BatchNorm2d* bn = nullptr;  // folded into kConv when non-null
         bool relu = false;          // fused ReLU epilogue
+        bool pool = false;          // fused 2×2 max-pool epilogue (kConv)
         bool epilogue = false;      // bias add and/or ReLU needed
         // Geometry captured at plan time (layer structure is immutable).
         std::int64_t cin = 0, cout = 0, k = 0, pad = 0, patch = 0;

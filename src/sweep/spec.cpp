@@ -298,6 +298,13 @@ SweepSpec parse_sweep_spec(const util::Flags& flags) {
     if (const auto v = value("nf-only"); !v.empty())
         spec.nf_only = v == "true" || v == "1" || v == "yes";
     tensor::check(spec.repeats >= 1, "sweep: sweep-repeats must be >= 1");
+    for (const std::int64_t size : spec.sizes)
+        tensor::check(size >= 1, "sweep: sizes must be >= 1, got " +
+                                     std::to_string(size));
+    for (const double scale : spec.parasitic_scales)
+        tensor::check(scale >= 0.0,
+                      "sweep: parasitic-scales must be >= 0, got " +
+                          fmt_g(scale));
     return spec;
 }
 

@@ -151,11 +151,12 @@ void micro_kernel(std::int64_t kc, float alpha, const float* ap,
 }
 
 // The kernel reads where a panel's accumulator rows go from a
-// PackedGemmA::Panel: accumulator row r < `rows` is C row row[r], `carry`
-// marks the rows whose C holds a partial sum to continue, and `finish` the
-// rows whose sum is complete after this panel (bias/ReLU). A dense panel's
-// rows are its own consecutive rows, all carrying after the first k-block
-// and all finishing in the last; a gathered panel's come from the pack.
+// PackedGemmA::Panel: accumulator row r < `rows` is row row[r] of the
+// tile's C (which starts at the group's first row), `carry` marks the rows
+// whose C holds a partial sum to continue, and `finish` the rows whose sum
+// is complete after this panel (bias/ReLU). A dense panel's rows are its
+// own consecutive rows, all carrying after the first k-block and all
+// finishing in the last; a gathered panel's come from the pack.
 using Panel = PackedGemmA::Panel;
 
 // Writeback of one accumulator panel with the tile path's fused semantics:
@@ -364,17 +365,129 @@ void micro_kernel_x2(std::int64_t steps, const std::int32_t* live,
     store_panel(acc1, c1, ldc, rows, nr1, !kChain, bias, relu);
 }
 
+#if defined(__AVX512F__)
+// std::max(a, b) is a < b ? b : a. vmaxps(x, y) is x > y ? x : y, and y
+// when either is NaN or both are zero, so std::max(a, b) is vmaxps(b, a)
+// bit for bit. (All lanes through the zero-masking form: GCC 12 reports
+// the unmasked intrinsic's own undefined operand under -Wall.)
+inline __m512 std_max(__m512 a, __m512 b) {
+    return _mm512_maskz_max_ps(static_cast<__mmask16>(0xFFFFu), b, a);
+}
+
+// Lane u: std::max(column 2u, column 2u + 1) of the 32 columns v0:v1.
+inline __m512 pair_max(__m512 v0, __m512 v1) {
+    const __m512i even = _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 16, 18,
+                                           20, 22, 24, 26, 28, 30);
+    const __m512i odd = _mm512_add_epi32(even, _mm512_set1_epi32(1));
+    return std_max(_mm512_permutex2var_ps(v0, even, v1),
+                   _mm512_permutex2var_ps(v0, odd, v1));
+}
+
+// Lanes [0, n) of a 16-lane mask.
+inline __mmask16 first_lanes(std::int64_t n) {
+    return static_cast<__mmask16>(n >= kNr ? 0xFFFFu
+                                  : n <= 0 ? 0u
+                                           : (1u << n) - 1u);
+}
+
+// pool_tile for w a multiple of 32 or a divisor of 32, in two stages per
+// 16 outputs: pair_max along 64 columns, then the max of each output's
+// upper-row and lower-row values.
+void pool_tile_avx512(const float* buf, std::int64_t ld, std::int64_t rows,
+                      std::int64_t cols, std::int64_t w, float* out,
+                      std::int64_t ldo) {
+    if (w % 32 == 0) {
+        // Upper-row columns [s, s + 32) of a row pair lie w before their
+        // lower-row ones.
+        for (std::int64_t r = 0; r < rows; ++r)
+            for (std::int64_t p = 0; p < cols; p += 2 * w)
+                for (std::int64_t s = 0; s < w; s += 32) {
+                    const float* a = buf + r * ld + p + s;
+                    const __m512 up = pair_max(_mm512_loadu_ps(a),
+                                               _mm512_loadu_ps(a + kNr));
+                    const __m512 dn = pair_max(_mm512_loadu_ps(a + w),
+                                               _mm512_loadu_ps(a + w + kNr));
+                    _mm512_storeu_ps(out + r * ldo + p / 4 + s / 2,
+                                     std_max(up, dn));
+                }
+        return;
+    }
+    // w ≤ 16: 64 columns hold whole row pairs, and lane u of their 32 pair
+    // maxima h belongs to row pair u / w, to its upper row when u mod w <
+    // w / 2. Output o takes h[(o / (w/2))·w + o mod (w/2)] and the lower
+    // value w / 2 lanes on.
+    alignas(64) std::int32_t up_lane[kNr], dn_lane[kNr];
+    for (std::int64_t o = 0; o < kNr; ++o) {
+        up_lane[o] = static_cast<std::int32_t>(o / (w / 2) * w + o % (w / 2));
+        dn_lane[o] = up_lane[o] + static_cast<std::int32_t>(w / 2);
+    }
+    const __m512i up_idx = _mm512_load_si512(up_lane);
+    const __m512i dn_idx = _mm512_load_si512(dn_lane);
+    for (std::int64_t r = 0; r < rows; ++r) {
+        const float* a = buf + r * ld;
+        float* o = out + r * ldo;
+        for (std::int64_t q = 0; q < cols; q += 4 * kNr) {
+            // The last group may hold fewer whole row pairs: masked.
+            const std::int64_t rem = cols - q;
+            const __m512 h0 = pair_max(
+                _mm512_maskz_loadu_ps(first_lanes(rem), a + q),
+                _mm512_maskz_loadu_ps(first_lanes(rem - kNr), a + q + kNr));
+            const __m512 h1 = pair_max(
+                _mm512_maskz_loadu_ps(first_lanes(rem - 2 * kNr),
+                                      a + q + 2 * kNr),
+                _mm512_maskz_loadu_ps(first_lanes(rem - 3 * kNr),
+                                      a + q + 3 * kNr));
+            _mm512_mask_storeu_ps(
+                o + q / 4, first_lanes(rem / 4),
+                std_max(_mm512_permutex2var_ps(h0, up_idx, h1),
+                        _mm512_permutex2var_ps(h0, dn_idx, h1)));
+        }
+    }
+}
+#endif
+
+// The pool epilogue of one tile (gemm_conv_tiles): `buf` holds `rows` rows
+// of `cols` conv outputs at stride ld, whole row pairs of maps of width w
+// (2w columns: an image row, then the row below it). Row r's cols / 4
+// pooled values go to out + r·ldo, each max(max(r0[2j], r0[2j + 1]),
+// max(r1[2j], r1[2j + 1])), std::max with its operands in that order. The
+// AVX-512 path covers every w VGG pools at; other widths take the portable
+// loop.
+void pool_tile(const float* buf, std::int64_t ld, std::int64_t rows,
+               std::int64_t cols, std::int64_t w, float* out,
+               std::int64_t ldo) {
+#if defined(__AVX512F__)
+    if (w % 32 == 0 || 32 % w == 0) {
+        pool_tile_avx512(buf, ld, rows, cols, w, out, ldo);
+        return;
+    }
+#endif
+    for (std::int64_t r = 0; r < rows; ++r) {
+        float* o = out + r * ldo;
+        for (std::int64_t p = 0; p < cols; p += 2 * w) {
+            const float* r0 = buf + r * ld + p;
+            const float* r1 = r0 + w;
+            for (std::int64_t j = 0; j < w / 2; ++j)
+                *o++ = std::max(std::max(r0[2 * j], r0[2 * j + 1]),
+                                std::max(r1[2 * j], r1[2 * j + 1]));
+        }
+    }
+}
+
 // Tiles [tile_lo, tile_hi) of an m × n tiled GEMM with one accumulation
 // kind — kChain for a row-sparse PackedGemmA, restart for a dense one —
 // and B from `src`. A tile is a kPackMc-row group × a column slice of an
 // n-block (gemm_tile_count). Each of the group's panels, in k order,
 // runs over the slice's column panels two at a time; consecutive kernel
 // calls thus write different columns, so a row-sparse chain that continues
-// in the next panel does not stall the next call.
+// in the next panel does not stall the next call. With pool_w > 0 the
+// columns are maps of that width, and a tile accumulates in a local buffer
+// that pool_tile reduces into C, the pooled map.
 template <bool kChain, class Source>
 void run_tiles(const PackedGemmA& pa, const Source& src, std::int64_t n,
                float* c, std::int64_t ldc, const float* bias, bool relu,
-               std::int64_t tile_lo, std::int64_t tile_hi) {
+               std::int64_t pool_w, std::int64_t tile_lo,
+               std::int64_t tile_hi) {
     static_assert(kNc % kPackNt == 0 && kPackNt % (2 * kNr) == 0,
                   "a slice holds whole panel pairs of one n-block");
     constexpr std::int64_t kPairs = kPackNt / (2 * kNr);
@@ -382,10 +495,14 @@ void run_tiles(const PackedGemmA& pa, const Source& src, std::int64_t n,
     const std::int64_t groups = (m + kPackMc - 1) / kPackMc;
     const std::int64_t row_panels = (m + kMr - 1) / kMr;
     const std::int64_t width = gemm_tile_width(n);
+    // A pooled tile's full-resolution C (32 KB), at stride `width`. It also
+    // holds the partial sums the tile carries across k-blocks.
+    alignas(64) float tile_c[kPackMc * kPackNt];
     for (std::int64_t t = tile_lo; t < tile_hi; ++t) {
         const std::int64_t j0 = t / groups * width;  // the slice's columns
         const std::int64_t j1 = std::min(n, j0 + width);
         const std::int64_t g = t % groups;  // row-group index
+        const std::int64_t g0 = g * kPackMc;
         const std::int64_t nb = j0 / kNc;   // n-block index
         const std::int64_t blk_panels =
             (std::min(n, (nb + 1) * kNc) - nb * kNc + kNr - 1) / kNr;
@@ -400,6 +517,11 @@ void run_tiles(const PackedGemmA& pa, const Source& src, std::int64_t n,
             cols[q] = src.columns(nb, blk_panels, (jb - nb * kNc) / kNr,
                                   nr1[q] > 0);
         }
+        // The tile's C: the group's rows of the slice, in C or, pooled, in
+        // tile_c.
+        float* const ct = pool_w > 0 ? tile_c : c + g0 * ldc + j0;
+        const std::int64_t ldt = pool_w > 0 ? width : ldc;
+        const float* const bt = bias ? bias + g0 : nullptr;
         // One packed panel of k-block [pc, pc + kc) against the slice.
         const auto run_panel = [&](std::int64_t pc, std::int64_t steps,
                                    const std::int32_t* live, const float* ap,
@@ -407,8 +529,8 @@ void run_tiles(const PackedGemmA& pa, const Source& src, std::int64_t n,
             const std::int64_t kc = std::min(kKc, k - pc);
             for (std::int64_t q = 0; q < pairs; ++q)
                 micro_kernel_x2<kChain>(steps, live, ap, cols[q].at(pc, kc),
-                                        c + j0 + 2 * q * kNr, ldc, rows,
-                                        nr0[q], nr1[q], bias, relu);
+                                        ct + 2 * q * kNr, ldt, rows, nr0[q],
+                                        nr1[q], bt, relu);
         };
         if constexpr (kChain) {
             const auto end = static_cast<std::size_t>(
@@ -420,26 +542,30 @@ void run_tiles(const PackedGemmA& pa, const Source& src, std::int64_t n,
                 run_panel(gp.k0, gp.steps, pa.live.data() + gp.begin,
                           pa.panels.data() + gp.begin * kMr, gp);
             }
-            continue;
-        }
-        const std::int64_t i1 = std::min(m, (g + 1) * kPackMc);
-        for (std::int64_t ib = g * kPackMc; ib < i1; ib += kMr) {
-            Panel rows;
-            rows.rows = static_cast<std::int32_t>(std::min(kMr, m - ib));
-            for (std::int32_t r = 0; r < rows.rows; ++r)
-                rows.row[r] = static_cast<std::int32_t>(ib) + r;
-            // Restart accumulation: the first k-block stores, later blocks
-            // add C, and the last applies bias/ReLU — C is touched exactly
-            // once per k-block.
-            for (std::int64_t pc = 0; pc < k; pc += kKc) {
-                const std::int64_t kc = std::min(kKc, k - pc);
-                rows.carry = pc != 0 ? 0xFFu : 0u;
-                rows.finish = pc + kc == k ? 0xFFu : 0u;
-                run_panel(pc, kc, nullptr,
-                          pa.panels.data() + row_panels * kMr * pc + ib * kc,
-                          rows);
+        } else {
+            const std::int64_t i1 = std::min(m, g0 + kPackMc);
+            for (std::int64_t ib = g0; ib < i1; ib += kMr) {
+                Panel rows;
+                rows.rows = static_cast<std::int32_t>(std::min(kMr, m - ib));
+                for (std::int32_t r = 0; r < rows.rows; ++r)
+                    rows.row[r] = static_cast<std::int32_t>(ib - g0) + r;
+                // Restart accumulation: the first k-block stores, later
+                // blocks add C, and the last applies bias/ReLU — C is
+                // touched exactly once per k-block.
+                for (std::int64_t pc = 0; pc < k; pc += kKc) {
+                    const std::int64_t kc = std::min(kKc, k - pc);
+                    rows.carry = pc != 0 ? 0xFFu : 0u;
+                    rows.finish = pc + kc == k ? 0xFFu : 0u;
+                    run_panel(
+                        pc, kc, nullptr,
+                        pa.panels.data() + row_panels * kMr * pc + ib * kc,
+                        rows);
+                }
             }
         }
+        if (pool_w > 0)
+            pool_tile(tile_c, width, std::min(kPackMc, m - g0), j1 - j0,
+                      pool_w, c + g0 * ldc + j0 / 4, ldc);
     }
 }
 
@@ -596,11 +722,11 @@ std::uint32_t nonzero_rows(const float* a, std::int64_t lda, std::int64_t g0,
     return set;
 }
 
-// Gathered panels of the rows `set` (bit i: row g0 + i) over k range
-// [p, q) of the k-block starting at pc: kMr rows per panel in row order,
-// each panel holding the k where one of its rows is non-zero. An empty
-// range gives zero-step panels. `seen` holds the group's rows packed so
-// far: a row already in it carries its chain on.
+// Gathered panels of the rows `set` (bit i: row i of the group at row g0)
+// over k range [p, q) of the k-block starting at pc: kMr rows per panel in
+// row order, each panel holding the k where one of its rows is non-zero.
+// An empty range gives zero-step panels. `seen` holds the group's rows
+// packed so far: a row already in it carries its chain on.
 void pack_segment(const float* a, std::int64_t lda, std::int64_t g0,
                   std::uint32_t set, std::int64_t pc, std::int64_t p,
                   std::int64_t q, std::uint32_t& seen, PackedGemmA& out) {
@@ -610,7 +736,7 @@ void pack_segment(const float* a, std::int64_t lda, std::int64_t g0,
         pn.begin = static_cast<std::int64_t>(out.live.size());
         for (; pn.rows < kMr && set != 0; ++pn.rows, set &= set - 1) {
             const int i = __builtin_ctz(set);
-            pn.row[pn.rows] = static_cast<std::int32_t>(g0 + i);
+            pn.row[pn.rows] = i;
             if ((seen >> i) & 1u)
                 pn.carry |= static_cast<std::uint8_t>(1u << pn.rows);
             seen |= 1u << i;
@@ -619,7 +745,7 @@ void pack_segment(const float* a, std::int64_t lda, std::int64_t g0,
             float col[kMr] = {};
             bool live = false;
             for (std::int32_t r = 0; r < pn.rows; ++r) {
-                col[r] = a[pn.row[r] * lda + kk];
+                col[r] = a[(g0 + pn.row[r]) * lda + kk];
                 live |= col[r] != 0.0f;
             }
             if (!live) continue;
@@ -668,7 +794,7 @@ void pack_gathered(std::int64_t m, std::int64_t k, const float* a,
         for (std::size_t s = out.gathered.size(); s-- > first;) {
             Panel& pn = out.gathered[s];
             for (std::int32_t r = 0; r < pn.rows; ++r) {
-                const std::uint32_t bit = 1u << (pn.row[r] - g0);
+                const std::uint32_t bit = 1u << pn.row[r];
                 if (!(later & bit))
                     pn.finish |= static_cast<std::uint8_t>(1u << r);
                 later |= bit;
@@ -761,9 +887,9 @@ void gemm_prepacked_tiles(const PackedGemmA& pa, const float* /*a_raw*/,
                           std::int64_t tile_hi) {
     const PackedSource src{packed_b, pa.k};
     if (pa.sparse)
-        run_tiles<true>(pa, src, n, c, ldc, bias, relu, tile_lo, tile_hi);
+        run_tiles<true>(pa, src, n, c, ldc, bias, relu, 0, tile_lo, tile_hi);
     else
-        run_tiles<false>(pa, src, n, c, ldc, bias, relu, tile_lo, tile_hi);
+        run_tiles<false>(pa, src, n, c, ldc, bias, relu, 0, tile_lo, tile_hi);
 }
 
 void conv_tables(std::int64_t n_imgs, std::int64_t channels,
@@ -778,6 +904,7 @@ void conv_tables(std::int64_t n_imgs, std::int64_t channels,
           "conv_tables: panels may span images only in channel-major layout");
     out.n_cols = n_imgs * hw;
     out.hw = hw;
+    out.width = width;
     out.s_img = stride_img;
     out.taps = kernel * kernel;
     out.phases = hw / std::gcd(hw, kNr);
@@ -820,17 +947,23 @@ void conv_tables(std::int64_t n_imgs, std::int64_t channels,
 
 void gemm_conv_tiles(const PackedGemmA& pa, const ConvTables& tables,
                      const float* x, float* c, std::int64_t ldc,
-                     const float* bias, bool relu, std::int64_t tile_lo,
-                     std::int64_t tile_hi) {
+                     const float* bias, bool relu, bool pool,
+                     std::int64_t tile_lo, std::int64_t tile_hi) {
     check(static_cast<std::size_t>(pa.k) == tables.offset.size(),
           "gemm_conv_tiles: weight patch size differs from the conv tables");
+    check(!pool || (tables.width > 0 && tables.width % 2 == 0 &&
+                    tables.hw / tables.width % 2 == 0 &&
+                    gemm_tiles_hold_row_pairs(tables.n_cols, tables.width)),
+          "gemm_conv_tiles: a pooled conv needs even H and W and tiles that "
+          "hold whole row pairs");
     const ConvSource src{tables, x};
+    const std::int64_t pool_w = pool ? tables.width : 0;
     if (pa.sparse)
-        run_tiles<true>(pa, src, tables.n_cols, c, ldc, bias, relu, tile_lo,
-                        tile_hi);
+        run_tiles<true>(pa, src, tables.n_cols, c, ldc, bias, relu, pool_w,
+                        tile_lo, tile_hi);
     else
-        run_tiles<false>(pa, src, tables.n_cols, c, ldc, bias, relu, tile_lo,
-                         tile_hi);
+        run_tiles<false>(pa, src, tables.n_cols, c, ldc, bias, relu, pool_w,
+                         tile_lo, tile_hi);
 }
 
 Tensor matmul(const Tensor& a, const Tensor& b) {

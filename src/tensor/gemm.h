@@ -45,9 +45,9 @@ constexpr std::int64_t kPackNt = 256;   // tile width: a quarter n-block
 // into *gathered* panels: per kPackMc-row group, its k is cut into
 // segments at each kPackKs boundary where the group's set of non-zero rows
 // changes (never across a k-block), and each segment packs only its live
-// rows, kPackMr per panel, each panel with its rows' C indices and the
-// union of their live k. Dead filters and pruned column segments therefore
-// cost no multiplies. The two kinds also accumulate differently, and each
+// rows, kPackMr per panel, each panel with its rows' indices in the group
+// and the union of their live k. Dead filters and pruned column segments
+// therefore cost no multiplies. The two kinds also accumulate differently, and each
 // order is pinned by results that must not move:
 //  * dense: each k-block's products start from zero and are added to C
 //    (restart per k-block). A running sum rounds differently, so switching
@@ -69,7 +69,8 @@ struct PackedGemmA {
         std::int64_t begin = 0;  // its first entry of `live`; its A starts
                                  // at float begin · kPackMr of `panels`
         std::int64_t steps = 0;  // live k: 0 for rows live nowhere
-        std::int32_t row[kPackMr] = {};  // C row of each packed row
+        std::int32_t row[kPackMr] = {};  // each packed row's row in its
+                                         // group (C row group·kPackMc + row)
         std::int32_t rows = 0;           // packed rows, the rest zero
         // Bit r: row[r] continues a chain whose partial sum C holds (else
         // it starts from +0) / row[r]'s chain ends here (bias/ReLU).
@@ -134,6 +135,16 @@ inline std::int64_t gemm_tile_count(std::int64_t m, std::int64_t n) {
     return ((m + kPackMc - 1) / kPackMc) * ((n + width - 1) / width);
 }
 
+// Whether every column slice of an n-column tiled GEMM over channel-major
+// maps of width w (n a multiple of 2w) holds whole row pairs, image rows 2i
+// and 2i + 1, as a pooled conv's tiles must (gemm_conv_tiles). Holds for
+// square maps whose width is a power of two up to 128, at any batch: VGG's
+// pooled shapes.
+inline bool gemm_tiles_hold_row_pairs(std::int64_t n, std::int64_t w) {
+    const std::int64_t width = gemm_tile_width(n);
+    return w > 0 && (width >= n || width % (2 * w) == 0);
+}
+
 // C (m×n) = A·B over packed B for the tile range [tile_lo, tile_hi), with an
 // optional fused per-row bias (+ ReLU) epilogue applied while the tile is
 // cache-hot. Tiles write disjoint C regions, so callers parallelize by
@@ -167,6 +178,7 @@ void gemm_prepacked_tiles(const PackedGemmA& pa, const float* a_raw,
 struct ConvTables {
     std::int64_t n_cols = 0;  // n·H·W: the GEMM's column count
     std::int64_t hw = 0;      // H·W
+    std::int64_t width = 0;   // W
     std::int64_t s_img = 0;   // image stride of the activation
     std::int64_t taps = 0;    // kernel²
     // Panel phases: the panel starting at column j has the lane masks of the
@@ -193,10 +205,22 @@ void conv_tables(std::int64_t n_imgs, std::int64_t channels,
 // im2col_pack_b's panels, on the same B values, so the results are
 // bit-identical (tests/tensor_gemm_test.cpp). Same tiles, epilogue and
 // parallelization contract as gemm_prepacked_tiles.
+//
+// With `pool`, the conv output is 2×2 max-pooled on the way out and C is
+// the pooled map, m × n_cols/4 in the same channel-major layout. Each tile
+// accumulates into a tile-local buffer (kPackMc × kPackNt floats), applies
+// the bias/ReLU epilogue there, and writes only the pooled values of its
+// rows: max(max(r0[2j], r0[2j+1]), max(r1[2j], r1[2j+1])) over each row
+// pair (r0, r1), std::max with its operands in that order. So the result
+// is bit-identical to the unpooled call followed by that expression, NaN
+// and signed zeros included; without NaN it is each window's first maximal
+// element in scan order, as MaxPool2d::forward picks. Needs even H and W
+// and tiles that hold whole row pairs (gemm_tiles_hold_row_pairs); throws
+// otherwise.
 void gemm_conv_tiles(const PackedGemmA& pa, const ConvTables& tables,
                      const float* x, float* c, std::int64_t ldc,
-                     const float* bias, bool relu, std::int64_t tile_lo,
-                     std::int64_t tile_hi);
+                     const float* bias, bool relu, bool pool,
+                     std::int64_t tile_lo, std::int64_t tile_hi);
 
 // Convenience wrappers on rank-2 tensors.
 Tensor matmul(const Tensor& a, const Tensor& b);            // A·B

@@ -10,9 +10,11 @@
 #include "nn/vgg.h"
 #include "prune/prune.h"
 #include "prune/stats.h"
+#include "tensor/ops.h"
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 
 namespace xs::core {
@@ -34,13 +36,14 @@ nn::VggConfig tiny_vgg() {
 struct Trained {
     nn::Sequential model;
     prune::MaskSet masks;
-    double software = 0.0;
+    double software = 0.0;  // nn::evaluate: the inference engine
+    nn::Dataset test;
 };
 
 Trained train_tiny(prune::Method method, double sparsity) {
-    const auto tt = data::generate_split(easy_data(), 320, 160);
+    auto tt = data::generate_split(easy_data(), 320, 160);
     util::Rng rng(7);
-    Trained t{nn::build_vgg(tiny_vgg(), rng), {}, 0.0};
+    Trained t{nn::build_vgg(tiny_vgg(), rng), {}, 0.0, std::move(tt.test)};
     if (method != prune::Method::kNone) {
         prune::PruneConfig pc;
         pc.method = method;
@@ -53,18 +56,47 @@ Trained train_tiny(prune::Method method, double sparsity) {
     tc.batch_size = 32;
     nn::train(t.model, tt.train, nullptr, tc,
               t.masks.empty() ? nn::StepHook{} : t.masks.hook());
-    t.software = nn::evaluate(t.model, tt.test);
+    t.software = nn::evaluate(t.model, t.test);
     return t;
 }
 
+// Top-1 accuracy (%) through the layers' own forward (Sequential::forward
+// in inference mode: im2col convs, separate BN, ReLU and pool layers) — the
+// reference for the engine's folded and fused steps on a model that learns.
+double layerwise_accuracy(nn::Sequential& model, const nn::Dataset& data) {
+    const std::int64_t n = data.size(), item = data.images.numel() / n;
+    std::int64_t correct = 0;
+    for (std::int64_t start = 0; start < n; start += 64) {
+        tensor::Shape shape = data.images.shape();
+        shape[0] = std::min<std::int64_t>(64, n - start);
+        tensor::Tensor batch(shape);
+        std::memcpy(batch.data(), data.images.data() + start * item,
+                    static_cast<std::size_t>(batch.numel()) * sizeof(float));
+        const tensor::Tensor logits = model.forward(batch, /*training=*/false);
+        for (std::int64_t i = 0; i < shape[0]; ++i)
+            correct += tensor::argmax_row(logits, i) ==
+                       data.labels[static_cast<std::size_t>(start + i)];
+    }
+    return 100.0 * static_cast<double>(correct) / static_cast<double>(n);
+}
+
+// The engine's accuracy equals the layer-by-layer forward's within one test
+// image (their sums round differently, which may flip a near tie).
+void expect_engine_accuracy_matches_layers(Trained& t) {
+    EXPECT_NEAR(t.software, layerwise_accuracy(t.model, t.test),
+                100.0 / static_cast<double>(t.test.size()) + 1e-9);
+}
+
 TEST(Integration, TrainedTinyModelBeatsChance) {
-    const Trained t = train_tiny(prune::Method::kNone, 0.0);
+    Trained t = train_tiny(prune::Method::kNone, 0.0);
     EXPECT_GT(t.software, 40.0);  // 10 classes, chance = 10 %
+    expect_engine_accuracy_matches_layers(t);
 }
 
 TEST(Integration, PrunedTrainingKeepsStructuredSparsity) {
     Trained t = train_tiny(prune::Method::kChannelFilter, 0.5);
     EXPECT_GT(t.software, 35.0);
+    expect_engine_accuracy_matches_layers(t);
     bool first = true;
     std::int64_t total_zero_cols = 0;
     for (const auto& s : prune::layer_sparsity(t.model)) {

@@ -170,6 +170,15 @@ TEST(TileXrs, SkipsZeroRowSegments) {
     EXPECT_TRUE(tensor::allclose(out, m, 0.0f, 0.0f));
 }
 
+TEST(TileXcs, RejectsNonPositiveCrossbarSize) {
+    const Tensor m({8, 6}, 1.0f);
+    for (const std::int64_t size : {0, -4}) {
+        EXPECT_THROW(tile_xcs(m, size), std::invalid_argument) << size;
+        EXPECT_THROW(tile_xrs(m, size), std::invalid_argument) << size;
+        EXPECT_THROW(tile_dense(8, 6, size), std::invalid_argument) << size;
+    }
+}
+
 TEST(TileXcs, DenseMatrixMatchesDenseTiling) {
     util::Rng rng(9);
     Tensor m({64, 48});

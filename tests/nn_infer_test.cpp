@@ -1,6 +1,8 @@
 // Inference-engine pins (DESIGN.md §6):
 //  * steady-state forwards allocate nothing (counting operator new);
 //  * the folded/fused path matches the reference layer-by-layer forward;
+//  * a conv step with a fused 2×2 max-pool is bit-identical to the conv
+//    step followed by the standalone pool;
 //  * MAC-matrix overrides match inject_matrix semantics;
 //  * a lane of a batched forward is bit-identical to a one-lane pass;
 //  * evaluate_on_crossbars stays deterministic under the overlapped
@@ -14,12 +16,14 @@
 #include "nn/linear.h"
 #include "nn/trainer.h"
 #include "nn/vgg.h"
+#include "prune/prune.h"
 #include "tensor/ops.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <new>
 
@@ -43,6 +47,17 @@ void* operator new(std::size_t size) {
 
 void* operator new[](std::size_t size) { return ::operator new(size); }
 
+// std::stable_sort's temporary buffer (pruning ranks its structures with
+// it) takes the nothrow form.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+    ++t_alloc_count;
+    return std::malloc(size);
+}
+
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+    return ::operator new(size, std::nothrow);
+}
+
 // Out of line: once inlined into a caller, GCC 12 pairs the std::free with
 // the caller's operator new and reports a mismatch (-Wmismatched-new-delete),
 // depending on how much of the file it inlines.
@@ -57,6 +72,14 @@ __attribute__((noinline)) void operator delete(void* p, std::size_t) noexcept {
 }
 __attribute__((noinline)) void operator delete[](void* p,
                                                  std::size_t) noexcept {
+    std::free(p);
+}
+__attribute__((noinline)) void operator delete(void* p,
+                                               const std::nothrow_t&) noexcept {
+    std::free(p);
+}
+__attribute__((noinline)) void operator delete[](
+    void* p, const std::nothrow_t&) noexcept {
     std::free(p);
 }
 
@@ -149,12 +172,191 @@ TEST(InferenceEngine, VggForwardMatchesReference) {
 // the generic Layer::forward fallback with identical results.
 class ScaleLayer : public Layer {
 public:
+    explicit ScaleLayer(float factor = 2.0f) : factor_(factor) {}
     Tensor forward(const Tensor& x, bool /*training*/) override {
-        return tensor::scale(x, 2.0f);
+        return tensor::scale(x, factor_);
     }
     Tensor backward(const Tensor& dy) override { return dy; }
     std::string type() const override { return "Scale"; }
+
+private:
+    float factor_;
 };
+
+// A MaxPool2d(2) after a step it cannot fuse with runs as the standalone
+// pool step, whose scan keeps the first maximal element of each window as
+// MaxPool2d::forward does: ties and ±0 included, the bits match.
+TEST(InferenceEngine, StandaloneMaxPoolMatchesLayerForwardBitExact) {
+    util::Rng rng(12);
+    Sequential model;
+    model.add(std::make_unique<ScaleLayer>(), "scale1");
+    model.add(std::make_unique<MaxPool2d>(2), "pool1");
+    InferenceEngine engine(model);
+
+    Tensor x({3, 5, 6, 10});
+    tensor::fill_normal(x, rng, 0.0f, 1.0f);
+    for (std::int64_t i = 0; i < x.numel(); i += 5) x[i] = x[i / 2];  // ties
+    for (std::int64_t i = 3; i < x.numel(); i += 11)
+        x[i] = i % 2 ? -0.0f : 0.0f;
+    const Tensor reference = model.forward(x, /*training=*/false);
+    const Tensor& got = engine.forward(x);
+    ASSERT_EQ(got.shape(), reference.shape());
+    EXPECT_EQ(std::memcmp(got.data(), reference.data(),
+                          static_cast<std::size_t>(got.numel()) *
+                              sizeof(float)),
+              0);
+}
+
+// VGG11's and VGG16's conv trunks at width 0.125 (-1: a 2×2 max-pool).
+const std::vector<std::int64_t> kVgg11Trunk = {8,  -1, 16, -1, 32, 32, -1,
+                                               64, 64, -1, 64, 64, -1};
+const std::vector<std::int64_t> kVgg16Trunk = {
+    8, 8, -1, 16, 16, -1, 32, 32, 32, -1, 64, 64, 64, -1, 64, 64, 64, -1};
+
+struct TrunkEpilogue {
+    bool bn, bias, relu;
+};
+
+// The trunk up to its `pools`-th pool, then Flatten, so the last pooled map
+// is the output. With `standalone_pools` a ×1 ScaleLayer precedes each
+// pool, which keeps the pool out of the conv step: the reference.
+Sequential vgg_trunk(const std::vector<std::int64_t>& plan, int pools,
+                     const TrunkEpilogue& ep, bool standalone_pools,
+                     util::Rng& rng) {
+    Sequential model;
+    std::int64_t in = 3;
+    for (const std::int64_t entry : plan) {
+        if (entry < 0) {
+            if (standalone_pools)
+                model.add(std::make_unique<ScaleLayer>(1.0f));
+            model.add(std::make_unique<MaxPool2d>(2));
+            if (--pools == 0) break;
+            continue;
+        }
+        model.add(std::make_unique<Conv2d>(in, entry, 3, 1, 1, rng, ep.bias));
+        if (ep.bn) model.add(std::make_unique<BatchNorm2d>(entry));
+        if (ep.relu) model.add(std::make_unique<ReLU>());
+        in = entry;
+    }
+    model.add(std::make_unique<Flatten>());
+    return model;
+}
+
+// Both trunks are built from one seed, so they hold the same weights, and
+// get the same BN statistics and degraded instances. At each batch size, a
+// 4-lane forward and the one-lane forward of the engine's own instance must
+// match the reference bit for bit.
+void expect_fused_pools_match(const std::vector<std::int64_t>& plan, int pools,
+                              const TrunkEpilogue& ep, prune::Method method,
+                              std::initializer_list<std::int64_t> batches) {
+    util::Rng rng_a(21), rng_b(21);
+    Sequential fused = vgg_trunk(plan, pools, ep, false, rng_a);
+    Sequential ref = vgg_trunk(plan, pools, ep, true, rng_b);
+    if (method != prune::Method::kNone) {
+        prune::PruneConfig pc;
+        pc.method = method;
+        pc.spare_first_conv = false;
+        prune::prune_at_init(fused, pc);
+        prune::prune_at_init(ref, pc);
+    }
+    if (ep.bn) {
+        util::Rng wa(22), wb(22);
+        warm_batchnorm(fused, wa, 32);
+        warm_batchnorm(ref, wb, 32);
+    }
+    InferenceEngine fused_engine(fused), ref_engine(ref);
+
+    util::Rng rng(23);
+    const auto layers = map::mappable_layers(fused);
+    std::vector<std::vector<Tensor>> degraded(4);
+    for (std::vector<Tensor>& lane : degraded)
+        for (nn::Layer* l : layers) {
+            Tensor d = map::extract_matrix(*l);
+            for (std::int64_t i = 0; i < d.numel(); ++i)
+                d[i] *= 0.85f + 0.3f * static_cast<float>(rng.uniform());
+            lane.push_back(std::move(d));
+        }
+    std::vector<CompiledInstance> fused_insts(4), ref_insts(4);
+    std::vector<const CompiledInstance*> fused_ptrs, ref_ptrs;
+    for (std::size_t r = 0; r < 4; ++r) {
+        std::vector<const Tensor*> ov;
+        for (const Tensor& d : degraded[r]) ov.push_back(&d);
+        fused_engine.compile_instance(ov, fused_insts[r]);
+        ref_engine.compile_instance(ov, ref_insts[r]);
+        fused_ptrs.push_back(&fused_insts[r]);
+        ref_ptrs.push_back(&ref_insts[r]);
+    }
+
+    const auto same = [](const Tensor& a, const Tensor& b) {
+        return a.shape() == b.shape() &&
+               std::memcmp(a.data(), b.data(),
+                           static_cast<std::size_t>(a.numel()) *
+                               sizeof(float)) == 0;
+    };
+    for (const std::int64_t batch : batches) {
+        Tensor x({batch, 3, 32, 32});
+        tensor::fill_normal(x, rng, 0.0f, 1.0f);
+        const std::string what =
+            std::to_string(plan.size()) + "-entry plan, " +
+            std::to_string(pools) + " pools, " + prune::method_name(method) +
+            ", bn " + std::to_string(ep.bn) + " bias " +
+            std::to_string(ep.bias) + " relu " + std::to_string(ep.relu) +
+            ", batch " + std::to_string(batch);
+        const Tensor one = fused_engine.forward(x);
+        EXPECT_TRUE(same(one, ref_engine.forward(x))) << what << ", one lane";
+        const Tensor four = fused_engine.forward_batched(
+            x.data(), x.shape(), fused_ptrs.data(), 4);
+        EXPECT_TRUE(same(four, ref_engine.forward_batched(
+                                   x.data(), x.shape(), ref_ptrs.data(), 4)))
+            << what << ", four lanes";
+    }
+}
+
+TEST(InferenceEngine, FusedConvPoolIsBitIdenticalToConvThenStandalonePool) {
+    // Conv + BN + ReLU + pool, dense and pruned. The stem alone (one pool)
+    // outputs its whole pooled map, read from the NCHW input in place; the
+    // full trunks pool at every width (32, 16, 8, 4, 2). The epilogue's
+    // numerics at every shape and batch are pinned in tensor_gemm_test.
+    const TrunkEpilogue vgg{true, false, true};
+    for (const prune::Method method :
+         {prune::Method::kNone, prune::Method::kChannelFilter,
+          prune::Method::kXbarColumn}) {
+        expect_fused_pools_match(kVgg11Trunk, 1, vgg, method, {1, 3, 50, 64});
+        expect_fused_pools_match(kVgg11Trunk, 5, vgg, method, {3});
+        expect_fused_pools_match(kVgg16Trunk, 5, vgg, method, {3});
+    }
+    expect_fused_pools_match(kVgg11Trunk, 5, vgg, prune::Method::kNone, {50});
+    // The conv's own bias, with and without ReLU, and a bare conv.
+    for (const TrunkEpilogue ep : {TrunkEpilogue{false, true, true},
+                                   TrunkEpilogue{false, true, false},
+                                   TrunkEpilogue{false, false, false}})
+        expect_fused_pools_match(kVgg11Trunk, 5, ep, prune::Method::kNone,
+                                 {3});
+}
+
+// A pooled conv whose GEMM tiles would split row pairs fails, naming the
+// layer, like a conv geometry the kernel does not cover; odd maps fail as
+// the standalone pool does.
+TEST(InferenceEngine, RejectsPooledMapsTheTilesDoNotCover) {
+    util::Rng rng(13);
+    Sequential model;
+    model.add(std::make_unique<Conv2d>(3, 8, 3, 1, 1, rng), "conv_p");
+    model.add(std::make_unique<ReLU>(), "relu_p");
+    model.add(std::make_unique<MaxPool2d>(2), "pool_p");
+    InferenceEngine engine(model);
+    Tensor ok({2, 3, 8, 8});  // 128 columns: whole row pairs
+    EXPECT_NO_THROW(engine.forward(ok));
+    Tensor six({64, 3, 6, 6});  // 256-column slices split 12-column pairs
+    try {
+        engine.forward(six);
+        ADD_FAILURE() << "6×6 maps at batch 64 did not throw";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("conv_p"), std::string::npos)
+            << e.what();
+    }
+    Tensor odd({1, 3, 5, 6});
+    EXPECT_THROW(engine.forward(odd), std::invalid_argument);
+}
 
 TEST(InferenceEngine, GenericFallbackMatchesReference) {
     util::Rng rng(4);

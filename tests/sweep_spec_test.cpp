@@ -75,6 +75,33 @@ TEST(SweepSpec, ParsePruneAndMitigationSyntax) {
                  std::exception);
 }
 
+// Values no grid can run are refused at parse time, each message naming its
+// key: a crossbar size of 0 used to hang tile_xcs, and one below 1 reached
+// tile_dense's bare "bad dimensions" abort.
+TEST(SweepSpec, RejectsValuesNoGridCanRun) {
+    const struct {
+        const char* flag;
+        const char* key;
+    } bad[] = {{"--sizes=32,0", "sizes"},
+               {"--sizes=-16", "sizes"},
+               {"--parasitic-scales=1,-0.5", "parasitic-scales"},
+               {"--parasitic-scales=nan", "parasitic-scales"},
+               {"--sweep-repeats=0", "sweep-repeats"}};
+    for (const auto& b : bad) {
+        try {
+            parse_sweep_spec(make_flags({b.flag}));
+            ADD_FAILURE() << b.flag << " was accepted";
+        } catch (const std::exception& e) {
+            EXPECT_NE(std::string(e.what()).find(b.key), std::string::npos)
+                << b.flag << ": " << e.what();
+        }
+    }
+    const SweepSpec ok =
+        parse_sweep_spec(make_flags({"--sizes=1", "--parasitic-scales=0"}));
+    EXPECT_EQ(ok.sizes, std::vector<std::int64_t>{1});
+    EXPECT_EQ(ok.parasitic_scales, std::vector<double>{0.0});
+}
+
 TEST(SweepSpec, SpecFileParsesAndCliWins) {
     const std::string path =
         (std::filesystem::temp_directory_path() / "xs_spec_test.sweep").string();

@@ -659,7 +659,7 @@ void expect_conv_matches_packed(const ConvCase& cs) {
                                      want.data(), n_cols, bias_ptr, relu, 0,
                                      tiles);
                 gemm_conv_tiles(pa, tables, x.data(), got.data(), n_cols,
-                                bias_ptr, relu, 0, tiles);
+                                bias_ptr, relu, /*pool=*/false, 0, tiles);
                 const auto bytes =
                     static_cast<std::size_t>(got.numel()) * sizeof(float);
                 EXPECT_EQ(std::memcmp(got.data(), want.data(), bytes), 0)
@@ -718,6 +718,176 @@ TEST(GemmConv, InPlaceBIsBitIdenticalToPackedTails) {
         {"one panel", 1, 8, 2, 2, 8, 3, false},
     };
     for (const ConvCase& cs : cases) expect_conv_matches_packed(cs);
+}
+
+// A pooled gemm_conv_tiles call writes the 2×2 max-pool of its output and
+// never the full-resolution map. Its reference is the unpooled call
+// followed by max(max(r0[2j], r0[2j+1]), max(r1[2j], r1[2j+1])), std::max
+// with its operands in that order: the two must match bit for bit.
+struct PoolCase {
+    const char* name;
+    std::int64_t c, h, w, cout, kernel;
+    bool nchw;  // batch-major input read in place (else channel-major)
+};
+
+// The reference pool of a channel-major (m × n·h·w) conv output.
+std::vector<float> pool_reference(const Tensor& full, std::int64_t n,
+                                  std::int64_t h, std::int64_t w) {
+    const std::int64_t m = full.dim(0), oh = h / 2, ow = w / 2;
+    std::vector<float> out(static_cast<std::size_t>(m * n * oh * ow));
+    std::size_t o = 0;
+    for (std::int64_t i = 0; i < m; ++i)
+        for (std::int64_t img = 0; img < n; ++img)
+            for (std::int64_t y = 0; y < oh; ++y) {
+                const float* r0 = full.data() + i * full.dim(1) +
+                                  img * h * w + 2 * y * w;
+                const float* r1 = r0 + w;
+                for (std::int64_t j = 0; j < ow; ++j)
+                    out[o++] = std::max(std::max(r0[2 * j], r0[2 * j + 1]),
+                                        std::max(r1[2 * j], r1[2 * j + 1]));
+            }
+    return out;
+}
+
+// One pooled conv shape at batch n: dense weights with bias + ReLU and with
+// neither (up to batch 3 also with each alone), C/F-shaped ones with bias +
+// ReLU and XCS-shaped ones with bias alone. The epilogue is shared; the
+// weight kinds differ in how the tile carries partial sums. `poison` writes
+// NaN, ±Inf and zero into the input first (1×1 kernels keep each NaN in its
+// own window slot).
+void expect_pooled_conv_matches(const PoolCase& cs, std::int64_t n,
+                                bool poison = false) {
+    const std::int64_t h = cs.h, w = cs.w, hw = h * w;
+    const std::int64_t pad = (cs.kernel - 1) / 2;
+    const std::int64_t k = cs.c * cs.kernel * cs.kernel;
+    const std::int64_t s_img = cs.nchw ? cs.c * hw : hw;
+    const std::int64_t s_c = cs.nchw ? hw : n * hw;
+    util::Rng rng(static_cast<std::uint64_t>(n * 1013 + cs.c * 37 + hw));
+    Tensor x({n * cs.c * hw}), bias({cs.cout});
+    fill_normal(x, rng, 0.0f, 1.0f);
+    fill_normal(bias, rng, 0.0f, 1.0f);
+    if (poison) {
+        const float odd[] = {std::nanf(""), -std::nanf(""), INFINITY,
+                             -INFINITY, 0.0f, -0.0f};
+        for (std::int64_t i = 0; i < x.numel(); i += 7)
+            x[i] = odd[static_cast<std::size_t>(i / 7 % 6)];
+    }
+    ConvTables tables;
+    conv_tables(n, cs.c, h, w, s_img, s_c, cs.kernel, pad, tables);
+    const std::int64_t n_cols = tables.n_cols, pooled = n_cols / 4;
+    const std::int64_t tiles = gemm_tile_count(cs.cout, n_cols);
+    struct Weights {
+        const char* name;
+        bool pruned;
+        Pattern pattern;
+    };
+    for (const Weights& wk :
+         {Weights{"dense", false, Pattern::kRandom},
+          Weights{"c/f", true, Pattern::kChannelFilter},
+          Weights{"xcs", true, Pattern::kXbarSegments}}) {
+        Tensor a({cs.cout, k});
+        fill_normal(a, rng, 0.0f, 1.0f);
+        if (wk.pruned) prune_pattern(a, wk.pattern, rng);
+        PackedGemmA pa;
+        gemm_pack_a(cs.cout, k, a.data(), k, pa);
+        for (const bool with_bias : {false, true})
+            for (const bool relu : {false, true}) {
+                const bool runs =
+                    wk.pruned
+                        ? with_bias &&
+                              relu == (wk.pattern == Pattern::kChannelFilter)
+                        : with_bias == relu || n <= 3;
+                if (!runs) continue;
+                const float* bias_ptr = with_bias ? bias.data() : nullptr;
+                Tensor full({cs.cout, n_cols});
+                gemm_conv_tiles(pa, tables, x.data(), full.data(), n_cols,
+                                bias_ptr, relu, /*pool=*/false, 0, tiles);
+                const std::vector<float> want =
+                    pool_reference(full, n, h, w);
+                // Sentinel-filled, so an element the kernel fails to write
+                // shows up as a mismatch too.
+                std::vector<float> got(want.size(), 7.0f);
+                gemm_conv_tiles(pa, tables, x.data(), got.data(), pooled,
+                                bias_ptr, relu, /*pool=*/true, 0, tiles);
+                EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                                      want.size() * sizeof(float)),
+                          0)
+                    << cs.name << " batch " << n << " " << wk.name
+                    << (pa.sparse ? " (row-sparse)" : " (dense kind)")
+                    << " bias " << with_bias << " relu " << relu;
+            }
+    }
+}
+
+TEST(GemmConv, PooledEpilogueIsBitIdenticalToConvThenPool) {
+    // Every pooled conv of VGG11 and VGG16 at width 0.125 on 32×32 inputs
+    // (W = 32, 16, 8, 4, 2), conv0 reading the NCHW network input in place.
+    // VGG16's pooled convs 6, 9 and 12 have VGG11's conv3, 5 and 7 shapes.
+    // Batches 1, 3 and 50 end in partial slices and partial 64-column pool
+    // groups.
+    const PoolCase cases[] = {
+        {"vgg11 conv0 nchw", 3, 32, 32, 8, 3, true},
+        {"vgg11 conv1", 8, 16, 16, 16, 3, false},
+        {"vgg11 conv3", 32, 8, 8, 32, 3, false},
+        {"vgg11 conv5", 64, 4, 4, 64, 3, false},
+        {"vgg11 conv7", 64, 2, 2, 64, 3, false},
+        {"vgg16 conv1", 8, 32, 32, 8, 3, false},
+        {"vgg16 conv3", 16, 16, 16, 16, 3, false},
+    };
+    for (const PoolCase& cs : cases)
+        for (const std::int64_t n : {1, 3, 50, 64})
+            expect_pooled_conv_matches(cs, n);
+}
+
+TEST(GemmConv, PooledEpilogueKeepsMaxOperandOrderOnNaNAndInf) {
+    // 1×1 kernels put each poisoned input in one window slot; maps of width
+    // 128, 64, 32, 8 and 2 take each of the vector epilogue's paths, and
+    // widths 6 and 12 (one slice each) the portable loop every build keeps.
+    const PoolCase cases[] = {
+        {"1x1 128x128", 2, 128, 128, 8, 1, false},
+        {"1x1 64x64", 4, 64, 64, 8, 1, false},
+        {"1x1 32x32", 4, 32, 32, 8, 1, false},
+        {"1x1 8x8", 4, 8, 8, 8, 1, false},
+        {"1x1 2x2", 4, 2, 2, 8, 1, false},
+        {"1x1 2x6", 4, 2, 6, 8, 1, false},
+        {"3x3 2x12", 5, 2, 12, 9, 3, false},
+    };
+    for (const PoolCase& cs : cases) expect_pooled_conv_matches(cs, 1, true);
+    expect_pooled_conv_matches(cases[3], 3, true);
+}
+
+// A pooled tile must hold whole row pairs. gemm_tile_width gives them for
+// every pooled shape of VGG11 and VGG16 at every batch the engine sees.
+TEST(GemmConv, PooledTilesHoldWholeRowPairs) {
+    for (const std::int64_t w : {32, 16, 8, 4, 2})
+        for (std::int64_t n = 1; n <= 64; ++n) {
+            const std::int64_t cols = n * w * w;
+            EXPECT_TRUE(gemm_tiles_hold_row_pairs(cols, w))
+                << "W " << w << " batch " << n;
+            const std::int64_t width = gemm_tile_width(cols);
+            for (std::int64_t j0 = 0; j0 < cols; j0 += width)
+                EXPECT_EQ(std::min(cols, j0 + width) % (2 * w), 0)
+                    << "W " << w << " batch " << n << " slice at " << j0;
+        }
+    // A 6-wide map's row pairs straddle 256-column slices, and a map wider
+    // than 128 has row pairs wider than any slice.
+    EXPECT_FALSE(gemm_tiles_hold_row_pairs(64 * 36, 6));
+    EXPECT_FALSE(gemm_tiles_hold_row_pairs(256 * 256, 256));
+
+    ConvTables t;
+    PackedGemmA pa;
+    Tensor a({8, 4 * 9}, 0.5f), x({64 * 4 * 36});
+    gemm_pack_a(8, 4 * 9, a.data(), 4 * 9, pa);
+    std::vector<float> y(static_cast<std::size_t>(8 * 64 * 9));
+    conv_tables(64, 4, 6, 6, 36, 64 * 36, 3, 1, t);
+    EXPECT_THROW(gemm_conv_tiles(pa, t, x.data(), y.data(), 64 * 9, nullptr,
+                                 false, /*pool=*/true, 0,
+                                 gemm_tile_count(8, t.n_cols)),
+                 std::invalid_argument);
+    conv_tables(1, 4, 5, 6, 30, 30, 3, 1, t);  // odd H
+    EXPECT_THROW(gemm_conv_tiles(pa, t, x.data(), y.data(), 7, nullptr, false,
+                                 /*pool=*/true, 0, 1),
+                 std::invalid_argument);
 }
 
 TEST(GemmConv, TablesRejectGeometryTheKernelDoesNotCover) {
