@@ -19,6 +19,7 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <vector>
 
 namespace {
 
@@ -368,6 +369,39 @@ BENCHMARK(BM_EvaluateOnCrossbars)
     ->Arg(4)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond);
+
+// NF measurement as a sweep's NF unit runs it (DESIGN.md §7): one
+// MappingPlan of the unpruned VGG11 (width 0.125) at 64×64, measured at the
+// first `range(0)` of the parasitic scales 0.5, 1, 2, 4 per iteration, with
+// device variation off as in nf-only sweeps. Building the plan is untimed.
+void BM_MeasureNf(benchmark::State& state) {
+    nn::VggConfig vc;
+    vc.width = 0.125;
+    util::Rng rng(22);
+    nn::Sequential model = nn::build_vgg(vc, rng);
+    core::EvalConfig base;
+    base.xbar.size = 64;
+    base.include_variation = false;
+    const core::MappingPlan plan(model, base);
+    const double scales[] = {0.5, 1.0, 2.0, 4.0};
+    std::vector<core::EvalConfig> configs(
+        static_cast<std::size_t>(state.range(0)), base);
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+        xbar::ParasiticsConfig& p = configs[i].xbar.parasitics;
+        p.r_driver *= scales[i];
+        p.r_wire_row *= scales[i];
+        p.r_wire_col *= scales[i];
+        p.r_sense *= scales[i];
+    }
+    for (auto _ : state) {
+        for (const core::EvalConfig& c : configs) {
+            const core::EvalResult r = core::measure_nf(plan, c);
+            benchmark::DoNotOptimize(r.nf_mean);
+        }
+    }
+    state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_MeasureNf)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
 void BM_ConductanceMapping(benchmark::State& state) {
     xbar::DeviceConfig device;

@@ -2,7 +2,8 @@
 # CI entry point: a Release build+test job with a bench smoke, a bench
 # regression gate, a compile-only build of the paper-grid benchmark
 # program (perfbench/xsbench), and end-to-end sweep smokes (in-process,
-# --workers with an injected crash, and multi-host through sweep_serve),
+# --workers with an injected crash, an nf-only grid in process and through
+# --workers, and multi-host through sweep_serve),
 # plus a Debug job with Address- and UB-sanitizers over the unit-labeled
 # tests. Both jobs compile with -Wall
 # -Wextra -Werror (XS_WERROR) and use ccache when available (the GitHub
@@ -46,6 +47,7 @@ run_release() {
     run_bench_gate
   fi
   run_sweep_smoke
+  run_nf_smoke
   run_service_smoke
 }
 
@@ -119,6 +121,40 @@ run_sweep_smoke() {
     python3 "$repo_root/bench/check_metrics.py" \
       --manifest="$smoke_dir/sweep_supervised.jsonl" \
       "$smoke_dir/metrics_supervised.json"
+  fi
+}
+
+# NF smoke: an nf-only grid (paper Fig. 3(d) measurement mode) over the
+# sweep smoke's three models, from its model cache, in process and again
+# with --workers=2. In process, cells that share a crossbar mapping run as
+# one unit on one MappingPlan; the coordinator deals one cell at a time, so
+# each worker measures every cell alone. The two CSVs must match byte for
+# byte, and the workers run's metrics must pass bench/check_metrics.py
+# against its manifest.
+run_nf_smoke() {
+  if [[ ! -x "$repo_root/build-release/sweep_runner" ]]; then
+    return 0
+  fi
+  echo "=== nf-only sweep smoke (in-process units vs 2 workers) ==="
+  local smoke_dir="$repo_root/build-release/sweep-smoke"
+  local nf_flags=(--width=0.0625 --train-count=96 --test-count=48
+    --epochs=1 --batch=16 --nf-only=true --sizes=16,32
+    --parasitic-scales=0.5,1,2,4 --sweep-repeats=1
+    --prune=none,cf:0.8,xcs:0.8 --backends=circuit,fast
+    --out-dir="$smoke_dir" --cache-dir="$smoke_dir/models")
+  "$repo_root/build-release/sweep_runner" "${nf_flags[@]}" \
+    --csv=nf.csv --manifest=nf.jsonl
+  "$repo_root/build-release/sweep_runner" "${nf_flags[@]}" --workers=2 \
+    --csv=nf_workers.csv --manifest=nf_workers.jsonl \
+    --metrics-out="$smoke_dir/metrics_nf_workers.json"
+  if ! cmp "$smoke_dir/nf.csv" "$smoke_dir/nf_workers.csv"; then
+    echo "nf smoke: the workers' CSV differs from the in-process run" >&2
+    return 1
+  fi
+  if command -v python3 >/dev/null 2>&1; then
+    python3 "$repo_root/bench/check_metrics.py" \
+      --manifest="$smoke_dir/nf_workers.jsonl" \
+      "$smoke_dir/metrics_nf_workers.json"
   fi
 }
 

@@ -95,20 +95,21 @@ xbar::TilePipeline build_pipeline(const EvalConfig& config) {
     return xbar::build_tile_pipeline(spec);
 }
 
-// One mappable layer's cached mapping state, reused across repeats.
-struct LayerPlan {
-    nn::Layer* layer = nullptr;
+}  // namespace
+
+// One mappable layer's mapping, reused across repeats and NF measurements.
+struct MappingPlan::Layer {
+    std::string name;
     Tensor matrix;  // original weights (the mapping source)
     double w_ref = 0.0;
     MatrixPlan plan;
 };
 
-std::vector<LayerPlan> build_layer_plans(nn::Sequential& model,
-                                         const EvalConfig& config) {
-    std::vector<LayerPlan> plans;
+MappingPlan::MappingPlan(nn::Sequential& model, const EvalConfig& config)
+    : inputs_(config) {
     for (nn::Layer* layer : map::mappable_layers(model)) {
-        LayerPlan lp;
-        lp.layer = layer;
+        Layer lp;
+        lp.name = layer->name();
         lp.matrix = map::extract_matrix(*layer);
 
         const auto it = config.w_ref.find(layer->name());
@@ -121,14 +122,29 @@ std::vector<LayerPlan> build_layer_plans(nn::Sequential& model,
         if (lp.w_ref <= 0.0) lp.w_ref = 1.0;  // degenerate all-zero layer
 
         lp.plan = build_matrix_plan(lp.matrix, config);
-        plans.push_back(std::move(lp));
+        layers_.push_back(std::move(lp));
     }
-    return plans;
 }
 
-LayerEvalStats layer_stats_of(const LayerPlan& lp, const DegradeStats& stats) {
+MappingPlan::~MappingPlan() = default;
+
+void MappingPlan::check_inputs(const EvalConfig& config) const {
+    tensor::check(config.xbar.size == inputs_.xbar.size &&
+                      config.method == inputs_.method &&
+                      config.rearrange == inputs_.rearrange &&
+                      (!config.rearrange || config.order == inputs_.order) &&
+                      config.w_ref == inputs_.w_ref &&
+                      config.w_ref_percentile == inputs_.w_ref_percentile,
+                  "MappingPlan: the config maps the model differently from "
+                  "the plan (crossbar size, method, rearrangement or w_ref)");
+}
+
+namespace {
+
+LayerEvalStats layer_stats_of(const MappingPlan::Layer& lp,
+                              const DegradeStats& stats) {
     LayerEvalStats ls;
-    ls.layer = lp.layer->name();
+    ls.layer = lp.name;
     if (lp.plan.use_compaction) {
         ls.rows = static_cast<std::int64_t>(lp.plan.compaction.rows.size());
         ls.cols = static_cast<std::int64_t>(lp.plan.compaction.cols.size());
@@ -217,12 +233,13 @@ struct TileLoop {
 // draws from layer_rngs[rl].split(t + 1), so draws do not depend on the tile
 // partition (split does not advance the parent stream), and solves start
 // cold, so neither do the results. Tile counts and NF accumulate into
-// stats[rl]; lane rl's degraded matrix is left, still in the post-T/R
-// layout, in loop.lane_work[rl] (see undo_mapping).
+// stats[rl]. With `map_back`, lane rl's degraded matrix is left, still in
+// the post-T/R layout, in loop.lane_work[rl] (see undo_mapping); without
+// it, each tile stops at its NF and lane_work is not touched.
 void degrade_tiles(const MatrixPlan& plan, const Tensor& matrix,
                    const EvalConfig& config, const xbar::TilePipeline& pipeline,
                    double w_ref, util::Rng* layer_rngs, std::size_t nl,
-                   DegradeStats* stats, TileLoop& loop) {
+                   DegradeStats* stats, TileLoop& loop, bool map_back) {
     const std::int64_t n = config.xbar.size;
     const auto& tiles = plan.tiling.tiles;
     const Tensor& source = plan.mapping_target(matrix);
@@ -237,7 +254,7 @@ void degrade_tiles(const MatrixPlan& plan, const Tensor& matrix,
                 layer_rngs[rl].split(static_cast<std::uint64_t>(t) + 1));
     loop.tile_nf.assign(nl * T, 0.0);
     loop.tile_ok.assign(nl * T, 1);
-    for (std::size_t rl = 0; rl < nl; ++rl) {
+    for (std::size_t rl = 0; map_back && rl < nl; ++rl) {
         // Scatter target; tiles cover disjoint entries.
         loop.lane_work[rl].reset(source.shape());
         std::memcpy(loop.lane_work[rl].data(), source.data(),
@@ -268,6 +285,7 @@ void degrade_tiles(const MatrixPlan& plan, const Tensor& matrix,
                     BatchLane& lane = bw.lanes[rl];
                     loop.tile_nf[rl * T + t] = lane.ctx.nf;
                     loop.tile_ok[rl * T + t] = lane.ctx.converged;
+                    if (!map_back) continue;
                     mapper.from_differential_into(*lane.ctx.pos,
                                                   *lane.ctx.neg, lane.tile_w);
                     // Tiles partition the matrix: write-disjoint.
@@ -303,7 +321,8 @@ Tensor degrade_mac_matrix(const Tensor& matrix, const EvalConfig& config,
     const MatrixPlan plan = build_matrix_plan(matrix, config);
     const xbar::TilePipeline pipeline = build_pipeline(config);
     TileLoop loop(1);
-    degrade_tiles(plan, matrix, config, pipeline, w_ref, &rng, 1, &stats, loop);
+    degrade_tiles(plan, matrix, config, pipeline, w_ref, &rng, 1, &stats, loop,
+                  /*map_back=*/true);
     return undo_mapping(plan, config, std::move(loop.lane_work[0]));
 }
 
@@ -312,7 +331,8 @@ std::vector<EvalResult> evaluate_repeats_on_crossbars(
     const std::vector<std::uint64_t>& seeds) {
     const std::size_t R = seeds.size();
     tensor::check(R > 0, "evaluate_repeats_on_crossbars: empty seed list");
-    const std::vector<LayerPlan> plans = build_layer_plans(model, config);
+    const MappingPlan mapping(model, config);
+    const std::vector<MappingPlan::Layer>& plans = mapping.layers();
     nn::InferenceEngine engine(model);
     tensor::check(engine.mappable_count() == plans.size(),
                   "evaluate_repeats_on_crossbars: engine/plan mappable-layer "
@@ -347,14 +367,15 @@ std::vector<EvalResult> evaluate_repeats_on_crossbars(
         const std::size_t lane0 = g * kGroupLanes;
         const std::size_t nl = std::min(kGroupLanes, R - lane0);
         for (std::size_t li = 0; li < plans.size(); ++li) {
-            const LayerPlan& lp = plans[li];
+            const MappingPlan::Layer& lp = plans[li];
             // Repeat r's layer li draws from Rng(seeds[r]).split(li + 1).
             layer_rngs.clear();
             for (std::size_t rl = 0; rl < nl; ++rl)
                 layer_rngs.push_back(util::Rng(seeds[lane0 + rl])
                                          .split(static_cast<std::uint64_t>(li) + 1));
             degrade_tiles(lp.plan, lp.matrix, config, pipeline, lp.w_ref,
-                          layer_rngs.data(), nl, &stats[li][lane0], loop);
+                          layer_rngs.data(), nl, &stats[li][lane0], loop,
+                          /*map_back=*/true);
             // Map back, then fold straight into the packed instance.
             for (std::size_t rl = 0; rl < nl; ++rl) {
                 const Tensor mac = undo_mapping(
@@ -456,25 +477,28 @@ EvalResult evaluate_on_crossbars(nn::Sequential& model, const nn::Dataset& test,
     return aggregate;
 }
 
-EvalResult measure_nf(nn::Sequential& model, const EvalConfig& config) {
+EvalResult measure_nf(const MappingPlan& plan, const EvalConfig& config) {
     XS_TIMER_NS("core.measure_nf.ns");
     XS_TRACE_SPAN("measure_nf");
-    const std::vector<LayerPlan> plans = build_layer_plans(model, config);
+    plan.check_inputs(config);
     const xbar::TilePipeline pipeline = build_pipeline(config);
     TileLoop loop(1);
     EvalResult result;
-    for (std::size_t li = 0; li < plans.size(); ++li) {
-        const LayerPlan& lp = plans[li];
+    for (std::size_t li = 0; li < plan.layers().size(); ++li) {
+        const MappingPlan::Layer& lp = plan.layers()[li];
         util::Rng layer_rng =
             util::Rng(config.seed).split(static_cast<std::uint64_t>(li) + 1);
         DegradeStats stats;
-        // NF and tile counts only: the degraded matrix is never mapped back.
         degrade_tiles(lp.plan, lp.matrix, config, pipeline, lp.w_ref,
-                      &layer_rng, 1, &stats, loop);
+                      &layer_rng, 1, &stats, loop, /*map_back=*/false);
         result.layers.push_back(layer_stats_of(lp, stats));
     }
     finalize_nf(result);
     return result;
+}
+
+EvalResult measure_nf(nn::Sequential& model, const EvalConfig& config) {
+    return measure_nf(MappingPlan(model, config), config);
 }
 
 }  // namespace xs::core

@@ -8,7 +8,9 @@
 // lanes of one tile loop whose circuit solves batch across lanes, and each
 // repeat's W′ compiles into an inference-engine instance that runs through
 // forward_batched. A single evaluation (one repeat, degrade_mac_matrix,
-// measure_nf) is the one-lane case of the same loop.
+// measure_nf) is the one-lane case of the same loop. The deterministic
+// mapping stages (T, R, tiling, w_ref) form a MappingPlan, which NF
+// measurements that share a mapping reuse.
 #pragma once
 
 #include "core/rearrange.h"
@@ -96,6 +98,30 @@ struct EvalResult {
     std::vector<LayerEvalStats> layers;
 };
 
+// A model's crossbar mapping under one config's mapping inputs (crossbar
+// size, method, rearrangement and its order, the w_ref settings): every
+// mappable layer's T-compaction, R column rearrangement, tiling and w_ref,
+// in map::mappable_layers order. Nothing in it is stochastic or
+// circuit-level, so evaluations that differ only in device variation,
+// parasitics, faults, write quantization, backend or seed can share one
+// plan (a sweep's NF unit, DESIGN.md §7). It copies the weights and keeps
+// no reference to the model.
+class MappingPlan {
+public:
+    MappingPlan(nn::Sequential& model, const EvalConfig& config);
+    ~MappingPlan();
+
+    // Throws unless `config` has the mapping inputs this plan was built with.
+    void check_inputs(const EvalConfig& config) const;
+
+    struct Layer;  // one layer's mapping, defined by the evaluator
+    const std::vector<Layer>& layers() const { return layers_; }
+
+private:
+    EvalConfig inputs_;  // the config the plan was built from
+    std::vector<Layer> layers_;
+};
+
 // Degrade one MAC matrix through the full T→R→tile→G→G′→W′→R⁻¹→T⁻¹ pipeline
 // (one lane of the tile loop; tile t draws from rng.split(t + 1)). `w_ref`
 // must be positive. Stats (tile/NF counts) accumulate into `stats`.
@@ -113,21 +139,27 @@ EvalResult evaluate_on_crossbars(nn::Sequential& model, const nn::Dataset& test,
 
 // One EvalResult per entry of `seeds`: repeat r degrades with seed seeds[r]
 // and all repeats evaluate in a single lane-batched pass (config.repeats is
-// ignored — the seed list IS the repeat axis). The deterministic mapping
-// stages (T-compaction, R-rearrangement, tiling, w_ref) are computed once;
-// each repeat only redoes the stochastic stages (variation, faults, circuit
-// solve). Repeats ride in groups of four lanes, and group g+1's degradation
-// overlaps group g's inference on a producer thread. Circuit solves start
-// cold, so a repeat's result does not depend on which other seeds ride with
-// it: sweeps call this with one grid point's per-cell seeds and every
-// repeat still produces its own CellResult.
+// ignored — the seed list IS the repeat axis). The MappingPlan is built
+// once; each repeat only redoes the stochastic stages (variation, faults,
+// circuit solve). Repeats ride in groups of four lanes, and group g+1's
+// degradation overlaps group g's inference on a producer thread. Circuit
+// solves start cold, so a repeat's result does not depend on which other
+// seeds ride with it: sweeps call this with one grid point's per-cell seeds
+// and every repeat still produces its own CellResult.
 std::vector<EvalResult> evaluate_repeats_on_crossbars(
     nn::Sequential& model, const nn::Dataset& test, const EvalConfig& config,
     const std::vector<std::uint64_t>& seeds);
 
 // NF measurement only (paper Fig. 3(d)): one lane of the tile loop per
-// layer, seeded config.seed; no inference pass, and the degraded matrices
-// are never mapped back.
+// layer of `plan`, seeded config.seed, with no inference pass. The tile loop
+// stops at each tile's NF: degraded conductances are never converted back to
+// weights or scattered into a matrix. Throws when `config`'s mapping inputs
+// differ from the plan's (MappingPlan::check_inputs). Solves start cold, so
+// the result equals measure_nf(model, config) bit for bit whatever else
+// shares the plan.
+EvalResult measure_nf(const MappingPlan& plan, const EvalConfig& config);
+
+// measure_nf on a MappingPlan built for `config`.
 EvalResult measure_nf(nn::Sequential& model, const EvalConfig& config);
 
 }  // namespace xs::core

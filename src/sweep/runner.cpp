@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstdio>
 #include <exception>
+#include <optional>
 #include <set>
 #include <sstream>
 
@@ -40,27 +41,36 @@ std::vector<core::ModelSpec> distinct_model_specs(
     return specs;
 }
 
-// What every cell of one grid point shares: the prepared (cached) model and
-// the evaluation config built from the cell's axes. The repeat's seed is
-// the only per-cell input, so it is left to the caller.
-struct CellSetup {
-    core::PreparedModel& model;
-    core::EvalConfig eval;
-};
+// Whether two cells map one model the same way: they differ at most in
+// sigma, parasitic scale, faults, quant levels, backend and repeat.
+bool same_mapping(const SweepCell& a, const SweepCell& b) {
+    return a.variant == b.variant && a.num_classes == b.num_classes &&
+           a.prune.method == b.prune.method &&
+           a.prune.sparsity == b.prune.sparsity &&
+           a.mitigation.name() == b.mitigation.name() &&
+           a.xbar_size == b.xbar_size;
+}
 
-CellSetup setup_cell(core::ExperimentContext& ctx, const SweepCell& cell) {
-    const core::ModelSpec model_spec =
-        ctx.spec(cell.variant, cell.num_classes, cell.prune.method,
-                 cell.prune.sparsity, cell.mitigation.wct);
-    core::PreparedModel& model = [&]() -> core::PreparedModel& {
-        XS_TIMER_NS("sweep.phase.prepare.ns");
-        XS_TRACE_SPAN("cell.prepare");
-        return ctx.prepared(model_spec);
-    }();
-    CellSetup setup{model, ctx.eval_config(model, cell.prune.method,
-                                           cell.xbar_size,
-                                           cell.mitigation.rearrange)};
-    core::EvalConfig& eval = setup.eval;
+// The prepared (cached) model a cell evaluates.
+core::PreparedModel& resolve_model(core::ExperimentContext& ctx,
+                                   const SweepCell& cell) {
+    XS_TIMER_NS("sweep.phase.prepare.ns");
+    XS_TRACE_SPAN("cell.prepare");
+    return ctx.prepared(ctx.spec(cell.variant, cell.num_classes,
+                                 cell.prune.method, cell.prune.sparsity,
+                                 cell.mitigation.wct));
+}
+
+// The evaluation config built from the cell's axes and seeded with its own
+// cell_seed. An nf-only cell measures NF (paper Fig. 3(d)) with no device
+// variation.
+core::EvalConfig cell_config(core::ExperimentContext& ctx,
+                             const SweepSpec& spec,
+                             const core::PreparedModel& model,
+                             const SweepCell& cell) {
+    core::EvalConfig eval = ctx.eval_config(model, cell.prune.method,
+                                            cell.xbar_size,
+                                            cell.mitigation.rearrange);
     eval.backend = cell.backend;
     eval.xbar.device.sigma_variation = cell.sigma;
     eval.xbar.parasitics.r_driver *= cell.parasitic_scale;
@@ -71,82 +81,108 @@ CellSetup setup_cell(core::ExperimentContext& ctx, const SweepCell& cell) {
     eval.faults.p_stuck_max = cell.faults.p_stuck_max;
     if (cell.quant_levels > 0) eval.conductance_levels = cell.quant_levels;
     eval.compensate_columns = cell.mitigation.compensate;
-    return setup;
+    eval.seed = cell_seed(ctx.seed(), cell);
+    if (spec.nf_only) eval.include_variation = false;
+    return eval;
 }
 
-// One CellResult per evaluated repeat, with the analytic energy estimate
-// attached; the wall time since `t0` is split evenly across them.
-std::vector<CellResult> cell_results(const SweepCell& head,
-                                     const CellSetup& setup,
-                                     const std::vector<core::EvalResult>& per,
-                                     std::chrono::steady_clock::time_point t0) {
-    const map::EnergyReport energy =
-        map::estimate_energy(setup.model.model, head.prune.method,
-                             setup.eval.xbar, map::EnergyConfig{});
-    const double wall_ms = std::chrono::duration<double, std::milli>(
-                               std::chrono::steady_clock::now() - t0)
-                               .count() /
-                           static_cast<double>(per.size());
-    std::vector<CellResult> out(per.size());
-    for (std::size_t r = 0; r < per.size(); ++r) {
-        out[r].backend = xbar::backend_name(head.backend);
-        out[r].accuracy = per[r].accuracy;
-        out[r].nf_mean = per[r].nf_mean;
-        out[r].energy_pj = energy.total_energy_pj();
-        out[r].software_acc = setup.model.software_accuracy;
-        out[r].tiles = per[r].total_tiles;
-        out[r].solver_failures = per[r].unconverged_tiles;
-        out[r].wall_ms = wall_ms;
+// The analytic energy estimate of one MAC pass: a function of the model,
+// the method and the crossbar size and device range, so every cell of a
+// unit shares it.
+double energy_pj(core::PreparedModel& model, const SweepCell& cell,
+                 const core::EvalConfig& eval) {
+    return map::estimate_energy(model.model, cell.prune.method, eval.xbar,
+                                map::EnergyConfig{})
+        .total_energy_pj();
+}
+
+CellResult cell_result(const SweepCell& cell, const core::PreparedModel& model,
+                       const core::EvalResult& r, double energy,
+                       double wall_ms) {
+    CellResult out;
+    out.backend = xbar::backend_name(cell.backend);
+    out.accuracy = r.accuracy;
+    out.nf_mean = r.nf_mean;
+    out.energy_pj = energy;
+    out.software_acc = model.software_accuracy;
+    out.tiles = r.total_tiles;
+    out.solver_failures = r.unconverged_tiles;
+    out.wall_ms = wall_ms;
+    return out;
+}
+
+double ms_since(std::chrono::steady_clock::time_point t0) {
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - t0)
+        .count();
+}
+
+// An nf-only unit: cells that map one model the same way, each in its own
+// `cell` span. The first cell's span also resolves the model, builds the
+// MappingPlan and estimates the energy, which every cell then shares. Each
+// cell keeps its own seed and stage pipeline, and solves start cold, so its
+// result is the one it gets alone.
+std::vector<CellResult> run_nf_unit(core::ExperimentContext& ctx,
+                                    const SweepSpec& spec,
+                                    const std::vector<const SweepCell*>& cells) {
+    core::PreparedModel* model = nullptr;
+    std::optional<core::MappingPlan> plan;
+    double energy = 0.0;
+    std::vector<CellResult> out;
+    out.reserve(cells.size());
+    for (const SweepCell* cell : cells) {
+        tensor::check(same_mapping(*cells.front(), *cell),
+                      "run_sweep_group: the cells of an nf-only unit must "
+                      "share one mapping");
+        XS_TIMER_NS("sweep.cell.ns");
+        XS_TRACE_SPAN("cell");
+        XS_COUNT("sweep.cells.executed", 1);
+        const auto t0 = std::chrono::steady_clock::now();
+        if (!model) model = &resolve_model(ctx, *cell);
+        const core::EvalConfig eval = cell_config(ctx, spec, *model, *cell);
+        core::EvalResult r;
+        {
+            XS_TIMER_NS("sweep.phase.eval.ns");
+            XS_TRACE_SPAN("cell.eval");
+            if (!plan) plan.emplace(model->model, eval);
+            r = core::measure_nf(*plan, eval);
+        }
+        if (out.empty()) energy = energy_pj(*model, *cell, eval);
+        out.push_back(cell_result(*cell, *model, r, energy, ms_since(t0)));
     }
     return out;
 }
 
 }  // namespace
 
-// Execute one grid cell. Inference cells are a one-cell group; nf-only
-// cells measure NF (paper Fig. 3(d)) with no inference pass and no device
-// variation. Safe to call concurrently from shard chunks: the context's
-// caches are locked, the shared model is only read, and all scratch is
-// call-local. Also the body of every forked worker (sweep/supervisor.h).
+// One grid cell is a one-cell unit. Safe to call concurrently from shard
+// chunks: the context's caches are locked, the shared model is only read,
+// and all scratch is call-local. Also the body of every forked worker
+// (sweep/supervisor.h).
 CellResult run_sweep_cell(core::ExperimentContext& ctx, const SweepSpec& spec,
                           const SweepCell& cell) {
-    if (!spec.nf_only) return run_sweep_group(ctx, spec, {&cell}).front();
-    XS_TIMER_NS("sweep.cell.ns");
-    XS_TRACE_SPAN("cell");
-    XS_COUNT("sweep.cells.executed", 1);
-    const auto t0 = std::chrono::steady_clock::now();
-    CellSetup setup = setup_cell(ctx, cell);
-    setup.eval.seed = cell_seed(ctx.seed(), cell);
-    setup.eval.include_variation = false;
-    std::vector<core::EvalResult> per(1);
-    {
-        XS_TIMER_NS("sweep.phase.eval.ns");
-        XS_TRACE_SPAN("cell.eval");
-        per[0] = core::measure_nf(setup.model.model, setup.eval);
-    }
-    return cell_results(cell, setup, per, t0).front();
+    return run_sweep_group(ctx, spec, {&cell}).front();
 }
 
-// Execute one grid point's repeats in a single lane-batched evaluation. The
-// cells share every axis except the repeat index, so one EvalConfig (built
-// from the head cell) serves the whole group; only the per-repeat seeds
-// differ, and those reach the evaluator as an explicit seed list. Solves
-// start cold, so each lane's result is independent of the group it rides
-// in: a group and its cells run one by one give the same bytes.
+// An inference unit is one grid point's repeats in a single lane-batched
+// evaluation. The cells share every axis except the repeat index, so one
+// EvalConfig (built from the head cell) serves the whole group; only the
+// per-repeat seeds differ, and those reach the evaluator as an explicit seed
+// list. Solves start cold, so each lane's result is independent of the group
+// it rides in: a group and its cells run one by one give the same bytes.
 std::vector<CellResult> run_sweep_group(
     core::ExperimentContext& ctx, const SweepSpec& spec,
     const std::vector<const SweepCell*>& cells) {
     tensor::check(!cells.empty(), "run_sweep_group: empty cell group");
-    tensor::check(!spec.nf_only,
-                  "run_sweep_group: nf-only sweeps have no inference pass to "
-                  "batch; use run_sweep_cell");
+    if (spec.nf_only) return run_nf_unit(ctx, spec, cells);
     const std::size_t lanes = cells.size();
     XS_TIMER_NS("sweep.cell.ns");
     XS_TRACE_SPAN("cell_group");
     XS_COUNT("sweep.cells.executed", static_cast<std::uint64_t>(lanes));
     const auto t0 = std::chrono::steady_clock::now();
     const SweepCell& head = *cells.front();
-    const CellSetup setup = setup_cell(ctx, head);
+    core::PreparedModel& model = resolve_model(ctx, head);
+    const core::EvalConfig eval = cell_config(ctx, spec, model, head);
 
     std::vector<std::uint64_t> seeds(lanes);
     for (std::size_t r = 0; r < lanes; ++r)
@@ -157,10 +193,17 @@ std::vector<CellResult> run_sweep_group(
         XS_TIMER_NS("sweep.phase.eval.ns");
         XS_TRACE_SPAN("cell.eval");
         const data::TrainTest& tt = ctx.dataset(head.num_classes);
-        per = core::evaluate_repeats_on_crossbars(setup.model.model, tt.test,
-                                                  setup.eval, seeds);
+        per = core::evaluate_repeats_on_crossbars(model.model, tt.test, eval,
+                                                  seeds);
     }
-    return cell_results(head, setup, per, t0);
+    const double energy = energy_pj(model, head, eval);
+    // The group's wall time is split evenly across its cells.
+    const double wall_ms = ms_since(t0) / static_cast<double>(lanes);
+    std::vector<CellResult> out;
+    out.reserve(lanes);
+    for (std::size_t r = 0; r < lanes; ++r)
+        out.push_back(cell_result(*cells[r], model, per[r], energy, wall_ms));
+    return out;
 }
 
 std::uint64_t cell_seed(std::uint64_t master_seed, const SweepCell& cell) {
@@ -506,14 +549,24 @@ SweepSummary SweepRunner::run() {
             last_beat_ms.compare_exchange_strong(prev, now_ms))
             ledger.progress(static_cast<double>(now_ms) / 1000.0);
     };
-    // Work units: a unit is either one cell or a contiguous run of pending
-    // cells from the same repeat group, executed as one lane-batched
-    // evaluation (run_sweep_group). Repeat is the innermost expansion axis,
-    // so group membership is index / repeats. Lanes solve cold and so do
-    // not depend on their group, which keeps the aggregate CSV independent
-    // of how cells are grouped; nf-only sweeps have no inference pass and
-    // run one-cell units. Units, not cells, are dealt to the shards.
-    const bool batch_groups = !spec_.nf_only;
+    // Work units, dealt to the shards: a run of consecutive pending cells
+    // executed by one run_sweep_group call. For inference it is one repeat
+    // group, evaluated lane-batched; repeat is the innermost expansion
+    // axis, so group membership is index / repeats. For nf-only sweeps it is
+    // up to kNfUnitCells cells that share one mapping, with the cap lowered
+    // so that there are never fewer units than shards. Cells solve cold and
+    // keep their own seeds, so the aggregate CSV does not depend on how
+    // cells are grouped.
+    const std::size_t kNfUnitCells = 4;
+    const std::size_t nf_cap = std::clamp<std::size_t>(
+        pending.size() / nshards, 1, kNfUnitCells);
+    const auto same_unit = [&](std::size_t a, std::size_t b) {
+        if (spec_.nf_only)
+            return b - a < nf_cap &&
+                   same_mapping(cells[pending[a]], cells[pending[b]]);
+        const auto repeats = static_cast<std::size_t>(spec_.repeats);
+        return pending[a] / repeats == pending[b] / repeats;
+    };
     struct Unit {
         std::size_t begin = 0;  // index into `pending`
         std::size_t count = 0;
@@ -522,14 +575,7 @@ SweepSummary SweepRunner::run() {
     units.reserve(pending.size());
     for (std::size_t p = 0; p < pending.size();) {
         std::size_t q = p + 1;
-        if (batch_groups) {
-            const std::size_t group =
-                pending[p] / static_cast<std::size_t>(spec_.repeats);
-            while (q < pending.size() &&
-                   pending[q] / static_cast<std::size_t>(spec_.repeats) ==
-                       group)
-                ++q;
-        }
+        while (q < pending.size() && same_unit(p, q)) ++q;
         units.push_back(Unit{p, q - p});
         p = q;
     }
@@ -544,10 +590,7 @@ SweepSummary SweepRunner::run() {
                         for (std::size_t i = 0; i < unit.count; ++i)
                             group[i] = &cells[pending[unit.begin + i]];
                         const std::vector<CellResult> results =
-                            spec_.nf_only
-                                ? std::vector<CellResult>{run_sweep_cell(
-                                      ctx_, spec_, *group.front())}
-                                : run_sweep_group(ctx_, spec_, group);
+                            run_sweep_group(ctx_, spec_, group);
                         for (std::size_t i = 0; i < unit.count; ++i)
                             record(unit.begin + i, results[i]);
                     }

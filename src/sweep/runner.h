@@ -2,13 +2,14 @@
 //
 // `shards` executors run concurrently on the process-wide worker pool and
 // are dealt work units dynamically: each takes the next undealt unit from a
-// shared cursor whenever it finishes one. A unit is normally one grid
-// point's pending repeats, evaluated in a single lane-batched pass
-// (run_sweep_group); nf-only sweeps run one-cell units (run_sweep_cell).
-// Per-cell RNG seeds derive from the cell's stable group id — never from
-// shard, deal, grouping, or completion order — and circuit solves start
-// cold, so the aggregate CSV is byte-identical at any shard count, however
-// cells are grouped, with or without interruption.
+// shared cursor whenever it finishes one, and runs it with run_sweep_group.
+// An inference unit is one grid point's pending repeats, evaluated in a
+// single lane-batched pass; an nf-only unit is up to four cells that share
+// one crossbar mapping, measured on one MappingPlan. Per-cell RNG seeds
+// derive from the cell's stable group id — never from shard, deal,
+// grouping, or completion order — and circuit solves start cold, so the
+// aggregate CSV is byte-identical at any shard count, however cells are
+// grouped, with or without interruption.
 //
 // Every finished cell goes to the SweepLedger, which appends it to a JSONL
 // manifest (sweep/manifest.h) before counting it — so --resume skips
@@ -127,22 +128,24 @@ std::uint64_t cell_seed(std::uint64_t master_seed, const SweepCell& cell);
 // Both executors run cells through these and record them through one
 // SweepLedger, so their aggregate CSVs cannot diverge.
 
-// Execute one grid cell in the calling process: resolve the prepared
-// (cached) model, build the cell's EvalConfig, evaluate, attach energy.
-// An inference cell is run_sweep_group of that one cell: a one-lane
-// evaluation, whose circuit solves run the blocked kernel (bit-identical to
-// the scalar solve). An nf-only cell runs core::measure_nf. Forked workers
-// execute cells through this one at a time.
+// Execute one grid cell in the calling process: run_sweep_group of that one
+// cell. Forked workers execute cells through this one at a time.
 CellResult run_sweep_cell(core::ExperimentContext& ctx, const SweepSpec& spec,
                           const SweepCell& cell);
 
-// Execute all `cells` (repeats of ONE grid point, any subset, ≥1) in a
-// single lane-batched evaluation: one model resolve, one compiled-instance
-// set per repeat (each seeded with its own cell_seed), one batched inference
-// pass. Returns one CellResult per input cell, in order, with the group wall
-// time split evenly across them. Solves start cold, so every lane is
-// bit-identical to running its cell alone. Requires an inference pass —
-// nf_only specs are rejected.
+// Execute one work unit (≥1 cells) and return one CellResult per cell, in
+// order. Each cell keeps its own cell_seed and circuit solves start cold, so
+// every result is bit-identical to running its cell alone.
+//  * Inference: `cells` are repeats of ONE grid point (any subset), run as a
+//    single lane-batched evaluation: one model resolve, one compiled-instance
+//    set per repeat, one batched inference pass, one `cell_group` span. The
+//    group wall time is split evenly across the cells.
+//  * nf_only: `cells` share one mapping (they differ at most in sigma,
+//    parasitic scale, faults, quant levels, backend and repeat; anything
+//    else throws). One model resolve, one core::MappingPlan and one energy
+//    estimate serve them all, and core::measure_nf runs once per cell with
+//    no device variation. Each cell runs in its own `cell` span with its own
+//    wall time; the first cell's also carries the shared work.
 std::vector<CellResult> run_sweep_group(core::ExperimentContext& ctx,
                                         const SweepSpec& spec,
                                         const std::vector<const SweepCell*>& cells);

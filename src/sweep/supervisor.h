@@ -14,8 +14,9 @@
 // durably in the manifest (the fsync'd append *is* the ack) before counting
 // it.
 //
-// Determinism: workers execute the exact run_sweep_cell() the in-process
-// SweepRunner uses, with per-cell seeds derived from the cell identity, so
+// Determinism: workers execute each cell as a one-cell unit
+// (run_sweep_cell) of the code the in-process SweepRunner runs its units
+// with, with per-cell seeds derived from the cell identity, so
 // the aggregate CSV is byte-identical at any worker count, across kills,
 // retries, and resumes — and identical to a single-process run of the same
 // spec (minus quarantined cells' groups).

@@ -238,6 +238,86 @@ TEST(Evaluator, NfGrowsWithCrossbarSize) {
     }
 }
 
+// A sweep's NF unit measures several cells on one MappingPlan. Every config
+// with the plan's mapping inputs must get, layer by layer and bit for bit,
+// what a plan of its own gives; one that maps the model differently must
+// throw instead of measuring the wrong mapping.
+TEST(Evaluator, MeasureNfOnASharedPlanMatchesAFreshPlan) {
+    nn::VggConfig vc;
+    vc.width = 0.0625;
+    util::Rng rng(14);
+    nn::Sequential model = nn::build_vgg(vc, rng);
+    prune::PruneConfig pc;
+    pc.method = prune::Method::kChannelFilter;
+    pc.sparsity = 0.5;
+    prune::prune_at_init(model, pc);
+
+    // C/F compaction and the R rearrangement both live in the plan.
+    EvalConfig base;
+    base.xbar.size = 16;
+    base.method = prune::Method::kChannelFilter;
+    base.rearrange = true;
+    base.include_variation = false;
+    const MappingPlan plan(model, base);
+
+    std::vector<EvalConfig> configs(5, base);
+    for (double* r : {&configs[1].xbar.parasitics.r_driver,
+                      &configs[1].xbar.parasitics.r_wire_row,
+                      &configs[1].xbar.parasitics.r_wire_col,
+                      &configs[1].xbar.parasitics.r_sense})
+        *r *= 2.0;
+    configs[2].backend = xbar::BackendKind::kFast;
+    configs[3].faults.p_stuck_min = 0.02;
+    configs[3].faults.p_stuck_max = 0.01;
+    configs[4] = configs[3];
+    configs[4].seed = 99;
+
+    std::vector<double> nfs;
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+        SCOPED_TRACE("config " + std::to_string(i));
+        const EvalResult shared = measure_nf(plan, configs[i]);
+        const EvalResult fresh = measure_nf(model, configs[i]);
+        EXPECT_EQ(shared.nf_mean, fresh.nf_mean);
+        EXPECT_EQ(shared.total_tiles, fresh.total_tiles);
+        EXPECT_EQ(shared.unconverged_tiles, fresh.unconverged_tiles);
+        ASSERT_EQ(shared.layers.size(), fresh.layers.size());
+        for (std::size_t li = 0; li < fresh.layers.size(); ++li) {
+            const LayerEvalStats& a = shared.layers[li];
+            const LayerEvalStats& b = fresh.layers[li];
+            SCOPED_TRACE(b.layer);
+            EXPECT_EQ(a.layer, b.layer);
+            EXPECT_EQ(a.nf_mean, b.nf_mean);
+            EXPECT_EQ(a.tiles, b.tiles);
+            EXPECT_EQ(a.unconverged, b.unconverged);
+            EXPECT_EQ(a.rows, b.rows);
+            EXPECT_EQ(a.cols, b.cols);
+            EXPECT_EQ(a.w_ref, b.w_ref);
+        }
+        nfs.push_back(shared.nf_mean);
+    }
+    // Each config measures something different, so no shared-plan leak of
+    // one config's result into the next can pass unseen.
+    for (std::size_t i = 0; i < nfs.size(); ++i)
+        for (std::size_t j = i + 1; j < nfs.size(); ++j)
+            EXPECT_NE(nfs[i], nfs[j]) << i << " vs " << j;
+
+    EvalConfig other = base;
+    other.xbar.size = 32;
+    EXPECT_THROW(measure_nf(plan, other), std::exception);
+    other = base;
+    other.method = prune::Method::kNone;
+    EXPECT_THROW(measure_nf(plan, other), std::exception);
+    other = base;
+    other.rearrange = false;
+    EXPECT_THROW(measure_nf(plan, other), std::exception);
+    other = base;
+    other.w_ref["conv1"] = 0.5;
+    EXPECT_THROW(measure_nf(plan, other), std::exception);
+    other = base;
+    other.w_ref_percentile = 0.99;
+    EXPECT_THROW(measure_nf(plan, other), std::exception);
+}
+
 TEST(Wct, ClipBoundsWeights) {
     nn::VggConfig vc;
     vc.width = 0.0625;

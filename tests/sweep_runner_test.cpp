@@ -1,7 +1,9 @@
 // End-to-end SweepRunner coverage on a deliberately tiny grid: manifest
 // resume after a mid-sweep interruption reproduces the uninterrupted
-// aggregate CSV byte for byte, the CSV is invariant to the shard count, and
-// the thread-safe ExperimentContext prepares each shared model exactly once.
+// aggregate CSV byte for byte, the CSV is invariant to the shard count and
+// to how cells group into work units (lane-batched repeats, nf-only units),
+// and the thread-safe ExperimentContext prepares each shared model exactly
+// once.
 // The SweepLedger's recording policy is also driven directly, in process,
 // with made-up results: what the coordinator's forked hosts would otherwise
 // have to be made to hit on cue.
@@ -175,6 +177,31 @@ SweepSummary run_cell_by_cell(const SweepSpec& spec, const std::string& tag) {
     return summary;
 }
 
+// Every manifest record of `a` and `b` agrees field by field (the wall-clock
+// timing aside); doubles round-trip the manifest at 17 significant digits,
+// so equality here is bit equality of the recorded values.
+void expect_same_records(const std::string& a, const std::string& b,
+                         std::size_t cells) {
+    const auto ma = load_manifest(a);
+    const auto mb = load_manifest(b);
+    ASSERT_EQ(ma.size(), cells);
+    ASSERT_EQ(mb.size(), cells);
+    for (const auto& [id, x] : ma) {
+        SCOPED_TRACE(id);
+        const auto it = mb.find(id);
+        ASSERT_NE(it, mb.end());
+        const CellResult& y = it->second;
+        EXPECT_EQ(x.backend, y.backend);
+        EXPECT_EQ(x.status, y.status);
+        EXPECT_EQ(x.tiles, y.tiles);
+        EXPECT_EQ(x.solver_failures, y.solver_failures);
+        EXPECT_EQ(x.accuracy, y.accuracy);
+        EXPECT_EQ(x.nf_mean, y.nf_mean);
+        EXPECT_EQ(x.energy_pj, y.energy_pj);
+        EXPECT_EQ(x.software_acc, y.software_acc);
+    }
+}
+
 TEST(SweepRunner, AggregateCsvInvariantToRepeatBatching) {
     // The lane-batched group path (repeats of a grid point share one
     // compiled-instance set and one batched inference pass) must produce the
@@ -202,27 +229,8 @@ TEST(SweepRunner, AggregateCsvInvariantToRepeatBatching) {
         const SweepSummary batched = SweepRunner(ctx(), spec, grouped).run();
         EXPECT_EQ(batched.cells_executed, repeats);
         EXPECT_EQ(slurp(batched.csv_path), expected);
-
-        const auto seq_man = load_manifest(single.manifest_path);
-        const auto bat_man = load_manifest(batched.manifest_path);
-        ASSERT_EQ(seq_man.size(), static_cast<std::size_t>(repeats));
-        ASSERT_EQ(bat_man.size(), seq_man.size());
-        for (const auto& [id, seq] : seq_man) {
-            SCOPED_TRACE(id);
-            const auto it = bat_man.find(id);
-            ASSERT_NE(it, bat_man.end());
-            const CellResult& bat = it->second;
-            EXPECT_EQ(bat.backend, seq.backend);
-            EXPECT_EQ(bat.status, seq.status);
-            EXPECT_EQ(bat.tiles, seq.tiles);
-            EXPECT_EQ(bat.solver_failures, seq.solver_failures);
-            // Doubles round-trip the manifest at 17 significant digits, so
-            // equality here is bit equality of the recorded values.
-            EXPECT_EQ(bat.accuracy, seq.accuracy);
-            EXPECT_EQ(bat.nf_mean, seq.nf_mean);
-            EXPECT_EQ(bat.energy_pj, seq.energy_pj);
-            EXPECT_EQ(bat.software_acc, seq.software_acc);
-        }
+        expect_same_records(single.manifest_path, batched.manifest_path,
+                            static_cast<std::size_t>(repeats));
     }
 
     // A partially-resumed group: after max_cells interrupts mid-group, the
@@ -243,6 +251,53 @@ TEST(SweepRunner, AggregateCsvInvariantToRepeatBatching) {
     EXPECT_EQ(resumed.cells_resumed, 1);
     EXPECT_EQ(resumed.cells_executed, 2);
     EXPECT_EQ(slurp(resumed.csv_path), expected);
+}
+
+TEST(SweepRunner, NfCsvInvariantToUnitGrouping) {
+    // An nf-only unit measures up to four cells that share a mapping on one
+    // MappingPlan and energy estimate; cells solve cold and keep their own
+    // seeds, so grouping must not show in the CSV or in any manifest field.
+    // Units here mix backends, so a unit that recorded its head cell's
+    // backend for every cell fails the record comparison.
+    SweepSpec spec = tiny_spec();
+    spec.nf_only = true;
+    spec.repeats = 1;
+    spec.sizes = {16, 32};
+    spec.parasitic_scales = {0.5, 1.0, 2.0};
+    spec.backends = {xbar::BackendKind::kCircuit, xbar::BackendKind::kFast};
+    const std::size_t cells = spec.expand().size();
+    ASSERT_EQ(cells, 24u);
+
+    const SweepSummary single = run_cell_by_cell(spec, "nfu_single");
+    const std::string expected = slurp(single.csv_path);
+    ASSERT_FALSE(expected.empty());
+    for (const std::int64_t shards : {1, 4}) {
+        SCOPED_TRACE("shards=" + std::to_string(shards));
+        SweepOptions opts;
+        opts.shards = shards;
+        opts.csv_name = "nfu_shards" + std::to_string(shards) + ".csv";
+        opts.manifest_name = "nfu_shards" + std::to_string(shards) + ".jsonl";
+        const SweepSummary grouped = SweepRunner(ctx(), spec, opts).run();
+        EXPECT_EQ(grouped.cells_executed, static_cast<std::int64_t>(cells));
+        EXPECT_EQ(slurp(grouped.csv_path), expected);
+        expect_same_records(single.manifest_path, grouped.manifest_path, cells);
+    }
+
+    // Cut inside the first four-cell unit, then resume: the rest of that
+    // mapping's cells form a unit of their own.
+    SweepOptions resume;
+    resume.shards = 1;
+    resume.csv_name = "nfu_resume.csv";
+    resume.manifest_name = "nfu_resume.jsonl";
+    resume.max_cells = 3;
+    SweepRunner(ctx(), spec, resume).run();
+    resume.max_cells = -1;
+    resume.resume = true;
+    const SweepSummary resumed = SweepRunner(ctx(), spec, resume).run();
+    EXPECT_EQ(resumed.cells_resumed, 3);
+    EXPECT_EQ(resumed.cells_executed, static_cast<std::int64_t>(cells) - 3);
+    EXPECT_EQ(slurp(resumed.csv_path), expected);
+    expect_same_records(single.manifest_path, resumed.manifest_path, cells);
 }
 
 TEST(SweepRunner, ResumeRefusesDifferentConfiguration) {
