@@ -381,7 +381,7 @@ void BM_MeasureNf(benchmark::State& state) {
     nn::Sequential model = nn::build_vgg(vc, rng);
     core::EvalConfig base;
     base.xbar.size = 64;
-    base.include_variation = false;
+    base.xbar.device.sigma_variation = 0.0;
     const core::MappingPlan plan(model, base);
     const double scales[] = {0.5, 1.0, 2.0, 4.0};
     std::vector<core::EvalConfig> configs(

@@ -2,8 +2,9 @@
 # CI entry point: a Release build+test job with a bench smoke, a bench
 # regression gate, a compile-only build of the paper-grid benchmark
 # program (perfbench/xsbench), and end-to-end sweep smokes (in-process,
-# --workers with an injected crash, an nf-only grid in process and through
-# --workers, and multi-host through sweep_serve),
+# --workers with an injected crash, an nf-only grid and a grid over every
+# optional step of the tile ladder, each in process and through --workers,
+# and multi-host through sweep_serve),
 # plus a Debug job with Address- and UB-sanitizers over the unit-labeled
 # tests. Both jobs compile with -Wall
 # -Wextra -Werror (XS_WERROR) and use ccache when available (the GitHub
@@ -48,11 +49,12 @@ run_release() {
   fi
   run_sweep_smoke
   run_nf_smoke
+  run_ladder_smoke
   run_service_smoke
 }
 
 # Sweep smoke: a dry-run plus one tiny circuit/fast grid through the real
-# sweep_runner driver, so the backend axis, the stage pipeline, per-cell
+# sweep_runner driver, so the backend axis, the tile ladder, per-cell
 # budgeting, and manifest/CSV plumbing can't bit-rot unnoticed. The grid
 # runs unpruned, C/F- and XCS-pruned models, so every byte compare below
 # also reaches the row-sparse conv kernel. A second
@@ -155,6 +157,40 @@ run_nf_smoke() {
     python3 "$repo_root/bench/check_metrics.py" \
       --manifest="$smoke_dir/nf_workers.jsonl" \
       "$smoke_dir/metrics_nf_workers.json"
+  fi
+}
+
+# Ladder smoke: one grid that reaches every optional step of the tile
+# ladder (xbar/pipeline.h) — write quantization, stuck-at faults, column
+# compensation, and the ideal backend (no parasitic step) beside circuit
+# and fast — from the sweep smoke's model cache, in process and again with
+# --workers=2. The two CSVs must match byte for byte, and every ideal row
+# must read an nf_mean of exactly 0.
+run_ladder_smoke() {
+  if [[ ! -x "$repo_root/build-release/sweep_runner" ]]; then
+    return 0
+  fi
+  echo "=== ladder sweep smoke (quantize, faults, compensate, ideal) ==="
+  local smoke_dir="$repo_root/build-release/sweep-smoke"
+  local ladder_flags=(--width=0.0625 --train-count=96 --test-count=48
+    --epochs=1 --batch=16 --prune=none --sizes=16
+    --backends=circuit,fast,ideal --quant-levels=0,16
+    --faults=0:0,0.01:0.001 --mitigations=none,comp --sweep-repeats=2
+    --out-dir="$smoke_dir" --cache-dir="$smoke_dir/models")
+  "$repo_root/build-release/sweep_runner" "${ladder_flags[@]}" \
+    --cell-budget-ms=120000 --csv=ladder.csv --manifest=ladder.jsonl
+  "$repo_root/build-release/sweep_runner" "${ladder_flags[@]}" --workers=2 \
+    --cell-budget-ms=120000 --csv=ladder_workers.csv \
+    --manifest=ladder_workers.jsonl
+  if ! cmp "$smoke_dir/ladder.csv" "$smoke_dir/ladder_workers.csv"; then
+    echo "ladder smoke: the workers' CSV differs from the in-process run" >&2
+    return 1
+  fi
+  if ! awk -F, 'NR == 1 { for (i = 1; i <= NF; i++) col[$i] = i; next }
+      $col["backend"] == "ideal" { n++; if ($col["nf_mean"] != "0.000000") bad++ }
+      END { exit !(n > 0 && bad == 0) }' "$smoke_dir/ladder.csv"; then
+    echo "ladder smoke: no ideal row, or one with a non-zero nf_mean" >&2
+    return 1
   fi
 }
 

@@ -1,5 +1,6 @@
 #include "core/evaluator.h"
 
+#include "core/rearrange.h"
 #include "map/compaction.h"
 #include "map/matrix_view.h"
 #include "map/tiling.h"
@@ -20,20 +21,6 @@ namespace xs::core {
 using tensor::Tensor;
 
 namespace {
-
-map::Tiling make_tiling(const Tensor& work, prune::Method method,
-                        std::int64_t xbar_size) {
-    switch (method) {
-        case prune::Method::kXbarColumn:
-            return map::tile_xcs(work, xbar_size);
-        case prune::Method::kXbarRow:
-            return map::tile_xrs(work, xbar_size);
-        case prune::Method::kNone:
-        case prune::Method::kChannelFilter:
-        default:
-            return map::tile_dense(work.dim(0), work.dim(1), xbar_size);
-    }
-}
 
 // The deterministic mapping stages for one MAC matrix: T-compaction, the R
 // column rearrangement, and the tiling, all computed once so Monte-Carlo
@@ -69,30 +56,14 @@ MatrixPlan build_matrix_plan(const Tensor& matrix, const EvalConfig& config) {
     // Mitigation R on the compacted matrix.
     if (config.rearrange) {
         const Tensor& base = plan.mapping_target(matrix);
-        plan.rearrangement = compute_rearrangement(base, config.order);
+        plan.rearrangement =
+            compute_rearrangement(base, RearrangeOrder::kAscending);
         plan.work = apply_columns(base, plan.rearrangement);
         plan.transformed = true;
     }
-    plan.tiling =
-        make_tiling(plan.mapping_target(matrix), config.method, config.xbar.size);
+    plan.tiling = map::tile_for(config.method, plan.mapping_target(matrix),
+                                config.xbar.size);
     return plan;
-}
-
-// The non-ideality stage list for `config` (xbar/pipeline.h). Built once
-// per evaluation and shared across layers and repeats. The stages are
-// immutable and the fast backend's calibration cache is thread-safe, so the
-// producer thread shares it too.
-xbar::TilePipeline build_pipeline(const EvalConfig& config) {
-    xbar::PipelineSpec spec;
-    spec.xbar = config.xbar;
-    spec.conductance_levels = config.conductance_levels;
-    spec.include_variation = config.include_variation;
-    spec.faults = config.faults;
-    spec.include_parasitics = config.include_parasitics;
-    spec.compensate_columns = config.compensate_columns;
-    spec.backend = config.backend;
-    spec.fast_buckets = config.fast_buckets;
-    return xbar::build_tile_pipeline(spec);
 }
 
 }  // namespace
@@ -112,14 +83,9 @@ MappingPlan::MappingPlan(nn::Sequential& model, const EvalConfig& config)
         lp.name = layer->name();
         lp.matrix = map::extract_matrix(*layer);
 
-        const auto it = config.w_ref.find(layer->name());
-        if (it != config.w_ref.end()) {
-            lp.w_ref = it->second;
-        } else {
-            lp.w_ref =
-                tensor::abs_percentile_nonzero(lp.matrix, config.w_ref_percentile);
-        }
-        if (lp.w_ref <= 0.0) lp.w_ref = 1.0;  // degenerate all-zero layer
+        const auto it = config.w_ref.find(lp.name);
+        lp.w_ref = it != config.w_ref.end() ? it->second
+                                            : xbar::default_w_ref(lp.matrix);
 
         lp.plan = build_matrix_plan(lp.matrix, config);
         layers_.push_back(std::move(lp));
@@ -132,9 +98,7 @@ void MappingPlan::check_inputs(const EvalConfig& config) const {
     tensor::check(config.xbar.size == inputs_.xbar.size &&
                       config.method == inputs_.method &&
                       config.rearrange == inputs_.rearrange &&
-                      (!config.rearrange || config.order == inputs_.order) &&
-                      config.w_ref == inputs_.w_ref &&
-                      config.w_ref_percentile == inputs_.w_ref_percentile,
+                      config.w_ref == inputs_.w_ref,
                   "MappingPlan: the config maps the model differently from "
                   "the plan (crossbar size, method, rearrangement or w_ref)");
 }
@@ -191,37 +155,42 @@ void finalize_nf(EvalResult& result) {
 // ---- the tile loop (DESIGN.md §12) ----
 // Every degradation runs here, with one lane per Monte-Carlo repeat: each
 // tile's deterministic prep (extract, differential split) runs once and is
-// shared, the stochastic stages run per lane on private copies with private
-// RNG streams, and the parasitic stage solves every lane's tiles, one at a
-// time, in the worker's one solver workspace (xbar/solver.h). A single
+// shared, the ladder's stochastic steps run per lane on private copies with
+// private RNG streams, and the parasitic step solves every lane's tiles, one
+// at a time, in the worker's one solver workspace (xbar/solver.h). A single
 // evaluation is the one-lane case. Lane scratch persists across tiles and
 // layers; it carries buffers only, since every solve starts cold.
 struct BatchLane {
     Tensor g_pos, g_neg, tile_w;
-    xbar::TileStageContext ctx;
+    xbar::TileContext ctx;
 };
 
 struct BatchWorker {
     Tensor sub;                 // shared extracted tile
     Tensor base_pos, base_neg;  // shared pre-stochastic differential pair
     std::vector<BatchLane> lanes;                   // one per lane
-    std::vector<xbar::TileStageContext*> ctx_ptrs;  // lane ctx view
-    // Solver workspace the parasitic stage runs every lane's tiles through.
+    std::vector<xbar::TileContext*> ctx_ptrs;  // lane ctx view
+    // Solver workspace the parasitic step runs every lane's tiles through.
     xbar::DegradeWorkspace batch;
 };
 
-// Tile-loop scratch for up to `lanes` lanes: one BatchWorker per pool worker
-// slot plus the per-(lane, tile) streams and outputs, reused across layers
-// (and repeat groups) so the steady state performs no per-tile allocation.
+// One evaluation's tile ladder plus the tile-loop scratch for up to `lanes`
+// lanes: one BatchWorker per pool worker slot and the per-(lane, tile)
+// streams and outputs, reused across layers (and repeat groups) so the
+// steady state performs no per-tile allocation.
 struct TileLoop {
-    explicit TileLoop(std::size_t lanes)
-        : workers(util::worker_count()), lane_work(lanes) {
+    TileLoop(const EvalConfig& config, std::size_t lanes)
+        : pipeline(config.xbar, config.conductance_levels, config.faults,
+                   config.backend, config.compensate_columns),
+          workers(util::worker_count()),
+          lane_work(lanes) {
         for (BatchWorker& bw : workers) {
             bw.lanes.resize(lanes);
             for (BatchLane& lane : bw.lanes) bw.ctx_ptrs.push_back(&lane.ctx);
         }
     }
 
+    const xbar::TilePipeline pipeline;
     std::vector<BatchWorker> workers;
     std::vector<Tensor> lane_work;     // per-lane degraded post-T/R matrix
     std::vector<util::Rng> tile_rngs;  // lane-major: [rl·T + t]
@@ -237,9 +206,9 @@ struct TileLoop {
 // the post-T/R layout, in loop.lane_work[rl] (see undo_mapping); without
 // it, each tile stops at its NF and lane_work is not touched.
 void degrade_tiles(const MatrixPlan& plan, const Tensor& matrix,
-                   const EvalConfig& config, const xbar::TilePipeline& pipeline,
-                   double w_ref, util::Rng* layer_rngs, std::size_t nl,
-                   DegradeStats* stats, TileLoop& loop, bool map_back) {
+                   const EvalConfig& config, double w_ref,
+                   util::Rng* layer_rngs, std::size_t nl, DegradeStats* stats,
+                   TileLoop& loop, bool map_back) {
     const std::int64_t n = config.xbar.size;
     const auto& tiles = plan.tiling.tiles;
     const Tensor& source = plan.mapping_target(matrix);
@@ -279,8 +248,8 @@ void degrade_tiles(const MatrixPlan& plan, const Tensor& matrix,
                     lane.ctx.begin_tile(lane.g_pos, lane.g_neg,
                                         loop.tile_rngs[rl * T + t]);
                 }
-                pipeline.run_batch(bw.ctx_ptrs.data(), static_cast<int>(nl),
-                                   bw.batch);
+                loop.pipeline.run_batch(bw.ctx_ptrs.data(),
+                                        static_cast<int>(nl), bw.batch);
                 for (std::size_t rl = 0; rl < nl; ++rl) {
                     BatchLane& lane = bw.lanes[rl];
                     loop.tile_nf[rl * T + t] = lane.ctx.nf;
@@ -319,9 +288,8 @@ Tensor degrade_mac_matrix(const Tensor& matrix, const EvalConfig& config,
                           double w_ref, util::Rng& rng, DegradeStats& stats) {
     tensor::check(w_ref > 0.0, "degrade_mac_matrix: w_ref must be positive");
     const MatrixPlan plan = build_matrix_plan(matrix, config);
-    const xbar::TilePipeline pipeline = build_pipeline(config);
-    TileLoop loop(1);
-    degrade_tiles(plan, matrix, config, pipeline, w_ref, &rng, 1, &stats, loop,
+    TileLoop loop(config, 1);
+    degrade_tiles(plan, matrix, config, w_ref, &rng, 1, &stats, loop,
                   /*map_back=*/true);
     return undo_mapping(plan, config, std::move(loop.lane_work[0]));
 }
@@ -337,7 +305,6 @@ std::vector<EvalResult> evaluate_repeats_on_crossbars(
     tensor::check(engine.mappable_count() == plans.size(),
                   "evaluate_repeats_on_crossbars: engine/plan mappable-layer "
                   "mismatch");
-    const xbar::TilePipeline pipeline = build_pipeline(config);
 
     // Repeats ride in groups of four lanes, the unit of the producer/consumer
     // pipeline below: while group g's batched forward runs on this thread,
@@ -351,7 +318,7 @@ std::vector<EvalResult> evaluate_repeats_on_crossbars(
     // [layer][repeat], so one group's lanes are contiguous per layer.
     std::vector<std::vector<DegradeStats>> stats(
         plans.size(), std::vector<DegradeStats>(R));
-    TileLoop loop(std::min(kGroupLanes, R));
+    TileLoop loop(config, std::min(kGroupLanes, R));
     std::vector<util::Rng> layer_rngs;
 
     // Degrade + fold + pack repeats [g·kGroupLanes, …) into their compiled
@@ -373,7 +340,7 @@ std::vector<EvalResult> evaluate_repeats_on_crossbars(
             for (std::size_t rl = 0; rl < nl; ++rl)
                 layer_rngs.push_back(util::Rng(seeds[lane0 + rl])
                                          .split(static_cast<std::uint64_t>(li) + 1));
-            degrade_tiles(lp.plan, lp.matrix, config, pipeline, lp.w_ref,
+            degrade_tiles(lp.plan, lp.matrix, config, lp.w_ref,
                           layer_rngs.data(), nl, &stats[li][lane0], loop,
                           /*map_back=*/true);
             // Map back, then fold straight into the packed instance.
@@ -481,16 +448,15 @@ EvalResult measure_nf(const MappingPlan& plan, const EvalConfig& config) {
     XS_TIMER_NS("core.measure_nf.ns");
     XS_TRACE_SPAN("measure_nf");
     plan.check_inputs(config);
-    const xbar::TilePipeline pipeline = build_pipeline(config);
-    TileLoop loop(1);
+    TileLoop loop(config, 1);
     EvalResult result;
     for (std::size_t li = 0; li < plan.layers().size(); ++li) {
         const MappingPlan::Layer& lp = plan.layers()[li];
         util::Rng layer_rng =
             util::Rng(config.seed).split(static_cast<std::uint64_t>(li) + 1);
         DegradeStats stats;
-        degrade_tiles(lp.plan, lp.matrix, config, pipeline, lp.w_ref,
-                      &layer_rng, 1, &stats, loop, /*map_back=*/false);
+        degrade_tiles(lp.plan, lp.matrix, config, lp.w_ref, &layer_rng, 1,
+                      &stats, loop, /*map_back=*/false);
         result.layers.push_back(layer_stats_of(lp, stats));
     }
     finalize_nf(result);

@@ -1,19 +1,20 @@
 // The hardware evaluation framework of the paper's Fig. 2: unroll every
 // conv/linear layer to a MAC matrix, apply the pruning-scheme transformation
 // T (and optionally the mitigation R), partition into crossbars, convert to
-// conductances, inject circuit + device non-idealities, convert back, apply
-// R⁻¹ and T⁻¹, and run inference with the resulting non-ideal weights W′.
+// conductances, run every tile through the fixed non-ideality ladder of
+// xbar/pipeline.h (quantize, variation, faults, parasitics, compensate),
+// convert back, apply R⁻¹ and T⁻¹, and run inference with the resulting
+// non-ideal weights W′.
 //
 // There is one evaluation path (DESIGN.md §12): Monte-Carlo repeats are
-// lanes of one tile loop whose circuit solves batch across lanes, and each
-// repeat's W′ compiles into an inference-engine instance that runs through
-// forward_batched. A single evaluation (one repeat, degrade_mac_matrix,
-// measure_nf) is the one-lane case of the same loop. The deterministic
-// mapping stages (T, R, tiling, w_ref) form a MappingPlan, which NF
-// measurements that share a mapping reuse.
+// lanes of one tile loop, and each repeat's W′ compiles into an
+// inference-engine instance that runs through forward_batched. A single
+// evaluation (one repeat, degrade_mac_matrix, measure_nf) is the one-lane
+// case of the same loop. The deterministic mapping stages (T, R, tiling,
+// w_ref) form a MappingPlan, which NF measurements that share a mapping
+// reuse.
 #pragma once
 
-#include "core/rearrange.h"
 #include "nn/sequential.h"
 #include "nn/trainer.h"
 #include "prune/prune.h"
@@ -32,28 +33,23 @@ struct EvalConfig {
     xbar::CrossbarConfig xbar;
     // Which T-transformation / tiling the scheme uses. kNone = dense mapping.
     prune::Method method = prune::Method::kNone;
-    // Mitigation R (crossbar-column rearrangement).
+    // Mitigation R (crossbar-column rearrangement, ascending √(µσ) order).
     bool rearrange = false;
-    RearrangeOrder order = RearrangeOrder::kAscending;
     // Per-layer weight→conductance reference scale. Layers absent from the
-    // map use the `w_ref_percentile` of their non-zero |w| (outlier-robust);
-    // WCT evaluation passes the frozen pre-clip scales here (DESIGN.md §2).
+    // map use xbar::default_w_ref of their weights; WCT evaluation passes
+    // the frozen pre-clip scales here (DESIGN.md §2).
     std::map<std::string, double> w_ref;
-    double w_ref_percentile = 0.995;
     // Device-variation RNG seed (deterministic per layer/tile).
     std::uint64_t seed = 7;
     // Monte-Carlo repeats over the device-variation draw; accuracy and NF
     // are averaged (chip-to-chip variability averaging).
     std::int64_t repeats = 1;
-    bool include_parasitics = true;
-    bool include_variation = true;
     // Which crossbar backend degrades each tile (xbar/backend.h, DESIGN.md
     // §8): kCircuit = exact parasitic solve (fidelity reference), kFast =
-    // bucket-calibrated linear surrogate (~O(X²) per tile), kIdeal =
-    // pass-through (equivalent to include_parasitics = false).
+    // bucket-calibrated linear surrogate (~O(X²) per tile), kIdeal = no
+    // parasitic step. Device variation runs when
+    // xbar.device.sigma_variation > 0.
     xbar::BackendKind backend = xbar::BackendKind::kCircuit;
-    // Mean-conductance calibration buckets for the fast backend's α cache.
-    std::int64_t fast_buckets = 64;
 
     // ---- optional extensions (all off by default) ----
     // Finite write precision: number of programmable conductance levels
@@ -99,7 +95,7 @@ struct EvalResult {
 };
 
 // A model's crossbar mapping under one config's mapping inputs (crossbar
-// size, method, rearrangement and its order, the w_ref settings): every
+// size, method, rearrangement, the w_ref map): every
 // mappable layer's T-compaction, R column rearrangement, tiling and w_ref,
 // in map::mappable_layers order. Nothing in it is stochastic or
 // circuit-level, so evaluations that differ only in device variation,

@@ -4,6 +4,7 @@
 #include "nn/conv2d.h"
 #include "nn/linear.h"
 #include "tensor/ops.h"
+#include "xbar/mapper.h"
 
 #include <algorithm>
 #include <cmath>
@@ -46,13 +47,12 @@ WctResult apply_wct(nn::Sequential& model, const nn::Dataset& train,
     WctResult result;
     for (nn::Layer* layer : map::mappable_layers(model)) {
         const Tensor* w = layer_weights(*layer);
-        // Freeze the mapping scale at the same robust percentile the
-        // evaluator would use for the *unconstrained* model, so WCT weights
-        // occupy only the low-conductance sub-range after clipping.
-        const double w_ref = tensor::abs_percentile_nonzero(*w, 0.995);
-        const double cut = nonzero_abs_percentile(*w, config.percentile);
-        result.w_ref[layer->name()] = w_ref > 0.0 ? w_ref : 1.0;
-        result.w_cut[layer->name()] = cut;
+        // Freeze the mapping scale the evaluator would use for the
+        // *unconstrained* model, so WCT weights occupy only the
+        // low-conductance sub-range after clipping.
+        result.w_ref[layer->name()] = xbar::default_w_ref(*w);
+        result.w_cut[layer->name()] =
+            nonzero_abs_percentile(*w, config.percentile);
     }
 
     clip_weights(model, result.w_cut);

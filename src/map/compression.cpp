@@ -20,26 +20,13 @@ CrossbarBudget count_crossbars(nn::Sequential& model, prune::Method method,
         entry.dense_tiles =
             tile_dense(entry.rows, entry.cols, xbar_size).count();
 
-        switch (method) {
-            case prune::Method::kNone:
-            case prune::Method::kUnstructured:
-                // Scattered element zeros save no crossbars.
-                entry.tiles = entry.dense_tiles;
-                break;
-            case prune::Method::kChannelFilter: {
-                const Compaction c = compact_dense(matrix);
-                entry.tiles = tile_dense(c.matrix.dim(0), c.matrix.dim(1),
-                                         xbar_size)
-                                  .count();
-                break;
-            }
-            case prune::Method::kXbarColumn:
-                entry.tiles = tile_xcs(matrix, xbar_size).count();
-                break;
-            case prune::Method::kXbarRow:
-                entry.tiles = tile_xrs(matrix, xbar_size).count();
-                break;
-        }
+        // T: C/F maps the matrix without its all-zero rows and columns.
+        // Scattered (unstructured) zeros save no crossbars.
+        entry.tiles =
+            (method == prune::Method::kChannelFilter
+                 ? tile_for(method, compact_dense(matrix).matrix, xbar_size)
+                 : tile_for(method, matrix, xbar_size))
+                .count();
         budget.dense_total += entry.dense_tiles;
         budget.total += entry.tiles;
         budget.layers.push_back(std::move(entry));

@@ -3,7 +3,6 @@
 #include "map/compaction.h"
 #include "map/matrix_view.h"
 #include "map/tiling.h"
-#include "tensor/ops.h"
 #include "xbar/mapper.h"
 
 #include <cmath>
@@ -11,21 +10,6 @@
 namespace xs::map {
 
 using tensor::Tensor;
-
-namespace {
-
-Tiling tiling_for(const Tensor& work, prune::Method method, std::int64_t size) {
-    switch (method) {
-        case prune::Method::kXbarColumn:
-            return tile_xcs(work, size);
-        case prune::Method::kXbarRow:
-            return tile_xrs(work, size);
-        default:
-            return tile_dense(work.dim(0), work.dim(1), size);
-    }
-}
-
-}  // namespace
 
 EnergyReport estimate_energy(nn::Sequential& model, prune::Method method,
                              const xbar::CrossbarConfig& xbar,
@@ -40,11 +24,9 @@ EnergyReport estimate_energy(nn::Sequential& model, prune::Method method,
         if (method == prune::Method::kChannelFilter)
             matrix = compact_dense(matrix).matrix;
 
-        double w_ref = tensor::abs_percentile_nonzero(matrix, 0.995);
-        if (w_ref <= 0.0) w_ref = 1.0;
-        const xbar::ConductanceMapper mapper(xbar.device, w_ref);
-
-        const Tiling tiling = tiling_for(matrix, method, xbar.size);
+        const xbar::ConductanceMapper mapper(xbar.device,
+                                             xbar::default_w_ref(matrix));
+        const Tiling tiling = tile_for(method, matrix, xbar.size);
 
         LayerEnergy le;
         le.layer = layer->name();

@@ -47,8 +47,10 @@ struct EnergyReport {
     double total_energy_pj() const { return array_energy_pj + periph_energy_pj; }
 };
 
-// Estimate one full-model MAC pass under `method` mapping semantics (same
-// T-compaction/tiling rules as the evaluator and count_crossbars).
+// Estimate one full-model MAC pass under `method` mapping semantics: the
+// evaluator's T-compaction, map::tile_for and xbar::default_w_ref. A WCT
+// model's frozen w_ref is not applied, so its conductances read as those of
+// an unconstrained model with the same weights.
 EnergyReport estimate_energy(nn::Sequential& model, prune::Method method,
                              const xbar::CrossbarConfig& xbar,
                              const EnergyConfig& config);

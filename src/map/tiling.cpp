@@ -91,6 +91,18 @@ Tiling tile_xrs(const Tensor& matrix, std::int64_t xbar_size) {
     return t;
 }
 
+Tiling tile_for(prune::Method method, const Tensor& work,
+                std::int64_t xbar_size) {
+    switch (method) {
+        case prune::Method::kXbarColumn:
+            return tile_xcs(work, xbar_size);
+        case prune::Method::kXbarRow:
+            return tile_xrs(work, xbar_size);
+        default:
+            return tile_dense(work.dim(0), work.dim(1), xbar_size);
+    }
+}
+
 void extract_tile_into(const Tensor& matrix, const Tile& tile,
                        std::int64_t xbar_size, Tensor& out) {
     if (!(out.rank() == 2 && out.dim(0) == xbar_size && out.dim(1) == xbar_size))

@@ -19,6 +19,7 @@
 // gather/scatter path. Keep new producers ascending.
 #pragma once
 
+#include "prune/prune.h"
 #include "tensor/tensor.h"
 
 #include <cstdint>
@@ -50,6 +51,12 @@ Tiling tile_xcs(const tensor::Tensor& matrix, std::int64_t xbar_size);
 
 // XRS packing: symmetric, skipping zero row segments within column blocks.
 Tiling tile_xrs(const tensor::Tensor& matrix, std::int64_t xbar_size);
+
+// The tiling a pruning method maps with: XCS / XRS packing for their
+// methods, dense for the rest. `work` is the mapping target, i.e. already
+// T-compacted for C/F.
+Tiling tile_for(prune::Method method, const tensor::Tensor& work,
+                std::int64_t xbar_size);
 
 // Materialize a tile as an X×X tensor (zero-padded).
 tensor::Tensor extract_tile(const tensor::Tensor& matrix, const Tile& tile,

@@ -36,7 +36,7 @@ struct CellResult {
     std::int64_t tiles = 0;
     // Circuit solves that hit max_sweeps without reaching tolerance, summed
     // over the cell's tiles (propagated from xbar/solver.* through the
-    // backend and TileStageContext). Manifests predating the rename decode
+    // backend and TileContext). Manifests predating the rename decode
     // their "unconverged" field; ones predating the field decode to 0.
     std::int64_t solver_failures = 0;
     double wall_ms = 0.0;

@@ -63,7 +63,7 @@ core::PreparedModel& resolve_model(core::ExperimentContext& ctx,
 
 // The evaluation config built from the cell's axes and seeded with its own
 // cell_seed. An nf-only cell measures NF (paper Fig. 3(d)) with no device
-// variation.
+// variation: σ = 0 whatever its sigma axis says.
 core::EvalConfig cell_config(core::ExperimentContext& ctx,
                              const SweepSpec& spec,
                              const core::PreparedModel& model,
@@ -72,7 +72,7 @@ core::EvalConfig cell_config(core::ExperimentContext& ctx,
                                             cell.xbar_size,
                                             cell.mitigation.rearrange);
     eval.backend = cell.backend;
-    eval.xbar.device.sigma_variation = cell.sigma;
+    eval.xbar.device.sigma_variation = spec.nf_only ? 0.0 : cell.sigma;
     eval.xbar.parasitics.r_driver *= cell.parasitic_scale;
     eval.xbar.parasitics.r_wire_row *= cell.parasitic_scale;
     eval.xbar.parasitics.r_wire_col *= cell.parasitic_scale;
@@ -82,7 +82,6 @@ core::EvalConfig cell_config(core::ExperimentContext& ctx,
     if (cell.quant_levels > 0) eval.conductance_levels = cell.quant_levels;
     eval.compensate_columns = cell.mitigation.compensate;
     eval.seed = cell_seed(ctx.seed(), cell);
-    if (spec.nf_only) eval.include_variation = false;
     return eval;
 }
 
@@ -120,7 +119,7 @@ double ms_since(std::chrono::steady_clock::time_point t0) {
 // An nf-only unit: cells that map one model the same way, each in its own
 // `cell` span. The first cell's span also resolves the model, builds the
 // MappingPlan and estimates the energy, which every cell then shares. Each
-// cell keeps its own seed and stage pipeline, and solves start cold, so its
+// cell keeps its own seed and tile ladder, and solves start cold, so its
 // result is the one it gets alone.
 std::vector<CellResult> run_nf_unit(core::ExperimentContext& ctx,
                                     const SweepSpec& spec,

@@ -144,8 +144,8 @@ CellResult run_sweep_cell(core::ExperimentContext& ctx, const SweepSpec& spec,
 //    parasitic scale, faults, quant levels, backend and repeat; anything
 //    else throws). One model resolve, one core::MappingPlan and one energy
 //    estimate serve them all, and core::measure_nf runs once per cell with
-//    no device variation. Each cell runs in its own `cell` span with its own
-//    wall time; the first cell's also carries the shared work.
+//    σ = 0 (no device variation). Each cell runs in its own `cell` span
+//    with its own wall time; the first cell's also carries the shared work.
 std::vector<CellResult> run_sweep_group(core::ExperimentContext& ctx,
                                         const SweepSpec& spec,
                                         const std::vector<const SweepCell*>& cells);

@@ -3,6 +3,7 @@
 #include "tensor/tensor.h"  // tensor::check
 #include "util/csv.h"       // util::fmt_g
 
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <set>
@@ -305,6 +306,20 @@ SweepSpec parse_sweep_spec(const util::Flags& flags) {
         tensor::check(scale >= 0.0,
                       "sweep: parasitic-scales must be >= 0, got " +
                           fmt_g(scale));
+    for (const double sigma : spec.sigmas)
+        tensor::check(std::isfinite(sigma) && sigma >= 0.0,
+                      "sweep: sigmas must be finite and >= 0, got " +
+                          fmt_g(sigma));
+    for (const std::int64_t levels : spec.quant_levels)
+        tensor::check(levels == 0 || levels >= 2,
+                      "sweep: quant-levels must be 0 (continuous) or >= 2, "
+                      "got " + std::to_string(levels));
+    for (const FaultSetting& f : spec.faults)
+        tensor::check(f.p_stuck_min >= 0.0 && f.p_stuck_max >= 0.0 &&
+                          f.p_stuck_min + f.p_stuck_max <= 1.0,
+                      "sweep: faults rates must be >= 0 and sum to <= 1, "
+                      "got " + fmt_g(f.p_stuck_min) + ":" +
+                          fmt_g(f.p_stuck_max));
     return spec;
 }
 

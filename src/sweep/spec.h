@@ -93,10 +93,11 @@ struct SweepSpec {
     // Monte-Carlo repeats; expanded as the innermost axis so one group's
     // cells are contiguous in expansion order.
     std::int64_t repeats = 2;
-    // NF-measurement mode (paper Fig. 3(d)): cells run measure_nf() with
-    // device variation disabled instead of a full inference pass — NF is a
-    // parasitics metric and this makes each cell deterministic, so drivers
-    // normally pair nf_only with repeats = 1. Accuracy columns read 0.
+    // NF-measurement mode (paper Fig. 3(d)): cells run measure_nf() at
+    // σ = 0, whatever `sigmas` holds, instead of a full inference pass — NF
+    // is a parasitics metric and this makes each cell deterministic, so
+    // drivers normally pair nf_only with repeats = 1. Accuracy columns
+    // read 0.
     bool nf_only = false;
 
     // Full cartesian grid in deterministic order (repeat innermost).
@@ -117,6 +118,10 @@ std::map<std::string, std::string> read_spec_file(const std::string& path);
 //   parasitic-scales=1.0       faults=0:0,0.01:0.001   (SA0:SA1)
 //   quant-levels=0,64,16       backends=circuit,fast,ideal
 //   sweep-repeats=2            nf-only=false
+// A value no grid can run throws, naming its key: sizes or sweep-repeats
+// below 1, negative parasitic scales, sigmas that are negative or not
+// finite, quant-levels other than 0 or ≥ 2, and fault rates below 0 or
+// summing above 1.
 SweepSpec parse_sweep_spec(const util::Flags& flags);
 
 }  // namespace xs::sweep

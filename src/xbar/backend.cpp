@@ -200,32 +200,4 @@ void FastBackend::degrade(const Tensor& g, DegradeWorkspace& ws,
     out.sweeps = cal.sweeps;
 }
 
-void IdealBackend::degrade(const Tensor& g, DegradeWorkspace& ws,
-                           TileDegradeResult& out) const {
-    (void)ws;
-    const std::int64_t n = config_.size;
-    tensor::check(g.rank() == 2 && g.dim(0) == n && g.dim(1) == n,
-                  "IdealBackend: conductance matrix shape mismatch");
-    if (!(out.g_eff.rank() == 2 && out.g_eff.dim(0) == n && out.g_eff.dim(1) == n))
-        out.g_eff = Tensor({n, n});
-    std::copy(g.data(), g.data() + n * n, out.g_eff.data());
-    out.nf = 0.0;
-    out.converged = true;
-    out.sweeps = 0;
-}
-
-std::unique_ptr<CrossbarBackend> make_backend(BackendKind kind,
-                                              const CrossbarConfig& config,
-                                              std::int64_t fast_buckets) {
-    switch (kind) {
-        case BackendKind::kFast:
-            return std::make_unique<FastBackend>(config, fast_buckets);
-        case BackendKind::kIdeal:
-            return std::make_unique<IdealBackend>(config);
-        case BackendKind::kCircuit:
-        default:
-            return std::make_unique<CircuitBackend>(config);
-    }
-}
-
 }  // namespace xs::xbar

@@ -1,9 +1,10 @@
-// Interchangeable crossbar evaluation backends (DESIGN.md §8).
+// The crossbar backends behind the tile ladder's parasitic step
+// (xbar/pipeline.h, DESIGN.md §8).
 //
 // A CrossbarBackend turns one tile's programmed conductances G into the
 // effective non-ideal conductances G′ plus the tile's non-ideality factor.
-// Three implementations cover the fidelity/throughput space the framework
-// needs (RxNN and GENIEx make the same split):
+// Two implementations cover the fidelity/throughput split RxNN and GENIEx
+// make:
 //
 //  * circuit — the exact cold-started line-relaxation solve of xbar/solver.h
 //              folded through the voltage-division model of xbar/degrade.h,
@@ -15,8 +16,9 @@
 //              folded voltage-division ratios α_ij are reused for every tile
 //              in the bucket, across Monte-Carlo repeats. O(X²) per tile
 //              instead of a relaxation solve.
-//  * ideal   — pass-through (G′ = G, NF = 0), for pure quantization / fault
-//              studies with the parasitic stage disabled.
+//
+// The third value of the backend axis, `ideal`, has no backend: it is the
+// ladder without a parasitic step (G′ = G, NF = 0).
 //
 // Backends are stateless per tile call except for caller-owned workspaces
 // (and the fast backend's internal calibration cache, which is thread-safe
@@ -38,6 +40,7 @@
 
 namespace xs::xbar {
 
+// The backend axis. kIdeal selects no backend: no parasitic step runs.
 enum class BackendKind { kCircuit, kFast, kIdeal };
 
 // "circuit" / "fast" / "ideal".
@@ -48,8 +51,6 @@ BackendKind backend_from_name(const std::string& name);
 class CrossbarBackend {
 public:
     virtual ~CrossbarBackend() = default;
-    virtual BackendKind kind() const = 0;
-    const char* name() const { return backend_name(kind()); }
 
     // Degrade one X×X conductance tile into out.g_eff (storage reused when
     // already tile-shaped) and fill out.nf / out.converged / out.sweeps.
@@ -65,7 +66,6 @@ class CircuitBackend final : public CrossbarBackend {
 public:
     explicit CircuitBackend(const CrossbarConfig& config);
 
-    BackendKind kind() const override { return BackendKind::kCircuit; }
     // One tile through degrade_tile_batched.
     void degrade(const tensor::Tensor& g, DegradeWorkspace& ws,
                  TileDegradeResult& out) const override;
@@ -91,7 +91,6 @@ public:
     explicit FastBackend(const CrossbarConfig& config,
                          std::int64_t buckets = 64);
 
-    BackendKind kind() const override { return BackendKind::kFast; }
     void degrade(const tensor::Tensor& g, DegradeWorkspace& ws,
                  TileDegradeResult& out) const override;
 
@@ -128,25 +127,5 @@ private:
     double g_lo_, g_step_;  // bucket grid over [G_MIN/2, 2·G_MAX]
     std::shared_ptr<SharedCache> cache_;
 };
-
-// Pass-through: G′ = G, NF = 0. The stage builder skips the parasitic stage
-// entirely for this backend; the implementation exists so the backend axis
-// is total and directly exercisable.
-class IdealBackend final : public CrossbarBackend {
-public:
-    explicit IdealBackend(const CrossbarConfig& config) : config_(config) {}
-
-    BackendKind kind() const override { return BackendKind::kIdeal; }
-    void degrade(const tensor::Tensor& g, DegradeWorkspace& ws,
-                 TileDegradeResult& out) const override;
-
-private:
-    CrossbarConfig config_;
-};
-
-// Factory over the kind axis. `fast_buckets` only affects kFast.
-std::unique_ptr<CrossbarBackend> make_backend(BackendKind kind,
-                                              const CrossbarConfig& config,
-                                              std::int64_t fast_buckets);
 
 }  // namespace xs::xbar

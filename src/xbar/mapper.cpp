@@ -1,5 +1,7 @@
 #include "xbar/mapper.h"
 
+#include "tensor/ops.h"
+
 #include <algorithm>
 #include <cmath>
 
@@ -52,6 +54,11 @@ Tensor ConductanceMapper::from_differential(const Tensor& g_pos,
     Tensor w;
     from_differential_into(g_pos, g_neg, w);
     return w;
+}
+
+double default_w_ref(const Tensor& weights) {
+    const double w_ref = tensor::abs_percentile_nonzero(weights, 0.995);
+    return w_ref > 0.0 ? w_ref : 1.0;
 }
 
 }  // namespace xs::xbar

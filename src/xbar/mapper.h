@@ -45,4 +45,10 @@ private:
     double slope_;
 };
 
+// The reference scale a layer maps at unless a frozen scale overrides it
+// (WCT): the 0.995 percentile of its non-zero |w|, outlier-robust, or 1.0
+// for an all-zero layer. It depends only on the multiset of non-zero
+// values, so a T-compacted matrix gives the same scale as the original.
+double default_w_ref(const tensor::Tensor& weights);
+
 }  // namespace xs::xbar

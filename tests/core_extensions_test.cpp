@@ -30,7 +30,7 @@ TEST(Compensation, RestoresColumnSumsExactly) {
     const Tensor m = random_matrix(32, 32, 1);
     EvalConfig config;
     config.xbar.size = 32;
-    config.include_variation = false;
+    config.xbar.device.sigma_variation = 0.0;
     config.compensate_columns = true;
 
     DegradeStats stats;
@@ -50,7 +50,7 @@ TEST(Compensation, ReducesWeightError) {
     const Tensor m = random_matrix(64, 64, 3);
     EvalConfig config;
     config.xbar.size = 64;
-    config.include_variation = false;
+    config.xbar.device.sigma_variation = 0.0;
 
     DegradeStats s1, s2;
     util::Rng r1(4), r2(4);
@@ -70,8 +70,8 @@ TEST(Quantization, CoarseLevelsIncreaseWeightError) {
     const Tensor m = random_matrix(32, 32, 5);
     EvalConfig config;
     config.xbar.size = 32;
-    config.include_parasitics = false;
-    config.include_variation = false;
+    config.backend = xbar::BackendKind::kIdeal;
+    config.xbar.device.sigma_variation = 0.0;
 
     auto error_with_levels = [&](std::int64_t levels) {
         EvalConfig c = config;
@@ -94,8 +94,8 @@ TEST(Quantization, ManyLevelsApproachContinuous) {
     const Tensor m = random_matrix(16, 16, 7);
     EvalConfig config;
     config.xbar.size = 16;
-    config.include_parasitics = false;
-    config.include_variation = false;
+    config.backend = xbar::BackendKind::kIdeal;
+    config.xbar.device.sigma_variation = 0.0;
     config.conductance_levels = 1 << 14;
 
     DegradeStats stats;
@@ -108,8 +108,8 @@ TEST(Faults, DegradeWithFaultsPerturbsWeights) {
     const Tensor m = random_matrix(32, 32, 9);
     EvalConfig config;
     config.xbar.size = 32;
-    config.include_parasitics = false;
-    config.include_variation = false;
+    config.backend = xbar::BackendKind::kIdeal;
+    config.xbar.device.sigma_variation = 0.0;
     config.faults.p_stuck_max = 0.05;
 
     DegradeStats stats;

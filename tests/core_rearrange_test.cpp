@@ -131,8 +131,8 @@ TEST(Rearrange, RearrangedEvaluationPreservesLogicalOrder) {
 
     EvalConfig config;
     config.xbar.size = 8;
-    config.include_parasitics = false;
-    config.include_variation = false;
+    config.backend = xbar::BackendKind::kIdeal;
+    config.xbar.device.sigma_variation = 0.0;
     config.rearrange = true;
 
     DegradeStats stats;

@@ -94,8 +94,8 @@ EvalResult sequential_reference(nn::Sequential& model, const nn::Dataset& test,
         std::vector<Tensor> degraded;
         for (std::size_t li = 0; li < layers.size(); ++li) {
             const Tensor matrix = map::extract_matrix(*layers[li]);
-            const double w_ref = tensor::abs_percentile_nonzero(
-                matrix, config.w_ref_percentile);
+            const double w_ref =
+                tensor::abs_percentile_nonzero(matrix, 0.995);
             util::Rng rng =
                 util::Rng(seed).split(static_cast<std::uint64_t>(li) + 1);
             DegradeStats stats;

@@ -300,6 +300,41 @@ TEST(SweepRunner, NfCsvInvariantToUnitGrouping) {
     expect_same_records(single.manifest_path, resumed.manifest_path, cells);
 }
 
+TEST(SweepRunner, NfOnlyCellsIgnoreSigma) {
+    // NF is a parasitics metric: an nf-only cell runs with σ = 0 whatever
+    // its sigma axis says, so cells that differ only in sigma (and hence in
+    // seed) measure the same thing.
+    SweepSpec spec = tiny_spec();
+    spec.nf_only = true;
+    spec.repeats = 1;
+    spec.sigmas = {0.0, 0.1};
+    spec.backends = {xbar::BackendKind::kCircuit, xbar::BackendKind::kFast};
+    SweepOptions opts;
+    opts.csv_name = "nf_sigma.csv";
+    opts.manifest_name = "nf_sigma.jsonl";
+    const SweepSummary summary = SweepRunner(ctx(), spec, opts).run();
+    const std::vector<SweepCell> cells = spec.expand();
+    ASSERT_EQ(cells.size(), 8u);
+    const auto records = load_manifest(summary.manifest_path);
+    ASSERT_EQ(records.size(), cells.size());
+    int pairs = 0;
+    for (const SweepCell& cell : cells) {
+        if (cell.sigma == 0.0) continue;
+        SweepCell twin = cell;
+        twin.sigma = 0.0;
+        SCOPED_TRACE(cell.id());
+        const CellResult& a = records.at(cell.id());
+        const CellResult& b = records.at(twin.id());
+        EXPECT_GT(a.nf_mean, 0.0);
+        EXPECT_EQ(a.nf_mean, b.nf_mean);
+        EXPECT_EQ(a.energy_pj, b.energy_pj);
+        EXPECT_EQ(a.tiles, b.tiles);
+        EXPECT_EQ(a.solver_failures, b.solver_failures);
+        ++pairs;
+    }
+    EXPECT_EQ(pairs, 4);
+}
+
 TEST(SweepRunner, ResumeRefusesDifferentConfiguration) {
     SweepOptions opts;
     opts.csv_name = "fp.csv";

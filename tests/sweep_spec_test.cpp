@@ -77,7 +77,10 @@ TEST(SweepSpec, ParsePruneAndMitigationSyntax) {
 
 // Values no grid can run are refused at parse time, each message naming its
 // key: a crossbar size of 0 used to hang tile_xcs, and one below 1 reached
-// tile_dense's bare "bad dimensions" abort.
+// tile_dense's bare "bad dimensions" abort. A negative sigma ran with no
+// variation under its own label, a NaN one filled tiles with NaN, a level
+// count of 1 ran continuous devices under a /q1 id, and a bad fault pair
+// threw only once cells ran, after the grid's models had trained.
 TEST(SweepSpec, RejectsValuesNoGridCanRun) {
     const struct {
         const char* flag;
@@ -86,7 +89,16 @@ TEST(SweepSpec, RejectsValuesNoGridCanRun) {
                {"--sizes=-16", "sizes"},
                {"--parasitic-scales=1,-0.5", "parasitic-scales"},
                {"--parasitic-scales=nan", "parasitic-scales"},
-               {"--sweep-repeats=0", "sweep-repeats"}};
+               {"--sweep-repeats=0", "sweep-repeats"},
+               {"--sigmas=0.1,-0.05", "sigmas"},
+               {"--sigmas=nan", "sigmas"},
+               {"--sigmas=inf", "sigmas"},
+               {"--quant-levels=0,1", "quant-levels"},
+               {"--quant-levels=-16", "quant-levels"},
+               {"--faults=0:0,-0.01:0", "faults"},
+               {"--faults=0:-0.01", "faults"},
+               {"--faults=0.6:0.5", "faults"},
+               {"--faults=nan:0", "faults"}};
     for (const auto& b : bad) {
         try {
             parse_sweep_spec(make_flags({b.flag}));
@@ -96,10 +108,15 @@ TEST(SweepSpec, RejectsValuesNoGridCanRun) {
                 << b.flag << ": " << e.what();
         }
     }
-    const SweepSpec ok =
-        parse_sweep_spec(make_flags({"--sizes=1", "--parasitic-scales=0"}));
+    const SweepSpec ok = parse_sweep_spec(
+        make_flags({"--sizes=1", "--parasitic-scales=0", "--sigmas=0",
+                    "--quant-levels=0,2", "--faults=0:0,0.5:0.5"}));
     EXPECT_EQ(ok.sizes, std::vector<std::int64_t>{1});
     EXPECT_EQ(ok.parasitic_scales, std::vector<double>{0.0});
+    EXPECT_EQ(ok.sigmas, std::vector<double>{0.0});
+    EXPECT_EQ(ok.quant_levels, (std::vector<std::int64_t>{0, 2}));
+    ASSERT_EQ(ok.faults.size(), 2u);
+    EXPECT_EQ(ok.faults[1].p_stuck_min + ok.faults[1].p_stuck_max, 1.0);
 }
 
 TEST(SweepSpec, SpecFileParsesAndCliWins) {

@@ -1,13 +1,12 @@
-// The stage pipeline and backend seam (xbar/pipeline.h, xbar/backend.h):
+// The tile ladder and backend seam (xbar/pipeline.h, xbar/backend.h):
 //
-//  * a golden test pinning the circuit backend through the stage pipeline
-//    bit-identical to the pre-refactor evaluator's straight-line tile loop
-//    (replicated verbatim below), for the full stage combination and the
+//  * a golden test pinning the circuit backend through the ladder
+//    bit-identical to the historical evaluator's straight-line tile loop
+//    (replicated verbatim below), for the full step combination and the
 //    XCS-packed tiling;
 //  * fast-vs-circuit agreement (G′ and NF tolerances) and the fast
 //    backend's cache determinism;
-//  * the ideal backend's exact pass-through;
-//  * a counting-operator-new proof that the pipeline steady state performs
+//  * a counting-operator-new proof that the ladder's steady state performs
 //    no heap allocation for the circuit and fast backends.
 #include "core/evaluator.h"
 #include "map/tiling.h"
@@ -60,19 +59,6 @@ TEST(Backend, NamesRoundTrip) {
                             BackendKind::kIdeal})
         EXPECT_EQ(backend_from_name(backend_name(kind)), kind);
     EXPECT_THROW(backend_from_name("frobnicate"), std::exception);
-}
-
-TEST(Backend, IdealIsExactPassThrough) {
-    CrossbarConfig config;
-    config.size = 16;
-    const IdealBackend backend(config);
-    const Tensor g = random_g(16, 1, config.device);
-    DegradeWorkspace ws;
-    TileDegradeResult out;
-    backend.degrade(g, ws, out);
-    EXPECT_TRUE(tensor::allclose(out.g_eff, g, 0.0f, 0.0f));
-    EXPECT_EQ(out.nf, 0.0);
-    EXPECT_TRUE(out.converged);
 }
 
 TEST(Backend, FastTracksCircuitPerTile) {
@@ -138,11 +124,10 @@ TEST(Backend, FastCalibrationDependsOnlyOnBucket) {
 
 // ---- golden test: the pre-refactor evaluator tile loop, verbatim ----
 
-// The exact per-tile stage ladder core::degrade_mac_matrix hard-coded before
-// the pipeline refactor, including the double-precision column
-// compensation; each array degrades through a fresh degrade_tile, as every
-// solve starts cold. Any bit drift between this and the staged pipeline is
-// a regression.
+// The exact per-tile ladder core::degrade_mac_matrix hard-coded before the
+// stage-list refactor, including the double-precision column compensation;
+// each array degrades through a fresh degrade_tile, as every solve starts
+// cold. Any bit drift between this and xbar::TilePipeline is a regression.
 void reference_compensate(Tensor& g_eff, const Tensor& g_before,
                           std::int64_t n) {
     std::vector<double> col_before(static_cast<std::size_t>(n), 0.0);
@@ -193,7 +178,7 @@ Tensor reference_degrade(const Tensor& matrix, const map::Tiling& tiling,
             quantize_conductance(g_neg, config.xbar.device,
                                  config.conductance_levels);
         }
-        if (config.include_variation) {
+        if (config.xbar.device.sigma_variation > 0.0) {
             apply_variation(g_pos, config.xbar.device, tile_rngs[t]);
             apply_variation(g_neg, config.xbar.device, tile_rngs[t]);
         }
@@ -203,7 +188,7 @@ Tensor reference_degrade(const Tensor& matrix, const map::Tiling& tiling,
             apply_stuck_faults(g_neg, config.xbar.device, config.faults,
                                tile_rngs[t]);
         }
-        if (config.include_parasitics) {
+        if (config.backend != BackendKind::kIdeal) {
             pos = degrade_tile(g_pos, config.xbar);
             neg = degrade_tile(g_neg, config.xbar);
             if (config.compensate_columns) {
@@ -263,24 +248,24 @@ TEST(PipelineGolden, XcsTilingBitIdenticalToPreRefactorLoop) {
 // ---- zero-allocation steady state ----
 
 TEST(PipelineAllocation, CircuitSteadyStateAllocatesNothing) {
-    PipelineSpec spec;
-    spec.xbar.size = 32;
-    spec.faults.p_stuck_min = 0.01;
-    spec.compensate_columns = true;
-    const TilePipeline pipeline = build_tile_pipeline(spec);
-    EXPECT_EQ(pipeline.describe(),
-              "variation|faults|parasitics[circuit]|compensate");
+    CrossbarConfig xbar;
+    xbar.size = 32;
+    FaultConfig faults;
+    faults.p_stuck_min = 0.01;
+    // variation, faults, circuit parasitics, compensate
+    const TilePipeline pipeline(xbar, 0, faults, BackendKind::kCircuit,
+                                /*compensate_columns=*/true);
 
     Tensor pos, neg;
     util::Rng rng(8);
-    TileStageContext ctx;
-    const ConductanceMapper mapper(spec.xbar.device, 1.0);
+    TileContext ctx;
+    const ConductanceMapper mapper(xbar.device, 1.0);
     Tensor w({32, 32});
     tensor::fill_normal(w, rng, 0.0f, 0.3f);
     // One lane, the way every single evaluation drives the pipeline. Warm-up
     // provisions every buffer (differential pair, G′, batched workspace,
     // column sums).
-    TileStageContext* lanes[1] = {&ctx};
+    TileContext* lanes[1] = {&ctx};
     DegradeWorkspace ws;
     mapper.to_differential(w, pos, neg);
     ctx.begin_tile(pos, neg, rng);
@@ -298,20 +283,20 @@ TEST(PipelineAllocation, CircuitSteadyStateAllocatesNothing) {
 }
 
 TEST(PipelineAllocation, FastSteadyStateAllocatesNothing) {
-    PipelineSpec spec;
-    spec.xbar.size = 32;
-    spec.include_variation = false;  // fixed tile mean → fixed bucket
-    spec.backend = BackendKind::kFast;
-    const TilePipeline pipeline = build_tile_pipeline(spec);
-    EXPECT_EQ(pipeline.describe(), "parasitics[fast]");
+    CrossbarConfig xbar;
+    xbar.size = 32;
+    xbar.device.sigma_variation = 0.0;  // fixed tile mean → fixed bucket
+    // fast parasitics only
+    const TilePipeline pipeline(xbar, 0, FaultConfig{}, BackendKind::kFast,
+                                /*compensate_columns=*/false);
 
     Tensor pos, neg;
     util::Rng rng(9);
-    TileStageContext ctx;
-    const ConductanceMapper mapper(spec.xbar.device, 1.0);
+    TileContext ctx;
+    const ConductanceMapper mapper(xbar.device, 1.0);
     Tensor w({32, 32});
     tensor::fill_normal(w, rng, 0.0f, 0.3f);
-    TileStageContext* lanes[1] = {&ctx};
+    TileContext* lanes[1] = {&ctx};
     DegradeWorkspace ws;
     mapper.to_differential(w, pos, neg);
     ctx.begin_tile(pos, neg, rng);
@@ -329,27 +314,7 @@ TEST(PipelineAllocation, FastSteadyStateAllocatesNothing) {
     EXPECT_GT(ctx.nf, 0.0);
 }
 
-// ---- matrix level: fast and ideal through the evaluator ----
-
-TEST(PipelineBackends, IdealBackendMatchesParasiticFreeConfig) {
-    util::Rng rng(13);
-    Tensor m({24, 24});
-    tensor::fill_normal(m, rng, 0.0f, 0.4f);
-
-    core::EvalConfig ideal_backend;
-    ideal_backend.xbar.size = 16;
-    ideal_backend.backend = BackendKind::kIdeal;
-    core::EvalConfig no_parasitics;
-    no_parasitics.xbar.size = 16;
-    no_parasitics.include_parasitics = false;
-
-    core::DegradeStats s1, s2;
-    util::Rng r1(3), r2(3);
-    const Tensor a = core::degrade_mac_matrix(m, ideal_backend, 1.6, r1, s1);
-    const Tensor b = core::degrade_mac_matrix(m, no_parasitics, 1.6, r2, s2);
-    EXPECT_TRUE(tensor::allclose(a, b, 0.0f, 0.0f));
-    EXPECT_EQ(s1.nf_sum, 0.0);
-}
+// ---- matrix level: fast through the evaluator ----
 
 TEST(PipelineBackends, FastBackendTracksCircuitOnMacMatrix) {
     util::Rng rng(14);
