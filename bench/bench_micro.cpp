@@ -4,6 +4,7 @@
 // time.
 #include "core/evaluator.h"
 #include "data/synthetic.h"
+#include "map/energy.h"
 #include "nn/conv2d.h"
 #include "nn/infer.h"
 #include "nn/trainer.h"
@@ -402,6 +403,60 @@ void BM_MeasureNf(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_MeasureNf)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+
+// VGG11 at width 0.125, unpruned or XCS-pruned at 0.8 from its
+// initialization weights: the models of perfbench's map.plan_ms probe.
+nn::Sequential unit_model(bool xcs) {
+    nn::VggConfig vc;
+    vc.width = 0.125;
+    util::Rng rng(23);
+    nn::Sequential model = nn::build_vgg(vc, rng);
+    if (xcs) {
+        prune::PruneConfig pc;
+        pc.method = prune::Method::kXbarColumn;
+        prune::prune_at_init(model, pc);
+    }
+    return model;
+}
+
+// What a sweep's NF unit (DESIGN.md §7) builds before its first
+// measurement: the MappingPlan at 32×32, i.e. every mappable layer's
+// extract, w_ref, R and tiling. Arg 0: unpruned (0) or XCS-pruned (1)
+// VGG11; arg 1: without (0) or with (1) the R rearrangement.
+void BM_MappingPlan(benchmark::State& state) {
+    const bool xcs = state.range(0) == 1;
+    nn::Sequential model = unit_model(xcs);
+    core::EvalConfig config;
+    config.xbar.size = 32;
+    config.method = xcs ? prune::Method::kXbarColumn : prune::Method::kNone;
+    config.rearrange = state.range(1) == 1;
+    for (auto _ : state) {
+        const core::MappingPlan plan(model, config);
+        benchmark::DoNotOptimize(plan.layers().data());
+    }
+}
+BENCHMARK(BM_MappingPlan)
+    ->Args({0, 0})
+    ->Args({0, 1})
+    ->Args({1, 0})
+    ->Args({1, 1})
+    ->Unit(benchmark::kMicrosecond);
+
+// The energy estimate an NF unit shares across its cells, at 32×32. Arg:
+// unpruned (0) or XCS-pruned (1) VGG11, as in BM_MappingPlan.
+void BM_EstimateEnergy(benchmark::State& state) {
+    const bool xcs = state.range(0) == 1;
+    nn::Sequential model = unit_model(xcs);
+    xbar::CrossbarConfig xbar;
+    xbar.size = 32;
+    for (auto _ : state) {
+        const map::EnergyReport r = map::estimate_energy(
+            model, xcs ? prune::Method::kXbarColumn : prune::Method::kNone,
+            xbar, map::EnergyConfig{});
+        benchmark::DoNotOptimize(r.array_energy_pj);
+    }
+}
+BENCHMARK(BM_EstimateEnergy)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 void BM_ConductanceMapping(benchmark::State& state) {
     xbar::DeviceConfig device;

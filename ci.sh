@@ -61,7 +61,8 @@ run_release() {
 # run of the same grid with full telemetry armed (a chrome trace, a
 # metrics snapshot, the progress heartbeat) must reproduce the
 # plain run's CSV byte for byte — observability must never perturb results
-# — and its metrics/trace JSONs must pass bench/check_metrics.py. A further
+# — and its metrics/trace JSONs must pass bench/check_metrics.py, with at
+# least one sample of the runner's sweep.shard_idle.ns histogram. A further
 # --workers=2 run (the service's coordinator dealing to an in-process agent
 # over a socketpair) with an injected worker crash (XS_FAULT) must report
 # at least one worker restart and one cell retry — proof the fault fired —
@@ -101,6 +102,13 @@ run_sweep_smoke() {
     python3 "$repo_root/bench/check_metrics.py" --clean \
       "$smoke_dir/metrics.json" "$smoke_dir/trace.json" \
       "$smoke_dir/sweep_telemetry.jsonl"
+    # The in-process runner's idle tail: one sample per shard.
+    python3 - "$smoke_dir/metrics.json" <<'PY'
+import json, sys
+h = json.load(open(sys.argv[1]))["histograms"].get("sweep.shard_idle.ns")
+if not h or h["count"] < 1:
+    sys.exit("sweep smoke: metrics.json has no sweep.shard_idle.ns sample")
+PY
   fi
   echo "=== supervised sweep smoke (2 workers, injected crash) ==="
   XS_FAULT="crash@cell:1" "$repo_root/build-release/sweep_runner" \

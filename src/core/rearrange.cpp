@@ -11,27 +11,43 @@ namespace xs::core {
 using tensor::check;
 using tensor::Tensor;
 
-double column_score(const Tensor& matrix, std::int64_t col) {
-    check(matrix.rank() == 2, "column_score: expects a rank-2 matrix");
-    const std::int64_t rows = matrix.dim(0);
-    double mu = 0.0;
-    for (std::int64_t r = 0; r < rows; ++r) mu += std::fabs(matrix.at(r, col));
-    mu /= static_cast<double>(rows);
-    double var = 0.0;
+namespace {
+
+// Every column's √(µ·σ) over absolute values, in two row-major passes:
+// each column's sums run over its rows in order, as a column-by-column
+// loop would, so the scores are bit-identical to scoring one column at a
+// time.
+std::vector<double> column_scores(const Tensor& matrix) {
+    const std::int64_t rows = matrix.dim(0), cols = matrix.dim(1);
+    const auto n = static_cast<double>(rows);
+    std::vector<double> mu(static_cast<std::size_t>(cols), 0.0);
+    // Σ(|w| − µ)² per column until the last loop turns it into the score.
+    std::vector<double> score(static_cast<std::size_t>(cols), 0.0);
+    double* __restrict pm = mu.data();
+    double* __restrict pv = score.data();
     for (std::int64_t r = 0; r < rows; ++r) {
-        const double d = std::fabs(matrix.at(r, col)) - mu;
-        var += d * d;
+        const float* __restrict row = matrix.data() + r * cols;
+        for (std::int64_t c = 0; c < cols; ++c) pm[c] += std::fabs(row[c]);
     }
-    const double sigma = std::sqrt(var / static_cast<double>(rows));
-    return std::sqrt(mu * sigma);
+    for (std::int64_t c = 0; c < cols; ++c) pm[c] /= n;
+    for (std::int64_t r = 0; r < rows; ++r) {
+        const float* __restrict row = matrix.data() + r * cols;
+        for (std::int64_t c = 0; c < cols; ++c) {
+            const double d = std::fabs(row[c]) - pm[c];
+            pv[c] += d * d;
+        }
+    }
+    for (std::int64_t c = 0; c < cols; ++c)
+        pv[c] = std::sqrt(pm[c] * std::sqrt(pv[c] / n));
+    return score;
 }
+
+}  // namespace
 
 Rearrangement compute_rearrangement(const Tensor& matrix, RearrangeOrder order) {
     check(matrix.rank() == 2, "compute_rearrangement: expects a rank-2 matrix");
     const std::int64_t cols = matrix.dim(1);
-    std::vector<double> scores(static_cast<std::size_t>(cols));
-    for (std::int64_t c = 0; c < cols; ++c)
-        scores[static_cast<std::size_t>(c)] = column_score(matrix, c);
+    const std::vector<double> scores = column_scores(matrix);
 
     std::vector<std::int64_t> ascending(static_cast<std::size_t>(cols));
     std::iota(ascending.begin(), ascending.end(), 0);
@@ -71,10 +87,11 @@ Tensor apply_columns(const Tensor& matrix, const Rearrangement& r) {
           "apply_columns: permutation size mismatch");
     const std::int64_t rows = matrix.dim(0), cols = matrix.dim(1);
     Tensor out({rows, cols});
-    for (std::int64_t c = 0; c < cols; ++c) {
-        const std::int64_t src = r.perm[static_cast<std::size_t>(c)];
-        for (std::int64_t row = 0; row < rows; ++row)
-            out.at(row, c) = matrix.at(row, src);
+    const std::int64_t* perm = r.perm.data();
+    for (std::int64_t row = 0; row < rows; ++row) {
+        const float* src = matrix.data() + row * cols;
+        float* dst = out.data() + row * cols;
+        for (std::int64_t c = 0; c < cols; ++c) dst[c] = src[perm[c]];
     }
     return out;
 }

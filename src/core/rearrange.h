@@ -28,9 +28,8 @@ struct Rearrangement {
     std::vector<std::int64_t> perm;
 };
 
-// Column score √(µ·σ) over absolute values (paper's criterion).
-double column_score(const tensor::Tensor& matrix, std::int64_t col);
-
+// Scores every column with √(µ·σ) of its absolute values (the paper's
+// criterion) and orders the columns by score; ties keep column order.
 Rearrangement compute_rearrangement(const tensor::Tensor& matrix,
                                     RearrangeOrder order);
 

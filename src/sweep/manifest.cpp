@@ -219,39 +219,54 @@ ManifestWriter::~ManifestWriter() {
     if (f_) std::fclose(f_);
 }
 
-void ManifestWriter::write_line(const std::string& line, bool count_record) {
+void ManifestWriter::write_lines(const std::vector<std::string>& lines,
+                                 bool count_records) {
     std::lock_guard<std::mutex> lock(mu_);
     if (!f_) {
         ok_ = false;
         return;
     }
-    std::string bytes = line;
-    if (count_record &&
-        util::fault::at("record", records_) == util::fault::Action::kTruncate) {
-        // Simulate a crash mid-append: half the record, no newline. The
-        // next record glues onto it — exactly the mid-line corruption the
-        // resume parser must survive.
-        bytes.resize(bytes.size() / 2);
-    } else {
-        bytes += '\n';
+    std::string bytes;
+    for (const std::string& line : lines) {
+        if (count_records &&
+            util::fault::at("record", records_) ==
+                util::fault::Action::kTruncate) {
+            // Simulate a crash mid-append: half the record, no newline. The
+            // next record glues onto it — exactly the mid-line corruption
+            // the resume parser must survive.
+            bytes.append(line, 0, line.size() / 2);
+        } else {
+            bytes += line;
+            bytes += '\n';
+        }
+        if (count_records) ++records_;
     }
-    if (count_record) ++records_;
     if (std::fwrite(bytes.data(), 1, bytes.size(), f_) != bytes.size() ||
         std::fflush(f_) != 0 || ::fsync(fileno(f_)) != 0)
         ok_ = false;
 }
 
 void ManifestWriter::record_config(const std::string& fingerprint) {
-    write_line("{\"sweep_config\":\"" + fingerprint + "\"}",
-               /*count_record=*/false);
+    write_lines({"{\"sweep_config\":\"" + fingerprint + "\"}"},
+                /*count_records=*/false);
 }
 
 void ManifestWriter::record(const std::string& cell_id, const CellResult& r) {
-    write_line(encode_manifest_line(cell_id, r), /*count_record=*/true);
+    write_lines({encode_manifest_line(cell_id, r)}, /*count_records=*/true);
+}
+
+void ManifestWriter::record(const std::vector<std::string>& cell_ids,
+                            const std::vector<CellResult>& results) {
+    std::vector<std::string> lines;
+    lines.reserve(cell_ids.size());
+    for (std::size_t i = 0; i < cell_ids.size(); ++i)
+        lines.push_back(encode_manifest_line(cell_ids[i], results.at(i)));
+    write_lines(lines, /*count_records=*/true);
 }
 
 void ManifestWriter::record_metrics(const std::string& metrics_json) {
-    write_line("{\"metrics\":" + metrics_json + "}", /*count_record=*/false);
+    write_lines({"{\"metrics\":" + metrics_json + "}"},
+                /*count_records=*/false);
 }
 
 }  // namespace xs::sweep

@@ -23,6 +23,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <vector>
 
 namespace xs::sweep {
 
@@ -96,6 +97,10 @@ public:
     // silently mixing two configurations' results.
     void record_config(const std::string& fingerprint);
     void record(const std::string& cell_id, const CellResult& r);
+    // Several records, cell_ids[i] with results[i], in one append: one
+    // write, flush and fsync for all of them.
+    void record(const std::vector<std::string>& cell_ids,
+                const std::vector<CellResult>& results);
     // Uncounted informational record appended at the end of a run:
     // {"metrics":<util/metrics.h snapshot JSON>}. The loader skips it
     // silently (nested JSON would otherwise trip the torn-record check).
@@ -103,7 +108,7 @@ public:
     bool ok() const { return ok_; }
 
 private:
-    void write_line(const std::string& line, bool count_record);
+    void write_lines(const std::vector<std::string>& lines, bool count_records);
 
     std::mutex mu_;
     std::FILE* f_ = nullptr;

@@ -402,37 +402,65 @@ std::int64_t SweepLedger::position(const std::string& id) const {
 SweepLedger::Recorded SweepLedger::record(const std::string& id,
                                           const CellResult& r,
                                           const std::string& via) {
+    return record(std::vector<std::string>{id}, std::vector<CellResult>{r},
+                  via)
+        .front();
+}
+
+std::vector<SweepLedger::Recorded> SweepLedger::record(
+    const std::vector<std::string>& ids, const std::vector<CellResult>& results,
+    const std::string& via) {
+    tensor::check(ids.size() == results.size(),
+                  "SweepLedger::record: one result per cell id");
     std::lock_guard<std::mutex> lock(mu_);
-    if (recorded_.results.find(id) != recorded_.results.end()) {
-        // A slow host finishing after its lease was re-dealt, or an agent
-        // replaying its outbox after a reconnect.
-        ++summary_.duplicate_acks;
-        XS_COUNT("sweep.service.duplicate_acks", 1);
-        util::log_info("sweep: duplicate result for " + id +
-                       (via.empty() ? "" : " from " + via) + " deduped");
-        return Recorded::kDuplicate;
+    std::vector<Recorded> out(ids.size(), Recorded::kNew);
+    std::vector<std::string> new_ids;
+    std::vector<CellResult> new_results;
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+        const std::string& id = ids[i];
+        if (recorded_.results.find(id) != recorded_.results.end()) {
+            // A slow host finishing after its lease was re-dealt, or an agent
+            // replaying its outbox after a reconnect.
+            ++summary_.duplicate_acks;
+            XS_COUNT("sweep.service.duplicate_acks", 1);
+            util::log_info("sweep: duplicate result for " + id +
+                           (via.empty() ? "" : " from " + via) + " deduped");
+            out[i] = Recorded::kDuplicate;
+            continue;
+        }
+        // Recording a cell the run never dealt would poison the manifest for
+        // resume.
+        if (position(id) < 0) {
+            out[i] = Recorded::kForeign;
+            continue;
+        }
+        recorded_.results[id] = results[i];
+        new_ids.push_back(id);
+        new_results.push_back(results[i]);
     }
-    const std::int64_t p = position(id);
-    // Recording a cell the run never dealt would poison the manifest for
-    // resume.
-    if (p < 0) return Recorded::kForeign;
-    manifest_.record(id, r);  // durable before counted
-    recorded_.results[id] = r;
-    XS_COUNT("sweep.cells.done", 1);
-    ++summary_.cells_executed;
-    ++settled_;
-    util::log_info("sweep cell " + std::to_string(settled_) + "/" +
-                   std::to_string(pending_.size()) + " " + id + ": acc " +
-                   util::fmt(r.accuracy) + "% (" + util::fmt(r.wall_ms, 0) +
-                   " ms" + (via.empty() ? "" : ", " + via) + ")");
-    if (opts_.cell_budget_ms > 0.0 && r.wall_ms > opts_.cell_budget_ms &&
-        overran_.insert(static_cast<std::size_t>(p)).second) {
-        ++summary_.cells_over_budget;
-        util::log_warn("sweep cell " + id + " over budget: " +
-                       util::fmt(r.wall_ms, 0) + " ms > " +
-                       util::fmt(opts_.cell_budget_ms, 0) + " ms");
+    if (new_ids.empty()) return out;
+    manifest_.record(new_ids, new_results);  // durable before counted
+    for (std::size_t i = 0; i < new_ids.size(); ++i) {
+        const std::string& id = new_ids[i];
+        const CellResult& r = new_results[i];
+        XS_COUNT("sweep.cells.done", 1);
+        ++summary_.cells_executed;
+        ++settled_;
+        util::log_info("sweep cell " + std::to_string(settled_) + "/" +
+                       std::to_string(pending_.size()) + " " + id + ": acc " +
+                       util::fmt(r.accuracy) + "% (" +
+                       util::fmt(r.wall_ms, 0) + " ms" +
+                       (via.empty() ? "" : ", " + via) + ")");
+        const auto p = static_cast<std::size_t>(position(id));
+        if (opts_.cell_budget_ms > 0.0 && r.wall_ms > opts_.cell_budget_ms &&
+            overran_.insert(p).second) {
+            ++summary_.cells_over_budget;
+            util::log_warn("sweep cell " + id + " over budget: " +
+                           util::fmt(r.wall_ms, 0) + " ms > " +
+                           util::fmt(opts_.cell_budget_ms, 0) + " ms");
+        }
     }
-    return Recorded::kNew;
+    return out;
 }
 
 void SweepLedger::quarantine(std::size_t p, std::int64_t attempts,
@@ -525,21 +553,27 @@ SweepSummary SweepRunner::run() {
     // Shard phase: `shards` concurrent executors each take the next
     // undealt work unit from a shared cursor until none are left, so no
     // shard idles while another still has a queue. Results do not depend
-    // on the deal: seeds come from cell ids. Exceptions are collected per
-    // shard and rethrown after the dispatch (an exception escaping into the
-    // pool would terminate the process).
+    // on the deal: seeds come from cell ids, and the ledger keeps its
+    // pending list, the CSV and --resume in expansion order. Exceptions are
+    // collected per shard and rethrown after the dispatch (an exception
+    // escaping into the pool would terminate the process).
     const std::size_t nshards =
         opts_.shards > 0 ? static_cast<std::size_t>(opts_.shards)
                          : util::worker_count();
     std::vector<std::exception_ptr> errors(nshards);
-    // Heartbeat: checked after every recorded cell, printed by whichever
+    // Heartbeat: checked after every recorded unit, printed by whichever
     // shard wins the CAS once the interval elapses.
     const util::Stopwatch run_clock;
     std::atomic<std::int64_t> last_beat_ms{0};
     const std::int64_t beat_interval_ms =
         static_cast<std::int64_t>(opts_.progress_sec * 1000.0);
-    const auto record = [&](std::size_t p, const CellResult& result) {
-        ledger.record(cells[pending[p]].id(), result);
+    // A unit's results go to the ledger as one durable append.
+    const auto record = [&](const std::vector<const SweepCell*>& group,
+                            const std::vector<CellResult>& results) {
+        std::vector<std::string> ids;
+        ids.reserve(group.size());
+        for (const SweepCell* cell : group) ids.push_back(cell->id());
+        ledger.record(ids, results);
         if (beat_interval_ms <= 0) return;
         const auto now_ms =
             static_cast<std::int64_t>(run_clock.seconds() * 1000.0);
@@ -578,7 +612,19 @@ SweepSummary SweepRunner::run() {
         units.push_back(Unit{p, q - p});
         p = q;
     }
+    // Deal the largest crossbars first: a tile's solve cost grows with its
+    // size, so the big units start while every shard is busy and the small
+    // ones fill the tail. A unit has one crossbar size; units of one size
+    // keep expansion order.
+    std::stable_sort(units.begin(), units.end(),
+                     [&](const Unit& a, const Unit& b) {
+                         return cells[pending[a.begin]].xbar_size >
+                                cells[pending[b.begin]].xbar_size;
+                     });
     std::atomic<std::size_t> next_unit{0};
+    // When each executor found the cursor empty; one sample of the idle
+    // tail per executor goes to sweep.shard_idle.ns after the dispatch.
+    std::vector<std::chrono::steady_clock::time_point> idle_from(nshards);
     util::parallel_for_workers(
         0, nshards, [&](std::size_t, std::size_t lo, std::size_t hi) {
             for (std::size_t s = lo; s < hi; ++s) {
@@ -588,16 +634,23 @@ SweepSummary SweepRunner::run() {
                         std::vector<const SweepCell*> group(unit.count);
                         for (std::size_t i = 0; i < unit.count; ++i)
                             group[i] = &cells[pending[unit.begin + i]];
-                        const std::vector<CellResult> results =
-                            run_sweep_group(ctx_, spec_, group);
-                        for (std::size_t i = 0; i < unit.count; ++i)
-                            record(unit.begin + i, results[i]);
+                        record(group, run_sweep_group(ctx_, spec_, group));
                     }
                 } catch (...) {
                     errors[s] = std::current_exception();
                 }
+                idle_from[s] = std::chrono::steady_clock::now();
             }
         });
+#if XS_TELEMETRY_ENABLED
+    const auto shards_done = std::chrono::steady_clock::now();
+    const util::metrics::Histogram idle =
+        util::metrics::histogram("sweep.shard_idle.ns");
+    for (const auto t : idle_from)
+        idle.record(static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(shards_done - t)
+                .count()));
+#endif
     for (const auto& error : errors)
         if (error) std::rethrow_exception(error);
     return ledger.finish();

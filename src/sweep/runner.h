@@ -1,8 +1,9 @@
 // Sharded, resumable execution of a SweepSpec grid (DESIGN.md §7).
 //
 // `shards` executors run concurrently on the process-wide worker pool and
-// are dealt work units dynamically: each takes the next undealt unit from a
-// shared cursor whenever it finishes one, and runs it with run_sweep_group.
+// are dealt work units dynamically, largest crossbars first: each takes the
+// next undealt unit from a shared cursor whenever it finishes one, and runs
+// it with run_sweep_group.
 // An inference unit is one grid point's pending repeats, evaluated in a
 // single lane-batched pass; an nf-only unit is up to four cells that share
 // one crossbar mapping, measured on one MappingPlan. Per-cell RNG seeds
@@ -36,9 +37,9 @@ namespace xs::sweep {
 
 struct SweepOptions {
     // Concurrent executors (at most one per pool worker); 0 = one per pool
-    // worker. Work units are dealt dynamically, in expansion order, to
-    // whichever executor is free, so the assignment varies run to run and
-    // the results do not.
+    // worker. Work units are dealt dynamically, largest crossbar size first
+    // and otherwise in expansion order, to whichever executor is free, so
+    // the assignment varies run to run and the results do not.
     std::int64_t shards = 0;
     // Skip cells already recorded in the manifest (fresh runs truncate it).
     bool resume = false;
@@ -194,6 +195,13 @@ public:
     // append wins. `via` names the executor in the log lines.
     Recorded record(const std::string& id, const CellResult& r,
                     const std::string& via = "");
+    // Record ids[i] with results[i] as one durable append: the new ones are
+    // written, flushed and fsync'd together, then each is counted as above.
+    // One fsync per work unit instead of one per cell keeps the runner's
+    // shards on their units. One Recorded per id, in order.
+    std::vector<Recorded> record(const std::vector<std::string>& ids,
+                                 const std::vector<CellResult>& results,
+                                 const std::string& via = "");
     // Record the cell at position `p`, which has no record yet, as
     // quarantined after `attempts` attempts: resume skips it and
     // aggregation leaves it out.

@@ -1,7 +1,9 @@
 #include "tensor/ops.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstring>
 
 namespace xs::tensor {
 namespace {
@@ -118,20 +120,51 @@ void abs_moments(const float* values, std::int64_t n, double& mu, double& sigma)
     sigma = std::sqrt(var / static_cast<double>(n));
 }
 
+// A radix select over |x|'s bit pattern, which orders non-negative floats
+// as their values do: one pass counts the patterns' top bits, the bucket
+// that holds rank k is found from the counts, and a second pass keeps only
+// that bucket's patterns to select from. The k-th smallest pattern is the
+// k-th smallest non-zero |x|, so the result is nth_element's over all of
+// them, bit for bit.
 double abs_percentile_nonzero(const Tensor& a, double percentile) {
     check(percentile > 0.0 && percentile <= 1.0,
           "abs_percentile_nonzero: percentile must be in (0, 1]");
-    std::vector<float> mags;
-    mags.reserve(static_cast<std::size_t>(a.numel()));
+    constexpr int kLowBits = 20;  // buckets by sign-free bits 30..20
+    const auto abs_bits = [](float x) {
+        std::uint32_t bits;
+        std::memcpy(&bits, &x, sizeof bits);
+        return bits & 0x7fffffffu;
+    };
     const float* p = a.data();
-    for (std::int64_t i = 0; i < a.numel(); ++i)
-        if (p[i] != 0.0f) mags.push_back(std::fabs(p[i]));
-    if (mags.empty()) return 0.0;
-    auto k = static_cast<std::size_t>(percentile * static_cast<double>(mags.size()));
-    if (k >= mags.size()) k = mags.size() - 1;
-    std::nth_element(mags.begin(), mags.begin() + static_cast<std::ptrdiff_t>(k),
-                     mags.end());
-    return mags[k];
+    const std::int64_t n = a.numel();
+    std::array<std::size_t, std::size_t{1} << (31 - kLowBits)> hist{};
+    std::size_t zeros = 0;
+    for (std::int64_t i = 0; i < n; ++i) {
+        const std::uint32_t bits = abs_bits(p[i]);
+        ++hist[bits >> kLowBits];
+        zeros += bits == 0;
+    }
+    hist[0] -= zeros;
+    const std::size_t count = static_cast<std::size_t>(n) - zeros;
+    if (count == 0) return 0.0;
+    auto k = static_cast<std::size_t>(percentile * static_cast<double>(count));
+    if (k >= count) k = count - 1;
+    std::uint32_t bucket = 0;
+    while (k >= hist[bucket]) k -= hist[bucket++];
+
+    std::vector<std::uint32_t> in_bucket;
+    in_bucket.reserve(hist[bucket]);
+    for (std::int64_t i = 0; i < n; ++i) {
+        const std::uint32_t bits = abs_bits(p[i]);
+        if (bits != 0 && (bits >> kLowBits) == bucket)
+            in_bucket.push_back(bits);
+    }
+    std::nth_element(in_bucket.begin(),
+                     in_bucket.begin() + static_cast<std::ptrdiff_t>(k),
+                     in_bucket.end());
+    float value;
+    std::memcpy(&value, &in_bucket[k], sizeof value);
+    return value;
 }
 
 std::int64_t argmax_row(const Tensor& a, std::int64_t r) {

@@ -30,9 +30,11 @@ double l2_norm(const Tensor& a);
 // Mean and (population) stddev of |a|; used by the column-rearranger score.
 void abs_moments(const float* values, std::int64_t n, double& mu, double& sigma);
 
-// Percentile (in (0, 1]) of the absolute values of the non-zero entries.
-// Returns 0 when the tensor has no non-zero entry. Used as the outlier-robust
-// weight→conductance reference scale and for the WCT cut-off.
+// Percentile (in (0, 1]) of the absolute values of the non-zero entries:
+// with n of them, the ⌊percentile·n⌋-th smallest from 0 (the largest at
+// 1.0). Returns 0 when the tensor has no non-zero entry. Used as the
+// outlier-robust weight→conductance reference scale and for the WCT
+// cut-off.
 double abs_percentile_nonzero(const Tensor& a, double percentile);
 
 // Index of the maximum element in row `r` of a 2-D tensor.

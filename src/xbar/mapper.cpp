@@ -20,18 +20,26 @@ double ConductanceMapper::to_conductance(double w_abs) const {
     return std::clamp(g, device_.g_min(), device_.g_max());
 }
 
+// to_conductance of each side's magnitude, written as branch-free selects
+// over hoisted constants and non-aliasing pointers so the loop vectorizes.
+// Each element is the same expression as to_conductance's, so the output is
+// bit-identical to calling it per element.
 void ConductanceMapper::to_differential(const Tensor& weights, Tensor& g_pos,
                                         Tensor& g_neg) const {
     if (!g_pos.same_shape(weights)) g_pos = Tensor(weights.shape());
     if (!g_neg.same_shape(weights)) g_neg = Tensor(weights.shape());
-    const float* w = weights.data();
-    float* gp = g_pos.data();
-    float* gn = g_neg.data();
-    for (std::int64_t i = 0; i < weights.numel(); ++i) {
-        const double wp = w[i] > 0.0f ? w[i] : 0.0;
-        const double wn = w[i] < 0.0f ? -w[i] : 0.0;
-        gp[i] = static_cast<float>(to_conductance(wp));
-        gn[i] = static_cast<float>(to_conductance(wn));
+    const float* __restrict w = weights.data();
+    float* __restrict gp = g_pos.data();
+    float* __restrict gn = g_neg.data();
+    const double g_min = device_.g_min(), g_max = device_.g_max();
+    const double k = slope_;
+    const std::int64_t n = weights.numel();
+    for (std::int64_t i = 0; i < n; ++i) {
+        const double x = w[i];
+        const double p = g_min + k * (x > 0.0 ? x : 0.0);
+        const double m = g_min + k * (x < 0.0 ? -x : 0.0);
+        gp[i] = static_cast<float>(p < g_min ? g_min : g_max < p ? g_max : p);
+        gn[i] = static_cast<float>(m < g_min ? g_min : g_max < m ? g_max : m);
     }
 }
 

@@ -7,12 +7,34 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <numeric>
 #include <set>
+#include <utility>
+#include <vector>
 
 namespace xs::core {
 namespace {
 
 using tensor::Tensor;
+
+// The paper's column score √(µ·σ) of one column's absolute values, one
+// strided pass for µ and one for σ: the reference compute_rearrangement's
+// row-major passes must reproduce bit for bit.
+double column_score(const Tensor& matrix, std::int64_t col) {
+    const std::int64_t rows = matrix.dim(0);
+    double mu = 0.0;
+    for (std::int64_t r = 0; r < rows; ++r) mu += std::fabs(matrix.at(r, col));
+    mu /= static_cast<double>(rows);
+    double var = 0.0;
+    for (std::int64_t r = 0; r < rows; ++r) {
+        const double d = std::fabs(matrix.at(r, col)) - mu;
+        var += d * d;
+    }
+    const double sigma = std::sqrt(var / static_cast<double>(rows));
+    return std::sqrt(mu * sigma);
+}
 
 TEST(ColumnScore, SqrtMuSigma) {
     // Column 0: |values| = {1, 3} -> µ = 2, σ = 1 -> score √2.
@@ -24,6 +46,59 @@ TEST(ColumnScore, SqrtMuSigma) {
     EXPECT_NEAR(column_score(m, 0), std::sqrt(2.0), 1e-9);
     // Column 1: µ = 2, σ = 0 -> score 0.
     EXPECT_NEAR(column_score(m, 1), 0.0, 1e-12);
+}
+
+TEST(Rearrange, MatchesColumnByColumnReferenceBitForBit) {
+    // compute_rearrangement scores every column in row-major passes and
+    // apply_columns copies row by row; both must equal the column-by-column
+    // reference exactly: column_score per column plus a stable sort, and a
+    // strided copy. Some columns repeat, negate or reorder another column,
+    // or are all zero: exact ties that must keep column order, and
+    // same-multiset columns whose scores differ only in rounding, so a
+    // change in any column's summation order reorders them.
+    util::Rng rng(9);
+    for (const auto& [rows, cols] : std::vector<std::pair<std::int64_t,
+                                                          std::int64_t>>{
+             {1, 1}, {1, 9}, {7, 13}, {64, 64}, {75, 301}, {300, 37}}) {
+        SCOPED_TRACE(std::to_string(rows) + "x" + std::to_string(cols));
+        Tensor m({rows, cols});
+        tensor::fill_normal(m, rng, 0.0f, 0.2f);
+        for (std::int64_t c = 0; c < cols; ++c) {
+            const std::int64_t kind = c % 6, from = c / 2;
+            for (std::int64_t r = 0; r < rows; ++r) {
+                if (kind == 1) m.at(r, c) = m.at(r, from);
+                if (kind == 2) m.at(r, c) = -m.at(r, from);
+                if (kind == 3) m.at(r, c) = m.at(rows - 1 - r, from);
+                if (kind == 4) m.at(r, c) = 0.0f;
+            }
+        }
+        std::vector<double> scores(static_cast<std::size_t>(cols));
+        for (std::int64_t c = 0; c < cols; ++c)
+            scores[static_cast<std::size_t>(c)] = column_score(m, c);
+        std::vector<std::int64_t> expected(static_cast<std::size_t>(cols));
+        std::iota(expected.begin(), expected.end(), 0);
+        std::stable_sort(expected.begin(), expected.end(),
+                         [&](std::int64_t a, std::int64_t b) {
+                             return scores[static_cast<std::size_t>(a)] <
+                                    scores[static_cast<std::size_t>(b)];
+                         });
+
+        const Rearrangement r =
+            compute_rearrangement(m, RearrangeOrder::kAscending);
+        EXPECT_EQ(r.perm, expected);
+
+        Tensor copied({rows, cols});
+        for (std::int64_t c = 0; c < cols; ++c)
+            for (std::int64_t row = 0; row < rows; ++row)
+                copied.at(row, c) =
+                    m.at(row, r.perm[static_cast<std::size_t>(c)]);
+        const Tensor applied = apply_columns(m, r);
+        ASSERT_TRUE(applied.same_shape(copied));
+        EXPECT_EQ(std::memcmp(applied.data(), copied.data(),
+                              static_cast<std::size_t>(m.numel()) *
+                                  sizeof(float)),
+                  0);
+    }
 }
 
 TEST(Rearrange, PermIsValidPermutation) {

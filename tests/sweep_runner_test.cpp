@@ -16,6 +16,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <vector>
 
@@ -141,25 +142,6 @@ TEST(SweepRunner, InterruptedThenResumedCsvIsByteIdentical) {
     EXPECT_EQ(slurp(resumed.csv_path), full);
 }
 
-TEST(SweepRunner, AggregateCsvInvariantToShardCount) {
-    // Self-sufficient under --gtest_filter: (re)generate the baseline here.
-    SweepOptions baseline;
-    baseline.csv_name = "full.csv";
-    baseline.manifest_name = "full.jsonl";
-    run(baseline);
-    const std::string full = slurp(ctx().csv_path("full.csv"));
-    ASSERT_FALSE(full.empty());
-    for (const std::int64_t shards : {1, 3, 7}) {
-        SweepOptions opts;
-        opts.shards = shards;
-        opts.csv_name = "shards" + std::to_string(shards) + ".csv";
-        opts.manifest_name = "shards" + std::to_string(shards) + ".jsonl";
-        const SweepSummary summary = run(opts);
-        EXPECT_EQ(summary.cells_executed, 4);
-        EXPECT_EQ(slurp(summary.csv_path), full) << shards << " shards";
-    }
-}
-
 // Runs `spec` one cell per SweepRunner::run — max_cells = 1, then resume
 // until nothing is pending — so every cell executes as its own work unit.
 SweepSummary run_cell_by_cell(const SweepSpec& spec, const std::string& tag) {
@@ -175,6 +157,67 @@ SweepSummary run_cell_by_cell(const SweepSpec& spec, const std::string& tag) {
         EXPECT_EQ(summary.cells_executed, 1);
     }
     return summary;
+}
+
+TEST(SweepRunner, AggregateCsvInvariantToShardCount) {
+    // Two crossbar sizes, so the runner deals inference units out of
+    // expansion order (largest crossbars first); the CSV must still equal
+    // running every cell alone, at any shard count.
+    SweepSpec spec = tiny_spec();
+    spec.sizes = {16, 32};
+    const std::string expected =
+        slurp(run_cell_by_cell(spec, "shards_single").csv_path);
+    ASSERT_FALSE(expected.empty());
+    for (const std::int64_t shards : {1, 3, 7}) {
+        SweepOptions opts;
+        opts.shards = shards;
+        opts.csv_name = "shards" + std::to_string(shards) + ".csv";
+        opts.manifest_name = "shards" + std::to_string(shards) + ".jsonl";
+        const SweepSummary summary = SweepRunner(ctx(), spec, opts).run();
+        EXPECT_EQ(summary.cells_executed, 8);
+        EXPECT_EQ(slurp(summary.csv_path), expected) << shards << " shards";
+    }
+}
+
+// The cell ids of a manifest's records, in file order.
+std::vector<std::string> recorded_ids(const std::string& manifest_path) {
+    std::istringstream lines(slurp(manifest_path));
+    const std::string key = "{\"cell\":\"";
+    std::vector<std::string> ids;
+    for (std::string line; std::getline(lines, line);)
+        if (line.compare(0, key.size(), key) == 0)
+            ids.push_back(line.substr(key.size(),
+                                      line.find('"', key.size()) - key.size()));
+    return ids;
+}
+
+TEST(SweepRunner, DealsLargestCrossbarsFirst) {
+    // One shard records cells in deal order: every 32×32 cell before any
+    // 16×16 one, although expansion order puts a prune setting's 16×16
+    // cells before its 32×32 ones. The CSV rows keep expansion order.
+    SweepSpec spec = tiny_spec();
+    spec.nf_only = true;
+    spec.repeats = 1;
+    spec.sizes = {16, 32};
+    spec.parasitic_scales = {0.5, 1.0};
+    SweepOptions opts;
+    opts.shards = 1;
+    opts.csv_name = "deal.csv";
+    opts.manifest_name = "deal.jsonl";
+    const SweepSummary summary = SweepRunner(ctx(), spec, opts).run();
+    std::map<std::string, std::int64_t> size_of;
+    for (const SweepCell& cell : spec.expand())
+        size_of[cell.id()] = cell.xbar_size;
+    const std::vector<std::string> ids = recorded_ids(summary.manifest_path);
+    ASSERT_EQ(ids.size(), size_of.size());
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+        SCOPED_TRACE(ids[i]);
+        ASSERT_EQ(size_of.count(ids[i]), 1u);
+        EXPECT_EQ(size_of[ids[i]], i < ids.size() / 2 ? 32 : 16);
+    }
+    ASSERT_EQ(summary.rows.size(), 8u);
+    for (std::size_t i = 0; i < summary.rows.size(); ++i)
+        EXPECT_EQ(summary.rows[i].cell.xbar_size, i / 2 % 2 == 0 ? 16 : 32);
 }
 
 // Every manifest record of `a` and `b` agrees field by field (the wall-clock
@@ -503,14 +546,25 @@ TEST(SweepLedger, RecordingACellTwiceKeepsTheFirstAndCountsOneDuplicate) {
               SweepLedger::Recorded::kDuplicate);
     EXPECT_EQ(ledger.record("vgg11-c10/no-such-cell/r0", made_up(20.0)),
               SweepLedger::Recorded::kForeign);
+    // A work unit's results in one append keep the same rules, also for a
+    // cell repeated inside the unit.
+    const std::string id2 = ledger.cells()[ledger.pending()[1]].id();
+    using R = SweepLedger::Recorded;
+    EXPECT_EQ(ledger.record({id, id2, id2, "vgg11-c10/no-such-cell/r1"},
+                            {made_up(30.0), made_up(60.0), made_up(70.0),
+                             made_up(80.0)}),
+              (std::vector<R>{R::kDuplicate, R::kNew, R::kDuplicate,
+                              R::kForeign}));
     const SweepSummary summary = ledger.finish();
-    EXPECT_EQ(summary.cells_executed, 1);
-    EXPECT_EQ(summary.duplicate_acks, 1);
-    EXPECT_EQ(summary.cells_pending, 3);
+    EXPECT_EQ(summary.cells_executed, 2);
+    EXPECT_EQ(summary.duplicate_acks, 3);
+    EXPECT_EQ(summary.cells_pending, 2);
     EXPECT_EQ(manifest_lines_of(summary.manifest_path, id), 1);
+    EXPECT_EQ(manifest_lines_of(summary.manifest_path, id2), 1);
     const auto manifest = load_manifest(summary.manifest_path);
-    EXPECT_EQ(manifest.size(), 1u);
+    EXPECT_EQ(manifest.size(), 2u);
     EXPECT_EQ(manifest.at(id).accuracy, 50.0);  // the first append won
+    EXPECT_EQ(manifest.at(id2).accuracy, 60.0);
 }
 
 TEST(SweepLedger, LeaseOverrunThenSlowResultCountsOneOverrun) {

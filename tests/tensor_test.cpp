@@ -4,8 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <sstream>
+#include <vector>
 
 namespace xs::tensor {
 namespace {
@@ -97,6 +101,75 @@ TEST(Ops, AbsMoments) {
     abs_moments(v, 4, mu, sigma);
     EXPECT_DOUBLE_EQ(mu, 2.0);
     EXPECT_DOUBLE_EQ(sigma, 1.0);
+}
+
+// The selection abs_percentile_nonzero must reproduce bit for bit: every
+// non-zero |x| copied out, then std::nth_element at the same rank.
+double percentile_reference(const Tensor& a, double percentile) {
+    std::vector<float> mags;
+    for (std::int64_t i = 0; i < a.numel(); ++i)
+        if (a[i] != 0.0f) mags.push_back(std::fabs(a[i]));
+    if (mags.empty()) return 0.0;
+    auto k = static_cast<std::size_t>(percentile *
+                                      static_cast<double>(mags.size()));
+    if (k >= mags.size()) k = mags.size() - 1;
+    std::nth_element(mags.begin(),
+                     mags.begin() + static_cast<std::ptrdiff_t>(k), mags.end());
+    return mags[k];
+}
+
+void expect_same_percentiles(const Tensor& a) {
+    for (const double q : {0.005, 0.5, 0.995, 1.0}) {
+        SCOPED_TRACE("percentile " + std::to_string(q));
+        const double got = abs_percentile_nonzero(a, q);
+        const double want = percentile_reference(a, q);
+        EXPECT_EQ(std::memcmp(&got, &want, sizeof got), 0)
+            << got << " vs " << want;
+    }
+}
+
+TEST(Ops, AbsPercentileNonzeroMatchesNthElement) {
+    // Sizes 1 to 40 000, each filled three ways: Gaussian weights with a
+    // third of the entries ±0; a few repeated magnitudes, so the selected
+    // value is tied; and denormals mixed with negative normals.
+    util::Rng rng(31);
+    const float tiny = std::numeric_limits<float>::denorm_min();
+    for (const std::int64_t n : {1, 2, 3, 5, 17, 100, 1023, 4096, 40000}) {
+        for (int fill = 0; fill < 3; ++fill) {
+            SCOPED_TRACE("n " + std::to_string(n) + ", fill " +
+                         std::to_string(fill));
+            Tensor a({n});
+            for (std::int64_t i = 0; i < n; ++i) {
+                const double u = rng.uniform();
+                if (fill == 0)
+                    a[i] = u < 0.17 ? 0.0f
+                           : u < 0.34
+                               ? -0.0f
+                               : static_cast<float>(rng.normal(0.0, 0.1));
+                if (fill == 1)
+                    a[i] = static_cast<float>((u < 0.5 ? -0.25 : 0.25) *
+                                              static_cast<double>(i % 3));
+                if (fill == 2)
+                    a[i] = u < 0.5 ? tiny * static_cast<float>(i % 1000 + 1)
+                                   : -static_cast<float>(rng.uniform(0.0, 2.0));
+            }
+            expect_same_percentiles(a);
+        }
+    }
+}
+
+TEST(Ops, AbsPercentileNonzeroOfOneOrNoNonZero) {
+    for (const std::int64_t n : {1, 2, 9, 40000}) {
+        SCOPED_TRACE("n " + std::to_string(n));
+        Tensor a({n}, 0.0f);
+        a[n - 1] = -0.0f;
+        EXPECT_EQ(abs_percentile_nonzero(a, 0.5), 0.0);
+        expect_same_percentiles(a);
+        a[n / 2] = -3.5e-3f;
+        for (const double q : {0.005, 0.5, 0.995, 1.0})
+            EXPECT_EQ(abs_percentile_nonzero(a, q), 3.5e-3f);
+        expect_same_percentiles(a);
+    }
 }
 
 TEST(Ops, ArgmaxRow) {

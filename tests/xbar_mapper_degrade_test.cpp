@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <iterator>
+#include <limits>
 
 namespace xs::xbar {
 namespace {
@@ -59,6 +62,41 @@ TEST(Mapper, DifferentialUsesOneSidePerSign) {
     EXPECT_FLOAT_EQ(gn[0], static_cast<float>(dev.g_min()));
     EXPECT_FLOAT_EQ(gp[1], static_cast<float>(dev.g_min()));
     EXPECT_GT(gn[1], static_cast<float>(dev.g_min()));
+}
+
+TEST(Mapper, DifferentialMatchesToConductanceBitForBit) {
+    // to_differential's vectorized loop against to_conductance per element,
+    // byte for byte: Gaussian weights plus ±0, denormals, entries at and
+    // beyond ±w_ref (clamped to G_MAX), on shapes whose element counts are
+    // and are not a multiple of the vector width.
+    DeviceConfig dev;
+    const double w_ref = 0.2;
+    const ConductanceMapper mapper(dev, w_ref);
+    const float tiny = std::numeric_limits<float>::denorm_min();
+    const float specials[] = {0.0f,  -0.0f, tiny,   -tiny,  1e-40f, -1e-40f,
+                              0.2f,  -0.2f, 0.25f,  -0.25f, 7.5f,   -7.5f,
+                              1e30f, -1e30f};
+    util::Rng rng(11);
+    for (const std::int64_t n : {1, 7, 37, 128}) {
+        SCOPED_TRACE("n " + std::to_string(n));
+        Tensor w({n, n});
+        tensor::fill_normal(w, rng, 0.0f, 0.1f);
+        for (std::int64_t i = 0; i < w.numel(); i += 3)
+            w[i] = specials[(i / 3) % std::size(specials)];
+        Tensor want_pos(w.shape()), want_neg(w.shape());
+        for (std::int64_t i = 0; i < w.numel(); ++i) {
+            want_pos[i] = static_cast<float>(
+                mapper.to_conductance(w[i] > 0.0f ? w[i] : 0.0));
+            want_neg[i] = static_cast<float>(
+                mapper.to_conductance(w[i] < 0.0f ? -w[i] : 0.0));
+        }
+        Tensor gp, gn;
+        mapper.to_differential(w, gp, gn);
+        const std::size_t bytes =
+            static_cast<std::size_t>(w.numel()) * sizeof(float);
+        EXPECT_EQ(std::memcmp(gp.data(), want_pos.data(), bytes), 0);
+        EXPECT_EQ(std::memcmp(gn.data(), want_neg.data(), bytes), 0);
+    }
 }
 
 TEST(Variation, ZeroSigmaIsNoop) {
