@@ -5,6 +5,7 @@
 //   ./nf_explorer [--sizes=16,32,64,128] [--levels=8]
 #include "util/csv.h"
 #include "util/flags.h"
+#include "util/log.h"
 #include "xbar/degrade.h"
 
 #include <cstdio>
@@ -14,9 +15,23 @@ int main(int argc, char** argv) {
     const util::Flags flags(argc, argv);
     const auto sizes = flags.get_int_list("sizes", {16, 32, 64, 128});
     const std::int64_t levels = flags.get_int("levels", 8);
+    if (levels < 2) {
+        util::log_error("nf_explorer: --levels must be at least 2 (G_MIN and "
+                        "G_MAX), got " + std::to_string(levels));
+        return 1;
+    }
+    for (const auto size : sizes)
+        if (size < 1) {
+            util::log_error("nf_explorer: --sizes must be at least 1, got " +
+                            std::to_string(size));
+            return 1;
+        }
 
     std::printf("NF of a uniform crossbar (all devices at conductance G)\n");
-    util::TextTable table({"G (uS)", "16x16", "32x32", "64x64", "128x128"});
+    std::vector<std::string> header{"G (uS)"};
+    for (const auto size : sizes)
+        header.push_back(std::to_string(size) + "x" + std::to_string(size));
+    util::TextTable table(std::move(header));
 
     xbar::DeviceConfig device;
     device.sigma_variation = 0.0;  // deterministic physics only

@@ -89,24 +89,18 @@ int run(int argc, char** argv) {
 
     const std::string metrics_out = flags.get_string("metrics-out", "");
     if (!metrics_out.empty()) {
-        if (summary.metrics_json.empty()) {
-            util::log_warn("--metrics-out=" + metrics_out +
-                           " requested but telemetry is compiled out "
-                           "(XS_TELEMETRY=OFF); nothing written");
-        } else {
-            std::FILE* f = std::fopen(metrics_out.c_str(), "wb");
-            if (f == nullptr ||
-                std::fwrite(summary.metrics_json.data(), 1,
-                            summary.metrics_json.size(),
-                            f) != summary.metrics_json.size()) {
-                util::log_error("failed to write --metrics-out=" + metrics_out);
-                if (f) std::fclose(f);
-                return 1;
-            }
-            std::fputc('\n', f);
-            std::fclose(f);
-            std::printf("metrics:       %s\n", metrics_out.c_str());
+        std::FILE* f = std::fopen(metrics_out.c_str(), "wb");
+        if (f == nullptr ||
+            std::fwrite(summary.metrics_json.data(), 1,
+                        summary.metrics_json.size(),
+                        f) != summary.metrics_json.size()) {
+            util::log_error("failed to write --metrics-out=" + metrics_out);
+            if (f) std::fclose(f);
+            return 1;
         }
+        std::fputc('\n', f);
+        std::fclose(f);
+        std::printf("metrics:       %s\n", metrics_out.c_str());
     }
 
     if (summary.cells_pending > 0)

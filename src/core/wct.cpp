@@ -14,10 +14,6 @@ namespace xs::core {
 
 using tensor::Tensor;
 
-double nonzero_abs_percentile(const Tensor& weights, double percentile) {
-    return tensor::abs_percentile_nonzero(weights, percentile);
-}
-
 namespace {
 
 Tensor* layer_weights(nn::Layer& layer) {
@@ -52,7 +48,7 @@ WctResult apply_wct(nn::Sequential& model, const nn::Dataset& train,
         // low-conductance sub-range after clipping.
         result.w_ref[layer->name()] = xbar::default_w_ref(*w);
         result.w_cut[layer->name()] =
-            nonzero_abs_percentile(*w, config.percentile);
+            tensor::abs_percentile_nonzero(*w, config.percentile);
     }
 
     clip_weights(model, result.w_cut);

@@ -40,9 +40,6 @@ struct WctResult {
 void clip_weights(nn::Sequential& model,
                   const std::map<std::string, double>& w_cut);
 
-// Percentile (0..1] of the non-zero |w| values of a flat weight array.
-double nonzero_abs_percentile(const tensor::Tensor& weights, double percentile);
-
 // Full WCT: choose cut-offs, clip, fine-tune with masks + clip enforced.
 // `masks` may be empty (unpruned model). The model is modified in place.
 WctResult apply_wct(nn::Sequential& model, const nn::Dataset& train,

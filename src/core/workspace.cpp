@@ -58,7 +58,7 @@ std::string ModelSpec::key() const {
     std::ostringstream os;
     os << vgg.variant << "_c" << vgg.num_classes << "_w" << sanitize(vgg.width)
        << "_n" << train_count << "_e" << train.epochs << "_b" << train.batch_size
-       << "_lr" << sanitize(train.lr) << "_" << train.optimizer << "_s"
+       << "_lr" << sanitize(train.lr) << "_adam_s"
        << train.seed << "_i" << init_seed << "_d" << data.seed << "_j"
        << sanitize(data.class_jitter) << "_pn" << sanitize(data.pixel_noise)
        << "_" << prune::method_name(prune.method);
@@ -115,7 +115,6 @@ PreparedModel prepare_model(const ModelSpec& spec, const nn::Dataset& train_data
         WctConfig wct_config = spec.wct_config;
         wct_config.finetune.seed = spec.train.seed + 1;
         wct_config.finetune.batch_size = spec.train.batch_size;
-        wct_config.finetune.optimizer = spec.train.optimizer;
         wct_config.finetune.verbose = spec.train.verbose;
         const WctResult wct = apply_wct(prepared.model, train_data, &test_data,
                                         prepared.masks, wct_config);

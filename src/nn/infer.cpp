@@ -198,11 +198,9 @@ void InferenceEngine::build_plan(Sequential& model) {
             s.kind = Step::Kind::kGeneric;
         }
         if (s.kind == Step::Kind::kConv || s.kind == Step::Kind::kLinear) {
-#if XS_TELEMETRY_ENABLED
             slot_timers_.push_back(util::metrics::histogram(
                 "nn.step." + std::to_string(mappable_steps_.size()) +
                 (s.kind == Step::Kind::kConv ? ".conv.ns" : ".linear.ns")));
-#endif
             mappable_steps_.push_back(steps_.size());
         }
         steps_.push_back(std::move(s));
@@ -389,9 +387,7 @@ const Tensor& InferenceEngine::forward_batched(
         }
         switch (step.kind) {
             case Step::Kind::kConv: {
-#if XS_TELEMETRY_ENABLED
                 const util::metrics::ScopedTimerNs timer(slot_timers_[slot]);
-#endif
                 XS_TRACE_SPAN("conv");
                 check(cur_shape_.size() == 4 && cur_shape_[1] == step.cin,
                       "InferenceEngine: conv input shape mismatch");
@@ -455,9 +451,7 @@ const Tensor& InferenceEngine::forward_batched(
                 break;
             }
             case Step::Kind::kLinear: {
-#if XS_TELEMETRY_ENABLED
                 const util::metrics::ScopedTimerNs timer(slot_timers_[slot]);
-#endif
                 XS_TRACE_SPAN("linear");
                 check(cur_shape_.size() == 2 &&
                           cur_shape_[1] == step.in_features,

@@ -154,10 +154,8 @@ private:
 
     std::vector<Step> steps_;
     std::vector<std::size_t> mappable_steps_;  // steps_ indices of mappables
-#if XS_TELEMETRY_ENABLED
     // Per mappable slot: nn.step.<slot>.<conv|linear>.ns.
     std::vector<util::metrics::Histogram> slot_timers_;
-#endif
     CompiledInstance own_;  // model parameters at construction (forward())
     // Activation ping-pong buffers and the conv B tables live in a
     // per-thread scratch arena shared by every engine on the thread (see

@@ -4,36 +4,14 @@
 
 namespace xs::nn {
 
-Sgd::Sgd(std::vector<Param*> params, float lr, float momentum, float weight_decay)
-    : Optimizer(std::move(params)), momentum_(momentum), weight_decay_(weight_decay) {
-    lr_ = lr;
-    velocity_.reserve(params_.size());
-    for (const Param* p : params_) velocity_.emplace_back(p->value.shape());
-}
-
-void Sgd::step() {
-    for (std::size_t i = 0; i < params_.size(); ++i) {
-        Param& p = *params_[i];
-        Tensor& vel = velocity_[i];
-        float* pv = p.value.data();
-        float* pg = p.grad.data();
-        float* pm = vel.data();
-        for (std::int64_t j = 0; j < p.value.numel(); ++j) {
-            const float g = pg[j] + weight_decay_ * pv[j];
-            pm[j] = momentum_ * pm[j] + g;
-            pv[j] -= lr_ * pm[j];
-        }
-    }
-}
-
 Adam::Adam(std::vector<Param*> params, float lr, float beta1, float beta2,
            float eps, float weight_decay)
-    : Optimizer(std::move(params)),
+    : params_(std::move(params)),
+      lr_(lr),
       beta1_(beta1),
       beta2_(beta2),
       eps_(eps),
       weight_decay_(weight_decay) {
-    lr_ = lr;
     m_.reserve(params_.size());
     v_.reserve(params_.size());
     for (const Param* p : params_) {

@@ -1,5 +1,5 @@
-// Optimizers: SGD with momentum + weight decay, and Adam. Weight decay is
-// decoupled (AdamW-style) for Adam and classic L2 for SGD.
+// Adam with decoupled (AdamW-style) weight decay: the one optimizer every
+// model and every WCT fine-tune trains with.
 #pragma once
 
 #include "nn/layer.h"
@@ -8,42 +8,18 @@
 
 namespace xs::nn {
 
-class Optimizer {
-public:
-    explicit Optimizer(std::vector<Param*> params) : params_(std::move(params)) {}
-    virtual ~Optimizer() = default;
-
-    virtual void step() = 0;
-
-    void set_lr(float lr) { lr_ = lr; }
-    float lr() const { return lr_; }
-
-protected:
-    std::vector<Param*> params_;
-    float lr_ = 0.01f;
-};
-
-class Sgd : public Optimizer {
-public:
-    Sgd(std::vector<Param*> params, float lr, float momentum = 0.9f,
-        float weight_decay = 0.0f);
-
-    void step() override;
-
-private:
-    float momentum_, weight_decay_;
-    std::vector<Tensor> velocity_;
-};
-
-class Adam : public Optimizer {
+class Adam {
 public:
     Adam(std::vector<Param*> params, float lr, float beta1 = 0.9f,
          float beta2 = 0.999f, float eps = 1e-8f, float weight_decay = 0.0f);
 
-    void step() override;
+    void step();
+
+    void set_lr(float lr) { lr_ = lr; }
 
 private:
-    float beta1_, beta2_, eps_, weight_decay_;
+    std::vector<Param*> params_;
+    float lr_, beta1_, beta2_, eps_, weight_decay_;
     std::int64_t t_ = 0;
     std::vector<Tensor> m_, v_;
 };

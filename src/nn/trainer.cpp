@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <memory>
 #include <sstream>
 
 namespace xs::nn {
@@ -61,14 +60,7 @@ std::vector<EpochStats> train(Sequential& model, const Dataset& train_data,
     check(train_data.size() > 0, "train: empty dataset");
     util::Rng rng(config.seed);
 
-    std::unique_ptr<Optimizer> opt;
-    if (config.optimizer == "sgd") {
-        opt = std::make_unique<Sgd>(model.params(), config.lr, config.momentum,
-                                    config.weight_decay);
-    } else {
-        opt = std::make_unique<Adam>(model.params(), config.lr, 0.9f, 0.999f, 1e-8f,
-                                     config.weight_decay);
-    }
+    Adam opt(model.params(), config.lr, 0.9f, 0.999f, 1e-8f, config.weight_decay);
 
     // Masks/clips must hold from step zero (prune-at-init).
     if (hook) hook(model);
@@ -81,7 +73,7 @@ std::vector<EpochStats> train(Sequential& model, const Dataset& train_data,
     std::vector<std::int64_t> labels;
     for (std::int64_t epoch = 0; epoch < config.epochs; ++epoch) {
         util::Stopwatch watch;
-        opt->set_lr(lr);
+        opt.set_lr(lr);
         const std::vector<std::size_t> order = rng.permutation(n);
 
         double loss_sum = 0.0;
@@ -96,7 +88,7 @@ std::vector<EpochStats> train(Sequential& model, const Dataset& train_data,
             const Tensor logits = model.forward(batch, /*training=*/true);
             LossResult loss = softmax_cross_entropy(logits, labels);
             model.backward(loss.grad);
-            opt->step();
+            opt.step();
             if (hook) hook(model);
 
             loss_sum += loss.loss;

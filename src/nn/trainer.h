@@ -1,6 +1,6 @@
-// Mini-batch trainer with pluggable optimizer and a post-step hook. The hook
-// is how pruning masks (src/prune) and WCT weight clipping (src/core) stay
-// enforced during training without the trainer knowing about either.
+// Mini-batch Adam trainer with a post-step hook. The hook is how pruning
+// masks (src/prune) and WCT weight clipping (src/core) stay enforced during
+// training without the trainer knowing about either.
 #pragma once
 
 #include "nn/loss.h"
@@ -9,7 +9,6 @@
 #include "util/rng.h"
 
 #include <functional>
-#include <string>
 #include <vector>
 
 namespace xs::nn {
@@ -27,8 +26,6 @@ struct TrainConfig {
     std::int64_t epochs = 10;
     std::int64_t batch_size = 32;
     float lr = 2e-3f;
-    std::string optimizer = "adam";  // "adam" | "sgd"
-    float momentum = 0.9f;
     float weight_decay = 1e-4f;
     float lr_decay = 0.85f;  // multiplicative per-epoch decay
     std::uint64_t seed = 1;

@@ -62,12 +62,11 @@ Sequential build_vgg(const VggConfig& config, util::Rng& rng) {
         }
         const std::int64_t out_c = scaled(entry, config);
         const std::string id = std::to_string(conv_idx);
-        // Bias is folded into BN when BN is on (standard practice).
+        // Bias is folded into the BN that follows (standard practice).
         model.add(std::make_unique<Conv2d>(in_c, out_c, 3, 1, 1, rng,
-                                           /*bias=*/!config.batch_norm),
+                                           /*bias=*/false),
                   "conv" + id);
-        if (config.batch_norm)
-            model.add(std::make_unique<BatchNorm2d>(out_c), "bn" + id);
+        model.add(std::make_unique<BatchNorm2d>(out_c), "bn" + id);
         model.add(std::make_unique<ReLU>(), "relu" + std::to_string(misc_idx++));
         in_c = out_c;
         ++conv_idx;

@@ -3,8 +3,6 @@
 #include "nn/conv2d.h"
 #include "nn/linear.h"
 
-#include <sstream>
-
 namespace xs::prune {
 namespace {
 
@@ -63,16 +61,6 @@ double model_sparsity(nn::Sequential& model) {
         total += s.total;
     }
     return total ? static_cast<double>(zeros) / static_cast<double>(total) : 0.0;
-}
-
-std::string sparsity_report(nn::Sequential& model) {
-    std::ostringstream os;
-    for (const auto& s : layer_sparsity(model)) {
-        os << s.layer << ": " << s.rows << "x" << s.cols << " sparsity "
-           << s.element_sparsity() << " zero_cols " << s.zero_cols << "/" << s.cols
-           << " zero_rows " << s.zero_rows << "/" << s.rows << '\n';
-    }
-    return os.str();
 }
 
 }  // namespace xs::prune

@@ -30,6 +30,4 @@ std::vector<LayerSparsity> layer_sparsity(nn::Sequential& model);
 // Whole-model element sparsity over mapped layers.
 double model_sparsity(nn::Sequential& model);
 
-std::string sparsity_report(nn::Sequential& model);
-
 }  // namespace xs::prune

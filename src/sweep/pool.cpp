@@ -152,7 +152,6 @@ void WorkerPool::shutdown(double grace_ms, util::metrics::Snapshot* merged) {
         close_fd(w.deal_fd);
     }
     const double grace_deadline = now_ms() + grace_ms;
-#if XS_TELEMETRY_ENABLED
     // Each worker answers kShutdown with one kMetrics frame before exiting;
     // fold those into `merged` under the same grace deadline the reaper
     // uses. A worker that dies without the frame just contributes nothing —
@@ -184,9 +183,6 @@ void WorkerPool::shutdown(double grace_ms, util::metrics::Snapshot* merged) {
             }
         }
     }
-#else
-    (void)merged;
-#endif
     for (PoolWorker& w : workers_) {
         if (!w.alive) continue;
         int wstatus = 0;

@@ -64,9 +64,9 @@ public:
     std::int64_t restarts() const { return restarts_; }
 
     // Orderly shutdown: send kShutdown to every live worker, collect each
-    // one's parting kMetrics frame into `merged` (when telemetry is
-    // compiled in; pass nullptr to skip), then reap — escalating to SIGKILL
-    // past `grace_ms`. Leaves the pool empty of live workers.
+    // one's parting kMetrics frame into `merged` (pass nullptr to skip),
+    // then reap — escalating to SIGKILL past `grace_ms`. Leaves the pool
+    // empty of live workers.
     void shutdown(double grace_ms, util::metrics::Snapshot* merged);
 
 private:

@@ -520,7 +520,6 @@ SweepSummary SweepLedger::finish(const util::metrics::Snapshot& host_metrics) {
         if (recorded_.results.find(cell.id()) == recorded_.results.end())
             ++summary_.cells_pending;
     aggregate_and_write_csv(cells_, repeats_, recorded_.results, summary_);
-#if XS_TELEMETRY_ENABLED
     // Snapshot after aggregation so the aggregate phase timing is included;
     // a resumed run folds the prior record's totals in, so the manifest's
     // newest metrics record covers the whole sweep. The manifest copy is an
@@ -530,9 +529,6 @@ SweepSummary SweepLedger::finish(const util::metrics::Snapshot& host_metrics) {
     merge_prior_metrics(recorded_.metrics_json, snap);
     summary_.metrics_json = util::metrics::to_json(snap);
     manifest_.record_metrics(summary_.metrics_json);
-#else
-    (void)host_metrics;
-#endif
     return summary_;
 }
 
@@ -642,7 +638,6 @@ SweepSummary SweepRunner::run() {
                 idle_from[s] = std::chrono::steady_clock::now();
             }
         });
-#if XS_TELEMETRY_ENABLED
     const auto shards_done = std::chrono::steady_clock::now();
     const util::metrics::Histogram idle =
         util::metrics::histogram("sweep.shard_idle.ns");
@@ -650,7 +645,6 @@ SweepSummary SweepRunner::run() {
         idle.record(static_cast<std::uint64_t>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(shards_done - t)
                 .count()));
-#endif
     for (const auto& error : errors)
         if (error) std::rethrow_exception(error);
     return ledger.finish();

@@ -112,7 +112,6 @@ struct SweepSummary {
     // plus — under the coordinator — every host's kMetrics frame, which
     // carries its workers' snapshots. Also
     // appended to the manifest as an uncounted {"metrics": ...} record.
-    // Empty when telemetry is compiled out.
     std::string metrics_json;
     std::string csv_path;
     std::string manifest_path;

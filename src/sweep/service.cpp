@@ -266,15 +266,11 @@ LinkEnd agent_loop(AgentState& st, int fd, wire::MessageReader& sock,
                 case wire::MsgType::kHeartbeat:
                     break;  // last_heard already refreshed
                 case wire::MsgType::kShutdown: {
-#if XS_TELEMETRY_ENABLED
                     util::metrics::Snapshot merged;
                     if (st.own_metrics) merged = util::metrics::snapshot();
                     pool.shutdown(5000.0, &merged);
                     net::send_frame(fd, wire::MsgType::kMetrics,
                                     util::metrics::to_json(merged));
-#else
-                    pool.shutdown(5000.0, nullptr);
-#endif
                     return LinkEnd::kShutdown;
                 }
                 default:

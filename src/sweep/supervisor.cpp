@@ -20,13 +20,11 @@ int worker_main(core::ExperimentContext& ctx, const SweepSpec& spec,
     wire::Message msg;
     while (wire::read_message(in_fd, msg)) {
         if (msg.type == wire::MsgType::kShutdown) {
-#if XS_TELEMETRY_ENABLED
             // Parting gift: this process's telemetry, merged by the
             // coordinator into the sweep-wide snapshot.
             wire::write_message(
                 out_fd, wire::MsgType::kMetrics,
                 util::metrics::to_json(util::metrics::snapshot()));
-#endif
             break;
         }
         if (msg.type != wire::MsgType::kDeal) {

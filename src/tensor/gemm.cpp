@@ -1,6 +1,5 @@
 #include "tensor/gemm.h"
 
-#include "tensor/ops.h"
 #include "util/metrics.h"
 #include "util/parallel.h"
 
@@ -837,43 +836,6 @@ void gemm_pack_a(std::int64_t m, std::int64_t k, const float* a,
     }
 }
 
-void gemm_prepacked_serial(const PackedGemmA& pa, const float* a_raw,
-                           std::int64_t lda, std::int64_t n, float alpha,
-                           const float* b, std::int64_t ldb, float beta,
-                           float* c, std::int64_t ldc) {
-    const std::int64_t m = pa.m, k = pa.k;
-    if (m <= 0 || n <= 0) return;
-    scale_c_rows(0, m, n, beta, c, ldc);
-    if (k <= 0 || alpha == 0.0f) return;
-    if (pa.sparse) {
-        gemm_rows_sparse(0, m, n, k, alpha, a_raw, lda, b, ldb, c, ldc);
-        return;
-    }
-    std::vector<float>& bbuf = tls_buffers().b;
-    const std::int64_t row_panels = (m + kMr - 1) / kMr;
-    for (std::int64_t jc = 0; jc < n; jc += kNc) {
-        const std::int64_t j1 = std::min(n, jc + kNc);
-        const std::int64_t n_panels = (j1 - jc + kNr - 1) / kNr;
-        for (std::int64_t pc = 0; pc < k; pc += kKc) {
-            const std::int64_t k1 = std::min(k, pc + kKc);
-            const std::int64_t kc = k1 - pc;
-            pack_b(b, ldb, pc, k1, jc, j1, bbuf);
-            const float* apacked = pa.panels.data() + row_panels * kMr * pc;
-            for (std::int64_t ip = 0; ip < row_panels; ++ip) {
-                const std::int64_t ib = ip * kMr;
-                const std::int64_t mr = std::min(kMr, m - ib);
-                const float* ap = apacked + ip * kc * kMr;
-                for (std::int64_t jp = 0; jp < n_panels; ++jp) {
-                    const std::int64_t jb = jc + jp * kNr;
-                    const std::int64_t nr = std::min(kNr, j1 - jb);
-                    micro_kernel(kc, alpha, ap, bbuf.data() + jp * kc * kNr,
-                                 c + ib * ldc + jb, ldc, mr, nr);
-                }
-            }
-        }
-    }
-}
-
 void gemm(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
           const float* a, std::int64_t lda, const float* b, std::int64_t ldb,
           float beta, float* c, std::int64_t ldc) {
@@ -975,42 +937,6 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
     gemm(a.dim(0), b.dim(1), a.dim(1), 1.0f, a.data(), a.dim(1), b.data(),
          b.dim(1), 0.0f, c.data(), c.dim(1));
     return c;
-}
-
-Tensor matmul_tn(const Tensor& a, const Tensor& b) {
-    // Aᵀ·B without materializing Aᵀ would need a column-major kernel; the
-    // transpose copy is cheap relative to the multiply at our sizes.
-    return matmul(transpose(a), b);
-}
-
-Tensor matmul_nt(const Tensor& a, const Tensor& b) {
-    return matmul(a, transpose(b));
-}
-
-void gemv(std::int64_t m, std::int64_t n, const float* a, const float* x, float* y) {
-    const auto rows = [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-            const float* ai = a + static_cast<std::int64_t>(i) * n;
-            // Four independent double accumulators keep the FMA pipeline
-            // busy without giving up double-precision reduction.
-            double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
-            std::int64_t j = 0;
-            for (; j + 4 <= n; j += 4) {
-                a0 += static_cast<double>(ai[j]) * x[j];
-                a1 += static_cast<double>(ai[j + 1]) * x[j + 1];
-                a2 += static_cast<double>(ai[j + 2]) * x[j + 2];
-                a3 += static_cast<double>(ai[j + 3]) * x[j + 3];
-            }
-            double acc = (a0 + a1) + (a2 + a3);
-            for (; j < n; ++j) acc += static_cast<double>(ai[j]) * x[j];
-            y[i] = static_cast<float>(acc);
-        }
-    };
-    if (m * n >= (1 << 15) && util::worker_count() > 1) {
-        util::parallel_for_chunks(0, static_cast<std::size_t>(m), rows);
-    } else {
-        rows(0, static_cast<std::size_t>(m));
-    }
 }
 
 }  // namespace xs::tensor

@@ -1,6 +1,6 @@
-// Blocked single-precision GEMM: C = alpha * op(A) * op(B) + beta * C.
-// This is the workhorse behind Conv2d (via im2col in training, in place in
-// the inference engine) and Linear layers.
+// Blocked single-precision GEMM, C = alpha·A·B + beta·C, and the tiled
+// conv GEMMs of the inference engine. The workhorse behind Conv2d (via
+// im2col in training, in place in the inference engine) and Linear layers.
 #pragma once
 
 #include "tensor/tensor.h"
@@ -92,16 +92,6 @@ struct PackedGemmA {
 // Analyze and pack A (m × k, leading dimension lda); reuses storage.
 void gemm_pack_a(std::int64_t m, std::int64_t k, const float* a,
                  std::int64_t lda, PackedGemmA& out);
-
-// C (m×n) = alpha·A·B + beta·C with A prepacked by gemm_pack_a: the
-// single-shot form of the prepacked family (the tests pin it against
-// gemm_prepacked_tiles below).
-// Serial — safe inside pool workers. `a_raw`/`lda` must describe the matrix
-// that was packed (a row-sparse one runs gemm()'s zero-skip loop on it).
-void gemm_prepacked_serial(const PackedGemmA& pa, const float* a_raw,
-                           std::int64_t lda, std::int64_t n, float alpha,
-                           const float* b, std::int64_t ldb, float beta,
-                           float* c, std::int64_t ldc);
 
 // ---- tiled GEMM: the inference engine's conv path ----
 
@@ -222,12 +212,7 @@ void gemm_conv_tiles(const PackedGemmA& pa, const ConvTables& tables,
                      const float* bias, bool relu, bool pool,
                      std::int64_t tile_lo, std::int64_t tile_hi);
 
-// Convenience wrappers on rank-2 tensors.
-Tensor matmul(const Tensor& a, const Tensor& b);            // A·B
-Tensor matmul_tn(const Tensor& a, const Tensor& b);         // Aᵀ·B
-Tensor matmul_nt(const Tensor& a, const Tensor& b);         // A·Bᵀ
-
-// y(m) = A(m×n) · x(n)
-void gemv(std::int64_t m, std::int64_t n, const float* a, const float* x, float* y);
+// Convenience wrapper on rank-2 tensors: A·B.
+Tensor matmul(const Tensor& a, const Tensor& b);
 
 }  // namespace xs::tensor

@@ -104,22 +104,6 @@ double l2_norm(const Tensor& a) {
     return std::sqrt(acc);
 }
 
-void abs_moments(const float* values, std::int64_t n, double& mu, double& sigma) {
-    if (n == 0) {
-        mu = sigma = 0.0;
-        return;
-    }
-    double acc = 0.0;
-    for (std::int64_t i = 0; i < n; ++i) acc += std::fabs(values[i]);
-    mu = acc / static_cast<double>(n);
-    double var = 0.0;
-    for (std::int64_t i = 0; i < n; ++i) {
-        const double d = std::fabs(values[i]) - mu;
-        var += d * d;
-    }
-    sigma = std::sqrt(var / static_cast<double>(n));
-}
-
 // A radix select over |x|'s bit pattern, which orders non-negative floats
 // as their values do: one pass counts the patterns' top bits, the bucket
 // that holds rank k is found from the counts, and a second pass keeps only
@@ -187,12 +171,6 @@ Tensor transpose(const Tensor& a) {
         for (std::int64_t j = 0; j < cols; ++j)
             po[j * rows + i] = pa[i * cols + j];
     return out;
-}
-
-void fill_uniform(Tensor& a, util::Rng& rng, float lo, float hi) {
-    float* p = a.data();
-    for (std::int64_t i = 0; i < a.numel(); ++i)
-        p[i] = static_cast<float>(rng.uniform(lo, hi));
 }
 
 void fill_normal(Tensor& a, util::Rng& rng, float mean, float stddev) {

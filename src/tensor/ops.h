@@ -27,8 +27,6 @@ double sum(const Tensor& a);
 double mean(const Tensor& a);
 float max_abs(const Tensor& a);
 double l2_norm(const Tensor& a);
-// Mean and (population) stddev of |a|; used by the column-rearranger score.
-void abs_moments(const float* values, std::int64_t n, double& mu, double& sigma);
 
 // Percentile (in (0, 1]) of the absolute values of the non-zero entries:
 // with n of them, the ⌊percentile·n⌋-th smallest from 0 (the largest at
@@ -44,7 +42,6 @@ std::int64_t argmax_row(const Tensor& a, std::int64_t r);
 Tensor transpose(const Tensor& a);
 
 // ---- random initializers ----
-void fill_uniform(Tensor& a, util::Rng& rng, float lo, float hi);
 void fill_normal(Tensor& a, util::Rng& rng, float mean, float stddev);
 // Kaiming/He normal for fan_in inputs (ReLU networks).
 void fill_kaiming(Tensor& a, util::Rng& rng, std::int64_t fan_in);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <iomanip>
+#include <stdexcept>
 
 namespace xs::util {
 
@@ -18,6 +19,10 @@ CsvWriter::CsvWriter(const std::string& path, const std::vector<std::string>& he
 TextTable::TextTable(std::vector<std::string> header) : header_(std::move(header)) {}
 
 void TextTable::add_row(std::vector<std::string> cells) {
+    if (cells.size() > header_.size())
+        throw std::invalid_argument(
+            "TextTable::add_row: " + std::to_string(cells.size()) +
+            " cells for " + std::to_string(header_.size()) + " columns");
     cells.resize(header_.size());
     rows_.push_back(std::move(cells));
 }
@@ -43,20 +48,19 @@ std::string TextTable::str() const {
         for (std::size_t c = 0; c < row.size(); ++c)
             width[c] = std::max(width[c], display_width(row[c]));
 
+    // Every line is "|" plus, per column, its width + 2 padding + "|".
     std::ostringstream os;
     auto emit_row = [&](const std::vector<std::string>& row) {
-        os << "| ";
-        for (std::size_t c = 0; c < header_.size(); ++c) {
-            const std::string& cell = c < row.size() ? row[c] : std::string();
-            os << cell << std::string(width[c] - display_width(cell), ' ')
-               << " | ";
-        }
+        os << '|';
+        for (std::size_t c = 0; c < header_.size(); ++c)
+            os << ' ' << row[c]
+               << std::string(width[c] - display_width(row[c]), ' ') << " |";
         os << '\n';
     };
     emit_row(header_);
-    os << "|";
+    os << '|';
     for (std::size_t c = 0; c < header_.size(); ++c)
-        os << std::string(width[c] + 2, '-') << "-|";
+        os << std::string(width[c] + 2, '-') << '|';
     os << '\n';
     for (const auto& row : rows_) emit_row(row);
     return os.str();

@@ -42,6 +42,8 @@ class TextTable {
 public:
     explicit TextTable(std::vector<std::string> header);
 
+    // Pads a short row with empty cells; throws std::invalid_argument on a
+    // row with more cells than the header.
     void add_row(std::vector<std::string> cells);
     std::string str() const;
 

@@ -26,22 +26,13 @@ inline void log_info(const std::string& m) { log(LogLevel::kInfo, m); }
 inline void log_warn(const std::string& m) { log(LogLevel::kWarn, m); }
 inline void log_error(const std::string& m) { log(LogLevel::kError, m); }
 
-// Debug logging that compiles out entirely with -DXS_LOG_DEBUG_ENABLED=0
-// (CMake option XS_DEBUG_LOG=OFF): the message expression is never
-// evaluated. With it compiled in, the level check short-circuits message
-// construction when XS_LOG is above debug.
-#ifndef XS_LOG_DEBUG_ENABLED
-#define XS_LOG_DEBUG_ENABLED 1
-#endif
-#if XS_LOG_DEBUG_ENABLED
+// Debug logging whose level check short-circuits message construction when
+// XS_LOG is above debug: the message expression is then never evaluated.
 #define XS_DLOG(msg)                                                \
     do {                                                            \
         if (::xs::util::log_level() <= ::xs::util::LogLevel::kDebug) \
             ::xs::util::log_debug(msg);                             \
     } while (0)
-#else
-#define XS_DLOG(msg) ((void)0)
-#endif
 
 // Wall-clock stopwatch for coarse phase timing in trainers and benches.
 class Stopwatch {

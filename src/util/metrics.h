@@ -12,20 +12,12 @@
 //  - Wire friendly: snapshots serialize to a small stable JSON schema that
 //    sweep workers ship to the supervisor in a kMetrics frame and that
 //    from_json() parses back for merging across processes.
-//
-// Telemetry compiles out entirely with -DXS_TELEMETRY_ENABLED=0 (CMake
-// option XS_TELEMETRY=OFF): the macros become no-ops and no registry code is
-// referenced from instrumented call sites.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
-
-#ifndef XS_TELEMETRY_ENABLED
-#define XS_TELEMETRY_ENABLED 1
-#endif
 
 namespace xs::util::metrics {
 
@@ -129,7 +121,6 @@ void reset();
 #define XS_METRICS_CAT2(a, b) a##b
 #define XS_METRICS_CAT(a, b) XS_METRICS_CAT2(a, b)
 
-#if XS_TELEMETRY_ENABLED
 // Bump a named counter by n. Registration happens once per call site.
 #define XS_COUNT(name, n)                                              \
     do {                                                               \
@@ -143,7 +134,3 @@ void reset();
         xs_timer_hist_, __LINE__) = ::xs::util::metrics::histogram(name);     \
     ::xs::util::metrics::ScopedTimerNs XS_METRICS_CAT(xs_timer_, __LINE__)(   \
         XS_METRICS_CAT(xs_timer_hist_, __LINE__))
-#else
-#define XS_COUNT(name, n) ((void)0)
-#define XS_TIMER_NS(name) ((void)0)
-#endif

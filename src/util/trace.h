@@ -16,10 +16,6 @@
 #include <cstdint>
 #include <string>
 
-#ifndef XS_TELEMETRY_ENABLED
-#define XS_TELEMETRY_ENABLED 1
-#endif
-
 namespace xs::util::trace {
 
 namespace detail {
@@ -63,9 +59,5 @@ private:
 
 #define XS_TRACE_CAT2(a, b) a##b
 #define XS_TRACE_CAT(a, b) XS_TRACE_CAT2(a, b)
-#if XS_TELEMETRY_ENABLED
 #define XS_TRACE_SPAN(name) \
     ::xs::util::trace::Span XS_TRACE_CAT(xs_trace_span_, __LINE__)(name)
-#else
-#define XS_TRACE_SPAN(name) ((void)0)
-#endif

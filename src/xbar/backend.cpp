@@ -46,31 +46,31 @@ namespace {
 // Process-wide registry of calibration caches, keyed by every parameter the
 // α field depends on. Entries live for the process (bounded by the distinct
 // crossbar configurations a run touches — a handful per sweep).
-std::string fast_cache_key(const CrossbarConfig& c, std::int64_t buckets) {
+std::string fast_cache_key(const CrossbarConfig& c) {
     std::ostringstream os;
     os.precision(17);
     os << c.size << '/' << c.device.r_min << '/' << c.device.r_max << '/'
        << c.parasitics.r_driver << '/' << c.parasitics.r_wire_row << '/'
        << c.parasitics.r_wire_col << '/' << c.parasitics.r_sense << '/'
-       << c.parasitics.v_nom << '/' << buckets;
+       << c.parasitics.v_nom;
     return os.str();
 }
 
 }  // namespace
 
-FastBackend::FastBackend(const CrossbarConfig& config, std::int64_t buckets)
-    : config_(config), solver_(config), buckets_(std::max<std::int64_t>(buckets, 1)) {
+FastBackend::FastBackend(const CrossbarConfig& config)
+    : config_(config), solver_(config) {
     // The variation stage clamps conductances to [G_MIN/2, 2·G_MAX], so tile
     // means live in the same interval.
     g_lo_ = config.device.g_min() * 0.5;
     const double g_hi = config.device.g_max() * 2.0;
-    g_step_ = (g_hi - g_lo_) / static_cast<double>(buckets_);
+    g_step_ = (g_hi - g_lo_) / static_cast<double>(kBuckets);
 
     static std::mutex registry_mu;
     static std::map<std::string, std::shared_ptr<SharedCache>> registry;
     std::lock_guard<std::mutex> lock(registry_mu);
-    auto& entry = registry[fast_cache_key(config_, buckets_)];
-    if (!entry) entry = std::make_shared<SharedCache>(buckets_);
+    auto& entry = registry[fast_cache_key(config_)];
+    if (!entry) entry = std::make_shared<SharedCache>();
     cache_ = entry;
 }
 
@@ -81,7 +81,6 @@ std::int64_t FastBackend::calibrations() const {
 
 const FastBackend::Calibration& FastBackend::calibration_for(
     std::int64_t bucket) const {
-#if XS_TELEMETRY_ENABLED
     // Hoisted out of the branches: registering inside a branch would
     // allocate on the first cache *hit*, after warm-up already promised a
     // zero-allocation steady state.
@@ -89,27 +88,20 @@ const FastBackend::Calibration& FastBackend::calibration_for(
         util::metrics::counter("xbar.fast.calibration_hits");
     static const util::metrics::Counter builds =
         util::metrics::counter("xbar.fast.calibration_builds");
-#endif
     // Lock-free fast path: the pointer is published with release order once
     // the calibration is fully built.
     auto& slot = cache_->slots[static_cast<std::size_t>(bucket)];
     if (const Calibration* cal = slot.load(std::memory_order_acquire)) {
-#if XS_TELEMETRY_ENABLED
         hits.add(1);
-#endif
         return *cal;
     }
 
     std::lock_guard<std::mutex> lock(cache_->build_mu);
     if (const Calibration* cal = slot.load(std::memory_order_acquire)) {
-#if XS_TELEMETRY_ENABLED
         hits.add(1);
-#endif
         return *cal;  // another builder published it meanwhile
     }
-#if XS_TELEMETRY_ENABLED
     builds.add(1);
-#endif
     XS_TRACE_SPAN("fast.calibrate");
 
     // One exact solve of the uniform bucket-center tile at the calibration
@@ -158,7 +150,7 @@ void FastBackend::degrade(const Tensor& g, DegradeWorkspace& ws,
     for (std::int64_t k = 0; k < n * n; ++k) sum += gp[k];
     const double mean = sum / static_cast<double>(n * n);
     const std::int64_t bucket = std::clamp<std::int64_t>(
-        static_cast<std::int64_t>((mean - g_lo_) / g_step_), 0, buckets_ - 1);
+        static_cast<std::int64_t>((mean - g_lo_) / g_step_), 0, kBuckets - 1);
     const Calibration& cal = calibration_for(bucket);
 
     if (!(out.g_eff.rank() == 2 && out.g_eff.dim(0) == n && out.g_eff.dim(1) == n))

@@ -88,13 +88,15 @@ private:
 // NF_j = 1 − Σ_i α_ij G_ij / Σ_i G_ij.
 class FastBackend final : public CrossbarBackend {
 public:
-    explicit FastBackend(const CrossbarConfig& config,
-                         std::int64_t buckets = 64);
+    // Tile composition buckets over [G_MIN/2, 2·G_MAX].
+    static constexpr std::int64_t kBuckets = 64;
+
+    explicit FastBackend(const CrossbarConfig& config);
 
     void degrade(const tensor::Tensor& g, DegradeWorkspace& ws,
                  TileDegradeResult& out) const override;
 
-    // Calibration solves performed so far (≤ buckets; for tests/telemetry).
+    // Calibration solves performed so far (≤ kBuckets; for tests/telemetry).
     std::int64_t calibrations() const;
 
 private:
@@ -105,16 +107,15 @@ private:
                                 // tile folded through this α inherits it
     };
     // Bucket → α field, built lazily. A calibration is a pure function of
-    // (config, bucket count, bucket index), so the cache is shared
-    // process-wide between backends of identical configuration — a sweep's
-    // Monte-Carlo repeats and same-config cells never re-solve a bucket.
+    // (config, bucket index), so the cache is shared process-wide between
+    // backends of identical configuration — a sweep's Monte-Carlo repeats
+    // and same-config cells never re-solve a bucket.
     // The hot path is one lock-free acquire-load per tile array: `slots`
     // holds an atomic pointer per bucket, published with release order once
     // built. The mutex only serializes builders (and never blocks readers
     // of already-published buckets).
     struct SharedCache {
-        explicit SharedCache(std::int64_t buckets)
-            : slots(static_cast<std::size_t>(buckets)) {}
+        SharedCache() : slots(static_cast<std::size_t>(kBuckets)) {}
         std::vector<std::atomic<const Calibration*>> slots;
         std::mutex build_mu;
         std::vector<std::unique_ptr<Calibration>> owned;  // under build_mu
@@ -123,7 +124,6 @@ private:
 
     CrossbarConfig config_;
     CircuitSolver solver_;
-    std::int64_t buckets_;
     double g_lo_, g_step_;  // bucket grid over [G_MIN/2, 2·G_MAX]
     std::shared_ptr<SharedCache> cache_;
 };

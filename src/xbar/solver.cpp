@@ -289,8 +289,8 @@ void half_sweep(const SweepParams& s, const float* gl, double* invl,
 // (update_positions).
 // At the end V_col moves to column blocks too, so both fields share
 // BatchedSolveWorkspace::at.
-void solve_tile(const SweepParams& s, const Tensor& g, double tolerance,
-                int max_sweeps, BatchedSolveWorkspace& ws, int lane) {
+void solve_tile(const SweepParams& s, const Tensor& g, int max_sweeps,
+                BatchedSolveWorkspace& ws, int lane) {
     const std::int64_t n = s.n, np = s.np, nb = s.nb;
 
     // Chain layouts, [block][padded position][chain]. Column block bj at
@@ -332,14 +332,14 @@ void solve_tile(const SweepParams& s, const Tensor& g, double tolerance,
         max_delta = 0.0;
         for (int l = 0; l < kV; ++l)
             max_delta = max_delta < lane_max[l] ? lane_max[l] : max_delta;
-        if (max_delta < tolerance) {
+        if (max_delta < CircuitSolver::kTolerance) {
             ++sweep;
             break;
         }
     }
     ws.iterations[lane] = sweep;
     ws.max_delta[lane] = max_delta;
-    ws.converged[lane] = max_delta < tolerance;
+    ws.converged[lane] = max_delta < CircuitSolver::kTolerance;
 
     // V_col from row blocks to column blocks: tile (R, C) moves from
     // R·nb + C to C·nb + R and is transposed.
@@ -433,14 +433,12 @@ bool CircuitSolver::solve(const Tensor& g, const double* v_in,
     ws.ensure(n);
     XS_TIMER_NS("xbar.solve.ns");
     XS_COUNT("xbar.solve.solves", 1);
-#if XS_TELEMETRY_ENABLED
     // Handle hoisted out of its condition: a branch-local XS_COUNT would
     // register (and allocate) on the first *taken* branch, breaking the
     // zero-allocation steady state when the first unconverged solve happens
     // after warm-up.
     static const util::metrics::Counter unconverged =
         util::metrics::counter("xbar.solve.unconverged");
-#endif
 
     const double gdrv = g_driver_, gwr = g_wire_row_, gwc = g_wire_col_,
                  gsn = g_sense_;
@@ -550,7 +548,7 @@ bool CircuitSolver::solve(const Tensor& g, const double* v_in,
             }
         }
 
-        if (max_delta < tolerance_) {
+        if (max_delta < kTolerance) {
             ++sweep;
             break;
         }
@@ -558,11 +556,9 @@ bool CircuitSolver::solve(const Tensor& g, const double* v_in,
 
     ws.iterations = sweep;
     ws.max_delta = max_delta;
-    ws.converged = max_delta < tolerance_;
+    ws.converged = max_delta < kTolerance;
     XS_COUNT("xbar.solve.sweeps", static_cast<std::uint64_t>(sweep));
-#if XS_TELEMETRY_ENABLED
     if (!ws.converged) unconverged.add(1);
-#endif
     for (std::int64_t j = 0; j < n; ++j)
         ws.currents[static_cast<std::size_t>(j)] = vc[(n - 1) * n + j] * gsn;
     return ws.converged;
@@ -578,10 +574,8 @@ void CircuitSolver::solve_batched(const Tensor* const* g, int lanes,
         check(g[r]->rank() == 2 && g[r]->dim(0) == n && g[r]->dim(1) == n,
               "CircuitSolver: conductance matrix shape mismatch");
     ws.ensure(n);
-#if XS_TELEMETRY_ENABLED
     static const util::metrics::Counter unconverged =
         util::metrics::counter("xbar.solve.unconverged");
-#endif
 
     const SweepParams p{n,         ws.padded,   ws.padded / kB,
                         g_driver_, g_wire_row_, g_wire_col_,
@@ -589,14 +583,12 @@ void CircuitSolver::solve_batched(const Tensor* const* g, int lanes,
     for (int r = 0; r < lanes; ++r) {
         {
             XS_TIMER_NS("xbar.solve.ns");  // one sample per tile
-            solve_tile(p, *g[r], tolerance_, max_sweeps_, ws, r);
+            solve_tile(p, *g[r], max_sweeps_, ws, r);
         }
         XS_COUNT("xbar.solve.solves", 1);
         XS_COUNT("xbar.solve.sweeps",
                  static_cast<std::uint64_t>(ws.iterations[r]));
-#if XS_TELEMETRY_ENABLED
         if (!ws.converged[r]) unconverged.add(1);
-#endif
     }
 }
 

@@ -169,16 +169,16 @@ public:
 
     const CrossbarConfig& config() const { return config_; }
 
-    // Iteration controls.
-    void set_tolerance(double volts) { tolerance_ = volts; }
+    // Convergence tolerance in volts, on the max node update per sweep.
+    static constexpr double kTolerance = 1e-12;
+
+    // Sweep cap (default 20000); a solve that reaches it unconverged
+    // reports converged = false.
     void set_max_sweeps(int sweeps) { max_sweeps_ = sweeps; }
-    double tolerance() const { return tolerance_; }
-    int max_sweeps() const { return max_sweeps_; }
 
 private:
     CrossbarConfig config_;
     double g_driver_, g_wire_row_, g_wire_col_, g_sense_;
-    double tolerance_ = 1e-12;  // volts, on the max node update per sweep
     int max_sweeps_ = 20000;
 };
 

@@ -336,8 +336,8 @@ TEST(Wct, PercentileOfKnownDistribution) {
     Tensor w({100});
     for (std::int64_t i = 0; i < 100; ++i)
         w[i] = static_cast<float>(i + 1) * (i % 2 ? 1.0f : -1.0f);
-    EXPECT_NEAR(nonzero_abs_percentile(w, 0.5), 51.0, 1.0);
-    EXPECT_NEAR(nonzero_abs_percentile(w, 1.0), 100.0, 0.0);
+    EXPECT_NEAR(tensor::abs_percentile_nonzero(w, 0.5), 51.0, 1.0);
+    EXPECT_NEAR(tensor::abs_percentile_nonzero(w, 1.0), 100.0, 0.0);
 }
 
 TEST(Wct, PercentileIgnoresZeros) {
@@ -348,7 +348,7 @@ TEST(Wct, PercentileIgnoresZeros) {
     w[3] = 2.0f;
     w[4] = 3.0f;
     w[5] = 4.0f;
-    EXPECT_NEAR(nonzero_abs_percentile(w, 0.5), 3.0, 1e-6);
+    EXPECT_NEAR(tensor::abs_percentile_nonzero(w, 0.5), 3.0, 1e-6);
 }
 
 TEST(Wct, ClipPreservesSign) {

@@ -189,5 +189,24 @@ TEST(Integration, SpecKeyDistinguishesVariants) {
     EXPECT_NE(b.key(), c.key());
 }
 
+// Cached model files are named by key(), so these strings are the names
+// every existing model cache holds: a change here retrains every model.
+TEST(Integration, SpecKeyNamesCachedModelsAsBefore) {
+    const ModelSpec plain;
+    EXPECT_EQ(plain.key(),
+              "vgg11_c10_w1_n2560_e10_b32_lr0p002_adam_s1_i11_d42_j0p55_pn0p55_"
+              "cf0p8_seg32");
+    ModelSpec wct;
+    wct.vgg.width = 0.125;
+    wct.train_count = 1024;
+    wct.train.epochs = 3;
+    wct.prune.method = prune::Method::kChannelFilter;
+    wct.prune.sparsity = 0.8;
+    wct.wct = true;
+    EXPECT_EQ(wct.key(),
+              "vgg11_c10_w0p125_n1024_e3_b32_lr0p002_adam_s1_i11_d42_j0p55_"
+              "pn0p55_cf0p8_seg32_wct0p8_we2");
+}
+
 }  // namespace
 }  // namespace xs::core

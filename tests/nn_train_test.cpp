@@ -60,18 +60,6 @@ TEST(Trainer, AdamLearnsToySeparation) {
     EXPECT_LT(history.back().train_loss, history.front().train_loss);
 }
 
-TEST(Trainer, SgdLearnsToySeparation) {
-    Sequential model = toy_model(4);
-    const Dataset train_data = toy_dataset(256, 5), test = toy_dataset(128, 6);
-    TrainConfig config;
-    config.epochs = 8;
-    config.batch_size = 16;
-    config.optimizer = "sgd";
-    config.lr = 0.05f;
-    const auto history = train_(model, train_data, test, config);
-    EXPECT_GT(history.back().test_acc, 95.0);
-}
-
 TEST(Trainer, HookRunsEveryStepAndAtInit) {
     Sequential model = toy_model(7);
     const Dataset train_data = toy_dataset(64, 8);
@@ -180,17 +168,6 @@ TEST(ModelIo, MissingFileReturnsFalse) {
     EXPECT_FALSE(load_model(m, "/nonexistent/path/model.bin"));
 }
 
-TEST(Optimizer, SgdMomentumAccumulates) {
-    Param p("w", Tensor({1}, 0.0f));
-    p.grad[0] = 1.0f;
-    Sgd sgd({&p}, 0.1f, 0.9f, 0.0f);
-    sgd.step();
-    EXPECT_NEAR(p.value[0], -0.1f, 1e-6f);
-    p.grad[0] = 1.0f;
-    sgd.step();  // velocity = 0.9·1 + 1 = 1.9
-    EXPECT_NEAR(p.value[0], -0.1f - 0.19f, 1e-6f);
-}
-
 TEST(Optimizer, AdamStepsTowardMinimum) {
     // Minimize (w-3)² with gradient 2(w-3).
     Param p("w", Tensor({1}, 0.0f));
@@ -202,12 +179,16 @@ TEST(Optimizer, AdamStepsTowardMinimum) {
     EXPECT_NEAR(p.value[0], 3.0f, 0.1f);
 }
 
+// Adam's weight decay is decoupled (AdamW): with a zero gradient the
+// moment term vanishes and a step shrinks w by exactly lr·wd·w.
 TEST(Optimizer, WeightDecayShrinksWeights) {
     Param p("w", Tensor({1}, 1.0f));
     p.grad[0] = 0.0f;
-    Sgd sgd({&p}, 0.1f, 0.0f, 0.5f);
-    sgd.step();
-    EXPECT_LT(p.value[0], 1.0f);
+    Adam adam({&p}, 0.1f, 0.9f, 0.999f, 1e-8f, /*weight_decay=*/0.5f);
+    adam.step();
+    EXPECT_FLOAT_EQ(p.value[0], 1.0f - 0.1f * 0.5f);
+    adam.step();
+    EXPECT_FLOAT_EQ(p.value[0], (1.0f - 0.1f * 0.5f) * (1.0f - 0.1f * 0.5f));
 }
 
 }  // namespace

@@ -623,7 +623,6 @@ TEST(SweepLedger, QuarantineIsSkippedOnResumeAndKeptOutOfTheCsv) {
     EXPECT_EQ(lines, 2);
 }
 
-#if XS_TELEMETRY_ENABLED
 std::uint64_t counter(const SweepSummary& summary, const std::string& name) {
     util::metrics::Snapshot snap;
     EXPECT_TRUE(util::metrics::from_json(summary.metrics_json, snap));
@@ -678,7 +677,6 @@ TEST(SweepLedger, ResumeFoldsThePriorMetricsRecordAndSurvivesGarbage) {
         EXPECT_EQ(counter(summary, "only.in.prior"), garbage ? 0u : 7u);
     }
 }
-#endif
 
 }  // namespace
 }  // namespace xs::sweep

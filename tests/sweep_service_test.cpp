@@ -645,13 +645,11 @@ TEST(SweepService, RejoinedAgentKeepsItsBusyWorkers) {
     EXPECT_GE(summary.hosts_joined, 2);  // the join plus the rejoin
     EXPECT_EQ(slurp(summary.csv_path), baseline_csv());
     EXPECT_TRUE(exited_ok(agent.wait()));
-#if XS_TELEMETRY_ENABLED
     // The agent's own counters ride in its kMetrics frame.
     util::metrics::Snapshot snap;
     ASSERT_TRUE(util::metrics::from_json(summary.metrics_json, snap));
     const auto lost = snap.counters.find("sweep.workers.lost");
     EXPECT_EQ(lost == snap.counters.end() ? 0u : lost->second, 0u);
-#endif
 }
 
 TEST(SweepService, CoordinatorResumeIsByteIdenticalAndCarriesMetrics) {
@@ -693,7 +691,6 @@ TEST(SweepService, CoordinatorResumeIsByteIdenticalAndCarriesMetrics) {
     EXPECT_EQ(slurp(resumed.csv_path), baseline_csv());
     EXPECT_TRUE(exited_ok(agent.wait()));
 
-#if XS_TELEMETRY_ENABLED
     // Satellite: the final metrics record carries the totals across the
     // restart — run 1's counts folded into run 2's, coordinator-side
     // (cells.done) and host-side (cells.executed from the agents' worker
@@ -703,7 +700,6 @@ TEST(SweepService, CoordinatorResumeIsByteIdenticalAndCarriesMetrics) {
     ASSERT_TRUE(util::metrics::from_json(resumed.metrics_json, snap));
     EXPECT_EQ(snap.counters.at("sweep.cells.done"), 4u);
     EXPECT_EQ(snap.counters.at("sweep.cells.executed"), 4u);
-#endif
 }
 
 TEST(SweepService, MismatchedFingerprintJoinIsRejectedLoudly) {

@@ -216,7 +216,6 @@ TEST(SweepSupervisor, WatchdogKillsHungWorkerAndSweepRecovers) {
     EXPECT_EQ(slurp(summary.csv_path), baseline_csv());
 }
 
-#if XS_TELEMETRY_ENABLED
 // The shutdown telemetry handshake end to end: every worker answers
 // kShutdown with a kMetrics frame, the coordinator merges the frames with
 // its own snapshot, and the result lands in SweepSummary::metrics_json plus
@@ -252,7 +251,6 @@ TEST(SweepSupervisor, MetricsSnapshotMergesWorkersAndCoordinator) {
     EXPECT_EQ(load.skipped_lines, 0);
     EXPECT_EQ(load.results.size(), 4u);
 }
-#endif
 
 TEST(SweepSupervisor, PoisonCellIsQuarantinedNotFatal) {
     baseline_csv();

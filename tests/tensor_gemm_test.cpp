@@ -107,32 +107,9 @@ TEST(Gemm, SerialMatchesParallel) {
     EXPECT_TRUE(allclose(c1, c2, 0.0f, 0.0f));
 }
 
-TEST(Gemm, MatmulTnNt) {
-    util::Rng rng(9);
-    Tensor a({6, 4}), b({6, 5});
-    fill_normal(a, rng, 0.0f, 1.0f);
-    fill_normal(b, rng, 0.0f, 1.0f);
-    // Aᵀ·B == ref(transpose(A), B)
-    EXPECT_TRUE(allclose(matmul_tn(a, b), ref_matmul(transpose(a), b), 1e-4f, 1e-4f));
-    Tensor c({5, 4});  // A·Cᵀ: (6,4)·(4,5)
-    fill_normal(c, rng, 0.0f, 1.0f);
-    EXPECT_TRUE(allclose(matmul_nt(a, c), ref_matmul(a, transpose(c)), 1e-4f, 1e-4f));
-}
-
 TEST(Gemm, InnerDimMismatchThrows) {
     Tensor a({2, 3}), b({4, 2});
     EXPECT_THROW(matmul(a, b), std::invalid_argument);
-}
-
-TEST(Gemv, MatchesMatmul) {
-    util::Rng rng(11);
-    Tensor a({7, 9}), x({9, 1});
-    fill_normal(a, rng, 0.0f, 1.0f);
-    fill_normal(x, rng, 0.0f, 1.0f);
-    std::vector<float> y(7);
-    gemv(7, 9, a.data(), x.data(), y.data());
-    const Tensor r = matmul(a, x);
-    for (int i = 0; i < 7; ++i) EXPECT_NEAR(y[static_cast<std::size_t>(i)], r[i], 1e-4f);
 }
 
 TEST(Gemm, ZeroInnerDimension) {
@@ -140,44 +117,6 @@ TEST(Gemm, ZeroInnerDimension) {
     Tensor c({2, 2}, 5.0f);
     gemm(2, 2, 0, 1.0f, nullptr, 1, nullptr, 1, 0.0f, c.data(), 2);
     for (int i = 0; i < 4; ++i) EXPECT_FLOAT_EQ(c[i], 0.0f);
-}
-
-TEST(GemmPrepacked, SerialMatchesReference) {
-    // Odd sizes exercise panel tails in both dimensions and multiple
-    // k-blocks (k > kPackKc).
-    for (const auto& [m, n, k] : {std::tuple{16, 64, 27}, {33, 100, 300},
-                                 {8, 16, 512}, {128, 4, 1152}}) {
-        util::Rng rng(static_cast<std::uint64_t>(m + n + k));
-        Tensor a({m, k}), b({k, n});
-        fill_normal(a, rng, 0.0f, 1.0f);
-        fill_normal(b, rng, 0.0f, 1.0f);
-        PackedGemmA pa;
-        gemm_pack_a(m, k, a.data(), k, pa);
-        EXPECT_FALSE(pa.sparse);
-        Tensor c({m, n});
-        gemm_prepacked_serial(pa, a.data(), k, n, 1.0f, b.data(), n, 0.0f,
-                              c.data(), n);
-        const Tensor r = ref_matmul(a, b);
-        EXPECT_TRUE(allclose(c, r, 1e-3f, 1e-3f))
-            << m << "x" << n << "x" << k << " max diff " << max_abs_diff(c, r);
-    }
-}
-
-TEST(GemmPrepacked, SparseAUsesZeroSkipAndMatches) {
-    util::Rng rng(21);
-    Tensor a({48, 96}), b({96, 40});
-    fill_normal(a, rng, 0.0f, 1.0f);
-    fill_normal(b, rng, 0.0f, 1.0f);
-    for (std::int64_t i = 0; i < a.numel(); ++i)
-        if (rng.uniform() < 0.9) a[i] = 0.0f;
-    PackedGemmA pa;
-    gemm_pack_a(48, 96, a.data(), 96, pa);
-    EXPECT_TRUE(pa.sparse);
-    Tensor c({48, 40});
-    gemm_prepacked_serial(pa, a.data(), 96, 40, 1.0f, b.data(), 40, 0.0f,
-                          c.data(), 40);
-    const Tensor r = ref_matmul(a, b);
-    EXPECT_TRUE(allclose(c, r, 1e-3f, 1e-3f));
 }
 
 // Pack B by hand into the panel-block layout (same as im2col_pack_b's

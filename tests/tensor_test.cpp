@@ -95,14 +95,6 @@ TEST(Ops, Reductions) {
     EXPECT_NEAR(l2_norm(a), std::sqrt(30.0), 1e-9);
 }
 
-TEST(Ops, AbsMoments) {
-    const float v[4] = {1.0f, -1.0f, 3.0f, -3.0f};
-    double mu, sigma;
-    abs_moments(v, 4, mu, sigma);
-    EXPECT_DOUBLE_EQ(mu, 2.0);
-    EXPECT_DOUBLE_EQ(sigma, 1.0);
-}
-
 // The selection abs_percentile_nonzero must reproduce bit for bit: every
 // non-zero |x| copied out, then std::nth_element at the same rank.
 double percentile_reference(const Tensor& a, double percentile) {

@@ -6,6 +6,8 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
+#include <vector>
 
 namespace xs::util {
 namespace {
@@ -98,21 +100,42 @@ TEST(Csv, WritesHeaderAndRows) {
     std::remove(path.c_str());
 }
 
+// Display width of a UTF-8 line: continuation bytes take no column.
+std::size_t display_width(const std::string& line) {
+    std::size_t n = 0;
+    for (const unsigned char ch : line)
+        if ((ch & 0xC0) != 0x80) ++n;
+    return n;
+}
+
 TEST(TextTable, AlignsColumns) {
-    TextTable t({"col", "value"});
+    TextTable t({"G (uS)", "value"});
     t.add_row({"x", "1"});
-    t.add_row({"longer", "22"});
+    t.add_row({"longer", "22±1"});
     const std::string s = t.str();
-    EXPECT_NE(s.find("col"), std::string::npos);
     EXPECT_NE(s.find("longer"), std::string::npos);
-    // Header separator present.
-    EXPECT_NE(s.find("---"), std::string::npos);
+    EXPECT_NE(s.find("|---"), std::string::npos);  // header separator
+    // Header, separator and every row end at the same column, on a '|'.
+    std::istringstream lines(s);
+    std::string line;
+    std::vector<std::size_t> widths;
+    while (std::getline(lines, line)) {
+        widths.push_back(display_width(line));
+        EXPECT_EQ(line.back(), '|') << line;
+    }
+    ASSERT_EQ(widths.size(), 4u);
+    for (const std::size_t w : widths) EXPECT_EQ(w, widths.front()) << s;
 }
 
 TEST(TextTable, PadsShortRows) {
     TextTable t({"a", "b", "c"});
     t.add_row({"only"});
     EXPECT_NO_THROW(t.str());
+}
+
+TEST(TextTable, RejectsRowsLongerThanTheHeader) {
+    TextTable t({"a", "b"});
+    EXPECT_THROW(t.add_row({"1", "2", "3"}), std::invalid_argument);
 }
 
 TEST(Fmt, FixedPrecision) {

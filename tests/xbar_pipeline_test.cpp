@@ -96,7 +96,8 @@ TEST(Backend, FastCalibrationDependsOnlyOnBucket) {
     // Two different tiles whose means sit safely inside the same bucket:
     // constant mid-bucket level plus small zero-mean jitter.
     const double lo = config.device.g_min() * 0.5;
-    const double step = (config.device.g_max() * 2.0 - lo) / 16.0;
+    const double step =
+        (config.device.g_max() * 2.0 - lo) / FastBackend::kBuckets;
     const double center = lo + 4.5 * step;
     util::Rng rng(5);
     Tensor g_a({16, 16}), g_b({16, 16});
@@ -106,7 +107,7 @@ TEST(Backend, FastCalibrationDependsOnlyOnBucket) {
     }
     DegradeWorkspace ws;
     TileDegradeResult a, b;
-    const FastBackend fast(config, /*buckets=*/16);  // matches `step` above
+    const FastBackend fast(config);
     fast.degrade(g_a, ws, a);
     fast.degrade(g_b, ws, b);
     // The implied α = G′/G must be the same field for both tiles — the
@@ -118,7 +119,7 @@ TEST(Backend, FastCalibrationDependsOnlyOnBucket) {
         ASSERT_NEAR(alpha_a, alpha_b, 1e-5) << "entry " << i;
     }
     // Two identically-configured backends share one calibration cache.
-    const FastBackend twin(config, /*buckets=*/16);
+    const FastBackend twin(config);
     EXPECT_EQ(twin.calibrations(), fast.calibrations());
 }
 

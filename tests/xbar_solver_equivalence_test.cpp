@@ -114,7 +114,7 @@ TEST(SolverEquivalence, LegacySolveReportsConvergence) {
     const Tensor g = random_g(8, 3, c.device);
     const SolveResult sol = solver.solve(g, std::vector<double>(8, 0.25));
     EXPECT_TRUE(sol.converged);
-    EXPECT_LT(sol.max_delta, solver.tolerance());
+    EXPECT_LT(sol.max_delta, CircuitSolver::kTolerance);
 }
 
 TEST(SolverEquivalence, ExhaustedSweepsSurfaceAsNotConverged) {
@@ -125,7 +125,7 @@ TEST(SolverEquivalence, ExhaustedSweepsSurfaceAsNotConverged) {
     const SolveResult sol = solver.solve(g, std::vector<double>(16, 0.25));
     EXPECT_FALSE(sol.converged);
     EXPECT_EQ(sol.iterations, 1);
-    EXPECT_GE(sol.max_delta, solver.tolerance());
+    EXPECT_GE(sol.max_delta, CircuitSolver::kTolerance);
 
     SolveWorkspace ws;
     EXPECT_FALSE(solver.solve(g, std::vector<double>(16, 0.25).data(), ws));
