@@ -2,6 +2,11 @@
 // circuit solver, tile degradation, dataset synthesis, and the end-to-end
 // inference/evaluation paths — the kernels whose cost determines experiment
 // time.
+//
+// A benchmark whose work runs on the thread pool is marked
+// MeasureProcessCPUTime(): the dispatching thread only waits while the
+// pool's workers run every part, so the default cpu_time (calling thread
+// only) would read almost nothing. Its name gains a /process_time suffix.
 #include "core/evaluator.h"
 #include "data/synthetic.h"
 #include "map/energy.h"
@@ -38,7 +43,7 @@ void BM_Gemm(benchmark::State& state) {
     }
     state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
 }
-BENCHMARK(BM_Gemm)->Arg(64)->Arg(128)->Arg(256);
+BENCHMARK(BM_Gemm)->Arg(64)->Arg(128)->Arg(256)->MeasureProcessCPUTime();
 
 // Pruned-weight inference: A is 90 % zeros, exercising the row-sparse path.
 void BM_GemmSparse(benchmark::State& state) {
@@ -55,7 +60,7 @@ void BM_GemmSparse(benchmark::State& state) {
     }
     state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
 }
-BENCHMARK(BM_GemmSparse)->Arg(128)->Arg(256);
+BENCHMARK(BM_GemmSparse)->Arg(128)->Arg(256)->MeasureProcessCPUTime();
 
 // The engine's conv GEMM (gemm_conv_tiles, B read in place) on VGG11
 // conv3's shape at width 0.125: 32 → 32 channels, 8×8 images, batch 64,
@@ -266,7 +271,7 @@ void BM_DegradeMacMatrix(benchmark::State& state) {
         benchmark::DoNotOptimize(out.data());
     }
 }
-BENCHMARK(BM_DegradeMacMatrix)->Arg(32)->Arg(64);
+BENCHMARK(BM_DegradeMacMatrix)->Arg(32)->Arg(64)->MeasureProcessCPUTime();
 
 // Same matrix through the bucket-calibrated fast backend (DESIGN.md §8).
 // Each iteration rebuilds the pipeline, but the calibration cache is shared
@@ -288,7 +293,7 @@ void BM_DegradeMacMatrixFast(benchmark::State& state) {
         benchmark::DoNotOptimize(out.data());
     }
 }
-BENCHMARK(BM_DegradeMacMatrixFast)->Arg(32)->Arg(64);
+BENCHMARK(BM_DegradeMacMatrixFast)->Arg(32)->Arg(64)->MeasureProcessCPUTime();
 
 void BM_SyntheticGeneration(benchmark::State& state) {
     data::SyntheticSpec spec = data::cifar10_like(9);
@@ -297,7 +302,7 @@ void BM_SyntheticGeneration(benchmark::State& state) {
         benchmark::DoNotOptimize(d.images.data());
     }
 }
-BENCHMARK(BM_SyntheticGeneration)->Arg(64);
+BENCHMARK(BM_SyntheticGeneration)->Arg(64)->MeasureProcessCPUTime();
 
 // End-to-end eval-mode forward of a VGG-style batch through the fused
 // zero-allocation inference engine (DESIGN.md §6). The argument is the
@@ -317,7 +322,11 @@ void BM_Forward(benchmark::State& state) {
     }
     state.SetItemsProcessed(state.iterations() * 16);
 }
-BENCHMARK(BM_Forward)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Forward)
+    ->Arg(2)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond)
+    ->MeasureProcessCPUTime();
 
 // The pre-engine reference path (allocating Layer::forward per layer,
 // unfused BN/ReLU): the baseline BM_Forward is measured against.
@@ -334,16 +343,20 @@ void BM_ForwardReference(benchmark::State& state) {
     }
     state.SetItemsProcessed(state.iterations() * 16);
 }
-BENCHMARK(BM_ForwardReference)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ForwardReference)
+    ->Arg(2)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond)
+    ->MeasureProcessCPUTime();
 
 // Full Monte-Carlo crossbar evaluation at `repeats` repeats: the workload
 // whose cost dominates sweep time. Every repeat's W′ compiles into a packed
 // engine instance, circuit solves batch across repeat lanes, and inference
 // runs a group of repeats in one pass (DESIGN.md §12). Argument = number of
 // repeats: 4 is one full solver-lane group, 8 two pipelined groups.
-// cpu_time counts the calling thread only — the group pipeline compiles
-// group g+1 on a producer thread while the main thread runs batched
-// inference on group g, so wall is the number to compare.
+// The group pipeline compiles group g+1 on a producer thread while the
+// main thread runs batched inference on group g; cpu_time counts the whole
+// process, so wall is the number to compare for overlap.
 void BM_EvaluateOnCrossbars(benchmark::State& state) {
     nn::VggConfig vc;
     vc.width = 0.0625;
@@ -369,7 +382,8 @@ void BM_EvaluateOnCrossbars(benchmark::State& state) {
 BENCHMARK(BM_EvaluateOnCrossbars)
     ->Arg(4)
     ->Arg(8)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->MeasureProcessCPUTime();
 
 // NF measurement as a sweep's NF unit runs it (DESIGN.md §7): one
 // MappingPlan of the unpruned VGG11 (width 0.125) at 64×64, measured at the
@@ -402,7 +416,11 @@ void BM_MeasureNf(benchmark::State& state) {
     }
     state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_MeasureNf)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MeasureNf)
+    ->Arg(1)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond)
+    ->MeasureProcessCPUTime();
 
 // VGG11 at width 0.125, unpruned or XCS-pruned at 0.8 from its
 // initialization weights: the models of perfbench's map.plan_ms probe.

@@ -60,7 +60,9 @@ run_release() {
 # sweep_runner driver, so the backend axis, the tile ladder, per-cell
 # budgeting, and manifest/CSV plumbing can't bit-rot unnoticed. The grid
 # runs unpruned, C/F- and XCS-pruned models, so every byte compare below
-# also reaches the row-sparse conv kernel. A second
+# also reaches the row-sparse conv kernel. On a host with two or more CPUs
+# the grid reruns under `taskset -c 0` (a one-worker pool) and must write
+# the same CSV. A second
 # run of the same grid with full telemetry armed (a chrome trace, a
 # metrics snapshot, the progress heartbeat) must reproduce the
 # plain run's CSV byte for byte — observability must never perturb results
@@ -91,6 +93,17 @@ run_sweep_smoke() {
   if ! grep -q ',fast,' "$smoke_dir/sweep.csv"; then
     echo "sweep smoke: aggregate CSV is missing the backend=fast row" >&2
     return 1
+  fi
+  # The thread pool is as wide as the affinity mask: a rerun confined to
+  # one CPU runs on a one-worker pool and must write the same CSV.
+  if command -v taskset >/dev/null 2>&1 && [[ "$jobs" -ge 2 ]]; then
+    echo "=== one-CPU sweep smoke (taskset -c 0) ==="
+    taskset -c 0 "$repo_root/build-release/sweep_runner" "${smoke_flags[@]}" \
+      --cell-budget-ms=120000 --csv=sweep_cpu0.csv --manifest=sweep_cpu0.jsonl
+    if ! cmp "$smoke_dir/sweep.csv" "$smoke_dir/sweep_cpu0.csv"; then
+      echo "sweep smoke: the one-CPU run's CSV differs from the plain run" >&2
+      return 1
+    fi
   fi
   echo "=== telemetry sweep smoke (metrics + trace + heartbeat) ==="
   "$repo_root/build-release/sweep_runner" \

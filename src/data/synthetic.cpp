@@ -1,6 +1,7 @@
 #include "data/synthetic.h"
 
 #include "tensor/tensor.h"
+#include "util/parallel.h"
 
 #include <cmath>
 
@@ -133,15 +134,20 @@ nn::Dataset generate(const SyntheticSpec& spec, std::int64_t count) {
     const std::int64_t item = spec.channels * spec.image_size * spec.image_size;
     // Balanced labels, then a deterministic shuffle.
     const std::vector<std::size_t> order = rng.permutation(static_cast<std::size_t>(count));
-    for (std::int64_t i = 0; i < count; ++i) {
-        const std::int64_t label =
-            static_cast<std::int64_t>(order[static_cast<std::size_t>(i)]) %
-            spec.num_classes;
-        data.labels[static_cast<std::size_t>(i)] = label;
-        util::Rng sample_rng = rng.split(static_cast<std::uint64_t>(i) * 2654435761u + 17);
-        render_sample(spec, prototype(label, spec.num_classes), sample_rng,
-                      data.images.data() + i * item);
-    }
+    for (std::size_t i = 0; i < order.size(); ++i)
+        data.labels[i] = static_cast<std::int64_t>(order[i]) % spec.num_classes;
+    // Sample i draws from its own child stream; split() reads the parent
+    // state without advancing it, so the bytes do not depend on which thread
+    // renders which sample.
+    float* images = data.images.data();
+    util::parallel_for_chunks(
+        0, static_cast<std::size_t>(count), [&](std::size_t lo, std::size_t hi) {
+            for (std::size_t i = lo; i < hi; ++i) {
+                util::Rng sample_rng = rng.split(i * 2654435761u + 17);
+                render_sample(spec, prototype(data.labels[i], spec.num_classes),
+                              sample_rng, images + i * static_cast<std::size_t>(item));
+            }
+        });
     return data;
 }
 

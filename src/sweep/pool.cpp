@@ -1,6 +1,7 @@
 #include "sweep/pool.h"
 
 #include "util/log.h"
+#include "util/parallel.h"
 
 #include <chrono>
 #include <cmath>
@@ -8,6 +9,7 @@
 
 #include <fcntl.h>
 #include <poll.h>
+#include <sched.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -37,9 +39,22 @@ std::string describe_exit(int wstatus) {
 
 }  // namespace
 
+std::vector<int> slot_cpus(const std::vector<int>& cpus, std::size_t slot,
+                           std::size_t slots) {
+    const std::size_t c = cpus.size();
+    if (c == 0) return {};
+    if (slots > c) return {cpus[slot % c]};
+    const auto at = [&](std::size_t k) {
+        return cpus.begin() + static_cast<std::ptrdiff_t>(k * c / slots);
+    };
+    return std::vector<int>(at(slot), at(slot + 1));
+}
+
 WorkerPool::WorkerPool(std::vector<std::string> cmd,
                        std::int64_t restart_budget)
-    : cmd_(std::move(cmd)), restarts_left_(restart_budget) {}
+    : cmd_(std::move(cmd)),
+      cpus_(util::affinity_cpus()),
+      restarts_left_(restart_budget) {}
 
 WorkerPool::~WorkerPool() {
     for (PoolWorker& w : workers_) {
@@ -55,9 +70,11 @@ WorkerPool::~WorkerPool() {
 // Fork+exec one worker wired to fresh deal/ack pipes. The parent-held pipe
 // ends are CLOEXEC so later-spawned siblings don't inherit them — a worker
 // holding another worker's pipe would mask that worker's EOF-on-death.
-// Everything the child needs (argv buffers included) is built before fork:
-// between fork and exec only async-signal-safe calls run, which a forked
-// child of a threaded process is restricted to.
+// Everything the child needs (argv buffers and its CPU set included) is
+// built before fork: between fork and exec only async-signal-safe calls
+// run, which a forked child of a threaded process is restricted to. The
+// child takes its slot's CPU slice before exec, so a respawn gets the same
+// slice and `--workers=2` on 4 CPUs runs two 2-thread pools.
 bool WorkerPool::spawn_slot(PoolWorker& w) {
     int deal[2];  // [0] = child read, [1] = parent write
     int ack[2];   // [0] = parent read, [1] = child write
@@ -79,6 +96,11 @@ bool WorkerPool::spawn_slot(PoolWorker& w) {
     argv.reserve(args.size() + 1);
     for (std::string& a : args) argv.push_back(a.data());
     argv.push_back(nullptr);
+    const std::vector<int> cpus = slot_cpus(
+        cpus_, static_cast<std::size_t>(&w - workers_.data()), workers_.size());
+    cpu_set_t cpu_set;
+    CPU_ZERO(&cpu_set);
+    for (const int cpu : cpus) CPU_SET(cpu, &cpu_set);
 
     const pid_t pid = ::fork();
     if (pid < 0) {
@@ -89,6 +111,7 @@ bool WorkerPool::spawn_slot(PoolWorker& w) {
         return false;
     }
     if (pid == 0) {
+        if (!cpus.empty()) ::sched_setaffinity(0, sizeof cpu_set, &cpu_set);
         ::execv(argv[0], argv.data());
         ::_exit(127);  // exec failed; the parent sees EOF + exit 127
     }

@@ -4,12 +4,14 @@
 // run_supervised. DESIGN.md §9/§11.
 //
 // Each slot holds one `<binary> --worker --wire-in=<fd> --wire-out=<fd>`
-// child process wired to fresh deal/ack pipes: fork+exec (fork alone is
-// unsafe under the process thread pool), parent-held pipe ends CLOEXEC so
-// later-spawned siblings don't mask each other's EOF-on-death, ack side
-// nonblocking and poll-driven through a wire::MessageReader. Respawns are
-// budgeted pool-wide: past the budget a dead slot retires and the pool
-// shrinks gracefully instead of flapping on a persistent fault.
+// child process, confined to its own slice of the parent's CPUs (so its
+// thread pool is as wide as the slice) and wired to fresh deal/ack pipes:
+// fork+exec (fork alone is unsafe under the process thread pool),
+// parent-held pipe ends CLOEXEC so later-spawned siblings don't mask each
+// other's EOF-on-death, ack side nonblocking and poll-driven through a
+// wire::MessageReader. Respawns are budgeted pool-wide: past the budget a
+// dead slot retires and the pool shrinks gracefully instead of flapping on
+// a persistent fault.
 #pragma once
 
 #include "sweep/wire.h"
@@ -35,6 +37,14 @@ struct PoolWorker {
     std::int64_t link = -1;     // the agent link `dealt` arrived on
     double deadline = 0.0;      // caller-armed watchdog; 0 = none
 };
+
+// The CPUs that worker `slot` of `slots` runs on, out of the parent's
+// `cpus`: the contiguous slice [slot·C/slots, (slot+1)·C/slots) of the C
+// CPUs, or CPU slot mod C when there are more workers than CPUs. Empty
+// when `cpus` is (the mask could not be read): the worker keeps the
+// parent's mask.
+std::vector<int> slot_cpus(const std::vector<int>& cpus, std::size_t slot,
+                           std::size_t slots);
 
 class WorkerPool {
 public:
@@ -73,6 +83,7 @@ private:
     bool spawn_slot(PoolWorker& w);
 
     std::vector<std::string> cmd_;
+    std::vector<int> cpus_;  // the parent's affinity mask, sliced per slot
     std::vector<PoolWorker> workers_;
     std::int64_t restarts_left_;
     std::int64_t restarts_ = 0;

@@ -1,34 +1,56 @@
 #include "util/parallel.h"
 
 #include <algorithm>
-#include <atomic>
 #include <condition_variable>
+#include <cstdint>
 #include <mutex>
 #include <thread>
-#include <vector>
+
+#ifdef __linux__
+#include <pthread.h>
+#include <sched.h>
+#endif
 
 namespace xs::util {
 namespace {
 
-// Nested dispatch from inside a worker (or a second concurrent top-level
-// dispatch) is not supported by the single-slot pool; such calls run inline.
+// Nested dispatch from inside a worker is not supported by the single-slot
+// pool; such calls run inline.
 thread_local bool tl_in_parallel_region = false;
 
 using ChunkFn = std::function<void(std::size_t, std::size_t, std::size_t)>;
 using RawFn = WorkerRangeFn;
 
-// A tiny persistent pool: workers wait on a condition variable for a chunked
-// task, execute their share, and signal completion. One pool per process.
-// Tasks receive (part, lo, hi); parts are distinct per concurrent execution,
-// so they double as per-worker state slots.
+// Pin the calling thread to one CPU. On failure the thread runs unpinned.
+void pin_to(int cpu) {
+#ifdef __linux__
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    CPU_SET(cpu, &set);
+    ::pthread_setaffinity_np(::pthread_self(), sizeof set, &set);
+#else
+    (void)cpu;
+#endif
+}
+
+// A tiny persistent pool: one worker per CPU of the affinity mask, pinned
+// there, so the scheduler cannot stack woken workers on the dispatching
+// CPU. Workers wait on a condition variable for a chunked task, each runs
+// at most one part of it, and the last to finish signals completion. One
+// pool per process. Tasks receive (part, lo, hi); parts are distinct per
+// concurrent execution, so they double as per-worker state slots.
 class Pool {
 public:
     Pool() {
+        const std::vector<int> cpus = affinity_cpus();
         const unsigned hw = std::thread::hardware_concurrency();
-        const std::size_t n = hw > 1 ? hw : 1;
-        for (std::size_t t = 1; t < n; ++t)
-            workers_.emplace_back([this, t] { worker_loop(t); });
-        count_ = n;
+        count_ = !cpus.empty() ? cpus.size() : std::max(1u, hw);
+        // A one-worker pool runs every dispatch inline.
+        if (count_ == 1) return;
+        for (std::size_t t = 0; t < count_; ++t) {
+            const int cpu = cpus.empty() ? -1 : cpus[t];
+            workers_.emplace_back([this, cpu] { worker_loop(cpu); });
+        }
     }
 
     ~Pool() {
@@ -62,7 +84,6 @@ public:
         // the pool has a single task slot, and the thread-local region flag
         // cannot see another thread's in-flight dispatch.
         std::lock_guard<std::mutex> dispatch(dispatch_mutex_);
-        tl_in_parallel_region = true;
         {
             std::lock_guard<std::mutex> lock(mutex_);
             task_ = fn;
@@ -70,18 +91,15 @@ public:
             task_begin_ = begin;
             task_end_ = end;
             task_parts_ = parts;
-            next_part_ = 1;  // part 0 runs on the calling thread
-            pending_ = parts - 1;
+            next_part_ = 0;
+            pending_ = parts;
             ++generation_;
         }
+        // The calling thread only waits: run on its unpinned CPU, a part
+        // would share that CPU with the worker pinned there.
         cv_.notify_all();
-        run_part(0, begin, end, parts, fn, ctx);
-        {
-            std::unique_lock<std::mutex> lock(mutex_);
-            done_cv_.wait(lock, [this] { return pending_ == 0; });
-            task_ = nullptr;
-        }
-        tl_in_parallel_region = false;
+        std::unique_lock<std::mutex> lock(mutex_);
+        done_cv_.wait(lock, [this] { return pending_ == 0; });
     }
 
     void run(std::size_t begin, std::size_t end, const ChunkFn& fn) {
@@ -102,7 +120,9 @@ private:
         if (lo < hi) fn(ctx, part, lo, hi);
     }
 
-    void worker_loop(std::size_t) {
+    // cpu < 0: the mask could not be read, so the worker runs unpinned.
+    void worker_loop(int cpu) {
+        if (cpu >= 0) pin_to(cpu);
         tl_in_parallel_region = true;  // workers never re-dispatch to the pool
         std::uint64_t seen_generation = 0;
         while (true) {
@@ -111,19 +131,21 @@ private:
             std::size_t part = 0, begin = 0, end = 0, parts = 0;
             {
                 std::unique_lock<std::mutex> lock(mutex_);
+                // At most one part per worker and dispatch: a dispatch has
+                // no more parts than the pool has workers, so every part
+                // still runs, each on its own worker's CPU.
                 cv_.wait(lock, [&] {
-                    return shutdown_ ||
-                           (task_ != nullptr && generation_ != seen_generation &&
-                            next_part_ < task_parts_);
+                    return shutdown_ || (generation_ != seen_generation &&
+                                         next_part_ < task_parts_);
                 });
                 if (shutdown_) return;
+                seen_generation = generation_;
                 fn = task_;
                 ctx = task_ctx_;
                 part = next_part_++;
                 begin = task_begin_;
                 end = task_end_;
                 parts = task_parts_;
-                if (next_part_ >= task_parts_) seen_generation = generation_;
             }
             run_part(part, begin, end, parts, fn, ctx);
             {
@@ -133,7 +155,6 @@ private:
         }
     }
 
-    std::vector<std::thread> workers_;
     std::size_t count_ = 1;
 
     std::mutex dispatch_mutex_;
@@ -146,6 +167,7 @@ private:
     std::size_t pending_ = 0;
     std::uint64_t generation_ = 0;
     bool shutdown_ = false;
+    std::vector<std::thread> workers_;  // last: the workers use every member above
 };
 
 Pool& pool() {
@@ -156,6 +178,18 @@ Pool& pool() {
 }  // namespace
 
 std::size_t worker_count() { return pool().count(); }
+
+std::vector<int> affinity_cpus() {
+    std::vector<int> cpus;
+#ifdef __linux__
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    if (::sched_getaffinity(0, sizeof set, &set) != 0) return cpus;
+    for (int c = 0; c < CPU_SETSIZE; ++c)
+        if (CPU_ISSET(c, &set)) cpus.push_back(c);
+#endif
+    return cpus;
+}
 
 bool in_parallel_region() { return tl_in_parallel_region; }
 

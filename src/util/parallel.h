@@ -1,25 +1,34 @@
 // parallel_for: split [begin, end) into contiguous chunks across a small
 // persistent worker pool. Used by the GEMM and the crossbar tile pipeline.
 //
-// The grain is deliberately coarse — on the 2-core evaluation machines thread
-// startup would otherwise dominate the small kernels.
+// The pool starts one worker per CPU of the process's affinity mask and
+// pins each to its CPU, so `taskset -c` sets the thread count. The thread
+// that dispatches wakes the workers and waits; it runs no part itself. A
+// dispatch splits its range into min(worker_count(), range) contiguous
+// parts; which worker runs a part varies, the bounds do not (DESIGN.md §7).
 #pragma once
 
 #include <cstddef>
 #include <functional>
+#include <vector>
 
 namespace xs::util {
 
-// Number of worker threads the pool was built with (>= 1).
+// Number of worker threads the pool was built with (>= 1): the CPUs in the
+// affinity mask, or hardware_concurrency() where the mask cannot be read.
 std::size_t worker_count();
 
-// True while the calling thread is executing a chunk of a pool dispatch
-// (pool workers, or the dispatching thread during its own multi-part run).
-// Callers that would otherwise start helper threads doing top-level
-// dispatches of their own (e.g. the evaluator's repeat-overlap producer)
-// must check this: a top-level dispatch from a helper thread blocks on the
-// pool's single task slot until the enclosing region finishes, so waiting
-// on such a helper from inside the region deadlocks.
+// The CPUs in the calling thread's affinity mask, ascending; empty when the
+// mask cannot be read or the platform is not Linux.
+std::vector<int> affinity_cpus();
+
+// True while the calling thread is a pool worker executing a chunk of a
+// multi-part dispatch. Callers that would otherwise start helper threads
+// doing top-level dispatches of their own (e.g. the evaluator's
+// repeat-overlap producer) must check this: a top-level dispatch from a
+// helper thread blocks on the pool's single task slot until the enclosing
+// region finishes, so waiting on such a helper from inside the region
+// deadlocks.
 bool in_parallel_region();
 
 // Invoke fn(i) for every i in [begin, end). Blocks until complete.

@@ -210,7 +210,7 @@ std::vector<std::size_t> Rng::permutation(std::size_t n) {
     return idx;
 }
 
-Rng Rng::split(std::uint64_t tag) {
+Rng Rng::split(std::uint64_t tag) const {
     // Mix the current state with the tag through splitmix so child streams
     // are decorrelated from the parent and from each other.
     std::uint64_t seed = s_[0] ^ rotl(s_[2], 13) ^ (tag * 0xd1342543de82ef95ULL);

@@ -1,12 +1,36 @@
 #include "data/synthetic.h"
 #include "tensor/ops.h"
+#include "util/parallel.h"
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
 
 namespace xs::data {
 namespace {
+
+bool same_bytes(const nn::Dataset& a, const nn::Dataset& b) {
+    return a.images.numel() == b.images.numel() && a.labels == b.labels &&
+           std::memcmp(a.images.data(), b.images.data(),
+                       static_cast<std::size_t>(a.images.numel()) *
+                           sizeof(float)) == 0;
+}
+
+// FNV-1a 64 over a dataset's image bytes, then its label bytes.
+std::uint64_t fnv1a(const nn::Dataset& d, std::uint64_t h) {
+    const auto mix = [&h](const void* p, std::size_t n) {
+        const auto* bytes = static_cast<const unsigned char*>(p);
+        for (std::size_t i = 0; i < n; ++i) {
+            h ^= bytes[i];
+            h *= 0x100000001b3ULL;
+        }
+    };
+    mix(d.images.data(),
+        static_cast<std::size_t>(d.images.numel()) * sizeof(float));
+    mix(d.labels.data(), d.labels.size() * sizeof(d.labels[0]));
+    return h;
+}
 
 TEST(Synthetic, ShapesAndLabelRange) {
     const SyntheticSpec spec = cifar10_like(1);
@@ -57,6 +81,32 @@ TEST(Synthetic, TrainTestSplitsDiffer) {
     EXPECT_EQ(tt.train.size(), 50);
     EXPECT_EQ(tt.test.size(), 50);
     EXPECT_GT(tensor::max_abs_diff(tt.train.images, tt.test.images), 0.1f);
+}
+
+// The pool renders samples in parallel at top level; from inside a pool
+// region the nested dispatch runs inline, so the same call renders every
+// sample on one thread. Each sample's stream is split from the parent
+// without advancing it, so the bytes must not differ.
+TEST(Synthetic, PooledRenderMatchesSerialRender) {
+    const SyntheticSpec spec = cifar10_like(7);
+    const TrainTest pooled = generate_split(spec, 50, 50);
+    TrainTest serial;
+    util::parallel_for(0, 2, [&](std::size_t i) {
+        if (i == 0) serial = generate_split(spec, 50, 50);
+    });
+    EXPECT_TRUE(same_bytes(pooled.train, serial.train));
+    EXPECT_TRUE(same_bytes(pooled.test, serial.test));
+}
+
+// The render's bytes, so a render that is wrong on every thread fails too.
+// Its double math rounds differently when the compiler fuses multiply-adds
+// (-march=native on an FMA host), so the fused and the unfused bytes are
+// both pinned.
+TEST(Synthetic, RenderBytesArePinned) {
+    const TrainTest tt = generate_split(cifar10_like(7), 50, 50);
+    const std::uint64_t h = fnv1a(tt.test, fnv1a(tt.train, 0xcbf29ce484222325ULL));
+    EXPECT_TRUE(h == 0xd89081cf5c4b66b3ULL || h == 0x5b4333e8705b1540ULL)
+        << std::hex << "0x" << h;
 }
 
 TEST(Synthetic, PixelStatisticsBounded) {

@@ -18,6 +18,7 @@
 #include "nn/vgg.h"
 #include "prune/prune.h"
 #include "tensor/ops.h"
+#include "util/parallel.h"
 
 #include <gtest/gtest.h>
 
@@ -33,8 +34,11 @@ namespace {
 // buffers on first contact with a layer, and the pool's part→thread claim
 // order is nondeterministic — so a global count would be flaky by design.
 // Every engine-owned allocation (arenas, shapes, scratch growth, dispatch)
-// happens on the calling thread, which is exactly what this pins. With a
-// single-core pool everything runs inline and the pin covers the whole path.
+// happens on the calling thread, which is exactly what this pins. The
+// calling thread runs no part of a dispatch, so the pins also count the
+// same steady state run from inside a pool region (allocations_inline).
+// With a single-core pool everything runs inline and the pin covers the
+// whole path.
 thread_local long t_alloc_count = 0;
 
 }  // namespace
@@ -118,6 +122,23 @@ void warm_batchnorm(Sequential& model, util::Rng& rng,
     }
 }
 
+// Allocations of a second call of `fn` made from inside a pool region:
+// there every nested dispatch runs inline, so each part of fn's dispatches
+// runs, and allocates, on this one worker thread. The first call warms the
+// thread's own buffers.
+template <class Fn>
+long allocations_inline(Fn&& fn) {
+    long count = -1;
+    util::parallel_for(0, 2, [&](std::size_t i) {
+        if (i != 0) return;
+        fn();
+        const long before = t_alloc_count;
+        fn();
+        count = t_alloc_count - before;
+    });
+    return count;
+}
+
 TEST(InferenceEngine, SteadyStateAllocatesNothing) {
     util::Rng rng(1);
     Sequential model = small_model(rng);
@@ -133,6 +154,7 @@ TEST(InferenceEngine, SteadyStateAllocatesNothing) {
     const long before = t_alloc_count;
     for (int rep = 0; rep < 5; ++rep) engine.forward(x);
     EXPECT_EQ(t_alloc_count, before);
+    EXPECT_EQ(allocations_inline([&] { engine.forward(x); }), 0);
 }
 
 TEST(InferenceEngine, FoldedForwardMatchesReference) {
@@ -581,6 +603,13 @@ TEST(InferenceEngine, BatchedForwardSteadyStateAllocatesNothing) {
     for (std::size_t slot = 0; slot < engine.mappable_count(); ++slot)
         engine.compile_instance_slot(slot, nullptr, insts[0]);
     EXPECT_EQ(t_alloc_count, before);
+    EXPECT_EQ(allocations_inline([&] {
+                  engine.forward_batched(x.data(), x.shape(), ptrs.data(),
+                                         ptrs.size());
+                  for (std::size_t slot = 0; slot < engine.mappable_count(); ++slot)
+                      engine.compile_instance_slot(slot, nullptr, insts[0]);
+              }),
+              0);
 }
 
 TEST(InferenceEngine, OverlappedRepeatsAreDeterministic) {

@@ -9,6 +9,7 @@
 // gtest_main) and re-execs itself with --worker, exactly like the
 // sweep_runner driver does in production.
 #include "core/experiments.h"
+#include "sweep/pool.h"
 #include "sweep/runner.h"
 #include "sweep/supervisor.h"
 #include "util/faultinject.h"
@@ -328,6 +329,39 @@ TEST(SweepSupervisor, PoolDeathQuarantinesOnlyCellsThatRan) {
         EXPECT_TRUE(manifest.count(cells[i].id()) == 1 &&
                     manifest.at(cells[i].id()).failed())
             << cells[i].id();
+}
+
+// Each forked worker's share of the parent's CPUs: contiguous slices that
+// partition the mask while there are no more workers than CPUs, one CPU
+// each, round-robin, past that.
+TEST(SweepSupervisor, WorkerSlotsGetDisjointCpuSlices) {
+    using Cpus = std::vector<int>;
+    const Cpus four = {0, 1, 2, 3};
+    EXPECT_EQ(slot_cpus(four, 0, 1), four);
+    EXPECT_EQ(slot_cpus(four, 0, 2), (Cpus{0, 1}));
+    EXPECT_EQ(slot_cpus(four, 1, 2), (Cpus{2, 3}));
+    EXPECT_EQ(slot_cpus(four, 0, 3), (Cpus{0}));
+    EXPECT_EQ(slot_cpus(four, 1, 3), (Cpus{1}));
+    EXPECT_EQ(slot_cpus(four, 2, 3), (Cpus{2, 3}));
+    // CPU ids are the mask's, not 0..C-1.
+    EXPECT_EQ(slot_cpus({1, 3, 5, 7, 9, 11}, 1, 4), (Cpus{3, 5}));
+    // More workers than CPUs.
+    for (std::size_t k = 0; k < 5; ++k)
+        EXPECT_EQ(slot_cpus({5, 7}, k, 5), (Cpus{k % 2 == 0 ? 5 : 7})) << k;
+    // An unreadable mask leaves the worker on the parent's.
+    EXPECT_TRUE(slot_cpus({}, 0, 2).empty());
+    // Every split of 7 CPUs among 1..7 workers partitions them.
+    Cpus seven(7);
+    for (int c = 0; c < 7; ++c) seven[static_cast<std::size_t>(c)] = 10 + c;
+    for (std::size_t n = 1; n <= seven.size(); ++n) {
+        Cpus joined;
+        for (std::size_t k = 0; k < n; ++k) {
+            const Cpus slice = slot_cpus(seven, k, n);
+            EXPECT_FALSE(slice.empty()) << k << " of " << n;
+            joined.insert(joined.end(), slice.begin(), slice.end());
+        }
+        EXPECT_EQ(joined, seven) << n << " workers";
+    }
 }
 
 TEST(SweepSupervisor, TornManifestRecordIsSkippedAndReExecuted) {

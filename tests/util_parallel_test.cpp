@@ -2,13 +2,30 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <set>
 #include <thread>
 #include <vector>
 
+#include <sched.h>
+
 namespace xs::util {
 namespace {
+
+// The CPUs of this process's affinity mask, read here rather than through
+// the pool's own affinity_cpus().
+std::vector<int> mask_cpus() {
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    EXPECT_EQ(::sched_getaffinity(0, sizeof set, &set), 0);
+    std::vector<int> cpus;
+    for (int c = 0; c < CPU_SETSIZE; ++c)
+        if (CPU_ISSET(c, &set)) cpus.push_back(c);
+    return cpus;
+}
 
 TEST(Parallel, CoversRangeExactlyOnce) {
     std::vector<std::atomic<int>> hits(1000);
@@ -61,6 +78,39 @@ TEST(Parallel, RepeatedDispatches) {
 
 TEST(Parallel, WorkerCountPositive) {
     EXPECT_GE(worker_count(), 1u);
+}
+
+TEST(Parallel, WorkerCountIsTheAffinityMask) {
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    ASSERT_EQ(::sched_getaffinity(0, sizeof set, &set), 0);
+    EXPECT_EQ(worker_count(), static_cast<std::size_t>(CPU_COUNT(&set)));
+    EXPECT_EQ(affinity_cpus(), mask_cpus());
+}
+
+// One worker per CPU, pinned there: every part of a worker_count()-part
+// dispatch runs on its own CPU of the mask, in every round. Unpinned
+// workers woken from the dispatching CPU can stack on one CPU instead.
+TEST(Parallel, PartsRunOnDistinctCpusOfTheMask) {
+    const std::vector<int> cpus = mask_cpus();
+    const std::size_t n = worker_count();
+    if (n < 2) GTEST_SKIP() << "one CPU in the affinity mask";
+    for (int round = 0; round < 20; ++round) {
+        std::vector<int> cpu_of(n, -1);
+        parallel_for_workers(0, n, [&](std::size_t part, std::size_t,
+                                       std::size_t) {
+            const auto until =
+                std::chrono::steady_clock::now() + std::chrono::milliseconds(1);
+            while (std::chrono::steady_clock::now() < until) {
+            }
+            cpu_of[part] = ::sched_getcpu();
+        });
+        for (const int cpu : cpu_of)
+            EXPECT_TRUE(std::count(cpus.begin(), cpus.end(), cpu) == 1)
+                << "part ran on CPU " << cpu << ", outside the mask";
+        EXPECT_EQ(std::set<int>(cpu_of.begin(), cpu_of.end()).size(), n)
+            << "round " << round << ": parts shared a CPU";
+    }
 }
 
 TEST(Parallel, WorkersPartitionRangeWithValidSlots) {
