@@ -351,12 +351,11 @@ BENCHMARK(BM_ForwardReference)
 
 // Full Monte-Carlo crossbar evaluation at `repeats` repeats: the workload
 // whose cost dominates sweep time. Every repeat's W′ compiles into a packed
-// engine instance, circuit solves batch across repeat lanes, and inference
-// runs a group of repeats in one pass (DESIGN.md §12). Argument = number of
-// repeats: 4 is one full solver-lane group, 8 two pipelined groups.
-// The group pipeline compiles group g+1 on a producer thread while the
-// main thread runs batched inference on group g; cpu_time counts the whole
-// process, so wall is the number to compare for overlap.
+// engine instance, the repeats of a group share one tile loop, and
+// inference runs the group in one pass (DESIGN.md §12). Argument = number of
+// repeats: 4 is one group of four lanes, 8 two groups run in turn (each
+// compiles, then infers). The work runs on the pool while the calling
+// thread waits, so cpu_time counts the whole process.
 void BM_EvaluateOnCrossbars(benchmark::State& state) {
     nn::VggConfig vc;
     vc.width = 0.0625;

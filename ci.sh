@@ -7,15 +7,16 @@
 # through sweep_serve) and, last, a bench regression gate, so a gate
 # failure on a slow machine still leaves every smoke's result behind;
 # plus a Debug job with Address- and UB-sanitizers over the unit-labeled
-# tests. Both jobs compile with -Wall
-# -Wextra -Werror (XS_WERROR) and use ccache when available (the GitHub
-# workflow caches its directory). The release job builds for the host CPU
+# tests, and a ThreadSanitizer job over the tests that run the library's
+# concurrency. Every job compiles with -Wall -Wextra -Werror (XS_WERROR)
+# and uses ccache when available (the GitHub workflow caches its
+# directory). The release job builds for the host CPU
 # (-march=native: the AVX-512 kernels on an AVX-512 host); the sanitize job
 # builds portable code (XS_NATIVE_ARCH=OFF), so the non-AVX-512 paths
 # compile under -Werror and run under the sanitizers on every host. Run
 # from anywhere.
 #
-# Usage: ci.sh [release|sanitize|all]   (default: all)
+# Usage: ci.sh [release|sanitize|tsan|all]   (default: all)
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")" && pwd)"
@@ -323,10 +324,34 @@ run_sanitize() {
     -L unit
 }
 
+# ThreadSanitizer job: a RelWithDebInfo build with -fsanitize=thread of
+# the tests that run the library's concurrency — the worker pool and its
+# nested dispatches, pooled dataset rendering, the metrics shards, the tile
+# ladder and the engine's lane loop on the pool, the evaluator, and sweep
+# shards. A process that saw any TSan report exits 66, so a data race fails
+# its test.
+run_tsan() {
+  echo "=== RelWithDebInfo + ThreadSanitizer build + ctest (concurrency tests) ==="
+  local tests=(util_parallel_test util_metrics_test data_test
+    xbar_pipeline_test nn_infer_test core_evaluator_test
+    core_repeat_batch_test sweep_runner_test)
+  cmake -B "$repo_root/build-tsan" -S "$repo_root" \
+    -DCMAKE_BUILD_TYPE=RelWithDebInfo -DCMAKE_CXX_FLAGS=-fsanitize=thread \
+    -DCMAKE_EXE_LINKER_FLAGS=-fsanitize=thread \
+    -DXS_BUILD_BENCH=OFF -DXS_BUILD_EXAMPLES=OFF "${cmake_common[@]}"
+  cmake --build "$repo_root/build-tsan" -j"$jobs" --target "${tests[@]}"
+  local regex
+  regex="^($(IFS='|'; echo "${tests[*]}"))\$"
+  TSAN_OPTIONS="exitcode=66 ${TSAN_OPTIONS:-}" \
+    ctest --test-dir "$repo_root/build-tsan" --output-on-failure -j"$jobs" \
+    -R "$regex"
+}
+
 case "$mode" in
   release) run_release ;;
   sanitize) run_sanitize ;;
-  all) run_release; run_sanitize ;;
-  *) echo "usage: $0 [release|sanitize|all]" >&2; exit 2 ;;
+  tsan) run_tsan ;;
+  all) run_release; run_sanitize; run_tsan ;;
+  *) echo "usage: $0 [release|sanitize|tsan|all]" >&2; exit 2 ;;
 esac
 echo "CI OK"

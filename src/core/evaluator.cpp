@@ -14,7 +14,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <future>
 
 namespace xs::core {
 
@@ -306,11 +305,10 @@ std::vector<EvalResult> evaluate_repeats_on_crossbars(
                   "evaluate_repeats_on_crossbars: engine/plan mappable-layer "
                   "mismatch");
 
-    // Repeats ride in groups of four lanes, the unit of the producer/consumer
-    // pipeline below: while group g's batched forward runs on this thread,
-    // group g+1 degrades and compiles on a producer thread. (The circuit
-    // solves do not batch across lanes: each tile solves alone, vectorized
-    // across its own chains.)
+    // Repeats ride in groups of four lanes, run in turn: a group degrades
+    // and compiles its instances, then runs its batched forward. (The
+    // circuit solves do not batch across lanes: each tile solves alone,
+    // vectorized across its own chains.)
     const std::size_t kGroupLanes = 4;
     const std::size_t n_groups = (R + kGroupLanes - 1) / kGroupLanes;
 
@@ -322,12 +320,12 @@ std::vector<EvalResult> evaluate_repeats_on_crossbars(
     std::vector<util::Rng> layer_rngs;
 
     // Degrade + fold + pack repeats [g·kGroupLanes, …) into their compiled
-    // instances. Groups run strictly one at a time (the pipeline below
-    // serializes them), so the tile-loop scratch is shared; only the
-    // instances and stats slots written are group-disjoint. Recorded under
-    // the sweep phase namespace: per-cell phase metrics then split into
-    // prepare / compile / eval without the sweep layer having to reach
-    // inside the evaluator (this is a no-op label outside sweeps).
+    // instances. Groups run one at a time, so the tile-loop scratch is
+    // shared; only the instances and stats slots written are
+    // group-disjoint. Recorded under the sweep phase namespace: per-cell
+    // phase metrics then split into prepare / compile / eval without the
+    // sweep layer having to reach inside the evaluator (this is a no-op
+    // label outside sweeps).
     const auto compile_group = [&](std::size_t g) {
         XS_TIMER_NS("sweep.phase.compile.ns");
         XS_TRACE_SPAN("compile_instances");
@@ -358,8 +356,7 @@ std::vector<EvalResult> evaluate_repeats_on_crossbars(
     const std::int64_t total = test.size();
 
     // Run group g's repeats through one batched forward pass per dataset
-    // slice. Reads only inst_ptrs[lane0 …] and the engine's thread-local
-    // scratch, so it is safe against the producer compiling group g+1.
+    // slice.
     const auto infer_group = [&](std::size_t g) {
         XS_TIMER_NS("core.infer_repeat.ns");
         XS_TRACE_SPAN("infer_repeat");
@@ -386,27 +383,8 @@ std::vector<EvalResult> evaluate_repeats_on_crossbars(
         }
     };
 
-    // Producer/consumer pipeline over groups (DESIGN.md §12): while this
-    // thread consumes group g (the batched forward), a producer thread
-    // degrades and compiles group g+1. Inside an enclosing pool parallel
-    // region (e.g. one cell of a sharded sweep) the producer's top-level
-    // dispatch would deadlock against the region, so groups then compile
-    // synchronously on this thread; results are identical either way (same
-    // buffers, same per-repeat streams).
-    const bool overlap = !util::in_parallel_region();
-    std::future<void> producer;
-    if (overlap)
-        producer =
-            std::async(std::launch::async, compile_group, std::size_t{0});
     for (std::size_t g = 0; g < n_groups; ++g) {
-        if (overlap)
-            producer.get();  // group g's instances are ready (rethrows)
-        else
-            compile_group(g);
-        // Kick off group g+1 before consuming group g; the group scratch was
-        // last touched by group g's compile, which just finished.
-        if (overlap && g + 1 < n_groups)
-            producer = std::async(std::launch::async, compile_group, g + 1);
+        compile_group(g);
         infer_group(g);
     }
 

@@ -137,8 +137,8 @@ EvalResult evaluate_on_crossbars(nn::Sequential& model, const nn::Dataset& test,
 // and all repeats evaluate in a single lane-batched pass (config.repeats is
 // ignored — the seed list IS the repeat axis). The MappingPlan is built
 // once; each repeat only redoes the stochastic stages (variation, faults,
-// circuit solve). Repeats ride in groups of four lanes, and group g+1's
-// degradation overlaps group g's inference on a producer thread. Circuit
+// circuit solve). Repeats ride in groups of four lanes, and each group
+// degrades, compiles and infers in turn on the calling thread. Circuit
 // solves start cold, so a repeat's result does not depend on which other
 // seeds ride with it: sweeps call this with one grid point's per-cell seeds
 // and every repeat still produces its own CellResult.

@@ -44,7 +44,6 @@ public:
     double sigma() const { return sigma_; }
     std::uint64_t seed() const { return seed_; }
     std::int64_t eval_repeats() const { return eval_repeats_; }
-    const std::string& out_dir() const { return out_dir_; }
     bool verbose() const { return verbose_; }
 
     // Dataset for 10 or 100 classes (generated once, shared). Thread-safe:

@@ -9,10 +9,14 @@ namespace xs::map {
 using tensor::check;
 using tensor::Tensor;
 
+namespace {
+
 bool is_mappable(const nn::Layer& layer) {
     return dynamic_cast<const nn::Conv2d*>(&layer) != nullptr ||
            dynamic_cast<const nn::Linear*>(&layer) != nullptr;
 }
+
+}  // namespace
 
 std::vector<nn::Layer*> mappable_layers(nn::Sequential& model) {
     std::vector<nn::Layer*> out;

@@ -16,10 +16,8 @@
 
 namespace xs::map {
 
-// True for layers that are mapped onto crossbars (Conv2d, Linear).
-bool is_mappable(const nn::Layer& layer);
-
-// All mappable layers of a model, in network order.
+// All layers that are mapped onto crossbars (Conv2d, Linear), in network
+// order.
 std::vector<nn::Layer*> mappable_layers(nn::Sequential& model);
 
 // Extract the (rows × cols) MAC matrix of a conv/linear layer.

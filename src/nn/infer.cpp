@@ -10,7 +10,6 @@
 #include "util/trace.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 
 namespace xs::nn {
@@ -58,49 +57,6 @@ void conv_kernel(void* pv, std::size_t /*worker*/, std::size_t lo,
     }
 }
 
-// The standalone pool step, for pools that follow no conv (a conv's 2×2
-// max-pool runs in its GEMM epilogue). Pooling is plane-local, so one
-// kernel serves both activation layouts (batch-major NCHW and the engine's
-// channel-major CN): plane i of the input maps to plane i of the output in
-// either ordering.
-struct PoolCtx {
-    const float* x;
-    float* y;
-    std::int64_t h, w, k, oh, ow;
-    bool is_max;
-};
-
-void pool_kernel(void* pv, std::size_t /*worker*/, std::size_t lo,
-                 std::size_t hi) {
-    PoolCtx& ctx = *static_cast<PoolCtx*>(pv);
-    const std::int64_t plane_in = ctx.h * ctx.w;
-    const std::int64_t plane_out = ctx.oh * ctx.ow;
-    const float inv = 1.0f / static_cast<float>(ctx.k * ctx.k);
-    for (std::size_t idx = lo; idx < hi; ++idx) {
-        const float* plane = ctx.x + static_cast<std::int64_t>(idx) * plane_in;
-        float* out = ctx.y + static_cast<std::int64_t>(idx) * plane_out;
-        for (std::int64_t oi = 0; oi < ctx.oh; ++oi)
-            for (std::int64_t oj = 0; oj < ctx.ow; ++oj) {
-                if (ctx.is_max) {
-                    float best = plane[oi * ctx.k * ctx.w + oj * ctx.k];
-                    for (std::int64_t ki = 0; ki < ctx.k; ++ki)
-                        for (std::int64_t kj = 0; kj < ctx.k; ++kj)
-                            best = std::max(best,
-                                            plane[(oi * ctx.k + ki) * ctx.w +
-                                                  (oj * ctx.k + kj)]);
-                    out[oi * ctx.ow + oj] = best;
-                } else {
-                    double acc = 0.0;
-                    for (std::int64_t ki = 0; ki < ctx.k; ++ki)
-                        for (std::int64_t kj = 0; kj < ctx.k; ++kj)
-                            acc += plane[(oi * ctx.k + ki) * ctx.w +
-                                         (oj * ctx.k + kj)];
-                    out[oi * ctx.ow + oj] = static_cast<float>(acc) * inv;
-                }
-            }
-    }
-}
-
 // Per-thread scratch shared by every engine on the thread: the activation
 // ping-pong pair (a forward is synchronous, so two engines never overlap on
 // one thread) and the conv step's B tables. Evaluators construct a fresh
@@ -120,6 +76,12 @@ EngineScratch& engine_scratch() {
     return scratch;
 }
 
+// Layer j of `model` when it has type T, else null (also past the end).
+template <class T>
+T* layer_as(Sequential& model, std::size_t j) {
+    return j < model.size() ? dynamic_cast<T*>(&model.layer(j)) : nullptr;
+}
+
 }  // namespace
 
 InferenceEngine::InferenceEngine(Sequential& model) {
@@ -129,14 +91,9 @@ InferenceEngine::InferenceEngine(Sequential& model) {
 
 void InferenceEngine::build_plan(Sequential& model) {
     const std::size_t count = model.size();
-    const auto next_real = [&model, count](std::size_t j) {
-        while (j < count && model.layer(j).identity_at_inference()) ++j;
-        return j;
-    };
-    std::size_t i = next_real(0);
-    while (i < count) {
-        Layer* l = &model.layer(i);
-        std::size_t next = next_real(i + 1);
+    std::size_t next = 0;
+    while (next < count) {
+        Layer* l = &model.layer(next++);
         Step s;
         s.layer = l;
         if (auto* conv = dynamic_cast<Conv2d*>(l)) {
@@ -154,57 +111,51 @@ void InferenceEngine::build_plan(Sequential& model) {
             s.k = conv->kernel();
             s.pad = conv->pad();
             s.patch = s.cin * s.k * s.k;
-            if (next < count) {
-                auto* bn = dynamic_cast<BatchNorm2d*>(&model.layer(next));
-                if (bn && bn->channels() == s.cout) {
-                    s.bn = bn;
-                    next = next_real(next + 1);
-                }
+            BatchNorm2d* bn = layer_as<BatchNorm2d>(model, next);
+            if (bn && bn->channels() == s.cout) {
+                s.bn = bn;
+                ++next;
             }
-            if (next < count && dynamic_cast<ReLU*>(&model.layer(next))) {
+            if (layer_as<ReLU>(model, next)) {
                 s.relu = true;
-                next = next_real(next + 1);
+                ++next;
             }
-            if (next < count) {
-                auto* mp = dynamic_cast<MaxPool2d*>(&model.layer(next));
-                if (mp && mp->kernel() == 2) {
-                    s.pool = true;
-                    next = next_real(next + 1);
-                }
+            if (layer_as<MaxPool2d>(model, next)) {
+                s.pool = true;
+                ++next;
             }
             s.epilogue = s.relu || s.bn != nullptr || conv->has_bias();
         } else if (auto* fc = dynamic_cast<Linear*>(l)) {
             s.kind = Step::Kind::kLinear;
             s.in_features = fc->in_features();
             s.out_features = fc->out_features();
-            if (next < count && dynamic_cast<ReLU*>(&model.layer(next))) {
+            if (layer_as<ReLU>(model, next)) {
                 s.relu = true;
-                next = next_real(next + 1);
+                ++next;
             }
             s.epilogue = s.relu || fc->has_bias();
-        } else if (dynamic_cast<BatchNorm2d*>(l) != nullptr) {
-            s.kind = Step::Kind::kBatchNorm;
-        } else if (dynamic_cast<ReLU*>(l) != nullptr) {
-            s.kind = Step::Kind::kReLU;
-        } else if (auto* mp = dynamic_cast<MaxPool2d*>(l)) {
-            s.kind = Step::Kind::kMaxPool;
-            s.pool_kernel = mp->kernel();
-        } else if (auto* ap = dynamic_cast<AvgPool2d*>(l)) {
-            s.kind = Step::Kind::kAvgPool;
-            s.pool_kernel = ap->kernel();
         } else if (dynamic_cast<Flatten*>(l) != nullptr) {
             s.kind = Step::Kind::kFlatten;
         } else {
-            s.kind = Step::Kind::kGeneric;
+            check(false, "InferenceEngine: layer '" + l->name() + "' (" +
+                             l->describe() +
+                             ") does not fold into a conv [+BN] [+ReLU] "
+                             "[+2×2 max-pool], linear [+ReLU] or flatten step");
         }
-        if (s.kind == Step::Kind::kConv || s.kind == Step::Kind::kLinear) {
+        if (s.kind != Step::Kind::kFlatten) {
             slot_timers_.push_back(util::metrics::histogram(
                 "nn.step." + std::to_string(mappable_steps_.size()) +
                 (s.kind == Step::Kind::kConv ? ".conv.ns" : ".linear.ns")));
             mappable_steps_.push_back(steps_.size());
         }
         steps_.push_back(std::move(s));
-        i = next;
+    }
+    if (mappable_steps_.empty()) {
+        std::string names;
+        for (std::size_t j = 0; j < count; ++j)
+            names += (j ? ", '" : "'") + model.layer(j).name() + "'";
+        check(false, "InferenceEngine: model has no conv or linear layer "
+                     "(layers: " + names + ")");
     }
 }
 
@@ -317,30 +268,13 @@ const Tensor& InferenceEngine::forward_batched(
     const float* cur = x;
     int cur_arena = -1;  // index into batch_arena_ once an arena is written
     bool cn = false;     // channel-major conv-trunk layout (per lane block)
-    // While `uniform`, every lane shares one activation — the caller's
-    // input, untouched (weightless prefix steps that would write a buffer
-    // materialize lanes first). Divergence happens at the first step that
-    // reads instance weights; until then packing/pooling work is done once
-    // for all R lanes.
+    // While `uniform`, every lane shares one activation: the caller's
+    // input, untouched (a leading flatten only reshapes it). The first conv
+    // or linear step reads it once for all R lanes and writes R lane blocks.
     bool uniform = true;
     std::size_t slot = 0;
     const auto dst_of = [](int arena) { return arena == 0 ? 1 : 0; };
     const auto block_numel = [&]() { return tensor::shape_numel(cur_shape_); };
-
-    // Copy the shared activation into R lane blocks; from here on each lane
-    // transforms its own block.
-    const auto materialize_lanes = [&]() {
-        const std::int64_t block = block_numel();
-        const int dst = dst_of(cur_arena);
-        Tensor& y = batch_arena_[dst];
-        y.reset(R, block);
-        for (std::int64_t r = 0; r < R; ++r)
-            std::memcpy(y.data() + r * block, cur,
-                        static_cast<std::size_t>(block) * sizeof(float));
-        cur = y.data();
-        cur_arena = dst;
-        uniform = false;
-    };
 
     // Swap the two leading dims of each (a × b × H·W) block — one block
     // while the lanes share the activation, else R: batch-major NCHW ↔
@@ -370,21 +304,6 @@ const Tensor& InferenceEngine::forward_batched(
     };
 
     for (Step& step : steps_) {
-        if (uniform) {
-            if (step.kind == Step::Kind::kFlatten) {
-                check(!cur_shape_.empty(),
-                      "InferenceEngine: flatten expects a batch dimension");
-                const std::int64_t n = cur_shape_[0];
-                const std::int64_t numel = block_numel();
-                cur_shape_.resize(2);
-                cur_shape_[0] = n;
-                cur_shape_[1] = n > 0 ? numel / n : 0;
-                continue;
-            }
-            if (step.kind != Step::Kind::kConv &&
-                step.kind != Step::Kind::kLinear)
-                materialize_lanes();
-        }
         switch (step.kind) {
             case Step::Kind::kConv: {
                 const util::metrics::ScopedTimerNs timer(slot_timers_[slot]);
@@ -491,89 +410,6 @@ const Tensor& InferenceEngine::forward_batched(
                 ++slot;
                 break;
             }
-            case Step::Kind::kBatchNorm: {
-                check(cur_shape_.size() == 4,
-                      "InferenceEngine: BatchNorm expects NCHW input");
-                auto* bn = static_cast<BatchNorm2d*>(step.layer);
-                check(cur_shape_[1] == bn->channels(),
-                      "InferenceEngine: BatchNorm channel mismatch");
-                const std::int64_t n = cur_shape_[0], c = cur_shape_[1],
-                                   hw = cur_shape_[2] * cur_shape_[3];
-                const std::int64_t block = n * c * hw;
-                const int dst = dst_of(cur_arena);
-                Tensor& y = batch_arena_[dst];
-                y.reset(R, block);
-                for (std::int64_t ch = 0; ch < c; ++ch) {
-                    double sd, td;
-                    bn->inference_affine(ch, sd, td);
-                    const float s = static_cast<float>(sd);
-                    const float t = static_cast<float>(td);
-                    for (std::int64_t r = 0; r < R; ++r) {
-                        const float* src = cur + r * block;
-                        float* dp = y.data() + r * block;
-                        if (cn) {
-                            const float* px = src + ch * n * hw;
-                            float* py = dp + ch * n * hw;
-                            for (std::int64_t q = 0; q < n * hw; ++q)
-                                py[q] = s * px[q] + t;
-                            continue;
-                        }
-                        for (std::int64_t i = 0; i < n; ++i) {
-                            const float* px = src + (i * c + ch) * hw;
-                            float* py = dp + (i * c + ch) * hw;
-                            for (std::int64_t q = 0; q < hw; ++q)
-                                py[q] = s * px[q] + t;
-                        }
-                    }
-                }
-                cur = y.data();
-                cur_arena = dst;
-                break;
-            }
-            case Step::Kind::kReLU: {
-                // Once diverged the activation always lives in a batch
-                // arena: clamp all lanes in one pass, no buffer hop.
-                float* p = batch_arena_[cur_arena].data();
-                const std::int64_t numel = R * block_numel();
-                for (std::int64_t i = 0; i < numel; ++i)
-                    if (p[i] < 0.0f) p[i] = 0.0f;
-                break;
-            }
-            case Step::Kind::kMaxPool:
-            case Step::Kind::kAvgPool: {
-                check(cur_shape_.size() == 4,
-                      "InferenceEngine: pool expects NCHW input");
-                const std::int64_t n = cur_shape_[0], c = cur_shape_[1],
-                                   h = cur_shape_[2], w = cur_shape_[3];
-                const std::int64_t k = step.pool_kernel;
-                check(h % k == 0 && w % k == 0,
-                      "InferenceEngine: pool input not divisible by kernel");
-                const std::int64_t oh = h / k, ow = w / k;
-                const int dst = dst_of(cur_arena);
-                Tensor& y = batch_arena_[dst];
-                y.reset(R, c * n * oh * ow);
-                PoolCtx ctx;
-                ctx.x = cur;
-                ctx.y = y.data();
-                ctx.h = h;
-                ctx.w = w;
-                ctx.k = k;
-                ctx.oh = oh;
-                ctx.ow = ow;
-                ctx.is_max = step.kind == Step::Kind::kMaxPool;
-                // Lane blocks are contiguous and pooling is plane-local, so
-                // one dispatch over all R·n·c planes serves every lane.
-                util::parallel_for_workers(
-                    0, static_cast<std::size_t>(R * n * c), &pool_kernel, &ctx);
-                cur = y.data();
-                cur_arena = dst;
-                cur_shape_.resize(4);
-                cur_shape_[0] = n;
-                cur_shape_[1] = c;
-                cur_shape_[2] = oh;
-                cur_shape_[3] = ow;
-                break;
-            }
             case Step::Kind::kFlatten: {
                 check(!cur_shape_.empty(),
                       "InferenceEngine: flatten expects a batch dimension");
@@ -585,41 +421,9 @@ const Tensor& InferenceEngine::forward_batched(
                 cur_shape_[1] = n > 0 ? numel / n : 0;
                 break;
             }
-            case Step::Kind::kGeneric: {
-                // Correctness fallback for layer types the engine doesn't
-                // know: route each lane's block through the allocating
-                // Layer::forward.
-                if (cn) to_batch_major_lanes();
-                const std::int64_t in_block = block_numel();
-                Tensor in(cur_shape_);
-                const int dst = dst_of(cur_arena);
-                Tensor& y = batch_arena_[dst];
-                std::int64_t out_block = 0;
-                Shape out_shape;
-                for (std::int64_t r = 0; r < R; ++r) {
-                    std::memcpy(in.data(), cur + r * in_block,
-                                static_cast<std::size_t>(in_block) *
-                                    sizeof(float));
-                    const Tensor out =
-                        step.layer->forward(in, /*training=*/false);
-                    if (r == 0) {
-                        out_block = out.numel();
-                        out_shape = out.shape();
-                        y.reset(R, out_block);
-                    }
-                    std::memcpy(y.data() + r * out_block, out.data(),
-                                static_cast<std::size_t>(out_block) *
-                                    sizeof(float));
-                }
-                cur = y.data();
-                cur_arena = dst;
-                cur_shape_ = out_shape;
-                break;
-            }
         }
     }
 
-    if (uniform) materialize_lanes();  // weightless model: identical lanes
     if (cn) to_batch_major_lanes();
     check(!cur_shape_.empty(),
           "InferenceEngine::forward_batched: scalar output shape");

@@ -23,7 +23,8 @@
 //    through the conv trunk, so batched GEMM outputs need no reshuffle;
 //    Flatten transposes back to batch-major once, on the smallest map.
 //  * Linear (+ following ReLU) is fused the same way.
-//  * Dropout (identity at inference) is skipped.
+//  * Flatten is the third and last step kind. Any other layer, or a BN,
+//    ReLU or pool that follows no step it folds into, fails the plan.
 //
 // One evaluation path: folded weights live in CompiledInstances, and every
 // forward is forward_batched over one or more of them. forward() runs the
@@ -76,10 +77,13 @@ public:
     // outlive the engine and its layer structure must not change. Parameter
     // changes after construction reach the engine only through instances
     // compiled afterwards (compile_instance); forward() keeps the weights
-    // captured here. Throws for a conv that is not a stride-1 "same"
-    // convolution (2·pad = kernel − 1). A pooled conv step's forward throws,
-    // naming the layer, for maps whose row pairs its GEMM tiles do not hold
-    // whole (tensor::gemm_tiles_hold_row_pairs; never at VGG's shapes).
+    // captured here. Throws, naming the layer, for a conv that is not a
+    // stride-1 "same" convolution (2·pad = kernel − 1) and for a layer that
+    // does not fold into a conv, linear or flatten step (above), and for a
+    // model with no conv or linear layer. A pooled conv step's forward
+    // throws, naming the layer, for maps whose row pairs its GEMM tiles do
+    // not hold whole (tensor::gemm_tiles_hold_row_pairs; never at VGG's
+    // shapes).
     explicit InferenceEngine(Sequential& model);
 
     // Non-copyable (owns arenas keyed to the plan), movable.
@@ -117,8 +121,7 @@ public:
     // instance r's result, bit-identical to a one-lane pass of instance r.
     // The returned reference points at an engine-owned buffer and stays
     // valid until the next forward/forward_batched call on this engine.
-    // Steady state performs no heap allocation (kGeneric fallback steps
-    // excepted).
+    // Steady state performs no heap allocation.
     const Tensor& forward_batched(const float* x, const tensor::Shape& shape,
                                   const CompiledInstance* const* instances,
                                   std::size_t count);
@@ -129,14 +132,9 @@ public:
 private:
     struct Step {
         enum class Kind {
-            kConv,      // Conv2d [+ folded BN] [+ fused ReLU] [+ 2×2 max]
-            kLinear,    // Linear [+ fused ReLU]
-            kBatchNorm, // standalone BatchNorm2d (eval statistics)
-            kReLU,      // standalone ReLU (in-place on the arena)
-            kMaxPool,
-            kAvgPool,
+            kConv,     // Conv2d [+ folded BN] [+ fused ReLU] [+ 2×2 max]
+            kLinear,   // Linear [+ fused ReLU]
             kFlatten,
-            kGeneric,   // fallback: Layer::forward(x, false) — allocates
         };
         Kind kind;
         Layer* layer = nullptr;
@@ -147,7 +145,6 @@ private:
         // Geometry captured at plan time (layer structure is immutable).
         std::int64_t cin = 0, cout = 0, k = 0, pad = 0, patch = 0;
         std::int64_t in_features = 0, out_features = 0;
-        std::int64_t pool_kernel = 0;
     };
 
     void build_plan(Sequential& model);

@@ -34,21 +34,16 @@ class Layer {
 public:
     virtual ~Layer() = default;
 
-    // Forward pass. `training` toggles BN batch statistics / dropout, and
-    // gates every backward cache: layers must keep NO per-call state when
-    // `training` is false, so eval-mode forwards are side-effect free and an
-    // inference engine (nn/infer.h) can stream activations through
-    // caller-owned arenas without the layers retaining copies.
+    // Forward pass. `training` toggles BN batch statistics and gates every
+    // backward cache: layers must keep NO per-call state when `training` is
+    // false, so eval-mode forwards are side-effect free and an inference
+    // engine (nn/infer.h) can stream activations through caller-owned
+    // arenas without the layers retaining copies.
     virtual Tensor forward(const Tensor& x, bool training) = 0;
 
     // Backward pass: receives dL/dy, accumulates parameter grads, returns
     // dL/dx. Must be called after the matching forward(x, /*training=*/true).
     virtual Tensor backward(const Tensor& dy) = 0;
-
-    // True when the layer is the identity at inference time (e.g. Dropout):
-    // Sequential::forward and the inference engine skip such layers entirely
-    // instead of copying the activation through them.
-    virtual bool identity_at_inference() const { return false; }
 
     // Trainable parameters (empty for stateless layers).
     virtual std::vector<Param*> params() { return {}; }

@@ -1,9 +1,6 @@
 #include "nn/layers_basic.h"
 
-#include "tensor/ops.h"
-
 #include <limits>
-#include <sstream>
 
 namespace xs::nn {
 
@@ -32,16 +29,13 @@ Tensor ReLU::backward(const Tensor& dy) {
 
 // ---- MaxPool2d ----
 
-MaxPool2d::MaxPool2d(std::int64_t kernel) : kernel_(kernel) {
-    check(kernel > 0, "MaxPool2d: kernel must be positive");
-}
-
 Tensor MaxPool2d::forward(const Tensor& x, bool training) {
+    constexpr std::int64_t k = 2;
     check(x.rank() == 4, "MaxPool2d: expects NCHW input");
     const std::int64_t n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
-    check(h % kernel_ == 0 && w % kernel_ == 0,
-          "MaxPool2d: input spatial size must be divisible by kernel");
-    const std::int64_t oh = h / kernel_, ow = w / kernel_;
+    check(h % k == 0 && w % k == 0,
+          "MaxPool2d: input height and width must be even");
+    const std::int64_t oh = h / k, ow = w / k;
     in_shape_ = x.shape();
     Tensor y({n, c, oh, ow});
     // The argmax routing table is backward-only state.
@@ -55,10 +49,10 @@ Tensor MaxPool2d::forward(const Tensor& x, bool training) {
                 for (std::int64_t oj = 0; oj < ow; ++oj, ++out_idx) {
                     float best = -std::numeric_limits<float>::infinity();
                     std::int64_t best_idx = 0;
-                    for (std::int64_t ki = 0; ki < kernel_; ++ki)
-                        for (std::int64_t kj = 0; kj < kernel_; ++kj) {
+                    for (std::int64_t ki = 0; ki < k; ++ki)
+                        for (std::int64_t kj = 0; kj < k; ++kj) {
                             const std::int64_t idx =
-                                (oi * kernel_ + ki) * w + (oj * kernel_ + kj);
+                                (oi * k + ki) * w + (oj * k + kj);
                             if (plane[idx] > best) {
                                 best = plane[idx];
                                 best_idx = idx;
@@ -82,72 +76,6 @@ Tensor MaxPool2d::backward(const Tensor& dy) {
     return dx;
 }
 
-std::string MaxPool2d::describe() const {
-    std::ostringstream os;
-    os << "MaxPool2d(" << kernel_ << ")";
-    return os.str();
-}
-
-// ---- AvgPool2d ----
-
-AvgPool2d::AvgPool2d(std::int64_t kernel) : kernel_(kernel) {
-    check(kernel > 0, "AvgPool2d: kernel must be positive");
-}
-
-Tensor AvgPool2d::forward(const Tensor& x, bool /*training*/) {
-    check(x.rank() == 4, "AvgPool2d: expects NCHW input");
-    const std::int64_t n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
-    check(h % kernel_ == 0 && w % kernel_ == 0,
-          "AvgPool2d: input spatial size must be divisible by kernel");
-    const std::int64_t oh = h / kernel_, ow = w / kernel_;
-    in_shape_ = x.shape();
-    Tensor y({n, c, oh, ow});
-    const float inv = 1.0f / static_cast<float>(kernel_ * kernel_);
-
-    std::int64_t out_idx = 0;
-    for (std::int64_t i = 0; i < n; ++i)
-        for (std::int64_t ch = 0; ch < c; ++ch) {
-            const float* plane = x.data() + (i * c + ch) * h * w;
-            for (std::int64_t oi = 0; oi < oh; ++oi)
-                for (std::int64_t oj = 0; oj < ow; ++oj, ++out_idx) {
-                    double acc = 0.0;
-                    for (std::int64_t ki = 0; ki < kernel_; ++ki)
-                        for (std::int64_t kj = 0; kj < kernel_; ++kj)
-                            acc += plane[(oi * kernel_ + ki) * w + (oj * kernel_ + kj)];
-                    y[out_idx] = static_cast<float>(acc) * inv;
-                }
-        }
-    return y;
-}
-
-Tensor AvgPool2d::backward(const Tensor& dy) {
-    const std::int64_t n = in_shape_[0], c = in_shape_[1], h = in_shape_[2],
-                       w = in_shape_[3];
-    const std::int64_t oh = h / kernel_, ow = w / kernel_;
-    Tensor dx(in_shape_);
-    const float inv = 1.0f / static_cast<float>(kernel_ * kernel_);
-
-    std::int64_t out_idx = 0;
-    for (std::int64_t i = 0; i < n; ++i)
-        for (std::int64_t ch = 0; ch < c; ++ch) {
-            float* plane = dx.data() + (i * c + ch) * h * w;
-            for (std::int64_t oi = 0; oi < oh; ++oi)
-                for (std::int64_t oj = 0; oj < ow; ++oj, ++out_idx) {
-                    const float g = dy[out_idx] * inv;
-                    for (std::int64_t ki = 0; ki < kernel_; ++ki)
-                        for (std::int64_t kj = 0; kj < kernel_; ++kj)
-                            plane[(oi * kernel_ + ki) * w + (oj * kernel_ + kj)] += g;
-                }
-        }
-    return dx;
-}
-
-std::string AvgPool2d::describe() const {
-    std::ostringstream os;
-    os << "AvgPool2d(" << kernel_ << ")";
-    return os.str();
-}
-
 // ---- Flatten ----
 
 Tensor Flatten::forward(const Tensor& x, bool /*training*/) {
@@ -157,41 +85,5 @@ Tensor Flatten::forward(const Tensor& x, bool /*training*/) {
 }
 
 Tensor Flatten::backward(const Tensor& dy) { return dy.reshaped(in_shape_); }
-
-// ---- Dropout ----
-
-Dropout::Dropout(float p, util::Rng& rng) : p_(p), rng_(rng.split(0xd20u)) {
-    check(p >= 0.0f && p < 1.0f, "Dropout: p must be in [0, 1)");
-}
-
-Tensor Dropout::forward(const Tensor& x, bool training) {
-    if (!training || p_ == 0.0f) {
-        mask_valid_ = false;
-        return x;
-    }
-    mask_ = Tensor(x.shape());
-    mask_valid_ = true;
-    const float keep_scale = 1.0f / (1.0f - p_);
-    Tensor y = x;
-    float* pm = mask_.data();
-    float* py = y.data();
-    for (std::int64_t i = 0; i < y.numel(); ++i) {
-        const bool keep = rng_.uniform() >= p_;
-        pm[i] = keep ? keep_scale : 0.0f;
-        py[i] *= pm[i];
-    }
-    return y;
-}
-
-Tensor Dropout::backward(const Tensor& dy) {
-    if (!mask_valid_) return dy;
-    return tensor::mul(dy, mask_);
-}
-
-std::string Dropout::describe() const {
-    std::ostringstream os;
-    os << "Dropout(" << p_ << ")";
-    return os.str();
-}
 
 }  // namespace xs::nn

@@ -1,9 +1,7 @@
-// Stateless / lightweight layers: ReLU, MaxPool2d, AvgPool2d, Flatten,
-// Dropout.
+// Parameter-free layers: ReLU, MaxPool2d, Flatten.
 #pragma once
 
 #include "nn/layer.h"
-#include "util/rng.h"
 
 #include <vector>
 
@@ -19,36 +17,18 @@ private:
     Tensor input_;
 };
 
-// Non-overlapping max pooling (kernel == stride), the VGG configuration.
+// 2×2 max pooling with stride 2, the VGG configuration. Each output is
+// the first maximal element of its window in scan order.
 class MaxPool2d : public Layer {
 public:
-    explicit MaxPool2d(std::int64_t kernel);
-
     Tensor forward(const Tensor& x, bool training) override;
     Tensor backward(const Tensor& dy) override;
     std::string type() const override { return "MaxPool2d"; }
-    std::string describe() const override;
-    std::int64_t kernel() const { return kernel_; }
+    std::string describe() const override { return "MaxPool2d(2)"; }
 
 private:
-    std::int64_t kernel_;
     tensor::Shape in_shape_;
     std::vector<std::int64_t> argmax_;  // flat input index per output element
-};
-
-class AvgPool2d : public Layer {
-public:
-    explicit AvgPool2d(std::int64_t kernel);
-
-    Tensor forward(const Tensor& x, bool training) override;
-    Tensor backward(const Tensor& dy) override;
-    std::string type() const override { return "AvgPool2d"; }
-    std::string describe() const override;
-    std::int64_t kernel() const { return kernel_; }
-
-private:
-    std::int64_t kernel_;
-    tensor::Shape in_shape_;
 };
 
 // (N, C, H, W) -> (N, C*H*W)
@@ -60,26 +40,6 @@ public:
 
 private:
     tensor::Shape in_shape_;
-};
-
-// Inverted dropout: scales kept activations by 1/(1-p) during training so
-// inference is a no-op.
-class Dropout : public Layer {
-public:
-    Dropout(float p, util::Rng& rng);
-
-    Tensor forward(const Tensor& x, bool training) override;
-    Tensor backward(const Tensor& dy) override;
-    std::string type() const override { return "Dropout"; }
-    std::string describe() const override;
-    // Inverted dropout: inference is exactly the identity.
-    bool identity_at_inference() const override { return true; }
-
-private:
-    float p_;
-    util::Rng rng_;
-    Tensor mask_;
-    bool mask_valid_ = false;
 };
 
 }  // namespace xs::nn

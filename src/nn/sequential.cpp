@@ -22,12 +22,7 @@ Layer& Sequential::add(LayerPtr layer, std::string name) {
 
 Tensor Sequential::forward(const Tensor& x, bool training) {
     Tensor h = x;
-    for (auto& l : layers_) {
-        // Skipping inference-identity layers (Dropout) avoids a full
-        // activation copy per layer; the fused path lives in nn/infer.h.
-        if (!training && l->identity_at_inference()) continue;
-        h = l->forward(h, training);
-    }
+    for (auto& l : layers_) h = l->forward(h, training);
     return h;
 }
 

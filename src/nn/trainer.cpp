@@ -13,6 +13,9 @@ namespace xs::nn {
 using tensor::check;
 using tensor::Tensor;
 
+namespace {
+
+// Copy a batch of rows (by index) out of a dataset.
 void gather_batch(const Dataset& data, const std::vector<std::size_t>& order,
                   std::size_t start, std::size_t count, Tensor& images,
                   std::vector<std::int64_t>& labels) {
@@ -30,6 +33,8 @@ void gather_batch(const Dataset& data, const std::vector<std::size_t>& order,
         labels[i] = data.labels[src];
     }
 }
+
+}  // namespace
 
 double evaluate(Sequential& model, const Dataset& data, std::int64_t batch_size) {
     const std::int64_t n = data.size();

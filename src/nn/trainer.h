@@ -54,9 +54,4 @@ std::vector<EpochStats> train(Sequential& model, const Dataset& train_data,
                               const Dataset* test_data, const TrainConfig& config,
                               const StepHook& hook = {});
 
-// Copy a batch of rows (by index) out of a dataset.
-void gather_batch(const Dataset& data, const std::vector<std::size_t>& order,
-                  std::size_t start, std::size_t count, Tensor& images,
-                  std::vector<std::int64_t>& labels);
-
 }  // namespace xs::nn

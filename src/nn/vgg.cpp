@@ -55,7 +55,7 @@ Sequential build_vgg(const VggConfig& config, util::Rng& rng) {
     for (const auto entry : plan(config.variant)) {
         if (entry < 0) {
             tensor::check(spatial % 2 == 0, "VGG: input size not divisible by pools");
-            model.add(std::make_unique<MaxPool2d>(2),
+            model.add(std::make_unique<MaxPool2d>(),
                       "pool" + std::to_string(pool_idx++));
             spatial /= 2;
             continue;
@@ -74,8 +74,6 @@ Sequential build_vgg(const VggConfig& config, util::Rng& rng) {
 
     model.add(std::make_unique<Flatten>(), "flatten");
     const std::int64_t features = in_c * spatial * spatial;
-    if (config.classifier_dropout > 0.0f)
-        model.add(std::make_unique<Dropout>(config.classifier_dropout, rng), "drop1");
     model.add(std::make_unique<Linear>(features, config.num_classes, rng), "fc1");
     return model;
 }

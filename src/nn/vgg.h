@@ -19,7 +19,6 @@ struct VggConfig {
     std::int64_t input_size = 32;   // square input
     double width = 1.0;             // channel multiplier
     std::int64_t min_channels = 8;  // floor after scaling
-    float classifier_dropout = 0.0f;
 };
 
 // Per-conv-layer output channels for a variant/width ("M" pool positions are

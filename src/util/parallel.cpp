@@ -191,8 +191,6 @@ std::vector<int> affinity_cpus() {
     return cpus;
 }
 
-bool in_parallel_region() { return tl_in_parallel_region; }
-
 void parallel_for(std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& fn) {
     pool().run(begin, end,

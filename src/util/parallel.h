@@ -22,15 +22,6 @@ std::size_t worker_count();
 // mask cannot be read or the platform is not Linux.
 std::vector<int> affinity_cpus();
 
-// True while the calling thread is a pool worker executing a chunk of a
-// multi-part dispatch. Callers that would otherwise start helper threads
-// doing top-level dispatches of their own (e.g. the evaluator's
-// repeat-overlap producer) must check this: a top-level dispatch from a
-// helper thread blocks on the pool's single task slot until the enclosing
-// region finishes, so waiting on such a helper from inside the region
-// deadlocks.
-bool in_parallel_region();
-
 // Invoke fn(i) for every i in [begin, end). Blocks until complete.
 // fn must be safe to call concurrently for distinct i.
 void parallel_for(std::size_t begin, std::size_t end,

@@ -153,8 +153,8 @@ EvalResult sequential_reference(nn::Sequential& model, const nn::Dataset& test,
 TEST(RepeatBatch, ColdMatchesSequentialBitExactAcrossRepeatCounts) {
     nn::Sequential model = tiny_vgg(12);
     const nn::Dataset test = tiny_dataset(15);
-    // 1 = a lone lane, 3 = one partial group, 8 = two full groups through
-    // the producer/consumer pipeline (groups of four repeats).
+    // 1 = a lone lane, 3 = one partial group, 8 = two full groups of four
+    // repeats, run in turn.
     for (const std::int64_t repeats : {1, 3, 8}) {
         EvalConfig config = base_config(xbar::BackendKind::kCircuit);
         config.repeats = repeats;

@@ -253,8 +253,7 @@ TEST(SweepRunner, AggregateCsvInvariantToRepeatBatching) {
     // every lane independent of the group it rides in. The manifest records
     // must agree too, field by field, bit for bit (everything except the
     // wall-clock timing). Repeat counts: 1 is a lone lane either way, 3 a
-    // partial group, 8 two full groups through the evaluator's
-    // producer/consumer pipeline.
+    // partial group, 8 two full groups of four, run in turn.
     for (const std::int64_t repeats : {1, 3, 8}) {
         SCOPED_TRACE("repeats=" + std::to_string(repeats));
         const std::string tag = "rb" + std::to_string(repeats);
