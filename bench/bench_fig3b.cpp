@@ -6,33 +6,31 @@
 // sparsity × size grid is a SweepSpec, so the bench inherits sharded
 // execution, the resumable manifest, and the deterministic aggregate — the
 // figure CSV is derived from the sweep rows instead of a hand-written loop.
+// Every sweep axis flag (sweep/spec.h) overrides the figure's grid below.
+//
+//   ./bench_fig3b [--prune=cf:0.5,cf:0.65,cf:0.8] [--sizes=16,32,64]
+//                 [--sweep-repeats=2] [--resume]
 #include "core/experiments.h"
 #include "sweep/runner.h"
 #include "util/csv.h"
 #include "util/flags.h"
 
 #include <cstdio>
-#include <vector>
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
     using namespace xs;
     const util::Flags flags(argc, argv);
     core::ExperimentContext ctx(flags);
-
-    sweep::SweepSpec spec;
-    spec.prunes.clear();
-    for (const auto pct : flags.get_int_list("sparsities-pct", {50, 65, 80}))
-        spec.prunes.push_back({prune::Method::kChannelFilter,
-                               static_cast<double>(pct) / 100.0});
-    spec.sizes = ctx.sizes();
-    spec.sigmas = {ctx.sigma()};
-    spec.repeats = ctx.eval_repeats();
+    const sweep::SweepSpec spec = sweep::parse_sweep_spec(
+        flags, {{"variants", "vgg11"},
+                {"classes", "10"},
+                {"prune", "cf:0.5,cf:0.65,cf:0.8"}});
 
     sweep::SweepOptions opts;
     opts.csv_name = "fig3b_sweep.csv";
     opts.manifest_name = "fig3b_manifest.jsonl";
     opts.resume = flags.get_bool("resume", false);
-    opts.shards = flags.get_int("shards", 0);
+    flags.check_all_read();
 
     std::printf("Fig 3(b): C/F-pruned VGG11 / CIFAR10-like — sparsity sweep\n\n");
     const sweep::SweepSummary summary =
@@ -53,3 +51,5 @@ int main(int argc, char** argv) {
     std::printf("(series written to results/fig3b_vgg11_cifar10_sparsity.csv)\n");
     return 0;
 }
+
+int main(int argc, char** argv) { return xs::util::run_main(argc, argv, run); }

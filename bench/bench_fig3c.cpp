@@ -4,9 +4,10 @@
 // curve can cross above the unpruned one.
 //
 // A thin SweepSpec driver (DESIGN.md §7): sharded, resumable, repeats
-// aggregated to mean±std (results/fig3c_vgg16_cifar10.csv).
+// aggregated to mean±std (results/fig3c_vgg16_cifar10.csv). Every sweep
+// axis flag (sweep/spec.h) overrides the figure's grid below.
 //
-//   ./bench_fig3c [--sizes=16,32,64] [--backends=circuit] [--shards=N]
+//   ./bench_fig3c [--sizes=16,32,64] [--backends=circuit] [--sweep-repeats=2]
 //                 [--resume]
 #include "core/experiments.h"
 #include "sweep/runner.h"
@@ -14,36 +15,28 @@
 
 #include <cstdio>
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
     using namespace xs;
     const util::Flags flags(argc, argv);
     core::ExperimentContext ctx(flags);
-    const double s = ctx.sparsity_for(10);
-
-    sweep::SweepSpec spec = sweep::parse_sweep_spec(flags);
-    spec.variants = {"vgg16"};
-    spec.class_counts = {10};
-    spec.prunes = {{prune::Method::kNone, 0.0},
-                   {prune::Method::kChannelFilter, s},
-                   {prune::Method::kXbarColumn, s},
-                   {prune::Method::kXbarRow, s}};
-    spec.mitigations = {{}};
-    spec.sizes = ctx.sizes();
-    spec.sigmas = {ctx.sigma()};
-    spec.repeats = ctx.eval_repeats();
+    const sweep::SweepSpec spec = sweep::parse_sweep_spec(
+        flags, {{"variants", "vgg16"},
+                {"classes", "10"},
+                {"prune", "none,cf:0.8,xcs:0.8,xrs:0.8"}});
 
     sweep::SweepOptions opts;
-    opts.shards = flags.get_int("shards", 0);
     opts.resume = flags.get_bool("resume", false);
     opts.csv_name = "fig3c_vgg16_cifar10.csv";
     opts.manifest_name = "fig3c_vgg16_cifar10_manifest.jsonl";
+    flags.check_all_read();
 
-    std::printf("Fig 3(c): VGG16 / CIFAR10-like, s=%.2f — accuracy vs crossbar size\n\n",
-                s);
-    sweep::SweepRunner runner(ctx, spec, opts);
-    const sweep::SweepSummary summary = runner.run();
+    std::printf("Fig 3(c): VGG16 / CIFAR10-like — accuracy vs crossbar size\n\n");
+    const sweep::SweepSummary summary =
+        sweep::SweepRunner(ctx, spec, opts).run();
 
     std::printf("\n%s\n", sweep::accuracy_vs_size_table(summary).c_str());
     std::printf("(aggregates written to %s)\n", summary.csv_path.c_str());
     return 0;
 }
+
+int main(int argc, char** argv) { return xs::util::run_main(argc, argv, run); }

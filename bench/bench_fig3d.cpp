@@ -6,7 +6,10 @@
 // Thin driver over the declarative sweep engine in NF-only mode
 // (SweepSpec::nf_only): measure_nf with variation disabled is deterministic,
 // so the grid runs with repeats = 1 and the figure CSV is derived from the
-// sweep rows instead of a hand-written loop.
+// sweep rows instead of a hand-written loop. Every sweep axis flag
+// (sweep/spec.h) overrides the figure's grid below.
+//
+//   ./bench_fig3d [--sizes=32,64] [--parasitic-scales=1] [--resume]
 #include "core/experiments.h"
 #include "sweep/runner.h"
 #include "util/csv.h"
@@ -15,28 +18,26 @@
 #include <cstdio>
 #include <map>
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
     using namespace xs;
     const util::Flags flags(argc, argv);
     core::ExperimentContext ctx(flags);
-    const double s = ctx.sparsity_for(10);
-
-    sweep::SweepSpec spec;
-    spec.prunes = {{prune::Method::kNone, 0.0},
-                   {prune::Method::kChannelFilter, s}};
-    spec.sizes = {32, 64};
-    spec.sigmas = {ctx.sigma()};
-    spec.nf_only = true;  // no inference pass, no variation → deterministic
-    spec.repeats = 1;
+    // nf-only: no inference pass, no variation → deterministic, one repeat.
+    const sweep::SweepSpec spec = sweep::parse_sweep_spec(
+        flags, {{"variants", "vgg11"},
+                {"classes", "10"},
+                {"prune", "none,cf:0.8"},
+                {"sizes", "32,64"},
+                {"nf-only", "true"},
+                {"sweep-repeats", "1"}});
 
     sweep::SweepOptions opts;
     opts.csv_name = "fig3d_sweep.csv";
     opts.manifest_name = "fig3d_manifest.jsonl";
     opts.resume = flags.get_bool("resume", false);
-    opts.shards = flags.get_int("shards", 0);
+    flags.check_all_read();
 
-    std::printf("Fig 3(d): average NF, unpruned vs C/F (s=%.2f) VGG11/CIFAR10\n\n",
-                s);
+    std::printf("Fig 3(d): average NF, unpruned vs C/F VGG11/CIFAR10\n\n");
     const sweep::SweepSummary summary =
         sweep::SweepRunner(ctx, spec, opts).run();
 
@@ -47,9 +48,11 @@ int main(int argc, char** argv) {
     std::map<std::string, std::map<std::int64_t, const sweep::GroupRow*>> by;
     for (const sweep::GroupRow& row : summary.rows) {
         if (!row.complete()) continue;
-        const char* label = row.cell.prune.method == prune::Method::kNone
-                                ? "unpruned"
-                                : "C/F";
+        const prune::Method method = row.cell.prune.method;
+        const std::string label =
+            method == prune::Method::kNone            ? "unpruned"
+            : method == prune::Method::kChannelFilter ? "C/F"
+                                                      : prune::method_name(method);
         csv.row(label, row.cell.xbar_size, row.nf_mean, row.tiles);
         by[label][row.cell.xbar_size] = &row;
     }
@@ -70,3 +73,5 @@ int main(int argc, char** argv) {
     std::printf("(series written to results/fig3d_nf_vs_size.csv)\n");
     return 0;
 }
+
+int main(int argc, char** argv) { return xs::util::run_main(argc, argv, run); }

@@ -11,7 +11,12 @@
 // SweepSpec, so the bench inherits sharded execution, the resumable
 // manifest, and the deterministic aggregate; the historical
 // fig3f_rearrange_nf.csv is derived from the summary rows. The heatmap
-// dumps then reuse the sweep's prepared-model cache via ctx.prepared().
+// dumps then reuse the sweep's prepared-model cache via ctx.prepared(): one
+// set per variant of the grid, of its model at the grid's first class count
+// and prune setting. Every sweep axis flag (sweep/spec.h) overrides the
+// figure's grid below.
+//
+//   ./bench_fig3f_heatmap [--variants=vgg16] [--sizes=16,32,64] [--resume]
 #include "core/experiments.h"
 #include "core/rearrange.h"
 #include "map/compaction.h"
@@ -66,34 +71,29 @@ void ascii_profile(const char* tag, const xs::tensor::Tensor& m) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
     using namespace xs;
     const util::Flags flags(argc, argv);
     core::ExperimentContext ctx(flags);
-    const std::string variant = flags.get_string("variant", "vgg16");
-    const double s = ctx.sparsity_for(10);
-
     // Quantitative companion to the heatmaps: tile-average NF with and
     // without R, per crossbar size. nf_only cells are deterministic
     // (variation disabled), so one repeat suffices.
-    sweep::SweepSpec spec;
-    spec.variants = {variant};
-    spec.prunes = {{prune::Method::kChannelFilter, s}};
-    spec.mitigations = {{/*wct=*/false, /*rearrange=*/false},
-                        {/*wct=*/false, /*rearrange=*/true}};
-    spec.sizes = ctx.sizes();
-    spec.sigmas = {ctx.sigma()};
-    spec.repeats = 1;
-    spec.nf_only = true;
+    const sweep::SweepSpec spec = sweep::parse_sweep_spec(
+        flags, {{"variants", "vgg16"},
+                {"classes", "10"},
+                {"prune", "cf:0.8"},
+                {"mitigations", "none,rearrange"},
+                {"nf-only", "true"},
+                {"sweep-repeats", "1"}});
 
     sweep::SweepOptions opts;
     opts.csv_name = "fig3f_sweep.csv";
     opts.manifest_name = "fig3f_manifest.jsonl";
     opts.resume = flags.get_bool("resume", false);
-    opts.shards = flags.get_int("shards", 0);
+    flags.check_all_read();
 
-    std::printf("Fig 3(f): C/F-pruned %s / CIFAR10-like — rearrangement "
-                "heatmaps + NF sweep (s=%.2f)\n\n", variant.c_str(), s);
+    std::printf("Fig 3(f): C/F-pruned CIFAR10-like — rearrangement heatmaps "
+                "+ NF sweep\n\n");
     const sweep::SweepSummary summary =
         sweep::SweepRunner(ctx, spec, opts).run();
 
@@ -107,32 +107,38 @@ int main(int argc, char** argv) {
     }
     csv.flush();
 
-    // The sweep prepared (or loaded) the model; the heatmaps reuse it.
-    auto& model =
-        ctx.prepared(ctx.spec(variant, 10, prune::Method::kChannelFilter, s));
-    for (const std::string layer_name : {"conv3", "conv5"}) {
-        nn::Layer* layer = model.model.find(layer_name);
-        if (!layer) continue;
-        const tensor::Tensor matrix = map::extract_matrix(*layer);
-        const map::Compaction compaction = map::compact_dense(matrix);
+    // The sweep prepared (or loaded) the models; the heatmaps reuse them.
+    const sweep::PruneSetting& pruned = spec.prunes.front();
+    for (const std::string& variant : spec.variants) {
+        auto& model = ctx.prepared(ctx.spec(variant, spec.class_counts.front(),
+                                            pruned.method, pruned.sparsity));
+        for (const std::string layer_name : {"conv3", "conv5"}) {
+            nn::Layer* layer = model.model.find(layer_name);
+            if (!layer) continue;
+            const tensor::Tensor matrix = map::extract_matrix(*layer);
+            const map::Compaction compaction = map::compact_dense(matrix);
 
-        const auto r = core::compute_rearrangement(compaction.matrix,
-                                                   core::RearrangeOrder::kCenterOut);
-        const tensor::Tensor rearranged = core::apply_columns(compaction.matrix, r);
+            const auto r = core::compute_rearrangement(
+                compaction.matrix, core::RearrangeOrder::kCenterOut);
+            const tensor::Tensor rearranged =
+                core::apply_columns(compaction.matrix, r);
 
-        dump_matrix(ctx.csv_path("fig3f_" + variant + "_" + layer_name + "_before.csv"),
-                    compaction.matrix);
-        dump_matrix(ctx.csv_path("fig3f_" + variant + "_" + layer_name + "_after.csv"),
-                    rearranged);
+            const std::string stem = "fig3f_" + variant + "_" + layer_name;
+            dump_matrix(ctx.csv_path(stem + "_before.csv"), compaction.matrix);
+            dump_matrix(ctx.csv_path(stem + "_after.csv"), rearranged);
 
-        std::printf("%s (%lld x %lld after T):\n", layer_name.c_str(),
-                    static_cast<long long>(compaction.matrix.dim(0)),
-                    static_cast<long long>(compaction.matrix.dim(1)));
-        ascii_profile("before R", compaction.matrix);
-        ascii_profile("after R (centre-out)", rearranged);
-        std::printf("\n");
+            std::printf("%s %s (%lld x %lld after T):\n", variant.c_str(),
+                        layer_name.c_str(),
+                        static_cast<long long>(compaction.matrix.dim(0)),
+                        static_cast<long long>(compaction.matrix.dim(1)));
+            ascii_profile("before R", compaction.matrix);
+            ascii_profile("after R (centre-out)", rearranged);
+            std::printf("\n");
+        }
     }
     std::printf("(NF series written to results/fig3f_rearrange_nf.csv, full "
                 "heatmaps to results/fig3f_*.csv)\n");
     return 0;
 }
+
+int main(int argc, char** argv) { return xs::util::run_main(argc, argv, run); }

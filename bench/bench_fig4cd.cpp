@@ -4,41 +4,33 @@
 // rearranged VGG16 even exceeds the unpruned one by ~3 %.
 //
 // Thin driver over the declarative sweep engine (sweep/runner.h): each
-// scheme runs as its own SweepSpec over the size axis — the scheme set is
-// not a cartesian product (the paper applies R to the pruned model only) —
-// so the bench inherits sharded execution, resumable manifests, and
-// deterministic mean±std aggregation; the figure CSV is derived from the
-// sweep rows instead of a hand-written evaluation loop.
+// scheme runs as its own SweepSpec over the figure's grid — the scheme set
+// is not a cartesian product (the paper applies R to the pruned model only),
+// so a scheme sets only the prune and mitigation axes — and the bench
+// inherits sharded execution, resumable manifests, and deterministic
+// mean±std aggregation; the figure CSV is derived from the sweep rows
+// instead of a hand-written evaluation loop. Every other sweep axis flag
+// (sweep/spec.h) overrides the figure's grid below.
 //
 //   ./bench_fig4cd [--variants=vgg11,vgg16] [--sizes=16,32,64]
-//                  [--shards=N] [--resume]
+//                  [--backends=circuit] [--sweep-repeats=2] [--resume]
 #include "core/experiments.h"
 #include "sweep/runner.h"
 #include "util/csv.h"
 #include "util/flags.h"
 
 #include <cstdio>
-#include <sstream>
-#include <vector>
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
     using namespace xs;
     const util::Flags flags(argc, argv);
     core::ExperimentContext ctx(flags);
-    const double s = ctx.sparsity_for(100);
+    const sweep::SweepSpec grid = sweep::parse_sweep_spec(
+        flags, {{"variants", "vgg11,vgg16"}, {"classes", "100"}});
+    const bool resume = flags.get_bool("resume", false);
+    flags.check_all_read();
 
-    util::CsvWriter csv(ctx.csv_path("fig4cd_rearrangement_cifar100.csv"),
-                        {"variant", "scheme", "xbar_size", "software_acc",
-                         "crossbar_acc", "nf_mean"});
-
-    std::vector<std::string> variants;
-    {
-        std::stringstream ss(flags.get_string("variants", "vgg11,vgg16"));
-        std::string item;
-        while (std::getline(ss, item, ','))
-            if (!item.empty()) variants.push_back(item);
-    }
-
+    const double s = 0.6;  // the paper's CIFAR100 sparsity
     struct Scheme {
         const char* label;
         const char* slug;  // manifest/CSV file name component
@@ -51,28 +43,21 @@ int main(int argc, char** argv) {
         {"C/F + R", "cf_r", {prune::Method::kChannelFilter, s}, {false, true}},
     };
 
-    for (const std::string& variant : variants) {
+    util::CsvWriter csv(ctx.csv_path("fig4cd_rearrangement_cifar100.csv"),
+                        {"variant", "scheme", "xbar_size", "software_acc",
+                         "crossbar_acc", "nf_mean"});
+    for (const std::string& variant : grid.variants) {
         std::printf("Fig 4(%s): %s / CIFAR100-like, s=%.2f\n\n",
                     variant == "vgg11" ? "c" : "d", variant.c_str(), s);
-
-        std::vector<std::string> headers{"scheme", "software"};
-        for (const auto size : ctx.sizes())
-            headers.push_back(std::to_string(size) + "x" + std::to_string(size));
-        util::TextTable table(headers);
-
+        sweep::SweepSummary figure;  // every scheme's rows, for the table
         for (const Scheme& scheme : schemes) {
-            sweep::SweepSpec spec;
+            sweep::SweepSpec spec = grid;
             spec.variants = {variant};
-            spec.class_counts = {100};
             spec.prunes = {scheme.prune};
             spec.mitigations = {scheme.mitigation};
-            spec.sizes = ctx.sizes();
-            spec.sigmas = {ctx.sigma()};
-            spec.repeats = ctx.eval_repeats();
 
             sweep::SweepOptions opts;
-            opts.shards = flags.get_int("shards", 0);
-            opts.resume = flags.get_bool("resume", false);
+            opts.resume = resume;
             opts.csv_name =
                 "fig4cd_" + variant + "_" + scheme.slug + "_sweep.csv";
             opts.manifest_name =
@@ -80,22 +65,18 @@ int main(int argc, char** argv) {
 
             const sweep::SweepSummary summary =
                 sweep::SweepRunner(ctx, spec, opts).run();
-
-            std::vector<std::string> cells{scheme.label, "--"};
             for (const sweep::GroupRow& row : summary.rows) {
-                if (!row.complete()) {
-                    cells.push_back("--");
-                    continue;
-                }
-                cells[1] = util::fmt(row.software_acc) + "%";
+                if (!row.complete()) continue;
                 csv.row(variant, scheme.label, row.cell.xbar_size,
                         row.software_acc, row.acc_mean, row.nf_mean);
-                cells.push_back(util::fmt(row.acc_mean) + "%");
             }
-            table.add_row(cells);
+            figure.rows.insert(figure.rows.end(), summary.rows.begin(),
+                               summary.rows.end());
         }
-        std::printf("%s\n", table.str().c_str());
+        std::printf("%s\n", sweep::accuracy_vs_size_table(figure).c_str());
     }
     std::printf("(series written to results/fig4cd_rearrangement_cifar100.csv)\n");
     return 0;
 }
+
+int main(int argc, char** argv) { return xs::util::run_main(argc, argv, run); }

@@ -4,7 +4,8 @@
 # (perfbench/xsbench), end-to-end sweep smokes (in-process, --workers with
 # an injected crash, an nf-only grid and a grid over every optional step of
 # the tile ladder, each in process and through --workers, and multi-host
-# through sweep_serve) and, last, a bench regression gate, so a gate
+# through sweep_serve), one run of each of the twelve figure/table sweep
+# drivers and, last, a bench regression gate, so a gate
 # failure on a slow machine still leaves every smoke's result behind;
 # plus a Debug job with Address- and UB-sanitizers over the unit-labeled
 # tests, and a ThreadSanitizer job over the tests that run the library's
@@ -52,6 +53,7 @@ run_release() {
   run_nf_smoke
   run_ladder_smoke
   run_service_smoke
+  run_driver_smoke
   if [[ -x "$repo_root/build-release/bench_micro" ]]; then
     run_bench_gate
   fi
@@ -277,6 +279,59 @@ run_service_smoke() {
       --manifest="$smoke_dir/service.jsonl" \
       "$smoke_dir/metrics_service.json"
   fi
+}
+
+# Driver smoke: each of the twelve sweep drivers (the bench_fig*,
+# bench_table1 and bench_ablation figure drivers, and the mitigation_demo
+# and parasitic_sweep examples) runs once at the sweep smoke's scale, all
+# sharing one model cache, and must exit 0 and write its figure CSV with at
+# least one row. A flag no code reads must fail before anything runs:
+# bench_fig3a --shards=2 exits 1. The step reports its time.
+run_driver_smoke() {
+  local bin="$repo_root/build-release"
+  if [[ ! -x "$bin/bench_fig3a" || ! -x "$bin/mitigation_demo" ]]; then
+    return 0
+  fi
+  echo "=== driver smoke (the twelve sweep drivers, one run each) ==="
+  local smoke_dir="$bin/driver-smoke"
+  rm -rf "$smoke_dir"
+  mkdir -p "$smoke_dir"
+  local driver_flags=(--width=0.0625 --train-count=96 --test-count=48
+    --epochs=1 --batch=16 --sizes=16 --sweep-repeats=1
+    --out-dir="$smoke_dir" --cache-dir="$smoke_dir/models")
+  local start=$SECONDS driver csv
+  while read -r driver csv; do
+    if ! "$bin/$driver" "${driver_flags[@]}" > "$smoke_dir/$driver.log" 2>&1; then
+      cat "$smoke_dir/$driver.log" >&2
+      echo "driver smoke: $driver failed" >&2
+      return 1
+    fi
+    if [[ ! -f "$smoke_dir/$csv" || $(wc -l < "$smoke_dir/$csv") -lt 2 ]]; then
+      echo "driver smoke: $driver wrote no rows to $csv" >&2
+      return 1
+    fi
+    echo "$driver: $csv"
+  done <<'DRIVERS'
+bench_fig3a fig3a_vgg11_cifar10.csv
+bench_fig3b fig3b_vgg11_cifar10_sparsity.csv
+bench_fig3c fig3c_vgg16_cifar10.csv
+bench_fig3d fig3d_nf_vs_size.csv
+bench_fig3f_heatmap fig3f_rearrange_nf.csv
+bench_fig4ab fig4ab_rearrangement_cifar10.csv
+bench_fig4cd fig4cd_rearrangement_cifar100.csv
+bench_fig4ef fig4ef_wct.csv
+bench_table1 table1.csv
+bench_ablation ablation.csv
+mitigation_demo mitigation_demo.csv
+parasitic_sweep parasitic_sweep.csv
+DRIVERS
+  local rc=0
+  "$bin/bench_fig3a" "${driver_flags[@]}" --shards=2 || rc=$?
+  if [[ "$rc" -ne 1 ]]; then
+    echo "driver smoke: bench_fig3a --shards=2 exited $rc, not 1" >&2
+    return 1
+  fi
+  echo "driver smoke: $((SECONDS - start)) s"
 }
 
 # Bench regression gate: measured runs (min over 3 repetitions) diffed

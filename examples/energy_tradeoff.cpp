@@ -16,20 +16,21 @@
 
 #include <cstdio>
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
     using namespace xs;
     const util::Flags flags(argc, argv);
     const double sparsity = flags.get_double("sparsity", 0.8);
     const auto sizes = flags.get_int_list("sizes", {16, 32, 64});
-
-    const data::SyntheticSpec spec = data::cifar10_like();
-    const auto tt = data::generate_split(spec, flags.get_int("train-count", 1280),
-                                         flags.get_int("test-count", 512));
-
+    const std::int64_t train_count = flags.get_int("train-count", 1280);
+    const std::int64_t test_count = flags.get_int("test-count", 512);
     nn::VggConfig vgg;
     vgg.width = flags.get_double("width", 0.125);
     nn::TrainConfig train;
     train.epochs = flags.get_int("epochs", 4);
+    flags.check_all_read();
+
+    const data::SyntheticSpec spec = data::cifar10_like();
+    const auto tt = data::generate_split(spec, train_count, test_count);
 
     util::Rng rng_a(7);
     nn::Sequential dense = nn::build_vgg(vgg, rng_a);
@@ -70,3 +71,5 @@ int main(int argc, char** argv) {
                 "non-idealities — the paper's central trade-off.\n");
     return 0;
 }
+
+int main(int argc, char** argv) { return xs::util::run_main(argc, argv, run); }

@@ -2,10 +2,11 @@
 // (a) no mitigation, (b) crossbar-column rearrangement R, and (c) WCT —
 // the paper's §VI strategies. A thin SweepSpec driver: the mitigation axis
 // is the grid, repeats aggregate to mean±std, and interrupted runs resume
-// (results/mitigation_demo.csv).
+// (results/mitigation_demo.csv). Every sweep axis flag (sweep/spec.h)
+// overrides the demo's grid below.
 //
-//   ./mitigation_demo [--sparsity=0.8] [--xbar=64] [--wct-percentile=0.9]
-//                     [--backends=circuit,fast] [--shards=N] [--resume]
+//   ./mitigation_demo [--prune=cf:0.8] [--sizes=64] [--wct-percentile=0.9]
+//                     [--backends=circuit,fast] [--resume]
 #include "core/experiments.h"
 #include "sweep/runner.h"
 #include "util/csv.h"
@@ -13,45 +14,30 @@
 
 #include <cstdio>
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
     using namespace xs;
     const util::Flags flags(argc, argv);
     core::ExperimentContext ctx(flags);
-    // --sparsity is this demo's historical flag name; it wins over the
-    // shared --sparsity10 default.
-    const double sparsity = flags.get_double("sparsity", ctx.sparsity_for(10));
-
-    // Start from the shared axis parser (picks up --backends & friends),
-    // then pin the axes this demo owns.
-    sweep::SweepSpec spec = sweep::parse_sweep_spec(flags);
-    spec.variants = {flags.get_string("variant", "vgg11")};
-    spec.class_counts = {10};
-    spec.prunes = {{prune::Method::kChannelFilter, sparsity}};
-    spec.mitigations = {{/*wct=*/false, /*rearrange=*/false},
-                        {/*wct=*/false, /*rearrange=*/true},
-                        {/*wct=*/true, /*rearrange=*/false}};
-    spec.sizes = {flags.get_int("xbar", 64)};
-    spec.sigmas = {ctx.sigma()};
-    spec.repeats = ctx.eval_repeats();
+    const sweep::SweepSpec spec = sweep::parse_sweep_spec(
+        flags, {{"variants", "vgg11"},
+                {"classes", "10"},
+                {"prune", "cf:0.8"},
+                {"mitigations", "none,rearrange,wct"},
+                {"sizes", "64"}});
 
     sweep::SweepOptions opts;
-    opts.shards = flags.get_int("shards", 0);
     opts.resume = flags.get_bool("resume", false);
     opts.csv_name = "mitigation_demo.csv";
     opts.manifest_name = "mitigation_demo_manifest.jsonl";
+    flags.check_all_read();
 
     sweep::SweepRunner runner(ctx, spec, opts);
     const sweep::SweepSummary summary = runner.run();
 
-    std::printf("C/F-pruned %s (s=%.2f) on %lldx%lld crossbars\n",
-                spec.variants.front().c_str(), sparsity,
-                static_cast<long long>(spec.sizes.front()),
-                static_cast<long long>(spec.sizes.front()));
-    util::TextTable table({"mitigation", "backend", "software", "crossbar", "NF"});
+    util::TextTable table({"configuration", "software", "crossbar", "NF"});
     for (const sweep::GroupRow& row : summary.rows) {
         if (!row.complete()) continue;
-        table.add_row({row.cell.mitigation.name(),
-                       xbar::backend_name(row.cell.backend),
+        table.add_row({row.cell.label(/*with_size=*/true, /*elide_defaults=*/true),
                        util::fmt(row.software_acc) + "%",
                        util::fmt(row.acc_mean) + "±" + util::fmt(row.acc_std) + "%",
                        util::fmt(row.nf_mean, 4)});
@@ -60,3 +46,5 @@ int main(int argc, char** argv) {
     std::printf("(aggregates written to %s)\n", summary.csv_path.c_str());
     return 0;
 }
+
+int main(int argc, char** argv) { return xs::util::run_main(argc, argv, run); }

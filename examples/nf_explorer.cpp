@@ -10,11 +10,12 @@
 
 #include <cstdio>
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
     using namespace xs;
     const util::Flags flags(argc, argv);
     const auto sizes = flags.get_int_list("sizes", {16, 32, 64, 128});
     const std::int64_t levels = flags.get_int("levels", 8);
+    flags.check_all_read();
     if (levels < 2) {
         util::log_error("nf_explorer: --levels must be at least 2 (G_MIN and "
                         "G_MAX), got " + std::to_string(levels));
@@ -56,3 +57,5 @@ int main(int argc, char** argv) {
                 "both mitigations (R and WCT) exploit.\n");
     return 0;
 }
+
+int main(int argc, char** argv) { return xs::util::run_main(argc, argv, run); }

@@ -2,10 +2,11 @@
 // interconnect-resistance scale, reporting the accuracy and NF surface.
 // Useful for calibrating the simulator against published degradation
 // levels. A thin SweepSpec driver: the grid runs sharded and resumable,
-// and repeats aggregate to mean±std (results/parasitic_sweep.csv).
+// and repeats aggregate to mean±std (results/parasitic_sweep.csv). Every
+// sweep axis flag (sweep/spec.h) overrides the sweep's grid below.
 //
-//   ./parasitic_sweep [--scales-pct=50,75,100] [--sizes=16,32,64]
-//                     [--shards=N] [--resume]
+//   ./parasitic_sweep [--parasitic-scales=0.5,0.75,1] [--sizes=16,32,64]
+//                     [--resume]
 #include "core/experiments.h"
 #include "sweep/runner.h"
 #include "util/csv.h"
@@ -13,28 +14,21 @@
 
 #include <cstdio>
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
     using namespace xs;
     const util::Flags flags(argc, argv);
     core::ExperimentContext ctx(flags);
-
-    sweep::SweepSpec spec;
-    spec.variants = {flags.get_string("variant", "vgg11")};
-    spec.class_counts = {10};
-    spec.prunes = {{prune::Method::kNone, 0.0}};
-    spec.mitigations = {{}};
-    spec.sizes = ctx.sizes();
-    spec.sigmas = {ctx.sigma()};
-    spec.parasitic_scales.clear();
-    for (const auto pct : flags.get_int_list("scales-pct", {50, 75, 100}))
-        spec.parasitic_scales.push_back(static_cast<double>(pct) / 100.0);
-    spec.repeats = ctx.eval_repeats();
+    const sweep::SweepSpec spec = sweep::parse_sweep_spec(
+        flags, {{"variants", "vgg11"},
+                {"classes", "10"},
+                {"prune", "none"},
+                {"parasitic-scales", "0.5,0.75,1"}});
 
     sweep::SweepOptions opts;
-    opts.shards = flags.get_int("shards", 0);
     opts.resume = flags.get_bool("resume", false);
     opts.csv_name = "parasitic_sweep.csv";
     opts.manifest_name = "parasitic_sweep_manifest.jsonl";
+    flags.check_all_read();
 
     sweep::SweepRunner runner(ctx, spec, opts);
     const sweep::SweepSummary summary = runner.run();
@@ -54,3 +48,5 @@ int main(int argc, char** argv) {
     std::printf("(aggregates written to %s)\n", summary.csv_path.c_str());
     return 0;
 }
+
+int main(int argc, char** argv) { return xs::util::run_main(argc, argv, run); }

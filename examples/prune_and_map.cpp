@@ -16,23 +16,24 @@
 
 #include <cstdio>
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
     using namespace xs;
     const util::Flags flags(argc, argv);
 
     const auto method = prune::method_from_name(flags.get_string("method", "cf"));
     const double sparsity = flags.get_double("sparsity", 0.8);
     const auto sizes = flags.get_int_list("sizes", {16, 32, 64});
-
-    const data::SyntheticSpec spec = data::cifar10_like();
-    const auto tt = data::generate_split(spec, flags.get_int("train-count", 1280),
-                                         flags.get_int("test-count", 512));
-
+    const std::int64_t train_count = flags.get_int("train-count", 1280);
+    const std::int64_t test_count = flags.get_int("test-count", 512);
     nn::VggConfig vgg;
     vgg.width = flags.get_double("width", 0.125);
     nn::TrainConfig train;
     train.epochs = flags.get_int("epochs", 4);
     train.verbose = flags.get_bool("verbose", false);
+    flags.check_all_read();
+
+    const data::SyntheticSpec spec = data::cifar10_like();
+    const auto tt = data::generate_split(spec, train_count, test_count);
 
     // --- unpruned baseline ---
     util::Rng rng_a(7);
@@ -82,3 +83,5 @@ int main(int argc, char** argv) {
     std::printf("%s\n", table.str().c_str());
     return 0;
 }
+
+int main(int argc, char** argv) { return xs::util::run_main(argc, argv, run); }

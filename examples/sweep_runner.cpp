@@ -3,7 +3,7 @@
 // paper-style accuracy-vs-crossbar-size table.
 //
 //   ./sweep_runner --variants=vgg11 --prune=none,cf:0.8 --sizes=16,32,64
-//       --mitigations=none,rearrange --sweep-repeats=3 --shards=4
+//       --mitigations=none,rearrange --sweep-repeats=3
 //   ./sweep_runner --spec=grid.sweep --resume
 //   ./sweep_runner --spec=grid.sweep --dry-run
 //   ./sweep_runner --backends=circuit,fast --cell-budget-ms=60000
@@ -37,7 +37,8 @@
 // Spec files hold the same keys as the flags, one `key = value` per line
 // ('#' comments); CLI flags override the file. Experiment-scale flags
 // (--width, --train-count, --epochs, --out-dir, …) are shared with every
-// other driver via core::ExperimentContext.
+// other driver via core::ExperimentContext. A flag that no mode reads
+// exits 1 before anything runs.
 //
 // Telemetry (DESIGN.md §10):
 //   --metrics-out=metrics.json  write the merged counter/histogram snapshot
@@ -54,7 +55,6 @@
 #include "util/trace.h"
 
 #include <cstdio>
-#include <exception>
 #include <string>
 #include <unistd.h>
 
@@ -67,6 +67,8 @@ int run(int argc, char** argv) {
     sweep::SweepSpec spec = sweep::parse_sweep_spec(flags);
     const std::string trace_path = flags.get_string("trace", "");
 
+    // A worker's argv is its parent's, flags for other modes included, so
+    // it is exempt from check_all_read.
     if (flags.get_bool("worker", false)) {
         // Each worker traces into its own file: spans from different
         // processes cannot share one buffer, and chrome://tracing loads the
@@ -96,16 +98,12 @@ int run(int argc, char** argv) {
         a.max_worker_restarts = flags.get_int("worker-restarts", 4);
         a.reconnect_backoff_ms = flags.get_double("agent-backoff-ms", 250.0);
         a.max_reconnects = flags.get_int("agent-reconnects", -1);
+        flags.check_all_read();
         return sweep::run_agent(ctx, spec, a);
     }
 
-    if (flags.get_bool("dry-run", false)) {
-        std::printf("%s", sweep::dry_run_report(ctx, spec).c_str());
-        return 0;
-    }
-
+    const bool dry_run = flags.get_bool("dry-run", false);
     sweep::SweepOptions opts;
-    opts.shards = flags.get_int("shards", 0);
     opts.resume = flags.get_bool("resume", false);
     opts.max_cells = flags.get_int("max-cells", -1);
     opts.csv_name = flags.get_string("csv", "sweep.csv");
@@ -113,85 +111,44 @@ int run(int argc, char** argv) {
     opts.cell_budget_ms = flags.get_double("cell-budget-ms", 0.0);
     opts.cell_budget_abort = flags.get_bool("cell-budget-abort", false);
     opts.progress_sec = flags.get_double("progress-sec", 0.0);
-
-    if (!trace_path.empty()) util::trace::start(trace_path);
-    std::printf("sweep: %s\n", spec.describe().c_str());
-    sweep::SweepSummary summary;
-    const std::int64_t workers = flags.get_int("workers", 0);
-    if (workers > 0) {
-        sweep::SupervisorOptions sup;
-        sup.workers = workers;
+    sweep::SupervisorOptions sup;
+    sup.workers = flags.get_int("workers", 0);
+    if (sup.workers > 0) {
         sup.worker_cmd = sweep::worker_command_from_argv(argc, argv);
         sup.max_cell_retries = flags.get_int("cell-retries", 2);
         sup.retry_backoff_ms = flags.get_double("retry-backoff-ms", 250.0);
         sup.max_worker_restarts = flags.get_int("worker-restarts", 4);
-        summary = sweep::run_supervised(ctx, spec, opts, sup);
-    } else {
-        sweep::SweepRunner runner(ctx, spec, opts);
-        summary = runner.run();
     }
-
-    std::printf("\n%s\n", sweep::accuracy_vs_size_table(summary).c_str());
-    std::printf("cells: %lld total, %lld executed, %lld resumed, %lld pending\n",
-                static_cast<long long>(summary.cells_total),
-                static_cast<long long>(summary.cells_executed),
-                static_cast<long long>(summary.cells_resumed),
-                static_cast<long long>(summary.cells_pending));
-    if (workers > 0)
-        std::printf("supervision: %lld worker restart(s), %lld watchdog "
-                    "kill(s), %lld cell retr%s\n",
-                    static_cast<long long>(summary.worker_restarts),
-                    static_cast<long long>(summary.watchdog_kills),
-                    static_cast<long long>(summary.cell_retries),
-                    summary.cell_retries == 1 ? "y" : "ies");
-    if (opts.cell_budget_ms > 0.0)
-        std::printf("cells over %.0f ms budget: %lld\n", opts.cell_budget_ms,
-                    static_cast<long long>(summary.cells_over_budget));
-    if (summary.cells_failed > 0) {
-        std::printf("quarantined cells: %lld\n",
-                    static_cast<long long>(summary.cells_failed));
-        for (const std::string& id : summary.failed_cells)
-            std::printf("  failed: %s\n", id.c_str());
-    }
-    if (summary.manifest_lines_skipped > 0)
-        std::printf("corrupt manifest lines skipped: %lld\n",
-                    static_cast<long long>(summary.manifest_lines_skipped));
-    std::printf("aggregate CSV: %s\nmanifest:      %s\n",
-                summary.csv_path.c_str(), summary.manifest_path.c_str());
-
     const std::string metrics_out = flags.get_string("metrics-out", "");
-    if (!metrics_out.empty()) {
-        std::FILE* f = std::fopen(metrics_out.c_str(), "wb");
-        if (f == nullptr ||
-            std::fwrite(summary.metrics_json.data(), 1,
-                        summary.metrics_json.size(),
-                        f) != summary.metrics_json.size()) {
-            util::log_error("failed to write --metrics-out=" + metrics_out);
-            if (f) std::fclose(f);
-            return 1;
-        }
-        std::fputc('\n', f);
-        std::fclose(f);
-        std::printf("metrics:       %s\n", metrics_out.c_str());
+    flags.check_all_read();
+
+    if (dry_run) {
+        std::printf("%s", sweep::dry_run_report(ctx, spec).c_str());
+        return 0;
     }
+
+    if (!trace_path.empty()) util::trace::start(trace_path);
+    std::printf("sweep: %s\n", spec.describe().c_str());
+    const sweep::SweepSummary summary =
+        sup.workers > 0 ? sweep::run_supervised(ctx, spec, opts, sup)
+                        : sweep::SweepRunner(ctx, spec, opts).run();
     const std::string trace_written = util::trace::stop_and_write();
     if (!trace_written.empty())
         std::printf("trace:         %s\n", trace_written.c_str());
 
-    if (summary.cells_pending > 0)
-        std::printf("(incomplete — rerun with --resume to finish)\n");
-    return 0;
+    std::string supervision;
+    if (sup.workers > 0)
+        supervision = "supervision: " + std::to_string(summary.worker_restarts) +
+                      " worker restart(s), " +
+                      std::to_string(summary.watchdog_kills) +
+                      " watchdog kill(s), " +
+                      std::to_string(summary.cell_retries) + " cell retr" +
+                      (summary.cell_retries == 1 ? "y" : "ies");
+    return sweep::print_summary(summary, opts, supervision, metrics_out) ? 0 : 1;
 }
 
 }  // namespace
 
 // A bad grid or flag (a crossbar size of 0, an unknown mitigation, a
 // --resume fingerprint mismatch, ...) is logged and exits 1.
-int main(int argc, char** argv) {
-    try {
-        return run(argc, argv);
-    } catch (const std::exception& e) {
-        xs::util::log_error(std::string("sweep_runner: ") + e.what());
-        return 1;
-    }
-}
+int main(int argc, char** argv) { return xs::util::run_main(argc, argv, run); }

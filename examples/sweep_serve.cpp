@@ -20,11 +20,9 @@
 #include "sweep/runner.h"
 #include "sweep/service.h"
 #include "util/flags.h"
-#include "util/log.h"
 
 #include <csignal>
 #include <cstdio>
-#include <exception>
 #include <string>
 
 extern "C" void xs_serve_on_signal(int) { xs::sweep::request_drain(); }
@@ -52,6 +50,8 @@ int run(int argc, char** argv) {
     svc.max_cell_retries = flags.get_int("cell-retries", 2);
     svc.retry_backoff_ms = flags.get_double("retry-backoff-ms", 250.0);
     svc.drain = flags.get_bool("drain", false);
+    const std::string metrics_out = flags.get_string("metrics-out", "");
+    flags.check_all_read();
 
     std::signal(SIGTERM, xs_serve_on_signal);
     std::signal(SIGINT, xs_serve_on_signal);
@@ -59,63 +59,15 @@ int run(int argc, char** argv) {
     std::printf("serve: %s\n", spec.describe().c_str());
     const sweep::SweepSummary summary =
         sweep::run_service(ctx, spec, opts, svc);
-
-    std::printf("\n%s\n", sweep::accuracy_vs_size_table(summary).c_str());
-    std::printf("cells: %lld total, %lld executed, %lld resumed, %lld pending\n",
-                static_cast<long long>(summary.cells_total),
-                static_cast<long long>(summary.cells_executed),
-                static_cast<long long>(summary.cells_resumed),
-                static_cast<long long>(summary.cells_pending));
-    std::printf("service: %lld host join(s), %lld duplicate ack(s) deduped, "
-                "%lld cell retr%s\n",
-                static_cast<long long>(summary.hosts_joined),
-                static_cast<long long>(summary.duplicate_acks),
-                static_cast<long long>(summary.cell_retries),
-                summary.cell_retries == 1 ? "y" : "ies");
-    if (opts.cell_budget_ms > 0.0)
-        std::printf("cells over %.0f ms budget: %lld\n", opts.cell_budget_ms,
-                    static_cast<long long>(summary.cells_over_budget));
-    if (summary.cells_failed > 0) {
-        std::printf("quarantined cells: %lld\n",
-                    static_cast<long long>(summary.cells_failed));
-        for (const std::string& id : summary.failed_cells)
-            std::printf("  failed: %s\n", id.c_str());
-    }
-    if (summary.manifest_lines_skipped > 0)
-        std::printf("corrupt manifest lines skipped: %lld\n",
-                    static_cast<long long>(summary.manifest_lines_skipped));
-    std::printf("aggregate CSV: %s\nmanifest:      %s\n",
-                summary.csv_path.c_str(), summary.manifest_path.c_str());
-
-    const std::string metrics_out = flags.get_string("metrics-out", "");
-    if (!metrics_out.empty()) {
-        std::FILE* f = std::fopen(metrics_out.c_str(), "wb");
-        if (f == nullptr ||
-            std::fwrite(summary.metrics_json.data(), 1,
-                        summary.metrics_json.size(),
-                        f) != summary.metrics_json.size()) {
-            util::log_error("failed to write --metrics-out=" + metrics_out);
-            if (f) std::fclose(f);
-            return 1;
-        }
-        std::fputc('\n', f);
-        std::fclose(f);
-        std::printf("metrics:       %s\n", metrics_out.c_str());
-    }
-
-    if (summary.cells_pending > 0)
-        std::printf("(incomplete — rerun with --resume to finish)\n");
-    return 0;
+    const std::string service =
+        "service: " + std::to_string(summary.hosts_joined) +
+        " host join(s), " + std::to_string(summary.duplicate_acks) +
+        " duplicate ack(s) deduped, " + std::to_string(summary.cell_retries) +
+        " cell retr" + (summary.cell_retries == 1 ? "y" : "ies");
+    return sweep::print_summary(summary, opts, service, metrics_out) ? 0 : 1;
 }
 
 }  // namespace
 
 // A bad grid or flag is logged and exits 1.
-int main(int argc, char** argv) {
-    try {
-        return run(argc, argv);
-    } catch (const std::exception& e) {
-        xs::util::log_error(std::string("sweep_serve: ") + e.what());
-        return 1;
-    }
-}
+int main(int argc, char** argv) { return xs::util::run_main(argc, argv, run); }

@@ -14,21 +14,12 @@ ExperimentContext::ExperimentContext(const util::Flags& flags) {
     test_count_ = flags.get_int("test-count", 512);
     epochs_ = flags.get_int("epochs", 5);
     batch_ = flags.get_int("batch", 32);
-    sizes_ = flags.get_int_list("sizes", {16, 32, 64});
-    sigma_ = flags.get_double("sigma", 0.10);
-    sparsity10_ = flags.get_double("sparsity10", 0.8);
-    sparsity100_ = flags.get_double("sparsity100", 0.6);
     wct_percentile_ = flags.get_double("wct-percentile", WctConfig().percentile);
     seed_ = static_cast<std::uint64_t>(flags.get_int("seed", 11));
-    eval_repeats_ = flags.get_int("eval-repeats", 2);
     cache_dir_ = flags.get_string("cache-dir", "results/models");
     out_dir_ = flags.get_string("out-dir", "results");
     verbose_ = flags.get_bool("verbose", false);
     if (verbose_) util::set_log_level(util::LogLevel::kDebug);
-}
-
-double ExperimentContext::sparsity_for(std::int64_t num_classes) const {
-    return num_classes >= 100 ? sparsity100_ : sparsity10_;
 }
 
 template <typename Key, typename T, typename Build>
@@ -124,20 +115,6 @@ PreparedModel& ExperimentContext::prepared(const ModelSpec& spec) {
 xbar::CrossbarConfig ExperimentContext::xbar(std::int64_t size) const {
     xbar::CrossbarConfig config;
     config.size = size;
-    config.device.sigma_variation = sigma_;
-    return config;
-}
-
-EvalConfig ExperimentContext::eval_config(const PreparedModel& model,
-                                          prune::Method method, std::int64_t size,
-                                          bool rearrange) const {
-    EvalConfig config;
-    config.xbar = xbar(size);
-    config.method = method;
-    config.rearrange = rearrange;
-    config.w_ref = model.w_ref;  // empty unless WCT
-    config.seed = seed_ + 77;
-    config.repeats = eval_repeats_;
     return config;
 }
 

@@ -1,17 +1,14 @@
 // Shared infrastructure for the bench binaries that regenerate the paper's
-// tables and figures: flag-driven experiment scale, dataset/model caching,
-// and standard EvalConfig construction.
+// tables and figures: flag-driven experiment scale and dataset/model
+// caching. The grid itself (crossbar sizes, sigmas, prune settings,
+// repeats, ...) is a sweep::SweepSpec and has its own flags (sweep/spec.h).
 //
-// Common flags (all optional):
+// Experiment flags (all optional):
 //   --width=0.1875       VGG width multiplier
 //   --train-count=2048   training images per dataset
 //   --test-count=512     test images
 //   --epochs=5           training epochs
 //   --batch=32           batch size
-//   --sizes=16,32,64     crossbar sizes to sweep
-//   --sigma=0.10         device variation (sigma/G)
-//   --sparsity10=0.8     sparsity for the 10-class experiments (paper: 0.8)
-//   --sparsity100=0.6    sparsity for the 100-class experiments (paper: 0.6)
 //   --wct-percentile=0.8 W_cut percentile for WCT model variants
 //   --seed=11            master seed
 //   --cache-dir=results/models  trained-model cache
@@ -37,14 +34,8 @@ class ExperimentContext {
 public:
     explicit ExperimentContext(const util::Flags& flags);
 
-    // ---- experiment scale (resolved from flags) ----
-    double width() const { return width_; }
-    const std::vector<std::int64_t>& sizes() const { return sizes_; }
-    double sparsity_for(std::int64_t num_classes) const;
-    double sigma() const { return sigma_; }
+    // The master seed; per-cell seeds derive from it (sweep::cell_seed).
     std::uint64_t seed() const { return seed_; }
-    std::int64_t eval_repeats() const { return eval_repeats_; }
-    bool verbose() const { return verbose_; }
 
     // Dataset for 10 or 100 classes (generated once, shared). Thread-safe:
     // concurrent first requests for the same class count generate once;
@@ -62,13 +53,8 @@ public:
     // never retrains a shared model twice (DESIGN.md §7).
     PreparedModel& prepared(const ModelSpec& spec);
 
-    // Crossbar configuration at a given size (device/parasitics from flags).
+    // The default crossbar configuration (σ = 0.10) at a given size.
     xbar::CrossbarConfig xbar(std::int64_t size) const;
-
-    // Evaluation config for a prepared model (WCT models get their frozen
-    // w_ref scales installed automatically).
-    EvalConfig eval_config(const PreparedModel& model, prune::Method method,
-                           std::int64_t size, bool rearrange = false) const;
 
     // CSV path under out_dir (directories created on demand).
     std::string csv_path(const std::string& name) const;
@@ -101,11 +87,7 @@ private:
 
     double width_;
     std::int64_t train_count_, test_count_, epochs_, batch_;
-    std::vector<std::int64_t> sizes_;
-    double sigma_;
-    double sparsity10_, sparsity100_;
     double wct_percentile_;
-    std::int64_t eval_repeats_ = 2;
     std::uint64_t seed_;
     std::string cache_dir_, out_dir_;
     bool verbose_;

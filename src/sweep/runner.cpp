@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstdio>
 #include <exception>
+#include <fstream>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -62,15 +63,18 @@ core::PreparedModel& resolve_model(core::ExperimentContext& ctx,
 }
 
 // The evaluation config built from the cell's axes and seeded with its own
-// cell_seed. An nf-only cell measures NF (paper Fig. 3(d)) with no device
-// variation: σ = 0 whatever its sigma axis says.
+// cell_seed; WCT models bring their frozen w_ref scales. An nf-only cell
+// measures NF (paper Fig. 3(d)) with no device variation: σ = 0 whatever
+// its sigma axis says.
 core::EvalConfig cell_config(core::ExperimentContext& ctx,
                              const SweepSpec& spec,
                              const core::PreparedModel& model,
                              const SweepCell& cell) {
-    core::EvalConfig eval = ctx.eval_config(model, cell.prune.method,
-                                            cell.xbar_size,
-                                            cell.mitigation.rearrange);
+    core::EvalConfig eval;
+    eval.xbar = ctx.xbar(cell.xbar_size);
+    eval.method = cell.prune.method;
+    eval.rearrange = cell.mitigation.rearrange;
+    eval.w_ref = model.w_ref;  // empty unless WCT
     eval.backend = cell.backend;
     eval.xbar.device.sigma_variation = spec.nf_only ? 0.0 : cell.sigma;
     eval.xbar.parasitics.r_driver *= cell.parasitic_scale;
@@ -746,6 +750,46 @@ std::string dry_run_report(const core::ExperimentContext& ctx,
     os << "models to prepare: " << specs.size() << "\n";
     for (const core::ModelSpec& ms : specs) os << "  " << ms.key() << "\n";
     return os.str();
+}
+
+bool print_summary(const SweepSummary& summary, const SweepOptions& opts,
+                   const std::string& executor_line,
+                   const std::string& metrics_out) {
+    std::printf("\n%s\n", accuracy_vs_size_table(summary).c_str());
+    std::printf("cells: %lld total, %lld executed, %lld resumed, %lld pending\n",
+                static_cast<long long>(summary.cells_total),
+                static_cast<long long>(summary.cells_executed),
+                static_cast<long long>(summary.cells_resumed),
+                static_cast<long long>(summary.cells_pending));
+    if (!executor_line.empty()) std::printf("%s\n", executor_line.c_str());
+    if (opts.cell_budget_ms > 0.0)
+        std::printf("cells over %.0f ms budget: %lld\n", opts.cell_budget_ms,
+                    static_cast<long long>(summary.cells_over_budget));
+    if (summary.cells_failed > 0) {
+        std::printf("quarantined cells: %lld\n",
+                    static_cast<long long>(summary.cells_failed));
+        for (const std::string& id : summary.failed_cells)
+            std::printf("  failed: %s\n", id.c_str());
+    }
+    if (summary.manifest_lines_skipped > 0)
+        std::printf("corrupt manifest lines skipped: %lld\n",
+                    static_cast<long long>(summary.manifest_lines_skipped));
+    std::printf("aggregate CSV: %s\nmanifest:      %s\n",
+                summary.csv_path.c_str(), summary.manifest_path.c_str());
+
+    if (!metrics_out.empty()) {
+        std::ofstream out(metrics_out, std::ios::binary);
+        out << summary.metrics_json << '\n';
+        out.close();
+        if (!out) {
+            util::log_error("failed to write --metrics-out=" + metrics_out);
+            return false;
+        }
+        std::printf("metrics:       %s\n", metrics_out.c_str());
+    }
+    if (summary.cells_pending > 0)
+        std::printf("(incomplete — rerun with --resume to finish)\n");
+    return true;
 }
 
 }  // namespace xs::sweep

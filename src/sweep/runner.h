@@ -1,9 +1,9 @@
 // Sharded, resumable execution of a SweepSpec grid (DESIGN.md §7).
 //
-// `shards` executors run concurrently on the process-wide worker pool and
-// are dealt work units dynamically, largest crossbars first: each takes the
-// next undealt unit from a shared cursor whenever it finishes one, and runs
-// it with run_sweep_group.
+// One executor per pool worker runs concurrently on the process-wide pool,
+// and executors are dealt work units dynamically, largest crossbars first:
+// each takes the next undealt unit from a shared cursor whenever it
+// finishes one, and runs it with run_sweep_group.
 // An inference unit is one grid point's pending repeats, evaluated in a
 // single lane-batched pass; an nf-only unit is up to four cells that share
 // one crossbar mapping, measured on one MappingPlan. Per-cell RNG seeds
@@ -36,8 +36,9 @@
 namespace xs::sweep {
 
 struct SweepOptions {
-    // Concurrent executors (at most one per pool worker); 0 = one per pool
-    // worker. Work units are dealt dynamically, largest crossbar size first
+    // Concurrent executors; 0 (what every driver runs) = one per pool
+    // worker. Tests set a cap to pin the CSV's invariance to the executor
+    // count. Work units are dealt dynamically, largest crossbar size first
     // and otherwise in expansion order, to whichever executor is free, so
     // the assignment varies run to run and the results do not.
     std::int64_t shards = 0;
@@ -264,5 +265,16 @@ std::string accuracy_vs_size_table(const SweepSummary& summary);
 // backends exercised. Pure formatting — nothing is trained or executed.
 std::string dry_run_report(const core::ExperimentContext& ctx,
                            const SweepSpec& spec);
+
+// The closing report of the sweep front ends (sweep_runner, sweep_serve)
+// on stdout: the accuracy-vs-size table, the cell counts, `executor_line`
+// (the executor's own counters, printed when not empty), budget overruns,
+// quarantined cell ids, corrupt manifest lines and the output paths. Writes
+// summary.metrics_json to `metrics_out` unless it is empty, and ends with
+// a hint to resume when cells are pending. Returns false, after logging,
+// when the metrics file cannot be written.
+bool print_summary(const SweepSummary& summary, const SweepOptions& opts,
+                   const std::string& executor_line,
+                   const std::string& metrics_out);
 
 }  // namespace xs::sweep

@@ -226,7 +226,8 @@ std::map<std::string, std::string> read_spec_file(const std::string& path) {
     return kv;
 }
 
-SweepSpec parse_sweep_spec(const util::Flags& flags) {
+SweepSpec parse_sweep_spec(const util::Flags& flags,
+                           const std::map<std::string, std::string>& defaults) {
     std::map<std::string, std::string> file;
     if (flags.has("spec")) file = read_spec_file(flags.get_string("spec", ""));
     // A misspelled axis key would otherwise silently run the default grid —
@@ -235,17 +236,24 @@ SweepSpec parse_sweep_spec(const util::Flags& flags) {
         "variants", "classes",          "prune",      "mitigations",
         "sizes",    "sigmas",           "faults",     "parasitic-scales",
         "quant-levels", "backends",     "sweep-repeats", "nf-only"};
-    for (const auto& [key, unused] : file) {
-        (void)unused;
-        tensor::check(known.count(key) != 0,
-                      "sweep: unknown spec-file key '" + key + "'");
-    }
+    // Below the CLI, in order of precedence.
+    const std::map<std::string, std::string>* layers[] = {&file, &defaults};
+    for (const auto* kv : layers)
+        for (const auto& [key, unused] : *kv) {
+            (void)unused;
+            tensor::check(known.count(key) != 0,
+                          "sweep: unknown spec-file key '" + key + "'");
+        }
 
-    // CLI wins over the spec file; the file wins over built-in defaults.
+    // CLI wins over the spec file, the file over the driver's defaults, and
+    // those over the built-in ones. An empty value at any layer is unset.
     const auto value = [&](const std::string& key) -> std::string {
-        if (flags.has(key)) return flags.get_string(key, "");
-        const auto it = file.find(key);
-        return it == file.end() ? "" : it->second;
+        if (std::string v = flags.get_string(key, ""); !v.empty()) return v;
+        for (const auto* kv : layers)
+            if (const auto it = kv->find(key);
+                it != kv->end() && !it->second.empty())
+                return it->second;
+        return "";
     };
 
     SweepSpec spec;

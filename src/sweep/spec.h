@@ -7,7 +7,8 @@
 // only in `repeat` aggregate into one mean±std row of the output CSV.
 //
 // Specs parse from CLI flags, optionally overlaid on a `key = value` spec
-// file (--spec=<path>; '#' starts a comment; CLI flags win over the file).
+// file (--spec=<path>; '#' starts a comment; CLI flags win over the file),
+// which in turn overlays a driver's own grid written in the same keys.
 #pragma once
 
 #include "prune/prune.h"
@@ -110,7 +111,10 @@ struct SweepSpec {
 // '#' comments, blank lines ignored. Throws on unreadable files.
 std::map<std::string, std::string> read_spec_file(const std::string& path);
 
-// Resolve the sweep axes from `flags`, overlaid on --spec=<file> when given.
+// Resolve the sweep axes. Each key takes the first non-empty value found
+// in: the CLI flag, the --spec=<file> entry, `defaults` (a driver's figure
+// grid, in spec-file keys and syntax), then the SweepSpec default. An
+// unknown key in the file or in `defaults` throws.
 // Axis keys (CLI flag == spec-file key):
 //   variants=vgg11,vgg16       classes=10,100
 //   prune=none,cf:0.8,xcs:0.8  mitigations=none,rearrange,wct,comp,wct+r
@@ -122,6 +126,7 @@ std::map<std::string, std::string> read_spec_file(const std::string& path);
 // below 1, negative parasitic scales, sigmas that are negative or not
 // finite, quant-levels other than 0 or ≥ 2, and fault rates below 0 or
 // summing above 1.
-SweepSpec parse_sweep_spec(const util::Flags& flags);
+SweepSpec parse_sweep_spec(const util::Flags& flags,
+                           const std::map<std::string, std::string>& defaults = {});
 
 }  // namespace xs::sweep

@@ -10,6 +10,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 
 namespace xs::sweep {
@@ -159,6 +160,38 @@ TEST(SweepSpec, SpecFileParsesAndCliWins) {
     EXPECT_THROW(parse_sweep_spec(make_flags({"--spec=" + path})),
                  std::exception);
     std::filesystem::remove(path);
+}
+
+// One axis resolves CLI, then --spec file, then the driver's defaults map,
+// then the SweepSpec default; the defaults map takes spec-file keys only.
+TEST(SweepSpec, PrecedenceIsCliThenFileThenDefaultsThenBuiltIn) {
+    const std::string path =
+        (std::filesystem::temp_directory_path() / "xs_spec_precedence.sweep")
+            .string();
+    {
+        std::ofstream out(path);
+        out << "sizes = 32\n";
+    }
+    const std::map<std::string, std::string> defaults = {{"sizes", "64"}};
+    const std::string file = "--spec=" + path;
+    using Sizes = std::vector<std::int64_t>;
+    EXPECT_EQ(parse_sweep_spec(make_flags({file, "--sizes=8"}), defaults).sizes,
+              Sizes{8});
+    EXPECT_EQ(parse_sweep_spec(make_flags({file}), defaults).sizes, Sizes{32});
+    // An empty value is unset, at the CLI as in the file.
+    EXPECT_EQ(parse_sweep_spec(make_flags({file, "--sizes="}), defaults).sizes,
+              Sizes{32});
+    EXPECT_EQ(parse_sweep_spec(make_flags({}), defaults).sizes, Sizes{64});
+    EXPECT_EQ(parse_sweep_spec(make_flags({})).sizes, SweepSpec().sizes);
+    std::filesystem::remove(path);
+
+    try {
+        parse_sweep_spec(make_flags({}), {{"size", "16"}});
+        ADD_FAILURE() << "an unknown defaults-map key was accepted";
+    } catch (const std::exception& e) {
+        EXPECT_NE(std::string(e.what()).find("'size'"), std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(SweepManifest, LineRoundTripsDoublesExactly) {

@@ -81,6 +81,40 @@ TEST(Flags, BoolExplicitValues) {
     EXPECT_FALSE(f.get_bool("d", true));
 }
 
+// A flag that no code reads (misspelt, or retired) fails instead of being
+// silently ignored, and the error names every such flag.
+TEST(Flags, CheckAllReadNamesEveryUnreadFlag) {
+    const Flags f =
+        make_flags({"--alpha=1", "--shards=2", "--sigma", "0.2", "--beta"});
+    EXPECT_EQ(f.get_int("alpha", 0), 1);
+    EXPECT_TRUE(f.has("beta"));
+    EXPECT_EQ(f.get_int("absent", 4), 4);  // reading an absent name is fine
+    try {
+        f.check_all_read();
+        ADD_FAILURE() << "unread flags were accepted";
+    } catch (const std::invalid_argument& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("--shards"), std::string::npos) << what;
+        EXPECT_NE(what.find("--sigma"), std::string::npos) << what;
+        EXPECT_EQ(what.find("--alpha"), std::string::npos) << what;
+        EXPECT_EQ(what.find("--beta"), std::string::npos) << what;
+    }
+    f.get_double("sigma", 0.0);
+    f.get_string("shards", "");
+    EXPECT_NO_THROW(f.check_all_read());
+}
+
+TEST(RunMain, AnEscapingExceptionExitsOne) {
+    char name[] = "/some/dir/prog";
+    char* argv[] = {name, nullptr};
+    EXPECT_EQ(run_main(1, argv, [](int, char**) { return 3; }), 3);
+    EXPECT_EQ(run_main(1, argv,
+                       [](int, char**) -> int {
+                           throw std::invalid_argument("unknown flag(s): --x");
+                       }),
+              1);
+}
+
 TEST(Csv, WritesHeaderAndRows) {
     const std::string path = testing::TempDir() + "/xs_csv_test.csv";
     {

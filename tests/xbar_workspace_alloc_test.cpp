@@ -20,18 +20,33 @@ std::atomic<long> g_alloc_count{0};
 
 }  // namespace
 
-void* operator new(std::size_t size) {
+// The replaced operators stay out of line: once either side is inlined
+// into a caller, GCC 12 pairs a std::malloc or std::free with the other
+// side's operator call and reports a mismatch (-Wmismatched-new-delete),
+// depending on the optimization level and sanitizer.
+__attribute__((noinline)) void* operator new(std::size_t size) {
     g_alloc_count.fetch_add(1, std::memory_order_relaxed);
     if (void* p = std::malloc(size)) return p;
     throw std::bad_alloc();
 }
 
-void* operator new[](std::size_t size) { return ::operator new(size); }
+__attribute__((noinline)) void* operator new[](std::size_t size) {
+    return ::operator new(size);
+}
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+__attribute__((noinline)) void operator delete(void* p) noexcept {
+    std::free(p);
+}
+__attribute__((noinline)) void operator delete[](void* p) noexcept {
+    std::free(p);
+}
+__attribute__((noinline)) void operator delete(void* p, std::size_t) noexcept {
+    std::free(p);
+}
+__attribute__((noinline)) void operator delete[](void* p,
+                                                 std::size_t) noexcept {
+    std::free(p);
+}
 
 namespace xs::xbar {
 namespace {
