@@ -459,17 +459,18 @@ BENCHMARK(BM_MappingPlan)
     ->Args({1, 1})
     ->Unit(benchmark::kMicrosecond);
 
-// The energy estimate an NF unit shares across its cells, at 32×32. Arg:
-// unpruned (0) or XCS-pruned (1) VGG11, as in BM_MappingPlan.
+// The energy estimate a sweep unit shares across its cells: a query of
+// the unit's built MappingPlan at 32×32. Arg: unpruned (0) or XCS-pruned
+// (1) VGG11, as in BM_MappingPlan.
 void BM_EstimateEnergy(benchmark::State& state) {
     const bool xcs = state.range(0) == 1;
     nn::Sequential model = unit_model(xcs);
-    xbar::CrossbarConfig xbar;
-    xbar.size = 32;
+    core::EvalConfig config;
+    config.xbar.size = 32;
+    config.method = xcs ? prune::Method::kXbarColumn : prune::Method::kNone;
+    const core::MappingPlan plan(model, config);
     for (auto _ : state) {
-        const map::EnergyReport r = map::estimate_energy(
-            model, xcs ? prune::Method::kXbarColumn : prune::Method::kNone,
-            xbar, map::EnergyConfig{});
+        const map::EnergyReport r = plan.energy(map::EnergyConfig{});
         benchmark::DoNotOptimize(r.array_energy_pj);
     }
 }

@@ -15,8 +15,8 @@
 // paper's numbers (C/F ≈ 19.7× at s = 0.8, XCS/XRS ≈ 4–6×).
 //
 //   ./bench_table1 [--variants=vgg11,vgg16] [--sizes=32] [--resume]
+#include "core/evaluator.h"
 #include "core/experiments.h"
-#include "map/compression.h"
 #include "nn/vgg.h"
 #include "prune/prune.h"
 #include "sweep/runner.h"
@@ -44,7 +44,10 @@ double structural_compression(const std::string& variant, std::int64_t classes,
     pc.sparsity = sparsity;
     pc.segment_size = xbar_size;
     prune::prune_at_init(model, pc);
-    return map::count_crossbars(model, method, xbar_size).compression_rate();
+    core::EvalConfig mapping;
+    mapping.xbar.size = xbar_size;
+    mapping.method = method;
+    return core::MappingPlan(model, mapping).crossbars().compression_rate();
 }
 
 }  // namespace

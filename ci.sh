@@ -5,8 +5,9 @@
 # an injected crash, an nf-only grid and a grid over every optional step of
 # the tile ladder, each in process and through --workers, and multi-host
 # through sweep_serve), one run of each of the twelve figure/table sweep
-# drivers and, last, a bench regression gate, so a gate
-# failure on a slow machine still leaves every smoke's result behind;
+# drivers and of the four library examples and, last, a bench regression
+# gate, so a gate failure on a slow machine still leaves every smoke's
+# result behind;
 # plus a Debug job with Address- and UB-sanitizers over the unit-labeled
 # tests, and a ThreadSanitizer job over the tests that run the library's
 # concurrency. Every job compiles with -Wall -Wextra -Werror (XS_WERROR)
@@ -285,14 +286,17 @@ run_service_smoke() {
 # bench_table1 and bench_ablation figure drivers, and the mitigation_demo
 # and parasitic_sweep examples) runs once at the sweep smoke's scale, all
 # sharing one model cache, and must exit 0 and write its figure CSV with at
-# least one row. A flag no code reads must fail before anything runs:
-# bench_fig3a --shards=2 exits 1. The step reports its time.
+# least one row. The library examples that call the evaluator, energy and
+# crossbar-count API directly (quickstart, prune_and_map, energy_tradeoff,
+# nf_explorer) then run once each at the same scale, with the flags each
+# reads, and must exit 0. A flag no code reads must fail before anything
+# runs: bench_fig3a --shards=2 exits 1. The step reports its time.
 run_driver_smoke() {
   local bin="$repo_root/build-release"
   if [[ ! -x "$bin/bench_fig3a" || ! -x "$bin/mitigation_demo" ]]; then
     return 0
   fi
-  echo "=== driver smoke (the twelve sweep drivers, one run each) ==="
+  echo "=== driver smoke (the twelve sweep drivers and four examples, one run each) ==="
   local smoke_dir="$bin/driver-smoke"
   rm -rf "$smoke_dir"
   mkdir -p "$smoke_dir"
@@ -325,6 +329,22 @@ bench_ablation ablation.csv
 mitigation_demo mitigation_demo.csv
 parasitic_sweep parasitic_sweep.csv
 DRIVERS
+  local example args
+  while read -r example args; do
+    # $args is unquoted on purpose: one word per flag.
+    # shellcheck disable=SC2086
+    if ! "$bin/$example" $args > "$smoke_dir/$example.log" 2>&1; then
+      cat "$smoke_dir/$example.log" >&2
+      echo "driver smoke: $example failed" >&2
+      return 1
+    fi
+    echo "$example: ok"
+  done <<'EXAMPLES'
+quickstart --width=0.0625 --train-count=96 --test-count=48 --epochs=1 --xbar=16
+prune_and_map --width=0.0625 --train-count=96 --test-count=48 --epochs=1 --sizes=16
+energy_tradeoff --width=0.0625 --train-count=96 --test-count=48 --epochs=1 --sizes=16
+nf_explorer --sizes=16,32 --levels=4
+EXAMPLES
   local rc=0
   "$bin/bench_fig3a" "${driver_flags[@]}" --shards=2 || rc=$?
   if [[ "$rc" -ne 1 ]]; then

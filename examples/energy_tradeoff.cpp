@@ -6,7 +6,6 @@
 //   ./energy_tradeoff [--sparsity=0.8] [--sizes=16,32,64]
 #include "core/evaluator.h"
 #include "data/synthetic.h"
-#include "map/compression.h"
 #include "map/energy.h"
 #include "nn/trainer.h"
 #include "nn/vgg.h"
@@ -52,13 +51,15 @@ int run(int argc, char** argv) {
             nn::Sequential& model = is_pruned ? pruned : dense;
             const auto method = is_pruned ? prune::Method::kChannelFilter
                                           : prune::Method::kNone;
-            xbar::CrossbarConfig xc;
-            xc.size = size;
-            const auto energy = map::estimate_energy(model, method, xc, energy_config);
             core::EvalConfig eval;
-            eval.xbar = xc;
+            eval.xbar.size = size;
             eval.method = method;
-            const auto r = core::evaluate_on_crossbars(model, tt.test, eval);
+            // One mapping, judged by its energy and by its accuracy.
+            const core::MappingPlan plan(model, eval);
+            const auto energy = plan.energy(energy_config);
+            const auto r = core::evaluate_repeats_on_crossbars(
+                               model, plan, tt.test, eval, {eval.seed})
+                               .front();
             table.add_row({is_pruned ? "C/F pruned" : "unpruned",
                            std::to_string(size), std::to_string(energy.tiles),
                            util::fmt(energy.total_energy_pj() / 1e3, 2),

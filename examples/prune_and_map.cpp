@@ -6,7 +6,6 @@
 //   ./prune_and_map [--method=cf|xcs|xrs] [--sparsity=0.8] [--sizes=16,32,64]
 #include "core/evaluator.h"
 #include "data/synthetic.h"
-#include "map/compression.h"
 #include "nn/trainer.h"
 #include "nn/vgg.h"
 #include "prune/prune.h"
@@ -61,15 +60,13 @@ int run(int argc, char** argv) {
     util::TextTable table({"xbar", "dense #xb", "pruned #xb", "compression",
                            "dense acc (ni)", "pruned acc (ni)"});
     for (const auto size : sizes) {
-        const auto dense_budget =
-            map::count_crossbars(dense, prune::Method::kNone, size);
-        const auto pruned_budget = map::count_crossbars(pruned, method, size);
-
         core::EvalConfig eval;
         eval.xbar.size = size;
         eval.method = prune::Method::kNone;
+        const auto dense_budget = core::MappingPlan(dense, eval).crossbars();
         const auto dense_hw = core::evaluate_on_crossbars(dense, tt.test, eval);
         eval.method = method;
+        const auto pruned_budget = core::MappingPlan(pruned, eval).crossbars();
         const auto pruned_hw = core::evaluate_on_crossbars(pruned, tt.test, eval);
 
         table.add_row({std::to_string(size) + "x" + std::to_string(size),

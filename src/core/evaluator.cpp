@@ -13,6 +13,7 @@
 #include "xbar/pipeline.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 
 namespace xs::core {
@@ -100,6 +101,75 @@ void MappingPlan::check_inputs(const EvalConfig& config) const {
                       config.w_ref == inputs_.w_ref,
                   "MappingPlan: the config maps the model differently from "
                   "the plan (crossbar size, method, rearrangement or w_ref)");
+}
+
+map::EnergyReport MappingPlan::energy(const map::EnergyConfig& config) const {
+    map::EnergyReport report;
+    const std::int64_t n = inputs_.xbar.size;
+    const double g_min = inputs_.xbar.device.g_min();
+    const double joule_scale = config.v_read * config.v_read *
+                               config.t_read_ns * 1e-9 * 1e12;  // -> pJ
+
+    for (const Layer& lp : layers_) {
+        // The default scale, even where a WCT plan maps at its frozen one:
+        // the perfbench reference grids hold energy at this scale, so
+        // reading lp.w_ref for every layer goes with regenerating their
+        // WCT rows.
+        const double w_ref = inputs_.w_ref.count(lp.name)
+                                 ? xbar::default_w_ref(lp.matrix)
+                                 : lp.w_ref;
+        const xbar::ConductanceMapper mapper(inputs_.xbar.device, w_ref);
+        const Tensor& target = lp.plan.mapping_target(lp.matrix);
+
+        map::LayerEnergy le;
+        le.layer = lp.name;
+        le.tiles = lp.plan.tiling.count();
+        for (const map::Tile& tile : lp.plan.tiling.tiles) {
+            // Mapped cells: G⁺ + G⁻ = 2·G_MIN + slope·|w|.
+            double g_sum = 0.0;
+            for (const auto r : tile.rows)
+                for (const auto c : tile.cols)
+                    g_sum += 2.0 * g_min +
+                             mapper.slope() * std::fabs(target.at(r, c));
+            // Padded cells idle at G_MIN on both arrays.
+            const std::int64_t padded =
+                n * n -
+                static_cast<std::int64_t>(tile.rows.size() * tile.cols.size());
+            g_sum += 2.0 * g_min * static_cast<double>(padded);
+
+            le.array_energy_pj += g_sum * joule_scale;
+            le.periph_energy_pj +=
+                config.e_driver_pj_per_row * static_cast<double>(n) +
+                config.e_sense_pj_per_col * static_cast<double>(n);
+            le.area_um2 +=
+                2.0 * static_cast<double>(n * n) * config.cell_area_um2 +
+                2.0 * static_cast<double>(n) * config.periph_area_um2_per_line;
+        }
+        report.tiles += le.tiles;
+        report.array_energy_pj += le.array_energy_pj;
+        report.periph_energy_pj += le.periph_energy_pj;
+        report.area_um2 += le.area_um2;
+        report.layers.push_back(std::move(le));
+    }
+    return report;
+}
+
+map::CrossbarBudget MappingPlan::crossbars() const {
+    map::CrossbarBudget budget;
+    budget.xbar_size = inputs_.xbar.size;
+    for (const Layer& lp : layers_) {
+        map::LayerCrossbarCount entry;
+        entry.layer = lp.name;
+        entry.rows = lp.matrix.dim(0);
+        entry.cols = lp.matrix.dim(1);
+        entry.dense_tiles =
+            map::tile_dense(entry.rows, entry.cols, budget.xbar_size).count();
+        entry.tiles = lp.plan.tiling.count();
+        budget.dense_total += entry.dense_tiles;
+        budget.total += entry.tiles;
+        budget.layers.push_back(std::move(entry));
+    }
+    return budget;
 }
 
 namespace {
@@ -294,12 +364,12 @@ Tensor degrade_mac_matrix(const Tensor& matrix, const EvalConfig& config,
 }
 
 std::vector<EvalResult> evaluate_repeats_on_crossbars(
-    nn::Sequential& model, const nn::Dataset& test, const EvalConfig& config,
-    const std::vector<std::uint64_t>& seeds) {
+    nn::Sequential& model, const MappingPlan& plan, const nn::Dataset& test,
+    const EvalConfig& config, const std::vector<std::uint64_t>& seeds) {
     const std::size_t R = seeds.size();
     tensor::check(R > 0, "evaluate_repeats_on_crossbars: empty seed list");
-    const MappingPlan mapping(model, config);
-    const std::vector<MappingPlan::Layer>& plans = mapping.layers();
+    plan.check_inputs(config);
+    const std::vector<MappingPlan::Layer>& plans = plan.layers();
     nn::InferenceEngine engine(model);
     tensor::check(engine.mappable_count() == plans.size(),
                   "evaluate_repeats_on_crossbars: engine/plan mappable-layer "
@@ -407,8 +477,8 @@ EvalResult evaluate_on_crossbars(nn::Sequential& model, const nn::Dataset& test,
     for (std::int64_t r = 0; r < repeats; ++r)
         seeds[static_cast<std::size_t>(r)] =
             config.seed + static_cast<std::uint64_t>(r) * 7919;
-    std::vector<EvalResult> per =
-        evaluate_repeats_on_crossbars(model, test, config, seeds);
+    std::vector<EvalResult> per = evaluate_repeats_on_crossbars(
+        model, MappingPlan(model, config), test, config, seeds);
     EvalResult aggregate = std::move(per[0]);
     for (std::int64_t r = 1; r < repeats; ++r) {
         const EvalResult& one = per[static_cast<std::size_t>(r)];

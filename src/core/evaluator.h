@@ -11,10 +11,13 @@
 // inference-engine instance that runs through forward_batched. A single
 // evaluation (one repeat, degrade_mac_matrix, measure_nf) is the one-lane
 // case of the same loop. The deterministic mapping stages (T, R, tiling,
-// w_ref) form a MappingPlan, which NF measurements that share a mapping
-// reuse.
+// w_ref) form a MappingPlan, the one mapping of a model onto crossbars:
+// evaluations and NF measurements run on it, and its crossbar count and
+// energy estimate are queries of the same tiles.
 #pragma once
 
+#include "map/compression.h"
+#include "map/energy.h"
 #include "nn/sequential.h"
 #include "nn/trainer.h"
 #include "prune/prune.h"
@@ -100,8 +103,9 @@ struct EvalResult {
 // in map::mappable_layers order. Nothing in it is stochastic or
 // circuit-level, so evaluations that differ only in device variation,
 // parasitics, faults, write quantization, backend or seed can share one
-// plan (a sweep's NF unit, DESIGN.md §7). It copies the weights and keeps
-// no reference to the model.
+// plan (a sweep's work unit, DESIGN.md §7). It copies the weights and keeps
+// no reference to the model. This is the only code that maps a model: the
+// crossbar count and the energy estimate read the plan's tiles.
 class MappingPlan {
 public:
     MappingPlan(nn::Sequential& model, const EvalConfig& config);
@@ -109,6 +113,16 @@ public:
 
     // Throws unless `config` has the mapping inputs this plan was built with.
     void check_inputs(const EvalConfig& config) const;
+
+    // One MAC pass over this plan's tiles under the analytic model of
+    // map/energy.h: each tile sums its mapping target's conductances, and
+    // padded cells idle at G_MIN. Conductances use xbar::default_w_ref of
+    // the layer's weights, also where the plan maps at a frozen WCT scale.
+    map::EnergyReport energy(const map::EnergyConfig& config) const;
+
+    // Per layer: the original MAC matrix's shape, its dense tile count and
+    // this plan's tile count (map/compression.h).
+    map::CrossbarBudget crossbars() const;
 
     struct Layer;  // one layer's mapping, defined by the evaluator
     const std::vector<Layer>& layers() const { return layers_; }
@@ -127,24 +141,27 @@ tensor::Tensor degrade_mac_matrix(const tensor::Tensor& matrix,
 
 // Full evaluation: degrade W′ and measure test accuracy, averaged over
 // `config.repeats` Monte-Carlo repeats (repeat r seeded config.seed +
-// r·7919). This is evaluate_repeats_on_crossbars over that seed list plus
-// the averaging. The model itself is never mutated — W′ reaches a per-call
-// inference engine (nn/infer.h) as compiled instances.
+// r·7919). This is evaluate_repeats_on_crossbars on a MappingPlan built
+// for `config`, over that seed list, plus the averaging. The model itself
+// is never mutated — W′ reaches a per-call inference engine (nn/infer.h) as
+// compiled instances.
 EvalResult evaluate_on_crossbars(nn::Sequential& model, const nn::Dataset& test,
                                  const EvalConfig& config);
 
 // One EvalResult per entry of `seeds`: repeat r degrades with seed seeds[r]
 // and all repeats evaluate in a single lane-batched pass (config.repeats is
-// ignored — the seed list IS the repeat axis). The MappingPlan is built
-// once; each repeat only redoes the stochastic stages (variation, faults,
-// circuit solve). Repeats ride in groups of four lanes, and each group
-// degrades, compiles and infers in turn on the calling thread. Circuit
-// solves start cold, so a repeat's result does not depend on which other
-// seeds ride with it: sweeps call this with one grid point's per-cell seeds
-// and every repeat still produces its own CellResult.
+// ignored — the seed list IS the repeat axis). Every repeat maps through
+// `plan`, the caller's MappingPlan of `model`, and only redoes the
+// stochastic stages (variation, faults, circuit solve); throws when
+// `config`'s mapping inputs differ from the plan's
+// (MappingPlan::check_inputs). Repeats ride in groups of four lanes, and
+// each group degrades, compiles and infers in turn on the calling thread.
+// Circuit solves start cold, so a repeat's result does not depend on which
+// other seeds ride with it: sweeps call this with one grid point's per-cell
+// seeds and every repeat still produces its own CellResult.
 std::vector<EvalResult> evaluate_repeats_on_crossbars(
-    nn::Sequential& model, const nn::Dataset& test, const EvalConfig& config,
-    const std::vector<std::uint64_t>& seeds);
+    nn::Sequential& model, const MappingPlan& plan, const nn::Dataset& test,
+    const EvalConfig& config, const std::vector<std::uint64_t>& seeds);
 
 // NF measurement only (paper Fig. 3(d)): one lane of the tile loop per
 // layer of `plan`, seeded config.seed, with no inference pass. The tile loop

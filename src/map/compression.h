@@ -1,10 +1,15 @@
 // Crossbar accounting: how many X×X crossbars a model needs under each
 // pruning scheme, and the crossbar-compression-rate of paper Table I
 // (crossbars for the unpruned layout ÷ crossbars after T-compaction).
+//
+// core::MappingPlan::crossbars fills the budget from the plan's own tiling:
+//  * kNone, kUnstructured — dense tiling of the full matrices (scattered
+//    zeros save no crossbars);
+//  * kChannelFilter       — dense tiling after dropping all-zero rows/columns;
+//  * kXbarColumn/Row      — XCS/XRS segment packing.
+// R permutes columns before tiling, which leaves every count but XRS's
+// unchanged: it breaks up the row segments XRS packs.
 #pragma once
-
-#include "nn/sequential.h"
-#include "prune/prune.h"
 
 #include <cstdint>
 #include <string>
@@ -17,7 +22,7 @@ struct LayerCrossbarCount {
     std::int64_t rows = 0;        // original MAC-matrix rows
     std::int64_t cols = 0;        // original MAC-matrix cols
     std::int64_t dense_tiles = 0; // tiles for the unpruned layout
-    std::int64_t tiles = 0;       // tiles after the scheme's T-compaction
+    std::int64_t tiles = 0;       // tiles the plan maps (T, R, scheme tiling)
 };
 
 struct CrossbarBudget {
@@ -31,12 +36,5 @@ struct CrossbarBudget {
                      : 0.0;
     }
 };
-
-// Counts crossbars for every mappable layer under `method` semantics:
-//  * kNone           — dense tiling of the full matrices;
-//  * kChannelFilter  — dense tiling after dropping all-zero rows/columns;
-//  * kXbarColumn/Row — XCS/XRS segment packing.
-CrossbarBudget count_crossbars(nn::Sequential& model, prune::Method method,
-                               std::int64_t xbar_size);
 
 }  // namespace xs::map

@@ -8,11 +8,11 @@
 //     cells sitting at G_MIN on both differential arrays;
 //   * peripheral energy: per-tile driver energy ∝ rows + sense ∝ cols;
 //   * area: two X×X device arrays per logical tile plus row/col periphery.
+//
+// These are the model's parameters and report. core::MappingPlan::energy
+// fills the report from the plan's own tiles, so the estimate counts the
+// mapping the evaluator degrades (T-compaction, R, the method's tiling).
 #pragma once
-
-#include "nn/sequential.h"
-#include "prune/prune.h"
-#include "xbar/config.h"
 
 #include <cstdint>
 #include <string>
@@ -46,13 +46,5 @@ struct EnergyReport {
 
     double total_energy_pj() const { return array_energy_pj + periph_energy_pj; }
 };
-
-// Estimate one full-model MAC pass under `method` mapping semantics: the
-// evaluator's T-compaction, map::tile_for and xbar::default_w_ref. A WCT
-// model's frozen w_ref is not applied, so its conductances read as those of
-// an unconstrained model with the same weights.
-EnergyReport estimate_energy(nn::Sequential& model, prune::Method method,
-                             const xbar::CrossbarConfig& xbar,
-                             const EnergyConfig& config);
 
 }  // namespace xs::map

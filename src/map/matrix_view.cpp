@@ -3,6 +3,7 @@
 #include "nn/conv2d.h"
 #include "nn/linear.h"
 #include "tensor/ops.h"
+#include "util/metrics.h"
 
 namespace xs::map {
 
@@ -27,6 +28,7 @@ std::vector<nn::Layer*> mappable_layers(nn::Sequential& model) {
 }
 
 Tensor extract_matrix(const nn::Layer& layer) {
+    XS_COUNT("map.matrices_extracted", 1);
     if (const auto* conv = dynamic_cast<const nn::Conv2d*>(&layer)) {
         const std::int64_t rows =
             conv->in_channels() * conv->kernel() * conv->kernel();

@@ -21,7 +21,8 @@ namespace xs::map {
 std::vector<nn::Layer*> mappable_layers(nn::Sequential& model);
 
 // Extract the (rows × cols) MAC matrix of a conv/linear layer.
-// Throws for non-mappable layers.
+// Throws for non-mappable layers. Each call counts in the
+// map.matrices_extracted counter: the mapping work a sweep does.
 tensor::Tensor extract_matrix(const nn::Layer& layer);
 
 // Write a (possibly modified) MAC matrix back into the layer's weights.

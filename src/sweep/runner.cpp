@@ -89,14 +89,11 @@ core::EvalConfig cell_config(core::ExperimentContext& ctx,
     return eval;
 }
 
-// The analytic energy estimate of one MAC pass: a function of the model,
-// the method and the crossbar size and device range, so every cell of a
-// unit shares it.
-double energy_pj(core::PreparedModel& model, const SweepCell& cell,
-                 const core::EvalConfig& eval) {
-    return map::estimate_energy(model.model, cell.prune.method, eval.xbar,
-                                map::EnergyConfig{})
-        .total_energy_pj();
+// The analytic energy estimate of one MAC pass over the unit's plan: a
+// function of the mapping and the device range, so every cell of a unit
+// shares it.
+double energy_pj(const core::MappingPlan& plan) {
+    return plan.energy(map::EnergyConfig{}).total_energy_pj();
 }
 
 CellResult cell_result(const SweepCell& cell, const core::PreparedModel& model,
@@ -150,7 +147,7 @@ std::vector<CellResult> run_nf_unit(core::ExperimentContext& ctx,
             if (!plan) plan.emplace(model->model, eval);
             r = core::measure_nf(*plan, eval);
         }
-        if (out.empty()) energy = energy_pj(*model, *cell, eval);
+        if (out.empty()) energy = energy_pj(*plan);
         out.push_back(cell_result(*cell, *model, r, energy, ms_since(t0)));
     }
     return out;
@@ -169,7 +166,8 @@ CellResult run_sweep_cell(core::ExperimentContext& ctx, const SweepSpec& spec,
 
 // An inference unit is one grid point's repeats in a single lane-batched
 // evaluation. The cells share every axis except the repeat index, so one
-// EvalConfig (built from the head cell) serves the whole group; only the
+// EvalConfig (built from the head cell) and one MappingPlan serve the whole
+// group, the plan for the evaluation and the energy estimate alike; only the
 // per-repeat seeds differ, and those reach the evaluator as an explicit seed
 // list. Solves start cold, so each lane's result is independent of the group
 // it rides in: a group and its cells run one by one give the same bytes.
@@ -191,15 +189,17 @@ std::vector<CellResult> run_sweep_group(
     for (std::size_t r = 0; r < lanes; ++r)
         seeds[r] = cell_seed(ctx.seed(), *cells[r]);
 
+    std::optional<core::MappingPlan> plan;
     std::vector<core::EvalResult> per;
     {
         XS_TIMER_NS("sweep.phase.eval.ns");
         XS_TRACE_SPAN("cell.eval");
         const data::TrainTest& tt = ctx.dataset(head.num_classes);
-        per = core::evaluate_repeats_on_crossbars(model.model, tt.test, eval,
-                                                  seeds);
+        plan.emplace(model.model, eval);
+        per = core::evaluate_repeats_on_crossbars(model.model, *plan, tt.test,
+                                                  eval, seeds);
     }
-    const double energy = energy_pj(model, head, eval);
+    const double energy = energy_pj(*plan);
     // The group's wall time is split evenly across its cells.
     const double wall_ms = ms_since(t0) / static_cast<double>(lanes);
     std::vector<CellResult> out;

@@ -138,9 +138,10 @@ CellResult run_sweep_cell(core::ExperimentContext& ctx, const SweepSpec& spec,
 // order. Each cell keeps its own cell_seed and circuit solves start cold, so
 // every result is bit-identical to running its cell alone.
 //  * Inference: `cells` are repeats of ONE grid point (any subset), run as a
-//    single lane-batched evaluation: one model resolve, one compiled-instance
-//    set per repeat, one batched inference pass, one `cell_group` span. The
-//    group wall time is split evenly across the cells.
+//    single lane-batched evaluation: one model resolve, one core::MappingPlan
+//    and one energy estimate, one compiled-instance set per repeat, one
+//    batched inference pass, one `cell_group` span. The group wall time is
+//    split evenly across the cells.
 //  * nf_only: `cells` share one mapping (they differ at most in sigma,
 //    parasitic scale, faults, quant levels, backend and repeat; anything
 //    else throws). One model resolve, one core::MappingPlan and one energy

@@ -1,7 +1,6 @@
 // Tests for the evaluator extensions: write quantization, stuck-at faults,
 // column compensation, and the unstructured pruning baseline.
 #include "core/evaluator.h"
-#include "map/compression.h"
 #include "nn/conv2d.h"
 #include "nn/vgg.h"
 #include "prune/prune.h"
@@ -145,8 +144,10 @@ TEST(Unstructured, SavesNoCrossbars) {
     pc.sparsity = 0.7;
     prune::prune_at_init(model, pc);
 
-    const auto budget =
-        map::count_crossbars(model, prune::Method::kUnstructured, 32);
+    EvalConfig mapping;
+    mapping.xbar.size = 32;
+    mapping.method = prune::Method::kUnstructured;
+    const auto budget = MappingPlan(model, mapping).crossbars();
     EXPECT_EQ(budget.total, budget.dense_total);
     EXPECT_DOUBLE_EQ(budget.compression_rate(), 1.0);
 }

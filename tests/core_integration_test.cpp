@@ -5,7 +5,6 @@
 #include "core/wct.h"
 #include "core/workspace.h"
 #include "data/synthetic.h"
-#include "map/compression.h"
 #include "nn/trainer.h"
 #include "nn/vgg.h"
 #include "prune/prune.h"
@@ -150,8 +149,10 @@ TEST(Integration, WctKeepsSoftwareAccuracyAndClipsWeights) {
 
 TEST(Integration, CompressionRateAboveOneForCf) {
     Trained t = train_tiny(prune::Method::kChannelFilter, 0.5);
-    const auto budget =
-        map::count_crossbars(t.model, prune::Method::kChannelFilter, 16);
+    EvalConfig mapping;
+    mapping.xbar.size = 16;
+    mapping.method = prune::Method::kChannelFilter;
+    const auto budget = MappingPlan(t.model, mapping).crossbars();
     EXPECT_GT(budget.compression_rate(), 1.2);
 }
 

@@ -179,23 +179,54 @@ TEST(RepeatBatch, ColdMatchesSequentialOnEveryBackend) {
 }
 
 TEST(RepeatBatch, PerRepeatResultsMatchSingleSeedRuns) {
-    // evaluate_repeats_on_crossbars with N seeds must equal N independent
-    // single-seed calls — the contract the sweep runner's group execution
-    // relies on for byte-identical per-repeat CellResults.
+    // evaluate_repeats_on_crossbars with N seeds on one plan must equal N
+    // independent single-seed calls on plans of their own — the contract
+    // the sweep runner's group execution relies on for byte-identical
+    // per-repeat CellResults.
     nn::Sequential model = tiny_vgg(12);
     const nn::Dataset test = tiny_dataset(15);
     EvalConfig config = base_config(xbar::BackendKind::kCircuit);
     const std::vector<std::uint64_t> seeds{21, 909, 4242};
+    const MappingPlan plan(model, config);
     const std::vector<EvalResult> grouped =
-        evaluate_repeats_on_crossbars(model, test, config, seeds);
+        evaluate_repeats_on_crossbars(model, plan, test, config, seeds);
     ASSERT_EQ(grouped.size(), seeds.size());
     for (std::size_t r = 0; r < seeds.size(); ++r) {
         const std::vector<EvalResult> one = evaluate_repeats_on_crossbars(
-            model, test, config, {seeds[r]});
+            model, MappingPlan(model, config), test, config, {seeds[r]});
         ASSERT_EQ(one.size(), 1u);
         expect_identical(grouped[r], one[0],
                          "seed=" + std::to_string(seeds[r]));
     }
+}
+
+TEST(RepeatBatch, RefusesAPlanThatMapsDifferently) {
+    // Repeats degrade the caller's plan; a config that maps the model any
+    // other way must throw, as measure_nf does, instead of evaluating a
+    // mapping the config does not describe.
+    nn::Sequential model = tiny_vgg(12);
+    const nn::Dataset test = tiny_dataset(15);
+    const EvalConfig config = base_config(xbar::BackendKind::kIdeal);
+    const MappingPlan plan(model, config);
+    EXPECT_EQ(evaluate_repeats_on_crossbars(model, plan, test, config, {21})
+                  .size(),
+              1u);
+    EvalConfig other = config;
+    other.xbar.size = 16;
+    EXPECT_THROW(evaluate_repeats_on_crossbars(model, plan, test, other, {21}),
+                 std::exception);
+    other = config;
+    other.method = prune::Method::kChannelFilter;
+    EXPECT_THROW(evaluate_repeats_on_crossbars(model, plan, test, other, {21}),
+                 std::exception);
+    other = config;
+    other.rearrange = true;
+    EXPECT_THROW(evaluate_repeats_on_crossbars(model, plan, test, other, {21}),
+                 std::exception);
+    other = config;
+    other.w_ref["conv1"] = 0.5;
+    EXPECT_THROW(evaluate_repeats_on_crossbars(model, plan, test, other, {21}),
+                 std::exception);
 }
 
 }  // namespace

@@ -1,3 +1,4 @@
+#include "core/evaluator.h"
 #include "map/compaction.h"
 #include "map/compression.h"
 #include "map/matrix_view.h"
@@ -199,12 +200,52 @@ TEST(ExtractTile, ZeroPadsPartialTiles) {
     EXPECT_FLOAT_EQ(sub.at(0, 3), 0.0f);
 }
 
+// The crossbar count the plan's query replaced, kept verbatim as its pin:
+// it re-extracts, re-compacts and re-tiles every layer, without R.
+CrossbarBudget reference_crossbars(nn::Sequential& model, prune::Method method,
+                                   std::int64_t xbar_size) {
+    CrossbarBudget budget;
+    budget.xbar_size = xbar_size;
+
+    for (nn::Layer* layer : mappable_layers(model)) {
+        const tensor::Tensor matrix = extract_matrix(*layer);
+        LayerCrossbarCount entry;
+        entry.layer = layer->name();
+        entry.rows = matrix.dim(0);
+        entry.cols = matrix.dim(1);
+        entry.dense_tiles =
+            tile_dense(entry.rows, entry.cols, xbar_size).count();
+
+        // T: C/F maps the matrix without its all-zero rows and columns.
+        // Scattered (unstructured) zeros save no crossbars.
+        entry.tiles =
+            (method == prune::Method::kChannelFilter
+                 ? tile_for(method, compact_dense(matrix).matrix, xbar_size)
+                 : tile_for(method, matrix, xbar_size))
+                .count();
+        budget.dense_total += entry.dense_tiles;
+        budget.total += entry.tiles;
+        budget.layers.push_back(std::move(entry));
+    }
+    return budget;
+}
+
+// The crossbars `model` maps to under `method` (and R when `rearrange`).
+CrossbarBudget plan_crossbars(nn::Sequential& model, prune::Method method,
+                              std::int64_t xbar_size, bool rearrange = false) {
+    core::EvalConfig mapping;
+    mapping.xbar.size = xbar_size;
+    mapping.method = method;
+    mapping.rearrange = rearrange;
+    return core::MappingPlan(model, mapping).crossbars();
+}
+
 TEST(Compression, UnprunedIsUnity) {
     nn::VggConfig config;
     config.width = 0.0625;
     util::Rng rng(10);
     nn::Sequential model = nn::build_vgg(config, rng);
-    const CrossbarBudget b = count_crossbars(model, prune::Method::kNone, 32);
+    const CrossbarBudget b = plan_crossbars(model, prune::Method::kNone, 32);
     EXPECT_EQ(b.total, b.dense_total);
     EXPECT_DOUBLE_EQ(b.compression_rate(), 1.0);
     EXPECT_GT(b.total, 0);
@@ -220,7 +261,7 @@ TEST(Compression, ChannelFilterCompresses) {
     pc.sparsity = 0.8;
     prune::prune_at_init(model, pc);
     const CrossbarBudget b =
-        count_crossbars(model, prune::Method::kChannelFilter, 32);
+        plan_crossbars(model, prune::Method::kChannelFilter, 32);
     EXPECT_GT(b.compression_rate(), 2.0);
     EXPECT_LT(b.total, b.dense_total);
 }
@@ -237,7 +278,7 @@ TEST(Compression, XcsCompressionNearInverseKeepRate) {
     pc.sparsity = 0.8;
     pc.segment_size = 32;
     prune::prune_at_init(model, pc);
-    const CrossbarBudget b = count_crossbars(model, prune::Method::kXbarColumn, 32);
+    const CrossbarBudget b = plan_crossbars(model, prune::Method::kXbarColumn, 32);
     EXPECT_GT(b.compression_rate(), 3.0);
     EXPECT_LT(b.compression_rate(), 6.0);
 }
@@ -247,7 +288,7 @@ TEST(Compression, LayerEntriesSumToTotals) {
     config.width = 0.0625;
     util::Rng rng(13);
     nn::Sequential model = nn::build_vgg(config, rng);
-    const CrossbarBudget b = count_crossbars(model, prune::Method::kNone, 16);
+    const CrossbarBudget b = plan_crossbars(model, prune::Method::kNone, 16);
     std::int64_t dense = 0, total = 0;
     for (const auto& l : b.layers) {
         dense += l.dense_tiles;
@@ -255,6 +296,56 @@ TEST(Compression, LayerEntriesSumToTotals) {
     }
     EXPECT_EQ(dense, b.dense_total);
     EXPECT_EQ(total, b.total);
+}
+
+// The plan's count equals the model-walking one exactly, layer by layer,
+// on width-0.125 VGGs pruned at init to s = 0.8. R only permutes columns,
+// which changes no dense or XCS tile count; it breaks up XRS's row
+// segments, so XRS is pinned without it.
+TEST(Compression, PlanMatchesTheModelWalkingCount) {
+    for (const std::string variant : {"vgg11", "vgg16"}) {
+        for (const prune::Method method :
+             {prune::Method::kNone, prune::Method::kChannelFilter,
+              prune::Method::kXbarColumn, prune::Method::kXbarRow}) {
+            nn::VggConfig vc;
+            vc.variant = variant;
+            vc.width = 0.125;
+            util::Rng rng(31);
+            nn::Sequential model = nn::build_vgg(vc, rng);
+            if (method != prune::Method::kNone) {
+                prune::PruneConfig pc;
+                pc.method = method;
+                pc.sparsity = 0.8;
+                prune::prune_at_init(model, pc);
+            }
+            for (const std::int64_t size : {16, 32, 64, 128}) {
+                const CrossbarBudget want =
+                    reference_crossbars(model, method, size);
+                for (const bool rearrange : {false, true}) {
+                    if (rearrange && method == prune::Method::kXbarRow) continue;
+                    SCOPED_TRACE(variant + " " + prune::method_name(method) +
+                                 " " + std::to_string(size) +
+                                 (rearrange ? " R" : ""));
+                    const CrossbarBudget got =
+                        plan_crossbars(model, method, size, rearrange);
+                    EXPECT_EQ(got.xbar_size, want.xbar_size);
+                    EXPECT_EQ(got.dense_total, want.dense_total);
+                    EXPECT_EQ(got.total, want.total);
+                    ASSERT_EQ(got.layers.size(), want.layers.size());
+                    for (std::size_t i = 0; i < want.layers.size(); ++i) {
+                        const LayerCrossbarCount& g = got.layers[i];
+                        const LayerCrossbarCount& w = want.layers[i];
+                        SCOPED_TRACE(w.layer);
+                        EXPECT_EQ(g.layer, w.layer);
+                        EXPECT_EQ(g.rows, w.rows);
+                        EXPECT_EQ(g.cols, w.cols);
+                        EXPECT_EQ(g.dense_tiles, w.dense_tiles);
+                        EXPECT_EQ(g.tiles, w.tiles);
+                    }
+                }
+            }
+        }
+    }
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 // with made-up results: what the coordinator's forked hosts would otherwise
 // have to be made to hit on cue.
 #include "core/experiments.h"
+#include "map/matrix_view.h"
 #include "sweep/runner.h"
 #include "util/metrics.h"
 #include "util/parallel.h"
@@ -375,6 +376,52 @@ TEST(SweepRunner, NfOnlyCellsIgnoreSigma) {
         ++pairs;
     }
     EXPECT_EQ(pairs, 4);
+}
+
+// Every work unit maps its model once: one MappingPlan serves the unit's
+// evaluation or NF measurements, its energy estimate and its tile counts.
+// map::extract_matrix counts each layer it unrolls in
+// map.matrices_extracted, so a run on cached models raises the counter by
+// units × mappable layers, for inference and nf-only units alike.
+TEST(SweepRunner, EachUnitMapsItsModelOnce) {
+    const auto extracted = [] {
+        const util::metrics::Snapshot snap = util::metrics::snapshot();
+        const auto it = snap.counters.find("map.matrices_extracted");
+        return it == snap.counters.end() ? std::uint64_t{0} : it->second;
+    };
+    const std::uint64_t layers =
+        map::mappable_layers(
+            ctx().prepared(ctx().spec("vgg11", 10, prune::Method::kNone, 0.0))
+                .model)
+            .size();
+    ASSERT_GT(layers, 0u);
+
+    // Two grid points of two repeats: two lane-batched units.
+    const SweepSpec inference = tiny_spec();
+    // Two prunes × three parasitic scales on one shard: each prune's three
+    // cells share a mapping and run as one unit.
+    SweepSpec nf = tiny_spec();
+    nf.nf_only = true;
+    nf.repeats = 1;
+    nf.parasitic_scales = {0.5, 1.0, 2.0};
+    for (const SweepSpec& spec : {inference, nf}) {
+        SCOPED_TRACE(spec.nf_only ? "nf-only" : "inference");
+        const std::vector<SweepCell> cells = spec.expand();
+        std::vector<std::size_t> all(cells.size());
+        for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
+        prepare_models(ctx(), cells, all);
+
+        SweepOptions opts;
+        opts.shards = 1;
+        opts.csv_name = spec.nf_only ? "maps_nf.csv" : "maps_inference.csv";
+        opts.manifest_name =
+            spec.nf_only ? "maps_nf.jsonl" : "maps_inference.jsonl";
+        const std::uint64_t before = extracted();
+        const SweepSummary summary = SweepRunner(ctx(), spec, opts).run();
+        EXPECT_EQ(summary.cells_executed, static_cast<std::int64_t>(cells.size()));
+        const std::uint64_t units = 2;
+        EXPECT_EQ(extracted() - before, units * layers);
+    }
 }
 
 TEST(SweepRunner, ResumeRefusesDifferentConfiguration) {
