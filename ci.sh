@@ -4,8 +4,9 @@
 # (perfbench/xsbench), end-to-end sweep smokes (in-process, --workers with
 # an injected crash, an nf-only grid and a grid over every optional step of
 # the tile ladder, each in process and through --workers, and multi-host
-# through sweep_serve), one run of each of the twelve figure/table sweep
-# drivers and of the four library examples and, last, a bench regression
+# through sweep_serve), a run of the paper's figure and table driver
+# (bench_paper) over every figure, one run of each of the two sweep
+# examples and of the four library examples and, last, a bench regression
 # gate, so a gate failure on a slow machine still leaves every smoke's
 # result behind;
 # plus a Debug job with Address- and UB-sanitizers over the unit-labeled
@@ -282,54 +283,80 @@ run_service_smoke() {
   fi
 }
 
-# Driver smoke: each of the twelve sweep drivers (the bench_fig*,
-# bench_table1 and bench_ablation figure drivers, and the mitigation_demo
-# and parasitic_sweep examples) runs once at the sweep smoke's scale, all
-# sharing one model cache, and must exit 0 and write its figure CSV with at
-# least one row. The library examples that call the evaluator, energy and
-# crossbar-count API directly (quickstart, prune_and_map, energy_tradeoff,
-# nf_explorer) then run once each at the same scale, with the flags each
-# reads, and must exit 0. A flag no code reads must fail before anything
-# runs: bench_fig3a --shards=2 exits 1. The step reports its time.
+# Driver smoke: bench_paper runs every figure and table of its registry
+# (--figures=all) once at the sweep smoke's scale, then Fig. 4(a,b) and the
+# ablation again over two backends and two quant levels. Every figure CSV
+# of a run must exist, hold at least one row and have no two rows alike: a
+# figure CSV prints each axis that varies among its rows. A flag no code
+# reads and an unknown figure must fail before anything runs:
+# `--shards=2` and `--figures=nope` exit 1. The sweep examples
+# mitigation_demo and parasitic_sweep, and the library examples that call
+# the evaluator, energy and crossbar-count API directly (quickstart,
+# prune_and_map, energy_tradeoff, nf_explorer), then run once each at the
+# same scale, all sharing one model cache, and must exit 0. The step
+# reports its time.
 run_driver_smoke() {
   local bin="$repo_root/build-release"
-  if [[ ! -x "$bin/bench_fig3a" || ! -x "$bin/mitigation_demo" ]]; then
+  if [[ ! -x "$bin/bench_paper" || ! -x "$bin/mitigation_demo" ]]; then
     return 0
   fi
-  echo "=== driver smoke (the twelve sweep drivers and four examples, one run each) ==="
+  echo "=== driver smoke (bench_paper, two sweep examples, four library examples) ==="
   local smoke_dir="$bin/driver-smoke"
   rm -rf "$smoke_dir"
   mkdir -p "$smoke_dir"
   local driver_flags=(--width=0.0625 --train-count=96 --test-count=48
     --epochs=1 --batch=16 --sizes=16 --sweep-repeats=1
     --out-dir="$smoke_dir" --cache-dir="$smoke_dir/models")
-  local start=$SECONDS driver csv
-  while read -r driver csv; do
-    if ! "$bin/$driver" "${driver_flags[@]}" > "$smoke_dir/$driver.log" 2>&1; then
-      cat "$smoke_dir/$driver.log" >&2
-      echo "driver smoke: $driver failed" >&2
+  local start=$SECONDS run figures csv
+  while IFS='|' read -r run figures; do
+    # $run and $figures are unquoted on purpose: one word per flag or CSV.
+    # shellcheck disable=SC2086
+    if ! "$bin/bench_paper" "${driver_flags[@]}" $run \
+        > "$smoke_dir/bench_paper.log" 2>&1; then
+      cat "$smoke_dir/bench_paper.log" >&2
+      echo "driver smoke: bench_paper $run failed" >&2
+      return 1
+    fi
+    for csv in $figures; do
+      if [[ ! -f "$smoke_dir/$csv" || $(wc -l < "$smoke_dir/$csv") -lt 2 ]]; then
+        echo "driver smoke: bench_paper $run wrote no rows to $csv" >&2
+        return 1
+      fi
+      if [[ -n "$(tail -n +2 "$smoke_dir/$csv" | sort | uniq -d)" ]]; then
+        echo "driver smoke: bench_paper $run printed two rows alike in $csv" >&2
+        return 1
+      fi
+    done
+    echo "bench_paper $run: $figures"
+  done <<'RUNS'
+--figures=all|fig3a.csv fig3b.csv fig3c.csv fig3d.csv fig3f.csv fig4ab.csv fig4cd.csv fig4e.csv fig4f.csv table1.csv ablation.csv
+--figures=4ab,ablation --backends=circuit,fast --quant-levels=0,16|fig4ab.csv ablation.csv
+RUNS
+  local rc bad
+  for bad in --shards=2 --figures=nope; do
+    rc=0
+    "$bin/bench_paper" "${driver_flags[@]}" "$bad" 2>/dev/null || rc=$?
+    if [[ "$rc" -ne 1 ]]; then
+      echo "driver smoke: bench_paper $bad exited $rc, not 1" >&2
+      return 1
+    fi
+  done
+  local example args
+  while read -r example csv; do
+    if ! "$bin/$example" "${driver_flags[@]}" > "$smoke_dir/$example.log" 2>&1; then
+      cat "$smoke_dir/$example.log" >&2
+      echo "driver smoke: $example failed" >&2
       return 1
     fi
     if [[ ! -f "$smoke_dir/$csv" || $(wc -l < "$smoke_dir/$csv") -lt 2 ]]; then
-      echo "driver smoke: $driver wrote no rows to $csv" >&2
+      echo "driver smoke: $example wrote no rows to $csv" >&2
       return 1
     fi
-    echo "$driver: $csv"
+    echo "$example: $csv"
   done <<'DRIVERS'
-bench_fig3a fig3a_vgg11_cifar10.csv
-bench_fig3b fig3b_vgg11_cifar10_sparsity.csv
-bench_fig3c fig3c_vgg16_cifar10.csv
-bench_fig3d fig3d_nf_vs_size.csv
-bench_fig3f_heatmap fig3f_rearrange_nf.csv
-bench_fig4ab fig4ab_rearrangement_cifar10.csv
-bench_fig4cd fig4cd_rearrangement_cifar100.csv
-bench_fig4ef fig4ef_wct.csv
-bench_table1 table1.csv
-bench_ablation ablation.csv
 mitigation_demo mitigation_demo.csv
 parasitic_sweep parasitic_sweep.csv
 DRIVERS
-  local example args
   while read -r example args; do
     # $args is unquoted on purpose: one word per flag.
     # shellcheck disable=SC2086
@@ -345,12 +372,6 @@ prune_and_map --width=0.0625 --train-count=96 --test-count=48 --epochs=1 --sizes
 energy_tradeoff --width=0.0625 --train-count=96 --test-count=48 --epochs=1 --sizes=16
 nf_explorer --sizes=16,32 --levels=4
 EXAMPLES
-  local rc=0
-  "$bin/bench_fig3a" "${driver_flags[@]}" --shards=2 || rc=$?
-  if [[ "$rc" -ne 1 ]]; then
-    echo "driver smoke: bench_fig3a --shards=2 exited $rc, not 1" >&2
-    return 1
-  fi
   echo "driver smoke: $((SECONDS - start)) s"
 }
 

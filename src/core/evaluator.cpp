@@ -120,6 +120,7 @@ map::EnergyReport MappingPlan::energy(const map::EnergyConfig& config) const {
                                  : lp.w_ref;
         const xbar::ConductanceMapper mapper(inputs_.xbar.device, w_ref);
         const Tensor& target = lp.plan.mapping_target(lp.matrix);
+        const std::int64_t stride = target.dim(1);
 
         map::LayerEnergy le;
         le.layer = lp.name;
@@ -127,10 +128,11 @@ map::EnergyReport MappingPlan::energy(const map::EnergyConfig& config) const {
         for (const map::Tile& tile : lp.plan.tiling.tiles) {
             // Mapped cells: G⁺ + G⁻ = 2·G_MIN + slope·|w|.
             double g_sum = 0.0;
-            for (const auto r : tile.rows)
+            for (const auto r : tile.rows) {
+                const float* row = target.data() + r * stride;
                 for (const auto c : tile.cols)
-                    g_sum += 2.0 * g_min +
-                             mapper.slope() * std::fabs(target.at(r, c));
+                    g_sum += 2.0 * g_min + mapper.slope() * std::fabs(row[c]);
+            }
             // Padded cells idle at G_MIN on both arrays.
             const std::int64_t padded =
                 n * n -

@@ -242,6 +242,39 @@ std::string sweep_config_fingerprint(const core::ExperimentContext& ctx,
            "/rng-zig128";
 }
 
+const std::vector<std::string>& aggregate_csv_header() {
+    static const std::vector<std::string> header = {
+        "variant", "classes", "method", "sparsity", "mitigation", "backend",
+        "xbar_size", "sigma", "parasitic_scale", "p_stuck_min", "p_stuck_max",
+        "repeats", "software_acc", "acc_mean", "acc_std", "nf_mean", "nf_std",
+        "energy_pj", "tiles", "solver_failures"};
+    return header;
+}
+
+std::vector<std::string> aggregate_csv_cells(const GroupRow& row) {
+    const SweepCell& c = row.cell;
+    return {c.variant,
+            std::to_string(c.num_classes),
+            prune::method_name(c.prune.method),
+            fmt_g(c.prune.sparsity),
+            c.mitigation.name(),
+            xbar::backend_name(c.backend),
+            std::to_string(c.xbar_size),
+            fmt_g(c.sigma),
+            fmt_g(c.parasitic_scale),
+            fmt_g(c.faults.p_stuck_min),
+            fmt_g(c.faults.p_stuck_max),
+            std::to_string(row.repeats_done),
+            util::fmt(row.software_acc, 4),
+            util::fmt(row.acc_mean, 4),
+            util::fmt(row.acc_std, 4),
+            util::fmt(row.nf_mean, 6),
+            util::fmt(row.nf_std, 6),
+            util::fmt(row.energy_pj, 3),
+            std::to_string(row.tiles),
+            std::to_string(row.solver_failures)};
+}
+
 namespace {
 
 // --resume state: every record in the manifest, its config line and its
@@ -338,26 +371,9 @@ void aggregate_and_write_csv(const std::vector<SweepCell>& cells,
     // order — the bytes depend solely on the grid and the cell results,
     // never on the execution engine (threads, processes, kills, retries,
     // resumes).
-    util::CsvWriter csv(summary.csv_path,
-                        {"variant", "classes", "method", "sparsity",
-                         "mitigation", "backend", "xbar_size", "sigma",
-                         "parasitic_scale", "p_stuck_min", "p_stuck_max",
-                         "repeats", "software_acc", "acc_mean", "acc_std",
-                         "nf_mean", "nf_std", "energy_pj", "tiles",
-                         "solver_failures"});
-    for (const GroupRow& row : summary.rows) {
-        if (!row.complete()) continue;
-        const SweepCell& c = row.cell;
-        csv.row(c.variant, c.num_classes, prune::method_name(c.prune.method),
-                fmt_g(c.prune.sparsity), c.mitigation.name(),
-                xbar::backend_name(c.backend), c.xbar_size,
-                fmt_g(c.sigma), fmt_g(c.parasitic_scale), fmt_g(c.faults.p_stuck_min),
-                fmt_g(c.faults.p_stuck_max), row.repeats_done,
-                util::fmt(row.software_acc, 4), util::fmt(row.acc_mean, 4),
-                util::fmt(row.acc_std, 4), util::fmt(row.nf_mean, 6),
-                util::fmt(row.nf_std, 6), util::fmt(row.energy_pj, 3),
-                row.tiles, row.solver_failures);
-    }
+    util::CsvWriter csv(summary.csv_path, aggregate_csv_header());
+    for (const GroupRow& row : summary.rows)
+        if (row.complete()) csv.row(aggregate_csv_cells(row));
     csv.flush();
     tensor::check(csv.ok(), "sweep: failed writing '" + summary.csv_path + "'");
     if (summary.cells_failed > 0)

@@ -118,6 +118,12 @@ struct SweepSummary {
     std::string manifest_path;
 };
 
+// The aggregate CSV's columns — the grid axes (variant … p_stuck_max),
+// then the metrics (repeats … solver_failures) — and one complete row's
+// cells, formatted as the CSV writes them.
+const std::vector<std::string>& aggregate_csv_header();
+std::vector<std::string> aggregate_csv_cells(const GroupRow& row);
+
 // Deterministic per-cell RNG seed: a function of the master seed and the
 // cell's identity only (FNV-1a over the cell's seed_key, offset by the
 // repeat). The backend axis is deliberately excluded: cells differing only

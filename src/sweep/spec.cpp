@@ -4,7 +4,6 @@
 #include "util/csv.h"       // util::fmt_g
 
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -14,24 +13,6 @@ namespace xs::sweep {
 namespace {
 
 using util::fmt_g;
-
-// Checked number parsing: the whole token must be consumed, so a typo like
-// "O.1" or "1e-2x" fails loudly instead of running a different grid.
-double parse_double(const std::string& text) {
-    char* end = nullptr;
-    const double v = std::strtod(text.c_str(), &end);
-    tensor::check(end == text.c_str() + text.size() && !text.empty(),
-                  "sweep: malformed number '" + text + "'");
-    return v;
-}
-
-std::int64_t parse_int(const std::string& text) {
-    char* end = nullptr;
-    const std::int64_t v = std::strtoll(text.c_str(), &end, 10);
-    tensor::check(end == text.c_str() + text.size() && !text.empty(),
-                  "sweep: malformed integer '" + text + "'");
-    return v;
-}
 
 std::vector<std::string> split(const std::string& s, char sep) {
     std::vector<std::string> out;
@@ -71,7 +52,7 @@ PruneSetting parse_prune(const std::string& text) {
     const auto colon = text.find(':');
     p.method = prune::method_from_name(text.substr(0, colon));
     if (colon != std::string::npos)
-        p.sparsity = parse_double(text.substr(colon + 1));
+        p.sparsity = util::parse_double(text.substr(colon + 1), "prune");
     tensor::check(p.method == prune::Method::kNone || p.sparsity > 0.0,
                   "sweep: pruned setting '" + text + "' needs a sparsity "
                   "(method:sparsity)");
@@ -81,9 +62,9 @@ PruneSetting parse_prune(const std::string& text) {
 FaultSetting parse_fault(const std::string& text) {
     FaultSetting f;
     const auto colon = text.find(':');
-    f.p_stuck_min = parse_double(text.substr(0, colon));
+    f.p_stuck_min = util::parse_double(text.substr(0, colon), "faults");
     if (colon != std::string::npos)
-        f.p_stuck_max = parse_double(text.substr(colon + 1));
+        f.p_stuck_max = util::parse_double(text.substr(colon + 1), "faults");
     return f;
 }
 
@@ -180,6 +161,22 @@ std::vector<SweepCell> SweepSpec::expand() const {
                                                 c.repeat = r;
                                                 cells.push_back(std::move(c));
                                             }
+    if (parts.empty()) return cells;
+    std::set<std::string> seen;
+    for (const SweepCell& c : cells) seen.insert(c.id());
+    for (const SweepSpec& part : parts) {
+        tensor::check(part.nf_only == nf_only && part.repeats == repeats,
+                      "sweep: the parts of a union must share nf-only and "
+                      "sweep-repeats");
+        std::vector<std::string> emitted;
+        for (SweepCell& c : part.expand()) {
+            std::string id = c.id();
+            if (seen.count(id) != 0) continue;
+            emitted.push_back(std::move(id));
+            cells.push_back(std::move(c));
+        }
+        seen.insert(emitted.begin(), emitted.end());
+    }
     return cells;
 }
 
@@ -198,13 +195,9 @@ std::string SweepSpec::describe() const {
     axis("faults", faults.size());
     axis("quant-levels", quant_levels.size());
     axis("backends", backends.size());
+    if (!parts.empty()) os << "parts=" << parts.size() + 1 << " ";
     if (nf_only) os << "nf-only ";
-    os << "repeats=" << repeats << " -> "
-       << variants.size() * class_counts.size() * prunes.size() *
-              mitigations.size() * sizes.size() * sigmas.size() *
-              parasitic_scales.size() * faults.size() * quant_levels.size() *
-              backends.size() * static_cast<std::size_t>(repeats)
-       << " cells";
+    os << "repeats=" << repeats << " -> " << expand().size() << " cells";
     return os.str();
 }
 
@@ -257,55 +250,40 @@ SweepSpec parse_sweep_spec(const util::Flags& flags,
     };
 
     SweepSpec spec;
-    if (const auto v = value("variants"); !v.empty()) spec.variants = split(v, ',');
-    if (const auto v = value("classes"); !v.empty()) {
-        spec.class_counts.clear();
-        for (const auto& item : split(v, ','))
-            spec.class_counts.push_back(parse_int(item));
-    }
-    if (const auto v = value("prune"); !v.empty()) {
-        spec.prunes.clear();
-        for (const auto& item : split(v, ',')) spec.prunes.push_back(parse_prune(item));
-    }
-    if (const auto v = value("mitigations"); !v.empty()) {
-        spec.mitigations.clear();
-        for (const auto& item : split(v, ','))
-            spec.mitigations.push_back(parse_mitigation(item));
-    }
-    if (const auto v = value("sizes"); !v.empty()) {
-        spec.sizes.clear();
-        for (const auto& item : split(v, ','))
-            spec.sizes.push_back(parse_int(item));
-    }
-    if (const auto v = value("sigmas"); !v.empty()) {
-        spec.sigmas.clear();
-        for (const auto& item : split(v, ','))
-            spec.sigmas.push_back(parse_double(item));
-    }
-    if (const auto v = value("parasitic-scales"); !v.empty()) {
-        spec.parasitic_scales.clear();
-        for (const auto& item : split(v, ','))
-            spec.parasitic_scales.push_back(parse_double(item));
-    }
-    if (const auto v = value("faults"); !v.empty()) {
-        spec.faults.clear();
-        for (const auto& item : split(v, ','))
-            spec.faults.push_back(parse_fault(item));
-    }
-    if (const auto v = value("quant-levels"); !v.empty()) {
-        spec.quant_levels.clear();
-        for (const auto& item : split(v, ','))
-            spec.quant_levels.push_back(parse_int(item));
-    }
-    if (const auto v = value("backends"); !v.empty()) {
-        spec.backends.clear();
-        for (const auto& item : split(v, ','))
-            spec.backends.push_back(xbar::backend_from_name(item));
-    }
+    // A set key replaces its axis with the parse of every comma-separated
+    // item; a malformed item throws naming the key.
+    const auto axis = [&value](const char* key, auto& values, auto parse) {
+        const std::string v = value(key);
+        if (v.empty()) return;
+        values.clear();
+        for (const auto& item : split(v, ',')) values.push_back(parse(item, key));
+    };
+    const auto as_int = [](const std::string& s, const char* key) {
+        return util::parse_int(s, key);
+    };
+    const auto as_double = [](const std::string& s, const char* key) {
+        return util::parse_double(s, key);
+    };
+    axis("variants", spec.variants,
+         [](const std::string& s, const char*) { return s; });
+    axis("classes", spec.class_counts, as_int);
+    axis("prune", spec.prunes,
+         [](const std::string& s, const char*) { return parse_prune(s); });
+    axis("mitigations", spec.mitigations,
+         [](const std::string& s, const char*) { return parse_mitigation(s); });
+    axis("sizes", spec.sizes, as_int);
+    axis("sigmas", spec.sigmas, as_double);
+    axis("parasitic-scales", spec.parasitic_scales, as_double);
+    axis("faults", spec.faults,
+         [](const std::string& s, const char*) { return parse_fault(s); });
+    axis("quant-levels", spec.quant_levels, as_int);
+    axis("backends", spec.backends, [](const std::string& s, const char*) {
+        return xbar::backend_from_name(s);
+    });
     if (const auto v = value("sweep-repeats"); !v.empty())
-        spec.repeats = parse_int(v);
+        spec.repeats = util::parse_int(v, "sweep-repeats");
     if (const auto v = value("nf-only"); !v.empty())
-        spec.nf_only = v == "true" || v == "1" || v == "yes";
+        spec.nf_only = util::parse_bool(v, "nf-only");
     tensor::check(spec.repeats >= 1, "sweep: sweep-repeats must be >= 1");
     for (const std::int64_t size : spec.sizes)
         tensor::check(size >= 1, "sweep: sizes must be >= 1, got " +

@@ -2,7 +2,8 @@
 // names the values of every axis — model variant, class count, pruning
 // method/sparsity, mitigation (WCT / rearrangement), crossbar size, device
 // sigma, parasitic scale, stuck-fault rates, and the Monte-Carlo repeat —
-// and expand() emits the full cartesian product as SweepCells. The runner
+// and expand() emits the full cartesian product as SweepCells, followed by
+// the products of any further parts (a union of products). The runner
 // (sweep/runner.h) executes cells sharded and resumable; cells that differ
 // only in `repeat` aggregate into one mean±std row of the output CSV.
 //
@@ -100,10 +101,19 @@ struct SweepSpec {
     // drivers normally pair nf_only with repeats = 1. Accuracy columns
     // read 0.
     bool nf_only = false;
+    // Further products, making the spec a union of products (the paper's
+    // figures, whose schemes are no single product). Each part must share
+    // nf_only and repeats with this spec; expand() throws otherwise. Empty
+    // for a plain grid.
+    std::vector<SweepSpec> parts;
 
-    // Full cartesian grid in deterministic order (repeat innermost).
+    // This spec's full cartesian grid in deterministic order (repeat
+    // innermost), then each part's expansion in order, less every cell whose
+    // id an earlier part already emitted. Repeats are spec-wide, so a
+    // dropped cell's whole repeat group is dropped with it.
     std::vector<SweepCell> expand() const;
-    // Human-readable axis summary, e.g. for a run banner.
+    // Human-readable axis summary of this spec's own axes and the expanded
+    // cell count, e.g. for a run banner.
     std::string describe() const;
 };
 
@@ -122,10 +132,11 @@ std::map<std::string, std::string> read_spec_file(const std::string& path);
 //   parasitic-scales=1.0       faults=0:0,0.01:0.001   (SA0:SA1)
 //   quant-levels=0,64,16       backends=circuit,fast,ideal
 //   sweep-repeats=2            nf-only=false
-// A value no grid can run throws, naming its key: sizes or sweep-repeats
-// below 1, negative parasitic scales, sigmas that are negative or not
-// finite, quant-levels other than 0 or ≥ 2, and fault rates below 0 or
-// summing above 1.
+// A value that does not parse throws, naming its key (util::parse_int,
+// parse_double, parse_bool), and so does a value no grid can run: sizes or
+// sweep-repeats below 1, negative parasitic scales, sigmas that are negative
+// or not finite, quant-levels other than 0 or ≥ 2, and fault rates below 0
+// or summing above 1.
 SweepSpec parse_sweep_spec(const util::Flags& flags,
                            const std::map<std::string, std::string>& defaults = {});
 

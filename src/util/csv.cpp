@@ -3,15 +3,20 @@
 #include <algorithm>
 #include <cstdio>
 #include <iomanip>
+#include <sstream>
 #include <stdexcept>
 
 namespace xs::util {
 
 CsvWriter::CsvWriter(const std::string& path, const std::vector<std::string>& header)
     : out_(path) {
-    for (std::size_t i = 0; i < header.size(); ++i) {
+    row(header);
+}
+
+void CsvWriter::row(const std::vector<std::string>& cells) {
+    for (std::size_t i = 0; i < cells.size(); ++i) {
         if (i) out_ << ',';
-        out_ << header[i];
+        out_ << cells[i];
     }
     out_ << '\n';
 }

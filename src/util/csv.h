@@ -4,7 +4,6 @@
 #pragma once
 
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -15,25 +14,13 @@ public:
     // Opens `path` for writing and emits the header row immediately.
     CsvWriter(const std::string& path, const std::vector<std::string>& header);
 
-    // Append one row; each cell is formatted with operator<<.
-    template <typename... Cells>
-    void row(const Cells&... cells) {
-        std::ostringstream line;
-        append_cells(line, cells...);
-        out_ << line.str() << '\n';
-    }
+    // Append one row of formatted cells.
+    void row(const std::vector<std::string>& cells);
 
     void flush() { out_.flush(); }
     bool ok() const { return out_.good(); }
 
 private:
-    template <typename First, typename... Rest>
-    static void append_cells(std::ostringstream& line, const First& first,
-                             const Rest&... rest) {
-        line << first;
-        ((line << ',' << rest), ...);
-    }
-
     std::ofstream out_;
 };
 

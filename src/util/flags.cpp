@@ -41,18 +41,17 @@ std::string Flags::get_string(const std::string& name, const std::string& def) c
 
 std::int64_t Flags::get_int(const std::string& name, std::int64_t def) const {
     const std::string* v = find(name);
-    return v ? std::strtoll(v->c_str(), nullptr, 10) : def;
+    return v ? parse_int(*v, "--" + name) : def;
 }
 
 double Flags::get_double(const std::string& name, double def) const {
     const std::string* v = find(name);
-    return v ? std::strtod(v->c_str(), nullptr) : def;
+    return v ? parse_double(*v, "--" + name) : def;
 }
 
 bool Flags::get_bool(const std::string& name, bool def) const {
     const std::string* v = find(name);
-    if (!v) return def;
-    return *v == "true" || *v == "1" || *v == "yes";
+    return v ? parse_bool(*v, "--" + name) : def;
 }
 
 std::vector<std::int64_t> Flags::get_int_list(const std::string& name,
@@ -63,7 +62,7 @@ std::vector<std::int64_t> Flags::get_int_list(const std::string& name,
     std::stringstream ss(*v);
     std::string item;
     while (std::getline(ss, item, ',')) {
-        if (!item.empty()) out.push_back(std::strtoll(item.c_str(), nullptr, 10));
+        if (!item.empty()) out.push_back(parse_int(item, "--" + name));
     }
     return out;
 }
@@ -76,6 +75,29 @@ void Flags::check_all_read() const {
     }
     if (!unread.empty())
         throw std::invalid_argument("unknown flag(s):" + unread);
+}
+
+std::int64_t parse_int(const std::string& text, const std::string& name) {
+    char* end = nullptr;
+    const std::int64_t v = std::strtoll(text.c_str(), &end, 10);
+    if (text.empty() || end != text.c_str() + text.size())
+        throw std::invalid_argument(name + ": malformed integer '" + text + "'");
+    return v;
+}
+
+double parse_double(const std::string& text, const std::string& name) {
+    char* end = nullptr;
+    const double v = std::strtod(text.c_str(), &end);
+    if (text.empty() || end != text.c_str() + text.size())
+        throw std::invalid_argument(name + ": malformed number '" + text + "'");
+    return v;
+}
+
+bool parse_bool(const std::string& text, const std::string& name) {
+    if (text == "true" || text == "1" || text == "yes") return true;
+    if (text == "false" || text == "0" || text == "no") return false;
+    throw std::invalid_argument(name + ": malformed bool '" + text +
+                                "' (true, false, 1, 0, yes or no)");
 }
 
 int run_main(int argc, char** argv, int (*body)(int, char**)) {

@@ -18,12 +18,15 @@ public:
     // one Flags is read from one thread at a time.
     bool has(const std::string& name) const { return find(name) != nullptr; }
 
+    // The typed getters throw std::invalid_argument naming the flag when its
+    // whole value does not parse (parse_int, parse_double, parse_bool).
     std::string get_string(const std::string& name, const std::string& def) const;
     std::int64_t get_int(const std::string& name, std::int64_t def) const;
     double get_double(const std::string& name, double def) const;
     bool get_bool(const std::string& name, bool def) const;
 
-    // Comma-separated list of integers, e.g. --sizes=16,32,64.
+    // Comma-separated list of integers, e.g. --sizes=16,32,64; empty items
+    // are skipped.
     std::vector<std::int64_t> get_int_list(const std::string& name,
                                            const std::vector<std::int64_t>& def) const;
 
@@ -44,6 +47,14 @@ private:
     std::vector<std::string> positional_;
     mutable std::set<std::string> read_;
 };
+
+// Checked parsing of one value of the flag or spec key `name`: the whole
+// text must parse, so "5x", "O.1" or "ture" throw std::invalid_argument
+// naming `name` instead of running a different workload. A bool is true,
+// false, 1, 0, yes or no.
+std::int64_t parse_int(const std::string& text, const std::string& name);
+double parse_double(const std::string& text, const std::string& name);
+bool parse_bool(const std::string& text, const std::string& name);
 
 // The body of a command-line program's main(): returns body(argc, argv),
 // or logs an exception that escapes it (an unknown flag, a grid no crossbar

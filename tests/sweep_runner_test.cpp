@@ -15,9 +15,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <vector>
 
@@ -178,6 +180,56 @@ TEST(SweepRunner, AggregateCsvInvariantToShardCount) {
         EXPECT_EQ(summary.cells_executed, 8);
         EXPECT_EQ(slurp(summary.csv_path), expected) << shards << " shards";
     }
+}
+
+// The sorted body lines of an aggregate CSV.
+std::vector<std::string> sorted_rows(const std::string& csv_path) {
+    std::istringstream lines(slurp(csv_path));
+    std::vector<std::string> rows;
+    std::string line;
+    std::getline(lines, line);  // header
+    while (std::getline(lines, line)) rows.push_back(line);
+    std::sort(rows.begin(), rows.end());
+    return rows;
+}
+
+// A union of products runs each cell once and aggregates the same rows as
+// its parts run one by one; cut and resumed, it writes the same bytes.
+TEST(SweepRunner, UnionRowsEqualPerPartRuns) {
+    SweepSpec rearranged = tiny_spec();
+    rearranged.mitigations = {{false, true}};
+    SweepSpec overlap = tiny_spec();  // its 16x16 groups repeat the first part's
+    overlap.sizes = {32, 16};
+    SweepSpec spec = tiny_spec();
+    spec.parts = {rearranged, overlap};
+
+    std::set<std::string> expected;
+    for (const SweepSpec& part : {tiny_spec(), rearranged, overlap}) {
+        SweepOptions opts;
+        opts.csv_name = "union_part" + std::to_string(expected.size()) + ".csv";
+        opts.manifest_name = opts.csv_name + ".jsonl";
+        for (std::string& row :
+             sorted_rows(SweepRunner(ctx(), part, opts).run().csv_path))
+            expected.insert(std::move(row));
+    }
+    SweepOptions opts;
+    opts.csv_name = "union.csv";
+    opts.manifest_name = "union.jsonl";
+    const SweepSummary whole = SweepRunner(ctx(), spec, opts).run();
+    EXPECT_EQ(whole.cells_executed, 12);
+    EXPECT_EQ(sorted_rows(whole.csv_path),
+              std::vector<std::string>(expected.begin(), expected.end()));
+
+    opts.csv_name = "union_resumed.csv";
+    opts.manifest_name = "union_resumed.jsonl";
+    opts.max_cells = 5;  // inside the third group
+    SweepRunner(ctx(), spec, opts).run();
+    opts.max_cells = -1;
+    opts.resume = true;
+    const SweepSummary resumed = SweepRunner(ctx(), spec, opts).run();
+    EXPECT_EQ(resumed.cells_resumed, 5);
+    EXPECT_EQ(resumed.cells_executed, 7);
+    EXPECT_EQ(slurp(resumed.csv_path), slurp(whole.csv_path));
 }
 
 // The cell ids of a manifest's records, in file order.

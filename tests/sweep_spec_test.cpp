@@ -81,7 +81,9 @@ TEST(SweepSpec, ParsePruneAndMitigationSyntax) {
 // tile_dense's bare "bad dimensions" abort. A negative sigma ran with no
 // variation under its own label, a NaN one filled tiles with NaN, a level
 // count of 1 ran continuous devices under a /q1 id, and a bad fault pair
-// threw only once cells ran, after the grid's models had trained.
+// threw only once cells ran, after the grid's models had trained. A value
+// that does not parse as a whole names its key too: --nf-only=ture used to
+// run an inference grid.
 TEST(SweepSpec, RejectsValuesNoGridCanRun) {
     const struct {
         const char* flag;
@@ -99,7 +101,15 @@ TEST(SweepSpec, RejectsValuesNoGridCanRun) {
                {"--faults=0:0,-0.01:0", "faults"},
                {"--faults=0:-0.01", "faults"},
                {"--faults=0.6:0.5", "faults"},
-               {"--faults=nan:0", "faults"}};
+               {"--faults=nan:0", "faults"},
+               // Values that do not parse as a whole.
+               {"--sizes=16x", "sizes"},
+               {"--classes=ten", "classes"},
+               {"--sigmas=0.1x", "sigmas"},
+               {"--prune=cf:0.8x", "prune"},
+               {"--faults=0.01:x", "faults"},
+               {"--sweep-repeats=2.5", "sweep-repeats"},
+               {"--nf-only=ture", "nf-only"}};
     for (const auto& b : bad) {
         try {
             parse_sweep_spec(make_flags({b.flag}));
@@ -192,6 +202,69 @@ TEST(SweepSpec, PrecedenceIsCliThenFileThenDefaultsThenBuiltIn) {
         EXPECT_NE(std::string(e.what()).find("'size'"), std::string::npos)
             << e.what();
     }
+}
+
+std::vector<std::string> ids_of(const std::vector<SweepCell>& cells) {
+    std::vector<std::string> ids;
+    for (const SweepCell& c : cells) ids.push_back(c.id());
+    return ids;
+}
+
+// A spec with parts is a union of products: its own product, then each
+// part's expansion, less every cell whose id an earlier part emitted.
+TEST(SweepSpec, UnionExpandsPartsInOrderAndDropsRepeatedGroups) {
+    SweepSpec base;
+    base.prunes = {{prune::Method::kNone, 0.0},
+                   {prune::Method::kChannelFilter, 0.8}};
+    base.sizes = {16, 32};
+    base.repeats = 2;
+
+    // A one-part spec expands as the plain product did: prune outer, size
+    // inner, repeat innermost.
+    std::vector<std::string> product;
+    for (const PruneSetting& p : base.prunes)
+        for (const std::int64_t size : {16, 32})
+            for (std::int64_t r = 0; r < 2; ++r) {
+                SweepCell c;
+                c.prune = p;
+                c.xbar_size = size;
+                c.repeat = r;
+                product.push_back(c.id());
+            }
+    EXPECT_EQ(ids_of(base.expand()), product);
+
+    SweepSpec rearranged = base;  // shares no cell with base
+    rearranged.prunes = {{prune::Method::kChannelFilter, 0.8}};
+    rearranged.mitigations = {{false, true}};
+    SweepSpec overlap = base;  // its x16 groups repeat base's
+    overlap.sizes = {64, 16};
+    SweepSpec spec = base;
+    spec.parts = {rearranged, overlap, base};
+
+    std::vector<std::string> expected = product;
+    for (const std::string& id : ids_of(rearranged.expand()))
+        expected.push_back(id);
+    for (const SweepCell& c : overlap.expand())
+        if (c.xbar_size == 64) expected.push_back(c.id());
+    const std::vector<SweepCell> cells = spec.expand();
+    EXPECT_EQ(ids_of(cells), expected);
+    // Whole repeat groups, in order: the runner's index / repeats units.
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        EXPECT_EQ(cells[i].repeat, static_cast<std::int64_t>(i % 2));
+        if (i % 2 == 1) {
+            EXPECT_EQ(cells[i].group_id(), cells[i - 1].group_id());
+        }
+    }
+    EXPECT_NE(spec.describe().find("-> 16 cells"), std::string::npos)
+        << spec.describe();
+
+    // nf_only and repeats are spec-wide.
+    SweepSpec nf = spec;
+    nf.parts[1].nf_only = true;
+    EXPECT_THROW(nf.expand(), std::invalid_argument);
+    SweepSpec more = spec;
+    more.parts[0].repeats = 3;
+    EXPECT_THROW(more.expand(), std::invalid_argument);
 }
 
 TEST(SweepManifest, LineRoundTripsDoublesExactly) {

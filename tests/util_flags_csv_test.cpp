@@ -45,18 +45,42 @@ TEST(Flags, DefaultsWhenAbsent) {
     EXPECT_EQ(f.get_string("missing", "d"), "d");
 }
 
+// A value the whole of which does not parse throws, naming its flag,
+// instead of running on what strtod or strtoll made of its prefix.
+void expect_malformed(const Flags& f, void (*read)(const Flags&),
+                      const std::string& flag) {
+    try {
+        read(f);
+        ADD_FAILURE() << flag << " was accepted";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(flag), std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(Flags, DoubleParsing) {
-    const Flags f = make_flags({"--rate=0.125"});
+    const Flags f = make_flags({"--rate=0.125", "--bad=0.1x", "--empty="});
     EXPECT_DOUBLE_EQ(f.get_double("rate", 0.0), 0.125);
+    expect_malformed(f, [](const Flags& g) { g.get_double("bad", 0.0); },
+                     "--bad");
+    expect_malformed(f, [](const Flags& g) { g.get_double("empty", 0.0); },
+                     "--empty");
 }
 
 TEST(Flags, IntList) {
-    const Flags f = make_flags({"--sizes=16,32,64"});
+    const Flags f = make_flags(
+        {"--sizes=16,32,64", "--bad=16,3x", "--epochs=5x", "--half=2.5"});
     const auto v = f.get_int_list("sizes", {});
     ASSERT_EQ(v.size(), 3u);
     EXPECT_EQ(v[0], 16);
     EXPECT_EQ(v[1], 32);
     EXPECT_EQ(v[2], 64);
+    expect_malformed(f, [](const Flags& g) { g.get_int_list("bad", {}); },
+                     "--bad");
+    expect_malformed(f, [](const Flags& g) { g.get_int("epochs", 0); },
+                     "--epochs");
+    expect_malformed(f, [](const Flags& g) { g.get_int("half", 0); },
+                     "--half");
 }
 
 TEST(Flags, IntListDefault) {
@@ -74,11 +98,18 @@ TEST(Flags, Positional) {
 }
 
 TEST(Flags, BoolExplicitValues) {
-    const Flags f = make_flags({"--a=true", "--b=false", "--c=1", "--d=no"});
+    const Flags f = make_flags({"--a=true", "--b=false", "--c=1", "--d=no",
+                                "--e=0", "--f=yes", "--resume=ture"});
     EXPECT_TRUE(f.get_bool("a", false));
     EXPECT_FALSE(f.get_bool("b", true));
     EXPECT_TRUE(f.get_bool("c", false));
     EXPECT_FALSE(f.get_bool("d", true));
+    EXPECT_FALSE(f.get_bool("e", true));
+    EXPECT_TRUE(f.get_bool("f", false));
+    // A typo must not read as false: --resume=ture would start afresh and
+    // truncate the manifest.
+    expect_malformed(f, [](const Flags& g) { g.get_bool("resume", false); },
+                     "--resume");
 }
 
 // A flag that no code reads (misspelt, or retired) fails instead of being
@@ -119,8 +150,8 @@ TEST(Csv, WritesHeaderAndRows) {
     const std::string path = testing::TempDir() + "/xs_csv_test.csv";
     {
         CsvWriter csv(path, {"a", "b", "c"});
-        csv.row(1, 2.5, "x");
-        csv.row("q", 7, 8);
+        csv.row({"1", "2.5", "x"});
+        csv.row({"q", "7", "8"});
         EXPECT_TRUE(csv.ok());
     }
     std::ifstream is(path);
